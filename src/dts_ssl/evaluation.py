@@ -79,10 +79,10 @@ def _midranks(values: np.ndarray) -> np.ndarray:
     """Average ranks (1-based) with ties sharing their midrank."""
     order = np.argsort(values, kind="mergesort")
     sorted_vals = values[order]
+    lo = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])  # tie-group starts
+    hi = np.r_[lo[1:], len(values)]
     ranks = np.empty(len(values), dtype=np.float64)
-    boundaries = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1], True])
-    for lo, hi in zip(boundaries[:-1], boundaries[1:]):
-        ranks[order[lo:hi]] = 0.5 * (lo + hi + 1)  # positions lo+1..hi, averaged
+    ranks[order] = np.repeat(0.5 * (lo + hi + 1), hi - lo)  # positions lo+1..hi, averaged
     return ranks
 
 

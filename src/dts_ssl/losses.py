@@ -55,21 +55,16 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     return float(terms.sum())
 
 
-def _gate_mask(gates, n: int) -> np.ndarray:
-    """Accept GateDecision sequences or boolean/0-1 arrays; return float mask."""
-    vals = [g.passed if hasattr(g, "passed") else g for g in gates]
-    mask = np.asarray(vals, dtype=np.float64)
-    if mask.shape != (n,):
-        raise ShapeError(f"gates must align with the batch: expected {n}, got {mask.shape}")
-    return mask
-
-
-def _score_values(scores, n: int) -> np.ndarray:
-    vals = [s.value if hasattr(s, "value") else s for s in scores]
-    w = np.asarray(vals, dtype=np.float64)
-    if w.shape != (n,):
-        raise ShapeError(f"scores must align with the batch: expected {n}, got {w.shape}")
-    return w
+def _per_sample(values, n: int, attr: str = "passed") -> np.ndarray:
+    """One float per batch row from an array, or from a sequence of GateDecision
+    (``attr="passed"``) / UncertaintyScore (``attr="value"``) objects or plain numbers."""
+    if not isinstance(values, np.ndarray):
+        values = [getattr(v, attr, v) for v in values]
+    out = np.asarray(values, dtype=np.float64)
+    if out.shape != (n,):
+        what = "gates" if attr == "passed" else "scores"
+        raise ShapeError(f"{what} must align with the batch: expected {n}, got {out.shape}")
+    return out
 
 
 def _ce_rows(labels: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -92,7 +87,7 @@ def seen_loss(pseudo_labels, student_strong_probs, gates, mu_B: int) -> float:
     labels = np.asarray(pseudo_labels, dtype=np.int64)
     if labels.shape != (n,):
         raise ShapeError(f"pseudo_labels must align with probs: {labels.shape} vs {n}")
-    mask = _gate_mask(gates, n)
+    mask = _per_sample(gates, n)
     return float((mask * _ce_rows(labels, probs)).sum() / mu_B)
 
 
@@ -102,7 +97,7 @@ def logit_match_loss(student_strong_probs, teacher_weak_probs, gates, mu_B: int)
     q = np.atleast_2d(np.asarray(teacher_weak_probs, dtype=np.float64))
     if p.shape != q.shape:
         raise ShapeError(f"prediction shapes differ: {p.shape} vs {q.shape}")
-    mask = _gate_mask(gates, p.shape[0])
+    mask = _per_sample(gates, p.shape[0])
     return float((mask * _kl_rows(p, q)).sum() / mu_B)
 
 
@@ -111,7 +106,7 @@ def unseen_loss(student_k1_strong_probs, scores, mu_B: int, K: int) -> float:
     probs = np.atleast_2d(np.asarray(student_k1_strong_probs, dtype=np.float64))
     if probs.shape[1] != K + 1:
         raise ShapeError(f"expected {K + 1}-class probabilities, got width {probs.shape[1]}")
-    w = _score_values(scores, probs.shape[0])
+    w = _per_sample(scores, probs.shape[0], "value")
     return float((w * -_log_clamped(probs[:, -1])).sum() / mu_B)
 
 
@@ -165,7 +160,7 @@ def gated_ce_loss_and_grad(pseudo_labels, logits: np.ndarray, gates, mu_B: int):
     z = np.atleast_2d(np.asarray(logits, dtype=np.float64))
     probs = softmax(z)
     labels = np.asarray(pseudo_labels, dtype=np.int64)
-    mask = _gate_mask(gates, z.shape[0])
+    mask = _per_sample(gates, z.shape[0])
     rows = _ce_rows(labels, probs)
     live = (probs[np.arange(z.shape[0]), labels - 1] > PROB_CLAMP).astype(np.float64)
     d_logits = (probs - one_hot(labels, z.shape[1])) * (mask * live)[:, None] / mu_B
@@ -184,7 +179,7 @@ def logit_match_loss_and_grad(student_logits: np.ndarray, teacher_probs: np.ndar
     if z.shape != q.shape:
         raise ShapeError(f"logits and teacher probs must match: {z.shape} vs {q.shape}")
     p = softmax(z)
-    mask = _gate_mask(gates, z.shape[0])
+    mask = _per_sample(gates, z.shape[0])
     value = float((mask * _kl_rows(p, q)).sum() / mu_B)
     d_logits = softmax_vjp(p, _kl_dp(p, q)) * mask[:, None] / mu_B
     return value, d_logits
@@ -195,7 +190,7 @@ def unseen_loss_and_grad(student_logits: np.ndarray, scores, mu_B: int):
     z = np.atleast_2d(np.asarray(student_logits, dtype=np.float64))
     probs = softmax(z)
     n, width = probs.shape
-    w = _score_values(scores, n)
+    w = _per_sample(scores, n, "value")
     value = float((w * -_log_clamped(probs[:, -1])).sum() / mu_B)
     target = np.zeros(width)
     target[-1] = 1.0
@@ -228,7 +223,7 @@ def uniformity_loss_and_grad(student_logits: np.ndarray, mask, mu_B: int):
     z = np.atleast_2d(np.asarray(student_logits, dtype=np.float64))
     p = softmax(z)
     n, width = p.shape
-    m = _gate_mask(mask, n)
+    m = _per_sample(mask, n)
     t = 1.0 / width
     rows = (-t * _log_clamped(p)).sum(axis=1)
     value = float((m * rows).sum() / mu_B)

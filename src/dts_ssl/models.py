@@ -180,10 +180,12 @@ class DualHeadModel:
         return softmax(z[head])
 
     def backward(self, cache, d_logits: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """Gradients of a scalar loss w.r.t. all parameters, given d(loss)/d(logits)."""
+        """Gradients of a scalar loss, given d(loss)/d(logits), for the parameters it
+        reaches: the backbone plus the heads named in ``d_logits``."""
         acts = cache["acts"]
         features = acts[-1]
-        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+        touched = self._touched(d_logits)
+        grads = {k: np.zeros_like(v) for k, v in self.params.items() if k in touched}
         d_feat = np.zeros_like(features)
         for h, dz in d_logits.items():
             if h == HEAD_K:
@@ -212,14 +214,14 @@ class DualHeadModel:
             grads[f"backbone.{i}.W"] += dz.T @ acts[i]
             grads[f"backbone.{i}.b"] += dz.sum(axis=0)
             d_a = dz @ self.params[f"backbone.{i}.W"]
-        # drop zero grads for heads the loss did not touch
-        return {k: g for k, g in grads.items() if k in self._touched(d_logits)}
+        return grads
 
-    def _touched(self, d_logits: Mapping[str, np.ndarray]) -> set[str]:
+    def _touched(self, heads) -> set[str]:
+        """Parameter keys a loss on ``heads`` (head names, or a d_logits mapping) reaches."""
         touched = {k for k in self.params if k.startswith("backbone.")}
-        if HEAD_K in d_logits:
+        if HEAD_K in heads:
             touched |= {"head_k.W", "head_k.b"}
-        if HEAD_K1 in d_logits:
+        if HEAD_K1 in heads:
             touched |= {"head_k1.W", "head_k1.b"}
             if self.spec.k1_projection:
                 touched |= {"proj.W", "proj.b"}
@@ -257,13 +259,7 @@ def derive_pair(teacher: DualHeadModel, kind: str) -> TeacherStudentPair:
     heads = _PAIR_HEADS[kind]
 
     def clone() -> DualHeadModel:
-        keep = {k for k in teacher.params if k.startswith("backbone.")}
-        if HEAD_K in heads:
-            keep |= {"head_k.W", "head_k.b"}
-        if HEAD_K1 in heads:
-            keep |= {"head_k1.W", "head_k1.b"}
-            if teacher.spec.k1_projection:
-                keep |= {"proj.W", "proj.b"}
+        keep = teacher._touched(heads)
         params = {k: v.copy() for k, v in teacher.params.items() if k in keep}
         return DualHeadModel(teacher.spec, teacher.K, params, heads=heads, pretrained=True)
 

@@ -45,6 +45,7 @@ from .models import (
     refresh_teacher,
     save_model,
 )
+from .numerics import softmax
 from .soft_weighting import gate_mask, scores_from_probs
 
 ABLATION_MODES = (
@@ -491,6 +492,16 @@ def view_forward_count(pipeline: PipelineDescription) -> int:
     return 1
 
 
+def _blend_probs(pairs: dict[str, TeacherStudentPair], role: str, x: np.ndarray):
+    """K-way and (K+1)-way probabilities from the ``role`` ("teacher" or "student")
+    models; a merged model runs one backbone pass for both heads."""
+    if "merged" in pairs:
+        z, _ = getattr(pairs["merged"], role).logits(x, heads=("k", "k1"))
+        return softmax(z["k"]), softmax(z["k1"])
+    return (getattr(pairs["inlier"], role).probs(x, head="k"),
+            getattr(pairs["outlier"], role).probs(x, head="k1"))
+
+
 def _compute_teacher_quantities(
     pairs: dict[str, TeacherStudentPair],
     pipe: PipelineDescription,
@@ -499,10 +510,7 @@ def _compute_teacher_quantities(
 ) -> _TeacherView:
     K = next(iter(pairs.values())).teacher.K
     if pipe.score_mode == "blend":
-        t_in = pairs["merged"].teacher if "merged" in pairs else pairs["inlier"].teacher
-        t_out = pairs["merged"].teacher if "merged" in pairs else pairs["outlier"].teacher
-        p_in = t_in.probs(weak_u, head="k")
-        p_out = t_out.probs(weak_u, head="k1")
+        p_in, p_out = _blend_probs(pairs, "teacher", weak_u)
         scores = scores_from_probs(p_in, p_out, cfg.gamma)
         return _TeacherView(
             scores=scores,
@@ -761,9 +769,7 @@ def _detection_scores_for(pairs: dict[str, TeacherStudentPair], pipeline: Pipeli
     role = "teacher" if use_teacher else "student"
     pick = lambda name: getattr(pairs[name], role)
     if pipeline.score_mode == "blend":
-        m_in = pick("merged") if "merged" in pairs else pick("inlier")
-        m_out = pick("merged") if "merged" in pairs else pick("outlier")
-        return scores_from_probs(m_in.probs(x, head="k"), m_out.probs(x, head="k1"), gamma)
+        return scores_from_probs(*_blend_probs(pairs, role, x), gamma)
     if pipeline.score_mode == "outlier_blend":
         p = pick("outlier").probs(x, head="k1")
         K = pairs["outlier"].student.K

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dts_ssl.errors import UndefinedMetricError, ValidationError
 from dts_ssl.evaluation import (
+    _midranks,
     compute_accuracy,
     compute_auroc,
     per_class_accuracy,
@@ -130,6 +131,50 @@ class TestComputeAuroc:
         flags[0], flags[1] = True, False
         perm = rng.permutation(30)
         assert compute_auroc(scores[perm], flags[perm]) == compute_auroc(scores, flags)
+
+
+def loop_midranks(values):
+    """Reference midranks: one Python iteration per tie group."""
+    order = np.argsort(values, kind="mergesort")
+    sorted_vals = values[order]
+    ranks = np.empty(len(values), dtype=np.float64)
+    boundaries = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1], True])
+    for lo, hi in zip(boundaries[:-1], boundaries[1:]):
+        ranks[order[lo:hi]] = 0.5 * (lo + hi + 1)  # positions lo+1..hi, averaged
+    return ranks
+
+
+class TestMidranks:
+    def random_vectors(self, count, seed, tie_heavy):
+        rng = np.random.default_rng(seed)
+        # log-uniform lengths cover 1..3000 without making the loop oracle slow
+        lengths = np.exp(rng.uniform(0.0, np.log(3000.0), size=count)).astype(int)
+        lengths[:3] = (1, 2, 3000)
+        for n in lengths:
+            if tie_heavy:
+                yield rng.integers(0, rng.integers(1, 8), size=n).astype(np.float64)
+            else:
+                yield rng.permutation(n) + rng.random() / 2
+
+    @pytest.mark.parametrize("tie_heavy", [True, False])
+    def test_equals_loop_oracle(self, tie_heavy):
+        for values in self.random_vectors(1000, seed=int(tie_heavy), tie_heavy=tie_heavy):
+            assert np.array_equal(_midranks(values), loop_midranks(values))
+
+    def test_nan_groups_match_loop_oracle(self):
+        values = np.array([0.5, np.nan, 0.5, 0.1, np.nan, 0.9])
+        assert np.array_equal(_midranks(values), loop_midranks(values), equal_nan=True)
+
+    def test_benchmark_size_heavy_ties_equal_exact_pair_count(self):
+        rng = np.random.default_rng(7)
+        scores = rng.integers(0, 5, size=2000) / 4.0
+        flags = rng.random(2000) < 0.5
+        pos, neg = scores[flags], scores[~flags]
+        greater = int((pos[:, None] > neg[None, :]).sum())
+        ties = int((pos[:, None] == neg[None, :]).sum())
+        assert ties > 0
+        exact = (2 * greater + ties) / (2 * len(pos) * len(neg))
+        assert compute_auroc(scores, flags) == exact
 
 
 class TestRunInference:

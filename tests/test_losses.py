@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dts_ssl.errors import ShapeError, ValidationError
 from dts_ssl.losses import (
     LossReport,
+    _per_sample,
     ce_loss_and_grad,
     consistency_loss,
     consistency_loss_and_grad,
@@ -25,6 +26,7 @@ from dts_ssl.losses import (
     unseen_loss_and_grad,
 )
 from dts_ssl.numerics import softmax
+from dts_ssl.soft_weighting import GateDecision, UncertaintyScore
 
 
 def simplexes(length, min_p=1e-3):
@@ -145,6 +147,54 @@ class TestUnseenLoss:
     def test_width_checked(self):
         with pytest.raises(ShapeError):
             unseen_loss(np.array([[0.5, 0.5]]), [0.5], mu_B=1, K=2)
+
+
+class TestPerSampleInputs:
+    """Gates and scores arrive as arrays (the trainer) or as per-sample objects/lists."""
+
+    def batch(self, n=6, width=4, seed=0):
+        rng = np.random.default_rng(seed)
+        gates = rng.random(n) < 0.5
+        scores = rng.random(n)
+        return rng.normal(size=(n, width)), rng.integers(1, width + 1, size=n), gates, scores
+
+    def test_misaligned_arrays_raise(self):
+        z, labels, gates, scores = self.batch()
+        for bad in (gates[:-1], np.ones((6, 1), dtype=bool), np.array(True)):
+            with pytest.raises(ShapeError):
+                gated_ce_loss_and_grad(labels, z, bad, 6)
+            with pytest.raises(ShapeError):
+                logit_match_loss_and_grad(z, softmax(z), bad, 6)
+            with pytest.raises(ShapeError):
+                uniformity_loss_and_grad(z, bad, 6)
+        for bad in (np.r_[scores, 0.5], scores[:, None], np.array(0.5)):
+            with pytest.raises(ShapeError):
+                unseen_loss_and_grad(z, bad, 6)
+
+    def test_gate_objects_and_lists_match_arrays(self):
+        z, labels, gates, _ = self.batch()
+        decisions = [GateDecision(passed=bool(g), max_its=0.9, score=0.1, tau=0.85) for g in gates]
+        variants = [gates, gates.astype(np.float64), decisions, gates.tolist(), [int(g) for g in gates]]
+        ref_ce = gated_ce_loss_and_grad(labels, z, gates, 6)
+        ref_lm = logit_match_loss_and_grad(z, softmax(z[::-1]), gates, 6)
+        ref_uni = uniformity_loss_and_grad(z, gates, 6)
+        for v in variants:
+            assert np.array_equal(_per_sample(v, 6), gates.astype(np.float64))
+            for ref, got in ((ref_ce, gated_ce_loss_and_grad(labels, z, v, 6)),
+                             (ref_lm, logit_match_loss_and_grad(z, softmax(z[::-1]), v, 6)),
+                             (ref_uni, uniformity_loss_and_grad(z, v, 6))):
+                assert got[0] == ref[0]
+                assert got[1].tobytes() == ref[1].tobytes()
+
+    def test_score_objects_and_lists_match_arrays(self):
+        z, _, _, scores = self.batch(width=5)
+        objects = [UncertaintyScore(value=float(s), one_minus_max_its=0.0, ots_last=0.0, gamma=0.5)
+                   for s in scores]
+        ref_value, ref_grad = unseen_loss_and_grad(z, scores, 6)
+        for v in (objects, scores.tolist()):
+            assert np.array_equal(_per_sample(v, 6, "value"), scores)
+            value, grad = unseen_loss_and_grad(z, v, 6)
+            assert value == ref_value and grad.tobytes() == ref_grad.tobytes()
 
 
 class TestConsistencyLoss:

@@ -224,6 +224,59 @@ class TestGradients:
             assert abs(numeric - grads[name][idx]) <= 1e-4 * max(1.0, abs(numeric))
 
 
+def zeros_then_accumulate_backward(model, cache, d_logits):
+    """Reference backward: zero gradients for every key, accumulate, drop untouched heads."""
+    acts, features = cache["acts"], cache["acts"][-1]
+    W = model.params
+    grads = {k: np.zeros_like(v) for k, v in W.items()}
+    d_feat = np.zeros_like(features)
+    for h, dz in d_logits.items():
+        if h == "k":
+            grads["head_k.W"] += dz.T @ features
+            grads["head_k.b"] += dz.sum(axis=0)
+            d_feat += dz @ W["head_k.W"]
+        elif model.spec.k1_projection:
+            proj_a = cache["proj_a"]
+            grads["head_k1.W"] += dz.T @ proj_a
+            grads["head_k1.b"] += dz.sum(axis=0)
+            d_proj_z = (dz @ W["head_k1.W"]) * model._act_grad(proj_a)
+            grads["proj.W"] += d_proj_z.T @ features
+            grads["proj.b"] += d_proj_z.sum(axis=0)
+            d_feat += d_proj_z @ W["proj.W"]
+        else:
+            grads["head_k1.W"] += dz.T @ features
+            grads["head_k1.b"] += dz.sum(axis=0)
+            d_feat += dz @ W["head_k1.W"]
+    d_a = d_feat
+    for i in reversed(range(len(model.spec.layer_sizes) - 1)):
+        dz = d_a * model._act_grad(acts[i + 1])
+        grads[f"backbone.{i}.W"] += dz.T @ acts[i]
+        grads[f"backbone.{i}.b"] += dz.sum(axis=0)
+        d_a = dz @ W[f"backbone.{i}.W"]
+    keep = {k for k in W if k.startswith("backbone.")}
+    keep |= {f"head_{h}.{p}" for h in d_logits for p in "Wb"}
+    if "k1" in d_logits and model.spec.k1_projection:
+        keep |= {"proj.W", "proj.b"}
+    return {k: g for k, g in grads.items() if k in keep}
+
+
+class TestBackwardKeySet:
+    @pytest.mark.parametrize("projection", [False, True])
+    @pytest.mark.parametrize("heads", [("k",), ("k1",), ("k", "k1")])
+    def test_returns_exactly_touched_keys_bit_equal_to_reference(self, heads, projection):
+        spec = BackboneSpec(input_dim=5, hidden_widths=(8, 8), feature_dim=6,
+                            activation="relu" if projection else "tanh", k1_projection=projection)
+        model = make_teacher(K=4, seed=3, spec=spec)
+        rng = np.random.default_rng(5)
+        z, cache = model.logits(rng.normal(size=(7, 5)), heads=heads)
+        d_logits = {h: rng.normal(size=z[h].shape) for h in heads}
+        grads = model.backward(cache, d_logits)
+        expected = zeros_then_accumulate_backward(model, cache, d_logits)
+        assert list(grads) == list(expected)  # no entry for a head the loss did not reach
+        for key, g in expected.items():
+            assert grads[key].tobytes() == g.tobytes(), key
+
+
 class TestCheckpoints:
     def test_roundtrip_bit_exact(self, tmp_path):
         model = make_teacher(K=5)

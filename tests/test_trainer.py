@@ -8,16 +8,25 @@ import pytest
 from dts_ssl.data import build_mismatch_split, generate_synthetic
 from dts_ssl.errors import StateError, ValidationError
 from dts_ssl.evaluation import compute_accuracy, predict_labels, run_inference
-from dts_ssl.models import BackboneSpec, init_teacher, param_hash
+from dts_ssl.models import (
+    BackboneSpec,
+    DualHeadModel,
+    TeacherStudentPair,
+    derive_pair,
+    init_teacher,
+    param_hash,
+)
 from dts_ssl.trainer import (
     ABLATION_MODES,
     TrainConfig,
+    _compute_teacher_quantities,
     apply_ablation,
     config_hash,
     evaluate_pipeline,
     pretrain_teacher,
     run_training,
     unseen_sample_weights,
+    view_forward_count,
 )
 
 TINY = dict(
@@ -333,6 +342,54 @@ class TestEvaluatePipeline:
         result = run_training(tiny_config(), split)
         assert np.isnan(result.final_eval.auroc)
         assert 0.0 <= result.final_eval.accuracy <= 1.0
+
+
+class TestTeacherForwardCount:
+    """view_forward_count is the number of backbone passes teacher scoring really makes."""
+
+    def setup_pairs(self, mode):
+        split = tiny_split()
+        cfg = tiny_config(mode)
+        pipe = apply_ablation(mode, cfg)
+        spec = BackboneSpec(input_dim=split.dim, hidden_widths=cfg.hidden_widths,
+                            feature_dim=cfg.feature_dim, k1_projection=pipe.k1_projection)
+        teacher = init_teacher(spec, split.K, 0)
+        teacher.pretrained = True
+        return split, cfg, pipe, teacher, {name: derive_pair(teacher, kind) for name, kind in pipe.pairs}
+
+    def count_logits(self, monkeypatch):
+        calls = []
+        original = DualHeadModel.logits
+
+        def counting(model, x, heads=("k",)):
+            calls.append(tuple(heads))
+            return original(model, x, heads)
+
+        monkeypatch.setattr(DualHeadModel, "logits", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "mode", [m for m in ABLATION_MODES if apply_ablation(m, TrainConfig.desk()).uses_unlabeled]
+    )
+    def test_teacher_scoring_passes_equal_view_forward_count(self, mode, monkeypatch):
+        split, cfg, pipe, _, pairs = self.setup_pairs(mode)
+        weak_u = split.unlabeled_x[:10]
+        calls = self.count_logits(monkeypatch)
+        view = _compute_teacher_quantities(pairs, pipe, cfg, weak_u)
+        assert len(calls) == view_forward_count(pipe)
+        monkeypatch.undo()
+        if "merged" in pairs:  # the one shared pass gives the per-head passes' probabilities
+            t = pairs["merged"].teacher
+            assert view.teacher_probs_in.tobytes() == t.probs(weak_u, head="k").tobytes()
+            assert view.max_out.tobytes() == t.probs(weak_u, head="k1").max(axis=1).tobytes()
+
+    def test_pretrain_evaluation_one_pass_per_input_set(self, monkeypatch):
+        split, cfg, pipe, teacher, _ = self.setup_pairs("full")
+        pairs = {"merged": TeacherStudentPair(teacher, teacher, "both")}
+        merged_pipe = apply_ablation("one_f_two_c", cfg)
+        calls = self.count_logits(monkeypatch)
+        evaluate_pipeline(pairs, merged_pipe, split, cfg.gamma)
+        assert calls == [("k",), ("k", "k1")]  # test-set classification, unlabeled scoring
 
 
 def test_lr_schedule_cosine_decays():
