@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, GenerationError, ShapeError, ValidationError
+from .errors import CapacityError, GenerationError, ShapeError, ValidationError, require_all
 from .numerics import round_half_up
 
 
@@ -305,6 +305,13 @@ class AugmentConfig:
     strong_sigma: float = 0.2
     mask_fraction: float = 0.25
     image_shape: tuple[int, int, int] | None = None  # (h, w, c) enables flips
+
+    def __post_init__(self) -> None:
+        require_all([
+            (self.weak_sigma >= 0, "weak_sigma: must be >= 0"),
+            (self.strong_sigma >= 0, "strong_sigma: must be >= 0"),
+            (0.0 <= self.mask_fraction <= 1.0, "mask_fraction: must lie in [0, 1]"),
+        ])
 
 
 @dataclass(frozen=True)

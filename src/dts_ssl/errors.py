@@ -9,6 +9,13 @@ class ValidationError(DtsError):
     """An argument or configuration value violates its contract."""
 
 
+def require_all(checks) -> None:
+    """Raise one ValidationError naming every failed ``(ok, message)`` check."""
+    problems = [msg for ok, msg in checks if not ok]
+    if problems:
+        raise ValidationError("; ".join(problems))
+
+
 class CapacityError(DtsError):
     """A split request asks for more examples than a pool contains."""
 

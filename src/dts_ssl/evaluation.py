@@ -96,6 +96,9 @@ def compute_auroc(scores, is_unseen) -> float:
     flags = np.asarray(is_unseen, dtype=bool)
     if scores.shape != flags.shape or scores.ndim != 1:
         raise ValidationError(f"scores and flags must be aligned vectors, got {scores.shape}")
+    n_bad = int(np.count_nonzero(~np.isfinite(scores)))
+    if n_bad:
+        raise UndefinedMetricError(f"AUROC needs finite scores, got {n_bad} non-finite of {scores.size}")
     n_pos = int(flags.sum())
     n_neg = int((~flags).sum())
     if n_pos == 0 or n_neg == 0:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .numerics import PROB_CLAMP, one_hot, softmax, softmax_vjp
+from .numerics import PROB_CLAMP, row_sum, softmax, softmax_vjp
 
 
 def _log_clamped(p: np.ndarray) -> np.ndarray:
@@ -67,17 +67,31 @@ def _per_sample(values, n: int, attr: str = "passed") -> np.ndarray:
     return out
 
 
-def _ce_rows(labels: np.ndarray, probs: np.ndarray) -> np.ndarray:
+def _label_cells(labels: np.ndarray, probs: np.ndarray):
+    """(row, column) indices of each row's 1-based label, and the probability there."""
     idx = np.asarray(labels, dtype=np.int64) - 1
     if idx.min(initial=0) < 0 or idx.max(initial=0) >= probs.shape[1]:
         raise ValidationError(f"labels out of range 1..{probs.shape[1]}")
-    picked = probs[np.arange(len(idx)), idx]
-    return -_log_clamped(picked)
+    at = (np.arange(len(idx)), idx)
+    return at, probs[at]
+
+
+def _ce_rows(labels: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    return -_log_clamped(_label_cells(labels, probs)[1])
+
+
+def _ce_rows_with_grad(labels, z: np.ndarray, mask: np.ndarray | None, denom):
+    """Per-row CE of softmax(z) and its logit gradient (p - onehot) * mask * live / denom,
+    where live is 0 on rows whose labeled probability is at the clamp floor."""
+    probs = softmax(z)
+    at, picked = _label_cells(labels, probs)
+    probs[at] -= 1.0
+    live = (picked > PROB_CLAMP).astype(np.float64)
+    return -_log_clamped(picked), probs * (live if mask is None else mask * live)[:, None] / denom
 
 
 def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    terms = np.where(p > 0, p * (_log_clamped(p) - _log_clamped(q)), 0.0)
-    return terms.sum(axis=1)
+    return row_sum(np.where(p > 0, p * (_log_clamped(p) - _log_clamped(q)), 0.0))
 
 
 def seen_loss(pseudo_labels, student_strong_probs, gates, mu_B: int) -> float:
@@ -145,25 +159,16 @@ def ce_loss_and_grad(labels, logits: np.ndarray, denom: int | None = None):
     matching the clamped loss exactly.
     """
     z = np.atleast_2d(np.asarray(logits, dtype=np.float64))
-    n = z.shape[0]
-    denom = n if denom is None else denom
-    probs = softmax(z)
-    labels = np.asarray(labels, dtype=np.int64)
-    rows = _ce_rows(labels, probs)
-    live = (probs[np.arange(n), labels - 1] > PROB_CLAMP).astype(np.float64)
-    d_logits = (probs - one_hot(labels, z.shape[1])) * live[:, None] / denom
+    denom = z.shape[0] if denom is None else denom
+    rows, d_logits = _ce_rows_with_grad(labels, z, None, denom)
     return float(rows.sum() / denom), d_logits
 
 
 def gated_ce_loss_and_grad(pseudo_labels, logits: np.ndarray, gates, mu_B: int):
     """Value and logit gradient of :func:`seen_loss` for softmaxed logits."""
     z = np.atleast_2d(np.asarray(logits, dtype=np.float64))
-    probs = softmax(z)
-    labels = np.asarray(pseudo_labels, dtype=np.int64)
     mask = _per_sample(gates, z.shape[0])
-    rows = _ce_rows(labels, probs)
-    live = (probs[np.arange(z.shape[0]), labels - 1] > PROB_CLAMP).astype(np.float64)
-    d_logits = (probs - one_hot(labels, z.shape[1])) * (mask * live)[:, None] / mu_B
+    rows, d_logits = _ce_rows_with_grad(pseudo_labels, z, mask, mu_B)
     return float((mask * rows).sum() / mu_B), d_logits
 
 
@@ -225,7 +230,7 @@ def uniformity_loss_and_grad(student_logits: np.ndarray, mask, mu_B: int):
     n, width = p.shape
     m = _per_sample(mask, n)
     t = 1.0 / width
-    rows = (-t * _log_clamped(p)).sum(axis=1)
+    rows = row_sum(-t * _log_clamped(p))
     value = float((m * rows).sum() / mu_B)
     dp = np.where(p > PROB_CLAMP, -t / np.maximum(p, PROB_CLAMP), 0.0)
     d_logits = softmax_vjp(p, dp) * m[:, None] / mu_B

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import AugmentedView
-from .errors import ShapeError, StateError, ValidationError
+from .errors import ShapeError, StateError, ValidationError, require_all
 from .numerics import softmax
 
 _ACTIVATIONS = ("tanh", "relu")
@@ -44,12 +44,13 @@ class BackboneSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
-        if self.input_dim < 1 or self.feature_dim < 1 or any(w < 1 for w in self.hidden_widths):
-            raise ValidationError(f"all layer widths must be positive: {self}")
-        if self.activation not in _ACTIVATIONS:
-            raise ValidationError(
-                f"unknown activation {self.activation!r}, expected one of {_ACTIVATIONS}"
-            )
+        require_all([
+            (self.input_dim >= 1, "input_dim: must be >= 1"),
+            (all(w >= 1 for w in self.hidden_widths), "hidden_widths: every width must be >= 1"),
+            (self.feature_dim >= 1, "feature_dim: must be >= 1"),
+            (self.activation in _ACTIVATIONS,
+             f"activation: unknown {self.activation!r}, expected one of {_ACTIVATIONS}"),
+        ])
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
@@ -181,40 +182,39 @@ class DualHeadModel:
 
     def backward(self, cache, d_logits: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
         """Gradients of a scalar loss, given d(loss)/d(logits), for the parameters it
-        reaches: the backbone plus the heads named in ``d_logits``."""
+        reaches: the backbone plus the heads named in ``d_logits``, in ``params`` order."""
         acts = cache["acts"]
         features = acts[-1]
-        touched = self._touched(d_logits)
-        grads = {k: np.zeros_like(v) for k, v in self.params.items() if k in touched}
-        d_feat = np.zeros_like(features)
+        grads: dict[str, np.ndarray] = {}
+        d_feats = []
         for h, dz in d_logits.items():
             if h == HEAD_K:
-                grads["head_k.W"] += dz.T @ features
-                grads["head_k.b"] += dz.sum(axis=0)
-                d_feat += dz @ self.params["head_k.W"]
+                grads["head_k.W"] = dz.T @ features
+                grads["head_k.b"] = dz.sum(axis=0)
+                d_feats.append(dz @ self.params["head_k.W"])
             else:
                 if self.spec.k1_projection:
                     proj_a = cache["proj_a"]
-                    grads["head_k1.W"] += dz.T @ proj_a
-                    grads["head_k1.b"] += dz.sum(axis=0)
+                    grads["head_k1.W"] = dz.T @ proj_a
+                    grads["head_k1.b"] = dz.sum(axis=0)
                     d_proj_a = dz @ self.params["head_k1.W"]
                     d_proj_z = d_proj_a * self._act_grad(proj_a)
-                    grads["proj.W"] += d_proj_z.T @ features
-                    grads["proj.b"] += d_proj_z.sum(axis=0)
-                    d_feat += d_proj_z @ self.params["proj.W"]
+                    grads["proj.W"] = d_proj_z.T @ features
+                    grads["proj.b"] = d_proj_z.sum(axis=0)
+                    d_feats.append(d_proj_z @ self.params["proj.W"])
                 else:
-                    grads["head_k1.W"] += dz.T @ features
-                    grads["head_k1.b"] += dz.sum(axis=0)
-                    d_feat += dz @ self.params["head_k1.W"]
+                    grads["head_k1.W"] = dz.T @ features
+                    grads["head_k1.b"] = dz.sum(axis=0)
+                    d_feats.append(dz @ self.params["head_k1.W"])
 
-        d_a = d_feat
+        d_a = sum(d_feats[1:], d_feats[0])  # each parameter has one term; only features add up
         n_layers = len(self.spec.layer_sizes) - 1
         for i in reversed(range(n_layers)):
             dz = d_a * self._act_grad(acts[i + 1])
-            grads[f"backbone.{i}.W"] += dz.T @ acts[i]
-            grads[f"backbone.{i}.b"] += dz.sum(axis=0)
+            grads[f"backbone.{i}.W"] = dz.T @ acts[i]
+            grads[f"backbone.{i}.b"] = dz.sum(axis=0)
             d_a = dz @ self.params[f"backbone.{i}.W"]
-        return grads
+        return {k: grads[k] for k in self.params if k in grads}
 
     def _touched(self, heads) -> set[str]:
         """Parameter keys a loss on ``heads`` (head names, or a d_logits mapping) reaches."""

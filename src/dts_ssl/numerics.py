@@ -9,12 +9,27 @@ import numpy as np
 PROB_CLAMP = 1e-12
 
 
-def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax along ``axis``."""
+def row_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1)`` by columns: on narrow rows numpy's reduction costs far more."""
+    out = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(out, x[..., j], out=out)
+    return out
+
+
+def row_sum(x: np.ndarray) -> np.ndarray:
+    """Columns added left to right onto 0.0; bit-equal to ``x.sum(axis=-1)`` to width 7."""
+    out = x[..., 0] + 0.0
+    for j in range(1, x.shape[-1]):
+        out += x[..., j]
+    return out
+
+
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Numerically stable softmax along the last axis."""
     z = np.asarray(z, dtype=np.float64)
-    shifted = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(z - row_max(z)[..., None])
+    return e / row_sum(e)[..., None]
 
 
 def softmax_vjp(probs: np.ndarray, d_probs: np.ndarray) -> np.ndarray:
@@ -22,16 +37,7 @@ def softmax_vjp(probs: np.ndarray, d_probs: np.ndarray) -> np.ndarray:
 
     Rows are treated independently; inputs are (..., C).
     """
-    inner = (d_probs * probs).sum(axis=-1, keepdims=True)
-    return probs * (d_probs - inner)
-
-
-def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """One-hot encode 1-based class ids into (n, num_classes) float rows."""
-    labels = np.asarray(labels, dtype=np.int64)
-    out = np.zeros((labels.shape[0], num_classes), dtype=np.float64)
-    out[np.arange(labels.shape[0]), labels - 1] = 1.0
-    return out
+    return probs * (d_probs - row_sum(d_probs * probs)[..., None])
 
 
 def round_half_up(x: float) -> int:

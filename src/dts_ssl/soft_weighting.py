@@ -19,6 +19,7 @@ import numpy as np
 
 from .data import AugmentConfig, augment_batch
 from .errors import ShapeError, ValidationError
+from .numerics import row_max
 
 _SIMPLEX_ATOL = 1e-6
 
@@ -93,16 +94,7 @@ def scores_from_probs(p_its: np.ndarray, p_ots: np.ndarray, gamma: float) -> np.
     p_ots = np.atleast_2d(np.asarray(p_ots, dtype=np.float64))
     if p_its.shape[0] != p_ots.shape[0]:
         raise ShapeError(f"batch sizes differ: {p_its.shape[0]} vs {p_ots.shape[0]}")
-    return gamma * (1.0 - p_its.max(axis=1)) + (1.0 - gamma) * p_ots[:, -1]
-
-
-def scores_from_views(teacher_in, teacher_out, weak_views: np.ndarray, gamma: float) -> np.ndarray:
-    """Scores for pre-augmented weak views (the same views feed both teachers)."""
-    if len(weak_views) == 0:
-        return np.empty(0)
-    p_its = teacher_in.probs(weak_views, head="k")
-    p_ots = teacher_out.probs(weak_views, head="k1")
-    return scores_from_probs(p_its, p_ots, gamma)
+    return gamma * (1.0 - row_max(p_its)) + (1.0 - gamma) * p_ots[:, -1]
 
 
 def score_batch(

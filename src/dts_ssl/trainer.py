@@ -26,7 +26,7 @@ import numpy as np
 
 from . import losses
 from .data import AugmentConfig, MismatchSplit, PairSampler, augment_batch, feature_scale
-from .errors import ValidationError
+from .errors import ValidationError, require_all
 from .evaluation import (
     EvalResult,
     compute_accuracy,
@@ -45,7 +45,7 @@ from .models import (
     refresh_teacher,
     save_model,
 )
-from .numerics import softmax
+from .numerics import row_max, row_sum, softmax
 from .soft_weighting import gate_mask, scores_from_probs
 
 ABLATION_MODES = (
@@ -133,10 +133,15 @@ class TrainConfig:
             (0.0 < self.unseen_hard_threshold < 1.0, "unseen_hard_threshold: must lie in (0, 1)"),
             (0.0 < self.uniformity_threshold < 1.0, "uniformity_threshold: must lie in (0, 1)"),
             (self.eval_every >= 1, "eval_every: must be >= 1"),
+            (self.seed >= 0, "seed: must be >= 0"),
         ]
-        problems = [msg for ok, msg in checks if not ok]
-        if problems:
-            raise ValidationError("; ".join(problems))
+        for build in (lambda: AugmentConfig(self.weak_sigma, self.strong_sigma, self.mask_fraction),
+                      lambda: BackboneSpec(1, self.hidden_widths, self.feature_dim, self.activation)):
+            try:  # the augmentation and architecture fields keep their checks in those classes
+                build()
+            except ValidationError as exc:
+                checks.append((False, str(exc)))
+        require_all(checks)
 
     @property
     def total_train_epochs(self) -> int:
@@ -515,33 +520,33 @@ def _compute_teacher_quantities(
         return _TeacherView(
             scores=scores,
             teacher_probs_in=p_in,
-            max_in=p_in.max(axis=1),
+            max_in=row_max(p_in),
             pseudo_in=p_in.argmax(axis=1) + 1,
-            max_out=p_out.max(axis=1),
+            max_out=row_max(p_out),
             pseudo_out=p_out.argmax(axis=1) + 1,
         )
     if pipe.score_mode == "outlier_blend":
         p_out = pairs["outlier"].teacher.probs(weak_u, head="k1")
-        proxy = p_out[:, :K] / np.maximum(p_out[:, :K].sum(axis=1, keepdims=True), 1e-12)
-        scores = cfg.gamma * (1.0 - proxy.max(axis=1)) + (1.0 - cfg.gamma) * p_out[:, -1]
+        proxy = p_out[:, :K] / np.maximum(row_sum(p_out[:, :K])[:, None], 1e-12)
+        scores = cfg.gamma * (1.0 - row_max(proxy)) + (1.0 - cfg.gamma) * p_out[:, -1]
         return _TeacherView(
             scores=scores,
             teacher_probs_in=None,
             max_in=None,
             pseudo_in=None,
-            max_out=p_out.max(axis=1),
+            max_out=row_max(p_out),
             pseudo_out=p_out.argmax(axis=1) + 1,
         )
     if pipe.score_mode == "one_minus_max":
         pair = next(iter(pairs.values()))
         p = pair.teacher.probs(weak_u, head="k")
-        scores = 1.0 - p.max(axis=1)
+        p_max = row_max(p)
         return _TeacherView(
-            scores=scores,
+            scores=1.0 - p_max,
             teacher_probs_in=p,
-            max_in=p.max(axis=1),
+            max_in=p_max,
             pseudo_in=p.argmax(axis=1) + 1,
-            max_out=p.max(axis=1),
+            max_out=p_max,
             pseudo_out=p.argmax(axis=1) + 1,
         )
     raise ValidationError(f"score_mode {pipe.score_mode!r} cannot score unlabeled data")
@@ -626,11 +631,13 @@ def _train_step(state: TrainState, batch, lr: float) -> LossReport:
 
 def _sum_grads(target: dict[str, np.ndarray], extra: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     for k, v in extra.items():
-        if k in target:
-            target[k] = target[k] + v
-        else:
-            target[k] = v
+        target[k] = _acc(target.get(k), v)
     return target
+
+
+def _acc(total: np.ndarray | None, term: np.ndarray) -> np.ndarray:
+    """``total + term``; the first term is taken as is instead of added onto zeros."""
+    return term if total is None else total + term
 
 
 def _inlier_step(state, batch, strong_x, strong_u, g_in, pseudo_in, teacher_probs_in,
@@ -649,15 +656,15 @@ def _inlier_step(state, batch, strong_x, strong_u, g_in, pseudo_in, teacher_prob
     if wants_unlabeled:
         z_u, cache_u = student.logits(strong_u, heads=(head,))
         state.training_unlabeled_forwards += len(strong_u)
-        d_u = np.zeros_like(z_u[head])
+        d_u = None
         if "seen" in pipe.inlier_losses:
             seen, d_seen = losses.gated_ce_loss_and_grad(pseudo_in, z_u[head], g_in, mu_b)
             report.seen_in = seen
-            d_u += pipe.lambda_seen * d_seen
+            d_u = pipe.lambda_seen * d_seen
         if "lm" in pipe.inlier_losses and pipe.lambda_lm > 0:
             lm, d_lm = losses.logit_match_loss_and_grad(z_u[head], teacher_probs_in, g_in, mu_b)
             report.logit_match = lm
-            d_u += pipe.lambda_lm * d_lm
+            d_u = _acc(d_u, pipe.lambda_lm * d_lm)
         _sum_grads(grads, student.backward(cache_u, {head: d_u}))
 
     state.optimizers["inlier"].step(student.params, grads, lr)
@@ -678,24 +685,24 @@ def _outlier_step(state, batch, strong_x, weak_u, strong_u, g_out, pseudo_out,
     if strong_u is not None and any(t in pipe.outlier_losses for t in ("seen", "unseen", "cr")):
         z_sa, cache_sa = student.logits(strong_u, heads=(head,))
         state.training_unlabeled_forwards += len(strong_u)
-        d_sa = np.zeros_like(z_sa[head])
+        d_sa = None
         if "seen" in pipe.outlier_losses:
             seen, d_seen = losses.gated_ce_loss_and_grad(pseudo_out, z_sa[head], g_out, mu_b)
             report.seen_out = seen
-            d_sa += pipe.lambda_seen * d_seen
+            d_sa = pipe.lambda_seen * d_seen
         if "unseen" in pipe.outlier_losses:
             if pipe.unseen_weighting in ("soft", "hard_mask"):
                 unseen, d_unseen = losses.unseen_loss_and_grad(z_sa[head], weights, mu_b)
             else:  # uniform_push: no extra class exists, push masked samples to uniform
                 unseen, d_unseen = losses.uniformity_loss_and_grad(z_sa[head], weights, mu_b)
             report.unseen = unseen
-            d_sa += pipe.lambda_unseen * d_unseen
+            d_sa = _acc(d_sa, pipe.lambda_unseen * d_unseen)
         if "cr" in pipe.outlier_losses and pipe.lambda_cr > 0:
             z_wa, cache_wa = student.logits(weak_u, heads=(head,))
             state.training_unlabeled_forwards += len(weak_u)
             cr, d_wa, d_sa_cr = losses.consistency_loss_and_grad(z_wa[head], z_sa[head], mu_b)
             report.consistency = cr
-            d_sa += pipe.lambda_cr * d_sa_cr
+            d_sa = _acc(d_sa, pipe.lambda_cr * d_sa_cr)
             _sum_grads(grads, student.backward(cache_wa, {head: pipe.lambda_cr * d_wa}))
         _sum_grads(grads, student.backward(cache_sa, {head: d_sa}))
 
@@ -717,30 +724,29 @@ def _merged_step(state, batch, strong_x, weak_u, strong_u, g_in, pseudo_in, g_ou
     if strong_u is not None:
         z_u, cache_u = student.logits(strong_u, heads=("k", "k1"))
         state.training_unlabeled_forwards += len(strong_u)
-        d_uk = np.zeros_like(z_u["k"])
-        d_uk1 = np.zeros_like(z_u["k1"])
+        d_uk = d_uk1 = None
         if "seen" in pipe.inlier_losses:
             seen, d_seen = losses.gated_ce_loss_and_grad(pseudo_in, z_u["k"], g_in, mu_b)
             report.seen_in = seen
-            d_uk += pipe.lambda_seen * d_seen
+            d_uk = pipe.lambda_seen * d_seen
         if "lm" in pipe.inlier_losses and pipe.lambda_lm > 0:
             lm, d_lm = losses.logit_match_loss_and_grad(z_u["k"], teacher_probs_in, g_in, mu_b)
             report.logit_match = lm
-            d_uk += pipe.lambda_lm * d_lm
+            d_uk = _acc(d_uk, pipe.lambda_lm * d_lm)
         if "seen" in pipe.outlier_losses:
             seen_o, d_seen_o = losses.gated_ce_loss_and_grad(pseudo_out, z_u["k1"], g_out, mu_b)
             report.seen_out = seen_o
-            d_uk1 += pipe.lambda_seen * d_seen_o
+            d_uk1 = pipe.lambda_seen * d_seen_o
         if "unseen" in pipe.outlier_losses:
             unseen, d_unseen = losses.unseen_loss_and_grad(z_u["k1"], weights, mu_b)
             report.unseen = unseen
-            d_uk1 += pipe.lambda_unseen * d_unseen
+            d_uk1 = _acc(d_uk1, pipe.lambda_unseen * d_unseen)
         if "cr" in pipe.outlier_losses and pipe.lambda_cr > 0:
             z_wa, cache_wa = student.logits(weak_u, heads=("k1",))
             state.training_unlabeled_forwards += len(weak_u)
             cr, d_wa, d_sa_cr = losses.consistency_loss_and_grad(z_wa["k1"], z_u["k1"], mu_b)
             report.consistency = cr
-            d_uk1 += pipe.lambda_cr * d_sa_cr
+            d_uk1 = _acc(d_uk1, pipe.lambda_cr * d_sa_cr)
             _sum_grads(grads, student.backward(cache_wa, {"k1": pipe.lambda_cr * d_wa}))
         _sum_grads(grads, student.backward(cache_u, {"k": d_uk, "k1": d_uk1}))
 
@@ -773,11 +779,11 @@ def _detection_scores_for(pairs: dict[str, TeacherStudentPair], pipeline: Pipeli
     if pipeline.score_mode == "outlier_blend":
         p = pick("outlier").probs(x, head="k1")
         K = pairs["outlier"].student.K
-        proxy = p[:, :K] / np.maximum(p[:, :K].sum(axis=1, keepdims=True), 1e-12)
-        return gamma * (1.0 - proxy.max(axis=1)) + (1.0 - gamma) * p[:, -1]
+        proxy = p[:, :K] / np.maximum(row_sum(p[:, :K])[:, None], 1e-12)
+        return gamma * (1.0 - row_max(proxy)) + (1.0 - gamma) * p[:, -1]
     # one_minus_max (single K-head pair, incl. the supervised baseline)
     model = pick(next(iter(pairs)))
-    return 1.0 - model.probs(x, head="k").max(axis=1)
+    return 1.0 - row_max(model.probs(x, head="k"))
 
 
 def evaluate_pipeline(pairs: dict[str, TeacherStudentPair], pipeline: PipelineDescription,

@@ -242,6 +242,18 @@ class TestValidateConfigVerb:
         bad.write_text(json.dumps(raw))
         assert main(["validate-config", "--config", str(bad)]) == 2
 
+    @pytest.mark.parametrize("field, value", [
+        ("mask_fraction", 1.5), ("weak_sigma", -1), ("strong_sigma", -0.1), ("seed", -1),
+        ("hidden_widths", [0]), ("feature_dim", 0), ("activation", "gelu"),
+    ])
+    def test_out_of_contract_train_field_exit_two(self, tmp_path, config_file, field, value, capsys):
+        raw = json.loads(config_file.read_text())
+        raw["train"][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["validate-config", "--config", str(bad)]) == 2
+        assert f"train.{field}" in capsys.readouterr().err
+
     def test_unparseable_exit_two(self, tmp_path):
         bad = tmp_path / "mangled.json"
         bad.write_text("{not json")

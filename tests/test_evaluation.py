@@ -100,6 +100,13 @@ class TestComputeAuroc:
         with pytest.raises(UndefinedMetricError):
             compute_auroc([0.1, 0.2], [True, True])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_undefined(self, bad):
+        with pytest.raises(UndefinedMetricError, match="2 non-finite"):
+            compute_auroc([bad, 0.1, 0.2, bad], [True, False, True, False])
+        with pytest.raises(UndefinedMetricError, match="1 non-finite"):
+            compute_auroc([0.9, 0.1, 0.2, bad], [True, False, True, False])
+
     @given(
         n=st.integers(min_value=2, max_value=60),
         levels=st.integers(min_value=1, max_value=6),

@@ -342,3 +342,56 @@ def test_component_losses_nonnegative(p, s):
     assert seen_loss([1], probs, [True], 1) >= 0
     assert unseen_loss(probs, [s], 1, K=2) >= 0
     assert consistency_loss(probs, probs, 1) >= 0
+
+
+def one_hot_ce_grad(labels, z, row_weight, denom):
+    """The CE logit gradient written with a one-hot matrix: (p - onehot) * w * live / denom."""
+    probs = softmax(z)
+    labels = np.asarray(labels)
+    onehot = np.zeros_like(probs)
+    onehot[np.arange(len(labels)), labels - 1] = 1.0
+    live = (probs[np.arange(len(labels)), labels - 1] > 1e-12).astype(np.float64)
+    return (probs - onehot) * (row_weight * live)[:, None] / denom
+
+
+class TestCEGradientOracle:
+    """The CE gradients subtract 1.0 at the labels of a copy of probs; no one-hot matrix."""
+
+    @staticmethod
+    def batch(width, n=400, seed=0):
+        rng = np.random.default_rng(seed + width)
+        z = rng.normal(scale=rng.choice([0.5, 5.0], size=(n, 1)), size=(n, width))
+        labels = rng.integers(1, width + 1, size=n)
+        # rows whose labeled probability sits below the clamp floor (zero gradient)
+        rows = np.arange(0, n, 5)
+        z[rows] = 0.0
+        z[rows, labels[rows] % width] = 60.0  # a column other than the label's
+        return labels, z
+
+    @pytest.mark.parametrize("width", range(2, 8))
+    def test_ce_bit_equal_to_one_hot_formula(self, width):
+        labels, z = self.batch(width)
+        value, d = ce_loss_and_grad(labels, z)
+        expected = one_hot_ce_grad(labels, z, np.ones(len(labels)), len(labels))
+        assert d.tobytes() == expected.tobytes()
+        assert np.all(d[::5] == 0.0)  # the clamped rows really are in the batch
+        _, d_denom = ce_loss_and_grad(labels, z, denom=1000)
+        assert d_denom.tobytes() == one_hot_ce_grad(labels, z, np.ones(len(labels)), 1000).tobytes()
+
+    @pytest.mark.parametrize("width", range(2, 8))
+    def test_gated_ce_bit_equal_to_one_hot_formula(self, width):
+        labels, z = self.batch(width, seed=1)
+        gates = np.random.default_rng(width).random(len(labels)) < 0.6
+        value, d = gated_ce_loss_and_grad(labels, z, gates, 512)
+        expected = one_hot_ce_grad(labels, z, gates.astype(np.float64), 512)
+        assert d.tobytes() == expected.tobytes()
+
+    def test_inputs_untouched_and_labels_still_checked(self):
+        labels, z = self.batch(4)
+        z_before = z.copy()
+        ce_loss_and_grad(labels, z)
+        assert z.tobytes() == z_before.tobytes()
+        with pytest.raises(ValidationError):
+            ce_loss_and_grad(np.full(len(z), 5), z)
+        with pytest.raises(ValidationError):
+            gated_ce_loss_and_grad(np.zeros(len(z), dtype=int), z, np.ones(len(z)), 8)

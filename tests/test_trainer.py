@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dts_ssl.data import build_mismatch_split, generate_synthetic
-from dts_ssl.errors import StateError, ValidationError
+from dts_ssl.errors import StateError, UndefinedMetricError, ValidationError
 from dts_ssl.evaluation import compute_accuracy, predict_labels, run_inference
 from dts_ssl.models import (
     BackboneSpec,
@@ -44,6 +44,20 @@ TINY = dict(
 def tiny_split(seed=0, ratio=0.5):
     ds = generate_synthetic(3, 2, 6, 150, separation=3.0, noise=1.0, seed=seed)
     return build_mismatch_split(ds, [1, 2, 3], ratio, m=24, n=120, test_fraction=0.2, seed=seed)
+
+
+# one out-of-contract value per field whose check lives in AugmentConfig,
+# BackboneSpec or TrainConfig itself
+BAD_FIELD_VALUES = [
+    ("mask_fraction", 1.5),
+    ("mask_fraction", -0.1),
+    ("weak_sigma", -1.0),
+    ("strong_sigma", -0.1),
+    ("seed", -1),
+    ("hidden_widths", (0,)),
+    ("feature_dim", 0),
+    ("activation", "gelu"),
+]
 
 
 def tiny_config(mode="full", seed=0, **overrides):
@@ -86,6 +100,12 @@ class TestTrainConfig:
     def test_unknown_fields_rejected(self):
         with pytest.raises(ValidationError):
             TrainConfig.from_dict({"not_a_field": 1})
+
+    @pytest.mark.parametrize("field, value", BAD_FIELD_VALUES)
+    def test_every_field_checked(self, field, value):
+        cfg = tiny_config(**{field: value})
+        with pytest.raises(ValidationError, match=field):
+            cfg.validate()
 
 
 class TestApplyAblation:
@@ -336,6 +356,18 @@ class TestEvaluatePipeline:
         )
         assert result.final_eval.accuracy == direct.accuracy
         assert result.final_eval.auroc == direct.auroc
+
+    def test_student_with_non_finite_outputs_raises(self):
+        split = tiny_split()
+        cfg = tiny_config()
+        teacher = init_teacher(BackboneSpec(split.dim, (8,), 4), split.K, seed=0)
+        teacher.pretrained = True
+        pairs = {"inlier": derive_pair(teacher, "inlier"), "outlier": derive_pair(teacher, "outlier")}
+        pipeline = apply_ablation("full", cfg)
+        assert np.isfinite(evaluate_pipeline(pairs, pipeline, split, cfg.gamma).auroc)
+        pairs["outlier"].student.params["head_k1.b"][:] = np.nan  # a diverged student
+        with pytest.raises(UndefinedMetricError, match="non-finite"):
+            evaluate_pipeline(pairs, pipeline, split, cfg.gamma)
 
     def test_degenerate_ratio_reports_nan_auroc(self):
         split = tiny_split(ratio=0.0)
