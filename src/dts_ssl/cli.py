@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .data import Dataset, build_mismatch_split, generate_synthetic, load_cifar10_dir, load_dataset
-from .errors import DtsError, ValidationError
+from .errors import DtsError, ValidationError, type_checks
 from .trainer import TrainConfig, config_hash, run_training
 
 ENV_OUT_ROOT = "DTS_SSL_OUT_ROOT"
@@ -99,9 +99,12 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def validate(self) -> None:
-        errors: list[str] = []
-        self.dataset.validate(errors)
-        self.split.validate(errors)
+        errors = [msg for ok, msg in type_checks(self) if not ok]
+        for name, section in (("dataset", self.dataset), ("split", self.split)):
+            wrong = [f"{name}.{msg}" for ok, msg in type_checks(section) if not ok]
+            errors.extend(wrong)
+            if not wrong:  # the value checks assume the declared types
+                section.validate(errors)
         try:
             self.train.validate()
         except ValidationError as exc:
@@ -139,7 +142,7 @@ class ExperimentConfig:
             except (TypeError, ValidationError) as exc:
                 raise ValidationError(f"train: {exc}") from exc
         if "seeds" in raw:
-            cfg.seeds = [int(s) for s in raw["seeds"]]
+            cfg.seeds = raw["seeds"]
         cfg.out_dir = raw.get("out_dir")
         return cfg
 
@@ -205,7 +208,11 @@ def _coerce(value: str, current, dotted: str):
     if isinstance(current, (list, tuple)):
         items = [part for part in value.split(",") if part]
         caster = type(current[0]) if len(current) else int
-        return type(current)(caster(p) for p in items)
+        try:
+            return type(current)(caster(p) for p in items)
+        except ValueError as exc:
+            raise ValidationError(
+                f"override {dotted!r}: expected {caster.__name__} items, got {value!r}") from exc
     return value
 
 

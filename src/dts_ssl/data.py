@@ -359,7 +359,7 @@ def augment_batch(
     sigma = config.weak_sigma if mode == "weak" else config.strong_sigma
     scale_arr = np.ones(d) if scale is None else np.broadcast_to(np.asarray(scale, dtype=np.float64), (d,))
     if sigma > 0:
-        out = out + rng.standard_normal((b, d)) * (sigma * scale_arr)
+        out += rng.standard_normal((b, d)) * (sigma * scale_arr)  # out is this call's own copy
 
     if mode == "strong":
         k = round_half_up(config.mask_fraction * d)

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks that raise ValidationError."""
+
+import dataclasses
+import numbers
+import types
+import typing
 
 
 class DtsError(Exception):
@@ -14,6 +19,33 @@ def require_all(checks) -> None:
     problems = [msg for ok, msg in checks if not ok]
     if problems:
         raise ValidationError("; ".join(problems))
+
+
+def type_checks(obj) -> list:
+    """One ``(ok, message)`` check per dataclass field: does the value have its annotated type?
+
+    An integral value is a valid float, a bool is neither; list and tuple
+    fields are checked element by element.
+    """
+    hints = typing.get_type_hints(type(obj))
+    checks = []
+    for f in dataclasses.fields(obj):
+        value, hint = getattr(obj, f.name), hints[f.name]
+        name = str(hint) if typing.get_origin(hint) else hint.__name__
+        checks.append((_has_type(value, hint), f"{f.name}: expected {name}, got {value!r}"))
+    return checks
+
+
+def _has_type(value, hint) -> bool:
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_has_type(value, h) for h in args)
+    if origin in (tuple, list):
+        return isinstance(value, (tuple, list)) and all(_has_type(v, args[0]) for v in value)
+    if hint in (int, float):
+        kind = numbers.Integral if hint is int else numbers.Real
+        return isinstance(value, kind) and not isinstance(value, bool)
+    return isinstance(value, hint)
 
 
 class CapacityError(DtsError):

@@ -8,7 +8,7 @@ the two students. The hidden seen/unseen flags are read here and only here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,20 +27,23 @@ class ScoreHistogram:
 class EvalResult:
     accuracy: float
     auroc: float
-    per_class_accuracy: dict[int, float]
-    score_histogram: ScoreHistogram
+    per_class_accuracy: dict[int, float] | None = None  # None from the per-epoch evaluation
+    score_histogram: ScoreHistogram | None = None  # likewise
     mean_score_seen: float = float("nan")
     mean_score_unseen: float = float("nan")
+    predictions: np.ndarray | None = field(default=None, repr=False)  # test-set class ids
+    scores: np.ndarray | None = field(default=None, repr=False)  # unlabeled-set detection scores
 
     def as_dict(self) -> dict:
+        pca, hist = self.per_class_accuracy, self.score_histogram
         return {
             "accuracy": self.accuracy,
             "auroc": self.auroc,
-            "per_class_accuracy": {str(k): v for k, v in self.per_class_accuracy.items()},
-            "score_histogram": {
-                "bin_edges": self.score_histogram.bin_edges,
-                "seen_counts": self.score_histogram.seen_counts,
-                "unseen_counts": self.score_histogram.unseen_counts,
+            "per_class_accuracy": None if pca is None else {str(k): v for k, v in pca.items()},
+            "score_histogram": None if hist is None else {
+                "bin_edges": hist.bin_edges,
+                "seen_counts": hist.seen_counts,
+                "unseen_counts": hist.unseen_counts,
             },
             "mean_score_seen": self.mean_score_seen,
             "mean_score_unseen": self.mean_score_unseen,
@@ -77,10 +80,10 @@ def per_class_accuracy(predictions, true_labels) -> dict[int, float]:
 
 def _midranks(values: np.ndarray) -> np.ndarray:
     """Average ranks (1-based) with ties sharing their midrank."""
-    order = np.argsort(values, kind="mergesort")
+    order = np.argsort(values)  # a tie group gets one midrank, so an unstable sort will do
     sorted_vals = values[order]
-    lo = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])  # tie-group starts
-    hi = np.r_[lo[1:], len(values)]
+    lo = np.flatnonzero(np.concatenate(([True], sorted_vals[1:] != sorted_vals[:-1])))  # group starts
+    hi = np.append(lo[1:], len(values))
     ranks = np.empty(len(values), dtype=np.float64)
     ranks[order] = np.repeat(0.5 * (lo + hi + 1), hi - lo)  # positions lo+1..hi, averaged
     return ranks
@@ -155,4 +158,6 @@ def run_inference(
         score_histogram=score_histogram(scores, flags),
         mean_score_seen=float(scores[~flags].mean()) if (~flags).any() else float("nan"),
         mean_score_unseen=float(scores[flags].mean()) if flags.any() else float("nan"),
+        predictions=preds,
+        scores=scores,
     )

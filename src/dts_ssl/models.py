@@ -67,9 +67,10 @@ class BackboneSpec:
 
 
 def _activation_fns(name: str):
+    """(activation applied in place on its argument, which it returns; derivative from outputs)."""
     if name == "tanh":
-        return np.tanh, lambda a: 1.0 - a * a
-    return (lambda z: np.maximum(z, 0.0)), lambda a: (a > 0).astype(np.float64)
+        return (lambda z: np.tanh(z, out=z)), lambda a: 1.0 - a * a
+    return (lambda z: np.maximum(z, 0.0, out=z)), lambda a: (a > 0).astype(np.float64)
 
 
 class DualHeadModel:
@@ -129,9 +130,6 @@ class DualHeadModel:
             pretrained=self.pretrained,
         )
 
-    def head_width(self, head: str) -> int:
-        return self.K if head == HEAD_K else self.K + 1
-
     # -- forward / backward --------------------------------------------------
 
     def _check_input(self, x: np.ndarray) -> np.ndarray:
@@ -158,23 +156,25 @@ class DualHeadModel:
         a = x
         n_layers = len(self.spec.layer_sizes) - 1
         for i in range(n_layers):
-            z = a @ self.params[f"backbone.{i}.W"].T + self.params[f"backbone.{i}.b"]
-            a = self._act(z)
+            a = self._act(self._linear(a, f"backbone.{i}"))
             acts.append(a)
         out: dict[str, np.ndarray] = {}
         proj_a = None
         for h in heads:
             if h == HEAD_K:
-                out[h] = a @ self.params["head_k.W"].T + self.params["head_k.b"]
+                out[h] = self._linear(a, "head_k")
             else:
                 src = a
                 if self.spec.k1_projection:
-                    proj_z = a @ self.params["proj.W"].T + self.params["proj.b"]
-                    proj_a = self._act(proj_z)
-                    src = proj_a
-                out[h] = src @ self.params["head_k1.W"].T + self.params["head_k1.b"]
+                    src = proj_a = self._act(self._linear(a, "proj"))
+                out[h] = self._linear(src, "head_k1")
         cache = {"acts": acts, "proj_a": proj_a}
         return out, cache
+
+    def _linear(self, a: np.ndarray, layer: str) -> np.ndarray:
+        z = a @ self.params[f"{layer}.W"].T
+        z += self.params[f"{layer}.b"]
+        return z
 
     def probs(self, x: np.ndarray, head: str = HEAD_K) -> np.ndarray:
         z, _ = self.logits(x, heads=(head,))
@@ -197,8 +197,8 @@ class DualHeadModel:
                     proj_a = cache["proj_a"]
                     grads["head_k1.W"] = dz.T @ proj_a
                     grads["head_k1.b"] = dz.sum(axis=0)
-                    d_proj_a = dz @ self.params["head_k1.W"]
-                    d_proj_z = d_proj_a * self._act_grad(proj_a)
+                    d_proj_z = self._act_grad(proj_a)
+                    d_proj_z *= dz @ self.params["head_k1.W"]
                     grads["proj.W"] = d_proj_z.T @ features
                     grads["proj.b"] = d_proj_z.sum(axis=0)
                     d_feats.append(d_proj_z @ self.params["proj.W"])
@@ -210,7 +210,8 @@ class DualHeadModel:
         d_a = sum(d_feats[1:], d_feats[0])  # each parameter has one term; only features add up
         n_layers = len(self.spec.layer_sizes) - 1
         for i in reversed(range(n_layers)):
-            dz = d_a * self._act_grad(acts[i + 1])
+            dz = self._act_grad(acts[i + 1])
+            dz *= d_a
             grads[f"backbone.{i}.W"] = dz.T @ acts[i]
             grads[f"backbone.{i}.b"] = dz.sum(axis=0)
             d_a = dz @ self.params[f"backbone.{i}.W"]

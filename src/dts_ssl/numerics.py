@@ -28,8 +28,10 @@ def row_sum(x: np.ndarray) -> np.ndarray:
 def softmax(z: np.ndarray) -> np.ndarray:
     """Numerically stable softmax along the last axis."""
     z = np.asarray(z, dtype=np.float64)
-    e = np.exp(z - row_max(z)[..., None])
-    return e / row_sum(e)[..., None]
+    e = z - row_max(z)[..., None]  # a fresh buffer: the input is never written
+    np.exp(e, out=e)
+    e /= row_sum(e)[..., None]
+    return e
 
 
 def softmax_vjp(probs: np.ndarray, d_probs: np.ndarray) -> np.ndarray:

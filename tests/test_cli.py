@@ -254,6 +254,30 @@ class TestValidateConfigVerb:
         assert main(["validate-config", "--config", str(bad)]) == 2
         assert f"train.{field}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, field, value", [
+        ("train", "seed", "x"), ("train", "tau", None), ("train", "lr", "0.1"),
+        ("train", "hidden_widths", ["a"]), ("train", "mu", 2.5), ("train", "batch_size", True),
+        ("dataset", "k_seen", "x"), ("split", "mismatch_ratio", None),
+        ("split", "seen_class_ids", [1, "2"]), ("seeds", None, ["x"]),
+    ])
+    def test_wrongly_typed_value_exit_two(self, tmp_path, config_file, section, field, value, capsys):
+        raw = json.loads(config_file.read_text())
+        if field is None:
+            raw[section] = value
+        else:
+            raw[section][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        name = section if field is None else f"{section}.{field}"
+        with pytest.raises(ValidationError, match=rf"{name}: expected"):
+            load_config(bad)
+        assert main(["validate-config", "--config", str(bad)]) == 2
+        assert f"{name}: expected" in capsys.readouterr().err
+
+    def test_bad_list_override_exit_two(self, config_file):
+        with pytest.raises(ValidationError, match="hidden_widths"):
+            load_config(config_file, ["train.hidden_widths=8,a"])
+
     def test_unparseable_exit_two(self, tmp_path):
         bad = tmp_path / "mangled.json"
         bad.write_text("{not json")

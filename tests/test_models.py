@@ -277,6 +277,63 @@ class TestBackwardKeySet:
             assert grads[key].tobytes() == g.tobytes(), key
 
 
+def out_of_place_logits(model, x, heads):
+    """Reference forward: every bias add and activation allocates its result."""
+    W = model.params
+    act = np.tanh if model.spec.activation == "tanh" else (lambda z: np.maximum(z, 0.0))
+    acts, a = [x], x
+    for i in range(len(model.spec.layer_sizes) - 1):
+        a = act(a @ W[f"backbone.{i}.W"].T + W[f"backbone.{i}.b"])
+        acts.append(a)
+    out, proj_a = {}, None
+    for h in heads:
+        if h == "k":
+            out[h] = a @ W["head_k.W"].T + W["head_k.b"]
+        else:
+            src = a
+            if model.spec.k1_projection:
+                src = proj_a = act(a @ W["proj.W"].T + W["proj.b"])
+            out[h] = src @ W["head_k1.W"].T + W["head_k1.b"]
+    return out, {"acts": acts, "proj_a": proj_a}
+
+
+class TestInPlaceOracle:
+    """The in-place forward and backward are bit-equal to the out-of-place formulas."""
+
+    @pytest.mark.parametrize("rows", [7, 300])
+    @pytest.mark.parametrize("projection", [False, True])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("widths", [((16, 16), 8), ((64, 64), 32)])
+    def test_logits_and_backward_bit_equal(self, widths, activation, projection, rows):
+        hidden, feature = widths
+        spec = BackboneSpec(16, hidden, feature, activation=activation, k1_projection=projection)
+        model = make_teacher(K=4, seed=11, spec=spec)
+        rng = np.random.default_rng(rows)
+        x = rng.normal(size=(rows, 16))
+        x_before = x.copy()
+        heads = ("k", "k1")
+        z, cache = model.logits(x, heads=heads)
+        z_ref, cache_ref = out_of_place_logits(model, x, heads)
+        assert x.tobytes() == x_before.tobytes()
+        for h in heads:
+            assert z[h].tobytes() == z_ref[h].tobytes(), h
+        for a, a_ref in zip(cache["acts"], cache_ref["acts"]):
+            assert a.tobytes() == a_ref.tobytes()
+        for head_set in (("k",), ("k1",), heads):
+            d_logits = {h: rng.normal(size=z[h].shape) for h in head_set}
+            d_before = {h: d.copy() for h, d in d_logits.items()}
+            acts_before = [a.copy() for a in cache["acts"]]
+            grads = model.backward(cache, d_logits)
+            expected = zeros_then_accumulate_backward(model, cache_ref, d_logits)
+            assert list(grads) == list(expected)
+            for key, g in expected.items():
+                assert grads[key].tobytes() == g.tobytes(), (head_set, key)
+            for h in head_set:  # backward writes neither the loss gradients nor the cache
+                assert d_logits[h].tobytes() == d_before[h].tobytes()
+            for a, before in zip(cache["acts"], acts_before):
+                assert a.tobytes() == before.tobytes()
+
+
 class TestCheckpoints:
     def test_roundtrip_bit_exact(self, tmp_path):
         model = make_teacher(K=5)

@@ -85,6 +85,14 @@ class TestSoftmax:
         assert softmax(z).tobytes() == reduction_softmax(z).tobytes()
         assert softmax(z[0, 0]).tobytes() == reduction_softmax(z[0, 0]).tobytes()
 
+    def test_leaves_input_untouched(self):
+        # several losses softmax the same logits, so softmax must never write into them
+        z = np.random.default_rng(1).normal(scale=5.0, size=(500, 5))
+        before = z.copy()
+        p = softmax(z)
+        assert z.tobytes() == before.tobytes()
+        assert not np.shares_memory(p, z)
+
     @pytest.mark.parametrize("width", range(2, 8))
     def test_vjp_bit_equal_to_reduction_formula(self, width):
         rng = np.random.default_rng(width)

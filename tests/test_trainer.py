@@ -1,5 +1,6 @@
 """Training orchestration: pre-training, iteration structure, ablations, determinism."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -16,10 +17,13 @@ from dts_ssl.models import (
     init_teacher,
     param_hash,
 )
+from dts_ssl.losses import LossReport
 from dts_ssl.trainer import (
     ABLATION_MODES,
+    SGD,
     TrainConfig,
     _compute_teacher_quantities,
+    _mean_report,
     apply_ablation,
     config_hash,
     evaluate_pipeline,
@@ -57,6 +61,21 @@ BAD_FIELD_VALUES = [
     ("hidden_widths", (0,)),
     ("feature_dim", 0),
     ("activation", "gelu"),
+]
+
+# values of the wrong type: integer fields take no float, bool or string, float
+# fields no string or None, string and bool fields only their own type
+WRONG_TYPE_VALUES = [
+    ("seed", "x"),
+    ("tau", None),
+    ("lr", "0.1"),
+    ("hidden_widths", ("a",)),
+    ("hidden_widths", (8.0,)),
+    ("mu", 2.5),
+    ("batch_size", True),
+    ("gamma", False),
+    ("activation", 1),
+    ("cache_scores", 1),
 ]
 
 
@@ -106,6 +125,15 @@ class TestTrainConfig:
         cfg = tiny_config(**{field: value})
         with pytest.raises(ValidationError, match=field):
             cfg.validate()
+
+    @pytest.mark.parametrize("field, value", WRONG_TYPE_VALUES)
+    def test_wrong_type_rejected(self, field, value):
+        cfg = tiny_config(**{field: value})
+        with pytest.raises(ValidationError, match=f"{field}: expected"):
+            cfg.validate()
+
+    def test_integral_values_are_valid_floats(self):
+        tiny_config(lr=1, tau=np.float64(0.9), seed=np.int64(3), hidden_widths=[12]).validate()
 
 
 class TestApplyAblation:
@@ -356,6 +384,10 @@ class TestEvaluatePipeline:
         )
         assert result.final_eval.accuracy == direct.accuracy
         assert result.final_eval.auroc == direct.auroc
+        # the per-epoch evaluation skips these two; the final one must still have them
+        assert result.final_eval.per_class_accuracy == direct.per_class_accuracy
+        assert result.final_eval.score_histogram == direct.score_histogram
+        assert result.final_eval.as_dict() == direct.as_dict()
 
     def test_student_with_non_finite_outputs_raises(self):
         split = tiny_split()
@@ -368,6 +400,15 @@ class TestEvaluatePipeline:
         pairs["outlier"].student.params["head_k1.b"][:] = np.nan  # a diverged student
         with pytest.raises(UndefinedMetricError, match="non-finite"):
             evaluate_pipeline(pairs, pipeline, split, cfg.gamma)
+
+    def test_per_epoch_evaluation_leaves_tables_unset(self):
+        split = tiny_split()
+        result = run_training(tiny_config(), split)
+        ev = evaluate_pipeline(result.pairs, result.pipeline, split, result.config.gamma)
+        assert ev.per_class_accuracy is None and ev.score_histogram is None
+        assert ev.accuracy == result.final_eval.accuracy and ev.auroc == result.final_eval.auroc
+        assert np.array_equal(ev.predictions, result.final_eval.predictions)
+        assert ev.scores.tobytes() == result.final_eval.scores.tobytes()
 
     def test_degenerate_ratio_reports_nan_auroc(self):
         split = tiny_split(ratio=0.0)
@@ -430,3 +471,73 @@ def test_lr_schedule_cosine_decays():
     lrs = [rec["lr"] for rec in result.history]
     assert lrs[0] > lrs[-1]
     assert all(b <= a + 1e-12 for a, b in zip(lrs, lrs[1:]))
+
+
+def old_sgd_step(params, velocity, grads, momentum, weight_decay, lr):
+    """Reference update: every intermediate is a fresh array, velocities are replaced."""
+    for name, g in grads.items():
+        g = g + weight_decay * params[name]
+        v = momentum * velocity[name] + g
+        velocity[name] = v
+        params[name] -= lr * v
+
+
+class TestSGDOracle:
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+    def test_bit_equal_to_out_of_place_update_and_grads_untouched(self, weight_decay):
+        rng = np.random.default_rng(3)
+        shapes = {"a.W": (6, 5), "a.b": (6,), "b.W": (3, 6)}
+        params = {k: rng.normal(size=s) for k, s in shapes.items()}
+        params["a.b"][:2] = [0.0, -0.0]
+        params["a.W"][0] = np.abs(params["a.W"][0])
+        ref_params = {k: v.copy() for k, v in params.items()}
+        opt = SGD(params, momentum=0.9, weight_decay=weight_decay)
+        ref_velocity = {k: np.zeros_like(v) for k, v in params.items()}
+        # signed zeros: -0.0 velocity plus a -0.0 gradient stays -0.0 only if the
+        # decay term 0*p (+0.0 here) is left out, which the update must not do
+        opt.velocity["a.W"][0] = ref_velocity["a.W"][0] = -0.0
+        for step in range(6):
+            # a step may leave a tensor out, and gradients span many magnitudes
+            keys = list(shapes) if step % 3 else ["a.W", "b.W"]
+            grads = {k: rng.normal(size=shapes[k]) * 10.0 ** rng.integers(-6, 3, shapes[k])
+                     for k in keys}
+            if step == 0:
+                grads["a.W"][0] = -0.0
+            before = {k: g.copy() for k, g in grads.items()}
+            lr = 0.05 / (step + 1)
+            opt.step(params, grads, lr)
+            old_sgd_step(ref_params, ref_velocity, before, 0.9, weight_decay, lr)
+            for k in grads:
+                assert grads[k].tobytes() == before[k].tobytes()
+            for k in shapes:
+                assert params[k].tobytes() == ref_params[k].tobytes(), (step, k)
+                assert opt.velocity[k].tobytes() == ref_velocity[k].tobytes(), (step, k)
+
+
+class TestMeanReportOracle:
+    @pytest.mark.parametrize("count", [1, 2, 7, 9, 64, 130, 1000])
+    def test_bit_equal_to_per_field_numpy_mean(self, count):
+        rng = np.random.default_rng(count)
+        names = [f.name for f in dataclasses.fields(LossReport)]
+        reports = []
+        for _ in range(count):
+            values = {}
+            for name in names:
+                if isinstance(getattr(LossReport(), name), int):
+                    values[name] = int(rng.integers(0, 500))
+                else:  # many magnitudes, so a change of summation order shows
+                    values[name] = float(rng.normal() * 10.0 ** rng.integers(-9, 9))
+            reports.append(LossReport(**values))
+        reports[0].seen_in = -0.0
+        if count > 1:
+            reports[-1].unseen = np.float64(-0.0)
+        mean = _mean_report(reports)
+        for name in names:
+            expected = float(np.mean([getattr(r, name) for r in reports]))
+            assert np.float64(getattr(mean, name)).tobytes() == np.float64(expected).tobytes(), name
+
+    @pytest.mark.parametrize("count", [1, 3, 20])
+    def test_all_negative_zero_field_as_numpy_mean(self, count):
+        mean = _mean_report([LossReport(consistency=-0.0) for _ in range(count)])
+        expected = np.mean([-0.0] * count)
+        assert np.float64(mean.consistency).tobytes() == np.float64(expected).tobytes()
