@@ -9,7 +9,9 @@ Runs every ablation mode on benchmark seeds 0-2 (``dts_ssl.benchmarks.
 run_benchmark``), then ``full`` and four other step paths on the reference
 64-64-32 backbone with tanh and with relu (seed 0; mode printed as
 ``<mode>@64-64-32-<activation>``), where the matmuls are wide enough that
-BLAS kernel choice could change bits. A change that must keep the numerics
+BLAS kernel choice could change bits, then seed-0 runs of the training-step
+branches that no default-config mode reaches (printed as
+``<mode>@<field>=<value>``). A change that must keep the numerics
 bit-identical leaves this output unchanged. ``--src`` names the source tree
 to import ``dts_ssl`` from, so one copy of this script can check an older
 tree too.
@@ -29,6 +31,15 @@ import sys
 SEEDS = (0, 1, 2)
 WIDE_MODES = ("full", "no_its", "no_k1_ots", "one_f_two_c_proj", "supervised_only")
 WIDE = dict(hidden_widths=(64, 64), feature_dim=32)
+# (mode, config override): a loss weight at 0, the extra-class pseudo-label
+# exclusion, and the cosine learning-rate schedule
+GUARDS = (
+    ("full", "lambda_lm", 0.0),
+    ("full", "lambda_seen", 0.0),
+    ("no_its", "lambda_cr", 0.0),
+    ("one_f_two_c", "exclude_k1_pseudo", True),
+    ("no_soft_weighting", "lr_schedule", "cosine"),
+)
 
 
 def main() -> int:
@@ -50,6 +61,8 @@ def main() -> int:
         for mode in WIDE_MODES:
             label = f"{mode}@64-64-32-{activation}"
             print(0, label, digest(mode, 0, activation=activation, **WIDE), flush=True)
+    for mode, name, value in GUARDS:
+        print(0, f"{mode}@{name}={value}", digest(mode, 0, **{name: value}), flush=True)
     return 0
 
 

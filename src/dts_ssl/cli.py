@@ -18,6 +18,8 @@ import dataclasses
 import json
 import os
 import sys
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -184,32 +186,35 @@ def _apply_override(config: ExperimentConfig, item: str) -> None:
     key = parts[-1]
     if not hasattr(target, key):
         raise ValidationError(f"override {dotted!r}: unknown field {key!r}")
-    current = getattr(target, key)
-    setattr(target, key, _coerce(value, current, dotted))
+    hint = typing.get_type_hints(type(target))[key]  # the annotation errors.type_checks reads
+    setattr(target, key, _coerce(value, hint, dotted))
 
 
-def _coerce(value: str, current, dotted: str):
-    if isinstance(current, bool):
+def _coerce(value: str, hint, dotted: str):
+    """Parse an override as its field's annotated type; ``X | None`` parses as ``X``."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        hint = next(h for h in typing.get_args(hint) if h is not type(None))
+    if hint is bool:
         if value.lower() in ("true", "1", "yes"):
             return True
         if value.lower() in ("false", "0", "no"):
             return False
         raise ValidationError(f"override {dotted!r}: expected a boolean, got {value!r}")
-    if isinstance(current, int) and not isinstance(current, bool):
+    if hint is int:
         try:
             return int(value)
         except ValueError as exc:
             raise ValidationError(f"override {dotted!r}: expected an integer, got {value!r}") from exc
-    if isinstance(current, float):
+    if hint is float:
         try:
             return float(value)
         except ValueError as exc:
             raise ValidationError(f"override {dotted!r}: expected a number, got {value!r}") from exc
-    if isinstance(current, (list, tuple)):
+    if typing.get_origin(hint) in (list, tuple):
         items = [part for part in value.split(",") if part]
-        caster = type(current[0]) if len(current) else int
+        caster = typing.get_args(hint)[0]
         try:
-            return type(current)(caster(p) for p in items)
+            return typing.get_origin(hint)(caster(p) for p in items)
         except ValueError as exc:
             raise ValidationError(
                 f"override {dotted!r}: expected {caster.__name__} items, got {value!r}") from exc

@@ -10,7 +10,28 @@ boundaries each student is copied into its teacher.
 
 Ablation modes reconfigure this pipeline (which pairs exist, how samples are
 scored and weighted, which loss terms are active) without changing the step
-mechanics, so structural invariants hold across modes.
+mechanics, so structural invariants hold across modes. ``apply_ablation``
+turns a mode into a ``PipelineDescription``, and ``_step_plan`` turns that
+into the branch table one step walks: per trained model, its (role, head,
+unlabeled terms) branches.
+
+    model     branches (role, head)               unlabeled terms, in order
+    inlier    (inlier, k)                         seen, lm
+    outlier   (outlier, k1); (outlier, k) in      seen, unseen, cr
+              no_k1_ots
+    merged    (inlier, k) and (outlier, k1) on    both branches' terms
+              one backbone
+
+A mode leaves out a pair (``no_its``, ``no_k1_its``, ``no_k1_ots``,
+``supervised_only``) or a term (``no_logit_match``, ``no_consistency``;
+``supervised_only`` keeps only the labeled CE). Logit-match and consistency
+are left out when their lambda is 0; seen and unseen always run. Per model a
+step makes one labeled forward and backward over all its branches' heads, at
+most one strong-view forward and backward over the heads with unlabeled
+terms, and one weak-view forward when consistency is on. Gradients add in
+that order: labeled, then weak-view consistency, then the strong-view terms.
+Teacher scoring (teachers on weak views) and evaluation (students on raw
+inputs) go through one scorer, ``_score``.
 """
 
 from __future__ import annotations
@@ -46,7 +67,7 @@ from .models import (
     save_model,
 )
 from .numerics import row_max, row_sum, softmax
-from .soft_weighting import gate_mask, scores_from_probs
+from .soft_weighting import gate_mask, scores_from_probs, write_score_dump
 
 ABLATION_MODES = (
     "full",
@@ -94,7 +115,6 @@ class TrainConfig:
     exclude_k1_pseudo: bool = False
     unseen_hard_threshold: float = 0.85  # hard mask level in no_soft_weighting
     uniformity_threshold: float = 0.5  # mask level for the K-head outlier ablation
-    cache_scores: bool = False
     eval_every: int = 1
     dump_scores: bool = False  # per-epoch score dump for AUROC auditing
 
@@ -374,7 +394,6 @@ class TrainState:
     global_epoch: int = 0
     history: list[dict] = field(default_factory=list)
     training_unlabeled_forwards: int = 0
-    score_cache: dict | None = None
     out_dir: Path | None = None
 
     @property
@@ -456,39 +475,8 @@ def _mean_report(reports: list[LossReport]) -> LossReport:
 
 
 # ---------------------------------------------------------------------------
-# The per-step teacher-side quantities
+# Scoring: teachers on weak views in training, students on raw inputs at evaluation
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _TeacherView:
-    """Frozen-teacher quantities for one unlabeled batch."""
-
-    scores: np.ndarray
-    teacher_probs_in: np.ndarray | None  # K-way distribution used for ITS gating / matching
-    max_in: np.ndarray | None
-    pseudo_in: np.ndarray | None
-    max_out: np.ndarray | None
-    pseudo_out: np.ndarray | None
-
-
-def _teacher_quantities(state: TrainState, weak_u: np.ndarray, u_idx: np.ndarray) -> _TeacherView:
-    pipe = state.pipeline
-    cfg = state.config
-    if state.score_cache is not None:
-        c = state.score_cache
-        pick = lambda key: None if c[key] is None else c[key][u_idx]
-        return _TeacherView(
-            scores=c["scores"][u_idx],
-            teacher_probs_in=pick("teacher_probs_in"),
-            max_in=pick("max_in"),
-            pseudo_in=pick("pseudo_in"),
-            max_out=pick("max_out"),
-            pseudo_out=pick("pseudo_out"),
-        )
-    view = _compute_teacher_quantities(state.pairs, pipe, cfg, weak_u)
-    state.training_unlabeled_forwards += view_forward_count(pipe) * len(weak_u)
-    return view
 
 
 def view_forward_count(pipeline: PipelineDescription) -> int:
@@ -510,64 +498,24 @@ def _blend_probs(pairs: dict[str, TeacherStudentPair], role: str, x: np.ndarray)
             getattr(pairs["outlier"], role).probs(x, head="k1"))
 
 
-def _compute_teacher_quantities(
-    pairs: dict[str, TeacherStudentPair],
-    pipe: PipelineDescription,
-    cfg: TrainConfig,
-    weak_u: np.ndarray,
-) -> _TeacherView:
-    K = next(iter(pairs.values())).teacher.K
-    if pipe.score_mode == "blend":
-        p_in, p_out = _blend_probs(pairs, "teacher", weak_u)
-        scores = scores_from_probs(p_in, p_out, cfg.gamma)
-        return _TeacherView(
-            scores=scores,
-            teacher_probs_in=p_in,
-            max_in=row_max(p_in),
-            pseudo_in=p_in.argmax(axis=1) + 1,
-            max_out=row_max(p_out),
-            pseudo_out=p_out.argmax(axis=1) + 1,
-        )
-    if pipe.score_mode == "outlier_blend":
-        p_out = pairs["outlier"].teacher.probs(weak_u, head="k1")
-        proxy = p_out[:, :K] / np.maximum(row_sum(p_out[:, :K])[:, None], 1e-12)
-        scores = cfg.gamma * (1.0 - row_max(proxy)) + (1.0 - cfg.gamma) * p_out[:, -1]
-        return _TeacherView(
-            scores=scores,
-            teacher_probs_in=None,
-            max_in=None,
-            pseudo_in=None,
-            max_out=row_max(p_out),
-            pseudo_out=p_out.argmax(axis=1) + 1,
-        )
-    if pipe.score_mode == "one_minus_max":
-        pair = next(iter(pairs.values()))
-        p = pair.teacher.probs(weak_u, head="k")
-        p_max = row_max(p)
-        return _TeacherView(
-            scores=1.0 - p_max,
-            teacher_probs_in=p,
-            max_in=p_max,
-            pseudo_in=p.argmax(axis=1) + 1,
-            max_out=p_max,
-            pseudo_out=p.argmax(axis=1) + 1,
-        )
-    raise ValidationError(f"score_mode {pipe.score_mode!r} cannot score unlabeled data")
-
-
-def _build_score_cache(state: TrainState) -> dict:
-    """Score the whole unlabeled set once per iteration (optimization flag)."""
-    weak_all = augment_batch(state.split.unlabeled_x, "weak", state.rng, state.scale, state.aug)
-    view = _compute_teacher_quantities(state.pairs, state.pipeline, state.config, weak_all)
-    state.training_unlabeled_forwards += view_forward_count(state.pipeline) * len(weak_all)
-    return {
-        "scores": view.scores,
-        "teacher_probs_in": view.teacher_probs_in,
-        "max_in": view.max_in,
-        "pseudo_in": view.pseudo_in,
-        "max_out": view.max_out,
-        "pseudo_out": view.pseudo_out,
-    }
+def _score(pairs: dict[str, TeacherStudentPair], role: str, x: np.ndarray, score_mode: str,
+           gamma: float):
+    """Uncertainty scores of ``x`` from the ``role`` models, with the K-way and (K+1)-way
+    probabilities they come from: ``(scores, p_in, p_out)``. ``p_in`` is None where no
+    K-way head exists; a single K-head pair gives one distribution as both."""
+    if score_mode == "blend":
+        p_in, p_out = _blend_probs(pairs, role, x)
+        return scores_from_probs(p_in, p_out, gamma), p_in, p_out
+    if score_mode == "outlier_blend":
+        # the (K+1)-head's first K outputs, renormalised, stand in for the K-way head
+        model = getattr(pairs["outlier"], role)
+        p_out = model.probs(x, head="k1")
+        proxy = p_out[:, : model.K] / np.maximum(row_sum(p_out[:, : model.K])[:, None], 1e-12)
+        return scores_from_probs(proxy, p_out, gamma), None, p_out
+    if score_mode == "one_minus_max":
+        p = getattr(next(iter(pairs.values())), role).probs(x, head="k")
+        return 1.0 - row_max(p), p, p
+    raise ValidationError(f"score_mode {score_mode!r} cannot score unlabeled data")
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +523,42 @@ def _build_score_cache(state: TrainState) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _train_step(state: TrainState, batch, lr: float) -> LossReport:
+@dataclass(frozen=True)
+class _Branch:
+    """One objective on one head of a trained model."""
+
+    role: str  # "inlier" | "outlier": the teacher targets and report fields it uses
+    head: str  # "k" | "k1"
+    terms: tuple[str, ...]  # unlabeled terms, in the order their gradients add
+
+
+def _step_plan(pipe: PipelineDescription) -> dict[str, tuple[_Branch, ...]]:
+    """The branches a step trains, per model (pair name). Logit-match and consistency
+    are left out when their lambda is 0; seen and unseen are computed whatever theirs."""
+    live = {"lm": pipe.lambda_lm > 0, "cr": pipe.lambda_cr > 0}
+    plan = {}
+    for name, kind in pipe.pairs:
+        branches = []
+        for role, wanted in (("inlier", pipe.inlier_losses), ("outlier", pipe.outlier_losses)):
+            if wanted and name in (role, "merged"):
+                head = "k" if "inlier" in (role, kind) else "k1"  # no_k1_ots: outlier branch, K head
+                terms = tuple(t for t in wanted if t != "ce" and live.get(t, True))
+                branches.append(_Branch(role, head, terms))
+        if branches:
+            plan[name] = tuple(branches)
+    return plan
+
+
+_LAMBDA = {"seen": "lambda_seen", "lm": "lambda_lm", "unseen": "lambda_unseen", "cr": "lambda_cr"}
+# (role, term) -> the LossReport field that receives the term's value
+_REPORT_FIELD = {
+    ("inlier", "ce"): "ce_k", ("inlier", "seen"): "seen_in", ("inlier", "lm"): "logit_match",
+    ("outlier", "ce"): "ce_k1", ("outlier", "seen"): "seen_out", ("outlier", "unseen"): "unseen",
+    ("outlier", "cr"): "consistency",
+}
+
+
+def _train_step(state: TrainState, plan: dict[str, tuple[_Branch, ...]], batch, lr: float) -> LossReport:
     cfg = state.config
     pipe = state.pipeline
     rng = state.rng
@@ -585,41 +568,69 @@ def _train_step(state: TrainState, batch, lr: float) -> LossReport:
     mu_b = len(batch.unlabeled_x)
     report.batch_unlabeled = mu_b
 
-    g_in = pseudo_in = g_out = pseudo_out = None
-    weights = None
-    teacher_probs_in = None
-    weak_u = strong_u = None
+    targets = {}  # role -> (gate, pseudo-labels, teacher probabilities)
+    weak_u = strong_u = weights = None
     if pipe.uses_unlabeled and mu_b:
         weak_u = augment_batch(batch.unlabeled_x, "weak", rng, state.scale, state.aug)
         strong_u = augment_batch(batch.unlabeled_x, "strong", rng, state.scale, state.aug)
-        tview = _teacher_quantities(state, weak_u, batch.unlabeled_indices)
-        scores = tview.scores
-        teacher_probs_in = tview.teacher_probs_in
-        if tview.max_in is not None:
-            g_in = gate_mask(tview.max_in, scores, cfg.tau, use_score=pipe.gate_uses_score)
-            pseudo_in = tview.pseudo_in
-        if tview.max_out is not None:
-            g_out = gate_mask(tview.max_out, scores, cfg.tau, use_score=pipe.gate_uses_score)
-            pseudo_out = tview.pseudo_out
-            if cfg.exclude_k1_pseudo and pipe.unseen_weighting in ("soft", "hard_mask"):
-                K = next(iter(state.pairs.values())).teacher.K
-                g_out = g_out & (pseudo_out != K + 1)
+        scores, p_in, p_out = _score(state.pairs, "teacher", weak_u, pipe.score_mode, cfg.gamma)
+        state.training_unlabeled_forwards += view_forward_count(pipe) * mu_b
+        K = next(iter(state.pairs.values())).teacher.K
+        exclude_k1 = cfg.exclude_k1_pseudo and pipe.unseen_weighting in ("soft", "hard_mask")
+        for role, p in (("inlier", p_in), ("outlier", p_out)):
+            if p is not None:
+                gate = gate_mask(row_max(p), scores, cfg.tau, use_score=pipe.gate_uses_score)
+                pseudo = p.argmax(axis=1) + 1
+                if role == "outlier" and exclude_k1:
+                    gate = gate & (pseudo != K + 1)
+                targets[role] = (gate, pseudo, p)
         weights = unseen_sample_weights(scores, pipe, cfg)
-        report.pass_count_in = int(g_in.sum()) if g_in is not None and pipe.inlier_losses else 0
-        report.pass_count_out = int(g_out.sum()) if g_out is not None and pipe.outlier_losses else 0
+        if "inlier" in targets and pipe.inlier_losses:
+            report.pass_count_in = int(targets["inlier"][0].sum())
+        if pipe.outlier_losses:
+            report.pass_count_out = int(targets["outlier"][0].sum())
         if pipe.unseen_weighting != "none":
             report.effective_weight_sum = float(weights.sum())
 
-    if "merged" in state.pairs:
-        _merged_step(state, batch, strong_x, weak_u, strong_u, g_in, pseudo_in, g_out, pseudo_out,
-                     teacher_probs_in, weights, mu_b, lr, report)
-    else:
-        if "inlier" in state.pairs and pipe.inlier_losses:
-            _inlier_step(state, batch, strong_x, strong_u, g_in, pseudo_in, teacher_probs_in,
-                         mu_b, lr, report)
-        if "outlier" in state.pairs and pipe.outlier_losses:
-            _outlier_step(state, batch, strong_x, weak_u, strong_u, g_out, pseudo_out,
-                          weights, mu_b, lr, report)
+    for name, branches in plan.items():
+        # per model: one labeled pass, at most one strong-view and one weak-view pass;
+        # gradients add labeled, then weak-view consistency, then strong-view terms
+        student = state.pairs[name].student
+        z_l, cache_l = student.logits(strong_x, heads=tuple(b.head for b in branches))
+        d_l = {}
+        for b in branches:
+            ce, d_l[b.head] = losses.ce_loss_and_grad(batch.labeled_y, z_l[b.head])
+            setattr(report, _REPORT_FIELD[b.role, "ce"], ce)
+        grads = student.backward(cache_l, d_l)
+
+        unlabeled = [b for b in branches if b.terms] if strong_u is not None else []
+        if unlabeled:
+            z_u, cache_u = student.logits(strong_u, heads=tuple(b.head for b in unlabeled))
+            state.training_unlabeled_forwards += len(strong_u)
+            d_u = {}
+            for b in unlabeled:
+                z = z_u[b.head]
+                gate, pseudo, p_teacher = targets[b.role]
+                for term in b.terms:
+                    lam = getattr(pipe, _LAMBDA[term])
+                    if term == "seen":
+                        value, d = losses.gated_ce_loss_and_grad(pseudo, z, gate, mu_b)
+                    elif term == "lm":
+                        value, d = losses.logit_match_loss_and_grad(z, p_teacher, gate, mu_b)
+                    elif term == "unseen" and pipe.unseen_weighting in ("soft", "hard_mask"):
+                        value, d = losses.unseen_loss_and_grad(z, weights, mu_b)
+                    elif term == "unseen":  # uniform_push: no extra class, push masked samples to uniform
+                        value, d = losses.uniformity_loss_and_grad(z, weights, mu_b)
+                    else:  # "cr"
+                        z_w, cache_w = student.logits(weak_u, heads=(b.head,))
+                        state.training_unlabeled_forwards += len(weak_u)
+                        value, d_w, d = losses.consistency_loss_and_grad(z_w[b.head], z, mu_b)
+                        _sum_grads(grads, student.backward(cache_w, {b.head: lam * d_w}))
+                    setattr(report, _REPORT_FIELD[b.role, term], value)
+                    d_u[b.head] = _acc(d_u.get(b.head), lam * d)
+            _sum_grads(grads, student.backward(cache_u, d_u))
+
+        state.optimizers[name].step(student.params, grads, lr)
 
     report.inlier_total = losses.inlier_objective(
         report.ce_k, report.seen_in, report.logit_match, (pipe.lambda_seen, pipe.lambda_lm)
@@ -643,119 +654,6 @@ def _acc(total: np.ndarray | None, term: np.ndarray) -> np.ndarray:
     return term if total is None else total + term
 
 
-def _inlier_step(state, batch, strong_x, strong_u, g_in, pseudo_in, teacher_probs_in,
-                 mu_b, lr, report) -> None:
-    cfg, pipe = state.config, state.pipeline
-    pair = state.pairs["inlier"]
-    student = pair.student
-    head = "k"
-
-    z_l, cache_l = student.logits(strong_x, heads=(head,))
-    ce_k, d_l = losses.ce_loss_and_grad(batch.labeled_y, z_l[head])
-    report.ce_k = ce_k
-    grads = student.backward(cache_l, {head: d_l})
-
-    wants_unlabeled = any(t in pipe.inlier_losses for t in ("seen", "lm")) and strong_u is not None
-    if wants_unlabeled:
-        z_u, cache_u = student.logits(strong_u, heads=(head,))
-        state.training_unlabeled_forwards += len(strong_u)
-        d_u = None
-        if "seen" in pipe.inlier_losses:
-            seen, d_seen = losses.gated_ce_loss_and_grad(pseudo_in, z_u[head], g_in, mu_b)
-            report.seen_in = seen
-            d_u = pipe.lambda_seen * d_seen
-        if "lm" in pipe.inlier_losses and pipe.lambda_lm > 0:
-            lm, d_lm = losses.logit_match_loss_and_grad(z_u[head], teacher_probs_in, g_in, mu_b)
-            report.logit_match = lm
-            d_u = _acc(d_u, pipe.lambda_lm * d_lm)
-        _sum_grads(grads, student.backward(cache_u, {head: d_u}))
-
-    state.optimizers["inlier"].step(student.params, grads, lr)
-
-
-def _outlier_step(state, batch, strong_x, weak_u, strong_u, g_out, pseudo_out,
-                  weights, mu_b, lr, report) -> None:
-    cfg, pipe = state.config, state.pipeline
-    pair = state.pairs["outlier"]
-    student = pair.student
-    head = "k1" if "k1" in student.heads else "k"
-
-    z_l, cache_l = student.logits(strong_x, heads=(head,))
-    ce, d_l = losses.ce_loss_and_grad(batch.labeled_y, z_l[head])
-    report.ce_k1 = ce  # labeled CE of the outlier branch (K-way in the K-head ablation)
-    grads = student.backward(cache_l, {head: d_l})
-
-    if strong_u is not None and any(t in pipe.outlier_losses for t in ("seen", "unseen", "cr")):
-        z_sa, cache_sa = student.logits(strong_u, heads=(head,))
-        state.training_unlabeled_forwards += len(strong_u)
-        d_sa = None
-        if "seen" in pipe.outlier_losses:
-            seen, d_seen = losses.gated_ce_loss_and_grad(pseudo_out, z_sa[head], g_out, mu_b)
-            report.seen_out = seen
-            d_sa = pipe.lambda_seen * d_seen
-        if "unseen" in pipe.outlier_losses:
-            if pipe.unseen_weighting in ("soft", "hard_mask"):
-                unseen, d_unseen = losses.unseen_loss_and_grad(z_sa[head], weights, mu_b)
-            else:  # uniform_push: no extra class exists, push masked samples to uniform
-                unseen, d_unseen = losses.uniformity_loss_and_grad(z_sa[head], weights, mu_b)
-            report.unseen = unseen
-            d_sa = _acc(d_sa, pipe.lambda_unseen * d_unseen)
-        if "cr" in pipe.outlier_losses and pipe.lambda_cr > 0:
-            z_wa, cache_wa = student.logits(weak_u, heads=(head,))
-            state.training_unlabeled_forwards += len(weak_u)
-            cr, d_wa, d_sa_cr = losses.consistency_loss_and_grad(z_wa[head], z_sa[head], mu_b)
-            report.consistency = cr
-            d_sa = _acc(d_sa, pipe.lambda_cr * d_sa_cr)
-            _sum_grads(grads, student.backward(cache_wa, {head: pipe.lambda_cr * d_wa}))
-        _sum_grads(grads, student.backward(cache_sa, {head: d_sa}))
-
-    state.optimizers["outlier"].step(student.params, grads, lr)
-
-
-def _merged_step(state, batch, strong_x, weak_u, strong_u, g_in, pseudo_in, g_out, pseudo_out,
-                 teacher_probs_in, weights, mu_b, lr, report) -> None:
-    """Both objectives on one student; backbone gradients from both heads accumulate."""
-    cfg, pipe = state.config, state.pipeline
-    student = state.pairs["merged"].student
-
-    z_l, cache_l = student.logits(strong_x, heads=("k", "k1"))
-    ce_k, d_lk = losses.ce_loss_and_grad(batch.labeled_y, z_l["k"])
-    ce_k1, d_lk1 = losses.ce_loss_and_grad(batch.labeled_y, z_l["k1"])
-    report.ce_k, report.ce_k1 = ce_k, ce_k1
-    grads = student.backward(cache_l, {"k": d_lk, "k1": d_lk1})
-
-    if strong_u is not None:
-        z_u, cache_u = student.logits(strong_u, heads=("k", "k1"))
-        state.training_unlabeled_forwards += len(strong_u)
-        d_uk = d_uk1 = None
-        if "seen" in pipe.inlier_losses:
-            seen, d_seen = losses.gated_ce_loss_and_grad(pseudo_in, z_u["k"], g_in, mu_b)
-            report.seen_in = seen
-            d_uk = pipe.lambda_seen * d_seen
-        if "lm" in pipe.inlier_losses and pipe.lambda_lm > 0:
-            lm, d_lm = losses.logit_match_loss_and_grad(z_u["k"], teacher_probs_in, g_in, mu_b)
-            report.logit_match = lm
-            d_uk = _acc(d_uk, pipe.lambda_lm * d_lm)
-        if "seen" in pipe.outlier_losses:
-            seen_o, d_seen_o = losses.gated_ce_loss_and_grad(pseudo_out, z_u["k1"], g_out, mu_b)
-            report.seen_out = seen_o
-            d_uk1 = pipe.lambda_seen * d_seen_o
-        if "unseen" in pipe.outlier_losses:
-            unseen, d_unseen = losses.unseen_loss_and_grad(z_u["k1"], weights, mu_b)
-            report.unseen = unseen
-            d_uk1 = _acc(d_uk1, pipe.lambda_unseen * d_unseen)
-        if "cr" in pipe.outlier_losses and pipe.lambda_cr > 0:
-            z_wa, cache_wa = student.logits(weak_u, heads=("k1",))
-            state.training_unlabeled_forwards += len(weak_u)
-            cr, d_wa, d_sa_cr = losses.consistency_loss_and_grad(z_wa["k1"], z_u["k1"], mu_b)
-            report.consistency = cr
-            d_uk1 = _acc(d_uk1, pipe.lambda_cr * d_sa_cr)
-            _sum_grads(grads, student.backward(cache_wa, {"k1": pipe.lambda_cr * d_wa}))
-        _sum_grads(grads, student.backward(cache_u, {"k": d_uk, "k1": d_uk1}))
-
-    state.optimizers["merged"].step(student.params, grads, lr)
-
-
 # ---------------------------------------------------------------------------
 # Evaluation routing (mode-aware)
 # ---------------------------------------------------------------------------
@@ -773,22 +671,6 @@ def _classifier_predictions(pairs: dict[str, TeacherStudentPair], pipeline: Pipe
     return np.argmax(probs[:, : model.K], axis=1) + 1
 
 
-def _detection_scores_for(pairs: dict[str, TeacherStudentPair], pipeline: PipelineDescription,
-                          x: np.ndarray, gamma: float, use_teacher: bool = False) -> np.ndarray:
-    role = "teacher" if use_teacher else "student"
-    pick = lambda name: getattr(pairs[name], role)
-    if pipeline.score_mode == "blend":
-        return scores_from_probs(*_blend_probs(pairs, role, x), gamma)
-    if pipeline.score_mode == "outlier_blend":
-        p = pick("outlier").probs(x, head="k1")
-        K = pairs["outlier"].student.K
-        proxy = p[:, :K] / np.maximum(row_sum(p[:, :K])[:, None], 1e-12)
-        return gamma * (1.0 - row_max(proxy)) + (1.0 - gamma) * p[:, -1]
-    # one_minus_max (single K-head pair, incl. the supervised baseline)
-    model = pick(next(iter(pairs)))
-    return 1.0 - row_max(model.probs(x, head="k"))
-
-
 def evaluate_pipeline(pairs: dict[str, TeacherStudentPair], pipeline: PipelineDescription,
                       split: MismatchSplit, gamma: float, use_teacher: bool = False) -> EvalResult:
     """Accuracy on the test set plus detection AUROC over the unlabeled set.
@@ -799,9 +681,10 @@ def evaluate_pipeline(pairs: dict[str, TeacherStudentPair], pipeline: PipelineDe
     ``per_class_accuracy`` and ``score_histogram`` None (``run_training`` fills
     them in from ``predictions`` and ``scores`` for its final evaluation).
     """
+    role = "teacher" if use_teacher else "student"
     preds = _classifier_predictions(pairs, pipeline, split.test_x, use_teacher)
     acc = compute_accuracy(preds, split.test_y)
-    scores = _detection_scores_for(pairs, pipeline, split.unlabeled_x, gamma, use_teacher)
+    scores = _score(pairs, role, split.unlabeled_x, pipeline.score_mode, gamma)[0]
     flags = np.asarray(split.unlabeled_is_unseen, dtype=bool)
     # degenerate splits (ratio 0 or 1) leave the detection metric undefined
     auroc = compute_auroc(scores, flags) if (flags.any() and not flags.all()) else float("nan")
@@ -846,13 +729,12 @@ def _epoch_record(state: TrainState, phase: str, report: LossReport, ev: EvalRes
 def train_dts_iteration(state: TrainState, split: MismatchSplit, config: TrainConfig,
                         step_callback=None, epoch_callback=None) -> TrainState:
     """Run one iteration: N_e epochs against frozen teachers, then refresh them."""
-    if config.cache_scores and state.pipeline.uses_unlabeled:
-        state.score_cache = _build_score_cache(state)
+    plan = _step_plan(state.pipeline)
     for epoch in range(config.epochs_per_iteration):
         lr = _lr_at(config, state.global_epoch, state.total_epochs)
         reports = []
         for batch in state.sampler.epoch():
-            report = _train_step(state, batch, lr)
+            report = _train_step(state, plan, batch, lr)
             reports.append(report)
             if step_callback is not None:
                 step_callback(state, report)
@@ -860,7 +742,7 @@ def train_dts_iteration(state: TrainState, split: MismatchSplit, config: TrainCo
         if (epoch + 1) % config.eval_every == 0 or epoch == config.epochs_per_iteration - 1:
             ev = evaluate_pipeline(state.pairs, state.pipeline, split, config.gamma)
             if config.dump_scores and state.out_dir is not None:
-                _dump_epoch_scores(state, split, config)
+                _dump_epoch_scores(state, split, ev.scores)
         record = _epoch_record(state, "train", _mean_report(reports), ev, epoch, lr)
         state.history.append(record)
         state.global_epoch += 1
@@ -869,14 +751,11 @@ def train_dts_iteration(state: TrainState, split: MismatchSplit, config: TrainCo
     for pair in state.pairs.values():
         refresh_teacher(pair)
     state.iteration += 1
-    state.score_cache = None
     return state
 
 
-def _dump_epoch_scores(state: TrainState, split: MismatchSplit, config: TrainConfig) -> None:
-    from .soft_weighting import write_score_dump
-
-    scores = _detection_scores_for(state.pairs, state.pipeline, split.unlabeled_x, config.gamma)
+def _dump_epoch_scores(state: TrainState, split: MismatchSplit, scores: np.ndarray) -> None:
+    """Write the epoch's evaluation scores of the unlabeled set, with the hidden flags."""
     dump_dir = state.out_dir / "score_dumps"
     dump_dir.mkdir(exist_ok=True)
     write_score_dump(

@@ -278,6 +278,27 @@ class TestValidateConfigVerb:
         with pytest.raises(ValidationError, match="hidden_widths"):
             load_config(config_file, ["train.hidden_widths=8,a"])
 
+    def test_removed_cache_scores_field_exit_two(self, tmp_path, config_file, capsys):
+        raw = json.loads(config_file.read_text())
+        raw["train"]["cache_scores"] = False
+        bad = tmp_path / "old.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["validate-config", "--config", str(bad)]) == 2
+        assert "unknown config fields: ['cache_scores']" in capsys.readouterr().err
+
+    def test_override_fills_field_that_defaults_to_none(self, config_file):
+        config = load_config(config_file, ["dataset.max_per_class=5"])
+        assert config.dataset.max_per_class == 5 and type(config.dataset.max_per_class) is int
+
+    def test_bad_override_of_optional_field_exit_two(self, config_file, tmp_path, capsys):
+        with pytest.raises(ValidationError, match="max_per_class"):
+            load_config(config_file, ["dataset.max_per_class=x"])
+        argv = ["run", "--config", str(config_file), "--set", "dataset.max_per_class=x",
+                "--out-dir", str(tmp_path / "runs")]
+        assert main(argv) == 2
+        assert "max_per_class" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_unparseable_exit_two(self, tmp_path):
         bad = tmp_path / "mangled.json"
         bad.write_text("{not json")

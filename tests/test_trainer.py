@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from dts_ssl import losses
 from dts_ssl.data import build_mismatch_split, generate_synthetic
 from dts_ssl.errors import StateError, UndefinedMetricError, ValidationError
 from dts_ssl.evaluation import compute_accuracy, predict_labels, run_inference
@@ -22,8 +23,8 @@ from dts_ssl.trainer import (
     ABLATION_MODES,
     SGD,
     TrainConfig,
-    _compute_teacher_quantities,
     _mean_report,
+    _score,
     apply_ablation,
     config_hash,
     evaluate_pipeline,
@@ -75,7 +76,7 @@ WRONG_TYPE_VALUES = [
     ("batch_size", True),
     ("gamma", False),
     ("activation", 1),
-    ("cache_scores", 1),
+    ("dump_scores", 1),
 ]
 
 
@@ -346,19 +347,36 @@ class TestAblationBehavior:
         result = run_training(tiny_config("no_k1_ots"), tiny_split())
         assert result.pairs["outlier"].student.heads == ("k",)
 
-    def test_exclude_k1_pseudo_flag(self):
-        # with the flag, outlier gates never admit extra-class pseudo-labels
-        passes = []
+    def test_exclude_k1_pseudo_flag(self, monkeypatch):
+        # with the flag, the outlier gate never admits a sample whose teacher
+        # pseudo-label is the extra class K+1
+        K = tiny_split().K
+        spied = losses.gated_ce_loss_and_grad
 
-        def capture(state, rep):
-            passes.append(rep.pass_count_out)
+        def run(flag):
+            admitted, first_pass_counts = [], []
 
-        run_training(tiny_config(exclude_k1_pseudo=True), tiny_split(), step_callback=capture)
-        assert passes  # smoke: flag runs end to end
+            def spy(pseudo_labels, logits, gates, mu_B):
+                if logits.shape[1] == K + 1:  # the (K+1)-head branch
+                    admitted.append(pseudo_labels[gates])
+                return spied(pseudo_labels, logits, gates, mu_B)
 
-    def test_cache_scores_flag_runs(self):
-        result = run_training(tiny_config(cache_scores=True), tiny_split())
-        assert len([r for r in result.history if r["phase"] == "train"]) == 6
+            monkeypatch.setattr(losses, "gated_ce_loss_and_grad", spy)
+            # a low tau and a heavy unseen term, so the refreshed outlier teachers
+            # grow confident in K+1 within the run
+            cfg = tiny_config(exclude_k1_pseudo=flag, tau=0.5, lambda_unseen=2.0,
+                              iterations=4, epochs_per_iteration=4)
+            run_training(cfg, tiny_split(),
+                         step_callback=lambda state, rep: first_pass_counts.append(rep.pass_count_out))
+            monkeypatch.undo()
+            return np.concatenate(admitted), first_pass_counts[0]
+
+        admitted_off, first_off = run(False)
+        admitted_on, first_on = run(True)
+        assert (admitted_off == K + 1).any()  # without it the gate does admit extra-class labels
+        assert not (admitted_on == K + 1).any()
+        # the first step sees the same batch and teachers either way
+        assert first_on <= first_off
 
     def test_score_dump_files(self, tmp_path):
         run_training(tiny_config(dump_scores=True), tiny_split(), out_dir=tmp_path)
@@ -367,6 +385,21 @@ class TestAblationBehavior:
         header = dumps[0].read_text().splitlines()[0]
         assert header == "index,score,is_unseen"
         assert len(dumps[0].read_text().splitlines()) == 1 + 120  # unlabeled set size
+
+    def test_score_dump_makes_no_extra_forwards(self, tmp_path, monkeypatch):
+        # the dump writes the scores the epoch's evaluation already computed
+        def logits_per_epoch(dump_scores, out_dir):
+            calls, per_epoch = [], []
+            original = DualHeadModel.logits
+            monkeypatch.setattr(DualHeadModel, "logits",
+                                lambda model, x, heads=("k",): calls.append(1) or original(model, x, heads))
+            run_training(tiny_config(dump_scores=dump_scores), tiny_split(), out_dir=out_dir,
+                         epoch_callback=lambda state, rec: per_epoch.append(len(calls)))
+            monkeypatch.undo()
+            return per_epoch
+
+        assert logits_per_epoch(True, tmp_path / "on") == logits_per_epoch(False, tmp_path / "off")
+        assert len(list((tmp_path / "on" / "score_dumps").glob("epoch_*.csv"))) == 6
 
 
 class TestEvaluatePipeline:
@@ -448,13 +481,13 @@ class TestTeacherForwardCount:
         split, cfg, pipe, _, pairs = self.setup_pairs(mode)
         weak_u = split.unlabeled_x[:10]
         calls = self.count_logits(monkeypatch)
-        view = _compute_teacher_quantities(pairs, pipe, cfg, weak_u)
+        _, p_in, p_out = _score(pairs, "teacher", weak_u, pipe.score_mode, cfg.gamma)
         assert len(calls) == view_forward_count(pipe)
         monkeypatch.undo()
         if "merged" in pairs:  # the one shared pass gives the per-head passes' probabilities
             t = pairs["merged"].teacher
-            assert view.teacher_probs_in.tobytes() == t.probs(weak_u, head="k").tobytes()
-            assert view.max_out.tobytes() == t.probs(weak_u, head="k1").max(axis=1).tobytes()
+            assert p_in.tobytes() == t.probs(weak_u, head="k").tobytes()
+            assert p_out.tobytes() == t.probs(weak_u, head="k1").tobytes()
 
     def test_pretrain_evaluation_one_pass_per_input_set(self, monkeypatch):
         split, cfg, pipe, teacher, _ = self.setup_pairs("full")
@@ -463,6 +496,74 @@ class TestTeacherForwardCount:
         calls = self.count_logits(monkeypatch)
         evaluate_pipeline(pairs, merged_pipe, split, cfg.gamma)
         assert calls == [("k",), ("k", "k1")]  # test-set classification, unlabeled scoring
+
+
+# For one training step of each mode: the losses.*_and_grad functions it calls, in
+# order, each with the head whose logits it gets ("k" K-way, "k1" (K+1)-way), and
+# how many DualHeadModel.logits and backward calls it makes (teacher scoring included)
+STEP_WORK = {
+    "full": ([("ce", "k"), ("gated_ce", "k"), ("logit_match", "k"),
+              ("ce", "k1"), ("gated_ce", "k1"), ("unseen", "k1"), ("consistency", "k1")], 7, 5),
+    "no_its": ([("ce", "k1"), ("gated_ce", "k1"), ("unseen", "k1"), ("consistency", "k1")], 4, 3),
+    "no_soft_weighting": ([("ce", "k"), ("gated_ce", "k"), ("logit_match", "k"),
+                           ("ce", "k1"), ("gated_ce", "k1"), ("unseen", "k1"),
+                           ("consistency", "k1")], 7, 5),
+    "no_k1_its": ([("ce", "k"), ("gated_ce", "k")], 3, 2),
+    "no_k1_ots": ([("ce", "k"), ("gated_ce", "k"), ("uniformity", "k"), ("consistency", "k")], 4, 3),
+    "no_logit_match": ([("ce", "k"), ("gated_ce", "k"),
+                        ("ce", "k1"), ("gated_ce", "k1"), ("unseen", "k1"),
+                        ("consistency", "k1")], 7, 5),
+    "no_consistency": ([("ce", "k"), ("gated_ce", "k"), ("logit_match", "k"),
+                        ("ce", "k1"), ("gated_ce", "k1"), ("unseen", "k1")], 6, 4),
+    "one_f_two_c": ([("ce", "k"), ("ce", "k1"), ("gated_ce", "k"), ("logit_match", "k"),
+                     ("gated_ce", "k1"), ("unseen", "k1"), ("consistency", "k1")], 4, 3),
+    "one_f_two_c_proj": ([("ce", "k"), ("ce", "k1"), ("gated_ce", "k"), ("logit_match", "k"),
+                          ("gated_ce", "k1"), ("unseen", "k1"), ("consistency", "k1")], 4, 3),
+    "supervised_only": ([("ce", "k")], 1, 1),
+}
+
+
+class _SecondStepDone(Exception):
+    pass
+
+
+class TestStepWork:
+    def test_table_covers_every_mode(self):
+        assert set(STEP_WORK) == set(ABLATION_MODES)
+
+    @pytest.mark.parametrize("mode", ABLATION_MODES)
+    def test_one_step_makes_the_pinned_calls(self, mode, monkeypatch):
+        split = tiny_split()
+        events, marks = [], []
+
+        def record(kind, fn):
+            def recorded(*args, **kwargs):
+                if kind == "loss":  # the head is told by the width of the first logits argument
+                    z = next(a for a in args if isinstance(a, np.ndarray) and a.ndim == 2)
+                    events.append((fn.__name__.replace("_loss_and_grad", "").replace("_and_grad", ""),
+                                   "k" if z.shape[1] == split.K else "k1"))
+                else:
+                    events.append(kind)
+                return fn(*args, **kwargs)
+            return recorded
+
+        monkeypatch.setattr(DualHeadModel, "logits", record("logits", DualHeadModel.logits))
+        monkeypatch.setattr(DualHeadModel, "backward", record("backward", DualHeadModel.backward))
+        for name in [n for n in vars(losses) if n.endswith("_and_grad")]:
+            monkeypatch.setattr(losses, name, record("loss", getattr(losses, name)))
+
+        def on_step(state, report):  # the second step of the first epoch: no evaluation in between
+            marks.append(len(events))
+            if len(marks) == 2:
+                raise _SecondStepDone
+
+        with pytest.raises(_SecondStepDone):
+            run_training(tiny_config(mode), split, step_callback=on_step)
+        step = events[marks[0]:marks[1]]
+        loss_calls, n_logits, n_backward = STEP_WORK[mode]
+        assert [e for e in step if isinstance(e, tuple)] == loss_calls
+        assert step.count("logits") == n_logits
+        assert step.count("backward") == n_backward
 
 
 def test_lr_schedule_cosine_decays():
