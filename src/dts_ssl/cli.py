@@ -177,17 +177,19 @@ def _apply_override(config: ExperimentConfig, item: str) -> None:
     if "=" not in item:
         raise ValidationError(f"override {item!r} must look like section.key=value")
     dotted, value = item.split("=", 1)
-    parts = dotted.split(".")
+    *sections, key = dotted.split(".")
     target = config
-    for part in parts[:-1]:
-        if not hasattr(target, part):
+    for part in sections:
+        target = getattr(target, part) if part in typing.get_type_hints(type(target)) else None
+        if not dataclasses.is_dataclass(target):
             raise ValidationError(f"override {dotted!r}: unknown section {part!r}")
-        target = getattr(target, part)
-    key = parts[-1]
-    if not hasattr(target, key):
+    hints = typing.get_type_hints(type(target))  # the annotations errors.type_checks reads
+    if key not in hints:
         raise ValidationError(f"override {dotted!r}: unknown field {key!r}")
-    hint = typing.get_type_hints(type(target))[key]  # the annotation errors.type_checks reads
-    setattr(target, key, _coerce(value, hint, dotted))
+    if dataclasses.is_dataclass(getattr(target, key)):
+        raise ValidationError(f"override {dotted!r}: {key!r} is a config section; "
+                              f"set one of its fields as {dotted}.<field>=value")
+    setattr(target, key, _coerce(value, hints[key], dotted))
 
 
 def _coerce(value: str, hint, dotted: str):

@@ -36,9 +36,11 @@ inputs) go through one scorer, ``_score``.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import hashlib
 import json
+import platform
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -208,7 +210,7 @@ class PipelineDescription:
     mode: str
     pairs: tuple[tuple[str, str], ...]  # (name, pair kind for derive_pair)
     uses_unlabeled: bool
-    score_mode: str  # "blend" | "outlier_blend" | "one_minus_max" | "none"
+    score_mode: str  # "blend" | "outlier_blend" | "one_minus_max"
     unseen_weighting: str  # "soft" | "hard_mask" | "uniform_push" | "none"
     inlier_losses: tuple[str, ...]
     outlier_losses: tuple[str, ...]
@@ -356,14 +358,19 @@ class SGD:
         self.velocity = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: float) -> None:
-        # Out of place on purpose: updated in place, a step frees all it allocates,
-        # so glibc trims the heap after every step and the next one faults it back
-        # in (measured on the 64-wide backbone: about 2x the page faults, +10% time).
+        # v = m*v + (g + wd*p); p -= lr*v, each velocity updated in place and
+        # bit-equal to the out-of-place update; ``grads`` is left untouched. In
+        # place is fast only because run_training holds the heap (_hold_heap): a
+        # step then frees all it allocates, and under glibc's default thresholds
+        # the heap would be trimmed after every step and faulted back in.
         for name, g in grads.items():
-            g = g + self.weight_decay * params[name]
-            v = self.momentum * self.velocity[name] + g
-            self.velocity[name] = v
-            params[name] -= lr * v
+            v = self.velocity[name]
+            d = self.weight_decay * params[name]
+            d += g
+            v *= self.momentum
+            v += d
+            np.multiply(v, lr, out=d)
+            params[name] -= d
 
 
 def _lr_at(config: TrainConfig, global_epoch: int, total_epochs: int) -> float:
@@ -483,8 +490,6 @@ def view_forward_count(pipeline: PipelineDescription) -> int:
     """Teacher backbone passes per unlabeled example when scoring a batch."""
     if pipeline.score_mode == "blend" and pipeline.classifier != "merged":
         return 2
-    if pipeline.score_mode == "none":
-        return 0
     return 1
 
 
@@ -766,6 +771,32 @@ def _dump_epoch_scores(state: TrainState, split: MismatchSplit, scores: np.ndarr
     )
 
 
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+# Well above the largest array a run allocates (~1 MB: 2000 unlabeled rows x 64
+# float64), and the highest mmap threshold glibc accepts on 64-bit hosts.
+_HEAP_HOLD_BYTES = 32 << 20
+
+
+def _hold_heap() -> None:
+    """Keep freed step temporaries in the heap for the rest of the process.
+
+    Sets glibc's trim and mmap thresholds to ``_HEAP_HOLD_BYTES``, so the heap
+    is not trimmed after a step and faulted back in on the next, and no
+    step-sized array is served by ``mmap``. Does nothing off glibc: the
+    parameters are glibc's, and elsewhere ``ctypes.CDLL(None)`` may raise
+    (Windows) or load a libc whose ``mallopt`` reads them otherwise.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, _HEAP_HOLD_BYTES)
+    mallopt(_M_MMAP_THRESHOLD, _HEAP_HOLD_BYTES)
+
+
 def run_training(
     config: TrainConfig,
     split: MismatchSplit,
@@ -778,8 +809,12 @@ def run_training(
     Deterministic for a fixed config seed. When ``out_dir`` is given, writes
     the metrics stream (one JSON line per epoch), per-iteration checkpoints,
     a final summary, and the score histogram.
+
+    Holds the heap (``_hold_heap``): glibc's trim and mmap thresholds stay at
+    32 MiB for the whole process, also after this call returns.
     """
     config.validate()
+    _hold_heap()
     pipeline = apply_ablation(config.ablation_mode, config)
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:

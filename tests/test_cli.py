@@ -299,6 +299,15 @@ class TestValidateConfigVerb:
         assert "max_per_class" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("override", ["train=5", "dataset=foo", "split=3"])
+    def test_override_naming_a_section_exit_two(self, config_file, tmp_path, override, capsys):
+        section = override.split("=")[0]
+        argv = ["run", "--config", str(config_file), "--set", override,
+                "--out-dir", str(tmp_path / "runs")]
+        assert main(argv) == 2
+        assert f"{section!r} is a config section" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_unparseable_exit_two(self, tmp_path):
         bad = tmp_path / "mangled.json"
         bad.write_text("{not json")

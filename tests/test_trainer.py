@@ -1,11 +1,18 @@
 """Training orchestration: pre-training, iteration structure, ablations, determinism."""
 
+import ctypes
 import dataclasses
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dts_ssl
 from dts_ssl import losses
 from dts_ssl.data import build_mismatch_split, generate_synthetic
 from dts_ssl.errors import StateError, UndefinedMetricError, ValidationError
@@ -44,6 +51,13 @@ TINY = dict(
     feature_dim=6,
     lr=0.08,
 )
+
+
+def gated_config(**overrides):
+    """``tiny_config`` with enough pre-training that, on ``tiny_split()``, both
+    heads' gates admit some but not all samples on every step of a ``full`` run
+    (``tiny_config``'s 4 pre-train epochs leave both gates shut)."""
+    return tiny_config(**{"pretrain_epochs": 12, **overrides})
 
 
 def tiny_split(seed=0, ratio=0.5):
@@ -273,6 +287,22 @@ class TestRunTrainingStructure:
             assert rep.inlier_total == inlier
             assert rep.outlier_total == outlier
             assert rep.pretrain_total == pre
+
+    def test_both_gates_admit_samples(self, monkeypatch):
+        K = tiny_split().K
+        masks = {K: [], K + 1: []}  # head width -> the gate mask of each gated-CE call
+        spied = losses.gated_ce_loss_and_grad
+
+        def spy(pseudo_labels, logits, gates, mu_B):
+            masks[logits.shape[1]].append(np.asarray(gates, dtype=bool))
+            return spied(pseudo_labels, logits, gates, mu_B)
+
+        monkeypatch.setattr(losses, "gated_ce_loss_and_grad", spy)
+        run_training(gated_config(), tiny_split())
+        for width, seen in masks.items():
+            assert len(seen) == 12, width  # one call per step: 2 iterations x 3 epochs x 2 batches
+            assert all(m.any() for m in seen), width  # the inlier and the outlier gate open
+            assert not all(m.all() for m in seen), width  # and still select
 
     def test_determinism_bit_identical_histories(self):
         split = tiny_split()
@@ -597,6 +627,7 @@ class TestSGDOracle:
         # signed zeros: -0.0 velocity plus a -0.0 gradient stays -0.0 only if the
         # decay term 0*p (+0.0 here) is left out, which the update must not do
         opt.velocity["a.W"][0] = ref_velocity["a.W"][0] = -0.0
+        velocity = dict(opt.velocity)
         for step in range(6):
             # a step may leave a tensor out, and gradients span many magnitudes
             keys = list(shapes) if step % 3 else ["a.W", "b.W"]
@@ -613,6 +644,7 @@ class TestSGDOracle:
             for k in shapes:
                 assert params[k].tobytes() == ref_params[k].tobytes(), (step, k)
                 assert opt.velocity[k].tobytes() == ref_velocity[k].tobytes(), (step, k)
+                assert opt.velocity[k] is velocity[k], (step, k)  # updated in place
 
 
 class TestMeanReportOracle:
@@ -642,3 +674,48 @@ class TestMeanReportOracle:
         mean = _mean_report([LossReport(consistency=-0.0) for _ in range(count)])
         expected = np.mean([-0.0] * count)
         assert np.float64(mean.consistency).tobytes() == np.float64(expected).tobytes()
+
+
+# Runs in a fresh interpreter: the heap policy is process-wide. After one tiny
+# run_training call, a warmed-up 4 MiB array is allocated, filled and freed 20
+# times; with glibc's default thresholds every round is served by fresh pages.
+HEAP_CHILD = """
+import resource
+import numpy as np
+from dts_ssl.data import build_mismatch_split, generate_synthetic
+from dts_ssl.trainer import TrainConfig, run_training
+
+ds = generate_synthetic(3, 2, 6, 150, separation=3.0, noise=1.0, seed=0)
+split = build_mismatch_split(ds, [1, 2, 3], 0.5, m=24, n=120, test_fraction=0.2, seed=0)
+run_training(TrainConfig.desk(iterations=1, epochs_per_iteration=1, pretrain_epochs=1,
+                              batch_size=16, mu=2, hidden_widths=(12,), feature_dim=6), split)
+np.ones(1 << 19)  # the heap grows once to hold one array
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    a = np.ones(1 << 19)
+    del a
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestHeapPolicy:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy uses glibc's mallopt")
+    def test_freed_arrays_stay_in_the_heap_after_run_training(self):
+        src = str(Path(dts_ssl.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        for var in ("MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_"):
+            env.pop(var, None)
+        done = subprocess.run([sys.executable, "-c", HEAP_CHILD], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert int(done.stdout) < 64  # 0 with the thresholds held, hundreds without
+
+    def test_run_training_runs_off_glibc(self, monkeypatch):
+        # on Windows ctypes.CDLL(None) raises TypeError; off glibc nothing is loaded
+        def no_libc(*args, **kwargs):
+            raise TypeError("no C library by that name")
+
+        monkeypatch.setattr(platform, "libc_ver", lambda *args, **kwargs: ("", ""))
+        monkeypatch.setattr(ctypes, "CDLL", no_libc)
+        result = run_training(tiny_config(iterations=1, epochs_per_iteration=1, pretrain_epochs=1),
+                              tiny_split())
+        assert len(result.history) == 2  # one pre-train and one training epoch
