@@ -16,11 +16,10 @@ import numpy as np
 from dts_ssl import (
     TrainConfig,
     build_mismatch_split,
-    build_soft_weighted_set,
+    gate_mask,
     generate_synthetic,
     pretrain_teacher,
-    reliability_gate,
-    uncertainty_score,
+    scores_from_probs,
 )
 from dts_ssl.data import feature_scale
 from dts_ssl.models import BackboneSpec, derive_pair, init_teacher
@@ -33,13 +32,15 @@ cases = [
     ("uniform K-way", np.full(4, 0.25), 0.2),
     ("confident unseen", np.array([0.4, 0.3, 0.2, 0.1]), 0.85),
 ]
-for name, p_its, extra in cases:
-    p_ots = np.append(np.full(4, (1 - extra) / 4), extra)
-    s = uncertainty_score(p_its, p_ots, gamma=0.5)
-    gate = reliability_gate(p_its, s, tau=0.85)
+p_its = np.stack([p for _, p, _ in cases])
+p_ots = np.stack([np.append(np.full(4, (1 - extra) / 4), extra) for _, _, extra in cases])
+max_its = p_its.max(axis=1)
+scores = scores_from_probs(p_its, p_ots, gamma=0.5)
+passed = gate_mask(max_its, scores, tau=0.85)
+for (name, _, _), m, extra, s, ok in zip(cases, max_its, p_ots[:, -1], scores, passed):
     print(
-        f"  {name:18s} 1-max={s.one_minus_max_its:.2f} extra={s.ots_last:.2f} "
-        f"-> s={s.value:.3f}, gate {'passes' if gate.passed else 'rejects'}"
+        f"  {name:18s} 1-max={1.0 - m:.2f} extra={extra:.2f} "
+        f"-> s={s:.3f}, gate {'passes' if ok else 'rejects'}"
     )
 
 # -- scores from real pre-trained teachers ----------------------------------
@@ -56,8 +57,11 @@ pretrain_teacher(
 inlier = derive_pair(teacher, "inlier")
 outlier = derive_pair(teacher, "outlier")
 
-weighted = build_soft_weighted_set(split.unlabeled_x, inlier.teacher, outlier.teacher, gamma=0.5)
-weights = weighted.weights()
+weights = scores_from_probs(
+    inlier.teacher.probs(split.unlabeled_x, head="k"),
+    outlier.teacher.probs(split.unlabeled_x, head="k1"),
+    gamma=0.5,
+)
 flags = split.unlabeled_is_unseen
 
 print("\nafter pre-training (teachers only, no unlabeled training yet):")

@@ -10,12 +10,10 @@ become pseudo-labeled seen-class training data.
 
 from .data import (
     AugmentConfig,
-    AugmentedView,
     BatchPair,
     Dataset,
     MismatchSplit,
     PairSampler,
-    augment,
     augment_batch,
     build_mismatch_split,
     feature_scale,
@@ -44,37 +42,22 @@ from .evaluation import (
 )
 from .losses import (
     LossReport,
-    consistency_loss,
-    cross_entropy,
     inlier_objective,
-    kl_divergence,
-    logit_match_loss,
     outlier_objective,
     pretrain_objective,
-    seen_loss,
-    unseen_loss,
 )
 from .models import (
     BackboneSpec,
     DualHeadModel,
     TeacherStudentPair,
     derive_pair,
-    forward,
     init_teacher,
     load_model,
     param_hash,
     refresh_teacher,
     save_model,
 )
-from .soft_weighting import (
-    GateDecision,
-    SoftWeightedSet,
-    UncertaintyScore,
-    build_soft_weighted_set,
-    reliability_gate,
-    score_batch,
-    uncertainty_score,
-)
+from .soft_weighting import gate_mask, scores_from_probs
 from .trainer import (
     ABLATION_MODES,
     PipelineDescription,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import sys
@@ -28,7 +29,7 @@ import numpy as np
 from . import __version__
 from .data import Dataset, build_mismatch_split, generate_synthetic, load_cifar10_dir, load_dataset
 from .errors import DtsError, ValidationError, type_checks
-from .trainer import TrainConfig, config_hash, run_training
+from .trainer import TrainConfig, run_training
 
 ENV_OUT_ROOT = "DTS_SSL_OUT_ROOT"
 
@@ -246,9 +247,15 @@ class RunManifest:
         return cls(**raw)
 
 
+def _experiment_hash(config: ExperimentConfig) -> str:
+    """Hash of every section that shapes a run's outputs: dataset, split and train."""
+    sections = {k: v for k, v in config.to_dict().items() if k in ("dataset", "split", "train")}
+    return hashlib.sha256(json.dumps(sections, sort_keys=True).encode()).hexdigest()[:12]
+
+
 def _resolve_out_dir(config: ExperimentConfig, cli_out: str | None, tag: str) -> Path:
     root = cli_out or config.out_dir or os.environ.get(ENV_OUT_ROOT) or "runs"
-    return Path(root) / f"{tag}-{config_hash(config.train)}"
+    return Path(root) / f"{tag}-{_experiment_hash(config)}"
 
 
 def _execute_single(config: ExperimentConfig, seed: int, run_dir: Path) -> dict:
@@ -287,7 +294,7 @@ def run_experiment(config_path: str | Path, overrides: list[str] | None = None,
     base = _resolve_out_dir(config, out_dir, "run")
     base.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
-        config_hash=config_hash(config.train),
+        config_hash=_experiment_hash(config),
         artifact_version=__version__,
         dataset_id=config.dataset.name if config.dataset.kind == "synthetic" else str(config.dataset.path),
         seeds=list(config.seeds),
@@ -344,7 +351,7 @@ def sweep(config_path: str | Path, axis: str, values: list[str],
     base = _resolve_out_dir(config, out_dir, "sweep")
     base.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
-        config_hash=config_hash(config.train),
+        config_hash=_experiment_hash(config),
         artifact_version=__version__,
         dataset_id=config.dataset.name if config.dataset.kind == "synthetic" else str(config.dataset.path),
         seeds=list(config.seeds),

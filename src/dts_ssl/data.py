@@ -314,13 +314,6 @@ class AugmentConfig:
         ])
 
 
-@dataclass(frozen=True)
-class AugmentedView:
-    vector: np.ndarray
-    mode: str  # "weak" | "strong"
-    source_index: int
-
-
 def feature_scale(split: MismatchSplit) -> np.ndarray:
     """Per-feature standard deviation over labeled + unlabeled training inputs."""
     pooled = np.vstack([split.labeled_x, split.unlabeled_x])
@@ -368,19 +361,6 @@ def augment_batch(
             masked_cols = rng.random((b, d)).argsort(axis=1)[:, :k]
             out[np.arange(b)[:, None], masked_cols] = 0.0
     return out
-
-
-def augment(
-    x: np.ndarray,
-    mode: str,
-    rng: np.random.Generator,
-    scale: np.ndarray | float | None = None,
-    config: AugmentConfig = AugmentConfig(),
-    source_index: int = 0,
-) -> AugmentedView:
-    """Single-example convenience wrapper around :func:`augment_batch`."""
-    vec = augment_batch(np.asarray(x, dtype=np.float64)[None, :], mode, rng, scale, config)[0]
-    return AugmentedView(vector=vec, mode=mode, source_index=source_index)
 
 
 # ---------------------------------------------------------------------------

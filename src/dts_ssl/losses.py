@@ -1,9 +1,9 @@
-"""Loss primitives and composite objectives.
+"""Loss terms, composite objectives and the per-step loss report.
 
-Value-level functions operate on probability vectors (1-based class ids for
-labels). The ``*_and_grad`` companions take logits instead and return both the
-loss value and its analytic gradient w.r.t. those logits; the trainer uses
-them, and the gradient-check suite verifies them against finite differences.
+Each ``*_and_grad`` function takes a batch of logits (1-based class ids for
+labels) and returns the loss value and its analytic gradient w.r.t. those
+logits; the trainer uses them, and the gradient-check suite verifies them
+against finite differences.
 
 Conventions shared by all gated/weighted batch losses:
 - the denominator is always the full unlabeled batch size, so rejected or
@@ -25,44 +25,10 @@ def _log_clamped(p: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(p, PROB_CLAMP))
 
 
-def _as_label_index(label, C: int) -> int:
-    """Accept a 1-based class id or a one-hot vector; return a 0-based index."""
-    if np.ndim(label) > 0:
-        vec = np.asarray(label, dtype=np.float64)
-        if vec.shape != (C,):
-            raise ShapeError(f"one-hot label must have length {C}, got {vec.shape}")
-        return int(np.argmax(vec))
-    label = int(label)
-    if not 1 <= label <= C:
-        raise ValidationError(f"label {label} out of range 1..{C}")
-    return label - 1
-
-
-def cross_entropy(label, p: np.ndarray) -> float:
-    """H(y, p) = -log p[y], with p clamped below at 1e-12."""
-    p = np.asarray(p, dtype=np.float64)
-    idx = _as_label_index(label, p.shape[-1])
-    return float(-_log_clamped(p[idx]))
-
-
-def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """sum_i p_i log(p_i / q_i); zero-probability p terms contribute 0."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise ShapeError(f"KL operands must match, got {p.shape} vs {q.shape}")
-    terms = np.where(p > 0, p * (_log_clamped(p) - _log_clamped(q)), 0.0)
-    return float(terms.sum())
-
-
-def _per_sample(values, n: int, attr: str = "passed") -> np.ndarray:
-    """One float per batch row from an array, or from a sequence of GateDecision
-    (``attr="passed"``) / UncertaintyScore (``attr="value"``) objects or plain numbers."""
-    if not isinstance(values, np.ndarray):
-        values = [getattr(v, attr, v) for v in values]
+def _per_sample(values, n: int, what: str = "gates") -> np.ndarray:
+    """One float per batch row from an array or a plain sequence of gates or scores."""
     out = np.asarray(values, dtype=np.float64)
     if out.shape != (n,):
-        what = "gates" if attr == "passed" else "scores"
         raise ShapeError(f"{what} must align with the batch: expected {n}, got {out.shape}")
     return out
 
@@ -74,10 +40,6 @@ def _label_cells(labels: np.ndarray, probs: np.ndarray):
         raise ValidationError(f"labels out of range 1..{probs.shape[1]}")
     at = (np.arange(len(idx)), idx)
     return at, probs[at]
-
-
-def _ce_rows(labels: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    return -_log_clamped(_label_cells(labels, probs)[1])
 
 
 def _ce_rows_with_grad(labels, z: np.ndarray, mask: np.ndarray | None, denom):
@@ -92,45 +54,6 @@ def _ce_rows_with_grad(labels, z: np.ndarray, mask: np.ndarray | None, denom):
 
 def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return row_sum(np.where(p > 0, p * (_log_clamped(p) - _log_clamped(q)), 0.0))
-
-
-def seen_loss(pseudo_labels, student_strong_probs, gates, mu_B: int) -> float:
-    """Gated pseudo-label cross-entropy, averaged over the full batch size."""
-    probs = np.atleast_2d(np.asarray(student_strong_probs, dtype=np.float64))
-    n = probs.shape[0]
-    labels = np.asarray(pseudo_labels, dtype=np.int64)
-    if labels.shape != (n,):
-        raise ShapeError(f"pseudo_labels must align with probs: {labels.shape} vs {n}")
-    mask = _per_sample(gates, n)
-    return float((mask * _ce_rows(labels, probs)).sum() / mu_B)
-
-
-def logit_match_loss(student_strong_probs, teacher_weak_probs, gates, mu_B: int) -> float:
-    """Gated KL from the student's distribution to the teacher's (student first)."""
-    p = np.atleast_2d(np.asarray(student_strong_probs, dtype=np.float64))
-    q = np.atleast_2d(np.asarray(teacher_weak_probs, dtype=np.float64))
-    if p.shape != q.shape:
-        raise ShapeError(f"prediction shapes differ: {p.shape} vs {q.shape}")
-    mask = _per_sample(gates, p.shape[0])
-    return float((mask * _kl_rows(p, q)).sum() / mu_B)
-
-
-def unseen_loss(student_k1_strong_probs, scores, mu_B: int, K: int) -> float:
-    """Score-weighted cross-entropy against the one-hot (K+1)-th class."""
-    probs = np.atleast_2d(np.asarray(student_k1_strong_probs, dtype=np.float64))
-    if probs.shape[1] != K + 1:
-        raise ShapeError(f"expected {K + 1}-class probabilities, got width {probs.shape[1]}")
-    w = _per_sample(scores, probs.shape[0], "value")
-    return float((w * -_log_clamped(probs[:, -1])).sum() / mu_B)
-
-
-def consistency_loss(weak_probs, strong_probs, mu_B: int) -> float:
-    """Ungated mean KL between weak-view and strong-view distributions (weak first)."""
-    p = np.atleast_2d(np.asarray(weak_probs, dtype=np.float64))
-    q = np.atleast_2d(np.asarray(strong_probs, dtype=np.float64))
-    if p.shape != q.shape:
-        raise ShapeError(f"prediction shapes differ: {p.shape} vs {q.shape}")
-    return float(_kl_rows(p, q).sum() / mu_B)
 
 
 def inlier_objective(ce_k: float, seen: float, logit_match: float, weights) -> float:
@@ -165,7 +88,7 @@ def ce_loss_and_grad(labels, logits: np.ndarray, denom: int | None = None):
 
 
 def gated_ce_loss_and_grad(pseudo_labels, logits: np.ndarray, gates, mu_B: int):
-    """Value and logit gradient of :func:`seen_loss` for softmaxed logits."""
+    """Gated pseudo-label cross-entropy of softmax(logits), averaged over the full batch size."""
     z = np.atleast_2d(np.asarray(logits, dtype=np.float64))
     mask = _per_sample(gates, z.shape[0])
     rows, d_logits = _ce_rows_with_grad(pseudo_labels, z, mask, mu_B)
@@ -178,7 +101,7 @@ def _kl_dp(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def logit_match_loss_and_grad(student_logits: np.ndarray, teacher_probs: np.ndarray, gates, mu_B: int):
-    """Value and student-logit gradient of :func:`logit_match_loss`."""
+    """Gated KL(student || teacher), student first, averaged over the full batch size."""
     z = np.atleast_2d(np.asarray(student_logits, dtype=np.float64))
     q = np.atleast_2d(np.asarray(teacher_probs, dtype=np.float64))
     if z.shape != q.shape:
@@ -191,11 +114,11 @@ def logit_match_loss_and_grad(student_logits: np.ndarray, teacher_probs: np.ndar
 
 
 def unseen_loss_and_grad(student_logits: np.ndarray, scores, mu_B: int):
-    """Value and logit gradient of :func:`unseen_loss` (last class is the target)."""
+    """Score-weighted cross-entropy against the last, (K+1)-th class."""
     z = np.atleast_2d(np.asarray(student_logits, dtype=np.float64))
     probs = softmax(z)
     n, width = probs.shape
-    w = _per_sample(scores, n, "value")
+    w = _per_sample(scores, n, "scores")
     value = float((w * -_log_clamped(probs[:, -1])).sum() / mu_B)
     target = np.zeros(width)
     target[-1] = 1.0
@@ -205,7 +128,7 @@ def unseen_loss_and_grad(student_logits: np.ndarray, scores, mu_B: int):
 
 
 def consistency_loss_and_grad(weak_logits: np.ndarray, strong_logits: np.ndarray, mu_B: int):
-    """Value plus gradients w.r.t. both weak-view and strong-view logits."""
+    """Ungated mean KL(weak || strong), with gradients w.r.t. both views' logits."""
     zw = np.atleast_2d(np.asarray(weak_logits, dtype=np.float64))
     zs = np.atleast_2d(np.asarray(strong_logits, dtype=np.float64))
     if zw.shape != zs.shape:
@@ -264,14 +187,6 @@ class LossReport:
     pass_count_out: int = 0
     effective_weight_sum: float = 0.0
     batch_unlabeled: int = 0
-
-    def recompute_totals(self, lam_seen: float, lam_lm: float, lam_unseen: float, lam_cr: float):
-        """Recompose the objectives from components (for drift checks)."""
-        inlier = inlier_objective(self.ce_k, self.seen_in, self.logit_match, (lam_seen, lam_lm))
-        outlier = outlier_objective(
-            self.ce_k1, self.seen_out, self.unseen, self.consistency, (lam_seen, lam_unseen, lam_cr)
-        )
-        return inlier, outlier, pretrain_objective(self.ce_k, self.ce_k1)
 
     def as_dict(self) -> dict:
         return {

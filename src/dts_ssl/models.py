@@ -9,7 +9,6 @@ no mutable state. All math is plain numpy with explicit backward passes.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 from dataclasses import asdict, dataclass
@@ -18,7 +17,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import AugmentedView
 from .errors import ShapeError, StateError, ValidationError, require_all
 from .numerics import softmax
 
@@ -271,17 +269,6 @@ def derive_pair(teacher: DualHeadModel, kind: str) -> TeacherStudentPair:
 def refresh_teacher(pair: TeacherStudentPair) -> None:
     """Copy student parameters into the teacher (hard refresh at iteration ends)."""
     pair.teacher.params = {k: v.copy() for k, v in pair.student.params.items()}
-
-
-def forward(model: DualHeadModel, views, head: str = HEAD_K) -> np.ndarray:
-    """Forward a batch (ndarray, AugmentedView, or sequence of views) to simplex outputs."""
-    if isinstance(views, AugmentedView):
-        x = views.vector[None, :]
-    elif isinstance(views, np.ndarray):
-        x = views
-    else:
-        x = np.stack([v.vector if isinstance(v, AugmentedView) else np.asarray(v) for v in views])
-    return model.probs(x, head=head)
 
 
 # ---------------------------------------------------------------------------

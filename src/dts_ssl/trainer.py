@@ -708,13 +708,13 @@ def evaluate_pipeline(pairs: dict[str, TeacherStudentPair], pipeline: PipelineDe
 # ---------------------------------------------------------------------------
 
 
-def _epoch_record(state: TrainState, phase: str, report: LossReport, ev: EvalResult | None,
-                  epoch_in_phase: int, lr: float) -> dict:
+def _epoch_record(phase: str, iteration: int, epoch_in_phase: int, global_epoch: int, lr: float,
+                  report: LossReport, ev: EvalResult | None, unlabeled_forwards: int) -> dict:
     record = {
         "phase": phase,
-        "iteration": state.iteration,
+        "iteration": iteration,
         "epoch": epoch_in_phase,
-        "global_epoch": state.global_epoch,
+        "global_epoch": global_epoch,
         "lr": lr,
         **report.as_dict(),
         "gate_pass_rate_in": 0.0,
@@ -723,7 +723,7 @@ def _epoch_record(state: TrainState, phase: str, report: LossReport, ev: EvalRes
         "auroc": ev.auroc if ev else float("nan"),
         "mean_score_seen": ev.mean_score_seen if ev else float("nan"),
         "mean_score_unseen": ev.mean_score_unseen if ev else float("nan"),
-        "training_unlabeled_forwards": state.training_unlabeled_forwards,
+        "training_unlabeled_forwards": unlabeled_forwards,
     }
     if report.batch_unlabeled:
         record["gate_pass_rate_in"] = report.pass_count_in / report.batch_unlabeled
@@ -748,7 +748,8 @@ def train_dts_iteration(state: TrainState, split: MismatchSplit, config: TrainCo
             ev = evaluate_pipeline(state.pairs, state.pipeline, split, config.gamma)
             if config.dump_scores and state.out_dir is not None:
                 _dump_epoch_scores(state, split, ev.scores)
-        record = _epoch_record(state, "train", _mean_report(reports), ev, epoch, lr)
+        record = _epoch_record("train", state.iteration, epoch, state.global_epoch, lr,
+                               _mean_report(reports), ev, state.training_unlabeled_forwards)
         state.history.append(record)
         state.global_epoch += 1
         if epoch_callback is not None:
@@ -842,22 +843,8 @@ def run_training(
 
     def record_pretrain(epoch: int, report: LossReport) -> None:
         ev = evaluate_pipeline(pretrain_pairs, pretrain_pipeline, split, config.gamma)
-        rec = {
-            "phase": "pretrain",
-            "iteration": -1,
-            "epoch": epoch,
-            "global_epoch": epoch,
-            "lr": _lr_at(config, epoch, config.pretrain_epochs + config.total_train_epochs),
-            **report.as_dict(),
-            "gate_pass_rate_in": 0.0,
-            "gate_pass_rate_out": 0.0,
-            "test_accuracy": ev.accuracy,
-            "auroc": ev.auroc,
-            "mean_score_seen": ev.mean_score_seen,
-            "mean_score_unseen": ev.mean_score_unseen,
-            "training_unlabeled_forwards": 0,
-        }
-        history.append(rec)
+        lr = _lr_at(config, epoch, config.pretrain_epochs + config.total_train_epochs)
+        history.append(_epoch_record("pretrain", -1, epoch, epoch, lr, report, ev, 0))
 
     pretrain_teacher(teacher, split.labeled_x, split.labeled_y, config,
                      rng=rng, scale=scale, on_epoch=record_pretrain)

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+import oracles
 from dts_ssl.benchmarks import benchmark_config, benchmark_split
 from dts_ssl.evaluation import compute_auroc
 from dts_ssl.losses import (
@@ -22,7 +23,7 @@ from dts_ssl.losses import (
 )
 from dts_ssl.models import param_hash
 from dts_ssl.numerics import softmax
-from dts_ssl.soft_weighting import uncertainty_score
+from dts_ssl.soft_weighting import scores_from_probs
 from dts_ssl.trainer import TrainConfig, run_training
 
 SEEDS = (0, 1, 2)
@@ -121,11 +122,13 @@ def test_criterion_2_score_algebra_suite():
         rest = (1.0 - last) / K
         return np.array([rest] * K + [last])
 
+    # every (max, last) pair of the grid as one row of a stacked batch
+    its_rows = np.repeat(np.stack([p_its(m) for m in max_grid]), len(last_grid), axis=0)
+    ots_rows = np.tile(np.stack([p_ots(l) for l in last_grid]), (len(max_grid), 1))
     for gamma in gamma_grid:
-        values = np.empty((len(max_grid), len(last_grid)))
-        for i, m in enumerate(max_grid):
-            for j, l in enumerate(last_grid):
-                values[i, j] = uncertainty_score(p_its(m), p_ots(l), gamma).value
+        values = scores_from_probs(its_rows, ots_rows, gamma).reshape(len(max_grid), len(last_grid))
+        oracle = [[oracles.score(p_its(m), p_ots(l), gamma) for l in last_grid] for m in max_grid]
+        assert values.tobytes() == np.array(oracle).tobytes()
         assert np.all(values >= -1e-12) and np.all(values <= 1.0 + 1e-12)
         if gamma > 0:  # strictly decreasing in max(p_its)
             assert np.all(np.diff(values, axis=0) < 1e-15)
@@ -137,11 +140,11 @@ def test_criterion_2_score_algebra_suite():
         if gamma == 1.0:
             assert np.allclose(values, (1.0 - max_grid)[:, None], atol=1e-12)
 
-    uniform = uncertainty_score(np.full(K, 1 / K), np.full(K + 1, 1 / (K + 1)), 0.5)
-    assert abs(uniform.value - 41.0 / 84.0) <= 1e-9  # 0.488095...
+    uniform = scores_from_probs(np.full((1, K), 1 / K), np.full((1, K + 1), 1 / (K + 1)), 0.5)[0]
+    assert abs(uniform - 41.0 / 84.0) <= 1e-9  # 0.488095...
     elapsed = time.time() - start
     assert elapsed < 5.0
-    announce("2 score algebra suite", f"50x50x11 grid, uniform value {uniform.value:.9f}, {elapsed:.1f}s")
+    announce("2 score algebra suite", f"50x50x11 grid, uniform value {uniform:.9f}, {elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from dts_ssl.cli import (
     sweep,
 )
 from dts_ssl.errors import ValidationError
+from dts_ssl.trainer import TrainConfig, config_hash
 
 TINY_CONFIG = {
     "dataset": {
@@ -149,6 +150,19 @@ class TestRunVerb:
         code = main(["run", "--config", str(bad), "--out-dir", str(tmp_path / "o")])
         assert code == 2
         assert not (tmp_path / "o").exists()
+
+    def test_split_and_dataset_fields_get_their_own_directory(self, config_file, tmp_path):
+        """Configs that differ only in one split or one dataset field never share outputs."""
+        variants = ([], ["split.mismatch_ratio=0.3"], ["split.mismatch_ratio=0.6"], ["dataset.noise=0.5"])
+        manifests = [
+            run_experiment(config_file, v + ["train.ablation_mode=supervised_only"], out_dir=tmp_path)
+            for v in variants
+        ]
+        assert len({m.out_dir for m in manifests}) == len(variants)
+        for m in manifests:
+            assert Path(m.out_dir).name == f"run-{m.config_hash}"
+            summary = json.loads((Path(m.runs[0]["run_dir"]) / "summary.json").read_text())
+            assert summary["config_hash"] == config_hash(TrainConfig.from_dict(summary["config"]))
 
     def test_env_var_output_root(self, config_file, tmp_path, monkeypatch):
         monkeypatch.setenv(ENV_OUT_ROOT, str(tmp_path / "envroot"))

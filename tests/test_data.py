@@ -9,7 +9,6 @@ from dts_ssl.data import (
     AugmentConfig,
     Dataset,
     PairSampler,
-    augment,
     augment_batch,
     build_mismatch_split,
     feature_scale,
@@ -141,21 +140,21 @@ class TestGenerateSynthetic:
 class TestAugment:
     def test_weak_zero_jitter_is_identity(self):
         x = np.arange(8.0)
-        view = augment(x, "weak", np.random.default_rng(0), config=AugmentConfig(weak_sigma=0.0))
-        assert np.array_equal(view.vector, x)
-        assert view.mode == "weak"
+        cfg = AugmentConfig(weak_sigma=0.0)
+        view = augment_batch(x[None, :], "weak", np.random.default_rng(0), config=cfg)
+        assert np.array_equal(view[0], x)
 
     def test_strong_masks_exact_count(self):
         x = np.ones(8)
         cfg = AugmentConfig(strong_sigma=0.0, mask_fraction=0.25)
-        view = augment(x, "strong", np.random.default_rng(0), config=cfg)
-        assert (view.vector == 0).sum() == 2
+        view = augment_batch(x[None, :], "strong", np.random.default_rng(0), config=cfg)
+        assert (view == 0).sum() == 2
 
     def test_distinct_rng_states_differ(self):
         x = np.zeros(16)
-        a = augment(x, "strong", np.random.default_rng(1))
-        b = augment(x, "strong", np.random.default_rng(2))
-        assert not np.array_equal(a.vector, b.vector)
+        a = augment_batch(x[None, :], "strong", np.random.default_rng(1))
+        b = augment_batch(x[None, :], "strong", np.random.default_rng(2))
+        assert not np.array_equal(a, b)
 
     @given(
         dim=st.integers(min_value=2, max_value=40),

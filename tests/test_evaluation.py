@@ -84,6 +84,26 @@ class TestComputeAccuracy:
         assert compute_accuracy(preds[perm], labels[perm]) == base
 
 
+def tied_scores(n, levels, seed):
+    """n scores on levels + 1 distinct values in [0, 1] (few levels force heavy ties),
+    with both classes present."""
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(0, levels + 1, size=n) / levels
+    flags = rng.random(n) < 0.5
+    if flags.all() or (~flags).all():
+        flags[0] = not flags[0]
+    return scores, flags
+
+
+# strictly increasing on [0, 1], and far from merging levels 1/50 apart
+INCREASING = [
+    lambda s: np.exp(3 * s),
+    lambda s: s**3 + 7,
+    lambda s: 2 * s - 5,
+    np.arctan,
+]
+
+
 class TestComputeAuroc:
     def test_perfect_separation(self):
         assert compute_auroc([0.9, 0.8, 0.3, 0.1], [True, True, False, False]) == 1.0
@@ -114,22 +134,29 @@ class TestComputeAuroc:
     )
     @settings(max_examples=120, deadline=None)
     def test_equals_pairwise_oracle(self, n, levels, seed):
-        rng = np.random.default_rng(seed)
-        # few distinct levels force heavy ties
-        scores = rng.integers(0, levels + 1, size=n) / levels
-        flags = rng.random(n) < 0.5
-        if flags.all() or (~flags).all():
-            flags[0] = not flags[0]
+        scores, flags = tied_scores(n, levels, seed)
         assert compute_auroc(scores, flags) == pairwise_auroc_oracle(scores, flags)
 
-    def test_invariant_under_monotone_transform(self):
-        rng = np.random.default_rng(3)
-        scores = rng.random(40)
-        flags = rng.random(40) < 0.4
-        flags[0], flags[1] = True, False
-        base = compute_auroc(scores, flags)
-        assert compute_auroc(np.exp(3 * scores), flags) == pytest.approx(base, abs=1e-12)
-        assert compute_auroc(scores ** 3 + 7, flags) == pytest.approx(base, abs=1e-12)
+    @given(
+        n=st.integers(min_value=2, max_value=60),
+        levels=st.integers(min_value=1, max_value=50),
+        seed=st.integers(min_value=0, max_value=10_000),
+        transform=st.sampled_from(INCREASING),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_invariant_under_monotone_transform(self, n, levels, seed, transform):
+        scores, flags = tied_scores(n, levels, seed)
+        assert compute_auroc(transform(scores), flags) == compute_auroc(scores, flags)
+
+    @given(
+        n=st.integers(min_value=2, max_value=60),
+        levels=st.integers(min_value=1, max_value=50),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_negated_scores_give_one_minus_auroc(self, n, levels, seed):
+        scores, flags = tied_scores(n, levels, seed)
+        assert compute_auroc(-scores, flags) == pytest.approx(1.0 - compute_auroc(scores, flags), abs=1e-12)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(4)

@@ -1,32 +1,28 @@
-"""Loss values against closed forms, gradient checks, objective composition."""
+"""Loss values against closed forms and scalar oracles, gradient checks, objective composition."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from dts_ssl.errors import ShapeError, ValidationError
 from dts_ssl.losses import (
-    LossReport,
     _per_sample,
     ce_loss_and_grad,
-    consistency_loss,
     consistency_loss_and_grad,
-    cross_entropy,
     gated_ce_loss_and_grad,
     inlier_objective,
-    kl_divergence,
-    logit_match_loss,
     logit_match_loss_and_grad,
     outlier_objective,
     pretrain_objective,
-    seen_loss,
     uniformity_loss_and_grad,
-    unseen_loss,
     unseen_loss_and_grad,
 )
 from dts_ssl.numerics import softmax
-from dts_ssl.soft_weighting import GateDecision, UncertaintyScore
+
+# a logit margin that saturates softmax at an exact one-hot
+HUGE = 1000.0
 
 
 def simplexes(length, min_p=1e-3):
@@ -38,119 +34,115 @@ def simplexes(length, min_p=1e-3):
 
 class TestCrossEntropy:
     def test_perfect_prediction(self):
-        assert cross_entropy(1, np.array([1.0, 0.0, 0.0])) == 0.0
+        assert ce_loss_and_grad([1], np.array([[HUGE, 0.0, 0.0]]))[0] == 0.0
 
     def test_uniform_closed_form(self):
-        p = np.full(4, 0.25)
+        z = np.zeros((1, 4))
         for label in (1, 2, 3, 4):
-            assert cross_entropy(label, p) == pytest.approx(np.log(4.0), abs=1e-12)
+            assert ce_loss_and_grad([label], z)[0] == pytest.approx(np.log(4.0), abs=1e-12)
 
     def test_zero_probability_clamped(self):
-        value = cross_entropy(2, np.array([1.0, 0.0]))
+        value = ce_loss_and_grad([2], np.array([[HUGE, 0.0]]))[0]
         assert value == pytest.approx(-np.log(1e-12))
         assert value == pytest.approx(27.63, abs=0.01)
         assert np.isfinite(value)
 
-    def test_one_hot_label_accepted(self):
-        p = np.array([0.2, 0.5, 0.3])
-        assert cross_entropy(np.array([0.0, 1.0, 0.0]), p) == cross_entropy(2, p)
-
     def test_label_out_of_range(self):
         with pytest.raises(ValidationError):
-            cross_entropy(4, np.array([0.5, 0.5]))
+            ce_loss_and_grad([4], np.zeros((1, 2)))
 
 
 class TestKL:
+    """KL(p || q) through the logit-match loss: p = softmax(logits), q given."""
+
+    @staticmethod
+    def kl(z, q):
+        return logit_match_loss_and_grad(np.array([z]), np.array([q]), [True], 1)[0]
+
     def test_identity_is_zero(self):
-        p = np.array([0.3, 0.2, 0.5])
-        assert kl_divergence(p, p) == pytest.approx(0.0, abs=1e-12)
+        z = np.array([0.3, -0.2, 0.5])
+        assert self.kl(z, softmax(z)) == 0.0
 
     def test_onehot_vs_uniform(self):
-        assert kl_divergence(np.array([1.0, 0.0]), np.array([0.5, 0.5])) == pytest.approx(np.log(2))
+        assert self.kl([HUGE, 0.0], [0.5, 0.5]) == pytest.approx(np.log(2))
 
     def test_closed_form_example(self):
-        value = kl_divergence(np.array([0.5, 0.5]), np.array([0.9, 0.1]))
+        value = self.kl([0.0, 0.0], [0.9, 0.1])
         expected = 0.5 * np.log(0.5 / 0.9) + 0.5 * np.log(0.5 / 0.1)
         assert value == pytest.approx(expected, abs=1e-12)
         assert value == pytest.approx(0.5108, abs=1e-4)
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            kl_divergence(np.array([1.0, 0.0]), np.array([0.5, 0.25, 0.25]))
+            self.kl([0.0, 0.0], [0.5, 0.25, 0.25])
+        with pytest.raises(ShapeError):
+            consistency_loss_and_grad(np.zeros((1, 2)), np.zeros((1, 3)), 1)
 
     @given(simplexes(4), simplexes(4))
     @settings(max_examples=50, deadline=None)
     def test_nonnegative(self, p, q):
-        assert kl_divergence(p, q) >= -1e-12
+        assert self.kl(np.log(p), q) >= -1e-12
+        assert consistency_loss_and_grad(np.log(p)[None, :], np.log(q)[None, :], 1)[0] >= -1e-12
 
 
 class TestSeenLoss:
+    z = np.log(np.array([[0.7, 0.3], [0.4, 0.6]]))
+
     def test_all_rejected_is_zero(self):
-        probs = np.array([[0.7, 0.3], [0.4, 0.6]])
-        assert seen_loss([1, 2], probs, [False, False], mu_B=2) == 0.0
+        assert gated_ce_loss_and_grad([1, 2], self.z, [False, False], mu_B=2)[0] == 0.0
 
     def test_single_passer_example(self):
-        probs = np.array([[0.7, 0.3], [0.4, 0.6]])
-        value = seen_loss([1, 2], probs, [True, False], mu_B=2)
+        value = gated_ce_loss_and_grad([1, 2], self.z, [True, False], mu_B=2)[0]
         assert value == pytest.approx(-np.log(0.7) / 2)
         assert value == pytest.approx(0.1783, abs=1e-4)
 
     def test_one_hot_students_are_free(self):
-        probs = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert seen_loss([1, 2], probs, [True, True], mu_B=2) == 0.0
+        z = np.array([[HUGE, 0.0], [0.0, HUGE]])
+        assert gated_ce_loss_and_grad([1, 2], z, [True, True], mu_B=2)[0] == 0.0
 
     def test_misaligned_gates(self):
         with pytest.raises(ShapeError):
-            seen_loss([1], np.array([[0.5, 0.5]]), [True, False], mu_B=1)
+            gated_ce_loss_and_grad([1], np.zeros((1, 2)), [True, False], mu_B=1)
 
 
 class TestLogitMatchLoss:
     def test_equal_distributions_zero(self):
-        p = np.array([[0.6, 0.4]])
-        assert logit_match_loss(p, p, [True], mu_B=1) == 0.0
+        z = np.log(np.array([[0.6, 0.4]]))
+        assert logit_match_loss_and_grad(z, softmax(z), [True], mu_B=1)[0] == 0.0
 
     def test_all_rejected_zero(self):
-        assert logit_match_loss(np.array([[0.5, 0.5]]), np.array([[0.9, 0.1]]), [False], 1) == 0.0
+        assert logit_match_loss_and_grad(np.zeros((1, 2)), np.array([[0.9, 0.1]]), [False], 1)[0] == 0.0
 
     def test_single_passer_value(self):
-        value = logit_match_loss(
-            np.array([[0.5, 0.5], [0.5, 0.5]]),
-            np.array([[0.9, 0.1], [0.9, 0.1]]),
-            [True, False],
-            mu_B=2,
-        )
-        assert value == pytest.approx(kl_divergence(np.array([0.5, 0.5]), np.array([0.9, 0.1])) / 2)
+        value = logit_match_loss_and_grad(
+            np.zeros((2, 2)), np.array([[0.9, 0.1], [0.9, 0.1]]), [True, False], mu_B=2
+        )[0]
+        assert value == pytest.approx(oracles.kl(np.array([0.5, 0.5]), np.array([0.9, 0.1])) / 2)
         assert value == pytest.approx(0.2554, abs=1e-4)
 
 
 class TestUnseenLoss:
     def test_zero_scores(self):
-        probs = np.array([[0.2, 0.3, 0.5]])
-        assert unseen_loss(probs, [0.0], mu_B=1, K=2) == 0.0
+        z = np.log(np.array([[0.2, 0.3, 0.5]]))
+        assert unseen_loss_and_grad(z, [0.0], mu_B=1)[0] == 0.0
 
     def test_confident_extra_class_is_free(self):
-        probs = np.array([[0.0, 0.0, 1.0]])
-        assert unseen_loss(probs, [0.9], mu_B=1, K=2) == 0.0
+        assert unseen_loss_and_grad(np.array([[0.0, 0.0, HUGE]]), [0.9], mu_B=1)[0] == 0.0
 
     def test_weighted_value(self):
-        probs = np.array([[0.25, 0.25, 0.5]])
-        value = unseen_loss(probs, [0.4], mu_B=1, K=2)
+        value = unseen_loss_and_grad(np.log(np.array([[0.25, 0.25, 0.5]])), [0.4], mu_B=1)[0]
         assert value == pytest.approx(0.4 * np.log(2))
         assert value == pytest.approx(0.2773, abs=1e-4)
 
     def test_linearity_in_score(self):
-        probs = np.array([[0.3, 0.3, 0.4]])
-        v1 = unseen_loss(probs, [0.2], mu_B=1, K=2)
-        v2 = unseen_loss(probs, [0.4], mu_B=1, K=2)
+        z = np.log(np.array([[0.3, 0.3, 0.4]]))
+        v1 = unseen_loss_and_grad(z, [0.2], mu_B=1)[0]
+        v2 = unseen_loss_and_grad(z, [0.4], mu_B=1)[0]
         assert v2 == pytest.approx(2 * v1)
-
-    def test_width_checked(self):
-        with pytest.raises(ShapeError):
-            unseen_loss(np.array([[0.5, 0.5]]), [0.5], mu_B=1, K=2)
 
 
 class TestPerSampleInputs:
-    """Gates and scores arrive as arrays (the trainer) or as per-sample objects/lists."""
+    """Gates and scores arrive as arrays (the trainer) or as plain lists."""
 
     def batch(self, n=6, width=4, seed=0):
         rng = np.random.default_rng(seed)
@@ -171,10 +163,9 @@ class TestPerSampleInputs:
             with pytest.raises(ShapeError):
                 unseen_loss_and_grad(z, bad, 6)
 
-    def test_gate_objects_and_lists_match_arrays(self):
+    def test_gate_lists_match_arrays(self):
         z, labels, gates, _ = self.batch()
-        decisions = [GateDecision(passed=bool(g), max_its=0.9, score=0.1, tau=0.85) for g in gates]
-        variants = [gates, gates.astype(np.float64), decisions, gates.tolist(), [int(g) for g in gates]]
+        variants = [gates, gates.astype(np.float64), gates.tolist(), [int(g) for g in gates]]
         ref_ce = gated_ce_loss_and_grad(labels, z, gates, 6)
         ref_lm = logit_match_loss_and_grad(z, softmax(z[::-1]), gates, 6)
         ref_uni = uniformity_loss_and_grad(z, gates, 6)
@@ -186,28 +177,25 @@ class TestPerSampleInputs:
                 assert got[0] == ref[0]
                 assert got[1].tobytes() == ref[1].tobytes()
 
-    def test_score_objects_and_lists_match_arrays(self):
+    def test_score_lists_match_arrays(self):
         z, _, _, scores = self.batch(width=5)
-        objects = [UncertaintyScore(value=float(s), one_minus_max_its=0.0, ots_last=0.0, gamma=0.5)
-                   for s in scores]
         ref_value, ref_grad = unseen_loss_and_grad(z, scores, 6)
-        for v in (objects, scores.tolist()):
-            assert np.array_equal(_per_sample(v, 6, "value"), scores)
-            value, grad = unseen_loss_and_grad(z, v, 6)
-            assert value == ref_value and grad.tobytes() == ref_grad.tobytes()
+        assert np.array_equal(_per_sample(scores.tolist(), 6, "scores"), scores)
+        value, grad = unseen_loss_and_grad(z, scores.tolist(), 6)
+        assert value == ref_value and grad.tobytes() == ref_grad.tobytes()
 
 
 class TestConsistencyLoss:
     def test_identical_views_zero(self):
-        p = np.array([[0.4, 0.6]])
-        assert consistency_loss(p, p, mu_B=1) == 0.0
+        z = np.log(np.array([[0.4, 0.6]]))
+        assert consistency_loss_and_grad(z, z, mu_B=1)[0] == 0.0
 
     def test_value_and_asymmetry(self):
-        wa = np.array([[1.0, 0.0]])
-        sa = np.array([[0.5, 0.5]])
-        forward_value = consistency_loss(wa, sa, mu_B=1)
+        one_hot = np.array([[HUGE, 0.0]])
+        uniform = np.zeros((1, 2))
+        forward_value = consistency_loss_and_grad(one_hot, uniform, mu_B=1)[0]
         assert forward_value == pytest.approx(np.log(2))
-        backward_value = consistency_loss(sa, wa, mu_B=1)
+        backward_value = consistency_loss_and_grad(uniform, one_hot, mu_B=1)[0]
         assert backward_value != pytest.approx(forward_value)
 
 
@@ -224,19 +212,6 @@ class TestObjectives:
     def test_pretrain_sum(self):
         assert pretrain_objective(0.5, 0.7) == pytest.approx(1.2)
         assert pretrain_objective(0.0, 0.0) == 0.0
-
-    def test_loss_report_totals_recompute(self):
-        report = LossReport(
-            ce_k=0.8, ce_k1=1.1, seen_in=0.2, seen_out=0.3, logit_match=0.15,
-            unseen=0.4, consistency=0.25,
-        )
-        lam = (0.25, 0.25, 0.1, 0.3)
-        inlier, outlier, pre = report.recompute_totals(*lam)
-        report.inlier_total, report.outlier_total, report.pretrain_total = inlier, outlier, pre
-        again = report.recompute_totals(*lam)
-        assert (report.inlier_total, report.outlier_total, report.pretrain_total) == again
-        assert inlier == pytest.approx(0.8 + 0.25 * 0.2 + 0.25 * 0.15)
-        assert outlier == pytest.approx(1.1 + 0.25 * 0.3 + 0.1 * 0.4 + 0.3 * 0.25)
 
 
 def central_difference(fn, z, eps=1e-5):
@@ -309,39 +284,33 @@ class TestLogitGradients:
         assert_grad_close(grad, numeric)
 
     def test_values_match_prob_level_ops(self):
-        """The *_and_grad values agree with the probability-level operations."""
-        z = self.rng.normal(size=(4, 3))
-        probs = softmax(z)
-        y = np.array([1, 3, 2, 2])
-        gates = np.array([True, False, True, True])
-        scores = np.array([0.1, 0.5, 0.0, 0.7])
+        """Each *_and_grad value is the batch mean of the per-sample oracle, bit for bit."""
+        for n, width in ((4, 3), (37, 5), (200, 7)):
+            z = self.rng.normal(scale=3.0, size=(n, width))
+            z[::6, 0] = 60.0  # rows with probabilities under the clamp floor
+            probs = softmax(z)
+            y = self.rng.integers(1, width + 1, size=n)
+            gates = self.rng.random(n) < 0.6
+            scores = self.rng.random(n)
+            teacher = softmax(self.rng.normal(size=(n, width)))
+            z2 = self.rng.normal(size=(n, width))
 
-        assert ce_loss_and_grad(y, z)[0] == pytest.approx(
-            np.mean([cross_entropy(int(label), p) for label, p in zip(y, probs)])
-        )
-        assert gated_ce_loss_and_grad(y, z, gates, 4)[0] == pytest.approx(
-            seen_loss(y, probs, gates, 4)
-        )
-        teacher = softmax(self.rng.normal(size=(4, 3)))
-        assert logit_match_loss_and_grad(z, teacher, gates, 4)[0] == pytest.approx(
-            logit_match_loss(probs, teacher, gates, 4)
-        )
-        assert unseen_loss_and_grad(z, scores, 4)[0] == pytest.approx(
-            unseen_loss(probs, scores, 4, K=2)
-        )
-        z2 = self.rng.normal(size=(4, 3))
-        assert consistency_loss_and_grad(z, z2, 4)[0] == pytest.approx(
-            consistency_loss(probs, softmax(z2), 4)
-        )
+            assert ce_loss_and_grad(y, z)[0] == oracles.seen(y, probs, np.ones(n), n)
+            assert gated_ce_loss_and_grad(y, z, gates, 512)[0] == oracles.seen(y, probs, gates, 512)
+            assert logit_match_loss_and_grad(z, teacher, gates, 512)[0] == oracles.logit_match(
+                probs, teacher, gates, 512
+            )
+            assert unseen_loss_and_grad(z, scores, 512)[0] == oracles.unseen(probs, scores, 512)
+            assert consistency_loss_and_grad(z, z2, 512)[0] == oracles.consistency(probs, softmax(z2), 512)
 
 
 @given(simplexes(3), st.floats(min_value=0.0, max_value=1.0))
 @settings(max_examples=40, deadline=None)
 def test_component_losses_nonnegative(p, s):
-    probs = p[None, :]
-    assert seen_loss([1], probs, [True], 1) >= 0
-    assert unseen_loss(probs, [s], 1, K=2) >= 0
-    assert consistency_loss(probs, probs, 1) >= 0
+    z = np.log(p)[None, :]
+    assert gated_ce_loss_and_grad([1], z, [True], 1)[0] >= 0
+    assert unseen_loss_and_grad(z, [s], 1)[0] >= 0
+    assert consistency_loss_and_grad(z, z, 1)[0] >= 0
 
 
 def one_hot_ce_grad(labels, z, row_weight, denom):

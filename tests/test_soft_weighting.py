@@ -1,4 +1,4 @@
-"""Uncertainty score algebra, gating, and the soft-weighted set."""
+"""The uncertainty score and the reliability gate against their scalar oracles."""
 
 import csv
 
@@ -7,19 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dts_ssl.data import AugmentConfig
-from dts_ssl.errors import ValidationError
+import oracles
+from dts_ssl.errors import ShapeError
 from dts_ssl.models import BackboneSpec, init_teacher
-from dts_ssl.soft_weighting import (
-    GateDecision,
-    build_soft_weighted_set,
-    gate_mask,
-    reliability_gate,
-    score_batch,
-    scores_from_probs,
-    uncertainty_score,
-    write_score_dump,
-)
+from dts_ssl.numerics import softmax
+from dts_ssl.soft_weighting import gate_mask, scores_from_probs, write_score_dump
 
 
 def simplex_with_max(max_p, K):
@@ -33,45 +25,39 @@ def simplex_with_last(last, K1):
     return np.array([rest] * (K1 - 1) + [last])
 
 
+def score_one(p_its, p_ots, gamma):
+    """scores_from_probs on a batch of one sample."""
+    return scores_from_probs(p_its[None, :], p_ots[None, :], gamma)[0]
+
+
 class TestUncertaintyScore:
     def test_fully_confident_seen_scores_zero(self):
-        score = uncertainty_score(np.array([1.0, 0.0]), np.array([0.5, 0.5, 0.0]), gamma=0.5)
-        assert score.value == 0.0
+        assert score_one(np.array([1.0, 0.0]), np.array([0.5, 0.5, 0.0]), gamma=0.5) == 0.0
 
     def test_gamma_one_ignores_extra_class_head(self):
         p_its = simplex_with_max(0.7, 3)
         for last in (0.0, 0.5, 1.0):
-            score = uncertainty_score(p_its, simplex_with_last(last, 4), gamma=1.0)
-            assert score.value == pytest.approx(1.0 - 0.7)
+            assert score_one(p_its, simplex_with_last(last, 4), gamma=1.0) == pytest.approx(1.0 - 0.7)
 
     def test_gamma_zero_is_extra_class_probability(self):
         p_ots = simplex_with_last(0.37, 4)
-        score = uncertainty_score(simplex_with_max(0.9, 3), p_ots, gamma=0.0)
-        assert score.value == pytest.approx(0.37)
+        assert score_one(simplex_with_max(0.9, 3), p_ots, gamma=0.0) == pytest.approx(0.37)
 
     def test_uniform_predictions_closed_form(self):
         # K=6: gamma/2 * (1 - 1/6) + 1/2 * (1/7) = 41/84
-        p_its = np.full(6, 1.0 / 6.0)
-        p_ots = np.full(7, 1.0 / 7.0)
-        score = uncertainty_score(p_its, p_ots, gamma=0.5)
+        value = score_one(np.full(6, 1.0 / 6.0), np.full(7, 1.0 / 7.0), gamma=0.5)
         expected = 0.5 * (5.0 / 6.0) + 0.5 * (1.0 / 7.0)
         assert expected == pytest.approx(41.0 / 84.0, abs=1e-15)
-        assert score.value == pytest.approx(expected, abs=1e-12)
-        assert score.value == pytest.approx(0.488095, abs=1e-6)
+        assert value == pytest.approx(expected, abs=1e-12)
+        assert value == pytest.approx(0.488095, abs=1e-6)
 
-    def test_component_bookkeeping(self):
-        score = uncertainty_score(simplex_with_max(0.8, 4), simplex_with_last(0.3, 5), gamma=0.25)
-        assert score.one_minus_max_its == pytest.approx(0.2)
-        assert score.ots_last == pytest.approx(0.3)
-        assert score.value == pytest.approx(0.25 * 0.2 + 0.75 * 0.3)
+    def test_blend_of_its_two_components(self):
+        value = score_one(simplex_with_max(0.8, 4), simplex_with_last(0.3, 5), gamma=0.25)
+        assert value == pytest.approx(0.25 * 0.2 + 0.75 * 0.3)
 
-    def test_invalid_inputs_named(self):
-        with pytest.raises(ValidationError, match="p_its"):
-            uncertainty_score(np.array([0.9, 0.3]), simplex_with_last(0.1, 3), 0.5)
-        with pytest.raises(ValidationError, match="p_ots"):
-            uncertainty_score(np.array([0.5, 0.5]), np.array([0.9, 0.5, 0.1]), 0.5)
-        with pytest.raises(ValidationError):
-            uncertainty_score(np.array([0.5, 0.5]), simplex_with_last(0.1, 3), gamma=1.5)
+    def test_misaligned_batches_raise(self):
+        with pytest.raises(ShapeError):
+            scores_from_probs(np.full((3, 2), 0.5), np.full((2, 3), 1 / 3), 0.5)
 
     @given(
         max_p=st.floats(min_value=0.34, max_value=1.0),
@@ -80,55 +66,70 @@ class TestUncertaintyScore:
     )
     @settings(max_examples=100, deadline=None)
     def test_range_invariant(self, max_p, last, gamma):
-        score = uncertainty_score(simplex_with_max(max_p, 3), simplex_with_last(last, 4), gamma)
-        assert -1e-12 <= score.value <= 1.0 + 1e-12
+        value = score_one(simplex_with_max(max_p, 3), simplex_with_last(last, 4), gamma)
+        assert -1e-12 <= value <= 1.0 + 1e-12
 
     def test_monotonicity(self):
         gamma = 0.6
         p_ots = simplex_with_last(0.4, 4)
-        values = [
-            uncertainty_score(simplex_with_max(m, 3), p_ots, gamma).value
-            for m in (0.4, 0.6, 0.8, 0.99)
-        ]
+        values = scores_from_probs(
+            np.stack([simplex_with_max(m, 3) for m in (0.4, 0.6, 0.8, 0.99)]), np.tile(p_ots, (4, 1)), gamma
+        )
         assert all(a > b for a, b in zip(values, values[1:]))
         p_its = simplex_with_max(0.7, 3)
-        values = [
-            uncertainty_score(p_its, simplex_with_last(l, 4), gamma).value
-            for l in (0.0, 0.3, 0.6, 0.9)
-        ]
+        values = scores_from_probs(
+            np.tile(p_its, (4, 1)), np.stack([simplex_with_last(l, 4) for l in (0.0, 0.3, 0.6, 0.9)]), gamma
+        )
         assert all(a < b for a, b in zip(values, values[1:]))
+
+
+class TestScoresFromProbs:
+    def test_vectorized_matches_scalar(self):
+        rng = np.random.default_rng(1)
+        K = 4
+        p_in = softmax(rng.normal(size=(20, K)))
+        p_out = softmax(rng.normal(size=(20, K + 1)))
+        for gamma in (0.0, 0.3, 0.5, 1.0):
+            vec = scores_from_probs(p_in, p_out, gamma)
+            expected = [oracles.score(p_in[i], p_out[i], gamma) for i in range(20)]
+            assert vec.tobytes() == np.array(expected).tobytes()
+
+
+def gate_one(max_p, s, tau):
+    return bool(gate_mask(np.array([max_p]), np.array([s]), tau)[0])
 
 
 class TestReliabilityGate:
     def test_pass_and_reject_cases(self):
-        assert reliability_gate(simplex_with_max(0.9, 3), 0.3, tau=0.85).passed
-        assert not reliability_gate(simplex_with_max(0.9, 3), 0.95, tau=0.85).passed
-        assert not reliability_gate(simplex_with_max(0.80, 3), 0.1, tau=0.85).passed
+        assert gate_one(0.9, 0.3, tau=0.85)
+        assert not gate_one(0.9, 0.95, tau=0.85)
+        assert not gate_one(0.80, 0.1, tau=0.85)
 
     def test_ties_fail(self):
-        assert not reliability_gate(simplex_with_max(0.85, 3), 0.1, tau=0.85).passed
-        assert not reliability_gate(simplex_with_max(0.9, 3), 0.9, tau=0.85).passed
+        assert not gate_one(0.85, 0.1, tau=0.85)
+        assert not gate_one(0.9, 0.9, tau=0.85)
 
     def test_gate_soundness_exhaustive_grid(self):
-        for max_p in np.linspace(0.34, 1.0, 23):
-            for s in np.linspace(0.0, 1.0, 21):
-                for tau in np.linspace(0.05, 0.95, 19):
-                    decision = reliability_gate(simplex_with_max(max_p, 3), s, tau)
-                    assert decision.passed == ((max_p > tau) and (max_p > s))
-                    if decision.passed:
-                        assert max_p > max(tau, s)
-
-    def test_tau_domain(self):
-        with pytest.raises(ValidationError):
-            reliability_gate(simplex_with_max(0.9, 3), 0.2, tau=0.0)
+        max_p, s = (g.ravel() for g in np.meshgrid(np.linspace(0.34, 1.0, 23), np.linspace(0.0, 1.0, 21)))
+        for tau in np.linspace(0.05, 0.95, 19):
+            mask = gate_mask(max_p, s, tau)
+            assert mask.tolist() == [oracles.gate(m, v, tau) for m, v in zip(max_p, s)]
+            assert np.all(max_p[mask] > np.maximum(tau, s[mask]))
 
     def test_vectorized_gate_matches_scalar(self):
         rng = np.random.default_rng(0)
         max_conf = rng.uniform(0.34, 1.0, size=50)
         scores = rng.uniform(0.0, 1.0, size=50)
+        max_conf[:5] = 0.85  # ties with tau
+        scores[5:10] = max_conf[5:10]  # ties with the score
         mask = gate_mask(max_conf, scores, tau=0.85)
-        for i in range(50):
-            assert mask[i] == reliability_gate(simplex_with_max(max_conf[i], 3), scores[i], 0.85).passed
+        assert mask.tolist() == [oracles.gate(max_conf[i], scores[i], 0.85) for i in range(50)]
+
+    def test_without_score_only_tau_gates(self):
+        max_conf = np.array([0.9, 0.9, 0.8])
+        assert gate_mask(max_conf, np.array([0.95, 0.1, 0.0]), 0.85, use_score=False).tolist() == [
+            True, True, False,
+        ]
 
 
 SPEC = BackboneSpec(input_dim=4, hidden_widths=(6,), feature_dim=5)
@@ -140,83 +141,34 @@ def make_teachers(K=3, seed=0):
     return t_in, t_out
 
 
-class TestScoreBatch:
-    def test_empty_batch(self):
-        t_in, t_out = make_teachers()
-        assert score_batch(t_in, t_out, np.empty((0, 4)), 0.5) == []
-
-    def test_duplicates_without_jitter_score_equally(self):
-        t_in, t_out = make_teachers()
-        batch = np.tile(np.array([0.3, -0.1, 0.8, 0.0]), (5, 1))
-        cfg = AugmentConfig(weak_sigma=0.0)
-        scores = score_batch(t_in, t_out, batch, 0.5, np.random.default_rng(0), config=cfg)
-        values = [s.value for s in scores]
-        assert values == [values[0]] * 5
+class TestTeacherScores:
+    """scores_from_probs on the outputs of real teachers."""
 
     def test_matches_per_example_oracle(self):
-        """Batch scoring equals a per-sample loop over the same weak views."""
+        """Batch scoring equals a per-sample loop over single-row teacher forwards."""
         t_in, t_out = make_teachers()
-        rng = np.random.default_rng(42)
-        batch = rng.normal(size=(7, 4))
-        from dts_ssl.data import augment_batch
-
-        views = augment_batch(batch, "weak", np.random.default_rng(7), scale=1.0)
-        got = score_batch(t_in, t_out, views, gamma=0.4, rng=None)
+        views = np.random.default_rng(42).normal(size=(7, 4))
+        got = scores_from_probs(t_in.probs(views, "k"), t_out.probs(views, "k1"), gamma=0.4)
         for i in range(7):
             p_its = t_in.probs(views[i : i + 1], "k")[0]
             p_ots = t_out.probs(views[i : i + 1], "k1")[0]
-            expected = uncertainty_score(p_its, p_ots, 0.4)
-            assert got[i].value == pytest.approx(expected.value, abs=1e-12)
+            # one row forwards through BLAS in another order than a batch
+            assert got[i] == pytest.approx(oracles.score(p_its, p_ots, 0.4), abs=1e-12)
 
-    def test_order_preserved(self):
+    def test_empty_batch(self):
         t_in, t_out = make_teachers()
-        rng = np.random.default_rng(3)
-        batch = rng.normal(size=(6, 4))
-        scores = score_batch(t_in, t_out, batch, 0.5)
-        flipped = score_batch(t_in, t_out, batch[::-1], 0.5)
-        # row order changes BLAS accumulation, so compare to float tolerance
-        assert [s.value for s in scores] == pytest.approx(
-            [s.value for s in flipped][::-1], abs=1e-12
-        )
+        x = np.empty((0, 4))
+        assert scores_from_probs(t_in.probs(x, "k"), t_out.probs(x, "k1"), 0.5).shape == (0,)
 
-
-class TestSoftWeightedSet:
-    def test_one_entry_per_example(self):
-        t_in, t_out = make_teachers()
-        sws = build_soft_weighted_set(np.random.default_rng(0).normal(size=(3, 4)), t_in, t_out, 0.5)
-        assert len(sws) == 3
-        assert [i for i, _ in sws.entries] == [0, 1, 2]
-
-    def test_saturated_teachers_give_zero_weights(self):
+    def test_saturated_teachers_give_zero_scores(self):
         t_in, t_out = make_teachers()
         # huge first-logit bias saturates softmax exactly at a one-hot
         t_in.params["head_k.W"][:] = 0.0
         t_in.params["head_k.b"][:] = [2000.0, 0.0, 0.0]
         t_out.params["head_k1.W"][:] = 0.0
         t_out.params["head_k1.b"][:] = [2000.0, 0.0, 0.0, 0.0]
-        sws = build_soft_weighted_set(np.zeros((4, 4)), t_in, t_out, 0.5)
-        assert np.all(sws.weights() == 0.0)
-
-    def test_matches_recomputation(self):
-        t_in, t_out = make_teachers()
-        batch = np.random.default_rng(5).normal(size=(10, 4))
-        a = build_soft_weighted_set(batch, t_in, t_out, 0.5, rng=np.random.default_rng(99), scale=1.0)
-        b = build_soft_weighted_set(batch, t_in, t_out, 0.5, rng=np.random.default_rng(99), scale=1.0)
-        assert np.array_equal(a.weights(), b.weights())
-
-
-class TestScoresFromProbs:
-    def test_vectorized_matches_scalar(self):
-        rng = np.random.default_rng(1)
-        K = 4
-        z_in = rng.normal(size=(20, K))
-        z_out = rng.normal(size=(20, K + 1))
-        from dts_ssl.numerics import softmax
-
-        p_in, p_out = softmax(z_in), softmax(z_out)
-        vec = scores_from_probs(p_in, p_out, 0.3)
-        for i in range(20):
-            assert vec[i] == pytest.approx(uncertainty_score(p_in[i], p_out[i], 0.3).value, abs=1e-12)
+        x = np.zeros((4, 4))
+        assert np.all(scores_from_probs(t_in.probs(x, "k"), t_out.probs(x, "k1"), 0.5) == 0.0)
 
 
 def test_score_dump_roundtrip(tmp_path):
@@ -227,3 +179,21 @@ def test_score_dump_roundtrip(tmp_path):
     assert [int(r["index"]) for r in rows] == [4, 2, 9]
     assert [float(r["score"]) for r in rows] == [0.25, 0.5, 1.0 / 3.0]
     assert [int(r["is_unseen"]) for r in rows] == [1, 0, 1]
+
+
+def test_one_definition_per_quantity():
+    """The score, the gate and the losses exist once, vectorised; no per-sample twins."""
+    import dts_ssl
+    from dts_ssl import data, losses, models, soft_weighting
+
+    removed = {
+        soft_weighting: ("UncertaintyScore", "GateDecision", "SoftWeightedSet", "uncertainty_score",
+                         "score_batch", "reliability_gate", "build_soft_weighted_set"),
+        losses: ("cross_entropy", "kl_divergence", "seen_loss", "logit_match_loss", "unseen_loss",
+                 "consistency_loss"),
+        data: ("AugmentedView", "augment"),
+        models: ("forward",),
+    }
+    for module, names in removed.items():
+        for name in names:
+            assert not hasattr(module, name) and not hasattr(dts_ssl, name), name

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dts_ssl
 from dts_ssl import losses
@@ -32,6 +34,7 @@ from dts_ssl.trainer import (
     TrainConfig,
     _mean_report,
     _score,
+    _step_plan,
     apply_ablation,
     config_hash,
     evaluate_pipeline,
@@ -76,6 +79,9 @@ BAD_FIELD_VALUES = [
     ("hidden_widths", (0,)),
     ("feature_dim", 0),
     ("activation", "gelu"),
+    ("gamma", 1.5),
+    ("gamma", -0.1),
+    ("tau", 0.0),
 ]
 
 # values of the wrong type: integer fields take no float, bool or string, float
@@ -125,8 +131,19 @@ class TestTrainConfig:
         with pytest.raises(ValidationError, match="iterations"):
             cfg.validate()
 
-    def test_roundtrip(self):
-        cfg = tiny_config(lambda_cr=0.17)
+    @given(
+        mode=st.sampled_from(ABLATION_MODES),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        lambda_cr=st.floats(min_value=0.0, max_value=10.0),
+        tau=st.floats(min_value=0.01, max_value=0.99),
+        hidden_widths=st.lists(st.integers(min_value=1, max_value=64), min_size=1, max_size=3),
+        activation=st.sampled_from(["tanh", "relu"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_roundtrip(self, mode, seed, lambda_cr, tau, hidden_widths, activation):
+        cfg = tiny_config(mode, seed, lambda_cr=lambda_cr, tau=tau,
+                          hidden_widths=tuple(hidden_widths), activation=activation)
+        cfg.validate()
         again = TrainConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert again == cfg
         assert config_hash(again) == config_hash(cfg)
@@ -184,6 +201,15 @@ class TestApplyAblation:
         assert not apply_ablation("one_f_two_c", cfg).k1_projection
         assert apply_ablation("one_f_two_c_proj", cfg).k1_projection
 
+    def test_step_plan_heads_exist_on_their_models(self):
+        teacher = init_teacher(BackboneSpec(input_dim=4, hidden_widths=(6,), feature_dim=5), 3, 0)
+        teacher.pretrained = True
+        for mode in ABLATION_MODES:
+            pipe = apply_ablation(mode, TrainConfig.desk())
+            pairs = {name: derive_pair(teacher, kind) for name, kind in pipe.pairs}
+            for name, branches in _step_plan(pipe).items():
+                assert {b.head for b in branches} <= set(pairs[name].student.heads), mode
+
     def test_unseen_weight_shapes(self):
         cfg = TrainConfig.desk()
         scores = np.array([0.1, 0.5, 0.86, 0.99])
@@ -234,6 +260,18 @@ class TestRunTrainingStructure:
         assert len(train_records) == 2 * 3  # iterations * epochs_per_iteration
         assert len(pre_records) == 4
 
+    def test_pretrain_records_have_the_train_record_layout(self):
+        history = run_training(tiny_config(), tiny_split()).history
+        pre = [r for r in history if r["phase"] == "pretrain"]
+        train = [r for r in history if r["phase"] == "train"]
+        assert all(list(r) == list(train[0]) for r in pre)
+        for epoch, r in enumerate(pre):
+            assert (r["iteration"], r["epoch"], r["global_epoch"]) == (-1, epoch, epoch)
+            assert r["training_unlabeled_forwards"] == 0
+            assert r["gate_pass_rate_in"] == r["gate_pass_rate_out"] == 0.0
+            assert r["inlier_total"] == r["outlier_total"] == 0.0
+        assert train[0]["global_epoch"] == len(pre)
+
     def test_frozen_teachers_within_iteration_and_refresh(self):
         hashes = []
 
@@ -281,12 +319,14 @@ class TestRunTrainingStructure:
         )
         pipe = result.pipeline
         for rep in reports:
-            inlier, outlier, pre = rep.recompute_totals(
-                pipe.lambda_seen, pipe.lambda_lm, pipe.lambda_unseen, pipe.lambda_cr
+            assert rep.inlier_total == losses.inlier_objective(
+                rep.ce_k, rep.seen_in, rep.logit_match, (pipe.lambda_seen, pipe.lambda_lm)
             )
-            assert rep.inlier_total == inlier
-            assert rep.outlier_total == outlier
-            assert rep.pretrain_total == pre
+            assert rep.outlier_total == losses.outlier_objective(
+                rep.ce_k1, rep.seen_out, rep.unseen, rep.consistency,
+                (pipe.lambda_seen, pipe.lambda_unseen, pipe.lambda_cr),
+            )
+            assert rep.pretrain_total == losses.pretrain_objective(rep.ce_k, rep.ce_k1)
 
     def test_both_gates_admit_samples(self, monkeypatch):
         K = tiny_split().K
