@@ -32,12 +32,13 @@ cases = [
     ("uniform K-way", np.full(4, 0.25), 0.2),
     ("confident unseen", np.array([0.4, 0.3, 0.2, 0.1]), 0.85),
 ]
-p_its = np.stack([p for _, p, _ in cases])
-p_ots = np.stack([np.append(np.full(4, (1 - extra) / 4), extra) for _, _, extra in cases])
-max_its = p_its.max(axis=1)
+# probabilities are class-major: one row per class, one column per sample
+p_its = np.stack([p for _, p, _ in cases], axis=1)
+p_ots = np.stack([np.append(np.full(4, (1 - extra) / 4), extra) for _, _, extra in cases], axis=1)
+max_its = p_its.max(axis=0)
 scores = scores_from_probs(p_its, p_ots, gamma=0.5)
 passed = gate_mask(max_its, scores, tau=0.85)
-for (name, _, _), m, extra, s, ok in zip(cases, max_its, p_ots[:, -1], scores, passed):
+for (name, _, _), m, extra, s, ok in zip(cases, max_its, p_ots[-1], scores, passed):
     print(
         f"  {name:18s} 1-max={1.0 - m:.2f} extra={extra:.2f} "
         f"-> s={s:.3f}, gate {'passes' if ok else 'rejects'}"

@@ -53,7 +53,7 @@ class EvalResult:
 def predict_labels(model, inputs: np.ndarray, head: str = "k") -> np.ndarray:
     """Argmax class ids (1-based) from un-augmented inputs; ties go to the lowest id."""
     probs = model.probs(np.atleast_2d(np.asarray(inputs, dtype=np.float64)), head=head)
-    return np.argmax(probs, axis=1) + 1
+    return np.argmax(probs, axis=0) + 1
 
 
 def compute_accuracy(predictions, true_labels) -> float:

@@ -71,18 +71,30 @@ def _activation_fns(name: str):
     return (lambda z: np.maximum(z, 0.0, out=z)), lambda a: (a > 0).astype(np.float64)
 
 
+def _packed(params: Mapping[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """A copy of ``params`` as one contiguous vector, and a view into it per name."""
+    flat = np.concatenate([np.ravel(v) for v in params.values()], dtype=np.float64)
+    views, at = {}, 0
+    for name, v in params.items():
+        views[name] = flat[at : at + np.size(v)].reshape(np.shape(v))
+        at += np.size(v)
+    return flat, views
+
+
 class DualHeadModel:
     """Feature extractor plus softmax heads over K and/or K+1 classes.
 
     The pre-trained teacher holds both heads; models derived for one task keep
-    only the head they train (``heads`` records which are present).
+    only the head they train (``heads`` records which are present). The model
+    copies ``params`` into one vector, ``flat``; ``params`` maps each name to a
+    view into it, in the given order.
     """
 
     def __init__(
         self,
         spec: BackboneSpec,
         K: int,
-        params: dict[str, np.ndarray],
+        params: Mapping[str, np.ndarray],
         heads: tuple[str, ...] = (HEAD_K, HEAD_K1),
         pretrained: bool = False,
     ) -> None:
@@ -90,7 +102,7 @@ class DualHeadModel:
             raise ValidationError(f"K must be >= 2, got {K}")
         self.spec = spec
         self.K = K
-        self.params = params
+        self.flat, self.params = _packed(params)
         self.heads = tuple(heads)
         self.pretrained = pretrained
         self._act, self._act_grad = _activation_fns(spec.activation)
@@ -120,13 +132,7 @@ class DualHeadModel:
         return cls(spec, K, params)
 
     def copy(self) -> "DualHeadModel":
-        return DualHeadModel(
-            self.spec,
-            self.K,
-            {k: v.copy() for k, v in self.params.items()},
-            heads=self.heads,
-            pretrained=self.pretrained,
-        )
+        return DualHeadModel(self.spec, self.K, self.params, heads=self.heads, pretrained=self.pretrained)
 
     # -- forward / backward --------------------------------------------------
 
@@ -175,8 +181,9 @@ class DualHeadModel:
         return z
 
     def probs(self, x: np.ndarray, head: str = HEAD_K) -> np.ndarray:
+        """Class-major (C, N) probabilities of one head (see ``numerics.softmax``)."""
         z, _ = self.logits(x, heads=(head,))
-        return softmax(z[head])
+        return softmax(z[head].T)
 
     def backward(self, cache, d_logits: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
         """Gradients of a scalar loss, given d(loss)/d(logits), for the parameters it
@@ -212,8 +219,16 @@ class DualHeadModel:
             dz *= d_a
             grads[f"backbone.{i}.W"] = dz.T @ acts[i]
             grads[f"backbone.{i}.b"] = dz.sum(axis=0)
-            d_a = dz @ self.params[f"backbone.{i}.W"]
+            if i:  # nothing reads the gradient of the inputs
+                d_a = dz @ self.params[f"backbone.{i}.W"]
         return {k: grads[k] for k in self.params if k in grads}
+
+    def grad_vector(self, grads: Mapping[str, np.ndarray]) -> np.ndarray:
+        """Per-tensor gradients laid out as ``flat``; every parameter needs one."""
+        missing = [k for k in self.params if k not in grads]
+        if missing:
+            raise StateError(f"no gradient for parameters {missing}")
+        return np.concatenate([grads[k].ravel() for k in self.params])
 
     def _touched(self, heads) -> set[str]:
         """Parameter keys a loss on ``heads`` (head names, or a d_logits mapping) reaches."""
@@ -259,7 +274,7 @@ def derive_pair(teacher: DualHeadModel, kind: str) -> TeacherStudentPair:
 
     def clone() -> DualHeadModel:
         keep = teacher._touched(heads)
-        params = {k: v.copy() for k, v in teacher.params.items() if k in keep}
+        params = {k: v for k, v in teacher.params.items() if k in keep}
         return DualHeadModel(teacher.spec, teacher.K, params, heads=heads, pretrained=True)
 
     head_kind = {"inlier": HEAD_K, "outlier": HEAD_K1, "merged": "both"}[kind]
@@ -268,7 +283,7 @@ def derive_pair(teacher: DualHeadModel, kind: str) -> TeacherStudentPair:
 
 def refresh_teacher(pair: TeacherStudentPair) -> None:
     """Copy student parameters into the teacher (hard refresh at iteration ends)."""
-    pair.teacher.params = {k: v.copy() for k, v in pair.student.params.items()}
+    pair.teacher.flat, pair.teacher.params = _packed(pair.student.params)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +320,7 @@ def load_model(path: str | Path) -> DualHeadModel:
     """Load a checkpoint; round-trips bit-exactly with :func:`save_model`."""
     with np.load(Path(path), allow_pickle=False) as archive:
         meta = json.loads(str(archive["__meta__"]))
-        params = {k: archive[k].copy() for k in archive.files if k != "__meta__"}
+        params = {k: archive[k] for k in archive.files if k != "__meta__"}
     spec = BackboneSpec.from_json(json.dumps(meta["spec"]))
     return DualHeadModel(
         spec, int(meta["K"]), params, heads=tuple(meta["heads"]), pretrained=bool(meta["pretrained"])

@@ -1,4 +1,10 @@
-"""Small numerical helpers used by models and losses."""
+"""Small numerical helpers used by models and losses.
+
+Probabilities are class-major: a (C, N) array holds one row per class and one
+column per sample, so every class-axis operation below works on whole
+contiguous rows. Each ``exp`` and ``log`` runs on a fresh contiguous array:
+numpy's float64 SIMD path and its strided path need not agree bit for bit.
+"""
 
 from __future__ import annotations
 
@@ -9,37 +15,43 @@ import numpy as np
 PROB_CLAMP = 1e-12
 
 
-def row_max(x: np.ndarray) -> np.ndarray:
-    """``x.max(axis=-1)`` by columns: on narrow rows numpy's reduction costs far more."""
-    out = x[..., 0].copy()
-    for j in range(1, x.shape[-1]):
-        np.maximum(out, x[..., j], out=out)
+def class_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=0)``, one class row at a time."""
+    out = np.array(x[0], dtype=np.float64)
+    for j in range(1, x.shape[0]):
+        np.maximum(out, x[j], out=out)
     return out
 
 
-def row_sum(x: np.ndarray) -> np.ndarray:
-    """Columns added left to right onto 0.0; bit-equal to ``x.sum(axis=-1)`` to width 7."""
-    out = x[..., 0] + 0.0
-    for j in range(1, x.shape[-1]):
-        out += x[..., j]
+def class_sum(x: np.ndarray) -> np.ndarray:
+    """Class rows added in order onto 0.0; up to 7 classes bit-equal to numpy's
+    ``sum(axis=-1)`` of the (N, C) layout, which adds pairwise from 8."""
+    out = x[0] + 0.0
+    for j in range(1, x.shape[0]):
+        out += x[j]
     return out
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax along the last axis."""
+    """Numerically stable softmax over the leading (class) axis.
+
+    ``z`` is class-major, typically the transposed view ``logits.T`` of an
+    (N, C) logits block; the result is a fresh C-contiguous (C, N) array.
+    """
     z = np.asarray(z, dtype=np.float64)
-    e = z - row_max(z)[..., None]  # a fresh buffer: the input is never written
+    e = np.empty(z.shape)
+    np.subtract(z, class_max(z), out=e)
     np.exp(e, out=e)
-    e /= row_sum(e)[..., None]
+    e /= class_sum(e)
     return e
 
 
 def softmax_vjp(probs: np.ndarray, d_probs: np.ndarray) -> np.ndarray:
     """Backpropagate ``d_probs`` through a softmax that produced ``probs``.
 
-    Rows are treated independently; inputs are (..., C).
+    Samples are treated independently; both inputs are class-major (C, ...).
     """
-    return probs * (d_probs - row_sum(d_probs * probs)[..., None])
+    return probs * (d_probs - class_sum(d_probs * probs))
 
 
 def round_half_up(x: float) -> int:

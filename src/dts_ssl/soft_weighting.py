@@ -17,20 +17,20 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShapeError
-from .numerics import row_max
+from .numerics import class_max
 
 
 def scores_from_probs(p_its: np.ndarray, p_ots: np.ndarray, gamma: float) -> np.ndarray:
-    """gamma * (1 - max K-way prob) + (1 - gamma) * (K+1)-th class prob, per row.
+    """gamma * (1 - max K-way prob) + (1 - gamma) * (K+1)-th class prob, per sample.
 
-    Rows of ``p_its`` and ``p_ots`` are aligned teacher outputs on one view of
-    the same samples; the last column of ``p_ots`` is the unseen class.
+    ``p_its`` (K, N) and ``p_ots`` (K+1, N) are class-major teacher outputs on
+    one view of the same N samples; the last row of ``p_ots`` is the unseen class.
     """
-    p_its = np.atleast_2d(np.asarray(p_its, dtype=np.float64))
-    p_ots = np.atleast_2d(np.asarray(p_ots, dtype=np.float64))
-    if p_its.shape[0] != p_ots.shape[0]:
-        raise ShapeError(f"batch sizes differ: {p_its.shape[0]} vs {p_ots.shape[0]}")
-    return gamma * (1.0 - row_max(p_its)) + (1.0 - gamma) * p_ots[:, -1]
+    p_its = np.asarray(p_its, dtype=np.float64)
+    p_ots = np.asarray(p_ots, dtype=np.float64)
+    if p_its.ndim != 2 or p_ots.ndim != 2 or p_its.shape[1] != p_ots.shape[1]:
+        raise ShapeError(f"need class-major (C, N) blocks of one batch, got {p_its.shape} and {p_ots.shape}")
+    return gamma * (1.0 - class_max(p_its)) + (1.0 - gamma) * p_ots[-1]
 
 
 def gate_mask(max_conf: np.ndarray, scores: np.ndarray, tau: float, use_score: bool = True) -> np.ndarray:

@@ -32,6 +32,12 @@ terms, and one weak-view forward when consistency is on. Gradients add in
 that order: labeled, then weak-view consistency, then the strong-view terms.
 Teacher scoring (teachers on weak views) and evaluation (students on raw
 inputs) go through one scorer, ``_score``.
+
+Every logits block is turned into probabilities once, by the class-major
+``softmax`` (a (C, N) array, one row per class), and that one array feeds
+every score, gate, pseudo-label and loss term on the block. The losses return
+class-major logit gradients; a step adds them per head and transposes each
+head's sum back to (N, C) once, for ``DualHeadModel.backward``.
 """
 
 from __future__ import annotations
@@ -68,7 +74,7 @@ from .models import (
     refresh_teacher,
     save_model,
 )
-from .numerics import row_max, row_sum, softmax
+from .numerics import class_max, class_sum, softmax
 from .soft_weighting import gate_mask, scores_from_probs, write_score_dump
 
 ABLATION_MODES = (
@@ -350,27 +356,27 @@ def unseen_sample_weights(scores: np.ndarray, pipeline: PipelineDescription, con
 
 
 class SGD:
-    """SGD with momentum and (coupled) weight decay, one velocity per tensor."""
+    """SGD with momentum and (coupled) weight decay on a model's parameter vector
+    (``DualHeadModel.flat``), with one velocity vector."""
 
-    def __init__(self, params: dict[str, np.ndarray], momentum: float, weight_decay: float) -> None:
+    def __init__(self, params: np.ndarray, momentum: float, weight_decay: float) -> None:
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.velocity = {k: np.zeros_like(v) for k, v in params.items()}
+        self.velocity = np.zeros_like(params)
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: float) -> None:
-        # v = m*v + (g + wd*p); p -= lr*v, each velocity updated in place and
+    def step(self, params: np.ndarray, grads: np.ndarray, lr: float) -> None:
+        # v = m*v + (g + wd*p); p -= lr*v, the velocity updated in place and
         # bit-equal to the out-of-place update; ``grads`` is left untouched. In
         # place is fast only because run_training holds the heap (_hold_heap): a
         # step then frees all it allocates, and under glibc's default thresholds
         # the heap would be trimmed after every step and faulted back in.
-        for name, g in grads.items():
-            v = self.velocity[name]
-            d = self.weight_decay * params[name]
-            d += g
-            v *= self.momentum
-            v += d
-            np.multiply(v, lr, out=d)
-            params[name] -= d
+        v = self.velocity
+        d = self.weight_decay * params
+        d += grads
+        v *= self.momentum
+        v += d
+        np.multiply(v, lr, out=d)
+        params -= d
 
 
 def _lr_at(config: TrainConfig, global_epoch: int, total_epochs: int) -> float:
@@ -402,6 +408,7 @@ class TrainState:
     history: list[dict] = field(default_factory=list)
     training_unlabeled_forwards: int = 0
     out_dir: Path | None = None
+    last_eval: EvalResult | None = None  # of the latest evaluated epoch
 
     @property
     def total_epochs(self) -> int:
@@ -447,7 +454,7 @@ def pretrain_teacher(
     rng = rng if rng is not None else np.random.default_rng(config.seed)
     scale = labeled_x.std(axis=0) if scale is None else scale
     aug = AugmentConfig(config.weak_sigma, config.strong_sigma, config.mask_fraction)
-    optimizer = SGD(teacher.params, config.momentum, config.weight_decay)
+    optimizer = SGD(teacher.flat, config.momentum, config.weight_decay)
     m = len(labeled_x)
     order = np.arange(m)
     total = config.pretrain_epochs + config.total_train_epochs
@@ -459,10 +466,10 @@ def pretrain_teacher(
             idx = order[start : start + config.batch_size]
             strong_x = augment_batch(labeled_x[idx], "strong", rng, scale, aug)
             z, cache = teacher.logits(strong_x, heads=("k", "k1"))
-            ce_k, d_k = losses.ce_loss_and_grad(labeled_y[idx], z["k"])
-            ce_k1, d_k1 = losses.ce_loss_and_grad(labeled_y[idx], z["k1"])
-            grads = teacher.backward(cache, {"k": d_k, "k1": d_k1})
-            optimizer.step(teacher.params, grads, lr)
+            ce_k, d_k = losses.ce_loss_and_grad(labeled_y[idx], softmax(z["k"].T))
+            ce_k1, d_k1 = losses.ce_loss_and_grad(labeled_y[idx], softmax(z["k1"].T))
+            grads = teacher.backward(cache, {"k": _sample_major(d_k), "k1": _sample_major(d_k1)})
+            optimizer.step(teacher.flat, teacher.grad_vector(grads), lr)
             reports.append(
                 LossReport(ce_k=ce_k, ce_k1=ce_k1, pretrain_total=losses.pretrain_objective(ce_k, ce_k1))
             )
@@ -494,20 +501,20 @@ def view_forward_count(pipeline: PipelineDescription) -> int:
 
 
 def _blend_probs(pairs: dict[str, TeacherStudentPair], role: str, x: np.ndarray):
-    """K-way and (K+1)-way probabilities from the ``role`` ("teacher" or "student")
-    models; a merged model runs one backbone pass for both heads."""
+    """Class-major K-way and (K+1)-way probabilities from the ``role`` ("teacher" or
+    "student") models; a merged model runs one backbone pass for both heads."""
     if "merged" in pairs:
         z, _ = getattr(pairs["merged"], role).logits(x, heads=("k", "k1"))
-        return softmax(z["k"]), softmax(z["k1"])
+        return softmax(z["k"].T), softmax(z["k1"].T)
     return (getattr(pairs["inlier"], role).probs(x, head="k"),
             getattr(pairs["outlier"], role).probs(x, head="k1"))
 
 
 def _score(pairs: dict[str, TeacherStudentPair], role: str, x: np.ndarray, score_mode: str,
            gamma: float):
-    """Uncertainty scores of ``x`` from the ``role`` models, with the K-way and (K+1)-way
-    probabilities they come from: ``(scores, p_in, p_out)``. ``p_in`` is None where no
-    K-way head exists; a single K-head pair gives one distribution as both."""
+    """Uncertainty scores of ``x`` from the ``role`` models, with the class-major K-way
+    and (K+1)-way probabilities they come from: ``(scores, p_in, p_out)``. ``p_in`` is
+    None where no K-way head exists; a single K-head pair gives one distribution as both."""
     if score_mode == "blend":
         p_in, p_out = _blend_probs(pairs, role, x)
         return scores_from_probs(p_in, p_out, gamma), p_in, p_out
@@ -515,11 +522,11 @@ def _score(pairs: dict[str, TeacherStudentPair], role: str, x: np.ndarray, score
         # the (K+1)-head's first K outputs, renormalised, stand in for the K-way head
         model = getattr(pairs["outlier"], role)
         p_out = model.probs(x, head="k1")
-        proxy = p_out[:, : model.K] / np.maximum(row_sum(p_out[:, : model.K])[:, None], 1e-12)
+        proxy = p_out[: model.K] / np.maximum(class_sum(p_out[: model.K]), 1e-12)
         return scores_from_probs(proxy, p_out, gamma), None, p_out
     if score_mode == "one_minus_max":
         p = getattr(next(iter(pairs.values())), role).probs(x, head="k")
-        return 1.0 - row_max(p), p, p
+        return 1.0 - class_max(p), p, p
     raise ValidationError(f"score_mode {score_mode!r} cannot score unlabeled data")
 
 
@@ -584,8 +591,8 @@ def _train_step(state: TrainState, plan: dict[str, tuple[_Branch, ...]], batch, 
         exclude_k1 = cfg.exclude_k1_pseudo and pipe.unseen_weighting in ("soft", "hard_mask")
         for role, p in (("inlier", p_in), ("outlier", p_out)):
             if p is not None:
-                gate = gate_mask(row_max(p), scores, cfg.tau, use_score=pipe.gate_uses_score)
-                pseudo = p.argmax(axis=1) + 1
+                gate = gate_mask(class_max(p), scores, cfg.tau, use_score=pipe.gate_uses_score)
+                pseudo = p.argmax(axis=0) + 1
                 if role == "outlier" and exclude_k1:
                     gate = gate & (pseudo != K + 1)
                 targets[role] = (gate, pseudo, p)
@@ -604,7 +611,8 @@ def _train_step(state: TrainState, plan: dict[str, tuple[_Branch, ...]], batch, 
         z_l, cache_l = student.logits(strong_x, heads=tuple(b.head for b in branches))
         d_l = {}
         for b in branches:
-            ce, d_l[b.head] = losses.ce_loss_and_grad(batch.labeled_y, z_l[b.head])
+            ce, d = losses.ce_loss_and_grad(batch.labeled_y, softmax(z_l[b.head].T))
+            d_l[b.head] = _sample_major(d)
             setattr(report, _REPORT_FIELD[b.role, "ce"], ce)
         grads = student.backward(cache_l, d_l)
 
@@ -614,28 +622,28 @@ def _train_step(state: TrainState, plan: dict[str, tuple[_Branch, ...]], batch, 
             state.training_unlabeled_forwards += len(strong_u)
             d_u = {}
             for b in unlabeled:
-                z = z_u[b.head]
+                p = softmax(z_u[b.head].T)
                 gate, pseudo, p_teacher = targets[b.role]
                 for term in b.terms:
                     lam = getattr(pipe, _LAMBDA[term])
                     if term == "seen":
-                        value, d = losses.gated_ce_loss_and_grad(pseudo, z, gate, mu_b)
+                        value, d = losses.gated_ce_loss_and_grad(pseudo, p, gate, mu_b)
                     elif term == "lm":
-                        value, d = losses.logit_match_loss_and_grad(z, p_teacher, gate, mu_b)
+                        value, d = losses.logit_match_loss_and_grad(p, p_teacher, gate, mu_b)
                     elif term == "unseen" and pipe.unseen_weighting in ("soft", "hard_mask"):
-                        value, d = losses.unseen_loss_and_grad(z, weights, mu_b)
+                        value, d = losses.unseen_loss_and_grad(p, weights, mu_b)
                     elif term == "unseen":  # uniform_push: no extra class, push masked samples to uniform
-                        value, d = losses.uniformity_loss_and_grad(z, weights, mu_b)
+                        value, d = losses.uniformity_loss_and_grad(p, weights, mu_b)
                     else:  # "cr"
                         z_w, cache_w = student.logits(weak_u, heads=(b.head,))
                         state.training_unlabeled_forwards += len(weak_u)
-                        value, d_w, d = losses.consistency_loss_and_grad(z_w[b.head], z, mu_b)
-                        _sum_grads(grads, student.backward(cache_w, {b.head: lam * d_w}))
+                        value, d_w, d = losses.consistency_loss_and_grad(softmax(z_w[b.head].T), p, mu_b)
+                        _sum_grads(grads, student.backward(cache_w, {b.head: _sample_major(lam * d_w)}))
                     setattr(report, _REPORT_FIELD[b.role, term], value)
                     d_u[b.head] = _acc(d_u.get(b.head), lam * d)
-            _sum_grads(grads, student.backward(cache_u, d_u))
+            _sum_grads(grads, student.backward(cache_u, {h: _sample_major(d) for h, d in d_u.items()}))
 
-        state.optimizers[name].step(student.params, grads, lr)
+        state.optimizers[name].step(student.flat, student.grad_vector(grads), lr)
 
     report.inlier_total = losses.inlier_objective(
         report.ce_k, report.seen_in, report.logit_match, (pipe.lambda_seen, pipe.lambda_lm)
@@ -659,6 +667,11 @@ def _acc(total: np.ndarray | None, term: np.ndarray) -> np.ndarray:
     return term if total is None else total + term
 
 
+def _sample_major(d_logits: np.ndarray) -> np.ndarray:
+    """A class-major (C, N) logit gradient as the C-contiguous (N, C) array backward takes."""
+    return np.ascontiguousarray(d_logits.T)
+
+
 # ---------------------------------------------------------------------------
 # Evaluation routing (mode-aware)
 # ---------------------------------------------------------------------------
@@ -673,7 +686,7 @@ def _classifier_predictions(pairs: dict[str, TeacherStudentPair], pipeline: Pipe
         return predict_labels(model, x, head="k")
     # (K+1)-head classifier: route classification through the first K outputs
     probs = model.probs(np.atleast_2d(x), head="k1")
-    return np.argmax(probs[:, : model.K], axis=1) + 1
+    return np.argmax(probs[: model.K], axis=0) + 1
 
 
 def evaluate_pipeline(pairs: dict[str, TeacherStudentPair], pipeline: PipelineDescription,
@@ -745,7 +758,7 @@ def train_dts_iteration(state: TrainState, split: MismatchSplit, config: TrainCo
                 step_callback(state, report)
         ev = None
         if (epoch + 1) % config.eval_every == 0 or epoch == config.epochs_per_iteration - 1:
-            ev = evaluate_pipeline(state.pairs, state.pipeline, split, config.gamma)
+            ev = state.last_eval = evaluate_pipeline(state.pairs, state.pipeline, split, config.gamma)
             if config.dump_scores and state.out_dir is not None:
                 _dump_epoch_scores(state, split, ev.scores)
         record = _epoch_record("train", state.iteration, epoch, state.global_epoch, lr,
@@ -853,7 +866,7 @@ def run_training(
 
     pairs = {name: derive_pair(teacher, kind) for name, kind in pipeline.pairs}
     optimizers = {
-        name: SGD(pair.student.params, config.momentum, config.weight_decay)
+        name: SGD(pair.student.flat, config.momentum, config.weight_decay)
         for name, pair in pairs.items()
     }
     sampler = PairSampler(split, config.batch_size, config.mu, rng,
@@ -885,7 +898,9 @@ def run_training(
             _write_metrics(state.history, out_path / "metrics.jsonl")
         raise
 
-    final_eval = evaluate_pipeline(state.pairs, state.pipeline, split, config.gamma)
+    # an iteration always evaluates its last epoch, and nothing has changed the
+    # students since: that evaluation is the final one
+    final_eval = state.last_eval
     final_eval.per_class_accuracy = per_class_accuracy(final_eval.predictions, split.test_y)
     final_eval.score_histogram = score_histogram(final_eval.scores, split.unlabeled_is_unseen)
     if out_path is not None:

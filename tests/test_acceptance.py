@@ -67,34 +67,42 @@ def test_criterion_1_loss_gradient_suite():
         labels = rng.integers(1, 3, size=3)
         gates = rng.random(3) < 0.6
         scores = rng.random(3)
-        teacher = softmax(rng.normal(size=(3, 2)))
+        teacher = softmax(rng.normal(size=(3, 2)).T)
+
+        # the losses take class-major probabilities and return class-major gradients
+        def cm(logits):
+            return softmax(logits.T)
 
         checks = [
-            (lambda: ce_loss_and_grad(labels, z)[0], z, ce_loss_and_grad(labels, z)[1]),
+            (lambda: ce_loss_and_grad(labels, cm(z))[0], z, ce_loss_and_grad(labels, cm(z))[1]),
             (
-                lambda: gated_ce_loss_and_grad(labels, z, gates, 3)[0],
+                lambda: gated_ce_loss_and_grad(labels, cm(z), gates, 3)[0],
                 z,
-                gated_ce_loss_and_grad(labels, z, gates, 3)[1],
+                gated_ce_loss_and_grad(labels, cm(z), gates, 3)[1],
             ),
             (
-                lambda: logit_match_loss_and_grad(z, teacher, gates, 3)[0],
+                lambda: logit_match_loss_and_grad(cm(z), teacher, gates, 3)[0],
                 z,
-                logit_match_loss_and_grad(z, teacher, gates, 3)[1],
+                logit_match_loss_and_grad(cm(z), teacher, gates, 3)[1],
             ),
             (
-                lambda: unseen_loss_and_grad(z_extra, scores, 3)[0],
+                lambda: unseen_loss_and_grad(cm(z_extra), scores, 3)[0],
                 z_extra,
-                unseen_loss_and_grad(z_extra, scores, 3)[1],
+                unseen_loss_and_grad(cm(z_extra), scores, 3)[1],
             ),
         ]
         for fn, target, analytic in checks:
-            worst = max(worst, max_rel_error(analytic, central_difference(fn, target)))
+            worst = max(worst, max_rel_error(analytic.T, central_difference(fn, target)))
 
-        _, d_weak, d_strong = consistency_loss_and_grad(z_weak, z, 3)
+        _, d_weak, d_strong = consistency_loss_and_grad(cm(z_weak), cm(z), 3)
+
+        def consistency():
+            return consistency_loss_and_grad(cm(z_weak), cm(z), 3)[0]
+
         worst = max(
             worst,
-            max_rel_error(d_weak, central_difference(lambda: consistency_loss_and_grad(z_weak, z, 3)[0], z_weak)),
-            max_rel_error(d_strong, central_difference(lambda: consistency_loss_and_grad(z_weak, z, 3)[0], z)),
+            max_rel_error(d_weak.T, central_difference(consistency, z_weak)),
+            max_rel_error(d_strong.T, central_difference(consistency, z)),
         )
         assert worst < 1e-4, f"trial {trial}: relative error {worst:.2e}"
     elapsed = time.time() - start
@@ -126,7 +134,7 @@ def test_criterion_2_score_algebra_suite():
     its_rows = np.repeat(np.stack([p_its(m) for m in max_grid]), len(last_grid), axis=0)
     ots_rows = np.tile(np.stack([p_ots(l) for l in last_grid]), (len(max_grid), 1))
     for gamma in gamma_grid:
-        values = scores_from_probs(its_rows, ots_rows, gamma).reshape(len(max_grid), len(last_grid))
+        values = scores_from_probs(its_rows.T, ots_rows.T, gamma).reshape(len(max_grid), len(last_grid))
         oracle = [[oracles.score(p_its(m), p_ots(l), gamma) for l in last_grid] for m in max_grid]
         assert values.tobytes() == np.array(oracle).tobytes()
         assert np.all(values >= -1e-12) and np.all(values <= 1.0 + 1e-12)
@@ -140,7 +148,7 @@ def test_criterion_2_score_algebra_suite():
         if gamma == 1.0:
             assert np.allclose(values, (1.0 - max_grid)[:, None], atol=1e-12)
 
-    uniform = scores_from_probs(np.full((1, K), 1 / K), np.full((1, K + 1), 1 / (K + 1)), 0.5)[0]
+    uniform = scores_from_probs(np.full((K, 1), 1 / K), np.full((K + 1, 1), 1 / (K + 1)), 0.5)[0]
     assert abs(uniform - 41.0 / 84.0) <= 1e-9  # 0.488095...
     elapsed = time.time() - start
     assert elapsed < 5.0

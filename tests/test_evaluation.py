@@ -10,7 +10,6 @@ from dts_ssl.evaluation import (
     _midranks,
     compute_accuracy,
     compute_auroc,
-    per_class_accuracy,
     predict_labels,
     run_inference,
     score_histogram,

@@ -1,0 +1,45 @@
+"""Every name the project's code imports is used where it is imported."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCANNED = ("src", "tests", "scripts", "demos")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Imported names that no ``Name`` node of the module reads or writes, with their
+    lines. ``__future__`` imports and star imports bind nothing to check."""
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports():
+    # package __init__ modules import names to re-export them
+    files = sorted(p for d in SCANNED for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py")
+    assert len(files) > 20
+    found = {p.relative_to(ROOT).as_posix(): unused_imports(p.read_text()) for p in files}
+    assert {path: names for path, names in found.items() if names} == {}
+
+
+def test_finds_unused_names_only():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, os.path\n"
+        "import numpy as np\n"
+        "from a.b import c as d, e, f\n"
+        "from g import *\n"
+        "e.x(np.zeros(1))\n"
+        "def h() -> f: ...\n"
+    )
+    assert unused_imports(source) == ["d (line 4)", "os (line 2)"]

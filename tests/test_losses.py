@@ -1,4 +1,9 @@
-"""Loss values against closed forms and scalar oracles, gradient checks, objective composition."""
+"""Loss values against closed forms and scalar oracles, gradient checks, objective composition.
+
+The losses take the class-major softmax of a logits block and return class-major
+logit gradients; ``cm`` builds that input from (N, C) logits, and a gradient is
+compared with (N, C) finite differences through its transpose.
+"""
 
 import numpy as np
 import pytest
@@ -25,6 +30,11 @@ from dts_ssl.numerics import softmax
 HUGE = 1000.0
 
 
+def cm(logits):
+    """The class-major (C, N) probabilities of an (N, C) logits block."""
+    return softmax(np.asarray(logits, dtype=np.float64).T)
+
+
 def simplexes(length, min_p=1e-3):
     return (
         st.lists(st.floats(min_value=min_p, max_value=1.0), min_size=length, max_size=length)
@@ -34,22 +44,22 @@ def simplexes(length, min_p=1e-3):
 
 class TestCrossEntropy:
     def test_perfect_prediction(self):
-        assert ce_loss_and_grad([1], np.array([[HUGE, 0.0, 0.0]]))[0] == 0.0
+        assert ce_loss_and_grad([1], cm([[HUGE, 0.0, 0.0]]))[0] == 0.0
 
     def test_uniform_closed_form(self):
         z = np.zeros((1, 4))
         for label in (1, 2, 3, 4):
-            assert ce_loss_and_grad([label], z)[0] == pytest.approx(np.log(4.0), abs=1e-12)
+            assert ce_loss_and_grad([label], cm(z))[0] == pytest.approx(np.log(4.0), abs=1e-12)
 
     def test_zero_probability_clamped(self):
-        value = ce_loss_and_grad([2], np.array([[HUGE, 0.0]]))[0]
+        value = ce_loss_and_grad([2], cm([[HUGE, 0.0]]))[0]
         assert value == pytest.approx(-np.log(1e-12))
         assert value == pytest.approx(27.63, abs=0.01)
         assert np.isfinite(value)
 
     def test_label_out_of_range(self):
         with pytest.raises(ValidationError):
-            ce_loss_and_grad([4], np.zeros((1, 2)))
+            ce_loss_and_grad([4], cm(np.zeros((1, 2))))
 
 
 class TestKL:
@@ -57,7 +67,7 @@ class TestKL:
 
     @staticmethod
     def kl(z, q):
-        return logit_match_loss_and_grad(np.array([z]), np.array([q]), [True], 1)[0]
+        return logit_match_loss_and_grad(cm([z]), np.array([q], dtype=np.float64).T, [True], 1)[0]
 
     def test_identity_is_zero(self):
         z = np.array([0.3, -0.2, 0.5])
@@ -76,46 +86,46 @@ class TestKL:
         with pytest.raises(ShapeError):
             self.kl([0.0, 0.0], [0.5, 0.25, 0.25])
         with pytest.raises(ShapeError):
-            consistency_loss_and_grad(np.zeros((1, 2)), np.zeros((1, 3)), 1)
+            consistency_loss_and_grad(cm(np.zeros((1, 2))), cm(np.zeros((1, 3))), 1)
 
     @given(simplexes(4), simplexes(4))
     @settings(max_examples=50, deadline=None)
     def test_nonnegative(self, p, q):
         assert self.kl(np.log(p), q) >= -1e-12
-        assert consistency_loss_and_grad(np.log(p)[None, :], np.log(q)[None, :], 1)[0] >= -1e-12
+        assert consistency_loss_and_grad(cm(np.log(p)[None, :]), cm(np.log(q)[None, :]), 1)[0] >= -1e-12
 
 
 class TestSeenLoss:
-    z = np.log(np.array([[0.7, 0.3], [0.4, 0.6]]))
+    p = cm(np.log(np.array([[0.7, 0.3], [0.4, 0.6]])))
 
     def test_all_rejected_is_zero(self):
-        assert gated_ce_loss_and_grad([1, 2], self.z, [False, False], mu_B=2)[0] == 0.0
+        assert gated_ce_loss_and_grad([1, 2], self.p, [False, False], mu_B=2)[0] == 0.0
 
     def test_single_passer_example(self):
-        value = gated_ce_loss_and_grad([1, 2], self.z, [True, False], mu_B=2)[0]
+        value = gated_ce_loss_and_grad([1, 2], self.p, [True, False], mu_B=2)[0]
         assert value == pytest.approx(-np.log(0.7) / 2)
         assert value == pytest.approx(0.1783, abs=1e-4)
 
     def test_one_hot_students_are_free(self):
         z = np.array([[HUGE, 0.0], [0.0, HUGE]])
-        assert gated_ce_loss_and_grad([1, 2], z, [True, True], mu_B=2)[0] == 0.0
+        assert gated_ce_loss_and_grad([1, 2], cm(z), [True, True], mu_B=2)[0] == 0.0
 
     def test_misaligned_gates(self):
         with pytest.raises(ShapeError):
-            gated_ce_loss_and_grad([1], np.zeros((1, 2)), [True, False], mu_B=1)
+            gated_ce_loss_and_grad([1], cm(np.zeros((1, 2))), [True, False], mu_B=1)
 
 
 class TestLogitMatchLoss:
     def test_equal_distributions_zero(self):
         z = np.log(np.array([[0.6, 0.4]]))
-        assert logit_match_loss_and_grad(z, softmax(z), [True], mu_B=1)[0] == 0.0
+        assert logit_match_loss_and_grad(cm(z), cm(z), [True], mu_B=1)[0] == 0.0
 
     def test_all_rejected_zero(self):
-        assert logit_match_loss_and_grad(np.zeros((1, 2)), np.array([[0.9, 0.1]]), [False], 1)[0] == 0.0
+        assert logit_match_loss_and_grad(cm(np.zeros((1, 2))), np.array([[0.9], [0.1]]), [False], 1)[0] == 0.0
 
     def test_single_passer_value(self):
         value = logit_match_loss_and_grad(
-            np.zeros((2, 2)), np.array([[0.9, 0.1], [0.9, 0.1]]), [True, False], mu_B=2
+            cm(np.zeros((2, 2))), np.array([[0.9, 0.1], [0.9, 0.1]]).T, [True, False], mu_B=2
         )[0]
         assert value == pytest.approx(oracles.kl(np.array([0.5, 0.5]), np.array([0.9, 0.1])) / 2)
         assert value == pytest.approx(0.2554, abs=1e-4)
@@ -124,20 +134,20 @@ class TestLogitMatchLoss:
 class TestUnseenLoss:
     def test_zero_scores(self):
         z = np.log(np.array([[0.2, 0.3, 0.5]]))
-        assert unseen_loss_and_grad(z, [0.0], mu_B=1)[0] == 0.0
+        assert unseen_loss_and_grad(cm(z), [0.0], mu_B=1)[0] == 0.0
 
     def test_confident_extra_class_is_free(self):
-        assert unseen_loss_and_grad(np.array([[0.0, 0.0, HUGE]]), [0.9], mu_B=1)[0] == 0.0
+        assert unseen_loss_and_grad(cm([[0.0, 0.0, HUGE]]), [0.9], mu_B=1)[0] == 0.0
 
     def test_weighted_value(self):
-        value = unseen_loss_and_grad(np.log(np.array([[0.25, 0.25, 0.5]])), [0.4], mu_B=1)[0]
+        value = unseen_loss_and_grad(cm(np.log(np.array([[0.25, 0.25, 0.5]]))), [0.4], mu_B=1)[0]
         assert value == pytest.approx(0.4 * np.log(2))
         assert value == pytest.approx(0.2773, abs=1e-4)
 
     def test_linearity_in_score(self):
-        z = np.log(np.array([[0.3, 0.3, 0.4]]))
-        v1 = unseen_loss_and_grad(z, [0.2], mu_B=1)[0]
-        v2 = unseen_loss_and_grad(z, [0.4], mu_B=1)[0]
+        p = cm(np.log(np.array([[0.3, 0.3, 0.4]])))
+        v1 = unseen_loss_and_grad(p, [0.2], mu_B=1)[0]
+        v2 = unseen_loss_and_grad(p, [0.4], mu_B=1)[0]
         assert v2 == pytest.approx(2 * v1)
 
 
@@ -148,51 +158,51 @@ class TestPerSampleInputs:
         rng = np.random.default_rng(seed)
         gates = rng.random(n) < 0.5
         scores = rng.random(n)
-        return rng.normal(size=(n, width)), rng.integers(1, width + 1, size=n), gates, scores
+        return cm(rng.normal(size=(n, width))), rng.integers(1, width + 1, size=n), gates, scores
 
     def test_misaligned_arrays_raise(self):
-        z, labels, gates, scores = self.batch()
+        p, labels, gates, scores = self.batch()
         for bad in (gates[:-1], np.ones((6, 1), dtype=bool), np.array(True)):
             with pytest.raises(ShapeError):
-                gated_ce_loss_and_grad(labels, z, bad, 6)
+                gated_ce_loss_and_grad(labels, p, bad, 6)
             with pytest.raises(ShapeError):
-                logit_match_loss_and_grad(z, softmax(z), bad, 6)
+                logit_match_loss_and_grad(p, p, bad, 6)
             with pytest.raises(ShapeError):
-                uniformity_loss_and_grad(z, bad, 6)
+                uniformity_loss_and_grad(p, bad, 6)
         for bad in (np.r_[scores, 0.5], scores[:, None], np.array(0.5)):
             with pytest.raises(ShapeError):
-                unseen_loss_and_grad(z, bad, 6)
+                unseen_loss_and_grad(p, bad, 6)
 
     def test_gate_lists_match_arrays(self):
-        z, labels, gates, _ = self.batch()
+        p, labels, gates, _ = self.batch()
         variants = [gates, gates.astype(np.float64), gates.tolist(), [int(g) for g in gates]]
-        ref_ce = gated_ce_loss_and_grad(labels, z, gates, 6)
-        ref_lm = logit_match_loss_and_grad(z, softmax(z[::-1]), gates, 6)
-        ref_uni = uniformity_loss_and_grad(z, gates, 6)
+        ref_ce = gated_ce_loss_and_grad(labels, p, gates, 6)
+        ref_lm = logit_match_loss_and_grad(p, p[:, ::-1], gates, 6)
+        ref_uni = uniformity_loss_and_grad(p, gates, 6)
         for v in variants:
             assert np.array_equal(_per_sample(v, 6), gates.astype(np.float64))
-            for ref, got in ((ref_ce, gated_ce_loss_and_grad(labels, z, v, 6)),
-                             (ref_lm, logit_match_loss_and_grad(z, softmax(z[::-1]), v, 6)),
-                             (ref_uni, uniformity_loss_and_grad(z, v, 6))):
+            for ref, got in ((ref_ce, gated_ce_loss_and_grad(labels, p, v, 6)),
+                             (ref_lm, logit_match_loss_and_grad(p, p[:, ::-1], v, 6)),
+                             (ref_uni, uniformity_loss_and_grad(p, v, 6))):
                 assert got[0] == ref[0]
                 assert got[1].tobytes() == ref[1].tobytes()
 
     def test_score_lists_match_arrays(self):
-        z, _, _, scores = self.batch(width=5)
-        ref_value, ref_grad = unseen_loss_and_grad(z, scores, 6)
+        p, _, _, scores = self.batch(width=5)
+        ref_value, ref_grad = unseen_loss_and_grad(p, scores, 6)
         assert np.array_equal(_per_sample(scores.tolist(), 6, "scores"), scores)
-        value, grad = unseen_loss_and_grad(z, scores.tolist(), 6)
+        value, grad = unseen_loss_and_grad(p, scores.tolist(), 6)
         assert value == ref_value and grad.tobytes() == ref_grad.tobytes()
 
 
 class TestConsistencyLoss:
     def test_identical_views_zero(self):
-        z = np.log(np.array([[0.4, 0.6]]))
-        assert consistency_loss_and_grad(z, z, mu_B=1)[0] == 0.0
+        p = cm(np.log(np.array([[0.4, 0.6]])))
+        assert consistency_loss_and_grad(p, p, mu_B=1)[0] == 0.0
 
     def test_value_and_asymmetry(self):
-        one_hot = np.array([[HUGE, 0.0]])
-        uniform = np.zeros((1, 2))
+        one_hot = cm([[HUGE, 0.0]])
+        uniform = cm(np.zeros((1, 2)))
         forward_value = consistency_loss_and_grad(one_hot, uniform, mu_B=1)[0]
         assert forward_value == pytest.approx(np.log(2))
         backward_value = consistency_loss_and_grad(uniform, one_hot, mu_B=1)[0]
@@ -239,83 +249,86 @@ class TestLogitGradients:
     def test_cross_entropy_gradient(self):
         z = self.rng.normal(size=(3, 2))
         y = np.array([1, 2, 1])
-        value, grad = ce_loss_and_grad(y, z)
-        numeric = central_difference(lambda: ce_loss_and_grad(y, z)[0], z)
-        assert_grad_close(grad, numeric)
+        value, grad = ce_loss_and_grad(y, cm(z))
+        numeric = central_difference(lambda: ce_loss_and_grad(y, cm(z))[0], z)
+        assert_grad_close(grad.T, numeric)
 
     def test_gated_ce_gradient(self):
         z = self.rng.normal(size=(3, 2))
         gates = np.array([True, False, True])
-        value, grad = gated_ce_loss_and_grad(np.array([2, 1, 1]), z, gates, mu_B=3)
-        numeric = central_difference(lambda: gated_ce_loss_and_grad(np.array([2, 1, 1]), z, gates, 3)[0], z)
-        assert_grad_close(grad, numeric)
-        assert np.all(grad[1] == 0.0)
+        labels = np.array([2, 1, 1])
+        value, grad = gated_ce_loss_and_grad(labels, cm(z), gates, mu_B=3)
+        numeric = central_difference(lambda: gated_ce_loss_and_grad(labels, cm(z), gates, 3)[0], z)
+        assert_grad_close(grad.T, numeric)
+        assert np.all(grad[:, 1] == 0.0)
 
     def test_logit_match_gradient(self):
         z = self.rng.normal(size=(3, 2))
-        teacher = softmax(self.rng.normal(size=(3, 2)))
+        teacher = cm(self.rng.normal(size=(3, 2)))
         gates = np.array([True, True, False])
-        _, grad = logit_match_loss_and_grad(z, teacher, gates, mu_B=3)
-        numeric = central_difference(lambda: logit_match_loss_and_grad(z, teacher, gates, 3)[0], z)
-        assert_grad_close(grad, numeric)
+        _, grad = logit_match_loss_and_grad(cm(z), teacher, gates, mu_B=3)
+        numeric = central_difference(lambda: logit_match_loss_and_grad(cm(z), teacher, gates, 3)[0], z)
+        assert_grad_close(grad.T, numeric)
 
     def test_unseen_gradient(self):
         z = self.rng.normal(size=(3, 3))
         s = np.array([0.2, 0.0, 0.9])
-        _, grad = unseen_loss_and_grad(z, s, mu_B=3)
-        numeric = central_difference(lambda: unseen_loss_and_grad(z, s, 3)[0], z)
-        assert_grad_close(grad, numeric)
-        assert np.all(grad[1] == 0.0)
+        _, grad = unseen_loss_and_grad(cm(z), s, mu_B=3)
+        numeric = central_difference(lambda: unseen_loss_and_grad(cm(z), s, 3)[0], z)
+        assert_grad_close(grad.T, numeric)
+        assert np.all(grad[:, 1] == 0.0)
 
     def test_consistency_gradients_both_views(self):
         zw = self.rng.normal(size=(3, 2))
         zs = self.rng.normal(size=(3, 2))
-        _, d_weak, d_strong = consistency_loss_and_grad(zw, zs, mu_B=3)
-        numeric_w = central_difference(lambda: consistency_loss_and_grad(zw, zs, 3)[0], zw)
-        numeric_s = central_difference(lambda: consistency_loss_and_grad(zw, zs, 3)[0], zs)
-        assert_grad_close(d_weak, numeric_w)
-        assert_grad_close(d_strong, numeric_s)
+        _, d_weak, d_strong = consistency_loss_and_grad(cm(zw), cm(zs), mu_B=3)
+        numeric_w = central_difference(lambda: consistency_loss_and_grad(cm(zw), cm(zs), 3)[0], zw)
+        numeric_s = central_difference(lambda: consistency_loss_and_grad(cm(zw), cm(zs), 3)[0], zs)
+        assert_grad_close(d_weak.T, numeric_w)
+        assert_grad_close(d_strong.T, numeric_s)
 
     def test_uniformity_gradient(self):
         z = self.rng.normal(size=(3, 4))
         mask = np.array([1.0, 0.0, 1.0])
-        _, grad = uniformity_loss_and_grad(z, mask, mu_B=3)
-        numeric = central_difference(lambda: uniformity_loss_and_grad(z, mask, 3)[0], z)
-        assert_grad_close(grad, numeric)
+        _, grad = uniformity_loss_and_grad(cm(z), mask, mu_B=3)
+        numeric = central_difference(lambda: uniformity_loss_and_grad(cm(z), mask, 3)[0], z)
+        assert_grad_close(grad.T, numeric)
 
     def test_values_match_prob_level_ops(self):
         """Each *_and_grad value is the batch mean of the per-sample oracle, bit for bit."""
         for n, width in ((4, 3), (37, 5), (200, 7)):
             z = self.rng.normal(scale=3.0, size=(n, width))
-            z[::6, 0] = 60.0  # rows with probabilities under the clamp floor
-            probs = softmax(z)
+            z[::6, 0] = 60.0  # samples with probabilities under the clamp floor
+            probs = cm(z)
             y = self.rng.integers(1, width + 1, size=n)
             gates = self.rng.random(n) < 0.6
             scores = self.rng.random(n)
-            teacher = softmax(self.rng.normal(size=(n, width)))
-            z2 = self.rng.normal(size=(n, width))
+            teacher = cm(self.rng.normal(size=(n, width)))
+            p2 = cm(self.rng.normal(size=(n, width)))
 
-            assert ce_loss_and_grad(y, z)[0] == oracles.seen(y, probs, np.ones(n), n)
-            assert gated_ce_loss_and_grad(y, z, gates, 512)[0] == oracles.seen(y, probs, gates, 512)
-            assert logit_match_loss_and_grad(z, teacher, gates, 512)[0] == oracles.logit_match(
-                probs, teacher, gates, 512
+            # the oracles take one probability row per sample
+            assert ce_loss_and_grad(y, probs)[0] == oracles.seen(y, probs.T, np.ones(n), n)
+            assert gated_ce_loss_and_grad(y, probs, gates, 512)[0] == oracles.seen(y, probs.T, gates, 512)
+            assert logit_match_loss_and_grad(probs, teacher, gates, 512)[0] == oracles.logit_match(
+                probs.T, teacher.T, gates, 512
             )
-            assert unseen_loss_and_grad(z, scores, 512)[0] == oracles.unseen(probs, scores, 512)
-            assert consistency_loss_and_grad(z, z2, 512)[0] == oracles.consistency(probs, softmax(z2), 512)
+            assert unseen_loss_and_grad(probs, scores, 512)[0] == oracles.unseen(probs.T, scores, 512)
+            assert consistency_loss_and_grad(probs, p2, 512)[0] == oracles.consistency(probs.T, p2.T, 512)
 
 
 @given(simplexes(3), st.floats(min_value=0.0, max_value=1.0))
 @settings(max_examples=40, deadline=None)
 def test_component_losses_nonnegative(p, s):
-    z = np.log(p)[None, :]
-    assert gated_ce_loss_and_grad([1], z, [True], 1)[0] >= 0
-    assert unseen_loss_and_grad(z, [s], 1)[0] >= 0
-    assert consistency_loss_and_grad(z, z, 1)[0] >= 0
+    probs = cm(np.log(p)[None, :])
+    assert gated_ce_loss_and_grad([1], probs, [True], 1)[0] >= 0
+    assert unseen_loss_and_grad(probs, [s], 1)[0] >= 0
+    assert consistency_loss_and_grad(probs, probs, 1)[0] >= 0
 
 
 def one_hot_ce_grad(labels, z, row_weight, denom):
-    """The CE logit gradient written with a one-hot matrix: (p - onehot) * w * live / denom."""
-    probs = softmax(z)
+    """The CE logit gradient written on (N, C) rows with a one-hot matrix:
+    (p - onehot) * w * live / denom."""
+    probs = cm(z).T
     labels = np.asarray(labels)
     onehot = np.zeros_like(probs)
     onehot[np.arange(len(labels)), labels - 1] = 1.0
@@ -331,7 +344,7 @@ class TestCEGradientOracle:
         rng = np.random.default_rng(seed + width)
         z = rng.normal(scale=rng.choice([0.5, 5.0], size=(n, 1)), size=(n, width))
         labels = rng.integers(1, width + 1, size=n)
-        # rows whose labeled probability sits below the clamp floor (zero gradient)
+        # samples whose labeled probability sits below the clamp floor (zero gradient)
         rows = np.arange(0, n, 5)
         z[rows] = 0.0
         z[rows, labels[rows] % width] = 60.0  # a column other than the label's
@@ -340,27 +353,35 @@ class TestCEGradientOracle:
     @pytest.mark.parametrize("width", range(2, 8))
     def test_ce_bit_equal_to_one_hot_formula(self, width):
         labels, z = self.batch(width)
-        value, d = ce_loss_and_grad(labels, z)
+        value, d = ce_loss_and_grad(labels, cm(z))
         expected = one_hot_ce_grad(labels, z, np.ones(len(labels)), len(labels))
-        assert d.tobytes() == expected.tobytes()
-        assert np.all(d[::5] == 0.0)  # the clamped rows really are in the batch
-        _, d_denom = ce_loss_and_grad(labels, z, denom=1000)
-        assert d_denom.tobytes() == one_hot_ce_grad(labels, z, np.ones(len(labels)), 1000).tobytes()
+        assert d.T.tobytes() == expected.tobytes()
+        assert np.all(d[:, ::5] == 0.0)  # the clamped samples really are in the batch
+        _, d_denom = ce_loss_and_grad(labels, cm(z), denom=1000)
+        assert d_denom.T.tobytes() == one_hot_ce_grad(labels, z, np.ones(len(labels)), 1000).tobytes()
 
     @pytest.mark.parametrize("width", range(2, 8))
     def test_gated_ce_bit_equal_to_one_hot_formula(self, width):
         labels, z = self.batch(width, seed=1)
         gates = np.random.default_rng(width).random(len(labels)) < 0.6
-        value, d = gated_ce_loss_and_grad(labels, z, gates, 512)
+        value, d = gated_ce_loss_and_grad(labels, cm(z), gates, 512)
         expected = one_hot_ce_grad(labels, z, gates.astype(np.float64), 512)
-        assert d.tobytes() == expected.tobytes()
+        assert d.T.tobytes() == expected.tobytes()
 
     def test_inputs_untouched_and_labels_still_checked(self):
+        # every term on a block reads the same probabilities, so none may write into them
         labels, z = self.batch(4)
-        z_before = z.copy()
-        ce_loss_and_grad(labels, z)
-        assert z.tobytes() == z_before.tobytes()
+        p, q = cm(z), cm(z[::-1])
+        p_before, q_before = p.copy(), q.copy()
+        gates, scores = np.ones(len(z)), np.linspace(0.0, 1.0, len(z))
+        ce_loss_and_grad(labels, p)
+        gated_ce_loss_and_grad(labels, p, gates, 8)
+        logit_match_loss_and_grad(p, q, gates, 8)
+        unseen_loss_and_grad(p, scores, 8)
+        consistency_loss_and_grad(p, q, 8)
+        uniformity_loss_and_grad(p, gates, 8)
+        assert p.tobytes() == p_before.tobytes() and q.tobytes() == q_before.tobytes()
         with pytest.raises(ValidationError):
-            ce_loss_and_grad(np.full(len(z), 5), z)
+            ce_loss_and_grad(np.full(len(z), 5), p)
         with pytest.raises(ValidationError):
-            gated_ce_loss_and_grad(np.zeros(len(z), dtype=int), z, np.ones(len(z)), 8)
+            gated_ce_loss_and_grad(np.zeros(len(z), dtype=int), p, np.ones(len(z)), 8)

@@ -10,7 +10,6 @@ from dts_ssl.errors import ShapeError, StateError, ValidationError
 from dts_ssl.losses import ce_loss_and_grad
 from dts_ssl.models import (
     BackboneSpec,
-    DualHeadModel,
     derive_pair,
     init_teacher,
     load_model,
@@ -33,8 +32,8 @@ class TestInitTeacher:
     def test_head_widths(self):
         model = make_teacher(K=6)
         x = np.random.default_rng(0).normal(size=(3, 5))
-        assert model.probs(x, head="k").shape == (3, 6)
-        assert model.probs(x, head="k1").shape == (3, 7)
+        assert model.probs(x, head="k").shape == (6, 3)  # class-major
+        assert model.probs(x, head="k1").shape == (7, 3)
 
     def test_zeroed_heads_give_uniform_outputs(self):
         model = make_teacher(K=4)
@@ -66,13 +65,13 @@ class TestForward:
         for head in ("k", "k1"):
             p = model.probs(x, head)
             assert np.all(p >= 0)
-            assert np.allclose(p.sum(axis=1), 1.0, atol=1e-6)
+            assert np.allclose(p.sum(axis=0), 1.0, atol=1e-6)
 
     def test_batch_equals_per_example(self):
         model = make_teacher(K=4)
         x = np.random.default_rng(3).normal(size=(3, 5))
         batched = model.probs(x, "k")
-        singles = np.vstack([model.probs(x[i : i + 1], "k") for i in range(3)])
+        singles = np.hstack([model.probs(x[i : i + 1], "k") for i in range(3)])
         assert np.allclose(batched, singles, atol=1e-10)
 
     def test_dimension_mismatch_raises(self):
@@ -96,7 +95,7 @@ class TestDerivePair:
     def test_outlier_pair_outputs_k_plus_one(self):
         pair = derive_pair(make_teacher(K=4), "outlier")
         x = np.zeros((2, 5))
-        assert pair.student.probs(x, "k1").shape == (2, 5)
+        assert pair.student.probs(x, "k1").shape == (5, 2)
 
     def test_single_head_models_reject_other_head(self):
         pair = derive_pair(make_teacher(), "inlier")
@@ -120,6 +119,45 @@ class TestDerivePair:
             assert pair.teacher.spec.to_json() == pair.student.spec.to_json()
 
 
+class TestParameterVector:
+    """Each model keeps its parameters in one vector; ``params`` are views into it."""
+
+    def models(self, tmp_path):
+        teacher = make_teacher()
+        pair = derive_pair(teacher, "outlier")
+        pair.student.params["head_k1.b"] += 1.0
+        refresh_teacher(pair)
+        save_model(pair.student, tmp_path / "student.npz")
+        return {"initialize": teacher, "copy": teacher.copy(), "derive_pair": pair.student,
+                "refresh_teacher": pair.teacher, "load_model": load_model(tmp_path / "student.npz")}
+
+    def test_params_are_views_into_the_vector_in_order(self, tmp_path):
+        models = self.models(tmp_path)
+        for how, model in models.items():
+            before = param_hash(model)
+            assert model.flat.ndim == 1 and model.flat.flags.c_contiguous, how
+            assert model.flat.size == sum(v.size for v in model.params.values()), how
+            flat = model.flat.copy()
+            model.flat[:] = np.arange(model.flat.size)
+            at = 0
+            for name, v in model.params.items():
+                assert np.array_equal(v.ravel(), np.arange(at, at + v.size)), (how, name)
+                at += v.size
+            model.flat[:] = flat
+            assert param_hash(model) == before, how
+        vectors = [m.flat for m in models.values()]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(vectors) for b in vectors[i + 1:])
+
+    def test_grad_vector_follows_the_layout_and_needs_every_tensor(self):
+        model = make_teacher()
+        grads = {k: np.full(v.shape, float(i)) for i, (k, v) in enumerate(model.params.items())}
+        expected = np.concatenate([np.full(v.size, float(i)) for i, v in enumerate(model.params.values())])
+        assert model.grad_vector(grads).tobytes() == expected.tobytes()
+        del grads["head_k.b"]
+        with pytest.raises(StateError, match="head_k.b"):
+            model.grad_vector(grads)
+
+
 class TestRefreshTeacher:
     def test_refresh_copies_student(self):
         pair = derive_pair(make_teacher(), "inlier")
@@ -141,8 +179,8 @@ class TestRefreshTeacher:
         x = np.random.default_rng(1).normal(size=(4, 5))
         y = np.array([1, 2, 3, 1])
         z, cache = pair.student.logits(x, heads=("k",))
-        _, d = ce_loss_and_grad(y, z["k"])
-        grads = pair.student.backward(cache, {"k": d})
+        _, d = ce_loss_and_grad(y, softmax(z["k"].T))
+        grads = pair.student.backward(cache, {"k": np.ascontiguousarray(d.T)})
         for name, g in grads.items():
             pair.student.params[name] -= 0.1 * g
         before = pair.teacher.probs(x, "k")
@@ -161,12 +199,12 @@ class TestGradients:
 
         def loss_value():
             z, _ = model.logits(x, heads=("k",))
-            probs = softmax(z["k"])
-            return float(np.mean([oracles.cross_entropy(int(y[i]), probs[i]) for i in range(4)]))
+            probs = softmax(z["k"].T)
+            return float(np.mean([oracles.cross_entropy(int(y[i]), probs[:, i]) for i in range(4)]))
 
         z, cache = model.logits(x, heads=("k",))
-        _, d = ce_loss_and_grad(y, z["k"])
-        grads = model.backward(cache, {"k": d})
+        _, d = ce_loss_and_grad(y, softmax(z["k"].T))
+        grads = model.backward(cache, {"k": np.ascontiguousarray(d.T)})
 
         eps = 1e-6
         probes = [
@@ -195,13 +233,13 @@ class TestGradients:
         y = np.array([1, 2, 3])
 
         z, cache = model.logits(x, heads=("k1",))
-        _, d = ce_loss_and_grad(y, z["k1"])
-        grads = model.backward(cache, {"k1": d})
+        _, d = ce_loss_and_grad(y, softmax(z["k1"].T))
+        grads = model.backward(cache, {"k1": np.ascontiguousarray(d.T)})
         assert {"proj.W", "proj.b"} <= set(grads)
 
         def loss_value():
             z2, _ = model.logits(x, heads=("k1",))
-            v, _ = ce_loss_and_grad(y, z2["k1"])
+            v, _ = ce_loss_and_grad(y, softmax(z2["k1"].T))
             return v
 
         eps = 1e-6

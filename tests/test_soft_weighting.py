@@ -26,8 +26,8 @@ def simplex_with_last(last, K1):
 
 
 def score_one(p_its, p_ots, gamma):
-    """scores_from_probs on a batch of one sample."""
-    return scores_from_probs(p_its[None, :], p_ots[None, :], gamma)[0]
+    """scores_from_probs on a batch of one sample (class-major: one column)."""
+    return scores_from_probs(p_its[:, None], p_ots[:, None], gamma)[0]
 
 
 class TestUncertaintyScore:
@@ -73,12 +73,14 @@ class TestUncertaintyScore:
         gamma = 0.6
         p_ots = simplex_with_last(0.4, 4)
         values = scores_from_probs(
-            np.stack([simplex_with_max(m, 3) for m in (0.4, 0.6, 0.8, 0.99)]), np.tile(p_ots, (4, 1)), gamma
+            np.stack([simplex_with_max(m, 3) for m in (0.4, 0.6, 0.8, 0.99)], axis=1),
+            np.tile(p_ots[:, None], (1, 4)), gamma,
         )
         assert all(a > b for a, b in zip(values, values[1:]))
         p_its = simplex_with_max(0.7, 3)
         values = scores_from_probs(
-            np.tile(p_its, (4, 1)), np.stack([simplex_with_last(l, 4) for l in (0.0, 0.3, 0.6, 0.9)]), gamma
+            np.tile(p_its[:, None], (1, 4)),
+            np.stack([simplex_with_last(l, 4) for l in (0.0, 0.3, 0.6, 0.9)], axis=1), gamma,
         )
         assert all(a < b for a, b in zip(values, values[1:]))
 
@@ -87,11 +89,11 @@ class TestScoresFromProbs:
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(1)
         K = 4
-        p_in = softmax(rng.normal(size=(20, K)))
-        p_out = softmax(rng.normal(size=(20, K + 1)))
+        p_in = softmax(rng.normal(size=(20, K)).T)
+        p_out = softmax(rng.normal(size=(20, K + 1)).T)
         for gamma in (0.0, 0.3, 0.5, 1.0):
             vec = scores_from_probs(p_in, p_out, gamma)
-            expected = [oracles.score(p_in[i], p_out[i], gamma) for i in range(20)]
+            expected = [oracles.score(p_in[:, i], p_out[:, i], gamma) for i in range(20)]
             assert vec.tobytes() == np.array(expected).tobytes()
 
 
@@ -150,8 +152,8 @@ class TestTeacherScores:
         views = np.random.default_rng(42).normal(size=(7, 4))
         got = scores_from_probs(t_in.probs(views, "k"), t_out.probs(views, "k1"), gamma=0.4)
         for i in range(7):
-            p_its = t_in.probs(views[i : i + 1], "k")[0]
-            p_ots = t_out.probs(views[i : i + 1], "k1")[0]
+            p_its = t_in.probs(views[i : i + 1], "k")[:, 0]
+            p_ots = t_out.probs(views[i : i + 1], "k1")[:, 0]
             # one row forwards through BLAS in another order than a batch
             assert got[i] == pytest.approx(oracles.score(p_its, p_ots, 0.4), abs=1e-12)
 

@@ -248,7 +248,7 @@ class TestPretrainTeacher:
         ma = np.convolve(losses, np.ones(10) / 10, mode="valid")
         assert np.all(np.diff(ma) <= 5e-5)
         # the (K+1)-head never picks the extra class on labeled data
-        k1_preds = np.argmax(teacher.probs(ds.features, head="k1"), axis=1) + 1
+        k1_preds = np.argmax(teacher.probs(ds.features, head="k1"), axis=0) + 1
         assert np.all(k1_preds <= 2)
 
 
@@ -333,9 +333,9 @@ class TestRunTrainingStructure:
         masks = {K: [], K + 1: []}  # head width -> the gate mask of each gated-CE call
         spied = losses.gated_ce_loss_and_grad
 
-        def spy(pseudo_labels, logits, gates, mu_B):
-            masks[logits.shape[1]].append(np.asarray(gates, dtype=bool))
-            return spied(pseudo_labels, logits, gates, mu_B)
+        def spy(pseudo_labels, probs, gates, mu_B):
+            masks[probs.shape[0]].append(np.asarray(gates, dtype=bool))  # class-major probs
+            return spied(pseudo_labels, probs, gates, mu_B)
 
         monkeypatch.setattr(losses, "gated_ce_loss_and_grad", spy)
         run_training(gated_config(), tiny_split())
@@ -426,10 +426,10 @@ class TestAblationBehavior:
         def run(flag):
             admitted, first_pass_counts = [], []
 
-            def spy(pseudo_labels, logits, gates, mu_B):
-                if logits.shape[1] == K + 1:  # the (K+1)-head branch
+            def spy(pseudo_labels, probs, gates, mu_B):
+                if probs.shape[0] == K + 1:  # the (K+1)-head branch; probs are class-major
                     admitted.append(pseudo_labels[gates])
-                return spied(pseudo_labels, logits, gates, mu_B)
+                return spied(pseudo_labels, probs, gates, mu_B)
 
             monkeypatch.setattr(losses, "gated_ce_loss_and_grad", spy)
             # a low tau and a heavy unseen term, so the refreshed outlier teachers
@@ -512,6 +512,23 @@ class TestEvaluatePipeline:
         assert ev.accuracy == result.final_eval.accuracy and ev.auroc == result.final_eval.auroc
         assert np.array_equal(ev.predictions, result.final_eval.predictions)
         assert ev.scores.tobytes() == result.final_eval.scores.tobytes()
+
+    def test_final_eval_is_the_last_epoch_evaluation(self, monkeypatch):
+        # an iteration always evaluates its last epoch, so the run adds no evaluation
+        calls = []
+        evaluate = dts_ssl.trainer.evaluate_pipeline
+
+        def counting(*args, **kwargs):
+            calls.append(evaluate(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(dts_ssl.trainer, "evaluate_pipeline", counting)
+        cfg = tiny_config(eval_every=2)  # 3 epochs per iteration: the 2nd and the last evaluate
+        result = run_training(cfg, tiny_split())
+        evaluated = [r for r in result.history if np.isfinite(r["test_accuracy"])]
+        assert len(calls) == len(evaluated) == cfg.pretrain_epochs + 2 * cfg.iterations
+        assert result.final_eval is calls[-1]
+        assert result.final_eval.accuracy == result.history[-1]["test_accuracy"]
 
     def test_degenerate_ratio_reports_nan_auroc(self):
         split = tiny_split(ratio=0.0)
@@ -608,10 +625,10 @@ class TestStepWork:
 
         def record(kind, fn):
             def recorded(*args, **kwargs):
-                if kind == "loss":  # the head is told by the width of the first logits argument
+                if kind == "loss":  # the head is told by the class count of the first probabilities
                     z = next(a for a in args if isinstance(a, np.ndarray) and a.ndim == 2)
                     events.append((fn.__name__.replace("_loss_and_grad", "").replace("_and_grad", ""),
-                                   "k" if z.shape[1] == split.K else "k1"))
+                                   "k" if z.shape[0] == split.K else "k1"))  # class-major probs
                 else:
                     events.append(kind)
                 return fn(*args, **kwargs)
@@ -636,6 +653,71 @@ class TestStepWork:
         assert step.count("backward") == n_backward
 
 
+class TestTraceContract:
+    """The names the benchmark's tracer wraps keep doing the work it attributes to them:
+    one ``losses.*_and_grad`` call per loss term, and ``trainer.scores_from_probs`` and
+    ``trainer.gate_mask`` computing the scores and gates of a step."""
+
+    def test_losses_define_no_private_and_grad_name(self):
+        # the tracer wraps every losses name ending in _and_grad as one loss term, so a
+        # private helper so named would count a term twice
+        names = [n for n in vars(losses) if n.endswith("_and_grad")]
+        assert names and [n for n in names if n.startswith("_")] == []
+
+    def test_full_step_makes_one_softmax_per_block_and_shares_it(self, monkeypatch):
+        split = tiny_split()
+        K = split.K
+        blocks, loss_calls, scored, gates, marks = [], [], [], [], []
+        trainer_module, models_module = dts_ssl.trainer, dts_ssl.models
+
+        def spy(fn, log, keep):
+            def spied(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                log.append(keep(fn, args, out))
+                return out
+            return spied
+
+        softmax = spy(trainer_module.softmax, blocks, lambda fn, args, out: out)
+        monkeypatch.setattr(trainer_module, "softmax", softmax)
+        monkeypatch.setattr(models_module, "softmax", softmax)
+        for name in [n for n in vars(losses) if n.endswith("_and_grad")]:
+            monkeypatch.setattr(losses, name, spy(getattr(losses, name), loss_calls,
+                                                  lambda fn, args, out: (fn.__name__, args)))
+        monkeypatch.setattr(trainer_module, "scores_from_probs", spy(
+            trainer_module.scores_from_probs, scored, lambda fn, args, out: (args, out)))
+        monkeypatch.setattr(trainer_module, "gate_mask", spy(
+            trainer_module.gate_mask, gates, lambda fn, args, out: out))
+
+        def on_step(state, report):  # the second step of the first epoch: no evaluation in between
+            marks.append((len(blocks), len(loss_calls), len(scored), len(gates), report.batch_unlabeled))
+            if len(marks) == 2:
+                raise _SecondStepDone
+
+        with pytest.raises(_SecondStepDone):
+            run_training(tiny_config(), split, step_callback=on_step)
+        (b0, l0, s0, g0, _), (b1, l1, s1, g1, n_u) = marks
+        blocks, loss_calls, scored, gates = blocks[b0:b1], loss_calls[l0:l1], scored[s0:s1], gates[g0:g1]
+        n_l = len(loss_calls[0][1][0])  # the labels of the inlier labeled CE
+
+        # teachers' weak views, then per student its labeled, strong-view and (outlier) weak-view block
+        assert [p.shape for p in blocks] == [(K, n_u), (K + 1, n_u), (K, n_l), (K, n_u),
+                                             (K + 1, n_l), (K + 1, n_u), (K + 1, n_u)]
+        assert all(p.flags.c_contiguous for p in blocks)
+        t_in, t_out, in_l, in_u, out_l, out_u, out_w = blocks
+        (score_args, scores), = scored
+        assert score_args[0] is t_in and score_args[1] is t_out
+        gate_in, gate_out = gates
+        expected = [
+            ("ce_loss_and_grad", in_l), ("gated_ce_loss_and_grad", in_u, gate_in),
+            ("logit_match_loss_and_grad", in_u, t_in, gate_in),
+            ("ce_loss_and_grad", out_l), ("gated_ce_loss_and_grad", out_u, gate_out),
+            ("unseen_loss_and_grad", out_u, scores), ("consistency_loss_and_grad", out_w, out_u),
+        ]
+        assert [name for name, _ in loss_calls] == [name for name, *_ in expected]
+        for (name, args), (_, *arrays) in zip(loss_calls, expected):  # the very same arrays
+            assert all(any(arg is want for arg in args) for want in arrays), name
+
+
 def test_lr_schedule_cosine_decays():
     split = tiny_split()
     result = run_training(tiny_config(lr_schedule="cosine"), split)
@@ -653,6 +735,16 @@ def old_sgd_step(params, velocity, grads, momentum, weight_decay, lr):
         params[name] -= lr * v
 
 
+def tensors(vector, shapes):
+    """Per-tensor views of a parameter-layout vector."""
+    out, at = {}, 0
+    for name, shape in shapes.items():
+        size = int(np.prod(shape))
+        out[name] = vector[at : at + size].reshape(shape)
+        at += size
+    return out
+
+
 class TestSGDOracle:
     @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
     def test_bit_equal_to_out_of_place_update_and_grads_untouched(self, weight_decay):
@@ -662,29 +754,39 @@ class TestSGDOracle:
         params["a.b"][:2] = [0.0, -0.0]
         params["a.W"][0] = np.abs(params["a.W"][0])
         ref_params = {k: v.copy() for k, v in params.items()}
-        opt = SGD(params, momentum=0.9, weight_decay=weight_decay)
-        ref_velocity = {k: np.zeros_like(v) for k, v in params.items()}
+        flat = np.concatenate([v.ravel() for v in params.values()])
+        opt = SGD(flat, momentum=0.9, weight_decay=weight_decay)
+        ref_velocity = {k: np.zeros(s) for k, s in shapes.items()}
         # signed zeros: -0.0 velocity plus a -0.0 gradient stays -0.0 only if the
         # decay term 0*p (+0.0 here) is left out, which the update must not do
-        opt.velocity["a.W"][0] = ref_velocity["a.W"][0] = -0.0
-        velocity = dict(opt.velocity)
+        tensors(opt.velocity, shapes)["a.W"][0] = ref_velocity["a.W"][0] = -0.0
+        velocity = opt.velocity
         for step in range(6):
-            # a step may leave a tensor out, and gradients span many magnitudes
-            keys = list(shapes) if step % 3 else ["a.W", "b.W"]
-            grads = {k: rng.normal(size=shapes[k]) * 10.0 ** rng.integers(-6, 3, shapes[k])
-                     for k in keys}
+            # gradients span many magnitudes
+            grads = {k: rng.normal(size=s) * 10.0 ** rng.integers(-6, 3, s) for k, s in shapes.items()}
             if step == 0:
                 grads["a.W"][0] = -0.0
-            before = {k: g.copy() for k, g in grads.items()}
+            g = np.concatenate([v.ravel() for v in grads.values()])
+            before = g.copy()
             lr = 0.05 / (step + 1)
-            opt.step(params, grads, lr)
-            old_sgd_step(ref_params, ref_velocity, before, 0.9, weight_decay, lr)
-            for k in grads:
-                assert grads[k].tobytes() == before[k].tobytes()
+            opt.step(flat, g, lr)
+            old_sgd_step(ref_params, ref_velocity, grads, 0.9, weight_decay, lr)
+            assert g.tobytes() == before.tobytes()
+            got_params, got_velocity = tensors(flat, shapes), tensors(opt.velocity, shapes)
             for k in shapes:
-                assert params[k].tobytes() == ref_params[k].tobytes(), (step, k)
-                assert opt.velocity[k].tobytes() == ref_velocity[k].tobytes(), (step, k)
-                assert opt.velocity[k] is velocity[k], (step, k)  # updated in place
+                assert got_params[k].tobytes() == ref_params[k].tobytes(), (step, k)
+                assert got_velocity[k].tobytes() == ref_velocity[k].tobytes(), (step, k)
+            assert opt.velocity is velocity, step  # updated in place
+
+    def test_updates_the_model_through_its_parameter_views(self):
+        model = init_teacher(BackboneSpec(4, (3,), 2), 2, seed=0)
+        views = dict(model.params)
+        before = {k: v.copy() for k, v in views.items()}
+        grads = {k: np.ones_like(v) for k, v in views.items()}
+        SGD(model.flat, momentum=0.9, weight_decay=0.0).step(model.flat, model.grad_vector(grads), 0.5)
+        for k, v in views.items():
+            assert model.params[k] is v
+            assert v.tobytes() == (before[k] - 0.5).tobytes(), k
 
 
 class TestMeanReportOracle:
