@@ -51,10 +51,7 @@ split = build_mismatch_split(dataset, [1, 2, 3, 4], 0.5, m=80, n=800, seed=1)
 config = TrainConfig.desk(seed=1, hidden_widths=(16, 16), feature_dim=8)
 
 teacher = init_teacher(BackboneSpec(split.dim, (16, 16), 8), split.K, seed=1)
-pretrain_teacher(
-    teacher, split.labeled_x, split.labeled_y, config,
-    rng=np.random.default_rng(1), scale=feature_scale(split),
-)
+pretrain_teacher(teacher, split, config, np.random.default_rng(1), feature_scale(split))
 inlier = derive_pair(teacher, "inlier")
 outlier = derive_pair(teacher, "outlier")
 

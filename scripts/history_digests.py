@@ -32,13 +32,15 @@ SEEDS = (0, 1, 2)
 WIDE_MODES = ("full", "no_its", "no_k1_ots", "one_f_two_c_proj", "supervised_only")
 WIDE = dict(hidden_widths=(64, 64), feature_dim=32)
 # (mode, config override): a loss weight at 0, the extra-class pseudo-label
-# exclusion, and the cosine learning-rate schedule
+# exclusion, the cosine learning-rate schedule, and an evaluation schedule
+# other than every epoch (pre-training still evaluates every epoch)
 GUARDS = (
     ("full", "lambda_lm", 0.0),
     ("full", "lambda_seen", 0.0),
     ("no_its", "lambda_cr", 0.0),
     ("one_f_two_c", "exclude_k1_pseudo", True),
     ("no_soft_weighting", "lr_schedule", "cosine"),
+    ("full", "eval_every", 3),
 )
 
 

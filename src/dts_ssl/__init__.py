@@ -38,7 +38,6 @@ from .evaluation import (
     compute_accuracy,
     compute_auroc,
     predict_labels,
-    run_inference,
 )
 from .losses import (
     LossReport,
@@ -68,6 +67,7 @@ from .trainer import (
     config_hash,
     evaluate_pipeline,
     pretrain_teacher,
+    run_inference,
     run_training,
     train_dts_iteration,
 )

@@ -1,9 +1,8 @@
-"""Inference and metrics: seen-class accuracy and unseen-detection AUROC.
+"""Metrics: seen-class accuracy, unseen-detection AUROC and the final tables.
 
-Inference applies no augmentation; raw inputs go through the trained students.
-Accuracy comes from the inlier student's K-way head; the detection score over
-unlabeled data is the same uncertainty blend used in training, computed from
-the two students. The hidden seen/unseen flags are read here and only here.
+These functions only measure; ``trainer.evaluate_pipeline`` decides which
+model predicts and which scores detect, and ``trainer.run_inference`` is the
+evaluation of two trained students.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UndefinedMetricError, ValidationError
-from .soft_weighting import scores_from_probs
 
 
 @dataclass
@@ -123,41 +121,4 @@ def score_histogram(scores, is_unseen, bins: int = 20) -> ScoreHistogram:
         bin_edges=edges.tolist(),
         seen_counts=seen_counts.tolist(),
         unseen_counts=unseen_counts.tolist(),
-    )
-
-
-def detection_scores(student_in, student_out, inputs: np.ndarray, gamma: float) -> np.ndarray:
-    """Inference-time uncertainty scores on raw (un-augmented) inputs."""
-    x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    p_in = student_in.probs(x, head="k")
-    p_out = student_out.probs(x, head="k1")
-    return scores_from_probs(p_in, p_out, gamma)
-
-
-def run_inference(
-    student_in,
-    student_out,
-    test_x: np.ndarray,
-    test_y: np.ndarray,
-    unlabeled_x: np.ndarray,
-    unlabeled_is_unseen: np.ndarray,
-    gamma: float,
-) -> EvalResult:
-    """Full evaluation: test accuracy via the inlier student, AUROC via both students."""
-    if len(np.atleast_1d(test_y)) == 0 or len(np.atleast_2d(unlabeled_x)) == 0:
-        raise ValidationError("run_inference requires nonempty test and unlabeled sets")
-    preds = predict_labels(student_in, test_x, head="k")
-    acc = compute_accuracy(preds, test_y)
-    scores = detection_scores(student_in, student_out, unlabeled_x, gamma)
-    flags = np.asarray(unlabeled_is_unseen, dtype=bool)
-    auroc = compute_auroc(scores, flags)
-    return EvalResult(
-        accuracy=acc,
-        auroc=auroc,
-        per_class_accuracy=per_class_accuracy(preds, test_y),
-        score_histogram=score_histogram(scores, flags),
-        mean_score_seen=float(scores[~flags].mean()) if (~flags).any() else float("nan"),
-        mean_score_unseen=float(scores[flags].mean()) if flags.any() else float("nan"),
-        predictions=preds,
-        scores=scores,
     )

@@ -1,5 +1,5 @@
 """Training orchestration: teacher pre-training, the per-iteration joint loop,
-optimizers, ablation dispatch, and metrics/checkpoint output.
+optimizers, ablation dispatch, evaluation, and metrics/checkpoint output.
 
 The full pipeline is: pre-train one dual-head teacher on labeled data, derive
 the inlier and outlier teacher-student pairs from it, then run a fixed number
@@ -7,6 +7,12 @@ of iterations. Within an iteration the teachers are frozen; every step scores
 the unlabeled batch with the teachers, updates the inlier student on its
 objective, then updates the outlier student on its objective. At iteration
 boundaries each student is copied into its teacher.
+
+Pre-training is the CE-only merged plan: the teacher, as the one model of a
+``merged`` pair, trains the branches (inlier, k) and (outlier, k1) with no
+unlabeled terms. It runs through the same epoch loop (``_run_epochs``) and
+step (``_train_step``) as the iterations, and every evaluation, pre-training's,
+the iterations' and ``run_inference``'s, goes through ``evaluate_pipeline``.
 
 Ablation modes reconfigure this pipeline (which pairs exist, how samples are
 scored and weighted, which loss terms are active) without changing the step
@@ -49,7 +55,6 @@ import json
 import platform
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -222,7 +227,6 @@ class PipelineDescription:
     outlier_losses: tuple[str, ...]
     gate_uses_score: bool
     classifier: str  # "inlier" | "outlier" | "merged"
-    labeled_view: str  # augmentation for the labeled cross-entropy views
     lambda_seen: float
     lambda_lm: float
     lambda_unseen: float
@@ -251,7 +255,6 @@ def apply_ablation(mode: str, config: TrainConfig) -> PipelineDescription:
         outlier_losses=("ce", "seen", "unseen", "cr"),
         gate_uses_score=True,
         classifier="inlier",
-        labeled_view="strong",
         k1_projection=False,
         summary="dual teacher-student pairs, soft-weighted unseen supervision",
         **lam,
@@ -430,53 +433,36 @@ class TrainResult:
 # ---------------------------------------------------------------------------
 
 
-def pretrain_teacher(
-    teacher: DualHeadModel,
-    labeled_x: np.ndarray,
-    labeled_y: np.ndarray,
-    config: TrainConfig,
-    rng: np.random.Generator | None = None,
-    scale: np.ndarray | None = None,
-    on_epoch: Callable[[int, LossReport], None] | None = None,
-) -> DualHeadModel:
-    """Optimize both heads on labeled strong views for ``config.pretrain_epochs``.
+def pretrain_teacher(teacher: DualHeadModel, split: MismatchSplit, config: TrainConfig,
+                     rng: np.random.Generator, scale: np.ndarray) -> list[dict]:
+    """Optimize both heads on labeled strong views for ``config.pretrain_epochs``;
+    returns the epoch records, each with an evaluation of the teacher.
 
-    No unlabeled example appears anywhere in this phase; the (K+1)-head trains
-    with the same 1..K labels (it simply never sees a positive for the extra
-    class). Sets the pre-trained flag required by pair derivation.
+    The teacher trains as the one model of a ``merged`` pair on the CE-only
+    plan, so no unlabeled example appears anywhere in this phase; the
+    (K+1)-head trains with the same 1..K labels (it simply never sees a
+    positive for the extra class). Sets the pre-trained flag required by pair
+    derivation.
     """
-    labeled_x = np.atleast_2d(np.asarray(labeled_x, dtype=np.float64))
-    labeled_y = np.asarray(labeled_y, dtype=np.int64)
-    if len(labeled_x) == 0:
-        raise ValidationError("pre-training requires a nonempty labeled set")
-    if labeled_y.min() < 1 or labeled_y.max() > teacher.K:
+    # the sampler rejects an empty labeled set, so the label range below is defined
+    sampler = PairSampler(split, config.batch_size, config.mu, rng, include_unlabeled=False)
+    if split.labeled_y.min() < 1 or split.labeled_y.max() > teacher.K:
         raise ValidationError(f"labels must lie in 1..{teacher.K}")
-    rng = rng if rng is not None else np.random.default_rng(config.seed)
-    scale = labeled_x.std(axis=0) if scale is None else scale
-    aug = AugmentConfig(config.weak_sigma, config.strong_sigma, config.mask_fraction)
-    optimizer = SGD(teacher.flat, config.momentum, config.weight_decay)
-    m = len(labeled_x)
-    order = np.arange(m)
-    total = config.pretrain_epochs + config.total_train_epochs
-    for epoch in range(config.pretrain_epochs):
-        lr = _lr_at(config, epoch, total)
-        rng.shuffle(order)
-        reports = []
-        for start in range(0, m, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            strong_x = augment_batch(labeled_x[idx], "strong", rng, scale, aug)
-            z, cache = teacher.logits(strong_x, heads=("k", "k1"))
-            ce_k, d_k = losses.ce_loss_and_grad(labeled_y[idx], softmax(z["k"].T))
-            ce_k1, d_k1 = losses.ce_loss_and_grad(labeled_y[idx], softmax(z["k1"].T))
-            grads = teacher.backward(cache, {"k": _sample_major(d_k), "k1": _sample_major(d_k1)})
-            optimizer.step(teacher.flat, teacher.grad_vector(grads), lr)
-            reports.append(
-                LossReport(ce_k=ce_k, ce_k1=ce_k1, pretrain_total=losses.pretrain_objective(ce_k, ce_k1))
-            )
-        if on_epoch is not None:
-            on_epoch(epoch, _mean_report(reports))
+    pipeline = dataclasses.replace(
+        apply_ablation(config.ablation_mode, config), pairs=(("merged", "merged"),),
+        classifier="merged", score_mode="blend", uses_unlabeled=False,
+        inlier_losses=("ce",), outlier_losses=("ce",),
+    )
+    state = TrainState(
+        config=config, pipeline=pipeline, teacher=teacher,
+        pairs={"merged": TeacherStudentPair(teacher, teacher, "both")},
+        optimizers={"merged": SGD(teacher.flat, config.momentum, config.weight_decay)},
+        sampler=sampler, rng=rng, scale=scale, split=split, iteration=-1,
+        aug=AugmentConfig(config.weak_sigma, config.strong_sigma, config.mask_fraction),
+    )
+    _run_epochs(state)
     teacher.pretrained = True
-    return teacher
+    return state.history
 
 
 def _mean_report(reports: list[LossReport]) -> LossReport:
@@ -576,7 +562,7 @@ def _train_step(state: TrainState, plan: dict[str, tuple[_Branch, ...]], batch, 
     rng = state.rng
     report = LossReport()
 
-    strong_x = augment_batch(batch.labeled_x, pipe.labeled_view, rng, state.scale, state.aug)
+    strong_x = augment_batch(batch.labeled_x, "strong", rng, state.scale, state.aug)
     mu_b = len(batch.unlabeled_x)
     report.batch_unlabeled = mu_b
 
@@ -678,10 +664,8 @@ def _sample_major(d_logits: np.ndarray) -> np.ndarray:
 
 
 def _classifier_predictions(pairs: dict[str, TeacherStudentPair], pipeline: PipelineDescription,
-                            x: np.ndarray, use_teacher: bool = False) -> np.ndarray:
-    name = pipeline.classifier
-    pair = pairs[name]
-    model = pair.teacher if use_teacher else pair.student
+                            x: np.ndarray) -> np.ndarray:
+    model = pairs[pipeline.classifier].student
     if "k" in model.heads:
         return predict_labels(model, x, head="k")
     # (K+1)-head classifier: route classification through the first K outputs
@@ -690,20 +674,20 @@ def _classifier_predictions(pairs: dict[str, TeacherStudentPair], pipeline: Pipe
 
 
 def evaluate_pipeline(pairs: dict[str, TeacherStudentPair], pipeline: PipelineDescription,
-                      split: MismatchSplit, gamma: float, use_teacher: bool = False) -> EvalResult:
+                      test_x: np.ndarray, test_y: np.ndarray, unlabeled_x: np.ndarray,
+                      unlabeled_is_unseen: np.ndarray, gamma: float) -> EvalResult:
     """Accuracy on the test set plus detection AUROC over the unlabeled set.
 
     Raw inputs only; the hidden seen/unseen flags are consumed here, never in
-    training. For the full pipeline this reproduces the standard two-student
-    inference exactly. Computes only what an epoch record stores: leaves
-    ``per_class_accuracy`` and ``score_histogram`` None (``run_training`` fills
-    them in from ``predictions`` and ``scores`` for its final evaluation).
+    training. AUROC is NaN when the flags hold one class only. Computes only
+    what an epoch record stores: leaves ``per_class_accuracy`` and
+    ``score_histogram`` None (``_with_tables`` fills them in for a final
+    evaluation).
     """
-    role = "teacher" if use_teacher else "student"
-    preds = _classifier_predictions(pairs, pipeline, split.test_x, use_teacher)
-    acc = compute_accuracy(preds, split.test_y)
-    scores = _score(pairs, role, split.unlabeled_x, pipeline.score_mode, gamma)[0]
-    flags = np.asarray(split.unlabeled_is_unseen, dtype=bool)
+    preds = _classifier_predictions(pairs, pipeline, test_x)
+    acc = compute_accuracy(preds, test_y)
+    scores = _score(pairs, "student", unlabeled_x, pipeline.score_mode, gamma)[0]
+    flags = np.asarray(unlabeled_is_unseen, dtype=bool)
     # degenerate splits (ratio 0 or 1) leave the detection metric undefined
     auroc = compute_auroc(scores, flags) if (flags.any() and not flags.all()) else float("nan")
     return EvalResult(
@@ -714,6 +698,27 @@ def evaluate_pipeline(pairs: dict[str, TeacherStudentPair], pipeline: PipelineDe
         predictions=preds,
         scores=scores,
     )
+
+
+def _with_tables(ev: EvalResult, test_y: np.ndarray, unlabeled_is_unseen: np.ndarray) -> EvalResult:
+    """Fill in the two tables only a final evaluation carries."""
+    ev.per_class_accuracy = per_class_accuracy(ev.predictions, test_y)
+    ev.score_histogram = score_histogram(ev.scores, unlabeled_is_unseen)
+    return ev
+
+
+def run_inference(student_in: DualHeadModel, student_out: DualHeadModel, test_x: np.ndarray,
+                  test_y: np.ndarray, unlabeled_x: np.ndarray, unlabeled_is_unseen: np.ndarray,
+                  gamma: float) -> EvalResult:
+    """Full evaluation of two trained students, as ``run_training`` evaluates the
+    ``full`` pipeline: test accuracy via the inlier student, AUROC via both."""
+    if len(np.atleast_1d(test_y)) == 0 or len(np.atleast_2d(unlabeled_x)) == 0:
+        raise ValidationError("run_inference requires nonempty test and unlabeled sets")
+    pairs = {"inlier": TeacherStudentPair(student_in, student_in, "k"),
+             "outlier": TeacherStudentPair(student_out, student_out, "k1")}
+    ev = evaluate_pipeline(pairs, apply_ablation("full", TrainConfig()), test_x, test_y,
+                           unlabeled_x, unlabeled_is_unseen, gamma)
+    return _with_tables(ev, test_y, unlabeled_is_unseen)
 
 
 # ---------------------------------------------------------------------------
@@ -744,12 +749,18 @@ def _epoch_record(phase: str, iteration: int, epoch_in_phase: int, global_epoch:
     return record
 
 
-def train_dts_iteration(state: TrainState, split: MismatchSplit, config: TrainConfig,
-                        step_callback=None, epoch_callback=None) -> TrainState:
-    """Run one iteration: N_e epochs against frozen teachers, then refresh them."""
+def _run_epochs(state: TrainState, step_callback=None, epoch_callback=None) -> None:
+    """One phase's epochs. Pre-training (``state.iteration`` -1) evaluates every
+    epoch and records no student objective; an iteration evaluates every
+    ``eval_every``-th epoch and its last."""
+    cfg = state.config
+    pretrain = state.iteration < 0
+    epochs = cfg.pretrain_epochs if pretrain else cfg.epochs_per_iteration
+    eval_every = 1 if pretrain else cfg.eval_every
     plan = _step_plan(state.pipeline)
-    for epoch in range(config.epochs_per_iteration):
-        lr = _lr_at(config, state.global_epoch, state.total_epochs)
+    split = state.split
+    for epoch in range(epochs):
+        lr = _lr_at(cfg, state.global_epoch, state.total_epochs)
         reports = []
         for batch in state.sampler.epoch():
             report = _train_step(state, plan, batch, lr)
@@ -757,23 +768,32 @@ def train_dts_iteration(state: TrainState, split: MismatchSplit, config: TrainCo
             if step_callback is not None:
                 step_callback(state, report)
         ev = None
-        if (epoch + 1) % config.eval_every == 0 or epoch == config.epochs_per_iteration - 1:
-            ev = state.last_eval = evaluate_pipeline(state.pairs, state.pipeline, split, config.gamma)
-            if config.dump_scores and state.out_dir is not None:
-                _dump_epoch_scores(state, split, ev.scores)
-        record = _epoch_record("train", state.iteration, epoch, state.global_epoch, lr,
-                               _mean_report(reports), ev, state.training_unlabeled_forwards)
+        if (epoch + 1) % eval_every == 0 or epoch == epochs - 1:
+            ev = state.last_eval = evaluate_pipeline(state.pairs, state.pipeline, split.test_x, split.test_y,
+                                                     split.unlabeled_x, split.unlabeled_is_unseen, cfg.gamma)
+            if cfg.dump_scores and state.out_dir is not None:
+                _dump_epoch_scores(state, ev.scores)
+        report = _mean_report(reports)
+        if pretrain:
+            report.inlier_total = report.outlier_total = 0.0
+        record = _epoch_record("pretrain" if pretrain else "train", state.iteration, epoch,
+                               state.global_epoch, lr, report, ev, state.training_unlabeled_forwards)
         state.history.append(record)
         state.global_epoch += 1
         if epoch_callback is not None:
             epoch_callback(state, record)
+
+
+def train_dts_iteration(state: TrainState, step_callback=None, epoch_callback=None) -> TrainState:
+    """Run one iteration: N_e epochs against frozen teachers, then refresh them."""
+    _run_epochs(state, step_callback, epoch_callback)
     for pair in state.pairs.values():
         refresh_teacher(pair)
     state.iteration += 1
     return state
 
 
-def _dump_epoch_scores(state: TrainState, split: MismatchSplit, scores: np.ndarray) -> None:
+def _dump_epoch_scores(state: TrainState, scores: np.ndarray) -> None:
     """Write the epoch's evaluation scores of the unlabeled set, with the hidden flags."""
     dump_dir = state.out_dir / "score_dumps"
     dump_dir.mkdir(exist_ok=True)
@@ -781,7 +801,7 @@ def _dump_epoch_scores(state: TrainState, split: MismatchSplit, scores: np.ndarr
         dump_dir / f"epoch_{state.global_epoch:05d}.csv",
         np.arange(len(scores)),
         scores,
-        split.unlabeled_is_unseen,
+        state.split.unlabeled_is_unseen,
     )
 
 
@@ -849,18 +869,7 @@ def run_training(
     scale = feature_scale(split)
     aug = AugmentConfig(config.weak_sigma, config.strong_sigma, config.mask_fraction)
 
-    history: list[dict] = []
-    pretrain_pairs = {"merged": TeacherStudentPair(teacher, teacher, "both")}
-    pretrain_pipeline = dataclasses.replace(pipeline, classifier="merged", score_mode="blend",
-                                            pairs=(("merged", "merged"),))
-
-    def record_pretrain(epoch: int, report: LossReport) -> None:
-        ev = evaluate_pipeline(pretrain_pairs, pretrain_pipeline, split, config.gamma)
-        lr = _lr_at(config, epoch, config.pretrain_epochs + config.total_train_epochs)
-        history.append(_epoch_record("pretrain", -1, epoch, epoch, lr, report, ev, 0))
-
-    pretrain_teacher(teacher, split.labeled_x, split.labeled_y, config,
-                     rng=rng, scale=scale, on_epoch=record_pretrain)
+    history = pretrain_teacher(teacher, split, config, rng, scale)
     if out_path is not None:
         save_model(teacher, out_path / "teacher_pretrained.npz")
 
@@ -889,7 +898,7 @@ def run_training(
 
     try:
         for _ in range(config.iterations):
-            train_dts_iteration(state, split, config, step_callback, epoch_callback)
+            train_dts_iteration(state, step_callback, epoch_callback)
             if out_path is not None:
                 _save_checkpoints(state, out_path, f"iter{state.iteration}")
     except Exception:
@@ -900,9 +909,7 @@ def run_training(
 
     # an iteration always evaluates its last epoch, and nothing has changed the
     # students since: that evaluation is the final one
-    final_eval = state.last_eval
-    final_eval.per_class_accuracy = per_class_accuracy(final_eval.predictions, split.test_y)
-    final_eval.score_histogram = score_histogram(final_eval.scores, split.unlabeled_is_unseen)
+    final_eval = _with_tables(state.last_eval, split.test_y, split.unlabeled_is_unseen)
     if out_path is not None:
         _save_checkpoints(state, out_path, "final")
         _write_metrics(state.history, out_path / "metrics.jsonl")

@@ -215,6 +215,26 @@ class TestPairSampler:
             seqs.append([sampler.next_batch_pair().unlabeled_indices.tolist() for _ in range(5)])
         assert seqs[0] == seqs[1]
 
+    def test_labeled_only_epochs_match_per_epoch_shuffle(self):
+        # oracle: one persistent order, shuffled once per epoch, then ceil(m / bs)
+        # slices, the batching pre-training ran before it drew from a sampler
+        split = self.make_split(m=10)
+        m, bs = len(split.labeled_x), 4
+        assert m == 10  # not a multiple of bs: every epoch ends on a short batch
+        rng, oracle_rng = np.random.default_rng(7), np.random.default_rng(7)
+        sampler = PairSampler(split, bs, 2, rng, include_unlabeled=False)
+        order = np.arange(m)
+        for _ in range(3):
+            oracle_rng.shuffle(order)
+            batches = list(sampler.epoch())
+            assert len(batches) == -(-m // bs)
+            for start, batch in zip(range(0, m, bs), batches):
+                idx = order[start : start + bs]
+                assert np.array_equal(batch.labeled_x, split.labeled_x[idx])
+                assert np.array_equal(batch.labeled_y, split.labeled_y[idx])
+                assert len(batch.unlabeled_x) == 0
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
     def test_empty_split_rejected(self):
         split = self.make_split()
         split.labeled_x = split.labeled_x[:0]

@@ -11,10 +11,11 @@ from dts_ssl.evaluation import (
     compute_accuracy,
     compute_auroc,
     predict_labels,
-    run_inference,
     score_histogram,
 )
 from dts_ssl.models import BackboneSpec, init_teacher
+from dts_ssl.soft_weighting import scores_from_probs
+from dts_ssl.trainer import run_inference
 
 
 def pairwise_auroc_oracle(scores, flags):
@@ -243,8 +244,6 @@ class TestRunInference:
         assert weighted == pytest.approx(result.accuracy, abs=1e-12)
 
     def test_composes_from_standalone_metrics(self):
-        from dts_ssl.evaluation import detection_scores
-
         s_in, s_out = self.make_students()
         rng = np.random.default_rng(2)
         test_x = rng.normal(size=(30, 6))
@@ -254,7 +253,8 @@ class TestRunInference:
         flags[0], flags[1] = True, False
         result = run_inference(s_in, s_out, test_x, test_y, unl_x, flags, gamma=0.5)
         assert result.accuracy == compute_accuracy(predict_labels(s_in, test_x), test_y)
-        assert result.auroc == compute_auroc(detection_scores(s_in, s_out, unl_x, 0.5), flags)
+        scores = scores_from_probs(s_in.probs(unl_x, head="k"), s_out.probs(unl_x, head="k1"), 0.5)
+        assert result.auroc == compute_auroc(scores, flags)
 
     def test_repeated_calls_identical(self):
         s_in, s_out = self.make_students()

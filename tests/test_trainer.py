@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 import dts_ssl
 from dts_ssl import losses
-from dts_ssl.data import build_mismatch_split, generate_synthetic
+from dts_ssl.data import MismatchSplit, build_mismatch_split, generate_synthetic
 from dts_ssl.errors import StateError, UndefinedMetricError, ValidationError
-from dts_ssl.evaluation import compute_accuracy, predict_labels, run_inference
+from dts_ssl.evaluation import compute_accuracy, predict_labels
 from dts_ssl.models import (
     BackboneSpec,
     DualHeadModel,
@@ -39,6 +39,7 @@ from dts_ssl.trainer import (
     config_hash,
     evaluate_pipeline,
     pretrain_teacher,
+    run_inference,
     run_training,
     unseen_sample_weights,
     view_forward_count,
@@ -66,6 +67,11 @@ def gated_config(**overrides):
 def tiny_split(seed=0, ratio=0.5):
     ds = generate_synthetic(3, 2, 6, 150, separation=3.0, noise=1.0, seed=seed)
     return build_mismatch_split(ds, [1, 2, 3], ratio, m=24, n=120, test_fraction=0.2, seed=seed)
+
+
+def eval_inputs(split):
+    """The four arrays ``evaluate_pipeline`` reads, in its argument order."""
+    return split.test_x, split.test_y, split.unlabeled_x, split.unlabeled_is_unseen
 
 
 # one out-of-contract value per field whose check lives in AugmentConfig,
@@ -223,9 +229,19 @@ class TestApplyAblation:
 
 class TestPretrainTeacher:
     def test_empty_labeled_rejected(self):
-        teacher = init_teacher(BackboneSpec(input_dim=4), 2, 0)
+        split = tiny_split()
+        split.labeled_x, split.labeled_y = split.labeled_x[:0], split.labeled_y[:0]
+        teacher = init_teacher(BackboneSpec(input_dim=split.dim), split.K, 0)
         with pytest.raises(ValidationError):
-            pretrain_teacher(teacher, np.zeros((0, 4)), np.zeros(0), tiny_config())
+            pretrain_teacher(teacher, split, tiny_config(), np.random.default_rng(0), np.ones(split.dim))
+
+    def test_out_of_range_labels_rejected(self):
+        split = tiny_split()
+        split.labeled_y = split.labeled_y.copy()
+        split.labeled_y[0] = split.K + 1
+        teacher = init_teacher(BackboneSpec(input_dim=split.dim), split.K, 0)
+        with pytest.raises(ValidationError, match="labels must lie"):
+            pretrain_teacher(teacher, split, tiny_config(), np.random.default_rng(0), np.ones(split.dim))
 
     def test_separable_data_learned(self):
         # weight decay off: it settles into a tiny limit cycle after the
@@ -234,12 +250,12 @@ class TestPretrainTeacher:
         ds = generate_synthetic(2, 0, 6, 200, separation=6.0, noise=0.8, seed=1)
         cfg = tiny_config(pretrain_epochs=40, batch_size=16, weight_decay=0.0)
         teacher = init_teacher(BackboneSpec(6, (12,), 6), 2, seed=0)
-        losses = []
-        pretrain_teacher(
-            teacher, ds.features, ds.labels, cfg,
-            rng=np.random.default_rng(0),
-            on_epoch=lambda e, rep: losses.append(rep.pretrain_total),
-        )
+        # all 400 rows are labeled, and also serve as the test and (all-seen) unlabeled sets
+        rows = np.arange(len(ds.labels))
+        split = MismatchSplit(ds.features, ds.labels, ds.features, np.zeros(len(rows), dtype=bool),
+                              ds.features, ds.labels, (1, 2), 0.0, rows, rows, rows)
+        records = pretrain_teacher(teacher, split, cfg, np.random.default_rng(0), ds.features.std(axis=0))
+        losses = [r["pretrain_total"] for r in records]
         assert teacher.pretrained
         preds = predict_labels(teacher, ds.features)
         assert compute_accuracy(preds, ds.labels) > 0.95
@@ -499,15 +515,15 @@ class TestEvaluatePipeline:
         teacher.pretrained = True
         pairs = {"inlier": derive_pair(teacher, "inlier"), "outlier": derive_pair(teacher, "outlier")}
         pipeline = apply_ablation("full", cfg)
-        assert np.isfinite(evaluate_pipeline(pairs, pipeline, split, cfg.gamma).auroc)
+        assert np.isfinite(evaluate_pipeline(pairs, pipeline, *eval_inputs(split), cfg.gamma).auroc)
         pairs["outlier"].student.params["head_k1.b"][:] = np.nan  # a diverged student
         with pytest.raises(UndefinedMetricError, match="non-finite"):
-            evaluate_pipeline(pairs, pipeline, split, cfg.gamma)
+            evaluate_pipeline(pairs, pipeline, *eval_inputs(split), cfg.gamma)
 
     def test_per_epoch_evaluation_leaves_tables_unset(self):
         split = tiny_split()
         result = run_training(tiny_config(), split)
-        ev = evaluate_pipeline(result.pairs, result.pipeline, split, result.config.gamma)
+        ev = evaluate_pipeline(result.pairs, result.pipeline, *eval_inputs(split), result.config.gamma)
         assert ev.per_class_accuracy is None and ev.score_histogram is None
         assert ev.accuracy == result.final_eval.accuracy and ev.auroc == result.final_eval.auroc
         assert np.array_equal(ev.predictions, result.final_eval.predictions)
@@ -535,6 +551,15 @@ class TestEvaluatePipeline:
         result = run_training(tiny_config(), split)
         assert np.isnan(result.final_eval.auroc)
         assert 0.0 <= result.final_eval.accuracy <= 1.0
+
+    def test_run_inference_matches_run_training_on_degenerate_split(self):
+        # one evaluator, one policy: no unseen sample leaves AUROC NaN, not an error
+        split = tiny_split(ratio=0.0)
+        result = run_training(tiny_config(), split)
+        direct = run_inference(result.pairs["inlier"].student, result.pairs["outlier"].student,
+                               *eval_inputs(split), gamma=result.config.gamma)
+        assert np.isnan(direct.auroc)
+        assert json.dumps(direct.as_dict()) == json.dumps(result.final_eval.as_dict())
 
 
 class TestTeacherForwardCount:
@@ -581,7 +606,7 @@ class TestTeacherForwardCount:
         pairs = {"merged": TeacherStudentPair(teacher, teacher, "both")}
         merged_pipe = apply_ablation("one_f_two_c", cfg)
         calls = self.count_logits(monkeypatch)
-        evaluate_pipeline(pairs, merged_pipe, split, cfg.gamma)
+        evaluate_pipeline(pairs, merged_pipe, *eval_inputs(split), cfg.gamma)
         assert calls == [("k",), ("k", "k1")]  # test-set classification, unlabeled scoring
 
 
