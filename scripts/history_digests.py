@@ -32,8 +32,10 @@ SEEDS = (0, 1, 2)
 WIDE_MODES = ("full", "no_its", "no_k1_ots", "one_f_two_c_proj", "supervised_only")
 WIDE = dict(hidden_widths=(64, 64), feature_dim=32)
 # (mode, config override): a loss weight at 0, the extra-class pseudo-label
-# exclusion, the cosine learning-rate schedule, and an evaluation schedule
-# other than every epoch (pre-training still evaluates every epoch)
+# exclusion, the cosine learning-rate schedule, an evaluation schedule other
+# than every epoch (pre-training still evaluates every epoch), and a gate
+# threshold below 0.5, where a 1 - max mode's gate must ignore the score (at
+# tau >= 0.5, max > tau already implies max > 1 - max)
 GUARDS = (
     ("full", "lambda_lm", 0.0),
     ("full", "lambda_seen", 0.0),
@@ -41,6 +43,7 @@ GUARDS = (
     ("one_f_two_c", "exclude_k1_pseudo", True),
     ("no_soft_weighting", "lr_schedule", "cosine"),
     ("full", "eval_every", 3),
+    ("no_k1_its", "tau", 0.4),
 )
 
 

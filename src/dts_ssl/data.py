@@ -88,11 +88,6 @@ class MismatchSplit:
     def dim(self) -> int:
         return self.labeled_x.shape[1]
 
-    @property
-    def label_map(self) -> dict[int, int]:
-        """Original seen class id -> remapped id in 1..K (sorted order)."""
-        return {orig: i + 1 for i, orig in enumerate(self.seen_class_ids)}
-
 
 def build_mismatch_split(
     dataset: Dataset,

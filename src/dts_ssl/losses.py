@@ -173,21 +173,3 @@ class LossReport:
     pass_count_out: int = 0
     effective_weight_sum: float = 0.0
     batch_unlabeled: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "ce_k": self.ce_k,
-            "ce_k1": self.ce_k1,
-            "seen_in": self.seen_in,
-            "seen_out": self.seen_out,
-            "logit_match": self.logit_match,
-            "unseen": self.unseen,
-            "consistency": self.consistency,
-            "inlier_total": self.inlier_total,
-            "outlier_total": self.outlier_total,
-            "pretrain_total": self.pretrain_total,
-            "pass_count_in": self.pass_count_in,
-            "pass_count_out": self.pass_count_out,
-            "effective_weight_sum": self.effective_weight_sum,
-            "batch_unlabeled": self.batch_unlabeled,
-        }

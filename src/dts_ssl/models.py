@@ -248,7 +248,6 @@ class TeacherStudentPair:
 
     teacher: DualHeadModel
     student: DualHeadModel
-    head_kind: str  # "k", "k1", or "both"
 
 
 def init_teacher(spec: BackboneSpec, K: int, seed: int) -> DualHeadModel:
@@ -277,8 +276,7 @@ def derive_pair(teacher: DualHeadModel, kind: str) -> TeacherStudentPair:
         params = {k: v for k, v in teacher.params.items() if k in keep}
         return DualHeadModel(teacher.spec, teacher.K, params, heads=heads, pretrained=True)
 
-    head_kind = {"inlier": HEAD_K, "outlier": HEAD_K1, "merged": "both"}[kind]
-    return TeacherStudentPair(teacher=clone(), student=clone(), head_kind=head_kind)
+    return TeacherStudentPair(teacher=clone(), student=clone())
 
 
 def refresh_teacher(pair: TeacherStudentPair) -> None:

@@ -14,12 +14,15 @@ unlabeled terms. It runs through the same epoch loop (``_run_epochs``) and
 step (``_train_step``) as the iterations, and every evaluation, pre-training's,
 the iterations' and ``run_inference``'s, goes through ``evaluate_pipeline``.
 
-Ablation modes reconfigure this pipeline (which pairs exist, how samples are
-scored and weighted, which loss terms are active) without changing the step
-mechanics, so structural invariants hold across modes. ``apply_ablation``
-turns a mode into a ``PipelineDescription``, and ``_step_plan`` turns that
-into the branch table one step walks: per trained model, its (role, head,
-unlabeled terms) branches.
+An ablation mode is four choices: which pairs exist, which loss terms each
+role trains, how the uncertainty score weights the extra-class supervision,
+and whether the (K+1)-head has a projection. ``apply_ablation`` turns a mode
+into a ``PipelineDescription`` that holds just those; the step mechanics stay
+the same, so structural invariants hold across modes. Everything else follows
+from the choices: the heads the pairs carry choose the score (``_score``), the
+first pair classifies, and the loss weights are the config's. ``_step_plan``
+turns the description into the branch table one step walks: per trained
+model, its (role, head, unlabeled terms) branches.
 
     model     branches (role, head)               unlabeled terms, in order
     inlier    (inlier, k)                         seen, lm
@@ -52,6 +55,7 @@ import ctypes
 import dataclasses
 import hashlib
 import json
+import math
 import platform
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -148,10 +152,10 @@ class TrainConfig:
     def validate(self) -> None:
         require_all(type_checks(self))  # the value checks below assume the declared types
         checks = [
-            (self.lambda_seen >= 0, "lambda_seen: must be >= 0"),
-            (self.lambda_lm >= 0, "lambda_lm: must be >= 0"),
-            (self.lambda_unseen >= 0, "lambda_unseen: must be >= 0"),
-            (self.lambda_cr >= 0, "lambda_cr: must be >= 0"),
+            (0 <= self.lambda_seen < math.inf, "lambda_seen: must be finite and >= 0"),
+            (0 <= self.lambda_lm < math.inf, "lambda_lm: must be finite and >= 0"),
+            (0 <= self.lambda_unseen < math.inf, "lambda_unseen: must be finite and >= 0"),
+            (0 <= self.lambda_cr < math.inf, "lambda_cr: must be finite and >= 0"),
             (self.mu >= 1, "mu: must be >= 1"),
             (0.0 < self.tau < 1.0, "tau: must lie in (0, 1)"),
             (self.batch_size >= 1, "batch_size: must be >= 1"),
@@ -159,9 +163,9 @@ class TrainConfig:
             (self.epochs_per_iteration >= 1, "epochs_per_iteration: must be >= 1"),
             (self.iterations >= 1, "iterations: must be >= 1"),
             (self.pretrain_epochs >= 1, "pretrain_epochs: must be >= 1"),
-            (self.lr > 0, "lr: must be > 0"),
+            (0 < self.lr < math.inf, "lr: must be finite and > 0"),
             (0.0 <= self.momentum < 1.0, "momentum: must lie in [0, 1)"),
-            (self.weight_decay >= 0, "weight_decay: must be >= 0"),
+            (0 <= self.weight_decay < math.inf, "weight_decay: must be finite and >= 0"),
             (self.lr_schedule in ("constant", "cosine"), "lr_schedule: unknown schedule"),
             (self.ablation_mode in ABLATION_MODES, f"ablation_mode: unknown mode {self.ablation_mode!r}"),
             (0.0 < self.unseen_hard_threshold < 1.0, "unseen_hard_threshold: must lie in (0, 1)"),
@@ -210,67 +214,53 @@ def config_hash(config: TrainConfig) -> str:
 
 @dataclass(frozen=True)
 class PipelineDescription:
-    """Effective pipeline after applying an ablation mode.
+    """What an ablation mode chooses: the teacher-student pairs, the loss terms of
+    each role, how the uncertainty score weights the extra-class supervision, and
+    whether the (K+1)-head has a projection.
 
-    ``pairs`` maps pair name to the head its models carry. ``score_mode``
-    selects how unlabeled samples are scored, ``unseen_weighting`` how those
-    scores weight the extra-class supervision, and the lambdas are the
-    effective loss weights (zeroed where a mode removes a term).
+    ``pairs`` maps pair name to the head kind ``derive_pair`` gives its models.
+    The rest follows from these: the heads the pairs carry choose the score
+    (``_score``), the first pair classifies, the gate uses the score where the
+    score weights the extra class, and the loss weights are the config's.
     """
 
     mode: str
     pairs: tuple[tuple[str, str], ...]  # (name, pair kind for derive_pair)
-    uses_unlabeled: bool
-    score_mode: str  # "blend" | "outlier_blend" | "one_minus_max"
     unseen_weighting: str  # "soft" | "hard_mask" | "uniform_push" | "none"
     inlier_losses: tuple[str, ...]
     outlier_losses: tuple[str, ...]
-    gate_uses_score: bool
-    classifier: str  # "inlier" | "outlier" | "merged"
-    lambda_seen: float
-    lambda_lm: float
-    lambda_unseen: float
-    lambda_cr: float
     k1_projection: bool
     summary: str
+
+    @property
+    def uses_unlabeled(self) -> bool:
+        """Whether some loss term reads unlabeled data (every term but the labeled CE)."""
+        return any(t != "ce" for t in self.inlier_losses + self.outlier_losses)
 
 
 def apply_ablation(mode: str, config: TrainConfig) -> PipelineDescription:
     """Translate an ablation mode into the effective pipeline description."""
     if mode not in ABLATION_MODES:
         raise ValidationError(f"ablation_mode: unknown mode {mode!r}, expected one of {ABLATION_MODES}")
-    lam = dict(
-        lambda_seen=config.lambda_seen,
-        lambda_lm=config.lambda_lm,
-        lambda_unseen=config.lambda_unseen,
-        lambda_cr=config.lambda_cr,
-    )
     base = dict(
         mode=mode,
         pairs=(("inlier", "inlier"), ("outlier", "outlier")),
-        uses_unlabeled=True,
-        score_mode="blend",
         unseen_weighting="soft",
         inlier_losses=("ce", "seen", "lm"),
         outlier_losses=("ce", "seen", "unseen", "cr"),
-        gate_uses_score=True,
-        classifier="inlier",
         k1_projection=False,
         summary="dual teacher-student pairs, soft-weighted unseen supervision",
-        **lam,
     )
     if mode == "full":
         pass
     elif mode == "no_logit_match":
         base.update(
             inlier_losses=("ce", "seen"),
-            lambda_lm=0.0,
             summary="full pipeline without the teacher-student logit matching term",
         )
     elif mode == "no_consistency":
         base.update(
             outlier_losses=("ce", "seen", "unseen"),
-            lambda_cr=0.0,
             summary="full pipeline without weak/strong consistency regularization",
         )
     elif mode == "no_soft_weighting":
@@ -282,23 +272,14 @@ def apply_ablation(mode: str, config: TrainConfig) -> PipelineDescription:
         base.update(
             pairs=(("outlier", "outlier"),),
             inlier_losses=(),
-            lambda_lm=0.0,
-            score_mode="outlier_blend",
-            classifier="outlier",
             summary="single (K+1)-head pair handles both classification and detection",
         )
     elif mode == "supervised_only":
         base.update(
             pairs=(("inlier", "inlier"),),
-            uses_unlabeled=False,
-            score_mode="one_minus_max",
             unseen_weighting="none",
             inlier_losses=("ce",),
             outlier_losses=(),
-            lambda_seen=0.0,
-            lambda_lm=0.0,
-            lambda_unseen=0.0,
-            lambda_cr=0.0,
             summary="labeled cross-entropy only; unlabeled data never touched",
         )
     elif mode == "no_k1_its":
@@ -308,23 +289,14 @@ def apply_ablation(mode: str, config: TrainConfig) -> PipelineDescription:
             pairs=(("inlier", "inlier"),),
             inlier_losses=("ce", "seen"),
             outlier_losses=(),
-            score_mode="one_minus_max",
             unseen_weighting="none",
-            gate_uses_score=False,
-            lambda_lm=0.0,
-            lambda_unseen=0.0,
-            lambda_cr=0.0,
             summary="K-head pair with confidence-threshold pseudo-labeling only",
         )
     elif mode == "no_k1_ots":
         base.update(
             pairs=(("outlier", "inlier"),),  # outlier-style branch on a K-head pair
             inlier_losses=(),
-            score_mode="one_minus_max",
             unseen_weighting="uniform_push",
-            gate_uses_score=False,
-            classifier="outlier",
-            lambda_lm=0.0,
             summary=(
                 "K-head pair; high-uncertainty samples pushed toward uniform output "
                 f"(mask at 1-max > {config.uniformity_threshold})"
@@ -333,7 +305,6 @@ def apply_ablation(mode: str, config: TrainConfig) -> PipelineDescription:
     elif mode in ("one_f_two_c", "one_f_two_c_proj"):
         base.update(
             pairs=(("merged", "merged"),),
-            classifier="merged",
             k1_projection=(mode == "one_f_two_c_proj"),
             summary="single backbone carrying both heads; both objectives on one model"
             + (" with a projection layer before the (K+1)-head" if mode == "one_f_two_c_proj" else ""),
@@ -398,7 +369,6 @@ def _lr_at(config: TrainConfig, global_epoch: int, total_epochs: int) -> float:
 class TrainState:
     config: TrainConfig
     pipeline: PipelineDescription
-    teacher: DualHeadModel
     pairs: dict[str, TeacherStudentPair]
     optimizers: dict[str, SGD]
     sampler: PairSampler
@@ -448,14 +418,10 @@ def pretrain_teacher(teacher: DualHeadModel, split: MismatchSplit, config: Train
     sampler = PairSampler(split, config.batch_size, config.mu, rng, include_unlabeled=False)
     if split.labeled_y.min() < 1 or split.labeled_y.max() > teacher.K:
         raise ValidationError(f"labels must lie in 1..{teacher.K}")
-    pipeline = dataclasses.replace(
-        apply_ablation(config.ablation_mode, config), pairs=(("merged", "merged"),),
-        classifier="merged", score_mode="blend", uses_unlabeled=False,
-        inlier_losses=("ce",), outlier_losses=("ce",),
-    )
+    pipeline = dataclasses.replace(apply_ablation(config.ablation_mode, config), pairs=(("merged", "merged"),),
+                                   inlier_losses=("ce",), outlier_losses=("ce",))
     state = TrainState(
-        config=config, pipeline=pipeline, teacher=teacher,
-        pairs={"merged": TeacherStudentPair(teacher, teacher, "both")},
+        config=config, pipeline=pipeline, pairs={"merged": TeacherStudentPair(teacher, teacher)},
         optimizers={"merged": SGD(teacher.flat, config.momentum, config.weight_decay)},
         sampler=sampler, rng=rng, scale=scale, split=split, iteration=-1,
         aug=AugmentConfig(config.weak_sigma, config.strong_sigma, config.mask_fraction),
@@ -479,41 +445,31 @@ def _mean_report(reports: list[LossReport]) -> LossReport:
 # ---------------------------------------------------------------------------
 
 
-def view_forward_count(pipeline: PipelineDescription) -> int:
-    """Teacher backbone passes per unlabeled example when scoring a batch."""
-    if pipeline.score_mode == "blend" and pipeline.classifier != "merged":
-        return 2
-    return 1
-
-
-def _blend_probs(pairs: dict[str, TeacherStudentPair], role: str, x: np.ndarray):
-    """Class-major K-way and (K+1)-way probabilities from the ``role`` ("teacher" or
-    "student") models; a merged model runs one backbone pass for both heads."""
-    if "merged" in pairs:
-        z, _ = getattr(pairs["merged"], role).logits(x, heads=("k", "k1"))
-        return softmax(z["k"].T), softmax(z["k1"].T)
-    return (getattr(pairs["inlier"], role).probs(x, head="k"),
-            getattr(pairs["outlier"], role).probs(x, head="k1"))
-
-
-def _score(pairs: dict[str, TeacherStudentPair], role: str, x: np.ndarray, score_mode: str,
-           gamma: float):
+def _score(pairs: dict[str, TeacherStudentPair], role: str, x: np.ndarray, gamma: float):
     """Uncertainty scores of ``x`` from the ``role`` models, with the class-major K-way
-    and (K+1)-way probabilities they come from: ``(scores, p_in, p_out)``. ``p_in`` is
-    None where no K-way head exists; a single K-head pair gives one distribution as both."""
-    if score_mode == "blend":
-        p_in, p_out = _blend_probs(pairs, role, x)
-        return scores_from_probs(p_in, p_out, gamma), p_in, p_out
-    if score_mode == "outlier_blend":
-        # the (K+1)-head's first K outputs, renormalised, stand in for the K-way head
-        model = getattr(pairs["outlier"], role)
-        p_out = model.probs(x, head="k1")
-        proxy = p_out[: model.K] / np.maximum(class_sum(p_out[: model.K]), 1e-12)
-        return scores_from_probs(proxy, p_out, gamma), None, p_out
-    if score_mode == "one_minus_max":
-        p = getattr(next(iter(pairs.values())), role).probs(x, head="k")
+    and (K+1)-way probabilities they come from: ``(scores, p_in, p_out)``.
+
+    Pairs come in (inlier, outlier) order: the K-way head is the first pair's, the
+    (K+1)-way head the last pair's, and which of them exist chooses the score. Both
+    blend; a (K+1)-head alone blends its first K outputs, renormalised, as the K-way
+    distribution (``p_in`` None); a K-head alone gives 1 - max, its one
+    distribution as both.
+    """
+    models = [getattr(pair, role) for pair in pairs.values()]
+    first, last = models[0], models[-1]
+    if "k1" not in last.heads:
+        p = first.probs(x, head="k")
         return 1.0 - class_max(p), p, p
-    raise ValidationError(f"score_mode {score_mode!r} cannot score unlabeled data")
+    if "k" not in first.heads:
+        p_out = last.probs(x, head="k1")
+        proxy = p_out[: last.K] / np.maximum(class_sum(p_out[: last.K]), 1e-12)
+        return scores_from_probs(proxy, p_out, gamma), None, p_out
+    if first is last:  # a merged model: one backbone pass for both heads
+        z, _ = first.logits(x, heads=("k", "k1"))
+        p_in, p_out = softmax(z["k"].T), softmax(z["k1"].T)
+    else:
+        p_in, p_out = first.probs(x, head="k"), last.probs(x, head="k1")
+    return scores_from_probs(p_in, p_out, gamma), p_in, p_out
 
 
 # ---------------------------------------------------------------------------
@@ -530,10 +486,10 @@ class _Branch:
     terms: tuple[str, ...]  # unlabeled terms, in the order their gradients add
 
 
-def _step_plan(pipe: PipelineDescription) -> dict[str, tuple[_Branch, ...]]:
+def _step_plan(pipe: PipelineDescription, config: TrainConfig) -> dict[str, tuple[_Branch, ...]]:
     """The branches a step trains, per model (pair name). Logit-match and consistency
     are left out when their lambda is 0; seen and unseen are computed whatever theirs."""
-    live = {"lm": pipe.lambda_lm > 0, "cr": pipe.lambda_cr > 0}
+    live = {"lm": config.lambda_lm > 0, "cr": config.lambda_cr > 0}
     plan = {}
     for name, kind in pipe.pairs:
         branches = []
@@ -568,18 +524,19 @@ def _train_step(state: TrainState, plan: dict[str, tuple[_Branch, ...]], batch, 
 
     targets = {}  # role -> (gate, pseudo-labels, teacher probabilities)
     weak_u = strong_u = weights = None
-    if pipe.uses_unlabeled and mu_b:
+    # the score comes from a (K+1)-head: it gates pseudo-labels and weights the extra class
+    k1_scored = pipe.unseen_weighting in ("soft", "hard_mask")
+    if mu_b:  # the sampler draws unlabeled rows only for a pipeline that uses them
         weak_u = augment_batch(batch.unlabeled_x, "weak", rng, state.scale, state.aug)
         strong_u = augment_batch(batch.unlabeled_x, "strong", rng, state.scale, state.aug)
-        scores, p_in, p_out = _score(state.pairs, "teacher", weak_u, pipe.score_mode, cfg.gamma)
-        state.training_unlabeled_forwards += view_forward_count(pipe) * mu_b
+        scores, p_in, p_out = _score(state.pairs, "teacher", weak_u, cfg.gamma)
+        state.training_unlabeled_forwards += len(state.pairs) * mu_b  # one teacher pass per pair
         K = next(iter(state.pairs.values())).teacher.K
-        exclude_k1 = cfg.exclude_k1_pseudo and pipe.unseen_weighting in ("soft", "hard_mask")
         for role, p in (("inlier", p_in), ("outlier", p_out)):
             if p is not None:
-                gate = gate_mask(class_max(p), scores, cfg.tau, use_score=pipe.gate_uses_score)
+                gate = gate_mask(class_max(p), scores, cfg.tau, use_score=k1_scored)
                 pseudo = p.argmax(axis=0) + 1
-                if role == "outlier" and exclude_k1:
+                if role == "outlier" and k1_scored and cfg.exclude_k1_pseudo:
                     gate = gate & (pseudo != K + 1)
                 targets[role] = (gate, pseudo, p)
         weights = unseen_sample_weights(scores, pipe, cfg)
@@ -611,12 +568,12 @@ def _train_step(state: TrainState, plan: dict[str, tuple[_Branch, ...]], batch, 
                 p = softmax(z_u[b.head].T)
                 gate, pseudo, p_teacher = targets[b.role]
                 for term in b.terms:
-                    lam = getattr(pipe, _LAMBDA[term])
+                    lam = getattr(cfg, _LAMBDA[term])
                     if term == "seen":
                         value, d = losses.gated_ce_loss_and_grad(pseudo, p, gate, mu_b)
                     elif term == "lm":
                         value, d = losses.logit_match_loss_and_grad(p, p_teacher, gate, mu_b)
-                    elif term == "unseen" and pipe.unseen_weighting in ("soft", "hard_mask"):
+                    elif term == "unseen" and k1_scored:
                         value, d = losses.unseen_loss_and_grad(p, weights, mu_b)
                     elif term == "unseen":  # uniform_push: no extra class, push masked samples to uniform
                         value, d = losses.uniformity_loss_and_grad(p, weights, mu_b)
@@ -632,11 +589,11 @@ def _train_step(state: TrainState, plan: dict[str, tuple[_Branch, ...]], batch, 
         state.optimizers[name].step(student.flat, student.grad_vector(grads), lr)
 
     report.inlier_total = losses.inlier_objective(
-        report.ce_k, report.seen_in, report.logit_match, (pipe.lambda_seen, pipe.lambda_lm)
+        report.ce_k, report.seen_in, report.logit_match, (cfg.lambda_seen, cfg.lambda_lm)
     )
     report.outlier_total = losses.outlier_objective(
         report.ce_k1, report.seen_out, report.unseen, report.consistency,
-        (pipe.lambda_seen, pipe.lambda_unseen, pipe.lambda_cr),
+        (cfg.lambda_seen, cfg.lambda_unseen, cfg.lambda_cr),
     )
     report.pretrain_total = losses.pretrain_objective(report.ce_k, report.ce_k1)
     return report
@@ -659,23 +616,22 @@ def _sample_major(d_logits: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation routing (mode-aware)
+# Evaluation
 # ---------------------------------------------------------------------------
 
 
-def _classifier_predictions(pairs: dict[str, TeacherStudentPair], pipeline: PipelineDescription,
-                            x: np.ndarray) -> np.ndarray:
-    model = pairs[pipeline.classifier].student
+def _classifier_predictions(pairs: dict[str, TeacherStudentPair], x: np.ndarray) -> np.ndarray:
+    """Test-set labels from the first pair's student."""
+    model = next(iter(pairs.values())).student
     if "k" in model.heads:
         return predict_labels(model, x, head="k")
-    # (K+1)-head classifier: route classification through the first K outputs
+    # a (K+1)-head alone classifies through its first K outputs
     probs = model.probs(np.atleast_2d(x), head="k1")
     return np.argmax(probs[: model.K], axis=0) + 1
 
 
-def evaluate_pipeline(pairs: dict[str, TeacherStudentPair], pipeline: PipelineDescription,
-                      test_x: np.ndarray, test_y: np.ndarray, unlabeled_x: np.ndarray,
-                      unlabeled_is_unseen: np.ndarray, gamma: float) -> EvalResult:
+def evaluate_pipeline(pairs: dict[str, TeacherStudentPair], test_x: np.ndarray, test_y: np.ndarray,
+                      unlabeled_x: np.ndarray, unlabeled_is_unseen: np.ndarray, gamma: float) -> EvalResult:
     """Accuracy on the test set plus detection AUROC over the unlabeled set.
 
     Raw inputs only; the hidden seen/unseen flags are consumed here, never in
@@ -684,9 +640,9 @@ def evaluate_pipeline(pairs: dict[str, TeacherStudentPair], pipeline: PipelineDe
     ``score_histogram`` None (``_with_tables`` fills them in for a final
     evaluation).
     """
-    preds = _classifier_predictions(pairs, pipeline, test_x)
+    preds = _classifier_predictions(pairs, test_x)
     acc = compute_accuracy(preds, test_y)
-    scores = _score(pairs, "student", unlabeled_x, pipeline.score_mode, gamma)[0]
+    scores = _score(pairs, "student", unlabeled_x, gamma)[0]
     flags = np.asarray(unlabeled_is_unseen, dtype=bool)
     # degenerate splits (ratio 0 or 1) leave the detection metric undefined
     auroc = compute_auroc(scores, flags) if (flags.any() and not flags.all()) else float("nan")
@@ -714,10 +670,9 @@ def run_inference(student_in: DualHeadModel, student_out: DualHeadModel, test_x:
     ``full`` pipeline: test accuracy via the inlier student, AUROC via both."""
     if len(np.atleast_1d(test_y)) == 0 or len(np.atleast_2d(unlabeled_x)) == 0:
         raise ValidationError("run_inference requires nonempty test and unlabeled sets")
-    pairs = {"inlier": TeacherStudentPair(student_in, student_in, "k"),
-             "outlier": TeacherStudentPair(student_out, student_out, "k1")}
-    ev = evaluate_pipeline(pairs, apply_ablation("full", TrainConfig()), test_x, test_y,
-                           unlabeled_x, unlabeled_is_unseen, gamma)
+    pairs = {"inlier": TeacherStudentPair(student_in, student_in),
+             "outlier": TeacherStudentPair(student_out, student_out)}
+    ev = evaluate_pipeline(pairs, test_x, test_y, unlabeled_x, unlabeled_is_unseen, gamma)
     return _with_tables(ev, test_y, unlabeled_is_unseen)
 
 
@@ -734,7 +689,7 @@ def _epoch_record(phase: str, iteration: int, epoch_in_phase: int, global_epoch:
         "epoch": epoch_in_phase,
         "global_epoch": global_epoch,
         "lr": lr,
-        **report.as_dict(),
+        **dataclasses.asdict(report),
         "gate_pass_rate_in": 0.0,
         "gate_pass_rate_out": 0.0,
         "test_accuracy": ev.accuracy if ev else float("nan"),
@@ -757,7 +712,7 @@ def _run_epochs(state: TrainState, step_callback=None, epoch_callback=None) -> N
     pretrain = state.iteration < 0
     epochs = cfg.pretrain_epochs if pretrain else cfg.epochs_per_iteration
     eval_every = 1 if pretrain else cfg.eval_every
-    plan = _step_plan(state.pipeline)
+    plan = _step_plan(state.pipeline, cfg)
     split = state.split
     for epoch in range(epochs):
         lr = _lr_at(cfg, state.global_epoch, state.total_epochs)
@@ -769,7 +724,7 @@ def _run_epochs(state: TrainState, step_callback=None, epoch_callback=None) -> N
                 step_callback(state, report)
         ev = None
         if (epoch + 1) % eval_every == 0 or epoch == epochs - 1:
-            ev = state.last_eval = evaluate_pipeline(state.pairs, state.pipeline, split.test_x, split.test_y,
+            ev = state.last_eval = evaluate_pipeline(state.pairs, split.test_x, split.test_y,
                                                      split.unlabeled_x, split.unlabeled_is_unseen, cfg.gamma)
             if cfg.dump_scores and state.out_dir is not None:
                 _dump_epoch_scores(state, ev.scores)
@@ -883,7 +838,6 @@ def run_training(
     state = TrainState(
         config=config,
         pipeline=pipeline,
-        teacher=teacher,
         pairs=pairs,
         optimizers=optimizers,
         sampler=sampler,

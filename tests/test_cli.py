@@ -259,6 +259,7 @@ class TestValidateConfigVerb:
     @pytest.mark.parametrize("field, value", [
         ("mask_fraction", 1.5), ("weak_sigma", -1), ("strong_sigma", -0.1), ("seed", -1),
         ("hidden_widths", [0]), ("feature_dim", 0), ("activation", "gelu"),
+        ("lr", float("inf")), ("weight_decay", float("inf")), ("lambda_lm", float("inf")),
     ])
     def test_out_of_contract_train_field_exit_two(self, tmp_path, config_file, field, value, capsys):
         raw = json.loads(config_file.read_text())
@@ -320,6 +321,14 @@ class TestValidateConfigVerb:
                 "--out-dir", str(tmp_path / "runs")]
         assert main(argv) == 2
         assert f"{section!r} is a config section" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("field", ["lr", "lambda_lm"])
+    def test_non_finite_override_exit_two(self, config_file, tmp_path, field, capsys):
+        argv = ["run", "--config", str(config_file), "--set", f"train.{field}=inf",
+                "--out-dir", str(tmp_path / "runs")]
+        assert main(argv) == 2
+        assert f"train.{field}: must be finite" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
     def test_unparseable_exit_two(self, tmp_path):

@@ -42,7 +42,6 @@ from dts_ssl.trainer import (
     run_inference,
     run_training,
     unseen_sample_weights,
-    view_forward_count,
 )
 
 TINY = dict(
@@ -88,6 +87,12 @@ BAD_FIELD_VALUES = [
     ("gamma", 1.5),
     ("gamma", -0.1),
     ("tau", 0.0),
+    ("lr", float("inf")),
+    ("weight_decay", float("inf")),
+    ("lambda_seen", float("inf")),
+    ("lambda_lm", float("inf")),
+    ("lambda_unseen", float("inf")),
+    ("lambda_cr", float("inf")),
 ]
 
 # values of the wrong type: integer fields take no float, bool or string, float
@@ -189,12 +194,13 @@ class TestApplyAblation:
     def test_full_structure(self):
         pipe = apply_ablation("full", TrainConfig.desk())
         assert dict(pipe.pairs) == {"inlier": "inlier", "outlier": "outlier"}
-        assert pipe.score_mode == "blend" and pipe.unseen_weighting == "soft"
+        assert pipe.unseen_weighting == "soft"
 
-    def test_zeroed_weights(self):
+    def test_left_out_terms_absent_from_plan(self):
         cfg = TrainConfig.desk()
-        assert apply_ablation("no_logit_match", cfg).lambda_lm == 0.0
-        assert apply_ablation("no_consistency", cfg).lambda_cr == 0.0
+        for mode, term in (("no_logit_match", "lm"), ("no_consistency", "cr")):
+            plan = _step_plan(apply_ablation(mode, cfg), cfg)
+            assert all(term not in b.terms for branches in plan.values() for b in branches), mode
 
     def test_supervised_uses_no_unlabeled(self):
         pipe = apply_ablation("supervised_only", TrainConfig.desk())
@@ -210,10 +216,11 @@ class TestApplyAblation:
     def test_step_plan_heads_exist_on_their_models(self):
         teacher = init_teacher(BackboneSpec(input_dim=4, hidden_widths=(6,), feature_dim=5), 3, 0)
         teacher.pretrained = True
+        cfg = TrainConfig.desk()
         for mode in ABLATION_MODES:
-            pipe = apply_ablation(mode, TrainConfig.desk())
+            pipe = apply_ablation(mode, cfg)
             pairs = {name: derive_pair(teacher, kind) for name, kind in pipe.pairs}
-            for name, branches in _step_plan(pipe).items():
+            for name, branches in _step_plan(pipe, cfg).items():
                 assert {b.head for b in branches} <= set(pairs[name].student.heads), mode
 
     def test_unseen_weight_shapes(self):
@@ -333,14 +340,14 @@ class TestRunTrainingStructure:
         result = run_training(
             tiny_config(), tiny_split(), step_callback=lambda s, rep: reports.append(rep)
         )
-        pipe = result.pipeline
+        cfg = result.config
         for rep in reports:
             assert rep.inlier_total == losses.inlier_objective(
-                rep.ce_k, rep.seen_in, rep.logit_match, (pipe.lambda_seen, pipe.lambda_lm)
+                rep.ce_k, rep.seen_in, rep.logit_match, (cfg.lambda_seen, cfg.lambda_lm)
             )
             assert rep.outlier_total == losses.outlier_objective(
                 rep.ce_k1, rep.seen_out, rep.unseen, rep.consistency,
-                (pipe.lambda_seen, pipe.lambda_unseen, pipe.lambda_cr),
+                (cfg.lambda_seen, cfg.lambda_unseen, cfg.lambda_cr),
             )
             assert rep.pretrain_total == losses.pretrain_objective(rep.ce_k, rep.ce_k1)
 
@@ -514,16 +521,15 @@ class TestEvaluatePipeline:
         teacher = init_teacher(BackboneSpec(split.dim, (8,), 4), split.K, seed=0)
         teacher.pretrained = True
         pairs = {"inlier": derive_pair(teacher, "inlier"), "outlier": derive_pair(teacher, "outlier")}
-        pipeline = apply_ablation("full", cfg)
-        assert np.isfinite(evaluate_pipeline(pairs, pipeline, *eval_inputs(split), cfg.gamma).auroc)
+        assert np.isfinite(evaluate_pipeline(pairs, *eval_inputs(split), cfg.gamma).auroc)
         pairs["outlier"].student.params["head_k1.b"][:] = np.nan  # a diverged student
         with pytest.raises(UndefinedMetricError, match="non-finite"):
-            evaluate_pipeline(pairs, pipeline, *eval_inputs(split), cfg.gamma)
+            evaluate_pipeline(pairs, *eval_inputs(split), cfg.gamma)
 
     def test_per_epoch_evaluation_leaves_tables_unset(self):
         split = tiny_split()
         result = run_training(tiny_config(), split)
-        ev = evaluate_pipeline(result.pairs, result.pipeline, *eval_inputs(split), result.config.gamma)
+        ev = evaluate_pipeline(result.pairs, *eval_inputs(split), result.config.gamma)
         assert ev.per_class_accuracy is None and ev.score_histogram is None
         assert ev.accuracy == result.final_eval.accuracy and ev.auroc == result.final_eval.auroc
         assert np.array_equal(ev.predictions, result.final_eval.predictions)
@@ -563,7 +569,8 @@ class TestEvaluatePipeline:
 
 
 class TestTeacherForwardCount:
-    """view_forward_count is the number of backbone passes teacher scoring really makes."""
+    """Teacher scoring makes one backbone pass per pair, the count a step adds to
+    ``training_unlabeled_forwards`` per unlabeled row."""
 
     def setup_pairs(self, mode):
         split = tiny_split()
@@ -589,12 +596,12 @@ class TestTeacherForwardCount:
     @pytest.mark.parametrize(
         "mode", [m for m in ABLATION_MODES if apply_ablation(m, TrainConfig.desk()).uses_unlabeled]
     )
-    def test_teacher_scoring_passes_equal_view_forward_count(self, mode, monkeypatch):
+    def test_teacher_scoring_makes_one_pass_per_pair(self, mode, monkeypatch):
         split, cfg, pipe, _, pairs = self.setup_pairs(mode)
         weak_u = split.unlabeled_x[:10]
         calls = self.count_logits(monkeypatch)
-        _, p_in, p_out = _score(pairs, "teacher", weak_u, pipe.score_mode, cfg.gamma)
-        assert len(calls) == view_forward_count(pipe)
+        _, p_in, p_out = _score(pairs, "teacher", weak_u, cfg.gamma)
+        assert len(calls) == len(pipe.pairs)
         monkeypatch.undo()
         if "merged" in pairs:  # the one shared pass gives the per-head passes' probabilities
             t = pairs["merged"].teacher
@@ -603,10 +610,9 @@ class TestTeacherForwardCount:
 
     def test_pretrain_evaluation_one_pass_per_input_set(self, monkeypatch):
         split, cfg, pipe, teacher, _ = self.setup_pairs("full")
-        pairs = {"merged": TeacherStudentPair(teacher, teacher, "both")}
-        merged_pipe = apply_ablation("one_f_two_c", cfg)
+        pairs = {"merged": TeacherStudentPair(teacher, teacher)}
         calls = self.count_logits(monkeypatch)
-        evaluate_pipeline(pairs, merged_pipe, *eval_inputs(split), cfg.gamma)
+        evaluate_pipeline(pairs, *eval_inputs(split), cfg.gamma)
         assert calls == [("k",), ("k", "k1")]  # test-set classification, unlabeled scoring
 
 
@@ -676,6 +682,63 @@ class TestStepWork:
         assert [e for e in step if isinstance(e, tuple)] == loss_calls
         assert step.count("logits") == n_logits
         assert step.count("backward") == n_backward
+
+
+# (score_mode, classifier, gate_uses_score, uses_unlabeled) as each mode's pipeline
+# description stored them before they were derived from its pairs, weighting and terms
+STORED_CHOICES = {
+    "full": ("blend", "inlier", True, True),
+    "no_its": ("outlier_blend", "outlier", True, True),
+    "no_soft_weighting": ("blend", "inlier", True, True),
+    "no_k1_its": ("one_minus_max", "inlier", False, True),
+    "no_k1_ots": ("one_minus_max", "outlier", False, True),
+    "no_logit_match": ("blend", "inlier", True, True),
+    "no_consistency": ("blend", "inlier", True, True),
+    "one_f_two_c": ("blend", "merged", True, True),
+    "one_f_two_c_proj": ("blend", "merged", True, True),
+    "supervised_only": ("one_minus_max", "inlier", True, False),
+}
+
+
+class TestDerivedChoices:
+    def test_table_covers_every_mode(self):
+        assert set(STORED_CHOICES) == set(ABLATION_MODES)
+
+    @pytest.mark.parametrize("mode", ABLATION_MODES)
+    def test_score_classifier_and_unlabeled_use(self, mode):
+        score_mode, classifier, _, uses_unlabeled = STORED_CHOICES[mode]
+        split, cfg = tiny_split(), tiny_config(mode)
+        pipe = apply_ablation(mode, cfg)
+        spec = BackboneSpec(split.dim, cfg.hidden_widths, cfg.feature_dim, k1_projection=pipe.k1_projection)
+        pairs = {}
+        for seed, (name, kind) in enumerate(pipe.pairs):  # one teacher per pair, so the students differ
+            teacher = init_teacher(spec, split.K, seed)
+            teacher.pretrained = True
+            pairs[name] = derive_pair(teacher, kind)
+        _, p_in, p_out = _score(pairs, "student", split.unlabeled_x, cfg.gamma)
+        assert (p_in is None) == (score_mode == "outlier_blend")
+        assert (p_in is p_out) == (score_mode == "one_minus_max")
+        student = pairs[classifier].student
+        if "k" in student.heads:
+            expected = predict_labels(student, split.test_x)
+        else:  # a (K+1)-head classifies through its first K outputs
+            expected = np.argmax(student.probs(split.test_x, head="k1")[: split.K], axis=0) + 1
+        assert np.array_equal(evaluate_pipeline(pairs, *eval_inputs(split), cfg.gamma).predictions, expected)
+        assert pipe.uses_unlabeled == uses_unlabeled
+
+    @pytest.mark.parametrize("mode", ABLATION_MODES)
+    def test_gate_uses_the_score(self, mode, monkeypatch):
+        _, _, gate_uses_score, uses_unlabeled = STORED_CHOICES[mode]
+        use_score = []
+        gate = dts_ssl.trainer.gate_mask
+
+        def spy(*args, **kwargs):
+            use_score.append(kwargs["use_score"])
+            return gate(*args, **kwargs)
+
+        monkeypatch.setattr(dts_ssl.trainer, "gate_mask", spy)
+        run_training(tiny_config(mode), tiny_split())
+        assert set(use_score) == ({gate_uses_score} if uses_unlabeled else set())
 
 
 class TestTraceContract:
