@@ -13,16 +13,11 @@ Run: python demos/02_uncertainty_scores.py
 
 import numpy as np
 
-from dts_ssl import (
-    TrainConfig,
-    build_mismatch_split,
-    gate_mask,
-    generate_synthetic,
-    pretrain_teacher,
-    scores_from_probs,
-)
+from dts_ssl import TrainConfig, build_mismatch_split, generate_synthetic
 from dts_ssl.data import feature_scale
 from dts_ssl.models import BackboneSpec, derive_pair, init_teacher
+from dts_ssl.soft_weighting import gate_mask, scores_from_probs
+from dts_ssl.trainer import pretrain_teacher
 
 # -- hand-computed score examples ------------------------------------------
 

@@ -13,6 +13,7 @@ output root comes from --out-dir, the config, or $DTS_SSL_OUT_ROOT.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import dataclasses
 import hashlib
@@ -114,6 +115,8 @@ class ExperimentConfig:
             errors.extend(f"train.{part.strip()}" for part in str(exc).split(";"))
         if not self.seeds:
             errors.append("seeds: must list at least one seed")
+        elif not any(msg.startswith("seeds:") for msg in errors) and min(self.seeds) < 0:
+            errors.append("seeds: must be >= 0")
         if errors:
             raise ValidationError("; ".join(errors))
 
@@ -247,15 +250,14 @@ class RunManifest:
         return cls(**raw)
 
 
-def _experiment_hash(config: ExperimentConfig) -> str:
-    """Hash of every section that shapes a run's outputs: dataset, split and train."""
-    sections = {k: v for k, v in config.to_dict().items() if k in ("dataset", "split", "train")}
-    return hashlib.sha256(json.dumps(sections, sort_keys=True).encode()).hexdigest()[:12]
-
-
-def _resolve_out_dir(config: ExperimentConfig, cli_out: str | None, tag: str) -> Path:
-    root = cli_out or config.out_dir or os.environ.get(ENV_OUT_ROOT) or "runs"
-    return Path(root) / f"{tag}-{_experiment_hash(config)}"
+def _experiment_hash(points: list[tuple[dict, ExperimentConfig]]) -> str:
+    """Hash of every section that shapes a run's outputs (dataset, split and train),
+    over every ``(labels, config)`` point with its labels. One unlabeled point, a
+    plain run, hashes its sections alone."""
+    sections = [[labels, {k: v for k, v in config.to_dict().items() if k in ("dataset", "split", "train")}]
+                for labels, config in points]
+    payload = sections[0][1] if len(points) == 1 and not points[0][0] else sections
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:12]
 
 
 def _execute_single(config: ExperimentConfig, seed: int, run_dir: Path) -> dict:
@@ -285,104 +287,78 @@ def _execute_single(config: ExperimentConfig, seed: int, run_dir: Path) -> dict:
     }
 
 
-def run_experiment(config_path: str | Path, overrides: list[str] | None = None,
-                   out_dir: str | None = None, seeds: list[int] | None = None) -> RunManifest:
-    """Execute training + inference for every seed of the config; write a manifest."""
-    config = load_config(config_path, overrides)
-    if seeds is not None:
-        config.seeds = list(seeds)
-    base = _resolve_out_dir(config, out_dir, "run")
+def _run_points(points: list[tuple[dict, ExperimentConfig]], out_dir: str | None, tag: str) -> RunManifest:
+    """Run every seed of each ``(labels, config)`` point; write one manifest and its reports.
+
+    ``labels`` is empty for a plain run. For one sweep value it holds ``axis`` and
+    ``axis_value``, which name the point's subdirectory and end each of its records.
+    """
+    first = points[0][1]
+    digest = _experiment_hash(points)
+    base = Path(out_dir or first.out_dir or os.environ.get(ENV_OUT_ROOT) or "runs") / f"{tag}-{digest}"
     base.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
-        config_hash=_experiment_hash(config),
+        config_hash=digest,
         artifact_version=__version__,
-        dataset_id=config.dataset.name if config.dataset.kind == "synthetic" else str(config.dataset.path),
-        seeds=list(config.seeds),
+        dataset_id=first.dataset.name if first.dataset.kind == "synthetic" else str(first.dataset.path),
+        seeds=list(first.seeds),
         out_dir=str(base),
     )
-    failures = 0
-    for seed in config.seeds:
-        run_dir = base / f"seed{seed}"
-        try:
-            manifest.runs.append(_execute_single(config, seed, run_dir))
-        except Exception as exc:  # noqa: BLE001 - run status must be recorded
-            failures += 1
-            manifest.runs.append({
-                "seed": seed,
-                "ablation": config.train.ablation_mode,
-                "status": "failed",
-                "run_dir": str(run_dir),
-                "error": f"{type(exc).__name__}: {exc}",
-            })
-    manifest.save(base / "manifest.json")
-    emit_report(base / "manifest.json")
-    if failures:
-        raise DtsError(f"{failures} of {len(config.seeds)} runs failed; see {base / 'manifest.json'}")
-    return manifest
-
-
-def sweep(config_path: str | Path, axis: str, values: list[str],
-          overrides: list[str] | None = None, out_dir: str | None = None,
-          seeds: list[int] | None = None) -> RunManifest:
-    """One run per (axis value, seed); axis names a dotted config field."""
-    if not values:
-        raise ValidationError("sweep: values list must be nonempty")
-    config = load_config(config_path, overrides)
-    if seeds is not None:
-        config.seeds = list(seeds)
-    # resolve the axis against the config to validate the field and its type
-    probe = load_config(config_path, overrides)
-    try:
-        _apply_override(probe, f"{axis}={values[0]}")
-    except ValidationError:
-        # convenience: allow bare field names for train.* and split.* axes
-        resolved = None
-        for prefix in ("train", "split", "dataset"):
+    for labels, config in points:
+        point_dir = base / f"{labels['axis'].replace('.', '_')}={labels['axis_value']}" if labels else base
+        for seed in config.seeds:
+            run_dir = point_dir / f"seed{seed}"
             try:
-                _apply_override(probe, f"{prefix}.{axis}={values[0]}")
-                resolved = f"{prefix}.{axis}"
-                break
-            except ValidationError:
-                continue
-        if resolved is None:
-            raise
-        axis = resolved
-
-    base = _resolve_out_dir(config, out_dir, "sweep")
-    base.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(
-        config_hash=_experiment_hash(config),
-        artifact_version=__version__,
-        dataset_id=config.dataset.name if config.dataset.kind == "synthetic" else str(config.dataset.path),
-        seeds=list(config.seeds),
-        out_dir=str(base),
-    )
-    failures = 0
-    for value in values:
-        point = load_config(config_path, (overrides or []) + [f"{axis}={value}"])
-        if seeds is not None:
-            point.seeds = list(seeds)
-        for seed in point.seeds:
-            run_dir = base / f"{axis.replace('.', '_')}={value}" / f"seed{seed}"
-            try:
-                record = _execute_single(point, seed, run_dir)
-            except Exception as exc:  # noqa: BLE001
-                failures += 1
+                record = _execute_single(config, seed, run_dir)
+            except Exception as exc:  # noqa: BLE001 - run status must be recorded
                 record = {
                     "seed": seed,
-                    "ablation": point.train.ablation_mode,
+                    "ablation": config.train.ablation_mode,
                     "status": "failed",
                     "run_dir": str(run_dir),
                     "error": f"{type(exc).__name__}: {exc}",
                 }
-            record["axis"] = axis
-            record["axis_value"] = value
-            manifest.runs.append(record)
+            manifest.runs.append({**record, **labels})
     manifest.save(base / "manifest.json")
     emit_report(base / "manifest.json")
+    failures = sum(r["status"] == "failed" for r in manifest.runs)
     if failures:
-        raise DtsError(f"{failures} sweep runs failed; see {base / 'manifest.json'}")
+        raise DtsError(f"{failures} of {len(manifest.runs)} runs failed; see {base / 'manifest.json'}")
     return manifest
+
+
+def run_experiment(config_path: str | Path, overrides: list[str] | None = None,
+                   out_dir: str | None = None) -> RunManifest:
+    """Execute training + inference for every seed of the config; write a manifest."""
+    return _run_points([({}, load_config(config_path, overrides))], out_dir, "run")
+
+
+def _resolve_axis(config: ExperimentConfig, axis: str, value: str) -> str:
+    """The dotted field ``axis`` names; a bare name resolves in train, then split, then dataset."""
+    errors = []
+    for dotted in (axis, f"train.{axis}", f"split.{axis}", f"dataset.{axis}"):
+        try:
+            _apply_override(copy.deepcopy(config), f"{dotted}={value}")
+            return dotted
+        except ValidationError as exc:
+            errors.append(exc)
+    raise errors[0]
+
+
+def sweep(config_path: str | Path, axis: str, values: list[str],
+          overrides: list[str] | None = None, out_dir: str | None = None) -> RunManifest:
+    """One run per (axis value, seed); axis names a dotted config field."""
+    if not values:
+        raise ValidationError("sweep: values list must be nonempty")
+    config = load_config(config_path, overrides)
+    axis = _resolve_axis(config, axis, values[0])
+    points = []
+    for value in values:
+        point = copy.deepcopy(config)
+        _apply_override(point, f"{axis}={value}")
+        point.validate()
+        points.append(({"axis": axis, "axis_value": value}, point))
+    return _run_points(points, out_dir, "sweep")
 
 
 def emit_report(manifest_path: str | Path, include_incomplete: bool = False) -> list[Path]:
@@ -467,6 +443,12 @@ def _flag_overrides(args: argparse.Namespace) -> list[str]:
         overrides.append(f"split.mismatch_ratio={args.mismatch_ratio}")
     if args.labeled_size is not None:
         overrides.append(f"split.labeled_size={args.labeled_size}")
+    if args.seed is not None and args.seeds is not None:
+        raise ValidationError("--seed and --seeds are mutually exclusive")
+    if args.seed is not None:
+        overrides.append(f"seeds={args.seed}")
+    elif args.seeds is not None:
+        overrides.append("seeds=" + ",".join(str(seed) for seed in range(args.seeds)))
     return overrides
 
 
@@ -503,32 +485,19 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         overrides = _flag_overrides(args)
-        seeds_override = None
-        if args.seed is not None and args.seeds is not None:
-            raise ValidationError("--seed and --seeds are mutually exclusive")
-        if args.seed is not None:
-            seeds_override = [args.seed]
-        elif args.seeds is not None:
-            seeds_override = list(range(args.seeds))
-
         if args.verb == "run":
-            manifest = run_experiment(args.config, overrides, args.out_dir, seeds=seeds_override)
-            print(Path(manifest.out_dir) / "manifest.json")
-            return 0
-        if args.verb == "sweep":
+            manifest = run_experiment(args.config, overrides, args.out_dir)
+        else:
             values = [v for v in args.values.split(",") if v]
-            manifest = sweep(args.config, args.axis, values, overrides, args.out_dir,
-                             seeds=seeds_override)
-            print(Path(manifest.out_dir) / "manifest.json")
-            return 0
-        parser.error(f"unknown verb {args.verb}")
+            manifest = sweep(args.config, args.axis, values, overrides, args.out_dir)
+        print(Path(manifest.out_dir) / "manifest.json")
+        return 0
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except (DtsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    return 0
 
 
 if __name__ == "__main__":

@@ -292,14 +292,12 @@ class AugmentConfig:
     """Weak/strong augmentation strengths, expressed relative to feature scale.
 
     Weak views add small Gaussian jitter; strong views add larger jitter and
-    zero out a fixed fraction of coordinates. For image-shaped inputs a random
-    horizontal flip is applied first in both modes.
+    zero out a fixed fraction of coordinates.
     """
 
     weak_sigma: float = 0.05
     strong_sigma: float = 0.2
     mask_fraction: float = 0.25
-    image_shape: tuple[int, int, int] | None = None  # (h, w, c) enables flips
 
     def __post_init__(self) -> None:
         require_all([
@@ -324,7 +322,7 @@ def augment_batch(
 ) -> np.ndarray:
     """Produce one augmented view per row of ``x``. Output shape equals input shape.
 
-    Random draws happen in a fixed order (flips, jitter, mask) so a seeded rng
+    Random draws happen in a fixed order (jitter, then mask) so a seeded rng
     reproduces the same views.
     """
     if mode not in AUGMENT_MODES:
@@ -334,15 +332,6 @@ def augment_batch(
         raise ShapeError(f"augment_batch expects a (batch, dim) array, got shape {x.shape}")
     b, d = x.shape
     out = x.copy()
-
-    if config.image_shape is not None:
-        h, w, c = config.image_shape
-        if h * w * c != d:
-            raise ShapeError(f"image_shape {config.image_shape} does not match dim {d}")
-        flip = rng.random(b) < 0.5
-        imgs = out.reshape(b, h, w, c)
-        imgs[flip] = imgs[flip, :, ::-1, :]
-        out = imgs.reshape(b, d)
 
     sigma = config.weak_sigma if mode == "weak" else config.strong_sigma
     scale_arr = np.ones(d) if scale is None else np.broadcast_to(np.asarray(scale, dtype=np.float64), (d,))
@@ -513,46 +502,3 @@ def load_cifar10_dir(path: str | Path, max_per_class: int | None = None) -> Data
         order = np.sort(np.concatenate(keep))
         features, labels = features[order], labels[order]
     return Dataset(name="cifar10", features=features, labels=labels, class_count=10)
-
-
-def save_split_manifest(split: MismatchSplit, path: str | Path) -> None:
-    """Persist the example indices of each partition for bit-exact reruns."""
-    manifest = {
-        "source_name": split.source_name,
-        "seed": split.seed,
-        "mismatch_ratio": split.mismatch_ratio,
-        "seen_class_ids": list(split.seen_class_ids),
-        "labeled_indices": split.labeled_indices.tolist(),
-        "unlabeled_indices": split.unlabeled_indices.tolist(),
-        "test_indices": split.test_indices.tolist(),
-    }
-    Path(path).write_text(json.dumps(manifest, indent=2))
-
-
-def load_split_manifest(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())
-
-
-def materialize_split(dataset: Dataset, manifest: dict) -> MismatchSplit:
-    """Rebuild a split from a manifest, byte-identical to the original."""
-    seen = tuple(int(c) for c in manifest["seen_class_ids"])
-    remap = {orig: i + 1 for i, orig in enumerate(seen)}
-    relabel = np.vectorize(remap.get, otypes=[np.int64])
-    labeled_idx = np.asarray(manifest["labeled_indices"], dtype=np.int64)
-    unlabeled_idx = np.asarray(manifest["unlabeled_indices"], dtype=np.int64)
-    test_idx = np.asarray(manifest["test_indices"], dtype=np.int64)
-    return MismatchSplit(
-        labeled_x=dataset.features[labeled_idx].copy(),
-        labeled_y=relabel(dataset.labels[labeled_idx]),
-        unlabeled_x=dataset.features[unlabeled_idx].copy(),
-        unlabeled_is_unseen=~np.isin(dataset.labels[unlabeled_idx], seen),
-        test_x=dataset.features[test_idx].copy(),
-        test_y=relabel(dataset.labels[test_idx]),
-        seen_class_ids=seen,
-        mismatch_ratio=float(manifest["mismatch_ratio"]),
-        labeled_indices=labeled_idx,
-        unlabeled_indices=unlabeled_idx,
-        test_indices=test_idx,
-        source_name=manifest.get("source_name", dataset.name),
-        seed=int(manifest.get("seed", 0)),
-    )

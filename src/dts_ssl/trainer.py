@@ -392,7 +392,6 @@ class TrainState:
 class TrainResult:
     config: TrainConfig
     pipeline: PipelineDescription
-    teacher: DualHeadModel
     pairs: dict[str, TeacherStudentPair]
     history: list[dict]
     final_eval: EvalResult
@@ -880,7 +879,6 @@ def run_training(
     return TrainResult(
         config=config,
         pipeline=pipeline,
-        teacher=teacher,
         pairs=state.pairs,
         history=state.history,
         final_eval=final_eval,

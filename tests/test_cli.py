@@ -174,8 +174,8 @@ class TestSweepVerb:
     def test_mismatch_ratio_sweep_table(self, config_file, tmp_path):
         manifest = sweep(
             config_file, "split.mismatch_ratio", ["0.3", "0.6"],
-            overrides=["train.ablation_mode=supervised_only"],
-            out_dir=tmp_path / "out", seeds=[0, 1],
+            overrides=["train.ablation_mode=supervised_only", "seeds=0,1"],
+            out_dir=tmp_path / "out",
         )
         assert len(manifest.runs) == 4
         base = Path(manifest.out_dir)
@@ -201,16 +201,53 @@ class TestSweepVerb:
                      "--values", "a,b"])
         assert code == 2
 
+    def test_sweeps_over_different_axes_get_their_own_directory(self, config_file, tmp_path):
+        """The sweep hash covers its points, so a second sweep never overwrites the first."""
+        overrides = ["train.ablation_mode=supervised_only"]
+        by_ratio = sweep(config_file, "split.mismatch_ratio", ["0.3"], overrides, tmp_path)
+        by_tau = sweep(config_file, "train.tau", ["0.7"], overrides, tmp_path)
+        assert by_ratio.out_dir != by_tau.out_dir
+        for manifest, axis in ((by_ratio, "split.mismatch_ratio"), (by_tau, "train.tau")):
+            on_disk = RunManifest.load(Path(manifest.out_dir) / "manifest.json")
+            assert [r["axis"] for r in on_disk.runs] == [axis]
+            assert Path(manifest.out_dir).name == f"sweep-{manifest.config_hash}"
+
+
+class TestFailedRuns:
+    """A run that raises is recorded, reported and counted the same way by both verbs."""
+
+    VERBS = {
+        "run": [],
+        "sweep": ["--axis", "train.tau", "--values", "0.7,0.9"],
+    }
+
+    @pytest.mark.parametrize("verb", sorted(VERBS))
+    def test_failure_recorded_and_exit_three(self, config_file, tmp_path, verb, capsys):
+        argv = [verb, "--config", str(config_file), "--set", "split.unlabeled_size=100000",
+                "--out-dir", str(tmp_path / "out"), *self.VERBS[verb]]
+        assert main(argv) == 3
+        count = 2 if verb == "sweep" else 1
+        assert f"{count} of {count} runs failed" in capsys.readouterr().err
+        (manifest_file,) = (tmp_path / "out").rglob("manifest.json")
+        runs = RunManifest.load(manifest_file).runs
+        assert len(runs) == count
+        for r in runs:
+            assert r["status"] == "failed"
+            assert r["error"].startswith("CapacityError: ")
+            assert ("axis" in r and "axis_value" in r) == (verb == "sweep")
+        with open(manifest_file.parent / "report_runs.csv") as fh:
+            assert list(csv.DictReader(fh)) == []
+
 
 class TestReportVerb:
     def make_manifest(self, config_file, tmp_path, seeds):
         return run_experiment(
-            config_file, ["train.ablation_mode=supervised_only"],
-            out_dir=tmp_path / "out", seeds=seeds,
+            config_file, ["train.ablation_mode=supervised_only", f"seeds={seeds}"],
+            out_dir=tmp_path / "out",
         )
 
     def test_single_seed_std_zero(self, config_file, tmp_path):
-        manifest = self.make_manifest(config_file, tmp_path, [0])
+        manifest = self.make_manifest(config_file, tmp_path, "0")
         base = Path(manifest.out_dir)
         with open(base / "report_aggregate.csv") as fh:
             row = next(csv.DictReader(fh))
@@ -218,7 +255,7 @@ class TestReportVerb:
         assert float(row["auroc_std"]) == 0.0
 
     def test_aggregate_matches_recomputation(self, config_file, tmp_path):
-        manifest = self.make_manifest(config_file, tmp_path, [0, 1, 2])
+        manifest = self.make_manifest(config_file, tmp_path, "0,1,2")
         base = Path(manifest.out_dir)
         accs = [r["accuracy"] for r in manifest.runs]
         with open(base / "report_aggregate.csv") as fh:
@@ -227,7 +264,7 @@ class TestReportVerb:
         assert int(row["runs"]) == 3
 
     def test_regeneration_idempotent(self, config_file, tmp_path):
-        manifest = self.make_manifest(config_file, tmp_path, [0, 1])
+        manifest = self.make_manifest(config_file, tmp_path, "0,1")
         base = Path(manifest.out_dir)
         first = (base / "report_runs.csv").read_bytes(), (base / "report_aggregate.csv").read_bytes()
         emit_report(base / "manifest.json")
@@ -235,7 +272,7 @@ class TestReportVerb:
         assert first == second
 
     def test_auroc_series_emitted(self, config_file, tmp_path):
-        manifest = self.make_manifest(config_file, tmp_path, [0])
+        manifest = self.make_manifest(config_file, tmp_path, "0")
         base = Path(manifest.out_dir)
         series = list((base / "auroc_by_epoch").glob("*.csv"))
         assert len(series) == 1
@@ -330,6 +367,21 @@ class TestValidateConfigVerb:
         assert main(argv) == 2
         assert f"train.{field}: must be finite" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("flags", [["--seeds", "0"], ["--seed", "-1"], ["--seed", "0", "--seeds", "2"]])
+    def test_bad_seed_flags_exit_two(self, config_file, tmp_path, flags, capsys):
+        argv = ["run", "--config", str(config_file), "--out-dir", str(tmp_path / "runs"), *flags]
+        assert main(argv) == 2
+        assert "seeds" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_negative_seed_in_config_exit_two(self, tmp_path, config_file, capsys):
+        raw = json.loads(config_file.read_text())
+        raw["seeds"] = [-3]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["validate-config", "--config", str(bad)]) == 2
+        assert "seeds: must be >= 0" in capsys.readouterr().err
 
     def test_unparseable_exit_two(self, tmp_path):
         bad = tmp_path / "mangled.json"

@@ -1,7 +1,12 @@
-"""Every name the project's code imports is used where it is imported."""
+"""Every name the project's code imports is used where it is imported, and the package
+root exports exactly the names its callers import from it."""
 
 import ast
+import re
+import types
 from pathlib import Path
+
+import dts_ssl
 
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src", "tests", "scripts", "demos")
@@ -43,3 +48,20 @@ def test_finds_unused_names_only():
         "def h() -> f: ...\n"
     )
     assert unused_imports(source) == ["d (line 4)", "os (line 2)"]
+
+
+def root_imports(source: str) -> set[str]:
+    """Names a module imports with ``from dts_ssl import ...``."""
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module == "dts_ssl" and node.level == 0
+            for alias in node.names}
+
+
+def test_package_root_exports_what_callers_import():
+    sources = [p.read_text() for p in sorted((ROOT / "demos").glob("*.py"))]
+    sources += re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    imported = set().union(*map(root_imports, sources))
+    exported = {name for name, value in vars(dts_ssl).items()
+                if not isinstance(value, types.ModuleType)
+                and (name == "__version__" or not name.startswith("_"))}
+    assert imported | {"__version__"} == exported
