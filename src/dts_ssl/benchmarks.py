@@ -1,29 +1,17 @@
 """The desk-scale synthetic benchmark used by the demos and the acceptance suite.
 
-Four seen Gaussian clusters plus two unseen ones in 16 dimensions, a small
-labeled set (80 examples), and 2000 unlabeled examples at mismatch ratio 0.5.
-Cluster noise is chosen so the supervised baseline is clearly beatable while
-nearest-cluster structure keeps the task learnable from so few labels.
+The benchmark task is the default :class:`DatasetSpec` and :class:`SplitSpec`
+with dataset seed 0: four seen Gaussian clusters plus two unseen ones in 16
+dimensions, a small labeled set (80 examples), and 2000 unlabeled examples at
+mismatch ratio 0.5. Cluster noise is chosen so the supervised baseline is
+clearly beatable while nearest-cluster structure keeps the task learnable from
+so few labels.
 """
 
 from __future__ import annotations
 
-from .data import Dataset, MismatchSplit, build_mismatch_split, generate_synthetic
+from .data import Dataset, DatasetSpec, MismatchSplit, SplitSpec
 from .trainer import TrainConfig, TrainResult, run_training
-
-BENCHMARK = dict(
-    k_seen=4,
-    k_unseen=2,
-    dim=16,
-    per_class=600,
-    separation=3.0,
-    noise=1.6,
-    m=80,
-    n=2000,
-    ratio=0.5,
-    test_fraction=0.2,
-    dataset_seed=0,
-)
 
 # desk training schedule for benchmark runs (TrainConfig.desk overrides):
 # the reference unlabeled multiplier (mu=7), frequent teacher refreshes so
@@ -40,29 +28,12 @@ BENCHMARK_TRAIN = dict(
 
 def benchmark_dataset() -> Dataset:
     """The benchmark task itself is fixed; run seeds vary split and training."""
-    return generate_synthetic(
-        k_seen=BENCHMARK["k_seen"],
-        k_unseen=BENCHMARK["k_unseen"],
-        dim=BENCHMARK["dim"],
-        per_class=BENCHMARK["per_class"],
-        separation=BENCHMARK["separation"],
-        noise=BENCHMARK["noise"],
-        seed=BENCHMARK["dataset_seed"],
-        name="desk-benchmark",
-    )
+    return DatasetSpec(name="desk-benchmark").load(seed=0)
 
 
 def benchmark_split(seed: int) -> MismatchSplit:
     """Same task geometry for all seeds; the seed draws the split partitions."""
-    return build_mismatch_split(
-        benchmark_dataset(),
-        seen_class_ids=range(1, BENCHMARK["k_seen"] + 1),
-        ratio=BENCHMARK["ratio"],
-        m=BENCHMARK["m"],
-        n=BENCHMARK["n"],
-        test_fraction=BENCHMARK["test_fraction"],
-        seed=seed,
-    )
+    return SplitSpec().build(benchmark_dataset(), seed)
 
 
 def benchmark_config(ablation_mode: str = "full", seed: int = 0, **overrides) -> TrainConfig:

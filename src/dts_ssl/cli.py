@@ -28,70 +28,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import Dataset, build_mismatch_split, generate_synthetic, load_cifar10_dir, load_dataset
-from .errors import DtsError, ValidationError, type_checks
+from .data import DatasetSpec, SplitSpec, split_checks
+from .errors import DtsError, ValidationError, replace_fields, type_checks
 from .trainer import TrainConfig, run_training
 
 ENV_OUT_ROOT = "DTS_SSL_OUT_ROOT"
 
 
-@dataclass
-class DatasetSpec:
-    kind: str = "synthetic"  # synthetic | csv | cifar10
-    name: str = "synthetic"
-    path: str | None = None
-    k_seen: int = 4
-    k_unseen: int = 2
-    dim: int = 16
-    per_class: int = 600
-    separation: float = 3.0
-    noise: float = 1.6
-    max_per_class: int | None = None
-
-    def validate(self, errors: list[str]) -> None:
-        if self.kind not in ("synthetic", "csv", "cifar10"):
-            errors.append(f"dataset.kind: unknown kind {self.kind!r}")
-        if self.kind in ("csv", "cifar10"):
-            if not self.path:
-                errors.append("dataset.path: required for csv/cifar10 datasets")
-            elif not Path(self.path).exists():
-                errors.append(f"dataset.path: {self.path} does not exist")
-        if self.kind == "synthetic":
-            if self.k_seen < 2:
-                errors.append("dataset.k_seen: must be >= 2")
-            if self.dim < 2:
-                errors.append("dataset.dim: must be >= 2")
-
-    def load(self, seed: int) -> Dataset:
-        if self.kind == "synthetic":
-            return generate_synthetic(
-                self.k_seen, self.k_unseen, self.dim, self.per_class,
-                separation=self.separation, noise=self.noise, seed=seed, name=self.name,
-            )
-        if self.kind == "csv":
-            return load_dataset(self.path)
-        return load_cifar10_dir(self.path, max_per_class=self.max_per_class)
-
-
-@dataclass
-class SplitSpec:
-    seen_class_ids: list[int] = field(default_factory=lambda: [1, 2, 3, 4])
-    mismatch_ratio: float = 0.5
-    labeled_size: int = 80
-    unlabeled_size: int = 2000
-    test_fraction: float = 0.2
-
-    def validate(self, errors: list[str]) -> None:
-        if not 0.0 <= self.mismatch_ratio <= 1.0:
-            errors.append("split.mismatch_ratio: must lie in [0, 1]")
-        if self.labeled_size < 1:
-            errors.append("split.labeled_size: must be >= 1")
-        if self.unlabeled_size < 1:
-            errors.append("split.unlabeled_size: must be >= 1")
-        if not 0.0 < self.test_fraction < 1.0:
-            errors.append("split.test_fraction: must lie in (0, 1)")
-        if not self.seen_class_ids:
-            errors.append("split.seen_class_ids: must be nonempty")
+SECTIONS = ("dataset", "split", "train")
 
 
 @dataclass
@@ -103,62 +47,38 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def validate(self) -> None:
-        errors = [msg for ok, msg in type_checks(self) if not ok]
-        for name, section in (("dataset", self.dataset), ("split", self.split)):
-            wrong = [f"{name}.{msg}" for ok, msg in type_checks(section) if not ok]
-            errors.extend(wrong)
-            if not wrong:  # the value checks assume the declared types
-                section.validate(errors)
-        try:
-            self.train.validate()
-        except ValidationError as exc:
-            errors.extend(f"train.{part.strip()}" for part in str(exc).split(";"))
+        problems = [msg for ok, msg in type_checks(self) if not ok]
+        for name in SECTIONS:
+            try:
+                getattr(self, name).validate()
+            except ValidationError as exc:
+                problems += [f"{name}.{problem}" for problem in exc.problems]
+        if not problems and self.dataset.kind == "synthetic":  # its classes are known before it is built
+            classes = self.dataset.k_seen + self.dataset.k_unseen
+            fit = split_checks(**dataclasses.asdict(self.split), class_count=classes)
+            problems += [f"split.{msg}" for ok, msg in fit if not ok]
         if not self.seeds:
-            errors.append("seeds: must list at least one seed")
-        elif not any(msg.startswith("seeds:") for msg in errors) and min(self.seeds) < 0:
-            errors.append("seeds: must be >= 0")
-        if errors:
-            raise ValidationError("; ".join(errors))
+            problems.append("seeds: must list at least one seed")
+        elif not any(msg.startswith("seeds:") for msg in problems) and min(self.seeds) < 0:
+            problems.append("seeds: must be >= 0")
+        if problems:
+            raise ValidationError(*problems)
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": dataclasses.asdict(self.dataset),
-            "split": dataclasses.asdict(self.split),
-            "train": self.train.to_dict(),
-            "seeds": list(self.seeds),
-            "out_dir": self.out_dir,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        known = {"dataset", "split", "train", "seeds", "out_dir"}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValidationError(f"unknown config sections: {sorted(unknown)}")
-        cfg = cls()
-        if "dataset" in raw:
-            cfg.dataset = _build_section(DatasetSpec, raw["dataset"], "dataset")
-        if "split" in raw:
-            cfg.split = _build_section(SplitSpec, raw["split"], "split")
-        if "train" in raw:
-            base = TrainConfig.desk().to_dict()
-            base.update(raw["train"])
-            try:
-                cfg.train = TrainConfig.from_dict(base)
-            except (TypeError, ValidationError) as exc:
-                raise ValidationError(f"train: {exc}") from exc
-        if "seeds" in raw:
-            cfg.seeds = raw["seeds"]
-        cfg.out_dir = raw.get("out_dir")
+    def from_dict(cls, raw) -> "ExperimentConfig":
+        """Each section's fields in ``raw`` replace its default's; train's default is the desk schedule."""
+        if not isinstance(raw, dict):
+            raise ValidationError(f"a config must be a JSON object, got {raw!r}")
+        cfg = replace_fields(cls(), {k: v for k, v in raw.items() if k not in SECTIONS})
+        for name in SECTIONS:
+            section = raw.get(name, {})
+            if not isinstance(section, dict):
+                raise ValidationError(f"{name}: expected a JSON object, got {section!r}")
+            setattr(cfg, name, replace_fields(getattr(cfg, name), section, f"{name}: "))
         return cfg
-
-
-def _build_section(cls, raw: dict, name: str):
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ValidationError(f"{name}: unknown fields {sorted(unknown)}")
-    return cls(**raw)
 
 
 def load_config(path: str | Path, overrides: list[str] | None = None) -> ExperimentConfig:
@@ -206,16 +126,12 @@ def _coerce(value: str, hint, dotted: str):
         if value.lower() in ("false", "0", "no"):
             return False
         raise ValidationError(f"override {dotted!r}: expected a boolean, got {value!r}")
-    if hint is int:
+    if hint in (int, float):
         try:
-            return int(value)
+            return hint(value)
         except ValueError as exc:
-            raise ValidationError(f"override {dotted!r}: expected an integer, got {value!r}") from exc
-    if hint is float:
-        try:
-            return float(value)
-        except ValueError as exc:
-            raise ValidationError(f"override {dotted!r}: expected a number, got {value!r}") from exc
+            kind = "an integer" if hint is int else "a number"
+            raise ValidationError(f"override {dotted!r}: expected {kind}, got {value!r}") from exc
     if typing.get_origin(hint) in (list, tuple):
         items = [part for part in value.split(",") if part]
         caster = typing.get_args(hint)[0]
@@ -251,26 +167,17 @@ class RunManifest:
 
 
 def _experiment_hash(points: list[tuple[dict, ExperimentConfig]]) -> str:
-    """Hash of every section that shapes a run's outputs (dataset, split and train),
+    """Hash of everything that picks a run's outputs (the sections and the seeds),
     over every ``(labels, config)`` point with its labels. One unlabeled point, a
-    plain run, hashes its sections alone."""
-    sections = [[labels, {k: v for k, v in config.to_dict().items() if k in ("dataset", "split", "train")}]
+    plain run, hashes its config alone."""
+    sections = [[labels, {k: v for k, v in config.to_dict().items() if k != "out_dir"}]
                 for labels, config in points]
     payload = sections[0][1] if len(points) == 1 and not points[0][0] else sections
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:12]
 
 
 def _execute_single(config: ExperimentConfig, seed: int, run_dir: Path) -> dict:
-    dataset = config.dataset.load(seed)
-    split = build_mismatch_split(
-        dataset,
-        seen_class_ids=config.split.seen_class_ids,
-        ratio=config.split.mismatch_ratio,
-        m=config.split.labeled_size,
-        n=config.split.unlabeled_size,
-        test_fraction=config.split.test_fraction,
-        seed=seed,
-    )
+    split = config.split.build(config.dataset.load(seed), seed)
     train_cfg = dataclasses.replace(config.train, seed=seed)
     run_dir.mkdir(parents=True, exist_ok=True)
     effective = config.to_dict()

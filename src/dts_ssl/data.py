@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import pickle
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, GenerationError, ShapeError, ValidationError, require_all
+from .errors import CapacityError, GenerationError, ShapeError, ValidationError, require_all, type_checks
 from .numerics import round_half_up
 
 
@@ -53,10 +54,6 @@ class Dataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    @property
-    def class_ids(self) -> tuple[int, ...]:
-        return tuple(range(1, self.class_count + 1))
-
 
 @dataclass
 class MismatchSplit:
@@ -73,12 +70,9 @@ class MismatchSplit:
     test_x: np.ndarray
     test_y: np.ndarray  # remapped to 1..K
     seen_class_ids: tuple[int, ...]  # original ids, sorted
-    mismatch_ratio: float
     labeled_indices: np.ndarray  # indices into the source dataset
     unlabeled_indices: np.ndarray
     test_indices: np.ndarray
-    source_name: str = ""
-    seed: int = 0
 
     @property
     def K(self) -> int:
@@ -105,19 +99,8 @@ def build_mismatch_split(
     contain only seen classes, with labels remapped to 1..K. Deterministic for
     a fixed seed.
     """
-    if not 0.0 <= ratio <= 1.0:
-        raise ValidationError(f"mismatch ratio must lie in [0, 1], got {ratio}")
-    if not 0.0 < test_fraction < 1.0:
-        raise ValidationError(f"test_fraction must lie in (0, 1), got {test_fraction}")
-    if m < 1 or n < 1:
-        raise ValidationError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
     seen = tuple(sorted(set(int(c) for c in seen_class_ids)))
-    if not seen:
-        raise ValidationError("seen_class_ids must be nonempty")
-    if any(c not in dataset.class_ids for c in seen):
-        raise ValidationError(f"seen_class_ids {seen} not all present in dataset classes")
-    if ratio > 0 and len(seen) == dataset.class_count:
-        raise ValidationError("ratio > 0 requires at least one unseen class in the dataset")
+    require_all(split_checks(seen, ratio, m, n, test_fraction, class_count=dataset.class_count))
 
     n_unseen = round_half_up(n * ratio)
     n_seen = n - n_unseen
@@ -166,13 +149,47 @@ def build_mismatch_split(
         test_x=dataset.features[test_idx].copy(),
         test_y=relabel(dataset.labels[test_idx]),
         seen_class_ids=seen,
-        mismatch_ratio=float(ratio),
         labeled_indices=labeled_idx.copy(),
         unlabeled_indices=unlabeled_idx.copy(),
         test_indices=test_idx.copy(),
-        source_name=dataset.name,
-        seed=seed,
     )
+
+
+def split_checks(seen_class_ids, mismatch_ratio, labeled_size, unlabeled_size, test_fraction,
+                 class_count: int | None = None) -> list:
+    """The ``(ok, message)`` checks on a split request, named as :class:`SplitSpec`'s fields.
+
+    With ``class_count``, also whether the seen classes and the ratio fit a
+    dataset with that many classes.
+    """
+    seen = set(seen_class_ids)
+    checks = [
+        (0.0 <= mismatch_ratio <= 1.0, f"mismatch_ratio: must lie in [0, 1], got {mismatch_ratio}"),
+        (labeled_size >= 1, f"labeled_size: must be >= 1, got {labeled_size}"),
+        (unlabeled_size >= 1, f"unlabeled_size: must be >= 1, got {unlabeled_size}"),
+        (0.0 < test_fraction < 1.0, f"test_fraction: must lie in (0, 1), got {test_fraction}"),
+        (bool(seen), "seen_class_ids: must be nonempty"),
+    ]
+    if class_count is not None:
+        classes = set(range(1, class_count + 1))
+        checks += [
+            (seen <= classes, f"seen_class_ids: {sorted(seen)} not all among classes 1..{class_count}"),
+            (mismatch_ratio == 0 or not classes <= seen,
+             "mismatch_ratio: > 0 needs at least one unseen class in the dataset"),
+        ]
+    return checks
+
+
+def _synthetic_checks(k_seen, k_unseen, dim, per_class, separation, noise) -> list:
+    """The ``(ok, message)`` checks on :func:`generate_synthetic`'s arguments, named as they are."""
+    return [
+        (k_seen >= 2, f"k_seen: must be >= 2, got {k_seen}"),
+        (k_unseen >= 0, f"k_unseen: must be >= 0, got {k_unseen}"),
+        (dim >= 2, f"dim: must be >= 2, got {dim}"),
+        (per_class >= 1, f"per_class: must be >= 1, got {per_class}"),
+        (0 < separation < math.inf, f"separation: must be finite and > 0, got {separation}"),
+        (0 < noise < math.inf, f"noise: must be finite and > 0, got {noise}"),
+    ]
 
 
 def generate_synthetic(
@@ -194,16 +211,7 @@ def generate_synthetic(
     decision boundaries, which is what makes class mismatch both harmful and
     detectable. Deterministic per seed.
     """
-    if k_seen < 2:
-        raise ValidationError(f"k_seen must be >= 2, got {k_seen}")
-    if k_unseen < 0:
-        raise ValidationError(f"k_unseen must be >= 0, got {k_unseen}")
-    if dim < 2:
-        raise ValidationError(f"dim must be >= 2, got {dim}")
-    if per_class < 1:
-        raise ValidationError(f"per_class must be >= 1, got {per_class}")
-    if separation <= 0 or noise <= 0:
-        raise ValidationError("separation and noise must be positive")
+    require_all(_synthetic_checks(k_seen, k_unseen, dim, per_class, separation, noise))
 
     rng = np.random.default_rng(seed)
     k_total = k_seen + k_unseen
@@ -502,3 +510,66 @@ def load_cifar10_dir(path: str | Path, max_per_class: int | None = None) -> Data
         order = np.sort(np.concatenate(keep))
         features, labels = features[order], labels[order]
     return Dataset(name="cifar10", features=features, labels=labels, class_count=10)
+
+
+# ---------------------------------------------------------------------------
+# Config sections
+# ---------------------------------------------------------------------------
+
+DATASET_KINDS = ("synthetic", "csv", "cifar10")
+
+
+@dataclass
+class DatasetSpec:
+    """Where a run's dataset comes from; the synthetic fields are :func:`generate_synthetic`'s arguments."""
+
+    kind: str = "synthetic"  # one of DATASET_KINDS
+    name: str = "synthetic"
+    path: str | None = None
+    k_seen: int = 4
+    k_unseen: int = 2
+    dim: int = 16
+    per_class: int = 600
+    separation: float = 3.0
+    noise: float = 1.6
+    max_per_class: int | None = None
+
+    def _synthetic_args(self) -> tuple:
+        return self.k_seen, self.k_unseen, self.dim, self.per_class, self.separation, self.noise
+
+    def validate(self) -> None:
+        require_all(type_checks(self))  # the value checks below assume the declared types
+        checks = [(self.kind in DATASET_KINDS, f"kind: unknown kind {self.kind!r}")]
+        if self.kind == "synthetic":
+            checks += _synthetic_checks(*self._synthetic_args())
+        elif self.kind in DATASET_KINDS:  # csv and cifar10 read a local path
+            checks += [(bool(self.path), "path: required for csv/cifar10 datasets"),
+                       (not self.path or Path(self.path).exists(), f"path: {self.path} does not exist")]
+        require_all(checks)
+
+    def load(self, seed: int) -> Dataset:
+        if self.kind == "synthetic":
+            return generate_synthetic(*self._synthetic_args(), seed=seed, name=self.name)
+        if self.kind == "csv":
+            return load_dataset(self.path)
+        return load_cifar10_dir(self.path, max_per_class=self.max_per_class)
+
+
+@dataclass
+class SplitSpec:
+    """A class-mismatch split request; the fields are :func:`split_checks`'s arguments."""
+
+    seen_class_ids: list[int] = field(default_factory=lambda: [1, 2, 3, 4])
+    mismatch_ratio: float = 0.5
+    labeled_size: int = 80
+    unlabeled_size: int = 2000
+    test_fraction: float = 0.2
+
+    def validate(self) -> None:
+        require_all(type_checks(self))  # the value checks below assume the declared types
+        require_all(split_checks(**asdict(self)))
+
+    def build(self, dataset: Dataset, seed: int) -> MismatchSplit:
+        """Carve this split out of ``dataset``; ``seed`` draws the partitions."""
+        return build_mismatch_split(dataset, self.seen_class_ids, self.mismatch_ratio, self.labeled_size,
+                                    self.unlabeled_size, self.test_fraction, seed)

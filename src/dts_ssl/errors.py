@@ -11,14 +11,26 @@ class DtsError(Exception):
 
 
 class ValidationError(DtsError):
-    """An argument or configuration value violates its contract."""
+    """An argument or configuration value violates its contract; ``problems`` lists each violation."""
+
+    def __init__(self, *problems: str) -> None:
+        super().__init__("; ".join(problems))
+        self.problems = list(problems)
 
 
 def require_all(checks) -> None:
     """Raise one ValidationError naming every failed ``(ok, message)`` check."""
     problems = [msg for ok, msg in checks if not ok]
     if problems:
-        raise ValidationError("; ".join(problems))
+        raise ValidationError(*problems)
+
+
+def replace_fields(obj, raw: dict, where: str = ""):
+    """``obj`` with the fields that ``raw`` names set to its values; a name ``obj`` lacks is refused."""
+    unknown = set(raw) - {f.name for f in dataclasses.fields(obj)}
+    if unknown:
+        raise ValidationError(f"{where}unknown config fields: {sorted(unknown)}")
+    return dataclasses.replace(obj, **raw)
 
 
 def type_checks(obj) -> list:

@@ -20,7 +20,25 @@ import numpy as np
 from .errors import ShapeError, StateError, ValidationError, require_all
 from .numerics import softmax
 
-_ACTIVATIONS = ("tanh", "relu")
+
+def _tanh(z: np.ndarray) -> np.ndarray:
+    return np.tanh(z, out=z)
+
+
+def _tanh_grad(a: np.ndarray) -> np.ndarray:
+    return 1.0 - a * a
+
+
+def _relu(z: np.ndarray) -> np.ndarray:
+    return np.maximum(z, 0.0, out=z)
+
+
+def _relu_grad(a: np.ndarray) -> np.ndarray:
+    return (a > 0).astype(np.float64)
+
+
+# name -> (in-place activation, derivative from its outputs); module-level functions pickle
+_ACTIVATIONS = {"tanh": (_tanh, _tanh_grad), "relu": (_relu, _relu_grad)}
 
 HEAD_K = "k"
 HEAD_K1 = "k1"
@@ -47,7 +65,7 @@ class BackboneSpec:
             (all(w >= 1 for w in self.hidden_widths), "hidden_widths: every width must be >= 1"),
             (self.feature_dim >= 1, "feature_dim: must be >= 1"),
             (self.activation in _ACTIVATIONS,
-             f"activation: unknown {self.activation!r}, expected one of {_ACTIVATIONS}"),
+             f"activation: unknown {self.activation!r}, expected one of {tuple(_ACTIVATIONS)}"),
         ])
 
     @property
@@ -62,13 +80,6 @@ class BackboneSpec:
         raw = json.loads(text)
         raw["hidden_widths"] = tuple(raw["hidden_widths"])
         return cls(**raw)
-
-
-def _activation_fns(name: str):
-    """(activation applied in place on its argument, which it returns; derivative from outputs)."""
-    if name == "tanh":
-        return (lambda z: np.tanh(z, out=z)), lambda a: 1.0 - a * a
-    return (lambda z: np.maximum(z, 0.0, out=z)), lambda a: (a > 0).astype(np.float64)
 
 
 def _packed(params: Mapping[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -105,7 +116,7 @@ class DualHeadModel:
         self.flat, self.params = _packed(params)
         self.heads = tuple(heads)
         self.pretrained = pretrained
-        self._act, self._act_grad = _activation_fns(spec.activation)
+        self._act, self._act_grad = _ACTIVATIONS[spec.activation]
 
     # -- construction ------------------------------------------------------
 
@@ -133,6 +144,10 @@ class DualHeadModel:
 
     def copy(self) -> "DualHeadModel":
         return DualHeadModel(self.spec, self.K, self.params, heads=self.heads, pretrained=self.pretrained)
+
+    def __reduce__(self):
+        # unpickle through __init__, so that ``params`` are views into the new ``flat`` again
+        return DualHeadModel, (self.spec, self.K, self.params, self.heads, self.pretrained)
 
     # -- forward / backward --------------------------------------------------
 

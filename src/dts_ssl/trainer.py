@@ -64,7 +64,7 @@ import numpy as np
 
 from . import losses
 from .data import AugmentConfig, MismatchSplit, PairSampler, augment_batch, feature_scale
-from .errors import ValidationError, require_all, type_checks
+from .errors import ValidationError, replace_fields, require_all, type_checks
 from .evaluation import (
     EvalResult,
     compute_accuracy,
@@ -135,6 +135,10 @@ class TrainConfig:
     eval_every: int = 1
     dump_scores: bool = False  # per-epoch score dump for AUROC auditing
 
+    def __post_init__(self) -> None:
+        if isinstance(self.hidden_widths, list):  # JSON spells a tuple as a list
+            self.hidden_widths = tuple(self.hidden_widths)
+
     @classmethod
     def desk(cls, **overrides) -> "TrainConfig":
         """Desk-scale defaults: minutes-long end-to-end runs on synthetic data."""
@@ -178,7 +182,7 @@ class TrainConfig:
             try:  # the augmentation and architecture fields keep their checks in those classes
                 build()
             except ValidationError as exc:
-                checks.append((False, str(exc)))
+                checks += [(False, problem) for problem in exc.problems]
         require_all(checks)
 
     @property
@@ -186,20 +190,11 @@ class TrainConfig:
         return self.iterations * self.epochs_per_iteration
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["hidden_widths"] = list(self.hidden_widths)
-        return d
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValidationError(f"unknown config fields: {sorted(unknown)}")
-        raw = dict(raw)
-        if "hidden_widths" in raw:
-            raw["hidden_widths"] = tuple(raw["hidden_widths"])
-        return cls(**raw)
+        return replace_fields(cls(), raw)
 
 
 def config_hash(config: TrainConfig) -> str:

@@ -58,6 +58,15 @@ def config_file(tmp_path):
     return path
 
 
+def assert_rejected(config_path, tmp_path, capsys, message):
+    """``validate-config`` and ``run`` both exit 2 naming ``message``, and ``run`` creates no directory."""
+    out = tmp_path / "runs"
+    assert main(["validate-config", "--config", str(config_path)]) == 2
+    assert main(["run", "--config", str(config_path), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.count(message) == 2
+    assert not out.exists()
+
+
 class TestConfigLoading:
     def test_valid_config_loads(self, config_file):
         config = load_config(config_file)
@@ -163,6 +172,18 @@ class TestRunVerb:
             assert Path(m.out_dir).name == f"run-{m.config_hash}"
             summary = json.loads((Path(m.runs[0]["run_dir"]) / "summary.json").read_text())
             assert summary["config_hash"] == config_hash(TrainConfig.from_dict(summary["config"]))
+
+    def test_seeds_get_their_own_directory(self, config_file, tmp_path):
+        """A run over other seeds of one config neither overwrites the first run's
+        manifest nor leaves its seed directories behind."""
+        argv = ["run", "--config", str(config_file), "--out-dir", str(tmp_path), "--ablation", "supervised_only"]
+        assert main([*argv, "--seeds", "2"]) == 0
+        assert main([*argv, "--seed", "5"]) == 0
+        manifests = [RunManifest.load(p) for p in tmp_path.glob("run-*/manifest.json")]
+        assert sorted(m.seeds for m in manifests) == [[0, 1], [5]]
+        for m in manifests:
+            assert [r["seed"] for r in m.runs] == m.seeds
+            assert sorted(p.name for p in Path(m.out_dir).glob("seed*")) == [f"seed{s}" for s in m.seeds]
 
     def test_env_var_output_root(self, config_file, tmp_path, monkeypatch):
         monkeypatch.setenv(ENV_OUT_ROOT, str(tmp_path / "envroot"))
@@ -382,6 +403,54 @@ class TestValidateConfigVerb:
         bad.write_text(json.dumps(raw))
         assert main(["validate-config", "--config", str(bad)]) == 2
         assert "seeds: must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("5", "a config must be a JSON object, got 5"),
+        ('{"dataset": 5}', "dataset: expected a JSON object, got 5"),
+        ('{"train": null}', "train: expected a JSON object, got None"),
+    ])
+    def test_config_or_section_not_an_object_exit_two(self, tmp_path, text, message, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert_rejected(bad, tmp_path, capsys, message)
+
+    @pytest.mark.parametrize("section", ["dataset", "split", "train"])
+    def test_unknown_field_named_with_its_section_exit_two(self, tmp_path, config_file, section, capsys):
+        raw = json.loads(config_file.read_text())
+        raw[section]["bogus"] = 1
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert_rejected(bad, tmp_path, capsys, f"{section}: unknown config fields: ['bogus']")
+
+    @pytest.mark.parametrize("section, fields, message", [
+        ("dataset", {"per_class": 0}, "dataset.per_class: must be >= 1, got 0"),
+        ("dataset", {"k_unseen": -3}, "dataset.k_unseen: must be >= 0, got -3"),
+        ("dataset", {"separation": 0}, "dataset.separation: must be finite and > 0, got 0"),
+        ("dataset", {"noise": -1}, "dataset.noise: must be finite and > 0, got -1"),
+        ("dataset", {"separation": float("inf")}, "dataset.separation: must be finite and > 0, got inf"),
+        ("dataset", {"noise": float("inf")}, "dataset.noise: must be finite and > 0, got inf"),
+        ("split", {"seen_class_ids": [1, 2, 9]}, "split.seen_class_ids: [1, 2, 9] not all among classes 1..4"),
+        ("dataset", {"k_unseen": 0}, "split.mismatch_ratio: > 0 needs at least one unseen class"),
+    ])
+    def test_data_the_generator_or_split_would_reject_exit_two(self, tmp_path, config_file, section, fields,
+                                                               message, capsys):
+        """Every rule of the synthetic generator and of the split is checked before any run starts."""
+        raw = json.loads(config_file.read_text())
+        raw[section].update(fields)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert_rejected(bad, tmp_path, capsys, message)
+
+    def test_problem_text_is_kept_whole(self, tmp_path, config_file, capsys):
+        raw = json.loads(config_file.read_text())
+        raw["train"].update(ablation_mode="x;y", weak_sigma=-1, strong_sigma=-1)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["validate-config", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "train.ablation_mode: unknown mode 'x;y'" in err
+        # the augmentation checks live in AugmentConfig; each of its problems gets the prefix
+        assert "train.weak_sigma: must be >= 0" in err and "train.strong_sigma: must be >= 0" in err
 
     def test_unparseable_exit_two(self, tmp_path):
         bad = tmp_path / "mangled.json"

@@ -4,6 +4,7 @@ import ctypes
 import dataclasses
 import json
 import os
+import pickle
 import platform
 import subprocess
 import sys
@@ -260,7 +261,7 @@ class TestPretrainTeacher:
         # all 400 rows are labeled, and also serve as the test and (all-seen) unlabeled sets
         rows = np.arange(len(ds.labels))
         split = MismatchSplit(ds.features, ds.labels, ds.features, np.zeros(len(rows), dtype=bool),
-                              ds.features, ds.labels, (1, 2), 0.0, rows, rows, rows)
+                              ds.features, ds.labels, (1, 2), rows, rows, rows)
         records = pretrain_teacher(teacher, split, cfg, np.random.default_rng(0), ds.features.std(axis=0))
         losses = [r["pretrain_total"] for r in records]
         assert teacher.pretrained
@@ -398,6 +399,24 @@ class TestRunTrainingStructure:
 
         with pytest.raises(StateError):
             derive_pair(teacher, "inlier")
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_trained_pairs_pickle_bit_exactly(self, activation):
+        """A run's models cross a process boundary unchanged, and their parameters
+        stay views into the one vector that the optimiser updates."""
+        split = tiny_split()
+        pairs = run_training(tiny_config(activation=activation), split).pairs
+        again = pickle.loads(pickle.dumps(pairs))
+        assert again.keys() == pairs.keys()
+        for name, pair in pairs.items():
+            for role in ("teacher", "student"):
+                before, after = getattr(pair, role), getattr(again[name], role)
+                assert param_hash(after) == param_hash(before)
+                assert after.heads == before.heads and after.pretrained == before.pretrained
+                logits, _ = after.logits(split.test_x, heads=after.heads)
+                expected, _ = before.logits(split.test_x, heads=before.heads)
+                assert all(np.array_equal(logits[h], expected[h]) for h in before.heads)
+                assert all(np.shares_memory(v, after.flat) for v in after.params.values())
 
 
 class TestAblationBehavior:
