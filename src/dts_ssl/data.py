@@ -309,8 +309,8 @@ class AugmentConfig:
 
     def __post_init__(self) -> None:
         require_all([
-            (self.weak_sigma >= 0, "weak_sigma: must be >= 0"),
-            (self.strong_sigma >= 0, "strong_sigma: must be >= 0"),
+            (0 <= self.weak_sigma < math.inf, "weak_sigma: must be finite and >= 0"),
+            (0 <= self.strong_sigma < math.inf, "strong_sigma: must be finite and >= 0"),
             (0.0 <= self.mask_fraction <= 1.0, "mask_fraction: must lie in [0, 1]"),
         ])
 
@@ -484,6 +484,10 @@ def load_dataset(path: str | Path) -> Dataset:
     )
 
 
+def _max_per_class_check(max_per_class: int | None) -> tuple:
+    return max_per_class is None or max_per_class >= 1, f"max_per_class: must be >= 1 or null, got {max_per_class}"
+
+
 def load_cifar10_dir(path: str | Path, max_per_class: int | None = None) -> Dataset:
     """Ingest a local CIFAR-10 python-format directory (data_batch_1..5).
 
@@ -491,6 +495,7 @@ def load_cifar10_dir(path: str | Path, max_per_class: int | None = None) -> Data
     1..10. ``max_per_class`` subsamples deterministically (first occurrences)
     to keep desk-scale memory bounded. No downloading is attempted.
     """
+    require_all([_max_per_class_check(max_per_class)])
     path = Path(path)
     batch_files = sorted(path.glob("data_batch_*"))
     if not batch_files:
@@ -539,7 +544,8 @@ class DatasetSpec:
 
     def validate(self) -> None:
         require_all(type_checks(self))  # the value checks below assume the declared types
-        checks = [(self.kind in DATASET_KINDS, f"kind: unknown kind {self.kind!r}")]
+        checks = [(self.kind in DATASET_KINDS, f"kind: unknown kind {self.kind!r}"),
+                  _max_per_class_check(self.max_per_class)]
         if self.kind == "synthetic":
             checks += _synthetic_checks(*self._synthetic_args())
         elif self.kind in DATASET_KINDS:  # csv and cifar10 read a local path

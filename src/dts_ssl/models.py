@@ -40,9 +40,6 @@ def _relu_grad(a: np.ndarray) -> np.ndarray:
 # name -> (in-place activation, derivative from its outputs); module-level functions pickle
 _ACTIVATIONS = {"tanh": (_tanh, _tanh_grad), "relu": (_relu, _relu_grad)}
 
-HEAD_K = "k"
-HEAD_K1 = "k1"
-
 
 @dataclass(frozen=True)
 class BackboneSpec:
@@ -72,15 +69,6 @@ class BackboneSpec:
     def layer_sizes(self) -> tuple[int, ...]:
         return (self.input_dim, *self.hidden_widths, self.feature_dim)
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "BackboneSpec":
-        raw = json.loads(text)
-        raw["hidden_widths"] = tuple(raw["hidden_widths"])
-        return cls(**raw)
-
 
 def _packed(params: Mapping[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """A copy of ``params`` as one contiguous vector, and a view into it per name."""
@@ -106,7 +94,7 @@ class DualHeadModel:
         spec: BackboneSpec,
         K: int,
         params: Mapping[str, np.ndarray],
-        heads: tuple[str, ...] = (HEAD_K, HEAD_K1),
+        heads: tuple[str, ...] = ("k", "k1"),
         pretrained: bool = False,
     ) -> None:
         if K < 2:
@@ -117,33 +105,11 @@ class DualHeadModel:
         self.heads = tuple(heads)
         self.pretrained = pretrained
         self._act, self._act_grad = _ACTIVATIONS[spec.activation]
-
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def initialize(cls, spec: BackboneSpec, K: int, seed: int) -> "DualHeadModel":
-        """Fan-in scaled uniform init, U(-1/sqrt(fan_in), 1/sqrt(fan_in)); zero biases."""
-        if K < 2:
-            raise ValidationError(f"K must be >= 2, got {K}")
-        rng = np.random.default_rng(seed)
-        params: dict[str, np.ndarray] = {}
-
-        def linear(name: str, fan_in: int, fan_out: int) -> None:
-            bound = 1.0 / np.sqrt(fan_in)
-            params[f"{name}.W"] = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-            params[f"{name}.b"] = np.zeros(fan_out)
-
-        sizes = spec.layer_sizes
-        for i in range(len(sizes) - 1):
-            linear(f"backbone.{i}", sizes[i], sizes[i + 1])
-        linear("head_k", spec.feature_dim, K)
-        if spec.k1_projection:
-            linear("proj", spec.feature_dim, spec.feature_dim)
-        linear("head_k1", spec.feature_dim, K + 1)
-        return cls(spec, K, params)
-
-    def copy(self) -> "DualHeadModel":
-        return DualHeadModel(self.spec, self.K, self.params, heads=self.heads, pretrained=self.pretrained)
+        # layer table: the (W, b) keys of the layers from the inputs to the features, and per head
+        # from the features to its logits
+        chains = {"backbone": [f"backbone.{i}" for i in range(len(spec.layer_sizes) - 1)], "k": ["head_k"],
+                  "k1": ["proj", "head_k1"] if spec.k1_projection else ["head_k1"]}
+        self._layers = {name: [(f"{l}.W", f"{l}.b") for l in chain] for name, chain in chains.items()}
 
     def __reduce__(self):
         # unpickle through __init__, so that ``params`` are views into the new ``flat`` again
@@ -161,41 +127,39 @@ class DualHeadModel:
             )
         return x
 
-    def logits(self, x: np.ndarray, heads: Sequence[str] = (HEAD_K,)):
+    def logits(self, x: np.ndarray, heads: Sequence[str] = ("k",)):
         """Forward pass returning per-head logits and a cache for backward().
 
         All requested heads share one backbone evaluation, so gradients that
-        flow back through several heads accumulate on the same features.
+        flow back through several heads accumulate on the same features. The
+        cache holds the backbone's ``acts`` (its layers' inputs, then the
+        features) and, per head, its layers' inputs.
         """
         x = self._check_input(x)
         for h in heads:
             if h not in self.heads:
                 raise StateError(f"model has heads {self.heads}, cannot forward head {h!r}")
-        acts = [x]
-        a = x
-        n_layers = len(self.spec.layer_sizes) - 1
-        for i in range(n_layers):
-            a = self._act(self._linear(a, f"backbone.{i}"))
-            acts.append(a)
-        out: dict[str, np.ndarray] = {}
-        proj_a = None
+        acts = []
+        features = self._act(self._forward(x, self._layers["backbone"], acts))
+        acts.append(features)
+        out, cache = {}, {"acts": acts}
         for h in heads:
-            if h == HEAD_K:
-                out[h] = self._linear(a, "head_k")
-            else:
-                src = a
-                if self.spec.k1_projection:
-                    src = proj_a = self._act(self._linear(a, "proj"))
-                out[h] = self._linear(src, "head_k1")
-        cache = {"acts": acts, "proj_a": proj_a}
+            cache[h] = []
+            out[h] = self._forward(features, self._layers[h], cache[h])
         return out, cache
 
-    def _linear(self, a: np.ndarray, layer: str) -> np.ndarray:
-        z = a @ self.params[f"{layer}.W"].T
-        z += self.params[f"{layer}.b"]
+    def _forward(self, a: np.ndarray, layers, inputs: list) -> np.ndarray:
+        """Output of ``layers`` from ``a``, with the activation between layers; appends each
+        layer's input to ``inputs``."""
+        for i, (W, b) in enumerate(layers):
+            if i:
+                a = self._act(z)
+            inputs.append(a)
+            z = a @ self.params[W].T
+            z += self.params[b]
         return z
 
-    def probs(self, x: np.ndarray, head: str = HEAD_K) -> np.ndarray:
+    def probs(self, x: np.ndarray, head: str = "k") -> np.ndarray:
         """Class-major (C, N) probabilities of one head (see ``numerics.softmax``)."""
         z, _ = self.logits(x, heads=(head,))
         return softmax(z[head].T)
@@ -203,40 +167,26 @@ class DualHeadModel:
     def backward(self, cache, d_logits: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
         """Gradients of a scalar loss, given d(loss)/d(logits), for the parameters it
         reaches: the backbone plus the heads named in ``d_logits``, in ``params`` order."""
-        acts = cache["acts"]
-        features = acts[-1]
         grads: dict[str, np.ndarray] = {}
-        d_feats = []
-        for h, dz in d_logits.items():
-            if h == HEAD_K:
-                grads["head_k.W"] = dz.T @ features
-                grads["head_k.b"] = dz.sum(axis=0)
-                d_feats.append(dz @ self.params["head_k.W"])
-            else:
-                if self.spec.k1_projection:
-                    proj_a = cache["proj_a"]
-                    grads["head_k1.W"] = dz.T @ proj_a
-                    grads["head_k1.b"] = dz.sum(axis=0)
-                    d_proj_z = self._act_grad(proj_a)
-                    d_proj_z *= dz @ self.params["head_k1.W"]
-                    grads["proj.W"] = d_proj_z.T @ features
-                    grads["proj.b"] = d_proj_z.sum(axis=0)
-                    d_feats.append(d_proj_z @ self.params["proj.W"])
-                else:
-                    grads["head_k1.W"] = dz.T @ features
-                    grads["head_k1.b"] = dz.sum(axis=0)
-                    d_feats.append(dz @ self.params["head_k1.W"])
-
-        d_a = sum(d_feats[1:], d_feats[0])  # each parameter has one term; only features add up
-        n_layers = len(self.spec.layer_sizes) - 1
-        for i in reversed(range(n_layers)):
-            dz = self._act_grad(acts[i + 1])
-            dz *= d_a
-            grads[f"backbone.{i}.W"] = dz.T @ acts[i]
-            grads[f"backbone.{i}.b"] = dz.sum(axis=0)
-            if i:  # nothing reads the gradient of the inputs
-                d_a = dz @ self.params[f"backbone.{i}.W"]
+        d_feats = [self._backward(grads, self._layers[h], cache[h], dz) for h, dz in d_logits.items()]
+        acts = cache["acts"]
+        dz = self._act_grad(acts[-1])
+        dz *= sum(d_feats[1:], d_feats[0])  # each parameter has one term; only features add up
+        self._backward(grads, self._layers["backbone"], acts, dz, input_grad=False)
         return {k: grads[k] for k in self.params if k in grads}
+
+    def _backward(self, grads: dict, layers, inputs: list, dz: np.ndarray, input_grad: bool = True):
+        """Reverse of :meth:`_forward`: sets the gradients of ``layers`` in ``grads`` given d(loss)/d(output);
+        returns d(loss)/d(inputs[0]) unless ``input_grad`` is off (the backbone's inputs need none)."""
+        for i in reversed(range(len(layers))):
+            W, b = layers[i]
+            grads[W] = dz.T @ inputs[i]
+            grads[b] = dz.sum(axis=0)
+            if i:
+                d_a = dz @ self.params[W]
+                dz = self._act_grad(inputs[i])
+                dz *= d_a
+        return dz @ self.params[W] if input_grad else None
 
     def grad_vector(self, grads: Mapping[str, np.ndarray]) -> np.ndarray:
         """Per-tensor gradients laid out as ``flat``; every parameter needs one."""
@@ -246,15 +196,8 @@ class DualHeadModel:
         return np.concatenate([grads[k].ravel() for k in self.params])
 
     def _touched(self, heads) -> set[str]:
-        """Parameter keys a loss on ``heads`` (head names, or a d_logits mapping) reaches."""
-        touched = {k for k in self.params if k.startswith("backbone.")}
-        if HEAD_K in heads:
-            touched |= {"head_k.W", "head_k.b"}
-        if HEAD_K1 in heads:
-            touched |= {"head_k1.W", "head_k1.b"}
-            if self.spec.k1_projection:
-                touched |= {"proj.W", "proj.b"}
-        return touched
+        """Parameter keys a loss on ``heads`` reaches."""
+        return {key for name in ("backbone", *heads) for layer in self._layers[name] for key in layer}
 
 
 @dataclass
@@ -266,11 +209,28 @@ class TeacherStudentPair:
 
 
 def init_teacher(spec: BackboneSpec, K: int, seed: int) -> DualHeadModel:
-    """Build the dual-head teacher to be pre-trained on labeled data."""
-    return DualHeadModel.initialize(spec, K, seed)
+    """The dual-head teacher to pre-train: U(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, zero biases."""
+    if K < 2:
+        raise ValidationError(f"K must be >= 2, got {K}")
+    rng = np.random.default_rng(seed)
+    params: dict[str, np.ndarray] = {}
+
+    def linear(name: str, fan_in: int, fan_out: int) -> None:
+        bound = 1.0 / np.sqrt(fan_in)
+        params[f"{name}.W"] = rng.uniform(-bound, bound, size=(fan_out, fan_in))
+        params[f"{name}.b"] = np.zeros(fan_out)
+
+    sizes = spec.layer_sizes
+    for i in range(len(sizes) - 1):
+        linear(f"backbone.{i}", sizes[i], sizes[i + 1])
+    linear("head_k", spec.feature_dim, K)
+    if spec.k1_projection:
+        linear("proj", spec.feature_dim, spec.feature_dim)
+    linear("head_k1", spec.feature_dim, K + 1)
+    return DualHeadModel(spec, K, params)
 
 
-_PAIR_HEADS = {"inlier": (HEAD_K,), "outlier": (HEAD_K1,), "merged": (HEAD_K, HEAD_K1)}
+_PAIR_HEADS = {"inlier": ("k",), "outlier": ("k1",), "merged": ("k", "k1")}
 
 
 def derive_pair(teacher: DualHeadModel, kind: str) -> TeacherStudentPair:
@@ -295,8 +255,8 @@ def derive_pair(teacher: DualHeadModel, kind: str) -> TeacherStudentPair:
 
 
 def refresh_teacher(pair: TeacherStudentPair) -> None:
-    """Copy student parameters into the teacher (hard refresh at iteration ends)."""
-    pair.teacher.flat, pair.teacher.params = _packed(pair.student.params)
+    """Copy student parameters into the teacher (hard refresh at iteration ends), in place."""
+    pair.teacher.flat[:] = pair.student.flat
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +279,7 @@ def save_model(model: DualHeadModel, path: str | Path) -> None:
     """One-file checkpoint: parameter tensors plus a JSON metadata entry."""
     meta = json.dumps(
         {
-            "spec": json.loads(model.spec.to_json()),
+            "spec": dict(sorted(asdict(model.spec).items())),
             "K": model.K,
             "heads": list(model.heads),
             "pretrained": model.pretrained,
@@ -334,7 +294,5 @@ def load_model(path: str | Path) -> DualHeadModel:
     with np.load(Path(path), allow_pickle=False) as archive:
         meta = json.loads(str(archive["__meta__"]))
         params = {k: archive[k] for k in archive.files if k != "__meta__"}
-    spec = BackboneSpec.from_json(json.dumps(meta["spec"]))
-    return DualHeadModel(
-        spec, int(meta["K"]), params, heads=tuple(meta["heads"]), pretrained=bool(meta["pretrained"])
-    )
+    return DualHeadModel(BackboneSpec(**meta["spec"]), int(meta["K"]), params,
+                         heads=tuple(meta["heads"]), pretrained=bool(meta["pretrained"]))

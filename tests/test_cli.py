@@ -2,8 +2,10 @@
 
 import csv
 import json
+import pickle
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dts_ssl.cli import (
@@ -16,6 +18,7 @@ from dts_ssl.cli import (
     run_experiment,
     sweep,
 )
+from dts_ssl.data import load_cifar10_dir
 from dts_ssl.errors import ValidationError
 from dts_ssl.trainer import TrainConfig, config_hash
 
@@ -318,14 +321,14 @@ class TestValidateConfigVerb:
         ("mask_fraction", 1.5), ("weak_sigma", -1), ("strong_sigma", -0.1), ("seed", -1),
         ("hidden_widths", [0]), ("feature_dim", 0), ("activation", "gelu"),
         ("lr", float("inf")), ("weight_decay", float("inf")), ("lambda_lm", float("inf")),
+        ("weak_sigma", float("inf")), ("strong_sigma", float("inf")),
     ])
     def test_out_of_contract_train_field_exit_two(self, tmp_path, config_file, field, value, capsys):
         raw = json.loads(config_file.read_text())
         raw["train"][field] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))
-        assert main(["validate-config", "--config", str(bad)]) == 2
-        assert f"train.{field}" in capsys.readouterr().err
+        assert_rejected(bad, tmp_path, capsys, f"train.{field}")
 
     @pytest.mark.parametrize("section, field, value", [
         ("train", "seed", "x"), ("train", "tau", None), ("train", "lr", "0.1"),
@@ -441,6 +444,27 @@ class TestValidateConfigVerb:
         bad.write_text(json.dumps(raw))
         assert_rejected(bad, tmp_path, capsys, message)
 
+    @pytest.mark.parametrize("max_per_class", [0, -2])
+    def test_max_per_class_below_one_exit_two(self, tmp_path, config_file, max_per_class, capsys):
+        cifar = tmp_path / "cifar"
+        cifar.mkdir()
+        rng = np.random.default_rng(0)
+        with open(cifar / "data_batch_1", "wb") as fh:
+            pickle.dump({b"data": rng.integers(0, 256, size=(100, 3072), dtype=np.uint8),
+                         b"labels": np.repeat(np.arange(10), 10).tolist()}, fh)
+        raw = json.loads(config_file.read_text())
+        raw["dataset"] = {"kind": "cifar10", "path": str(cifar), "max_per_class": 3}
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(raw))
+        assert main(["validate-config", "--config", str(good)]) == 0
+        raw["dataset"]["max_per_class"] = max_per_class
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        message = f"max_per_class: must be >= 1 or null, got {max_per_class}"
+        assert_rejected(bad, tmp_path, capsys, f"dataset.{message}")
+        with pytest.raises(ValidationError, match=message):  # the loader keeps the same rule
+            load_cifar10_dir(cifar, max_per_class=max_per_class)
+
     def test_problem_text_is_kept_whole(self, tmp_path, config_file, capsys):
         raw = json.loads(config_file.read_text())
         raw["train"].update(ablation_mode="x;y", weak_sigma=-1, strong_sigma=-1)
@@ -450,7 +474,8 @@ class TestValidateConfigVerb:
         err = capsys.readouterr().err
         assert "train.ablation_mode: unknown mode 'x;y'" in err
         # the augmentation checks live in AugmentConfig; each of its problems gets the prefix
-        assert "train.weak_sigma: must be >= 0" in err and "train.strong_sigma: must be >= 0" in err
+        assert "train.weak_sigma: must be finite and >= 0" in err
+        assert "train.strong_sigma: must be finite and >= 0" in err
 
     def test_unparseable_exit_two(self, tmp_path):
         bad = tmp_path / "mangled.json"

@@ -116,7 +116,7 @@ class TestDerivePair:
         teacher = make_teacher()
         for kind in ("inlier", "outlier", "merged"):
             pair = derive_pair(teacher, kind)
-            assert pair.teacher.spec.to_json() == pair.student.spec.to_json()
+            assert pair.teacher.spec == pair.student.spec
 
 
 class TestParameterVector:
@@ -128,8 +128,8 @@ class TestParameterVector:
         pair.student.params["head_k1.b"] += 1.0
         refresh_teacher(pair)
         save_model(pair.student, tmp_path / "student.npz")
-        return {"initialize": teacher, "copy": teacher.copy(), "derive_pair": pair.student,
-                "refresh_teacher": pair.teacher, "load_model": load_model(tmp_path / "student.npz")}
+        return {"init_teacher": teacher, "derive_pair": pair.student, "refresh_teacher": pair.teacher,
+                "load_model": load_model(tmp_path / "student.npz")}
 
     def test_params_are_views_into_the_vector_in_order(self, tmp_path):
         models = self.models(tmp_path)
@@ -162,7 +162,10 @@ class TestRefreshTeacher:
     def test_refresh_copies_student(self):
         pair = derive_pair(make_teacher(), "inlier")
         pair.student.params["head_k.W"] += 0.5
+        flat = pair.teacher.flat
         refresh_teacher(pair)
+        assert pair.teacher.flat is flat  # written in place, so the views in ``params`` stay valid
+        assert not np.shares_memory(pair.teacher.flat, pair.student.flat)
         x = np.random.default_rng(2).normal(size=(8, 5))
         assert np.max(np.abs(pair.teacher.probs(x, "k") - pair.student.probs(x, "k"))) == 0.0
 
@@ -225,25 +228,29 @@ class TestGradients:
             analytic = grads[name][idx]
             assert abs(numeric - analytic) <= 1e-4 * max(1.0, abs(numeric))
 
-    def test_relu_and_projection_backward(self):
+    @pytest.mark.parametrize("heads", [("k1",), ("k", "k1")])
+    def test_relu_and_projection_backward(self, heads):
+        """With both heads, their feature gradients add up on the backbone; the loss is their sum."""
         spec = BackboneSpec(5, (6,), 4, activation="relu", k1_projection=True)
         model = init_teacher(spec, 3, seed=1)
         rng = np.random.default_rng(0)
         x = rng.normal(size=(3, 5)) + 0.1
         y = np.array([1, 2, 3])
 
-        z, cache = model.logits(x, heads=("k1",))
-        _, d = ce_loss_and_grad(y, softmax(z["k1"].T))
-        grads = model.backward(cache, {"k1": np.ascontiguousarray(d.T)})
+        z, cache = model.logits(x, heads=heads)
+        d_logits = {h: np.ascontiguousarray(ce_loss_and_grad(y, softmax(z[h].T))[1].T) for h in heads}
+        grads = model.backward(cache, d_logits)
         assert {"proj.W", "proj.b"} <= set(grads)
 
         def loss_value():
-            z2, _ = model.logits(x, heads=("k1",))
-            v, _ = ce_loss_and_grad(y, softmax(z2["k1"].T))
-            return v
+            z2, _ = model.logits(x, heads=heads)
+            return sum(ce_loss_and_grad(y, softmax(z2[h].T))[0] for h in heads)
 
         eps = 1e-6
-        for name, idx in [("proj.W", (1, 2)), ("head_k1.W", (0, 1)), ("backbone.0.W", (2, 2))]:
+        probes = [("proj.W", (1, 2)), ("head_k1.W", (0, 1)), ("backbone.0.W", (2, 2))]
+        if "k" in heads:
+            probes.append(("head_k.W", (2, 3)))
+        for name, idx in probes:
             original = model.params[name][idx]
             model.params[name][idx] = original + eps
             up = loss_value()
@@ -256,7 +263,7 @@ class TestGradients:
 
 def zeros_then_accumulate_backward(model, cache, d_logits):
     """Reference backward: zero gradients for every key, accumulate, drop untouched heads."""
-    acts, features = cache["acts"], cache["acts"][-1]
+    acts, features = cache["acts"], cache["acts"][-1]  # per head, cache[h] holds its layers' inputs
     W = model.params
     grads = {k: np.zeros_like(v) for k, v in W.items()}
     d_feat = np.zeros_like(features)
@@ -266,7 +273,7 @@ def zeros_then_accumulate_backward(model, cache, d_logits):
             grads["head_k.b"] += dz.sum(axis=0)
             d_feat += dz @ W["head_k.W"]
         elif model.spec.k1_projection:
-            proj_a = cache["proj_a"]
+            proj_a = cache["k1"][1]
             grads["head_k1.W"] += dz.T @ proj_a
             grads["head_k1.b"] += dz.sum(axis=0)
             d_proj_z = (dz @ W["head_k1.W"]) * model._act_grad(proj_a)
@@ -315,16 +322,18 @@ def out_of_place_logits(model, x, heads):
     for i in range(len(model.spec.layer_sizes) - 1):
         a = act(a @ W[f"backbone.{i}.W"].T + W[f"backbone.{i}.b"])
         acts.append(a)
-    out, proj_a = {}, None
+    out, cache = {}, {"acts": acts}
     for h in heads:
+        cache[h] = [a]
         if h == "k":
             out[h] = a @ W["head_k.W"].T + W["head_k.b"]
         else:
             src = a
             if model.spec.k1_projection:
-                src = proj_a = act(a @ W["proj.W"].T + W["proj.b"])
+                src = act(a @ W["proj.W"].T + W["proj.b"])
+                cache[h].append(src)
             out[h] = src @ W["head_k1.W"].T + W["head_k1.b"]
-    return out, {"acts": acts, "proj_a": proj_a}
+    return out, cache
 
 
 class TestInPlaceOracle:
@@ -347,12 +356,15 @@ class TestInPlaceOracle:
         assert x.tobytes() == x_before.tobytes()
         for h in heads:
             assert z[h].tobytes() == z_ref[h].tobytes(), h
-        for a, a_ref in zip(cache["acts"], cache_ref["acts"]):
-            assert a.tobytes() == a_ref.tobytes()
+        assert list(cache) == list(cache_ref)
+        for key, inputs in cache_ref.items():
+            assert len(cache[key]) == len(inputs), key
+            for a, a_ref in zip(cache[key], inputs):
+                assert a.tobytes() == a_ref.tobytes(), key
         for head_set in (("k",), ("k1",), heads):
             d_logits = {h: rng.normal(size=z[h].shape) for h in head_set}
             d_before = {h: d.copy() for h, d in d_logits.items()}
-            acts_before = [a.copy() for a in cache["acts"]]
+            cache_before = {key: [a.copy() for a in inputs] for key, inputs in cache.items()}
             grads = model.backward(cache, d_logits)
             expected = zeros_then_accumulate_backward(model, cache_ref, d_logits)
             assert list(grads) == list(expected)
@@ -360,8 +372,9 @@ class TestInPlaceOracle:
                 assert grads[key].tobytes() == g.tobytes(), (head_set, key)
             for h in head_set:  # backward writes neither the loss gradients nor the cache
                 assert d_logits[h].tobytes() == d_before[h].tobytes()
-            for a, before in zip(cache["acts"], acts_before):
-                assert a.tobytes() == before.tobytes()
+            for key, inputs in cache_before.items():
+                for a, before in zip(cache[key], inputs):
+                    assert a.tobytes() == before.tobytes(), key
 
 
 class TestCheckpoints:
