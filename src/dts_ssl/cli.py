@@ -162,8 +162,10 @@ class RunManifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "RunManifest":
-        raw = json.loads(Path(path).read_text())
-        return cls(**raw)
+        try:  # not text, not JSON, or not the manifest's fields
+            return cls(**json.loads(Path(path).read_text()))
+        except (ValueError, TypeError) as exc:
+            raise ValidationError(f"manifest {path} is not a run manifest: {exc}") from exc
 
 
 def _experiment_hash(points: list[tuple[dict, ExperimentConfig]]) -> str:

@@ -545,7 +545,10 @@ class DatasetSpec:
     def validate(self) -> None:
         require_all(type_checks(self))  # the value checks below assume the declared types
         checks = [(self.kind in DATASET_KINDS, f"kind: unknown kind {self.kind!r}"),
-                  _max_per_class_check(self.max_per_class)]
+                  _max_per_class_check(self.max_per_class),
+                  (self.max_per_class is None or self.kind == "cifar10",
+                   f"max_per_class: only a cifar10 dataset subsamples, got {self.max_per_class} "
+                   f"for kind {self.kind!r}")]
         if self.kind == "synthetic":
             checks += _synthetic_checks(*self._synthetic_args())
         elif self.kind in DATASET_KINDS:  # csv and cifar10 read a local path

@@ -1,4 +1,4 @@
-"""Loss terms, composite objectives and the per-step loss report.
+"""Loss terms and the per-step loss report.
 
 Each ``*_and_grad`` function takes the class-major softmax of a logits block,
 a (C, N) array with one row per class (see ``numerics.softmax``; 1-based class
@@ -56,20 +56,6 @@ def _kl_with_dp(p: np.ndarray, q: np.ndarray):
     kl = class_sum(np.where(p > 0, p * log_ratio, 0.0))
     log_ratio += p > PROB_CLAMP
     return kl, log_ratio
-
-
-def inlier_objective(ce_k: float, seen: float, logit_match: float, weights) -> float:
-    lam_seen, lam_lm = weights
-    return float(ce_k + lam_seen * seen + lam_lm * logit_match)
-
-
-def outlier_objective(ce_k1: float, seen: float, unseen: float, consistency: float, weights) -> float:
-    lam_seen, lam_unseen, lam_cr = weights
-    return float(ce_k1 + lam_seen * seen + lam_unseen * unseen + lam_cr * consistency)
-
-
-def pretrain_objective(ce_k: float, ce_k1: float) -> float:
-    return float(ce_k + ce_k1)
 
 
 # ---------------------------------------------------------------------------

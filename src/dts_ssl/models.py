@@ -86,7 +86,8 @@ class DualHeadModel:
     The pre-trained teacher holds both heads; models derived for one task keep
     only the head they train (``heads`` records which are present). The model
     copies ``params`` into one vector, ``flat``; ``params`` maps each name to a
-    view into it, in the given order.
+    view into it, in the given order. It must hold exactly the backbone's and
+    ``heads``' tensors, else ``ValidationError`` (also for ``load_model``).
     """
 
     def __init__(
@@ -110,6 +111,11 @@ class DualHeadModel:
         chains = {"backbone": [f"backbone.{i}" for i in range(len(spec.layer_sizes) - 1)], "k": ["head_k"],
                   "k1": ["proj", "head_k1"] if spec.k1_projection else ["head_k1"]}
         self._layers = {name: [(f"{l}.W", f"{l}.b") for l in chain] for name, chain in chains.items()}
+        expected = self._touched(self.heads)
+        missing, unexpected = sorted(expected - set(self.params)), sorted(set(self.params) - expected)
+        if missing or unexpected:
+            raise ValidationError(f"parameters do not match heads {self.heads}: missing {missing}, "
+                                  f"unexpected {unexpected}")
 
     def __reduce__(self):
         # unpickle through __init__, so that ``params`` are views into the new ``flat`` again

@@ -15,14 +15,16 @@ step (``_train_step``) as the iterations, and every evaluation, pre-training's,
 the iterations' and ``run_inference``'s, goes through ``evaluate_pipeline``.
 
 An ablation mode is four choices: which pairs exist, which loss terms each
-role trains, how the uncertainty score weights the extra-class supervision,
-and whether the (K+1)-head has a projection. ``apply_ablation`` turns a mode
-into a ``PipelineDescription`` that holds just those; the step mechanics stay
+role trains, whether the (K+1)-head score weights the extra-class supervision
+itself or through a hard mask, and whether the (K+1)-head has a projection.
+``_MODES`` gives each mode's summary and the choices it changes from ``full``,
+whose choices are ``PipelineDescription``'s defaults. The step mechanics stay
 the same, so structural invariants hold across modes. Everything else follows
-from the choices: the heads the pairs carry choose the score (``_score``), the
-first pair classifies, and the loss weights are the config's. ``_step_plan``
-turns the description into the branch table one step walks: per trained
-model, its (role, head, unlabeled terms) branches.
+from the choices: the heads the pairs carry choose the score (``_score``), and
+with it whether the unseen term is the extra-class CE or, with no (K+1)-head,
+a push toward uniform output; the first pair classifies, and the loss weights
+are the config's. ``_step_plan`` turns the description into the branch table
+one step walks: per trained model, its (role, head, unlabeled terms) branches.
 
     model     branches (role, head)               unlabeled terms, in order
     inlier    (inlier, k)                         seen, lm
@@ -41,6 +43,11 @@ terms, and one weak-view forward when consistency is on. Gradients add in
 that order: labeled, then weak-view consistency, then the strong-view terms.
 Teacher scoring (teachers on weak views) and evaluation (students on raw
 inputs) go through one scorer, ``_score``.
+
+A second table, ``_TERMS``, gives each (role, term) its ``LossReport`` field
+and its ``TrainConfig`` weight. A step stores each term's value in its field,
+scales its gradient by its weight, and composes each role's objective from
+the table: the labeled CE, then each weighted term added in table order.
 
 Every logits block is turned into probabilities once, by the class-major
 ``softmax`` (a (C, N) array, one row per class), and that one array feeds
@@ -85,20 +92,6 @@ from .models import (
 )
 from .numerics import class_max, class_sum, softmax
 from .soft_weighting import gate_mask, scores_from_probs, write_score_dump
-
-ABLATION_MODES = (
-    "full",
-    "no_its",
-    "no_soft_weighting",
-    "no_k1_its",
-    "no_k1_ots",
-    "no_logit_match",
-    "no_consistency",
-    "one_f_two_c",
-    "one_f_two_c_proj",
-    "supervised_only",
-)
-
 
 @dataclass
 class TrainConfig:
@@ -210,22 +203,23 @@ def config_hash(config: TrainConfig) -> str:
 @dataclass(frozen=True)
 class PipelineDescription:
     """What an ablation mode chooses: the teacher-student pairs, the loss terms of
-    each role, how the uncertainty score weights the extra-class supervision, and
-    whether the (K+1)-head has a projection.
+    each role, whether the (K+1)-head score weights the extra-class supervision
+    itself or through a hard mask, and whether the (K+1)-head has a projection.
+    The defaults are the ``full`` pipeline's.
 
     ``pairs`` maps pair name to the head kind ``derive_pair`` gives its models.
     The rest follows from these: the heads the pairs carry choose the score
     (``_score``), the first pair classifies, the gate uses the score where the
-    score weights the extra class, and the loss weights are the config's.
+    score comes from a (K+1)-head, and the loss weights are the config's.
     """
 
     mode: str
-    pairs: tuple[tuple[str, str], ...]  # (name, pair kind for derive_pair)
-    unseen_weighting: str  # "soft" | "hard_mask" | "uniform_push" | "none"
-    inlier_losses: tuple[str, ...]
-    outlier_losses: tuple[str, ...]
-    k1_projection: bool
     summary: str
+    pairs: tuple[tuple[str, str], ...] = (("inlier", "inlier"), ("outlier", "outlier"))  # (name, pair kind)
+    inlier_losses: tuple[str, ...] = ("ce", "seen", "lm")
+    outlier_losses: tuple[str, ...] = ("ce", "seen", "unseen", "cr")
+    soft_weighting: bool = True  # off: the unseen term is masked at score > unseen_hard_threshold
+    k1_projection: bool = False
 
     @property
     def uses_unlabeled(self) -> bool:
@@ -233,90 +227,51 @@ class PipelineDescription:
         return any(t != "ce" for t in self.inlier_losses + self.outlier_losses)
 
 
+# mode -> (summary, formatted with the TrainConfig; the fields it changes from ``full``)
+_MODES = {
+    "full": ("dual teacher-student pairs, soft-weighted unseen supervision", {}),
+    "no_its": ("single (K+1)-head pair handles both classification and detection",
+               dict(pairs=(("outlier", "outlier"),), inlier_losses=())),
+    "no_soft_weighting": ("unseen supervision hard-masked at score > {0.unseen_hard_threshold}",
+                          dict(soft_weighting=False)),
+    # plain confidence-threshold pseudo-labeling: no unseen class, no score, no logit matching
+    "no_k1_its": ("K-head pair with confidence-threshold pseudo-labeling only",
+                  dict(pairs=(("inlier", "inlier"),), inlier_losses=("ce", "seen"), outlier_losses=())),
+    # an outlier branch on a K-head pair: no extra class, so the unseen term pushes toward uniform
+    "no_k1_ots": ("K-head pair; high-uncertainty samples pushed toward uniform output "
+                  "(mask at 1-max > {0.uniformity_threshold})",
+                  dict(pairs=(("outlier", "inlier"),), inlier_losses=())),
+    "no_logit_match": ("full pipeline without the teacher-student logit matching term",
+                       dict(inlier_losses=("ce", "seen"))),
+    "no_consistency": ("full pipeline without weak/strong consistency regularization",
+                       dict(outlier_losses=("ce", "seen", "unseen"))),
+    "one_f_two_c": ("single backbone carrying both heads; both objectives on one model",
+                    dict(pairs=(("merged", "merged"),))),
+    "one_f_two_c_proj": ("single backbone carrying both heads; both objectives on one model "
+                         "with a projection layer before the (K+1)-head",
+                         dict(pairs=(("merged", "merged"),), k1_projection=True)),
+    "supervised_only": ("labeled cross-entropy only; unlabeled data never touched",
+                        dict(pairs=(("inlier", "inlier"),), inlier_losses=("ce",), outlier_losses=())),
+}
+ABLATION_MODES = tuple(_MODES)
+
+
 def apply_ablation(mode: str, config: TrainConfig) -> PipelineDescription:
     """Translate an ablation mode into the effective pipeline description."""
-    if mode not in ABLATION_MODES:
+    if mode not in _MODES:
         raise ValidationError(f"ablation_mode: unknown mode {mode!r}, expected one of {ABLATION_MODES}")
-    base = dict(
-        mode=mode,
-        pairs=(("inlier", "inlier"), ("outlier", "outlier")),
-        unseen_weighting="soft",
-        inlier_losses=("ce", "seen", "lm"),
-        outlier_losses=("ce", "seen", "unseen", "cr"),
-        k1_projection=False,
-        summary="dual teacher-student pairs, soft-weighted unseen supervision",
-    )
-    if mode == "full":
-        pass
-    elif mode == "no_logit_match":
-        base.update(
-            inlier_losses=("ce", "seen"),
-            summary="full pipeline without the teacher-student logit matching term",
-        )
-    elif mode == "no_consistency":
-        base.update(
-            outlier_losses=("ce", "seen", "unseen"),
-            summary="full pipeline without weak/strong consistency regularization",
-        )
-    elif mode == "no_soft_weighting":
-        base.update(
-            unseen_weighting="hard_mask",
-            summary=f"unseen supervision hard-masked at score > {config.unseen_hard_threshold}",
-        )
-    elif mode == "no_its":
-        base.update(
-            pairs=(("outlier", "outlier"),),
-            inlier_losses=(),
-            summary="single (K+1)-head pair handles both classification and detection",
-        )
-    elif mode == "supervised_only":
-        base.update(
-            pairs=(("inlier", "inlier"),),
-            unseen_weighting="none",
-            inlier_losses=("ce",),
-            outlier_losses=(),
-            summary="labeled cross-entropy only; unlabeled data never touched",
-        )
-    elif mode == "no_k1_its":
-        # plain confidence-threshold pseudo-labeling: no unseen class, no
-        # score, and no teacher-student logit matching
-        base.update(
-            pairs=(("inlier", "inlier"),),
-            inlier_losses=("ce", "seen"),
-            outlier_losses=(),
-            unseen_weighting="none",
-            summary="K-head pair with confidence-threshold pseudo-labeling only",
-        )
-    elif mode == "no_k1_ots":
-        base.update(
-            pairs=(("outlier", "inlier"),),  # outlier-style branch on a K-head pair
-            inlier_losses=(),
-            unseen_weighting="uniform_push",
-            summary=(
-                "K-head pair; high-uncertainty samples pushed toward uniform output "
-                f"(mask at 1-max > {config.uniformity_threshold})"
-            ),
-        )
-    elif mode in ("one_f_two_c", "one_f_two_c_proj"):
-        base.update(
-            pairs=(("merged", "merged"),),
-            k1_projection=(mode == "one_f_two_c_proj"),
-            summary="single backbone carrying both heads; both objectives on one model"
-            + (" with a projection layer before the (K+1)-head" if mode == "one_f_two_c_proj" else ""),
-        )
-    return PipelineDescription(**base)
+    summary, changes = _MODES[mode]
+    return PipelineDescription(mode, summary.format(config), **changes)
 
 
-def unseen_sample_weights(scores: np.ndarray, pipeline: PipelineDescription, config: TrainConfig) -> np.ndarray:
-    """Per-sample weights applied to the unseen-class supervision term."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if pipeline.unseen_weighting == "soft":
+def unseen_sample_weights(scores: np.ndarray, k1_scored: bool, pipeline: PipelineDescription,
+                          config: TrainConfig) -> np.ndarray:
+    """Per-sample weights of the unseen term: a (K+1)-head score itself, or its hard mask at
+    ``unseen_hard_threshold``; a K-head's 1 - max score masked at ``uniformity_threshold``."""
+    if k1_scored and pipeline.soft_weighting:
         return scores
-    if pipeline.unseen_weighting == "hard_mask":
-        return (scores > config.unseen_hard_threshold).astype(np.float64)
-    if pipeline.unseen_weighting == "uniform_push":
-        return (scores > config.uniformity_threshold).astype(np.float64)
-    return np.zeros_like(scores)
+    threshold = config.unseen_hard_threshold if k1_scored else config.uniformity_threshold
+    return (scores > threshold).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -497,12 +452,16 @@ def _step_plan(pipe: PipelineDescription, config: TrainConfig) -> dict[str, tupl
     return plan
 
 
-_LAMBDA = {"seen": "lambda_seen", "lm": "lambda_lm", "unseen": "lambda_unseen", "cr": "lambda_cr"}
-# (role, term) -> the LossReport field that receives the term's value
-_REPORT_FIELD = {
-    ("inlier", "ce"): "ce_k", ("inlier", "seen"): "seen_in", ("inlier", "lm"): "logit_match",
-    ("outlier", "ce"): "ce_k1", ("outlier", "seen"): "seen_out", ("outlier", "unseen"): "unseen",
-    ("outlier", "cr"): "consistency",
+# (role, term) -> (the LossReport field of its value, the TrainConfig field of its weight). A
+# role's objective is its labeled CE (weight None) plus its weighted terms, added in table order
+_TERMS = {
+    ("inlier", "ce"): ("ce_k", None),
+    ("inlier", "seen"): ("seen_in", "lambda_seen"),
+    ("inlier", "lm"): ("logit_match", "lambda_lm"),
+    ("outlier", "ce"): ("ce_k1", None),
+    ("outlier", "seen"): ("seen_out", "lambda_seen"),
+    ("outlier", "unseen"): ("unseen", "lambda_unseen"),
+    ("outlier", "cr"): ("consistency", "lambda_cr"),
 }
 
 
@@ -518,27 +477,27 @@ def _train_step(state: TrainState, plan: dict[str, tuple[_Branch, ...]], batch, 
 
     targets = {}  # role -> (gate, pseudo-labels, teacher probabilities)
     weak_u = strong_u = weights = None
-    # the score comes from a (K+1)-head: it gates pseudo-labels and weights the extra class
-    k1_scored = pipe.unseen_weighting in ("soft", "hard_mask")
+    # as in _score, the last pair's heads say whether the score comes from a (K+1)-head; if
+    # so, it gates pseudo-labels and weights the extra class
+    last = list(state.pairs.values())[-1].teacher
+    k1_scored = "k1" in last.heads
     if mu_b:  # the sampler draws unlabeled rows only for a pipeline that uses them
         weak_u = augment_batch(batch.unlabeled_x, "weak", rng, state.scale, state.aug)
         strong_u = augment_batch(batch.unlabeled_x, "strong", rng, state.scale, state.aug)
         scores, p_in, p_out = _score(state.pairs, "teacher", weak_u, cfg.gamma)
         state.training_unlabeled_forwards += len(state.pairs) * mu_b  # one teacher pass per pair
-        K = next(iter(state.pairs.values())).teacher.K
         for role, p in (("inlier", p_in), ("outlier", p_out)):
             if p is not None:
                 gate = gate_mask(class_max(p), scores, cfg.tau, use_score=k1_scored)
                 pseudo = p.argmax(axis=0) + 1
                 if role == "outlier" and k1_scored and cfg.exclude_k1_pseudo:
-                    gate = gate & (pseudo != K + 1)
+                    gate = gate & (pseudo != last.K + 1)
                 targets[role] = (gate, pseudo, p)
-        weights = unseen_sample_weights(scores, pipe, cfg)
         if "inlier" in targets and pipe.inlier_losses:
             report.pass_count_in = int(targets["inlier"][0].sum())
         if pipe.outlier_losses:
             report.pass_count_out = int(targets["outlier"][0].sum())
-        if pipe.unseen_weighting != "none":
+            weights = unseen_sample_weights(scores, k1_scored, pipe, cfg)
             report.effective_weight_sum = float(weights.sum())
 
     for name, branches in plan.items():
@@ -550,7 +509,7 @@ def _train_step(state: TrainState, plan: dict[str, tuple[_Branch, ...]], batch, 
         for b in branches:
             ce, d = losses.ce_loss_and_grad(batch.labeled_y, softmax(z_l[b.head].T))
             d_l[b.head] = _sample_major(d)
-            setattr(report, _REPORT_FIELD[b.role, "ce"], ce)
+            setattr(report, _TERMS[b.role, "ce"][0], ce)
         grads = student.backward(cache_l, d_l)
 
         unlabeled = [b for b in branches if b.terms] if strong_u is not None else []
@@ -562,41 +521,39 @@ def _train_step(state: TrainState, plan: dict[str, tuple[_Branch, ...]], batch, 
                 p = softmax(z_u[b.head].T)
                 gate, pseudo, p_teacher = targets[b.role]
                 for term in b.terms:
-                    lam = getattr(cfg, _LAMBDA[term])
+                    field_name, weight = _TERMS[b.role, term]
+                    lam = getattr(cfg, weight)
                     if term == "seen":
                         value, d = losses.gated_ce_loss_and_grad(pseudo, p, gate, mu_b)
                     elif term == "lm":
                         value, d = losses.logit_match_loss_and_grad(p, p_teacher, gate, mu_b)
                     elif term == "unseen" and k1_scored:
                         value, d = losses.unseen_loss_and_grad(p, weights, mu_b)
-                    elif term == "unseen":  # uniform_push: no extra class, push masked samples to uniform
+                    elif term == "unseen":  # no extra class: push masked samples toward uniform
                         value, d = losses.uniformity_loss_and_grad(p, weights, mu_b)
                     else:  # "cr"
                         z_w, cache_w = student.logits(weak_u, heads=(b.head,))
                         state.training_unlabeled_forwards += len(weak_u)
                         value, d_w, d = losses.consistency_loss_and_grad(softmax(z_w[b.head].T), p, mu_b)
                         _sum_grads(grads, student.backward(cache_w, {b.head: _sample_major(lam * d_w)}))
-                    setattr(report, _REPORT_FIELD[b.role, term], value)
+                    setattr(report, field_name, value)
                     d_u[b.head] = _acc(d_u.get(b.head), lam * d)
             _sum_grads(grads, student.backward(cache_u, {h: _sample_major(d) for h, d in d_u.items()}))
 
         state.optimizers[name].step(student.flat, student.grad_vector(grads), lr)
 
-    report.inlier_total = losses.inlier_objective(
-        report.ce_k, report.seen_in, report.logit_match, (cfg.lambda_seen, cfg.lambda_lm)
-    )
-    report.outlier_total = losses.outlier_objective(
-        report.ce_k1, report.seen_out, report.unseen, report.consistency,
-        (cfg.lambda_seen, cfg.lambda_unseen, cfg.lambda_cr),
-    )
-    report.pretrain_total = losses.pretrain_objective(report.ce_k, report.ce_k1)
+    totals = {}  # role -> its objective: the CE, then each weighted term added left to right
+    for (role, _), (field_name, weight) in _TERMS.items():
+        value = getattr(report, field_name)
+        totals[role] = value if weight is None else totals[role] + getattr(cfg, weight) * value
+    report.inlier_total, report.outlier_total = float(totals["inlier"]), float(totals["outlier"])
+    report.pretrain_total = float(report.ce_k + report.ce_k1)
     return report
 
 
-def _sum_grads(target: dict[str, np.ndarray], extra: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+def _sum_grads(target: dict[str, np.ndarray], extra: dict[str, np.ndarray]) -> None:
     for k, v in extra.items():
         target[k] = _acc(target.get(k), v)
-    return target
 
 
 def _acc(total: np.ndarray | None, term: np.ndarray) -> np.ndarray:

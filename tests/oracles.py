@@ -61,3 +61,20 @@ def unseen(probs, scores, mu_B):
 def consistency(weak, strong, mu_B):
     """Ungated KL(weak || strong) over the full batch size."""
     return _batch_mean([kl(p, q) for p, q in zip(weak, strong)], mu_B)
+
+
+def inlier_objective(ce_k, seen, logit_match, weights):
+    """CE + lambda_seen * seen + lambda_lm * logit-match, added left to right."""
+    lambda_seen, lambda_lm = weights
+    return ce_k + lambda_seen * seen + lambda_lm * logit_match
+
+
+def outlier_objective(ce_k1, seen, unseen, consistency, weights):
+    """CE + lambda_seen * seen + lambda_unseen * unseen + lambda_cr * consistency, left to right."""
+    lambda_seen, lambda_unseen, lambda_cr = weights
+    return ce_k1 + lambda_seen * seen + lambda_unseen * unseen + lambda_cr * consistency
+
+
+def pretrain_objective(ce_k, ce_k1):
+    """The pre-training objective: both heads' labeled CE."""
+    return ce_k + ce_k1

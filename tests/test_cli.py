@@ -305,6 +305,17 @@ class TestReportVerb:
         # pretrain + train epochs
         assert len(rows) == 3 + 4
 
+    @pytest.mark.parametrize("text, reason", [
+        ("runs: none", "Expecting value"),
+        ('{"runs": []}', "missing 5 required positional arguments"),
+    ])
+    def test_malformed_manifest_exit_two(self, tmp_path, text, reason, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text(text)
+        assert main(["report", "--manifest", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"manifest {path} is not a run manifest" in err and reason in err
+
 
 class TestValidateConfigVerb:
     def test_ok_exit_zero(self, config_file):
@@ -362,8 +373,10 @@ class TestValidateConfigVerb:
         assert main(["validate-config", "--config", str(bad)]) == 2
         assert "unknown config fields: ['cache_scores']" in capsys.readouterr().err
 
-    def test_override_fills_field_that_defaults_to_none(self, config_file):
-        config = load_config(config_file, ["dataset.max_per_class=5"])
+    def test_override_fills_field_that_defaults_to_none(self, config_file, tmp_path):
+        # only a cifar10 dataset takes max_per_class; validation needs just its directory to exist
+        config = load_config(config_file, ["dataset.kind=cifar10", f"dataset.path={tmp_path}",
+                                           "dataset.max_per_class=5"])
         assert config.dataset.max_per_class == 5 and type(config.dataset.max_per_class) is int
 
     def test_bad_override_of_optional_field_exit_two(self, config_file, tmp_path, capsys):
@@ -434,6 +447,8 @@ class TestValidateConfigVerb:
         ("dataset", {"noise": float("inf")}, "dataset.noise: must be finite and > 0, got inf"),
         ("split", {"seen_class_ids": [1, 2, 9]}, "split.seen_class_ids: [1, 2, 9] not all among classes 1..4"),
         ("dataset", {"k_unseen": 0}, "split.mismatch_ratio: > 0 needs at least one unseen class"),
+        ("dataset", {"max_per_class": 2},
+         "dataset.max_per_class: only a cifar10 dataset subsamples, got 2 for kind 'synthetic'"),
     ])
     def test_data_the_generator_or_split_would_reject_exit_two(self, tmp_path, config_file, section, fields,
                                                                message, capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dts_ssl.data import (
     AugmentConfig,
     Dataset,
+    DatasetSpec,
     PairSampler,
     augment_batch,
     build_mismatch_split,
@@ -247,6 +248,17 @@ class TestFileFormats:
         save_dataset(ds, path)
         header = path.read_text().splitlines()[0]
         assert header == "feature_0,feature_1,feature_2,label"
+
+    @pytest.mark.parametrize("kind", ["synthetic", "csv"])
+    def test_max_per_class_refused_off_cifar10(self, tmp_path, kind):
+        path = tmp_path / "d.csv"
+        save_dataset(generate_synthetic(3, 1, 5, 20, seed=0), path)
+        spec = DatasetSpec(kind=kind, path=str(path), per_class=20, k_seen=3, k_unseen=1, dim=5)
+        spec.validate()
+        spec.max_per_class = 2
+        with pytest.raises(ValidationError, match=f"max_per_class: only a cifar10 dataset subsamples, "
+                                                  f"got 2 for kind '{kind}'"):
+            spec.validate()
 
     def test_missing_sidecar_rejected(self, tmp_path):
         path = tmp_path / "x.csv"

@@ -65,3 +65,46 @@ def test_package_root_exports_what_callers_import():
                 if not isinstance(value, types.ModuleType)
                 and (name == "__version__" or not name.startswith("_"))}
     assert imported | {"__version__"} == exported
+
+
+def dead_private_names(source: str) -> list[str]:
+    """Module-level private names (a ``_function``, ``_Class`` or ``_CONSTANT``) that no
+    ``Name`` or ``Attribute`` node of the module reads, with their lines."""
+    tree = ast.parse(source)
+    defined: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+        else:
+            continue
+        private = [name for name in targets if name.startswith("_") and not name.startswith("__")]
+        defined.update((name, node.lineno) for name in private)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return sorted(f"{name} (line {line})" for name, line in defined.items() if name not in read)
+
+
+def test_no_dead_private_names():
+    files = sorted((ROOT / "src" / "dts_ssl").glob("*.py"))
+    assert len(files) > 5
+    found = {p.name: dead_private_names(p.read_text()) for p in files}
+    assert {name: dead for name, dead in found.items() if dead} == {}
+
+
+def test_finds_dead_private_names_only():
+    source = (
+        "_USED = 1\n"
+        "_DEAD: int = 2\n"
+        "_STORED = 3\n"
+        "_STORED = 4\n"
+        "__all__ = []\n"
+        "PUBLIC = 5\n"
+        "def _helper(): return _USED\n"
+        "def _unused(): ...\n"
+        "class _Thing: ...\n"
+        "def f(x): return x._Thing, _helper()\n"
+    )
+    assert dead_private_names(source) == ["_DEAD (line 2)", "_STORED (line 4)", "_unused (line 8)"]

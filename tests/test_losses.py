@@ -17,10 +17,7 @@ from dts_ssl.losses import (
     ce_loss_and_grad,
     consistency_loss_and_grad,
     gated_ce_loss_and_grad,
-    inlier_objective,
     logit_match_loss_and_grad,
-    outlier_objective,
-    pretrain_objective,
     uniformity_loss_and_grad,
     unseen_loss_and_grad,
 )
@@ -210,18 +207,21 @@ class TestConsistencyLoss:
 
 
 class TestObjectives:
+    """The reference objectives, against hand arithmetic; ``test_trainer`` checks every step's
+    totals against them."""
+
     def test_inlier_arithmetic(self):
-        assert inlier_objective(1.0, 0.4, 0.2, (0.25, 0.25)) == pytest.approx(1.15)
-        assert inlier_objective(0.0, 0.0, 0.0, (0.25, 0.25)) == 0.0
-        assert inlier_objective(0.37, 9.0, 9.0, (0.0, 0.0)) == pytest.approx(0.37)
+        assert oracles.inlier_objective(1.0, 0.4, 0.2, (0.25, 0.25)) == pytest.approx(1.15)
+        assert oracles.inlier_objective(0.0, 0.0, 0.0, (0.25, 0.25)) == 0.0
+        assert oracles.inlier_objective(0.37, 9.0, 9.0, (0.0, 0.0)) == pytest.approx(0.37)
 
     def test_outlier_arithmetic(self):
-        assert outlier_objective(1.0, 0.4, 0.5, 0.2, (0.25, 0.1, 0.3)) == pytest.approx(1.21)
-        assert outlier_objective(0.0, 0.0, 0.0, 0.0, (0.25, 0.1, 0.3)) == 0.0
+        assert oracles.outlier_objective(1.0, 0.4, 0.5, 0.2, (0.25, 0.1, 0.3)) == pytest.approx(1.21)
+        assert oracles.outlier_objective(0.0, 0.0, 0.0, 0.0, (0.25, 0.1, 0.3)) == 0.0
 
     def test_pretrain_sum(self):
-        assert pretrain_objective(0.5, 0.7) == pytest.approx(1.2)
-        assert pretrain_objective(0.0, 0.0) == 0.0
+        assert oracles.pretrain_objective(0.5, 0.7) == pytest.approx(1.2)
+        assert oracles.pretrain_objective(0.0, 0.0) == 0.0
 
 
 def central_difference(fn, z, eps=1e-5):

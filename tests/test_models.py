@@ -410,3 +410,23 @@ class TestCheckpoints:
         loaded = load_model(path)
         assert loaded.heads == ("k1",)
         assert "head_k.W" not in loaded.params
+
+    @staticmethod
+    def repacked(tmp_path, drop=(), extra=None):
+        """An inlier student's checkpoint, re-packed without the ``drop`` tensors and with ``extra``."""
+        path = tmp_path / "student.npz"
+        save_model(derive_pair(make_teacher(), "inlier").student, path)
+        with np.load(path) as archive:
+            arrays = {k: archive[k] for k in archive.files if k not in drop}
+        np.savez(path, **arrays, **(extra or {}))
+        return path
+
+    def test_missing_tensor_refused_at_load(self, tmp_path):
+        path = self.repacked(tmp_path, drop=("head_k.b",))
+        with pytest.raises(ValidationError, match=r"missing \['head_k.b'\], unexpected \[\]"):
+            load_model(path)
+
+    def test_extra_tensor_refused_at_load(self, tmp_path):
+        path = self.repacked(tmp_path, extra={"head_k1.W": np.zeros((7, 6))})
+        with pytest.raises(ValidationError, match=r"missing \[\], unexpected \['head_k1.W'\]"):
+            load_model(path)

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dts_ssl
+import oracles
 from dts_ssl import losses
 from dts_ssl.data import MismatchSplit, build_mismatch_split, generate_synthetic
 from dts_ssl.errors import StateError, UndefinedMetricError, ValidationError
@@ -180,7 +181,53 @@ class TestTrainConfig:
         tiny_config(lr=1, tau=np.float64(0.9), seed=np.int64(3), hidden_widths=[12]).validate()
 
 
+TWO_PAIRS = (("inlier", "inlier"), ("outlier", "outlier"))
+MERGED = (("merged", "merged"),)
+INLIER_TERMS = ("ce", "seen", "lm")
+OUTLIER_TERMS = ("ce", "seen", "unseen", "cr")
+# mode -> (pairs, inlier_losses, outlier_losses, k1_projection, summary), in ABLATION_MODES
+# order; {hard} and {uniform} stand for the two thresholds as the summary prints them
+MODE_DESCRIPTIONS = {
+    "full": (TWO_PAIRS, INLIER_TERMS, OUTLIER_TERMS, False,
+             "dual teacher-student pairs, soft-weighted unseen supervision"),
+    "no_its": ((("outlier", "outlier"),), (), OUTLIER_TERMS, False,
+               "single (K+1)-head pair handles both classification and detection"),
+    "no_soft_weighting": (TWO_PAIRS, INLIER_TERMS, OUTLIER_TERMS, False,
+                          "unseen supervision hard-masked at score > {hard}"),
+    "no_k1_its": ((("inlier", "inlier"),), ("ce", "seen"), (), False,
+                  "K-head pair with confidence-threshold pseudo-labeling only"),
+    "no_k1_ots": ((("outlier", "inlier"),), (), OUTLIER_TERMS, False,
+                  "K-head pair; high-uncertainty samples pushed toward uniform output"
+                  " (mask at 1-max > {uniform})"),
+    "no_logit_match": (TWO_PAIRS, ("ce", "seen"), OUTLIER_TERMS, False,
+                       "full pipeline without the teacher-student logit matching term"),
+    "no_consistency": (TWO_PAIRS, INLIER_TERMS, ("ce", "seen", "unseen"), False,
+                       "full pipeline without weak/strong consistency regularization"),
+    "one_f_two_c": (MERGED, INLIER_TERMS, OUTLIER_TERMS, False,
+                    "single backbone carrying both heads; both objectives on one model"),
+    "one_f_two_c_proj": (MERGED, INLIER_TERMS, OUTLIER_TERMS, True,
+                         "single backbone carrying both heads; both objectives on one model"
+                         " with a projection layer before the (K+1)-head"),
+    "supervised_only": ((("inlier", "inlier"),), ("ce",), (), False,
+                        "labeled cross-entropy only; unlabeled data never touched"),
+}
+
+
 class TestApplyAblation:
+    @pytest.mark.parametrize("thresholds, hard, uniform", [
+        ({}, "0.85", "0.5"),
+        ({"unseen_hard_threshold": 0.7, "uniformity_threshold": 0.3}, "0.7", "0.3"),
+    ])
+    def test_every_mode_description_pinned(self, thresholds, hard, uniform):
+        cfg = TrainConfig.desk(**thresholds)
+        assert tuple(MODE_DESCRIPTIONS) == ABLATION_MODES
+        for mode, (pairs, inlier, outlier, projection, summary) in MODE_DESCRIPTIONS.items():
+            pipe = apply_ablation(mode, cfg)
+            got = (pipe.pairs, pipe.inlier_losses, pipe.outlier_losses, pipe.k1_projection, pipe.summary)
+            summary = summary.format(hard=hard, uniform=uniform)
+            assert got == (pairs, inlier, outlier, projection, summary), mode
+            assert pipe.uses_unlabeled == (mode != "supervised_only"), mode
+
     def test_unknown_mode(self):
         with pytest.raises(ValidationError):
             apply_ablation("bogus", TrainConfig.desk())
@@ -195,7 +242,7 @@ class TestApplyAblation:
     def test_full_structure(self):
         pipe = apply_ablation("full", TrainConfig.desk())
         assert dict(pipe.pairs) == {"inlier": "inlier", "outlier": "outlier"}
-        assert pipe.unseen_weighting == "soft"
+        assert pipe.soft_weighting
 
     def test_left_out_terms_absent_from_plan(self):
         cfg = TrainConfig.desk()
@@ -227,11 +274,11 @@ class TestApplyAblation:
     def test_unseen_weight_shapes(self):
         cfg = TrainConfig.desk()
         scores = np.array([0.1, 0.5, 0.86, 0.99])
-        assert np.array_equal(unseen_sample_weights(scores, apply_ablation("full", cfg), cfg), scores)
-        hard = unseen_sample_weights(scores, apply_ablation("no_soft_weighting", cfg), cfg)
+        assert np.array_equal(unseen_sample_weights(scores, True, apply_ablation("full", cfg), cfg), scores)
+        hard = unseen_sample_weights(scores, True, apply_ablation("no_soft_weighting", cfg), cfg)
         assert set(hard.tolist()) <= {0.0, 1.0}
         assert np.array_equal(hard, (scores > cfg.unseen_hard_threshold).astype(float))
-        push = unseen_sample_weights(scores, apply_ablation("no_k1_ots", cfg), cfg)
+        push = unseen_sample_weights(scores, False, apply_ablation("no_k1_ots", cfg), cfg)
         assert np.array_equal(push, (scores > cfg.uniformity_threshold).astype(float))
 
 
@@ -336,21 +383,25 @@ class TestRunTrainingStructure:
         last = [r for r in result.history if r["phase"] == "train"][-1]
         assert last["training_unlabeled_forwards"] > 0
 
-    def test_step_reports_recompose_exactly(self):
+    @pytest.mark.parametrize("mode", ["full", "no_its"])
+    def test_step_reports_recompose_exactly(self, mode):
+        """Every step's totals equal the reference objectives of its terms; ``no_its`` has no
+        inlier branch, so its inlier total is built from zeros."""
         reports = []
-        result = run_training(
-            tiny_config(), tiny_split(), step_callback=lambda s, rep: reports.append(rep)
-        )
-        cfg = result.config
+        cfg = gated_config(mode=mode)
+        run_training(cfg, tiny_split(), step_callback=lambda s, rep: reports.append(rep))
+        assert any(rep.seen_out > 0 for rep in reports)
         for rep in reports:
-            assert rep.inlier_total == losses.inlier_objective(
+            assert rep.inlier_total == oracles.inlier_objective(
                 rep.ce_k, rep.seen_in, rep.logit_match, (cfg.lambda_seen, cfg.lambda_lm)
             )
-            assert rep.outlier_total == losses.outlier_objective(
+            assert rep.outlier_total == oracles.outlier_objective(
                 rep.ce_k1, rep.seen_out, rep.unseen, rep.consistency,
                 (cfg.lambda_seen, cfg.lambda_unseen, cfg.lambda_cr),
             )
-            assert rep.pretrain_total == losses.pretrain_objective(rep.ce_k, rep.ce_k1)
+            assert rep.pretrain_total == oracles.pretrain_objective(rep.ce_k, rep.ce_k1)
+        if mode == "no_its":
+            assert all(rep.ce_k == rep.seen_in == rep.logit_match == 0.0 for rep in reports[-3:])
 
     def test_both_gates_admit_samples(self, monkeypatch):
         K = tiny_split().K
