@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .data import DatasetSpec, SplitSpec, split_checks
-from .errors import DtsError, ValidationError, replace_fields, type_checks
+from .errors import DtsError, ValidationError, replace_fields, require_all, type_checks
 from .trainer import TrainConfig, run_training
 
 ENV_OUT_ROOT = "DTS_SSL_OUT_ROOT"
@@ -163,9 +163,14 @@ class RunManifest:
     @classmethod
     def load(cls, path: str | Path) -> "RunManifest":
         try:  # not text, not JSON, or not the manifest's fields
-            return cls(**json.loads(Path(path).read_text()))
+            manifest = cls(**json.loads(Path(path).read_text()))
         except (ValueError, TypeError) as exc:
             raise ValidationError(f"manifest {path} is not a run manifest: {exc}") from exc
+        if not isinstance(manifest.runs, list):
+            raise ValidationError(f"manifest {path}: runs must be a list, got {manifest.runs!r}")
+        require_all((isinstance(r, dict) and {"status", "seed", "run_dir"} <= r.keys(),
+                     f"manifest {path}: run entry {r!r} needs status, seed and run_dir") for r in manifest.runs)
+        return manifest
 
 
 def _experiment_hash(points: list[tuple[dict, ExperimentConfig]]) -> str:

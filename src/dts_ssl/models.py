@@ -87,7 +87,8 @@ class DualHeadModel:
     only the head they train (``heads`` records which are present). The model
     copies ``params`` into one vector, ``flat``; ``params`` maps each name to a
     view into it, in the given order. It must hold exactly the backbone's and
-    ``heads``' tensors, else ``ValidationError`` (also for ``load_model``).
+    ``heads``' tensors, in the shapes ``spec`` and ``K`` give them, else
+    ``ValidationError`` (also for ``load_model``).
     """
 
     def __init__(
@@ -107,15 +108,23 @@ class DualHeadModel:
         self.pretrained = pretrained
         self._act, self._act_grad = _ACTIVATIONS[spec.activation]
         # layer table: the (W, b) keys of the layers from the inputs to the features, and per head
-        # from the features to its logits
+        # from the features to its logits; ``widths`` are each chain's input and output widths
         chains = {"backbone": [f"backbone.{i}" for i in range(len(spec.layer_sizes) - 1)], "k": ["head_k"],
                   "k1": ["proj", "head_k1"] if spec.k1_projection else ["head_k1"]}
+        f = spec.feature_dim
+        widths = {"backbone": spec.layer_sizes, "k": (f, K), "k1": (f,) * len(chains["k1"]) + (K + 1,)}
         self._layers = {name: [(f"{l}.W", f"{l}.b") for l in chain] for name, chain in chains.items()}
         expected = self._touched(self.heads)
         missing, unexpected = sorted(expected - set(self.params)), sorted(set(self.params) - expected)
         if missing or unexpected:
             raise ValidationError(f"parameters do not match heads {self.heads}: missing {missing}, "
                                   f"unexpected {unexpected}")
+        require_all(
+            (self.params[key].shape == shape, f"{key}: expected shape {shape}, got {self.params[key].shape}")
+            for name in ("backbone", *self.heads)
+            for (W, b), n_in, n_out in zip(self._layers[name], widths[name], widths[name][1:])
+            for key, shape in ((W, (n_out, n_in)), (b, (n_out,)))
+        )
 
     def __reduce__(self):
         # unpickle through __init__, so that ``params`` are views into the new ``flat`` again
@@ -161,7 +170,8 @@ class DualHeadModel:
             if i:
                 a = self._act(z)
             inputs.append(a)
-            z = a @ self.params[W].T
+            # a C-contiguous copy of W.T, made per call: BLAS takes it 2-3x faster than the view at desk widths
+            z = a @ np.ascontiguousarray(self.params[W].T)
             z += self.params[b]
         return z
 

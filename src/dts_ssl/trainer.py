@@ -640,7 +640,7 @@ def _epoch_record(phase: str, iteration: int, epoch_in_phase: int, global_epoch:
         "epoch": epoch_in_phase,
         "global_epoch": global_epoch,
         "lr": lr,
-        **dataclasses.asdict(report),
+        **vars(report),
         "gate_pass_rate_in": 0.0,
         "gate_pass_rate_out": 0.0,
         "test_accuracy": ev.accuracy if ev else float("nan"),

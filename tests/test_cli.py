@@ -316,6 +316,17 @@ class TestReportVerb:
         err = capsys.readouterr().err
         assert f"manifest {path} is not a run manifest" in err and reason in err
 
+    @pytest.mark.parametrize("runs, reason", [
+        ([{"seed": 0}], "run entry {'seed': 0} needs status, seed and run_dir"),
+        ("none", "runs must be a list, got 'none'"),
+    ])
+    def test_malformed_run_entry_exit_two(self, tmp_path, runs, reason, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"config_hash": "0", "artifact_version": "0", "dataset_id": "0",
+                                    "seeds": [0], "out_dir": str(tmp_path), "runs": runs}))
+        assert main(["report", "--manifest", str(path)]) == 2
+        assert f"manifest {path}: {reason}" in capsys.readouterr().err
+
 
 class TestValidateConfigVerb:
     def test_ok_exit_zero(self, config_file):

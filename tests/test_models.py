@@ -10,6 +10,7 @@ from dts_ssl.errors import ShapeError, StateError, ValidationError
 from dts_ssl.losses import ce_loss_and_grad
 from dts_ssl.models import (
     BackboneSpec,
+    DualHeadModel,
     derive_pair,
     init_teacher,
     load_model,
@@ -143,6 +144,12 @@ class TestParameterVector:
             for name, v in model.params.items():
                 assert np.array_equal(v.ravel(), np.arange(at, at + v.size)), (how, name)
                 at += v.size
+            x = np.random.default_rng(5).normal(size=(7, model.spec.input_dim))
+            rebuilt = DualHeadModel(model.spec, model.K, {k: v.copy() for k, v in model.params.items()},
+                                    heads=model.heads)
+            z, z_rebuilt = model.logits(x, model.heads)[0], rebuilt.logits(x, model.heads)[0]
+            for h in model.heads:  # the next forward reads what was written: no derived weight state
+                assert z[h].tobytes() == z_rebuilt[h].tobytes(), (how, h)
             model.flat[:] = flat
             assert param_hash(model) == before, how
         vectors = [m.flat for m in models.values()]
@@ -315,24 +322,28 @@ class TestBackwardKeySet:
 
 
 def out_of_place_logits(model, x, heads):
-    """Reference forward: every bias add and activation allocates its result."""
-    W = model.params
+    """Reference forward: every bias add and activation allocates its result; each layer
+    multiplies by a C-contiguous copy of ``W.T``."""
     act = np.tanh if model.spec.activation == "tanh" else (lambda z: np.maximum(z, 0.0))
+
+    def linear(a, layer):
+        return a @ np.ascontiguousarray(model.params[f"{layer}.W"].T) + model.params[f"{layer}.b"]
+
     acts, a = [x], x
     for i in range(len(model.spec.layer_sizes) - 1):
-        a = act(a @ W[f"backbone.{i}.W"].T + W[f"backbone.{i}.b"])
+        a = act(linear(a, f"backbone.{i}"))
         acts.append(a)
     out, cache = {}, {"acts": acts}
     for h in heads:
         cache[h] = [a]
         if h == "k":
-            out[h] = a @ W["head_k.W"].T + W["head_k.b"]
+            out[h] = linear(a, "head_k")
         else:
             src = a
             if model.spec.k1_projection:
-                src = act(a @ W["proj.W"].T + W["proj.b"])
+                src = act(linear(a, "proj"))
                 cache[h].append(src)
-            out[h] = src @ W["head_k1.W"].T + W["head_k1.b"]
+            out[h] = linear(src, "head_k1")
     return out, cache
 
 
@@ -412,10 +423,10 @@ class TestCheckpoints:
         assert "head_k.W" not in loaded.params
 
     @staticmethod
-    def repacked(tmp_path, drop=(), extra=None):
+    def repacked(tmp_path, drop=(), extra=None, K=6):
         """An inlier student's checkpoint, re-packed without the ``drop`` tensors and with ``extra``."""
         path = tmp_path / "student.npz"
-        save_model(derive_pair(make_teacher(), "inlier").student, path)
+        save_model(derive_pair(make_teacher(K=K), "inlier").student, path)
         with np.load(path) as archive:
             arrays = {k: archive[k] for k in archive.files if k not in drop}
         np.savez(path, **arrays, **(extra or {}))
@@ -424,6 +435,11 @@ class TestCheckpoints:
     def test_missing_tensor_refused_at_load(self, tmp_path):
         path = self.repacked(tmp_path, drop=("head_k.b",))
         with pytest.raises(ValidationError, match=r"missing \['head_k.b'\], unexpected \[\]"):
+            load_model(path)
+
+    def test_wrong_shaped_tensor_refused_at_load(self, tmp_path):
+        path = self.repacked(tmp_path, drop=("head_k.W",), extra={"head_k.W": np.zeros((4, 6))}, K=3)
+        with pytest.raises(ValidationError, match=r"^head_k.W: expected shape \(3, 6\), got \(4, 6\)$"):
             load_model(path)
 
     def test_extra_tensor_refused_at_load(self, tmp_path):
