@@ -9,8 +9,10 @@ Times ``dts_ssl.benchmarks.run_benchmark(mode, SEED)`` for every ablation mode,
 and appends one record to ``--out`` (created if absent). Per mode the record
 holds the median and quartiles of the wall seconds, the reference seconds
 (wall time scaled by the host-speed kernel of ``perfbench/hostspeed.py``,
-timed before and after each run) and the minor page faults of one run
-(``ru_minflt``), plus every run's three values. It also names the host (CPU
+timed before and after each run), the minor page faults of one run
+(``ru_minflt``) and those of the pair worker it forked, if any (the
+``RUSAGE_CHILDREN`` delta around the run; 0 for a serial run), plus every
+run's four values. It also names the host (CPU
 count, Python, numpy, BLAS) and the git commit of the checkout that holds
 ``--src``, with ``dirty`` true when any file of that checkout but ``--out``
 differs from the commit; the path itself is not recorded. ``--src`` names the source tree to import ``dts_ssl`` from, so one
@@ -83,28 +85,30 @@ def main() -> int:
     if unknown:
         parser.error(f"unknown modes {unknown}; choose from {list(ABLATION_MODES)}")
 
-    def minflt() -> int:
-        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    def minflt(who: int = resource.RUSAGE_SELF) -> int:
+        return resource.getrusage(who).ru_minflt
 
     run_benchmark(modes[0], SEED)  # untimed: the first run in a process is slower
     runs: dict[str, list[dict]] = {mode: [] for mode in modes}
     for _ in range(args.repeats):
         for mode in modes:
             k_before = kernel_seconds()
-            faults, t0 = minflt(), time.perf_counter()
+            worker, faults, t0 = minflt(resource.RUSAGE_CHILDREN), minflt(), time.perf_counter()
             run_benchmark(mode, SEED)
             wall, faults = time.perf_counter() - t0, minflt() - faults
+            worker = minflt(resource.RUSAGE_CHILDREN) - worker
             factor = speed_factor([k_before, kernel_seconds()])
-            runs[mode].append({"wall_s": wall, "reference_s": wall * factor, "minor_faults": faults})
-            print(f"{mode} wall {wall:.3f} s, reference {wall * factor:.3f} s, {faults} minor faults",
-                  flush=True)
+            runs[mode].append({"wall_s": wall, "reference_s": wall * factor, "minor_faults": faults,
+                               "worker_minor_faults": worker})
+            print(f"{mode} wall {wall:.3f} s, reference {wall * factor:.3f} s, {faults} minor faults, "
+                  f"{worker} in the worker", flush=True)
 
     out = Path(args.out)
     record = {
         "git": git_state(src, out), "host": environment(), "seed": SEED,
         "repeats": args.repeats,
-        "modes": {mode: {key: summary([r[key] for r in rs]) for key in ("wall_s", "reference_s", "minor_faults")}
-                  | {"runs": rs} for mode, rs in runs.items()},
+        "modes": {mode: {key: summary([r[key] for r in rs]) for key in rs[0]} | {"runs": rs}
+                  for mode, rs in runs.items()},
     }
     bench = json.loads(out.read_text()) if out.exists() else {"records": []}
     bench["records"].append(record)

@@ -73,11 +73,16 @@ class BackboneSpec:
 def _packed(params: Mapping[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """A copy of ``params`` as one contiguous vector, and a view into it per name."""
     flat = np.concatenate([np.ravel(v) for v in params.values()], dtype=np.float64)
+    return flat, _views(flat, params)
+
+
+def _views(flat: np.ndarray, like: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """A view into ``flat`` per name of ``like``, in its order and its array's shape."""
     views, at = {}, 0
-    for name, v in params.items():
+    for name, v in like.items():
         views[name] = flat[at : at + np.size(v)].reshape(np.shape(v))
         at += np.size(v)
-    return flat, views
+    return views
 
 
 class DualHeadModel:
@@ -129,6 +134,12 @@ class DualHeadModel:
     def __reduce__(self):
         # unpickle through __init__, so that ``params`` are views into the new ``flat`` again
         return DualHeadModel, (self.spec, self.K, self.params, self.heads, self.pretrained)
+
+    def rehome(self, flat: np.ndarray) -> None:
+        """Move the parameters into ``flat``, a float64 vector as long as ``self.flat``: copy them
+        there, then make it ``flat`` and ``params`` views into it."""
+        flat[:] = self.flat
+        self.flat, self.params = flat, _views(flat, self.params)
 
     # -- forward / backward --------------------------------------------------
 

@@ -6,7 +6,10 @@ the inlier and outlier teacher-student pairs from it, then run a fixed number
 of iterations. Within an iteration the teachers are frozen; every step scores
 the unlabeled batch with the teachers, updates the inlier student on its
 objective, then updates the outlier student on its objective. At iteration
-boundaries each student is copied into its teacher.
+boundaries each student is copied into its teacher. Where the process may use
+two CPUs, the outlier student trains in a forked pair worker (``pairworker``)
+while the inlier student trains here; both paths run one step function,
+``_model_step``, and give the same bits.
 
 Pre-training is the CE-only merged plan: the teacher, as the one model of a
 ``merged`` pair, trains the branches (inlier, k) and (outlier, k1) with no
@@ -61,6 +64,7 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import platform
@@ -332,6 +336,7 @@ class TrainState:
     training_unlabeled_forwards: int = 0
     out_dir: Path | None = None
     last_eval: EvalResult | None = None  # of the latest evaluated epoch
+    worker: object = None  # a pairworker.PairWorker training the plan's last model, if one runs
 
     @property
     def total_epochs(self) -> int:
@@ -465,17 +470,30 @@ _TERMS = {
 }
 
 
-def _train_step(state: TrainState, plan: dict[str, tuple[_Branch, ...]], batch, lr: float) -> LossReport:
+@dataclass
+class _Step:
+    """One step's inputs, drawn and teacher-scored before any model trains."""
+
+    labeled_x: np.ndarray  # the strong view of the labeled batch
+    labeled_y: np.ndarray
+    weak_u: np.ndarray | None  # the unlabeled views; None when the pipeline reads no unlabeled data
+    strong_u: np.ndarray | None
+    targets: dict  # role -> (gate, pseudo-labels, teacher probabilities)
+    weights: np.ndarray | None  # per-sample weights of the unseen term
+    k1_scored: bool  # whether the score, and with it the unseen term, comes from a (K+1)-head
+    report: LossReport  # the batch size, gate tallies and weight sum, before any model trains
+    forwards: int  # unlabeled rows the teachers forwarded
+
+
+def _draw_step(state: TrainState, batch) -> _Step:
+    """Augment ``batch`` and score its weak unlabeled view with the teachers."""
     cfg = state.config
     pipe = state.pipeline
     rng = state.rng
     report = LossReport()
-
     strong_x = augment_batch(batch.labeled_x, "strong", rng, state.scale, state.aug)
-    mu_b = len(batch.unlabeled_x)
-    report.batch_unlabeled = mu_b
-
-    targets = {}  # role -> (gate, pseudo-labels, teacher probabilities)
+    mu_b = report.batch_unlabeled = len(batch.unlabeled_x)
+    targets = {}
     weak_u = strong_u = weights = None
     # as in _score, the last pair's heads say whether the score comes from a (K+1)-head; if
     # so, it gates pseudo-labels and weights the extra class
@@ -485,7 +503,6 @@ def _train_step(state: TrainState, plan: dict[str, tuple[_Branch, ...]], batch, 
         weak_u = augment_batch(batch.unlabeled_x, "weak", rng, state.scale, state.aug)
         strong_u = augment_batch(batch.unlabeled_x, "strong", rng, state.scale, state.aug)
         scores, p_in, p_out = _score(state.pairs, "teacher", weak_u, cfg.gamma)
-        state.training_unlabeled_forwards += len(state.pairs) * mu_b  # one teacher pass per pair
         for role, p in (("inlier", p_in), ("outlier", p_out)):
             if p is not None:
                 gate = gate_mask(class_max(p), scores, cfg.tau, use_score=k1_scored)
@@ -499,48 +516,76 @@ def _train_step(state: TrainState, plan: dict[str, tuple[_Branch, ...]], batch, 
             report.pass_count_out = int(targets["outlier"][0].sum())
             weights = unseen_sample_weights(scores, k1_scored, pipe, cfg)
             report.effective_weight_sum = float(weights.sum())
+    return _Step(strong_x, batch.labeled_y, weak_u, strong_u, targets, weights, k1_scored, report,
+                 forwards=len(state.pairs) * mu_b)  # one teacher pass per pair
 
-    for name, branches in plan.items():
-        # per model: one labeled pass, at most one strong-view and one weak-view pass;
-        # gradients add labeled, then weak-view consistency, then strong-view terms
-        student = state.pairs[name].student
-        z_l, cache_l = student.logits(strong_x, heads=tuple(b.head for b in branches))
-        d_l = {}
-        for b in branches:
-            ce, d = losses.ce_loss_and_grad(batch.labeled_y, softmax(z_l[b.head].T))
-            d_l[b.head] = _sample_major(d)
-            setattr(report, _TERMS[b.role, "ce"][0], ce)
-        grads = student.backward(cache_l, d_l)
 
-        unlabeled = [b for b in branches if b.terms] if strong_u is not None else []
-        if unlabeled:
-            z_u, cache_u = student.logits(strong_u, heads=tuple(b.head for b in unlabeled))
-            state.training_unlabeled_forwards += len(strong_u)
-            d_u = {}
-            for b in unlabeled:
-                p = softmax(z_u[b.head].T)
-                gate, pseudo, p_teacher = targets[b.role]
-                for term in b.terms:
-                    field_name, weight = _TERMS[b.role, term]
-                    lam = getattr(cfg, weight)
-                    if term == "seen":
-                        value, d = losses.gated_ce_loss_and_grad(pseudo, p, gate, mu_b)
-                    elif term == "lm":
-                        value, d = losses.logit_match_loss_and_grad(p, p_teacher, gate, mu_b)
-                    elif term == "unseen" and k1_scored:
-                        value, d = losses.unseen_loss_and_grad(p, weights, mu_b)
-                    elif term == "unseen":  # no extra class: push masked samples toward uniform
-                        value, d = losses.uniformity_loss_and_grad(p, weights, mu_b)
-                    else:  # "cr"
-                        z_w, cache_w = student.logits(weak_u, heads=(b.head,))
-                        state.training_unlabeled_forwards += len(weak_u)
-                        value, d_w, d = losses.consistency_loss_and_grad(softmax(z_w[b.head].T), p, mu_b)
-                        _sum_grads(grads, student.backward(cache_w, {b.head: _sample_major(lam * d_w)}))
-                    setattr(report, field_name, value)
-                    d_u[b.head] = _acc(d_u.get(b.head), lam * d)
-            _sum_grads(grads, student.backward(cache_u, {h: _sample_major(d) for h, d in d_u.items()}))
+def _model_step(student: DualHeadModel, optimizer: SGD, branches: tuple[_Branch, ...], step: _Step,
+                cfg: TrainConfig, lr: float) -> tuple[dict[str, float], int]:
+    """Train one model on ``step``'s inputs; returns the report fields of its branches' terms and
+    the unlabeled rows it forwarded. Per model: one labeled pass, at most one strong-view and one
+    weak-view pass; gradients add labeled, then weak-view consistency, then strong-view terms."""
+    fields, forwards = {}, 0
+    z_l, cache_l = student.logits(step.labeled_x, heads=tuple(b.head for b in branches))
+    d_l = {}
+    for b in branches:
+        ce, d = losses.ce_loss_and_grad(step.labeled_y, softmax(z_l[b.head].T))
+        d_l[b.head] = _sample_major(d)
+        fields[_TERMS[b.role, "ce"][0]] = ce
+    grads = student.backward(cache_l, d_l)
 
-        state.optimizers[name].step(student.flat, student.grad_vector(grads), lr)
+    strong_u, weak_u = step.strong_u, step.weak_u
+    unlabeled = [b for b in branches if b.terms] if strong_u is not None else []
+    if unlabeled:
+        mu_b = len(strong_u)
+        z_u, cache_u = student.logits(strong_u, heads=tuple(b.head for b in unlabeled))
+        forwards += mu_b
+        d_u = {}
+        for b in unlabeled:
+            p = softmax(z_u[b.head].T)
+            gate, pseudo, p_teacher = step.targets[b.role]
+            for term in b.terms:
+                field_name, weight = _TERMS[b.role, term]
+                lam = getattr(cfg, weight)
+                if term == "seen":
+                    value, d = losses.gated_ce_loss_and_grad(pseudo, p, gate, mu_b)
+                elif term == "lm":
+                    value, d = losses.logit_match_loss_and_grad(p, p_teacher, gate, mu_b)
+                elif term == "unseen" and step.k1_scored:
+                    value, d = losses.unseen_loss_and_grad(p, step.weights, mu_b)
+                elif term == "unseen":  # no extra class: push masked samples toward uniform
+                    value, d = losses.uniformity_loss_and_grad(p, step.weights, mu_b)
+                else:  # "cr"
+                    z_w, cache_w = student.logits(weak_u, heads=(b.head,))
+                    forwards += len(weak_u)
+                    value, d_w, d = losses.consistency_loss_and_grad(softmax(z_w[b.head].T), p, mu_b)
+                    _sum_grads(grads, student.backward(cache_w, {b.head: _sample_major(lam * d_w)}))
+                fields[field_name] = value
+                d_u[b.head] = _acc(d_u.get(b.head), lam * d)
+        _sum_grads(grads, student.backward(cache_u, {h: _sample_major(d) for h, d in d_u.items()}))
+
+    optimizer.step(student.flat, student.grad_vector(grads), lr)
+    return fields, forwards
+
+
+def _train_step(state: TrainState, plan: dict[str, tuple[_Branch, ...]], step: _Step, lr: float,
+                draw_ahead) -> LossReport:
+    """Train every model of ``plan`` on ``step``. With a pair worker attached, the worker trains
+    its model meanwhile, and ``draw_ahead()`` draws the next step once the local models trained."""
+    cfg = state.config
+    report = step.report
+    worker = state.worker
+    state.training_unlabeled_forwards += step.forwards
+    if worker is not None:
+        worker.start(step, lr)
+    done = [_model_step(state.pairs[name].student, state.optimizers[name], branches, step, cfg, lr)
+            for name, branches in plan.items() if worker is None or name != worker.name]
+    if worker is not None:
+        draw_ahead()
+        done.append(worker.finish())
+    for fields, forwards in done:
+        vars(report).update(fields)
+        state.training_unlabeled_forwards += forwards
 
     totals = {}  # role -> its objective: the CE, then each weighted term added left to right
     for (role, _), (field_name, weight) in _TERMS.items():
@@ -665,17 +710,23 @@ def _run_epochs(state: TrainState, step_callback=None, epoch_callback=None) -> N
     eval_every = 1 if pretrain else cfg.eval_every
     plan = _step_plan(state.pipeline, cfg)
     split = state.split
+    # the phase's steps, each drawn when first needed; with a pair worker, one step ahead, so
+    # the draws keep their order and never cross into the next phase
+    draws = (_draw_step(state, batch) for _ in range(epochs) for batch in state.sampler.epoch())
+    drawn = []
+    draw_ahead = None if state.worker is None else (lambda: drawn.extend(itertools.islice(draws, 1)))
     for epoch in range(epochs):
         lr = _lr_at(cfg, state.global_epoch, state.total_epochs)
         reports = []
-        for batch in state.sampler.epoch():
-            report = _train_step(state, plan, batch, lr)
+        for _ in range(state.sampler.steps_per_epoch):
+            report = _train_step(state, plan, drawn.pop() if drawn else next(draws), lr, draw_ahead)
             reports.append(report)
             if step_callback is not None:
                 step_callback(state, report)
         ev = None
         if (epoch + 1) % eval_every == 0 or epoch == epochs - 1:
-            ev = state.last_eval = evaluate_pipeline(state.pairs, split.test_x, split.test_y,
+            pairs = state.pairs if state.worker is None else state.worker.evaluation_pairs(state.pairs)
+            ev = state.last_eval = evaluate_pipeline(pairs, split.test_x, split.test_y,
                                                      split.unlabeled_x, split.unlabeled_is_unseen, cfg.gamma)
             if cfg.dump_scores and state.out_dir is not None:
                 _dump_epoch_scores(state, ev.scores)
@@ -752,6 +803,12 @@ def run_training(
 
     Holds the heap (``_hold_heap``): glibc's trim and mmap thresholds stay at
     32 MiB for the whole process, also after this call returns.
+
+    A two-model plan on two or more CPUs trains its outlier student in a
+    forked pair worker (``pairworker.attached``), reaped before this call
+    returns or raises. There, callbacks run after the step they report, but
+    the next step is already drawn: ``state.rng`` and ``state.sampler`` are one
+    step ahead of the serial path's.
     """
     config.validate()
     _hold_heap()
@@ -801,11 +858,14 @@ def run_training(
         out_dir=out_path,
     )
 
+    from . import pairworker  # imported here: most processes never start a worker
+
     try:
-        for _ in range(config.iterations):
-            train_dts_iteration(state, step_callback, epoch_callback)
-            if out_path is not None:
-                _save_checkpoints(state, out_path, f"iter{state.iteration}")
+        with pairworker.attached(state):
+            for _ in range(config.iterations):
+                train_dts_iteration(state, step_callback, epoch_callback)
+                if out_path is not None:
+                    _save_checkpoints(state, out_path, f"iter{state.iteration}")
     except Exception:
         if out_path is not None:
             _save_checkpoints(state, out_path, "aborted")

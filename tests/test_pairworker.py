@@ -1,0 +1,172 @@
+"""The pair worker: a run that trains its outlier student in a forked process gives what the
+serial run in one process gives, leaves no process behind, and carries worker failures home."""
+
+import json
+import os
+import pickle
+import signal
+import threading
+
+import numpy as np
+import pytest
+
+from dts_ssl import losses, pairworker
+from dts_ssl.benchmarks import benchmark_config, benchmark_split
+from dts_ssl.models import param_hash
+from dts_ssl.trainer import run_training
+from test_trainer import one_cpu, tiny_config, tiny_split
+
+TWO_PAIR_MODES = ("full", "no_soft_weighting", "no_logit_match", "no_consistency")
+# the benchmark task and seeds on a shorter schedule: two iterations, so that the teachers refresh
+SHORT = dict(iterations=2, epochs_per_iteration=6)
+
+pytestmark = pytest.mark.skipif(
+    not hasattr(os, "fork") or len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2
+    or pairworker._threads() != 1,
+    reason="the pair worker needs fork, two CPUs and a one-thread process (BLAS on one thread)",
+)
+
+
+class WorkerFailure(Exception):
+    """Raised inside the worker; module-level, so that it pickles."""
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the processes run_training forks."""
+    pids, fork = [], os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+def serial(run):
+    """``run()`` on one CPU, where no worker starts."""
+    with one_cpu():
+        return run()
+
+
+def reaped(pid: int) -> bool:
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def run_files(out_dir):
+    """The bytes of every file of a run directory, checkpoints included."""
+    return {p.relative_to(out_dir).as_posix(): p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()}
+
+
+def assert_same_run(config, split, tmp_path, forks):
+    worker = run_training(config, split, out_dir=tmp_path / "worker")
+    assert len(forks) == 1 and reaped(forks[0])
+    alone = serial(lambda: run_training(config, split, out_dir=tmp_path / "serial"))
+    assert len(forks) == 1  # the serial run forked nothing
+    assert json.dumps(worker.history) == json.dumps(alone.history)
+    assert json.dumps(worker.final_eval.as_dict()) == json.dumps(alone.final_eval.as_dict())
+    for name, pair in alone.pairs.items():
+        for role in ("teacher", "student"):
+            assert param_hash(getattr(worker.pairs[name], role)) == param_hash(getattr(pair, role)), (name, role)
+    assert run_files(tmp_path / "worker") == run_files(tmp_path / "serial")
+    return worker, alone
+
+
+@pytest.mark.parametrize("mode", TWO_PAIR_MODES)
+def test_worker_run_equals_serial_run(mode, tmp_path, forks):
+    assert_same_run(tiny_config(mode), tiny_split(), tmp_path, forks)
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2))
+@pytest.mark.parametrize("mode", TWO_PAIR_MODES)
+def test_worker_run_equals_serial_run_on_the_benchmark(mode, seed, tmp_path, forks):
+    assert_same_run(benchmark_config(mode, seed, **SHORT), benchmark_split(seed), tmp_path, forks)
+
+
+def test_result_pickles_bit_exactly(tmp_path, forks):
+    worker, alone = assert_same_run(tiny_config(), tiny_split(), tmp_path, forks)
+    assert pickle.dumps(worker) == pickle.dumps(alone)
+    again = pickle.loads(pickle.dumps(worker))
+    assert json.dumps(again.history) == json.dumps(worker.history)
+    for name, pair in worker.pairs.items():
+        for role in ("teacher", "student"):
+            model = getattr(pair, role)
+            assert param_hash(getattr(again.pairs[name], role)) == param_hash(model)
+            # the parameters were copied back out of the shared mapping into the model's own vector
+            assert model.flat.base is None
+            assert all(np.shares_memory(v, model.flat) for v in model.params.values())
+
+
+def test_single_model_plans_one_cpu_and_other_threads_train_serially(forks):
+    split = tiny_split()
+    run_training(tiny_config("no_its"), split)
+    serial(lambda: run_training(tiny_config(), split))
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        run_training(tiny_config(), split)
+    finally:
+        stop.set()
+        other.join()
+    assert forks == []
+
+
+def test_raising_step_callback_leaves_no_process(forks):
+    def on_step(state, report):
+        raise KeyError("stop")
+
+    with pytest.raises(KeyError):
+        run_training(tiny_config(), tiny_split(), step_callback=on_step)
+    assert len(forks) == 1 and reaped(forks[0])
+
+
+def test_worker_exception_is_raised_with_its_type(tmp_path, forks, monkeypatch):
+    calls = []
+    unseen = losses.unseen_loss_and_grad
+
+    def failing(*args):  # the unseen term trains only the outlier student, in the worker
+        calls.append(1)
+        if len(calls) == 3:
+            raise WorkerFailure("third unseen term")
+        return unseen(*args)
+
+    monkeypatch.setattr(losses, "unseen_loss_and_grad", failing)
+    with pytest.raises(WorkerFailure, match="third unseen term") as caught:
+        run_training(tiny_config(), tiny_split(), out_dir=tmp_path)
+    assert "raised in the pair worker" in str(caught.value.__cause__)
+    assert calls == []  # the parent never trained the outlier student
+    assert len(forks) == 1 and reaped(forks[0])
+    checkpoints = {p.name for p in (tmp_path / "checkpoints").iterdir()}
+    assert {f"{name}_{role}_aborted.npz" for name in ("inlier", "outlier")
+            for role in ("teacher", "student")} <= checkpoints
+
+
+def test_worker_exception_that_does_not_pickle_arrives_as_text(forks, monkeypatch):
+    class Local(Exception):  # a local class does not pickle
+        pass
+
+    def failing(*args):
+        raise Local("not picklable")
+
+    monkeypatch.setattr(losses, "unseen_loss_and_grad", failing)
+    with pytest.raises(ChildProcessError, match="Local: not picklable"):
+        run_training(tiny_config(), tiny_split())
+    assert len(forks) == 1 and reaped(forks[0])
+
+
+def test_dead_worker_is_reported_and_reaped(tmp_path, forks):
+    def on_step(state, report):
+        os.kill(forks[0], signal.SIGKILL)
+
+    with pytest.raises(ChildProcessError, match="pair worker exited"):
+        run_training(tiny_config(), tiny_split(), out_dir=tmp_path, step_callback=on_step)
+    assert reaped(forks[0])
+    assert (tmp_path / "checkpoints" / "outlier_student_aborted.npz").exists()

@@ -133,6 +133,30 @@ class TestReliabilityGate:
             True, True, False,
         ]
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        K=st.integers(2, 6),
+        n=st.integers(1, 40),
+        scale=st.floats(0.0, 30.0),
+        gamma=st.floats(0.0, 1.0),
+        above=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_score_clause_cannot_bind_above_the_bound(self, seed, K, n, scale, gamma, above):
+        """The score is at most gamma (1 - m) + (1 - gamma), so with tau >= 1 / (1 + gamma) the
+        K-way role's confidence m > tau already beats it: the gate is the threshold alone. In
+        floating point tau keeps a relative 1e-12 above the bound, which covers the last-bit
+        rounding of the bound and the score (at tau = fl(1 / (1 + gamma)) a confidence a few
+        ulps above tau can fall below a rounded score)."""
+        rng = np.random.default_rng(seed)
+        p_its = softmax(scale * rng.standard_normal((K, n)))  # class-major teacher blocks
+        p_ots = softmax(scale * rng.standard_normal((K + 1, n)))
+        bound = 1.0 / (1.0 + gamma)
+        tau = min(1.0, bound * (1.0 + 1e-12) + above * (1.0 - bound))
+        max_conf, scores = p_its.max(axis=0), scores_from_probs(p_its, p_ots, gamma)
+        with_score = gate_mask(max_conf, scores, tau, use_score=True)
+        assert with_score.tolist() == gate_mask(max_conf, scores, tau, use_score=False).tolist()
+
 
 SPEC = BackboneSpec(input_dim=4, hidden_widths=(6,), feature_dim=5)
 

@@ -1,5 +1,6 @@
 """Training orchestration: pre-training, iteration structure, ablations, determinism."""
 
+import contextlib
 import ctypes
 import dataclasses
 import json
@@ -111,6 +112,27 @@ WRONG_TYPE_VALUES = [
     ("activation", 1),
     ("dump_scores", 1),
 ]
+
+
+@contextlib.contextmanager
+def one_cpu():
+    """Narrow the process to one CPU for the block, and restore its CPU set after. On one CPU,
+    ``run_training`` starts no pair worker: every model trains in this process."""
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    if cpus:
+        os.sched_setaffinity(0, {min(cpus)})
+    try:
+        yield
+    finally:
+        if cpus:
+            os.sched_setaffinity(0, cpus)
+
+
+@pytest.fixture
+def serial_path():
+    """The test on one CPU (``one_cpu``), where a spy on a step's calls sees them all."""
+    with one_cpu():
+        yield
 
 
 def tiny_config(mode="full", seed=0, **overrides):
@@ -403,6 +425,7 @@ class TestRunTrainingStructure:
         if mode == "no_its":
             assert all(rep.ce_k == rep.seen_in == rep.logit_match == 0.0 for rep in reports[-3:])
 
+    @pytest.mark.usefixtures("serial_path")
     def test_both_gates_admit_samples(self, monkeypatch):
         K = tiny_split().K
         masks = {K: [], K + 1: []}  # head width -> the gate mask of each gated-CE call
@@ -510,6 +533,7 @@ class TestAblationBehavior:
         result = run_training(tiny_config("no_k1_ots"), tiny_split())
         assert result.pairs["outlier"].student.heads == ("k",)
 
+    @pytest.mark.usefixtures("serial_path")
     def test_exclude_k1_pseudo_flag(self, monkeypatch):
         # with the flag, the outlier gate never admits a sample whose teacher
         # pseudo-label is the extra class K+1
@@ -720,6 +744,7 @@ class TestStepWork:
         assert set(STEP_WORK) == set(ABLATION_MODES)
 
     @pytest.mark.parametrize("mode", ABLATION_MODES)
+    @pytest.mark.usefixtures("serial_path")
     def test_one_step_makes_the_pinned_calls(self, mode, monkeypatch):
         split = tiny_split()
         events, marks = [], []
@@ -822,6 +847,7 @@ class TestTraceContract:
         names = [n for n in vars(losses) if n.endswith("_and_grad")]
         assert names and [n for n in names if n.startswith("_")] == []
 
+    @pytest.mark.usefixtures("serial_path")
     def test_full_step_makes_one_softmax_per_block_and_shares_it(self, monkeypatch):
         split = tiny_split()
         K = split.K
