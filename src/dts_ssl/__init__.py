@@ -8,7 +8,16 @@ unlabeled sample into the unseen-class supervision while gating which samples
 become pseudo-labeled seen-class training data.
 """
 
-from .data import build_mismatch_split, generate_synthetic
-from .trainer import TrainConfig, run_inference, run_training
+import os
+
+# BLAS reads its thread count once, when numpy loads it; this runs first on the ``dts-ssl``
+# console script's path (``dts_ssl.cli:main``). One thread, unless the variable is set: a
+# thread pool keeps ``run_training`` from forking its pair worker (see ``pairworker``)
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
+from .data import build_mismatch_split, generate_synthetic  # noqa: E402 - after the BLAS pin
+from .trainer import TrainConfig, run_inference, run_training  # noqa: E402
 
 __version__ = "0.1.0"

@@ -1,35 +1,42 @@
-"""The pair worker: the last model of a two-model step plan, trained in a forked process.
+"""The pair worker: the last model of the step plan, trained in a forked process.
 
-Within an iteration each student reads only targets from the frozen teachers, so
-a step's inlier update and outlier update are independent work. ``run_training``
-enters :func:`attached` after pair derivation. When the step plan trains two
-models (``full``, ``no_soft_weighting``, ``no_logit_match``, ``no_consistency``),
-the process may run on at least two CPUs (``os.sched_getaffinity``) and runs one
-thread, it forks one worker. One thread means no other Python thread, which
-makes forking unsafe, and no BLAS thread pool: a pool in each process
+Within an iteration the teachers are frozen, so a step's draw (batch, views,
+teacher targets) does not depend on the students it feeds, and each student
+reads only those targets. ``run_training`` enters :func:`attached` after pair
+derivation. When the process may run on at least two CPUs
+(``os.sched_getaffinity``), ``fork`` exists and the process runs one thread, it
+forks one worker, whatever the mode. One thread means no other Python thread,
+which makes forking unsafe, and no BLAS thread pool: a pool in each process
 oversubscribes the CPUs (with OpenBLAS unpinned, a 64-64-32 ``full`` run took
-2.6x as long with the worker as without). The worker owns the outlier student's
-step (``trainer._model_step``, the code the serial path runs) and that student's
-evaluation forward. The parent trains the inlier student, then draws the next
-step while the worker finishes. Every other run trains serially. Either way the
-results are bit-identical: the same functions run on the same values, and the
-random draws keep their order.
+2.6x as long with the worker as without). Otherwise the run trains serially.
 
-The two processes share one anonymous mapping. It holds the outlier pair's
-teacher and student parameter vectors and the student's SGD velocity, so the
-parent reads them in place for checkpoints, teacher refreshes, callbacks and the
-result; they are copied back into private arrays when the worker stops. It also
-holds the staging buffers: the parent writes a step's inputs there, the worker
-writes back its loss values and its evaluation probabilities. A command and its
-reply are one-byte tokens on two pipes. A waiter polls its pipe for up to
-``_POLL_S``, then blocks; end of file tells either side that the other is gone.
-An exception in the worker is raised again in the parent, with its own type.
+The worker trains the plan's last model (``trainer._model_step``, the code the
+serial path runs): the outlier student of a two-model plan, the one model of a
+one-model plan. Meanwhile the parent trains the other model, if any, and draws
+ahead: one step when it trains a model itself, up to two when it does not. At
+an evaluated epoch the worker runs the detection half (``trainer._detection``:
+the students' forwards of the unlabeled set, the scores, AUROC and the mean
+scores), while the parent predicts the test set and draws; in a two-model plan
+that draw is the one the epoch's last step left out, so that the parent's
+share evens out the worker's two forwards. Callbacks run while the worker is
+idle. Either way the results are bit-identical: the same functions run on the
+same values, and the random draws keep their order.
+
+The two processes share one anonymous mapping. It holds every student's
+parameter vector and the worker model's SGD velocity: the worker reads the
+parent's students to score, and the parent reads the worker's in place for
+checkpoints, teacher refreshes, callbacks and the result. They are copied back
+into private arrays when the worker stops. It also holds the staging buffers:
+the parent writes a step's inputs there, the worker writes back its loss values
+and its detection result. A command and its reply are one-byte tokens on two
+pipes. A waiter polls its pipe for up to ``_POLL_S``, then blocks; end of file
+tells either side that the other is gone. An exception in the worker is raised
+again in the parent, with its own type.
 """
 
 from __future__ import annotations
 
 import contextlib
-import math
 import mmap
 import os
 import pickle
@@ -42,14 +49,13 @@ from dataclasses import fields
 import numpy as np
 
 from .losses import LossReport
-from .models import TeacherStudentPair
-from .trainer import _model_step, _Step, _step_plan
+from .trainer import _detection, _model_step, _Step, _step_plan
 
 _POLL_S = 2e-3  # how long a waiter polls its pipe before it blocks
 _ALIGN = 64  # byte alignment of every array in the shared mapping
 _REPORT_FIELDS = tuple(f.name for f in fields(LossReport))
-# the step inputs staged for the worker, in _Step's order with the worker role's targets inline
-_STAGED = ("labeled_x", "labeled_y", "weak_u", "strong_u", "gate", "pseudo", "p_teacher", "weights")
+_INPUTS = ("labeled_x", "labeled_y", "weak_u", "strong_u", "weights")  # a step's inputs, staged in this order
+_TARGETS = ("gate", "pseudo", "p_teacher")  # then these, per role the worker's branches read
 
 
 def _threads() -> int:
@@ -65,12 +71,11 @@ def _threads() -> int:
 def attached(state):
     """Run the block with a pair worker on ``state`` when the conditions above hold, else
     serially. On exit the worker is stopped and reaped, also when the block raises."""
-    plan = _step_plan(state.pipeline, state.config)
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    if len(plan) != 2 or not hasattr(os, "fork") or len(cpus) < 2 or _threads() != 1:
+    if not hasattr(os, "fork") or len(cpus) < 2 or _threads() != 1:
         yield
         return
-    state.worker = PairWorker(state, *list(plan.items())[-1])
+    state.worker = PairWorker(state, *list(_step_plan(state.pipeline, state.config).items())[-1])
     try:
         yield
     finally:
@@ -79,45 +84,40 @@ def attached(state):
 
 
 class PairWorker:
-    """The parent's handle on the forked process that trains model ``name`` of the plan.
-
-    A two-model plan gives each model one branch, so the worker's model reads the
-    teacher targets of one role.
-    """
+    """The parent's handle on the forked process that trains model ``name`` of the plan."""
 
     def __init__(self, state, name: str, branches) -> None:
         self.name = name
         cfg, split = state.config, state.split
-        self._pair, self._optimizer = state.pairs[name], state.optimizers[name]
-        self._role = branches[0].role
-        self._eval_x = split.unlabeled_x
+        self._students = [pair.student for pair in state.pairs.values()]
+        self._optimizer = state.optimizers[name]
+        self._roles = tuple(dict.fromkeys(b.role for b in branches))  # a merged model reads both roles
+        self._staged = _INPUTS + tuple(f"{role}_{t}" for role in self._roles for t in _TARGETS)
         rows = min(cfg.batch_size, len(split.labeled_x))
         u_rows, classes = cfg.mu * rows, split.K + 1
         self._arrays = _mapping({
-            "teacher": (np.float64, self._pair.teacher.flat.size),
-            "student": (np.float64, self._pair.student.flat.size),
+            **{f"student_{i}": (np.float64, s.flat.size) for i, s in enumerate(self._students)},
             "velocity": (np.float64, self._optimizer.velocity.size),
             "labeled_x": (np.float64, rows * split.dim),
             "labeled_y": (split.labeled_y.dtype, rows),
             "weak_u": (np.float64, u_rows * split.dim),
             "strong_u": (np.float64, u_rows * split.dim),
-            "gate": (np.bool_, u_rows),
-            "pseudo": (np.intp, u_rows),
-            "p_teacher": (np.float64, classes * u_rows),
             "weights": (np.float64, u_rows),
-            "shapes": (np.int64, 3 * len(_STAGED)),  # per staged array: ndim (-1 if absent), rows, columns
+            **{f"{role}_{t}": (dtype, size) for role in self._roles for t, (dtype, size) in
+               zip(_TARGETS, ((np.bool_, u_rows), (np.intp, u_rows), (np.float64, classes * u_rows)))},
+            "shapes": (np.int64, 3 * len(self._staged)),  # per staged array: ndim (-1 if absent), rows, columns
             "scalars": (np.float64, 2),  # lr, k1_scored
             "reply": (np.float64, 2 + 2 * len(_REPORT_FIELDS)),  # forwards, n, then n (field, value)
-            "eval": (np.float64, classes * len(split.unlabeled_x)),
+            "scores": (np.float64, len(split.unlabeled_x)),
+            "detection": (np.float64, 3),  # auroc, mean_score_seen, mean_score_unseen
         })
-        self._pair.teacher.rehome(self._arrays["teacher"])
-        self._pair.student.rehome(self._arrays["student"])
+        for i, student in enumerate(self._students):
+            student.rehome(self._arrays[f"student_{i}"])
         self._arrays["velocity"][:] = self._optimizer.velocity
         self._optimizer.velocity = self._arrays["velocity"]
 
         cmd_r, self._cmd_w = os.pipe()
         self._reply_r, reply_w = os.pipe()
-        self._pending = None  # the token of the reply not yet read
         self._pid = os.fork()
         if self._pid == 0:  # the worker: serve commands until end of file, then exit
             code = 0
@@ -125,7 +125,7 @@ class PairWorker:
                 os.close(self._cmd_w)
                 os.close(self._reply_r)
                 os.set_blocking(cmd_r, False)
-                self._serve(cmd_r, reply_w, branches, cfg)
+                self._serve(cmd_r, reply_w, state, branches)
             except BaseException as exc:  # noqa: BLE001 - the parent raises it again
                 code = 1
                 _send_exception(reply_w, exc)
@@ -139,14 +139,15 @@ class PairWorker:
 
     def start(self, step: _Step, lr: float) -> None:
         """Stage ``step`` and have the worker train its model on it."""
-        gate, pseudo, p_teacher = step.targets.get(self._role, (None, None, None))
-        arrays = (step.labeled_x, step.labeled_y, step.weak_u, step.strong_u, gate, pseudo, p_teacher,
-                  step.weights)
-        shapes = self._arrays["shapes"].reshape(len(_STAGED), 3)
-        for i, (name, a) in enumerate(zip(_STAGED, arrays)):
-            shapes[i] = (-1, 0, 0) if a is None else (a.ndim, *a.shape, *(0,) * (2 - a.ndim))
+        arrays = [step.labeled_x, step.labeled_y, step.weak_u, step.strong_u, step.weights]
+        for role in self._roles:
+            arrays += step.targets.get(role, (None,) * len(_TARGETS))
+        shapes = []
+        for name, a in zip(self._staged, arrays):
+            shapes += (-1, 0, 0) if a is None else (a.ndim, *a.shape, 0)[:3]
             if a is not None:
-                np.copyto(self._arrays[name][: a.size].reshape(a.shape), a, casting="no")
+                np.copyto(self._arrays[name][: a.size], a.ravel(), casting="no")
+        self._arrays["shapes"][:] = shapes
         self._arrays["scalars"][:] = (lr, step.k1_scored)
         self._send(b"s")
 
@@ -158,12 +159,16 @@ class PairWorker:
         pairs = reply[2 : 2 + 2 * int(reply[1])].reshape(-1, 2)
         return {_REPORT_FIELDS[int(i)]: float(v) for i, v in pairs}, int(reply[0])
 
-    def evaluation_pairs(self, pairs: dict) -> dict:
-        """``pairs`` for one evaluation: the worker starts its student's forward of the unlabeled
-        set now, and the scorer collects it through the stand-in student."""
-        self._send(b"e")
-        pair = pairs[self.name]
-        return {**pairs, self.name: TeacherStudentPair(pair.teacher, _Evaluated(self, pair.student))}
+    def detect(self) -> None:
+        """Have the worker run the detection half of an evaluation on the students as they are."""
+        self._send(b"d")
+
+    def detection(self) -> dict:
+        """Wait for the detection :meth:`detect` began: what ``trainer._detection`` returned."""
+        self._collect(b"d")
+        auroc, seen, unseen = self._arrays["detection"].tolist()
+        return dict(auroc=auroc, mean_score_seen=seen, mean_score_unseen=unseen,
+                    scores=self._arrays["scores"].copy())
 
     def close(self) -> None:
         """Stop and reap the worker, then copy the shared parameters back into private arrays."""
@@ -172,83 +177,58 @@ class PairWorker:
             os.waitpid(self._pid, 0)
         finally:
             os.close(self._reply_r)
-        for model in (self._pair.teacher, self._pair.student):
-            model.rehome(np.empty_like(model.flat))
+        for student in self._students:
+            student.rehome(np.empty_like(student.flat))
         self._optimizer.velocity = self._optimizer.velocity.copy()
         self._arrays = None  # the mapping is unmapped with its last view
 
     def _send(self, token: bytes) -> None:
-        self._settle()
         try:
             os.write(self._cmd_w, token)
         except BrokenPipeError as exc:
             raise ChildProcessError("the pair worker exited") from exc
-        self._pending = token
-
-    def _settle(self) -> None:
-        """Read the reply still due, if any (an evaluation nobody collected)."""
-        if self._pending is not None:
-            self._collect(self._pending)
 
     def _collect(self, token: bytes) -> None:
         got = _receive(self._reply_r)
-        self._pending = None
         if got == b"x":
             exc, text = _read_exception(self._reply_r)
             raise exc from ChildProcessError(f"raised in the pair worker:\n{text}")
         if got != token:
             raise ChildProcessError("the pair worker exited")
 
-    def _evaluation(self) -> np.ndarray:
-        self._collect(b"e")
-        return self._arrays["eval"].reshape(-1, len(self._eval_x)).copy()
-
     # -- the worker's side --------------------------------------------------
 
-    def _serve(self, cmd_r: int, reply_w: int, branches, cfg) -> None:
-        student = self._pair.student
+    def _serve(self, cmd_r: int, reply_w: int, state, branches) -> None:
+        student, split = state.pairs[self.name].student, state.split
         while True:
             token = _receive(cmd_r)
             if token == b"s":
-                step, lr = self._staged()
-                values, forwards = _model_step(student, self._optimizer, branches, step, cfg, lr)
+                step, lr = self._step()
+                values, forwards = _model_step(student, self._optimizer, branches, step, state.config, lr)
                 reply = self._arrays["reply"]
                 reply[:2] = forwards, len(values)
                 for j, (name, value) in enumerate(values.items()):
                     reply[2 + 2 * j : 4 + 2 * j] = _REPORT_FIELDS.index(name), value
-            elif token == b"e":
-                probs = student.probs(self._eval_x, head="k1")
-                self._arrays["eval"][: probs.size] = probs.ravel()
+            elif token == b"d":
+                found = _detection(state.pairs, split.unlabeled_x, split.unlabeled_is_unseen, state.config.gamma)
+                self._arrays["scores"][:] = found["scores"]
+                self._arrays["detection"][:] = found["auroc"], found["mean_score_seen"], found["mean_score_unseen"]
             else:  # end of file: the parent is done, or gone
                 return
             os.write(reply_w, token)
 
-    def _staged(self) -> tuple[_Step, float]:
-        shapes = self._arrays["shapes"].reshape(len(_STAGED), 3)
-        arrays = [None if ndim < 0 else self._arrays[name][: math.prod(shape[:ndim])].reshape(shape[:ndim])
-                  for name, (ndim, *shape) in zip(_STAGED, shapes.tolist())]
-        labeled_x, labeled_y, weak_u, strong_u, gate, pseudo, p_teacher, weights = arrays
+    def _step(self) -> tuple[_Step, float]:
+        """The staged step, as views into the mapping, and its learning rate."""
+        shapes, a = self._arrays["shapes"].tolist(), {}
+        for name, ndim, rows, columns in zip(self._staged, shapes[::3], shapes[1::3], shapes[2::3]):
+            staged = self._arrays[name]
+            a[name] = None if ndim < 0 else staged[:rows] if ndim == 1 else staged[: rows * columns].reshape(rows, columns)
+        targets = {role: tuple(a[f"{role}_{t}"] for t in _TARGETS) for role in self._roles
+                   if a[f"{role}_gate"] is not None}
         lr, k1_scored = self._arrays["scalars"].tolist()
-        step = _Step(labeled_x, labeled_y, weak_u, strong_u, {self._role: (gate, pseudo, p_teacher)},
-                     weights, bool(k1_scored), LossReport(), 0)
+        step = _Step(a["labeled_x"], a["labeled_y"], a["weak_u"], a["strong_u"], targets, a["weights"],
+                     bool(k1_scored), LossReport(), 0)
         return step, lr
-
-
-class _Evaluated:
-    """Stands in for the worker's student in one evaluation: its probabilities of the unlabeled
-    set are the worker's forward; everything else is the model itself, read in place."""
-
-    def __init__(self, worker: PairWorker, model) -> None:
-        self._worker, self._model = worker, model
-
-    def __getattr__(self, name):
-        return getattr(self._model, name)
-
-    def probs(self, x, head: str = "k") -> np.ndarray:
-        worker = self._worker
-        if x is worker._eval_x and head == "k1" and worker._pending == b"e":
-            return worker._evaluation()
-        return self._model.probs(x, head)
 
 
 def _mapping(layout: dict) -> dict[str, np.ndarray]:

@@ -7,15 +7,18 @@ of iterations. Within an iteration the teachers are frozen; every step scores
 the unlabeled batch with the teachers, updates the inlier student on its
 objective, then updates the outlier student on its objective. At iteration
 boundaries each student is copied into its teacher. Where the process may use
-two CPUs, the outlier student trains in a forked pair worker (``pairworker``)
-while the inlier student trains here; both paths run one step function,
-``_model_step``, and give the same bits.
+two CPUs, the iterations run with a forked pair worker (``pairworker``): it
+trains the plan's last model, while this process trains the other one, if
+any, and draws ahead; at an evaluated epoch the worker runs the detection half
+(``_detection``) while this process runs the test half and draws. Both paths
+run the same step and detection functions and give the same bits.
 
 Pre-training is the CE-only merged plan: the teacher, as the one model of a
 ``merged`` pair, trains the branches (inlier, k) and (outlier, k1) with no
 unlabeled terms. It runs through the same epoch loop (``_run_epochs``) and
 step (``_train_step``) as the iterations, and every evaluation, pre-training's,
-the iterations' and ``run_inference``'s, goes through ``evaluate_pipeline``.
+the iterations' and ``run_inference``'s, computes what ``evaluate_pipeline``
+computes: the first pair's test-set predictions, then ``_detection``.
 
 An ablation mode is four choices: which pairs exist, which loss terms each
 role trains, whether the (K+1)-head score weights the extra-class supervision
@@ -61,6 +64,7 @@ head's sum back to (N, C) once, for ``DualHeadModel.backward``.
 
 from __future__ import annotations
 
+import collections
 import ctypes
 import dataclasses
 import hashlib
@@ -569,9 +573,9 @@ def _model_step(student: DualHeadModel, optimizer: SGD, branches: tuple[_Branch,
 
 
 def _train_step(state: TrainState, plan: dict[str, tuple[_Branch, ...]], step: _Step, lr: float,
-                draw_ahead) -> LossReport:
+                meanwhile) -> LossReport:
     """Train every model of ``plan`` on ``step``. With a pair worker attached, the worker trains
-    its model meanwhile, and ``draw_ahead()`` draws the next step once the local models trained."""
+    its model meanwhile, and this process runs ``meanwhile()`` once its own models trained."""
     cfg = state.config
     report = step.report
     worker = state.worker
@@ -581,7 +585,7 @@ def _train_step(state: TrainState, plan: dict[str, tuple[_Branch, ...]], step: _
     done = [_model_step(state.pairs[name].student, state.optimizers[name], branches, step, cfg, lr)
             for name, branches in plan.items() if worker is None or name != worker.name]
     if worker is not None:
-        draw_ahead()
+        meanwhile()
         done.append(worker.finish())
     for fields, forwards in done:
         vars(report).update(fields)
@@ -634,22 +638,41 @@ def evaluate_pipeline(pairs: dict[str, TeacherStudentPair], test_x: np.ndarray, 
     training. AUROC is NaN when the flags hold one class only. Computes only
     what an epoch record stores: leaves ``per_class_accuracy`` and
     ``score_histogram`` None (``_with_tables`` fills them in for a final
-    evaluation).
+    evaluation). The test half is the first pair's predictions; the detection
+    half is ``_detection``.
     """
     preds = _classifier_predictions(pairs, test_x)
-    acc = compute_accuracy(preds, test_y)
+    return EvalResult(accuracy=compute_accuracy(preds, test_y), predictions=preds,
+                      **_detection(pairs, unlabeled_x, unlabeled_is_unseen, gamma))
+
+
+def _detection(pairs: dict[str, TeacherStudentPair], unlabeled_x: np.ndarray, unlabeled_is_unseen: np.ndarray,
+               gamma: float) -> dict:
+    """The detection half of an evaluation, as ``EvalResult`` fields: the students' scores of the
+    unlabeled set, their AUROC and the mean score of its seen and of its unseen rows."""
     scores = _score(pairs, "student", unlabeled_x, gamma)[0]
     flags = np.asarray(unlabeled_is_unseen, dtype=bool)
     # degenerate splits (ratio 0 or 1) leave the detection metric undefined
     auroc = compute_auroc(scores, flags) if (flags.any() and not flags.all()) else float("nan")
-    return EvalResult(
-        accuracy=acc,
+    return dict(
         auroc=auroc,
         mean_score_seen=float(scores[~flags].mean()) if (~flags).any() else float("nan"),
         mean_score_unseen=float(scores[flags].mean()) if flags.any() else float("nan"),
-        predictions=preds,
         scores=scores,
     )
+
+
+def _evaluate(state: TrainState, meanwhile) -> EvalResult:
+    """``evaluate_pipeline`` of the students. With a pair worker, the worker runs the detection half
+    while this process runs the test half, then ``meanwhile()``."""
+    split, worker = state.split, state.worker
+    if worker is None:
+        return evaluate_pipeline(state.pairs, split.test_x, split.test_y, split.unlabeled_x,
+                                 split.unlabeled_is_unseen, state.config.gamma)
+    worker.detect()
+    preds = _classifier_predictions(state.pairs, split.test_x)
+    meanwhile()
+    return EvalResult(accuracy=compute_accuracy(preds, split.test_y), predictions=preds, **worker.detection())
 
 
 def _with_tables(ev: EvalResult, test_y: np.ndarray, unlabeled_is_unseen: np.ndarray) -> EvalResult:
@@ -709,25 +732,31 @@ def _run_epochs(state: TrainState, step_callback=None, epoch_callback=None) -> N
     epochs = cfg.pretrain_epochs if pretrain else cfg.epochs_per_iteration
     eval_every = 1 if pretrain else cfg.eval_every
     plan = _step_plan(state.pipeline, cfg)
-    split = state.split
-    # the phase's steps, each drawn when first needed; with a pair worker, one step ahead, so
-    # the draws keep their order and never cross into the next phase
+    steps = state.sampler.steps_per_epoch
+    # the phase's steps in order, each drawn when first needed. With a pair worker this process draws
+    # ahead while the worker trains or detects, never past the phase: up to two steps when it trains
+    # no model of its own; else one, and none in an evaluated epoch's last step: the evaluation
+    # draws instead, beside the worker's detection over two students
     draws = (_draw_step(state, batch) for _ in range(epochs) for batch in state.sampler.epoch())
-    drawn = []
-    draw_ahead = None if state.worker is None else (lambda: drawn.extend(itertools.islice(draws, 1)))
+    drawn = collections.deque()
+    local = len(plan) > 1
+
+    def draw_ahead():
+        drawn.extend(itertools.islice(draws, (1 if local else 2) - len(drawn)))
+
     for epoch in range(epochs):
         lr = _lr_at(cfg, state.global_epoch, state.total_epochs)
+        evaluated = (epoch + 1) % eval_every == 0 or epoch == epochs - 1
         reports = []
-        for _ in range(state.sampler.steps_per_epoch):
-            report = _train_step(state, plan, drawn.pop() if drawn else next(draws), lr, draw_ahead)
+        for i in range(steps):
+            meanwhile = (lambda: None) if local and evaluated and i == steps - 1 else draw_ahead
+            report = _train_step(state, plan, drawn.popleft() if drawn else next(draws), lr, meanwhile)
             reports.append(report)
             if step_callback is not None:
                 step_callback(state, report)
         ev = None
-        if (epoch + 1) % eval_every == 0 or epoch == epochs - 1:
-            pairs = state.pairs if state.worker is None else state.worker.evaluation_pairs(state.pairs)
-            ev = state.last_eval = evaluate_pipeline(pairs, split.test_x, split.test_y,
-                                                     split.unlabeled_x, split.unlabeled_is_unseen, cfg.gamma)
+        if evaluated:
+            ev = state.last_eval = _evaluate(state, draw_ahead)
             if cfg.dump_scores and state.out_dir is not None:
                 _dump_epoch_scores(state, ev.scores)
         report = _mean_report(reports)
@@ -804,11 +833,14 @@ def run_training(
     Holds the heap (``_hold_heap``): glibc's trim and mmap thresholds stay at
     32 MiB for the whole process, also after this call returns.
 
-    A two-model plan on two or more CPUs trains its outlier student in a
-    forked pair worker (``pairworker.attached``), reaped before this call
-    returns or raises. There, callbacks run after the step they report, but
-    the next step is already drawn: ``state.rng`` and ``state.sampler`` are one
-    step ahead of the serial path's.
+    On two or more CPUs, after pre-training, a forked pair worker
+    (``pairworker.attached``) trains the plan's last model and, at each
+    evaluated epoch, scores the unlabeled set; it is reaped before this call
+    returns or raises. During a step this process trains the plan's other
+    model, if any, and draws the next step; during an evaluation it predicts
+    the test set and draws. Callbacks run with the worker idle, after the step
+    or epoch they report, but with the next steps already drawn: ``state.rng``
+    and ``state.sampler`` are up to two steps ahead of the serial path's.
     """
     config.validate()
     _hold_heap()

@@ -2,7 +2,10 @@
 
 import csv
 import json
+import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -507,3 +510,27 @@ class TestValidateConfigVerb:
         bad = tmp_path / "mangled.json"
         bad.write_text("{not json")
         assert main(["validate-config", "--config", str(bad)]) == 2
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def console_script_threads(**env) -> list[str]:
+    """What a fresh interpreter prints after importing the ``dts-ssl`` entry point's module with
+    the BLAS variables unset, then ``env`` set: its OS thread count, then each variable."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    clean = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    code = ("import os, dts_ssl.cli; from dts_ssl import pairworker; "
+            f"print(pairworker._threads(), *(os.environ[v] for v in {BLAS_VARS!r}))")
+    done = subprocess.run([sys.executable, "-c", code], env={**clean, **env, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True, timeout=60)
+    return done.stdout.split()
+
+
+def test_console_script_pins_blas_to_one_thread():
+    # a BLAS thread pool would keep run_training from forking its pair worker
+    assert console_script_threads() == ["1", "1", "1", "1"]
+
+
+def test_console_script_keeps_a_blas_thread_count_the_user_set():
+    assert console_script_threads(OMP_NUM_THREADS="3")[1:] == ["1", "3", "1"]

@@ -1,22 +1,26 @@
-"""The pair worker: a run that trains its outlier student in a forked process gives what the
-serial run in one process gives, leaves no process behind, and carries worker failures home."""
+"""The pair worker: a run that trains the plan's last model and scores the unlabeled set in a
+forked process gives what the serial run in one process gives, leaves no process behind, and
+carries worker failures home."""
 
 import json
 import os
 import pickle
 import signal
 import threading
+import warnings
 
 import numpy as np
 import pytest
 
 from dts_ssl import losses, pairworker
 from dts_ssl.benchmarks import benchmark_config, benchmark_split
+from dts_ssl.errors import UndefinedMetricError
 from dts_ssl.models import param_hash
-from dts_ssl.trainer import run_training
+from dts_ssl.trainer import apply_ablation, run_training
 from test_trainer import one_cpu, tiny_config, tiny_split
 
 TWO_PAIR_MODES = ("full", "no_soft_weighting", "no_logit_match", "no_consistency")
+ONE_MODEL_MODES = ("no_its", "no_k1_its", "no_k1_ots", "one_f_two_c", "one_f_two_c_proj", "supervised_only")
 # the benchmark task and seeds on a shorter schedule: two iterations, so that the teachers refresh
 SHORT = dict(iterations=2, epochs_per_iteration=6)
 
@@ -79,15 +83,24 @@ def assert_same_run(config, split, tmp_path, forks):
     return worker, alone
 
 
-@pytest.mark.parametrize("mode", TWO_PAIR_MODES)
+@pytest.mark.parametrize("mode", TWO_PAIR_MODES + ONE_MODEL_MODES)
 def test_worker_run_equals_serial_run(mode, tmp_path, forks):
     assert_same_run(tiny_config(mode), tiny_split(), tmp_path, forks)
 
 
 @pytest.mark.parametrize("seed", (0, 1, 2))
-@pytest.mark.parametrize("mode", TWO_PAIR_MODES)
+@pytest.mark.parametrize("mode", TWO_PAIR_MODES + ONE_MODEL_MODES)
 def test_worker_run_equals_serial_run_on_the_benchmark(mode, seed, tmp_path, forks):
     assert_same_run(benchmark_config(mode, seed, **SHORT), benchmark_split(seed), tmp_path, forks)
+
+
+@pytest.mark.parametrize("mode", ("full", "no_its"))
+def test_worker_run_equals_serial_run_with_unevaluated_epochs_and_score_dumps(mode, tmp_path, forks):
+    # epochs 3 and 6 of each iteration evaluate; each writes a score dump from the worker's scores
+    config = benchmark_config(mode, 0, eval_every=3, dump_scores=True, **SHORT)
+    worker, _ = assert_same_run(config, benchmark_split(0), tmp_path, forks)
+    assert [np.isfinite(r["auroc"]) for r in worker.history[config.pretrain_epochs:]] == [False, False, True] * 4
+    assert len(list((tmp_path / "worker" / "score_dumps").iterdir())) == 4  # pre-training writes none
 
 
 def test_result_pickles_bit_exactly(tmp_path, forks):
@@ -104,10 +117,11 @@ def test_result_pickles_bit_exactly(tmp_path, forks):
             assert all(np.shares_memory(v, model.flat) for v in model.params.values())
 
 
-def test_single_model_plans_one_cpu_and_other_threads_train_serially(forks):
+def test_one_model_plan_forks_a_worker_one_cpu_and_other_threads_fork_none(forks):
     split = tiny_split()
     run_training(tiny_config("no_its"), split)
-    serial(lambda: run_training(tiny_config(), split))
+    assert len(forks) == 1 and reaped(forks[0])
+    serial(lambda: run_training(tiny_config("no_its"), split))
     stop = threading.Event()
     other = threading.Thread(target=stop.wait)
     other.start()
@@ -116,7 +130,7 @@ def test_single_model_plans_one_cpu_and_other_threads_train_serially(forks):
     finally:
         stop.set()
         other.join()
-    assert forks == []
+    assert len(forks) == 1
 
 
 def test_raising_step_callback_leaves_no_process(forks):
@@ -170,3 +184,24 @@ def test_dead_worker_is_reported_and_reaped(tmp_path, forks):
         run_training(tiny_config(), tiny_split(), out_dir=tmp_path, step_callback=on_step)
     assert reaped(forks[0])
     assert (tmp_path / "checkpoints" / "outlier_student_aborted.npz").exists()
+
+
+@pytest.mark.parametrize("mode", ("full", "no_its"))
+def test_divergence_raises_the_same_error_on_both_paths(mode, tmp_path, forks):
+    # tanh at lr=1e6 overflows after pre-training; the first evaluation that scores non-finite
+    # raises, on the worker path in the worker's detection
+    config, split = benchmark_config(mode, 0, activation="tanh", lr=1e6), benchmark_split(0)
+    caught = []
+    for out, run in (("worker", lambda f: f()), ("serial", serial)):
+        with warnings.catch_warnings(), pytest.raises(UndefinedMetricError) as error:
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run(lambda: run_training(config, split, out_dir=tmp_path / out))
+        caught.append(error.value)
+    assert [type(e) for e in caught] == [UndefinedMetricError] * 2
+    assert str(caught[0]) == str(caught[1]) and "AUROC needs finite scores" in str(caught[0])
+    assert "raised in the pair worker" in str(caught[0].__cause__)
+    assert len(forks) == 1 and reaped(forks[0])
+    assert run_files(tmp_path / "worker") == run_files(tmp_path / "serial")
+    names = [name for name, _ in apply_ablation(mode, config).pairs]
+    checkpoints = {p.name for p in (tmp_path / "worker" / "checkpoints").iterdir()}
+    assert {f"{name}_{role}_aborted.npz" for name in names for role in ("teacher", "student")} <= checkpoints

@@ -630,15 +630,16 @@ class TestEvaluatePipeline:
         assert ev.scores.tobytes() == result.final_eval.scores.tobytes()
 
     def test_final_eval_is_the_last_epoch_evaluation(self, monkeypatch):
-        # an iteration always evaluates its last epoch, so the run adds no evaluation
+        # an iteration always evaluates its last epoch, so the run adds no evaluation; every
+        # evaluation, serial or split with a pair worker, goes through _evaluate
         calls = []
-        evaluate = dts_ssl.trainer.evaluate_pipeline
+        evaluate = dts_ssl.trainer._evaluate
 
         def counting(*args, **kwargs):
             calls.append(evaluate(*args, **kwargs))
             return calls[-1]
 
-        monkeypatch.setattr(dts_ssl.trainer, "evaluate_pipeline", counting)
+        monkeypatch.setattr(dts_ssl.trainer, "_evaluate", counting)
         cfg = tiny_config(eval_every=2)  # 3 epochs per iteration: the 2nd and the last evaluate
         result = run_training(cfg, tiny_split())
         evaluated = [r for r in result.history if np.isfinite(r["test_accuracy"])]
