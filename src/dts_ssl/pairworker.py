@@ -12,30 +12,42 @@ oversubscribes the CPUs (with OpenBLAS unpinned, a 64-64-32 ``full`` run took
 
 The worker trains the plan's last model (``trainer._model_step``, the code the
 serial path runs): the outlier student of a two-model plan, the one model of a
-one-model plan. Meanwhile the parent trains the other model, if any, and draws
-ahead: one step when it trains a model itself, up to two when it does not. At
-an evaluated epoch the worker runs the detection half (``trainer._detection``:
-the students' forwards of the unlabeled set, the scores, AUROC and the mean
-scores), while the parent predicts the test set and draws; in a two-model plan
-that draw is the one the epoch's last step left out, so that the parent's
-share evens out the worker's two forwards. Callbacks run while the worker is
-idle. Either way the results are bit-identical: the same functions run on the
-same values, and the random draws keep their order.
+one-model plan. The parent draws every step, trains the other model, if any,
+and predicts the test set. The worker has ``_SLOTS`` (two) staging slots, used
+in turn: the parent stages step i+1 before it trains its own model on step i
+(step i alone when a step callback is set), so the worker starts step i+1 while
+the parent is still busy. After an
+evaluated epoch's steps the parent queues a detect command behind them: the
+worker runs the detection half (``trainer._detection``: the students'
+forwards of the unlabeled set, the scores, AUROC and the mean scores) once
+both students are final, while the parent draws ahead and runs the test half.
+The worker serves the commands in the order they were sent.
+
+The parent waits on the worker at four points only: before an epoch record is
+built, before a step callback, when both slots are taken (the worker reads its
+step as views into the slot until it replies, so only its reply frees the
+slot), and in a one-model plan for the epoch's last step, before the test half
+reads the worker's model. The worker waits for a command at an epoch's end. So
+each process waits about once per epoch, and every callback runs while the
+worker is idle. Either way the results are bit-identical: the same functions
+run on the same values, and the random draws keep their order.
 
 The two processes share one anonymous mapping. It holds every student's
 parameter vector and the worker model's SGD velocity: the worker reads the
 parent's students to score, and the parent reads the worker's in place for
 checkpoints, teacher refreshes, callbacks and the result. They are copied back
-into private arrays when the worker stops. It also holds the staging buffers:
-the parent writes a step's inputs there, the worker writes back its loss values
-and its detection result. A command and its reply are one-byte tokens on two
-pipes. A waiter polls its pipe for up to ``_POLL_S``, then blocks; end of file
-tells either side that the other is gone. An exception in the worker is raised
-again in the parent, with its own type.
+into private arrays when the worker stops. It also holds the two slots, each
+with a step's inputs and the worker's reply for that step (its model's loss
+values and forwards), and the detection result. A command and its reply are
+one-byte tokens on two pipes: the slot's digit for a step, ``d`` for a
+detection. A waiter polls its pipe for up to ``_POLL_S``, then blocks; end of
+file tells either side that the other is gone. An exception in the worker is
+raised again in the parent, with its own type.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import mmap
 import os
@@ -49,10 +61,11 @@ from dataclasses import fields
 import numpy as np
 
 from .losses import LossReport
-from .trainer import _detection, _model_step, _Step, _step_plan
+from .trainer import _credit, _detection, _model_step, _Step, _step_plan
 
 _POLL_S = 2e-3  # how long a waiter polls its pipe before it blocks
 _ALIGN = 64  # byte alignment of every array in the shared mapping
+_SLOTS = 2  # steps staged at once: the worker trains one while the parent stages the next
 _REPORT_FIELDS = tuple(f.name for f in fields(LossReport))
 _INPUTS = ("labeled_x", "labeled_y", "weak_u", "strong_u", "weights")  # a step's inputs, staged in this order
 _TARGETS = ("gate", "pseudo", "p_teacher")  # then these, per role the worker's branches read
@@ -88,6 +101,7 @@ class PairWorker:
 
     def __init__(self, state, name: str, branches) -> None:
         self.name = name
+        self._state = state
         cfg, split = state.config, state.split
         self._students = [pair.student for pair in state.pairs.values()]
         self._optimizer = state.optimizers[name]
@@ -95,9 +109,7 @@ class PairWorker:
         self._staged = _INPUTS + tuple(f"{role}_{t}" for role in self._roles for t in _TARGETS)
         rows = min(cfg.batch_size, len(split.labeled_x))
         u_rows, classes = cfg.mu * rows, split.K + 1
-        self._arrays = _mapping({
-            **{f"student_{i}": (np.float64, s.flat.size) for i, s in enumerate(self._students)},
-            "velocity": (np.float64, self._optimizer.velocity.size),
+        slot = {
             "labeled_x": (np.float64, rows * split.dim),
             "labeled_y": (split.labeled_y.dtype, rows),
             "weak_u": (np.float64, u_rows * split.dim),
@@ -108,13 +120,22 @@ class PairWorker:
             "shapes": (np.int64, 3 * len(self._staged)),  # per staged array: ndim (-1 if absent), rows, columns
             "scalars": (np.float64, 2),  # lr, k1_scored
             "reply": (np.float64, 2 + 2 * len(_REPORT_FIELDS)),  # forwards, n, then n (field, value)
+        }
+        arrays = _mapping({
+            **{f"student_{i}": (np.float64, s.flat.size) for i, s in enumerate(self._students)},
+            "velocity": (np.float64, self._optimizer.velocity.size),
+            **{f"{name}/{i}": spec for i in range(_SLOTS) for name, spec in slot.items()},
             "scores": (np.float64, len(split.unlabeled_x)),
             "detection": (np.float64, 3),  # auroc, mean_score_seen, mean_score_unseen
         })
+        self._slots = [{name: arrays[f"{name}/{i}"] for name in slot} for i in range(_SLOTS)]
+        self._arrays = arrays
         for i, student in enumerate(self._students):
-            student.rehome(self._arrays[f"student_{i}"])
-        self._arrays["velocity"][:] = self._optimizer.velocity
-        self._optimizer.velocity = self._arrays["velocity"]
+            student.rehome(arrays[f"student_{i}"])
+        arrays["velocity"][:] = self._optimizer.velocity
+        self._optimizer.velocity = arrays["velocity"]
+        self._pending = collections.deque()  # (token, the step's report or None), in the order sent
+        self._started = 0  # steps staged so far; step k uses slot k % _SLOTS
 
         cmd_r, self._cmd_w = os.pipe()
         self._reply_r, reply_w = os.pipe()
@@ -138,7 +159,12 @@ class PairWorker:
     # -- the parent's side --------------------------------------------------
 
     def start(self, step: _Step, lr: float) -> None:
-        """Stage ``step`` and have the worker train its model on it."""
+        """Stage ``step`` in the next slot and have the worker train its model on it. When both
+        slots are taken, first waits for the older step: the worker reads a slot until it replies."""
+        if len(self._pending) == _SLOTS:
+            self._collect()
+        index = self._started % _SLOTS
+        slot = self._slots[index]
         arrays = [step.labeled_x, step.labeled_y, step.weak_u, step.strong_u, step.weights]
         for role in self._roles:
             arrays += step.targets.get(role, (None,) * len(_TARGETS))
@@ -146,33 +172,35 @@ class PairWorker:
         for name, a in zip(self._staged, arrays):
             shapes += (-1, 0, 0) if a is None else (a.ndim, *a.shape, 0)[:3]
             if a is not None:
-                np.copyto(self._arrays[name][: a.size], a.ravel(), casting="no")
-        self._arrays["shapes"][:] = shapes
-        self._arrays["scalars"][:] = (lr, step.k1_scored)
-        self._send(b"s")
+                np.copyto(slot[name][: a.size], a.ravel(), casting="no")
+        slot["shapes"][:] = shapes
+        slot["scalars"][:] = (lr, step.k1_scored)
+        self._started += 1
+        self._send(b"%d" % index, step.report)
 
-    def finish(self) -> tuple[dict[str, float], int]:
-        """Wait for the step :meth:`start` began: the report fields of the worker's model, and
-        the unlabeled rows it forwarded."""
-        self._collect(b"s")
-        reply = self._arrays["reply"]
-        pairs = reply[2 : 2 + 2 * int(reply[1])].reshape(-1, 2)
-        return {_REPORT_FIELDS[int(i)]: float(v) for i, v in pairs}, int(reply[0])
+    def wait(self) -> None:
+        """Wait for every step started: each one's report fields go into its report, and its
+        unlabeled forwards into the run's count."""
+        while self._pending and self._pending[0][0] != b"d":
+            self._collect()
 
     def detect(self) -> None:
-        """Have the worker run the detection half of an evaluation on the students as they are."""
+        """Have the worker run the detection half of an evaluation once the steps started are
+        trained; this process must not change a student before :meth:`detection` returns."""
         self._send(b"d")
 
     def detection(self) -> dict:
-        """Wait for the detection :meth:`detect` began: what ``trainer._detection`` returned."""
-        self._collect(b"d")
+        """Wait for the steps started and the detection :meth:`detect` began: what
+        ``trainer._detection`` returned."""
+        while self._pending:
+            self._collect()
         auroc, seen, unseen = self._arrays["detection"].tolist()
         return dict(auroc=auroc, mean_score_seen=seen, mean_score_unseen=unseen,
                     scores=self._arrays["scores"].copy())
 
     def close(self) -> None:
         """Stop and reap the worker, then copy the shared parameters back into private arrays."""
-        os.close(self._cmd_w)  # the worker reads end of file and exits
+        os.close(self._cmd_w)  # the worker serves what is queued, reads end of file and exits
         try:
             os.waitpid(self._pid, 0)
         finally:
@@ -180,21 +208,30 @@ class PairWorker:
         for student in self._students:
             student.rehome(np.empty_like(student.flat))
         self._optimizer.velocity = self._optimizer.velocity.copy()
-        self._arrays = None  # the mapping is unmapped with its last view
+        self._arrays = self._slots = None  # the mapping is unmapped with its last view
 
-    def _send(self, token: bytes) -> None:
+    def _send(self, token: bytes, report: LossReport | None = None) -> None:
         try:
             os.write(self._cmd_w, token)
         except BrokenPipeError as exc:
+            while self._pending:  # raises what the worker raised, if it did
+                self._collect()
             raise ChildProcessError("the pair worker exited") from exc
+        self._pending.append((token, report))
 
-    def _collect(self, token: bytes) -> None:
+    def _collect(self) -> None:
+        """Wait for the reply to the oldest command; a step's goes into its report."""
+        token, report = self._pending.popleft()
         got = _receive(self._reply_r)
         if got == b"x":
             exc, text = _read_exception(self._reply_r)
             raise exc from ChildProcessError(f"raised in the pair worker:\n{text}")
         if got != token:
             raise ChildProcessError("the pair worker exited")
+        if report is not None:
+            reply = self._slots[int(token)]["reply"]
+            pairs = reply[2 : 2 + 2 * int(reply[1])].reshape(-1, 2)
+            _credit(self._state, report, {_REPORT_FIELDS[int(i)]: float(v) for i, v in pairs}, int(reply[0]))
 
     # -- the worker's side --------------------------------------------------
 
@@ -202,30 +239,31 @@ class PairWorker:
         student, split = state.pairs[self.name].student, state.split
         while True:
             token = _receive(cmd_r)
-            if token == b"s":
-                step, lr = self._step()
-                values, forwards = _model_step(student, self._optimizer, branches, step, state.config, lr)
-                reply = self._arrays["reply"]
-                reply[:2] = forwards, len(values)
-                for j, (name, value) in enumerate(values.items()):
-                    reply[2 + 2 * j : 4 + 2 * j] = _REPORT_FIELDS.index(name), value
-            elif token == b"d":
+            if token == b"d":
                 found = _detection(state.pairs, split.unlabeled_x, split.unlabeled_is_unseen, state.config.gamma)
                 self._arrays["scores"][:] = found["scores"]
                 self._arrays["detection"][:] = found["auroc"], found["mean_score_seen"], found["mean_score_unseen"]
+            elif token:  # a step, staged in slot int(token)
+                slot = self._slots[int(token)]
+                step, lr = self._step(slot)
+                values, forwards = _model_step(student, self._optimizer, branches, step, state.config, lr)
+                reply = slot["reply"]
+                reply[:2] = forwards, len(values)
+                for j, (name, value) in enumerate(values.items()):
+                    reply[2 + 2 * j : 4 + 2 * j] = _REPORT_FIELDS.index(name), value
             else:  # end of file: the parent is done, or gone
                 return
             os.write(reply_w, token)
 
-    def _step(self) -> tuple[_Step, float]:
-        """The staged step, as views into the mapping, and its learning rate."""
-        shapes, a = self._arrays["shapes"].tolist(), {}
+    def _step(self, slot: dict[str, np.ndarray]) -> tuple[_Step, float]:
+        """The step staged in ``slot``, as views into the mapping, and its learning rate."""
+        shapes, a = slot["shapes"].tolist(), {}
         for name, ndim, rows, columns in zip(self._staged, shapes[::3], shapes[1::3], shapes[2::3]):
-            staged = self._arrays[name]
+            staged = slot[name]
             a[name] = None if ndim < 0 else staged[:rows] if ndim == 1 else staged[: rows * columns].reshape(rows, columns)
         targets = {role: tuple(a[f"{role}_{t}"] for t in _TARGETS) for role in self._roles
                    if a[f"{role}_gate"] is not None}
-        lr, k1_scored = self._arrays["scalars"].tolist()
+        lr, k1_scored = slot["scalars"].tolist()
         step = _Step(a["labeled_x"], a["labeled_y"], a["weak_u"], a["strong_u"], targets, a["weights"],
                      bool(k1_scored), LossReport(), 0)
         return step, lr

@@ -7,11 +7,15 @@ of iterations. Within an iteration the teachers are frozen; every step scores
 the unlabeled batch with the teachers, updates the inlier student on its
 objective, then updates the outlier student on its objective. At iteration
 boundaries each student is copied into its teacher. Where the process may use
-two CPUs, the iterations run with a forked pair worker (``pairworker``): it
-trains the plan's last model, while this process trains the other one, if
-any, and draws ahead; at an evaluated epoch the worker runs the detection half
-(``_detection``) while this process runs the test half and draws. Both paths
-run the same step and detection functions and give the same bits.
+two CPUs, the iterations run with a forked pair worker (``pairworker``) that
+trains the plan's last model. Both paths run one epoch schedule
+(``_run_epochs``). This process draws the steps and trains the other model, if
+any. With a worker, it stages each step in one of the worker's two slots a
+step before it trains its own model on it, and queues the detection half
+(``_detection``) behind an evaluated epoch's steps, while it draws ahead and
+runs the test half. It waits on the worker at an epoch's end, before a step
+callback, for a free slot, and in a one-model plan before the test half. Both
+paths run the same step and detection functions and give the same bits.
 
 Pre-training is the CE-only merged plan: the teacher, as the one model of a
 ``merged`` pair, trains the branches (inlier, k) and (outlier, k1) with no
@@ -362,7 +366,7 @@ class TrainResult:
 
 
 def pretrain_teacher(teacher: DualHeadModel, split: MismatchSplit, config: TrainConfig,
-                     rng: np.random.Generator, scale: np.ndarray) -> list[dict]:
+                     rng: np.random.Generator, scale: np.ndarray, out_dir: Path | None = None) -> list[dict]:
     """Optimize both heads on labeled strong views for ``config.pretrain_epochs``;
     returns the epoch records, each with an evaluation of the teacher.
 
@@ -370,7 +374,7 @@ def pretrain_teacher(teacher: DualHeadModel, split: MismatchSplit, config: Train
     plan, so no unlabeled example appears anywhere in this phase; the
     (K+1)-head trains with the same 1..K labels (it simply never sees a
     positive for the extra class). Sets the pre-trained flag required by pair
-    derivation.
+    derivation. With ``config.dump_scores``, each epoch's scores go to ``out_dir``.
     """
     # the sampler rejects an empty labeled set, so the label range below is defined
     sampler = PairSampler(split, config.batch_size, config.mu, rng, include_unlabeled=False)
@@ -381,7 +385,7 @@ def pretrain_teacher(teacher: DualHeadModel, split: MismatchSplit, config: Train
     state = TrainState(
         config=config, pipeline=pipeline, pairs={"merged": TeacherStudentPair(teacher, teacher)},
         optimizers={"merged": SGD(teacher.flat, config.momentum, config.weight_decay)},
-        sampler=sampler, rng=rng, scale=scale, split=split, iteration=-1,
+        sampler=sampler, rng=rng, scale=scale, split=split, iteration=-1, out_dir=out_dir,
         aug=AugmentConfig(config.weak_sigma, config.strong_sigma, config.mask_fraction),
     )
     _run_epochs(state)
@@ -572,32 +576,27 @@ def _model_step(student: DualHeadModel, optimizer: SGD, branches: tuple[_Branch,
     return fields, forwards
 
 
-def _train_step(state: TrainState, plan: dict[str, tuple[_Branch, ...]], step: _Step, lr: float,
-                meanwhile) -> LossReport:
-    """Train every model of ``plan`` on ``step``. With a pair worker attached, the worker trains
-    its model meanwhile, and this process runs ``meanwhile()`` once its own models trained."""
-    cfg = state.config
-    report = step.report
-    worker = state.worker
+def _train_step(state: TrainState, plan: dict[str, tuple[_Branch, ...]], step: _Step, lr: float) -> None:
+    """Train every model of ``plan`` on ``step``, crediting each one's report fields to the step."""
     state.training_unlabeled_forwards += step.forwards
-    if worker is not None:
-        worker.start(step, lr)
-    done = [_model_step(state.pairs[name].student, state.optimizers[name], branches, step, cfg, lr)
-            for name, branches in plan.items() if worker is None or name != worker.name]
-    if worker is not None:
-        meanwhile()
-        done.append(worker.finish())
-    for fields, forwards in done:
-        vars(report).update(fields)
-        state.training_unlabeled_forwards += forwards
+    for name, branches in plan.items():
+        _credit(state, step.report,
+                *_model_step(state.pairs[name].student, state.optimizers[name], branches, step, state.config, lr))
 
-    totals = {}  # role -> its objective: the CE, then each weighted term added left to right
+
+def _credit(state: TrainState, report: LossReport, fields: dict[str, float], forwards: int) -> None:
+    """Store one trained model's report fields in its step's report, count its unlabeled rows,
+    and compute each role's objective from the fields stored so far: the CE, then each weighted
+    term added left to right. Once every model of the step is credited, the objectives are final."""
+    vars(report).update(fields)
+    state.training_unlabeled_forwards += forwards
+    cfg = state.config
+    totals = {}
     for (role, _), (field_name, weight) in _TERMS.items():
         value = getattr(report, field_name)
         totals[role] = value if weight is None else totals[role] + getattr(cfg, weight) * value
     report.inlier_total, report.outlier_total = float(totals["inlier"]), float(totals["outlier"])
     report.pretrain_total = float(report.ce_k + report.ce_k1)
-    return report
 
 
 def _sum_grads(target: dict[str, np.ndarray], extra: dict[str, np.ndarray]) -> None:
@@ -662,16 +661,16 @@ def _detection(pairs: dict[str, TeacherStudentPair], unlabeled_x: np.ndarray, un
     )
 
 
-def _evaluate(state: TrainState, meanwhile) -> EvalResult:
-    """``evaluate_pipeline`` of the students. With a pair worker, the worker runs the detection half
-    while this process runs the test half, then ``meanwhile()``."""
+def _evaluate(state: TrainState) -> EvalResult:
+    """``evaluate_pipeline`` of the students. With a pair worker, whose detection half the epoch
+    loop has queued, this process runs the test half, once the model it reads is final."""
     split, worker = state.split, state.worker
     if worker is None:
         return evaluate_pipeline(state.pairs, split.test_x, split.test_y, split.unlabeled_x,
                                  split.unlabeled_is_unseen, state.config.gamma)
-    worker.detect()
+    if worker.name == next(iter(state.pairs)):  # a one-model plan: the worker trains the classifier
+        worker.wait()
     preds = _classifier_predictions(state.pairs, split.test_x)
-    meanwhile()
     return EvalResult(accuracy=compute_accuracy(preds, split.test_y), predictions=preds, **worker.detection())
 
 
@@ -726,39 +725,51 @@ def _epoch_record(phase: str, iteration: int, epoch_in_phase: int, global_epoch:
 def _run_epochs(state: TrainState, step_callback=None, epoch_callback=None) -> None:
     """One phase's epochs. Pre-training (``state.iteration`` -1) evaluates every
     epoch and records no student objective; an iteration evaluates every
-    ``eval_every``-th epoch and its last."""
+    ``eval_every``-th epoch and its last.
+
+    One schedule for both paths. The phase's steps are drawn in order, each when first needed or
+    ahead at an epoch's end: at most two steps ahead, never past the phase. With a pair worker,
+    each step is staged one step before this process trains its own models on it (none ahead with
+    a step callback), and an evaluated epoch queues the worker's detection after its steps. This
+    process waits on the worker at an epoch's end, before a step callback, for a free slot, and
+    in ``_evaluate``; so each callback runs with the worker idle."""
     cfg = state.config
     pretrain = state.iteration < 0
     epochs = cfg.pretrain_epochs if pretrain else cfg.epochs_per_iteration
     eval_every = 1 if pretrain else cfg.eval_every
-    plan = _step_plan(state.pipeline, cfg)
+    worker = state.worker
+    own = {name: b for name, b in _step_plan(state.pipeline, cfg).items() if worker is None or name != worker.name}
     steps = state.sampler.steps_per_epoch
-    # the phase's steps in order, each drawn when first needed. With a pair worker this process draws
-    # ahead while the worker trains or detects, never past the phase: up to two steps when it trains
-    # no model of its own; else one, and none in an evaluated epoch's last step: the evaluation
-    # draws instead, beside the worker's detection over two students
     draws = (_draw_step(state, batch) for _ in range(epochs) for batch in state.sampler.epoch())
     drawn = collections.deque()
-    local = len(plan) > 1
-
-    def draw_ahead():
-        drawn.extend(itertools.islice(draws, (1 if local else 2) - len(drawn)))
+    lead = 0 if step_callback is not None else 1  # steps staged ahead of this process's own
 
     for epoch in range(epochs):
         lr = _lr_at(cfg, state.global_epoch, state.total_epochs)
         evaluated = (epoch + 1) % eval_every == 0 or epoch == epochs - 1
-        reports = []
+        queue, reports = collections.deque(), []  # queue: steps i, i+1, ... taken, not yet trained here
         for i in range(steps):
-            meanwhile = (lambda: None) if local and evaluated and i == steps - 1 else draw_ahead
-            report = _train_step(state, plan, drawn.popleft() if drawn else next(draws), lr, meanwhile)
-            reports.append(report)
+            while len(queue) <= lead and i + len(queue) < steps:
+                queue.append(drawn.popleft() if drawn else next(draws))
+                if worker is not None:
+                    worker.start(queue[-1], lr)
+            step = queue.popleft()
+            _train_step(state, own, step, lr)
+            reports.append(step.report)
             if step_callback is not None:
-                step_callback(state, report)
+                if worker is not None:
+                    worker.wait()
+                step_callback(state, step.report)
+        if evaluated and worker is not None:
+            worker.detect()  # queued after the steps: it scores the final students
+        drawn.extend(itertools.islice(draws, 2 - len(drawn)))
         ev = None
         if evaluated:
-            ev = state.last_eval = _evaluate(state, draw_ahead)
+            ev = state.last_eval = _evaluate(state)
             if cfg.dump_scores and state.out_dir is not None:
                 _dump_epoch_scores(state, ev.scores)
+        if worker is not None:
+            worker.wait()
         report = _mean_report(reports)
         if pretrain:
             report.inlier_total = report.outlier_total = 0.0
@@ -836,11 +847,16 @@ def run_training(
     On two or more CPUs, after pre-training, a forked pair worker
     (``pairworker.attached``) trains the plan's last model and, at each
     evaluated epoch, scores the unlabeled set; it is reaped before this call
-    returns or raises. During a step this process trains the plan's other
-    model, if any, and draws the next step; during an evaluation it predicts
-    the test set and draws. Callbacks run with the worker idle, after the step
-    or epoch they report, but with the next steps already drawn: ``state.rng``
-    and ``state.sampler`` are up to two steps ahead of the serial path's.
+    returns or raises. The worker has two step slots: this process stages step
+    i+1 while the worker may still train step i, then trains the plan's other
+    model, if any, on step i. After an evaluated epoch's steps it queues the
+    worker's detection, draws ahead and predicts the test set. It waits on the
+    worker before an epoch record is built, before a step callback, when both
+    slots are taken, and in a one-model plan for the epoch's last step before
+    the test set. Callbacks run with the worker idle and see every student as
+    of the step or epoch they report; nothing of the next epoch is staged
+    before the epoch callback returns. The next steps may already be drawn:
+    ``state.rng`` and ``state.sampler`` are up to two steps ahead, on both paths.
     """
     config.validate()
     _hold_heap()
@@ -864,7 +880,7 @@ def run_training(
     scale = feature_scale(split)
     aug = AugmentConfig(config.weak_sigma, config.strong_sigma, config.mask_fraction)
 
-    history = pretrain_teacher(teacher, split, config, rng, scale)
+    history = pretrain_teacher(teacher, split, config, rng, scale, out_path)
     if out_path is not None:
         save_model(teacher, out_path / "teacher_pretrained.npz")
 

@@ -1,12 +1,13 @@
 """The pair worker: a run that trains the plan's last model and scores the unlabeled set in a
-forked process gives what the serial run in one process gives, leaves no process behind, and
-carries worker failures home."""
+forked process gives what the serial run in one process gives, shows its callbacks the same
+students with the worker idle, leaves no process behind, and carries worker failures home."""
 
 import json
 import os
 import pickle
 import signal
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -96,11 +97,42 @@ def test_worker_run_equals_serial_run_on_the_benchmark(mode, seed, tmp_path, for
 
 @pytest.mark.parametrize("mode", ("full", "no_its"))
 def test_worker_run_equals_serial_run_with_unevaluated_epochs_and_score_dumps(mode, tmp_path, forks):
-    # epochs 3 and 6 of each iteration evaluate; each writes a score dump from the worker's scores
+    # epochs 3 and 6 of each iteration evaluate; each writes a score dump from the worker's scores,
+    # after the 50 that pre-training, evaluated every epoch in this process, writes
     config = benchmark_config(mode, 0, eval_every=3, dump_scores=True, **SHORT)
     worker, _ = assert_same_run(config, benchmark_split(0), tmp_path, forks)
     assert [np.isfinite(r["auroc"]) for r in worker.history[config.pretrain_epochs:]] == [False, False, True] * 4
-    assert len(list((tmp_path / "worker" / "score_dumps").iterdir())) == 4  # pre-training writes none
+    assert len(list((tmp_path / "worker" / "score_dumps").iterdir())) == config.pretrain_epochs + 4 == 54
+
+
+@pytest.mark.parametrize("steps_too", (False, True))
+@pytest.mark.parametrize("mode", TWO_PAIR_MODES + ONE_MODEL_MODES)
+def test_callbacks_see_the_students_of_their_step_with_the_worker_idle(mode, steps_too):
+    # the worker trains the plan's last model; every callback sees it as of the step or epoch
+    # reported, and it does not move while a callback runs. A step callback makes the worker
+    # wait at every step, so the epoch callback is also watched alone
+    def watched():
+        seen = []
+
+        def hashes(state):
+            return [param_hash(pair.student) for pair in state.pairs.values()]
+
+        def on_step(state, report):
+            seen.append(("step", state.global_epoch, hashes(state)))
+
+        def on_epoch(state, record):
+            before = hashes(state)
+            time.sleep(0.005)
+            seen.append(("epoch", state.global_epoch, before, param_hash(list(state.pairs.values())[-1].student)))
+
+        run_training(tiny_config(mode), tiny_split(), step_callback=on_step if steps_too else None,
+                     epoch_callback=on_epoch)
+        return seen
+
+    seen = watched()
+    assert seen == serial(watched)
+    epochs = [entry for entry in seen if entry[0] == "epoch"]
+    assert len(epochs) == 6 and all(before[-1] == after for _, _, before, after in epochs)
 
 
 def test_result_pickles_bit_exactly(tmp_path, forks):

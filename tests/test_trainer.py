@@ -568,7 +568,7 @@ class TestAblationBehavior:
     def test_score_dump_files(self, tmp_path):
         run_training(tiny_config(dump_scores=True), tiny_split(), out_dir=tmp_path)
         dumps = sorted((tmp_path / "score_dumps").glob("epoch_*.csv"))
-        assert len(dumps) == 6  # one per train epoch
+        assert len(dumps) == 4 + 6  # one per pre-training epoch, then one per train epoch
         header = dumps[0].read_text().splitlines()[0]
         assert header == "index,score,is_unseen"
         assert len(dumps[0].read_text().splitlines()) == 1 + 120  # unlabeled set size
@@ -586,7 +586,7 @@ class TestAblationBehavior:
             return per_epoch
 
         assert logits_per_epoch(True, tmp_path / "on") == logits_per_epoch(False, tmp_path / "off")
-        assert len(list((tmp_path / "on" / "score_dumps").glob("epoch_*.csv"))) == 6
+        assert len(list((tmp_path / "on" / "score_dumps").glob("epoch_*.csv"))) == 4 + 6
 
 
 class TestEvaluatePipeline:
