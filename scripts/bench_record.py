@@ -8,8 +8,9 @@ Times ``dts_ssl.benchmarks.run_benchmark(mode, SEED)`` for every ablation mode,
 ``--repeats`` times each (modes round-robin, after one untimed warm-up run),
 and appends one record to ``--out`` (created if absent). Per mode the record
 holds the median and quartiles of the wall seconds, the reference seconds
-(wall time scaled by the host-speed kernel of ``perfbench/hostspeed.py``,
-timed before and after each run), the minor page faults of one run
+(wall time scaled by the median of ``SAMPLES_PER_SIDE`` host-speed samples
+before and as many after each run, from ``perfbench/hostspeed.py``, so that one
+fast or slow sample does not scale a run alone), the minor page faults of one run
 (``ru_minflt``) and those of the pair worker it forked, if any (the
 ``RUSAGE_CHILDREN`` delta around the run; 0 for a serial run), plus every
 run's four values. It also names the host (CPU
@@ -41,6 +42,7 @@ from hostspeed import kernel_seconds, speed_factor  # noqa: E402
 from run import environment  # noqa: E402  (perfbench/run.py)
 
 SEED = 0  # one benchmark seed for every record, so that records compare
+SAMPLES_PER_SIDE = 2  # host-speed samples taken before a run, and again after it
 
 
 def summary(values: list[float]) -> dict:
@@ -92,12 +94,12 @@ def main() -> int:
     runs: dict[str, list[dict]] = {mode: [] for mode in modes}
     for _ in range(args.repeats):
         for mode in modes:
-            k_before = kernel_seconds()
+            samples = [kernel_seconds() for _ in range(SAMPLES_PER_SIDE)]
             worker, faults, t0 = minflt(resource.RUSAGE_CHILDREN), minflt(), time.perf_counter()
             run_benchmark(mode, SEED)
             wall, faults = time.perf_counter() - t0, minflt() - faults
             worker = minflt(resource.RUSAGE_CHILDREN) - worker
-            factor = speed_factor([k_before, kernel_seconds()])
+            factor = speed_factor(samples + [kernel_seconds() for _ in range(SAMPLES_PER_SIDE)])
             runs[mode].append({"wall_s": wall, "reference_s": wall * factor, "minor_faults": faults,
                                "worker_minor_faults": worker})
             print(f"{mode} wall {wall:.3f} s, reference {wall * factor:.3f} s, {faults} minor faults, "

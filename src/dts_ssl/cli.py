@@ -281,6 +281,16 @@ def emit_report(manifest_path: str | Path, include_incomplete: bool = False) -> 
     manifest = RunManifest.load(manifest_path)
     base = manifest_path.parent
     completed = [r for r in manifest.runs if r["status"] == "completed" or include_incomplete]
+    tags = []  # each run's path below the manifest's directory
+    for r in completed:
+        # run_dir and out_dir are recorded as the run wrote them, maybe relative to its working directory
+        try:
+            tags.append(Path(r["run_dir"]).relative_to(manifest.out_dir))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"manifest {manifest_path}: run_dir {r['run_dir']!r} is not under "
+                                  f"out_dir {manifest.out_dir!r}") from exc
+        if r["status"] == "completed" and not (base / tags[-1] / "metrics.jsonl").is_file():
+            raise ValidationError(f"manifest {manifest_path}: run {r['run_dir']} not found at {base / tags[-1]}")
 
     runs_csv = base / "report_runs.csv"
     with open(runs_csv, "w", newline="") as fh:
@@ -313,12 +323,11 @@ def emit_report(manifest_path: str | Path, include_incomplete: bool = False) -> 
     series_paths = []
     series_dir = base / "auroc_by_epoch"
     series_dir.mkdir(exist_ok=True)
-    for r in completed:
-        metrics = Path(r["run_dir"]) / "metrics.jsonl"
-        if not metrics.exists():
+    for tag in tags:
+        metrics = base / tag / "metrics.jsonl"
+        if not metrics.exists():  # a failed run may have written none
             continue
         rows = [json.loads(line) for line in metrics.read_text().splitlines()]
-        tag = Path(r["run_dir"]).relative_to(base)
         out = series_dir / (str(tag).replace(os.sep, "__") + ".csv")
         with open(out, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -13,24 +13,28 @@ oversubscribes the CPUs (with OpenBLAS unpinned, a 64-64-32 ``full`` run took
 The worker trains the plan's last model (``trainer._model_step``, the code the
 serial path runs): the outlier student of a two-model plan, the one model of a
 one-model plan. The parent draws every step, trains the other model, if any,
-and predicts the test set. The worker has ``_SLOTS`` (two) staging slots, used
-in turn: the parent stages step i+1 before it trains its own model on step i
-(step i alone when a step callback is set), so the worker starts step i+1 while
-the parent is still busy. After an
-evaluated epoch's steps the parent queues a detect command behind them: the
-worker runs the detection half (``trainer._detection``: the students'
-forwards of the unlabeled set, the scores, AUROC and the mean scores) once
-both students are final, while the parent draws ahead and runs the test half.
-The worker serves the commands in the order they were sent.
+and evaluates. This is the one statement of the schedule (``trainer._run_epochs``):
+
+- Steps. The parent stages step i+1 in one of ``_SLOTS`` (two) slots, used in
+  turn, before it trains its own model on step i (step i alone when a step
+  callback is set), so the worker starts step i+1 while the parent is busy.
+- Draws, on both paths. A step is drawn when first needed, or after an epoch's
+  steps, when the next epoch's first two are drawn: in order, at most two
+  steps ahead, never past a phase's end.
+- Evaluation. After an evaluated epoch's steps the parent queues a detect
+  command: once both students are final, the worker runs the detection half
+  (``trainer._detection``) while the parent draws ahead. The parent then calls
+  ``trainer.evaluate_pipeline``, which runs the test half and takes the
+  worker's detection half (:meth:`PairWorker.detection`) in place of its own.
 
 The parent waits on the worker at four points only: before an epoch record is
 built, before a step callback, when both slots are taken (the worker reads its
-step as views into the slot until it replies, so only its reply frees the
-slot), and in a one-model plan for the epoch's last step, before the test half
-reads the worker's model. The worker waits for a command at an epoch's end. So
-each process waits about once per epoch, and every callback runs while the
-worker is idle. Either way the results are bit-identical: the same functions
-run on the same values, and the random draws keep their order.
+step as views into the slot until it replies), and in a one-model plan for the
+epoch's last step, before the test half reads the worker's model. The worker
+waits for a command at an epoch's end. So each process waits about once per
+epoch, and every callback runs with the worker idle and sees every student as
+of the step or epoch it reports. Either way the results are bit-identical: the
+same functions run on the same values, and the random draws keep their order.
 
 The two processes share one anonymous mapping. It holds every student's
 parameter vector and the worker model's SGD velocity: the worker reads the
@@ -61,7 +65,7 @@ from dataclasses import fields
 import numpy as np
 
 from .losses import LossReport
-from .trainer import _credit, _detection, _model_step, _Step, _step_plan
+from .trainer import _DETECTION, _credit, _detection, _model_step, _Step, _step_plan
 
 _POLL_S = 2e-3  # how long a waiter polls its pipe before it blocks
 _ALIGN = 64  # byte alignment of every array in the shared mapping
@@ -126,7 +130,7 @@ class PairWorker:
             "velocity": (np.float64, self._optimizer.velocity.size),
             **{f"{name}/{i}": spec for i in range(_SLOTS) for name, spec in slot.items()},
             "scores": (np.float64, len(split.unlabeled_x)),
-            "detection": (np.float64, 3),  # auroc, mean_score_seen, mean_score_unseen
+            "detection": (np.float64, len(_DETECTION)),  # trainer._detection's results, in _DETECTION order
         })
         self._slots = [{name: arrays[f"{name}/{i}"] for name in slot} for i in range(_SLOTS)]
         self._arrays = arrays
@@ -189,14 +193,12 @@ class PairWorker:
         trained; this process must not change a student before :meth:`detection` returns."""
         self._send(b"d")
 
-    def detection(self) -> dict:
+    def detection(self) -> tuple[np.ndarray, dict[str, float]]:
         """Wait for the steps started and the detection :meth:`detect` began: what
-        ``trainer._detection`` returned."""
+        ``trainer._detection`` returned in the worker."""
         while self._pending:
             self._collect()
-        auroc, seen, unseen = self._arrays["detection"].tolist()
-        return dict(auroc=auroc, mean_score_seen=seen, mean_score_unseen=unseen,
-                    scores=self._arrays["scores"].copy())
+        return self._arrays["scores"].copy(), dict(zip(_DETECTION, self._arrays["detection"].tolist()))
 
     def close(self) -> None:
         """Stop and reap the worker, then copy the shared parameters back into private arrays."""
@@ -240,9 +242,10 @@ class PairWorker:
         while True:
             token = _receive(cmd_r)
             if token == b"d":
-                found = _detection(state.pairs, split.unlabeled_x, split.unlabeled_is_unseen, state.config.gamma)
-                self._arrays["scores"][:] = found["scores"]
-                self._arrays["detection"][:] = found["auroc"], found["mean_score_seen"], found["mean_score_unseen"]
+                scores, found = _detection(state.pairs, split.unlabeled_x, split.unlabeled_is_unseen,
+                                           state.config.gamma)
+                self._arrays["scores"][:] = scores
+                self._arrays["detection"][:] = [found[name] for name in _DETECTION]
             elif token:  # a step, staged in slot int(token)
                 slot = self._slots[int(token)]
                 step, lr = self._step(slot)

@@ -8,21 +8,17 @@ the unlabeled batch with the teachers, updates the inlier student on its
 objective, then updates the outlier student on its objective. At iteration
 boundaries each student is copied into its teacher. Where the process may use
 two CPUs, the iterations run with a forked pair worker (``pairworker``) that
-trains the plan's last model. Both paths run one epoch schedule
-(``_run_epochs``). This process draws the steps and trains the other model, if
-any. With a worker, it stages each step in one of the worker's two slots a
-step before it trains its own model on it, and queues the detection half
-(``_detection``) behind an evaluated epoch's steps, while it draws ahead and
-runs the test half. It waits on the worker at an epoch's end, before a step
-callback, for a free slot, and in a one-model plan before the test half. Both
-paths run the same step and detection functions and give the same bits.
+trains the plan's last model and runs each evaluation's detection half. Both
+paths run one epoch schedule (``_run_epochs``), which the ``pairworker``
+module docstring states, and give the same bits.
 
 Pre-training is the CE-only merged plan: the teacher, as the one model of a
 ``merged`` pair, trains the branches (inlier, k) and (outlier, k1) with no
 unlabeled terms. It runs through the same epoch loop (``_run_epochs``) and
-step (``_train_step``) as the iterations, and every evaluation, pre-training's,
-the iterations' and ``run_inference``'s, computes what ``evaluate_pipeline``
-computes: the first pair's test-set predictions, then ``_detection``.
+step (``_train_step``) as the iterations. Every evaluation (pre-training's,
+the iterations' on either path, the last of which is the final one, and
+``run_inference``'s) is one ``evaluate_pipeline`` call: the first pair's
+test-set predictions, then the detection half, ``_detection``.
 
 An ablation mode is four choices: which pairs exist, which loss terms each
 role trains, whether the (K+1)-head score weights the extra-class supervision
@@ -619,59 +615,57 @@ def _sample_major(d_logits: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _classifier_predictions(pairs: dict[str, TeacherStudentPair], x: np.ndarray) -> np.ndarray:
-    """Test-set labels from the first pair's student."""
-    model = next(iter(pairs.values())).student
-    if "k" in model.heads:
-        return predict_labels(model, x, head="k")
-    # a (K+1)-head alone classifies through its first K outputs
-    probs = model.probs(np.atleast_2d(x), head="k1")
-    return np.argmax(probs[: model.K], axis=0) + 1
-
-
 def evaluate_pipeline(pairs: dict[str, TeacherStudentPair], test_x: np.ndarray, test_y: np.ndarray,
-                      unlabeled_x: np.ndarray, unlabeled_is_unseen: np.ndarray, gamma: float) -> EvalResult:
+                      unlabeled_x: np.ndarray, unlabeled_is_unseen: np.ndarray, gamma: float, *,
+                      detection=None) -> EvalResult:
     """Accuracy on the test set plus detection AUROC over the unlabeled set.
 
     Raw inputs only; the hidden seen/unseen flags are consumed here, never in
     training. AUROC is NaN when the flags hold one class only. Computes only
     what an epoch record stores: leaves ``per_class_accuracy`` and
     ``score_histogram`` None (``_with_tables`` fills them in for a final
-    evaluation). The test half is the first pair's predictions; the detection
-    half is ``_detection``.
+    evaluation). The test half is the first pair's student's test-set labels.
+    The detection half is ``_detection``, run here, or, when ``detection`` is
+    given, what ``detection()`` returns after the test half: the same half
+    computed elsewhere (``_evaluate`` passes the pair worker's).
     """
-    preds = _classifier_predictions(pairs, test_x)
-    return EvalResult(accuracy=compute_accuracy(preds, test_y), predictions=preds,
-                      **_detection(pairs, unlabeled_x, unlabeled_is_unseen, gamma))
+    model = next(iter(pairs.values())).student
+    if "k" in model.heads:
+        preds = predict_labels(model, test_x, head="k")
+    else:  # a (K+1)-head alone classifies through its first K outputs
+        preds = np.argmax(model.probs(np.atleast_2d(test_x), head="k1")[: model.K], axis=0) + 1
+    accuracy = compute_accuracy(preds, test_y)
+    scores, stats = (_detection(pairs, unlabeled_x, unlabeled_is_unseen, gamma) if detection is None
+                     else detection())
+    return EvalResult(accuracy=accuracy, predictions=preds, scores=scores, **stats)
+
+
+# a detection's scalar results, named as in EvalResult; the pair worker ships them in this order
+_DETECTION = ("auroc", "mean_score_seen", "mean_score_unseen")
 
 
 def _detection(pairs: dict[str, TeacherStudentPair], unlabeled_x: np.ndarray, unlabeled_is_unseen: np.ndarray,
-               gamma: float) -> dict:
-    """The detection half of an evaluation, as ``EvalResult`` fields: the students' scores of the
-    unlabeled set, their AUROC and the mean score of its seen and of its unseen rows."""
+               gamma: float) -> tuple[np.ndarray, dict[str, float]]:
+    """The detection half of an evaluation: the students' scores of the unlabeled set, and the
+    ``_DETECTION`` results, their AUROC and the mean score of its seen and of its unseen rows."""
     scores = _score(pairs, "student", unlabeled_x, gamma)[0]
     flags = np.asarray(unlabeled_is_unseen, dtype=bool)
     # degenerate splits (ratio 0 or 1) leave the detection metric undefined
     auroc = compute_auroc(scores, flags) if (flags.any() and not flags.all()) else float("nan")
-    return dict(
-        auroc=auroc,
-        mean_score_seen=float(scores[~flags].mean()) if (~flags).any() else float("nan"),
-        mean_score_unseen=float(scores[flags].mean()) if flags.any() else float("nan"),
-        scores=scores,
-    )
+    seen = float(scores[~flags].mean()) if (~flags).any() else float("nan")
+    unseen = float(scores[flags].mean()) if flags.any() else float("nan")
+    return scores, dict(zip(_DETECTION, (auroc, seen, unseen)))
 
 
 def _evaluate(state: TrainState) -> EvalResult:
-    """``evaluate_pipeline`` of the students. With a pair worker, whose detection half the epoch
-    loop has queued, this process runs the test half, once the model it reads is final."""
+    """``evaluate_pipeline`` of the students. With a pair worker, the detection half is the one
+    the epoch loop has queued on the worker; in a one-model plan the test half first waits for
+    the worker's last step, since the worker trains the classifier."""
     split, worker = state.split, state.worker
-    if worker is None:
-        return evaluate_pipeline(state.pairs, split.test_x, split.test_y, split.unlabeled_x,
-                                 split.unlabeled_is_unseen, state.config.gamma)
-    if worker.name == next(iter(state.pairs)):  # a one-model plan: the worker trains the classifier
+    if worker is not None and worker.name == next(iter(state.pairs)):
         worker.wait()
-    preds = _classifier_predictions(state.pairs, split.test_x)
-    return EvalResult(accuracy=compute_accuracy(preds, split.test_y), predictions=preds, **worker.detection())
+    return evaluate_pipeline(state.pairs, split.test_x, split.test_y, split.unlabeled_x, split.unlabeled_is_unseen,
+                             state.config.gamma, detection=None if worker is None else worker.detection)
 
 
 def _with_tables(ev: EvalResult, test_y: np.ndarray, unlabeled_is_unseen: np.ndarray) -> EvalResult:
@@ -711,9 +705,7 @@ def _epoch_record(phase: str, iteration: int, epoch_in_phase: int, global_epoch:
         "gate_pass_rate_in": 0.0,
         "gate_pass_rate_out": 0.0,
         "test_accuracy": ev.accuracy if ev else float("nan"),
-        "auroc": ev.auroc if ev else float("nan"),
-        "mean_score_seen": ev.mean_score_seen if ev else float("nan"),
-        "mean_score_unseen": ev.mean_score_unseen if ev else float("nan"),
+        **{name: getattr(ev, name) if ev else float("nan") for name in _DETECTION},
         "training_unlabeled_forwards": unlabeled_forwards,
     }
     if report.batch_unlabeled:
@@ -727,12 +719,9 @@ def _run_epochs(state: TrainState, step_callback=None, epoch_callback=None) -> N
     epoch and records no student objective; an iteration evaluates every
     ``eval_every``-th epoch and its last.
 
-    One schedule for both paths. The phase's steps are drawn in order, each when first needed or
-    ahead at an epoch's end: at most two steps ahead, never past the phase. With a pair worker,
-    each step is staged one step before this process trains its own models on it (none ahead with
-    a step callback), and an evaluated epoch queues the worker's detection after its steps. This
-    process waits on the worker at an epoch's end, before a step callback, for a free slot, and
-    in ``_evaluate``; so each callback runs with the worker idle."""
+    One schedule for both paths, the one the ``pairworker`` module docstring states: the
+    phase's steps are drawn in order, at most two ahead, and with a pair worker each step is
+    staged there before this process trains its own models on it."""
     cfg = state.config
     pretrain = state.iteration < 0
     epochs = cfg.pretrain_epochs if pretrain else cfg.epochs_per_iteration
@@ -845,17 +834,11 @@ def run_training(
     32 MiB for the whole process, also after this call returns.
 
     On two or more CPUs, after pre-training, a forked pair worker
-    (``pairworker.attached``) trains the plan's last model and, at each
-    evaluated epoch, scores the unlabeled set; it is reaped before this call
-    returns or raises. The worker has two step slots: this process stages step
-    i+1 while the worker may still train step i, then trains the plan's other
-    model, if any, on step i. After an evaluated epoch's steps it queues the
-    worker's detection, draws ahead and predicts the test set. It waits on the
-    worker before an epoch record is built, before a step callback, when both
-    slots are taken, and in a one-model plan for the epoch's last step before
-    the test set. Callbacks run with the worker idle and see every student as
-    of the step or epoch they report; nothing of the next epoch is staged
-    before the epoch callback returns. The next steps may already be drawn:
+    (``pairworker.attached``) trains the plan's last model and runs each
+    evaluation's detection half; it is reaped before this call returns or
+    raises. The ``pairworker`` module docstring states when this process waits
+    on it. Callbacks run with the worker idle and see every student as of the
+    step or epoch they report. The next steps may already be drawn:
     ``state.rng`` and ``state.sampler`` are up to two steps ahead, on both paths.
     """
     config.validate()

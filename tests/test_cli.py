@@ -308,6 +308,60 @@ class TestReportVerb:
         # pretrain + train epochs
         assert len(rows) == 3 + 4
 
+    @pytest.mark.parametrize("manifest_form", ("absolute", "relative from another directory"))
+    def test_relative_run_reported_by_another_path(self, config_file, tmp_path, monkeypatch, manifest_form):
+        # the run records its directories relative to the directory it ran in
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", str(config_file), "--ablation", "supervised_only", "--seeds", "2",
+                     "--out-dir", "runs"]) == 0
+        (base,) = Path("runs").glob("run-*")
+        assert [r["run_dir"] for r in RunManifest.load(base / "manifest.json").runs] == [
+            str(base / "seed0"), str(base / "seed1")]
+        written = {p.relative_to(base).as_posix(): p.read_bytes()
+                   for p in [*base.glob("*.csv"), *base.glob("auroc_by_epoch/*.csv")]}
+        assert sorted(written) == ["auroc_by_epoch/seed0.csv", "auroc_by_epoch/seed1.csv",
+                                   "report_aggregate.csv", "report_runs.csv"]
+        for name in written:
+            (base / name).unlink()
+        manifest = tmp_path / base / "manifest.json"
+        if manifest_form != "absolute":
+            (tmp_path / "elsewhere").mkdir()
+            monkeypatch.chdir(tmp_path / "elsewhere")
+            manifest = Path("..") / base / "manifest.json"
+        assert main(["report", "--manifest", str(manifest)]) == 0
+        assert {name: (tmp_path / base / name).read_bytes() for name in written} == written
+
+    def test_missing_run_exit_two(self, config_file, tmp_path, capsys):
+        manifest = self.make_manifest(config_file, tmp_path, "0,1")
+        base = Path(manifest.out_dir)
+        (base / "seed1" / "metrics.jsonl").unlink()
+        assert main(["report", "--manifest", str(base / "manifest.json")]) == 2
+        assert f"run {base / 'seed1'} not found at {base / 'seed1'}" in capsys.readouterr().err
+
+    def test_run_dir_outside_out_dir_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"config_hash": "0", "artifact_version": "0", "dataset_id": "0", "seeds": [0],
+                                    "out_dir": "runs/run-0",
+                                    "runs": [{"seed": 0, "status": "completed", "run_dir": "elsewhere/seed0"}]}))
+        assert main(["report", "--manifest", str(path)]) == 2
+        assert "run_dir 'elsewhere/seed0' is not under out_dir 'runs/run-0'" in capsys.readouterr().err
+
+    def test_include_incomplete_lists_failed_runs_and_keeps_the_aggregate(self, config_file, tmp_path):
+        argv = ["sweep", "--config", str(config_file), "--ablation", "supervised_only",
+                "--axis", "split.unlabeled_size", "--values", "90,100000", "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 3  # the second value asks for more examples than the dataset has
+        (manifest,) = (tmp_path / "out").rglob("manifest.json")
+        base = manifest.parent
+        aggregate = (base / "report_aggregate.csv").read_bytes()
+        with open(base / "report_runs.csv") as fh:
+            assert [r["status"] for r in csv.DictReader(fh)] == ["completed"]
+        assert main(["report", "--manifest", str(manifest), "--include-incomplete"]) == 0
+        with open(base / "report_runs.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["axis_value"], r["status"]) for r in rows] == [("100000", "failed"), ("90", "completed")]
+        assert (base / "report_aggregate.csv").read_bytes() == aggregate
+        assert [p.name for p in (base / "auroc_by_epoch").iterdir()] == ["split_unlabeled_size=90__seed0.csv"]
+
     @pytest.mark.parametrize("text, reason", [
         ("runs: none", "Expecting value"),
         ('{"runs": []}', "missing 5 required positional arguments"),

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dts_ssl import losses, pairworker
+from dts_ssl import losses, pairworker, trainer
 from dts_ssl.benchmarks import benchmark_config, benchmark_split
 from dts_ssl.errors import UndefinedMetricError
 from dts_ssl.models import param_hash
@@ -147,6 +147,23 @@ def test_result_pickles_bit_exactly(tmp_path, forks):
             # the parameters were copied back out of the shared mapping into the model's own vector
             assert model.flat.base is None
             assert all(np.shares_memory(v, model.flat) for v in model.params.values())
+
+
+@pytest.mark.parametrize("mode", ("full", "no_its"))
+def test_every_evaluation_is_one_evaluate_pipeline_call(mode, forks, monkeypatch):
+    # pre-training evaluates each epoch in this process; each iteration evaluates epochs 2 and 3
+    # of 3, taking the worker's detection half
+    calls, evaluate = [], trainer.evaluate_pipeline
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("detection") is not None)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "evaluate_pipeline", counted)
+    config = tiny_config(mode, eval_every=2)
+    run_training(config, tiny_split())
+    assert len(forks) == 1 and reaped(forks[0])
+    assert calls == [False] * config.pretrain_epochs + [True] * (2 * config.iterations)
 
 
 def test_one_model_plan_forks_a_worker_one_cpu_and_other_threads_fork_none(forks):
