@@ -292,11 +292,13 @@ def emit_report(manifest_path: str | Path, include_incomplete: bool = False) -> 
         if r["status"] == "completed" and not (base / tags[-1] / "metrics.jsonl").is_file():
             raise ValidationError(f"manifest {manifest_path}: run {r['run_dir']} not found at {base / tags[-1]}")
 
+    # a sweep's values in its own order, which the manifest keeps (sorted strings put 100000 before 90)
+    values = list(dict.fromkeys(str(r.get("axis_value", "")) for r in completed))
     runs_csv = base / "report_runs.csv"
     with open(runs_csv, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["run_dir", "seed", "ablation", "axis", "axis_value", "status", "accuracy", "auroc"])
-        for r in sorted(completed, key=lambda r: (str(r.get("axis_value", "")), r["seed"])):
+        for r in sorted(completed, key=lambda r: (values.index(str(r.get("axis_value", ""))), r["seed"])):
             writer.writerow([
                 r["run_dir"], r["seed"], r.get("ablation", ""), r.get("axis", ""),
                 r.get("axis_value", ""), r["status"], r.get("accuracy", ""), r.get("auroc", ""),
@@ -311,7 +313,7 @@ def emit_report(manifest_path: str | Path, include_incomplete: bool = False) -> 
     with open(agg_csv, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["group", "runs", "acc_mean", "acc_std", "auroc_mean", "auroc_std"])
-        for key in sorted(groups):
+        for key in groups:  # in the manifest's order, as the runs above
             accs = np.array([r["accuracy"] for r in groups[key]])
             aurocs = np.array([r["auroc"] for r in groups[key]])
             writer.writerow([

@@ -135,10 +135,12 @@ class DualHeadModel:
         # unpickle through __init__, so that ``params`` are views into the new ``flat`` again
         return DualHeadModel, (self.spec, self.K, self.params, self.heads, self.pretrained)
 
-    def rehome(self, flat: np.ndarray) -> None:
+    def rehome(self, flat: np.ndarray, copy: bool = True) -> None:
         """Move the parameters into ``flat``, a float64 vector as long as ``self.flat``: copy them
-        there, then make it ``flat`` and ``params`` views into it."""
-        flat[:] = self.flat
+        there (unless ``copy`` is False: ``flat`` already holds the parameters to use), then make it
+        ``flat`` and ``params`` views into it."""
+        if copy:
+            flat[:] = self.flat
         self.flat, self.params = flat, _views(flat, self.params)
 
     # -- forward / backward --------------------------------------------------

@@ -11,42 +11,56 @@ oversubscribes the CPUs (with OpenBLAS unpinned, a 64-64-32 ``full`` run took
 2.6x as long with the worker as without). Otherwise the run trains serially.
 
 The worker trains the plan's last model (``trainer._model_step``, the code the
-serial path runs): the outlier student of a two-model plan, the one model of a
-one-model plan. The parent draws every step, trains the other model, if any,
-and evaluates. This is the one statement of the schedule (``trainer._run_epochs``):
+serial path runs) on a private copy: the outlier student of a two-model plan,
+the one model of a one-model plan. The parent draws every step, trains the
+other model, if any, and evaluates. This is the one statement of the schedule
+(``trainer._run_epochs``):
 
-- Steps. The parent stages step i+1 in one of ``_SLOTS`` (two) slots, used in
-  turn, before it trains its own model on step i (step i alone when a step
-  callback is set), so the worker starts step i+1 while the parent is busy.
-- Draws, on both paths. A step is drawn when first needed, or after an epoch's
-  steps, when the next epoch's first two are drawn: in order, at most two
-  steps ahead, never past a phase's end.
-- Evaluation. After an evaluated epoch's steps the parent queues a detect
-  command: once both students are final, the worker runs the detection half
-  (``trainer._detection``) while the parent draws ahead. The parent then calls
-  ``trainer.evaluate_pipeline``, which runs the test half and takes the
-  worker's detection half (:meth:`PairWorker.detection`) in place of its own.
+- Steps. The parent stages step i+1 of an epoch in one of ``_SLOTS`` (two)
+  slots, used in turn, before it trains its own model on step i (step i alone
+  when a step callback is set), so the worker trains ahead of the parent.
+- Epoch ends. After an epoch's steps the parent queues a detect command (an
+  evaluated epoch, where the worker detects), stages the next epoch's first two
+  steps (none past a phase's end or ahead of a step callback), draws two more,
+  and only then evaluates, records and calls back, while the worker trains on.
+  Draws keep their order on both paths, at most four steps ahead of the
+  parent's own (on the desk benchmark, one epoch plus two steps).
+- Published copies. After an epoch's last step (every step when a step
+  callback is set) the worker copies its model's parameters and SGD velocity
+  into one of two published copies, used in turn. When the parent takes that
+  step's reply, its view of the model (``state.pairs``, ``state.optimizers``)
+  moves to that copy; a step that publishes is staged only once every earlier
+  publication is in view. So every callback sees every student as of its step
+  or epoch, and none moves while a callback runs.
+- Evaluation. The detection half (``trainer._detection``) runs in the process
+  whose steps forward fewer unlabeled views, the worker on a tie: the parent's
+  teachers forward one per pair and its own model up to two, the worker's
+  model up to two. So the parent detects in ``no_its``, ``no_k1_ots`` and the
+  merged modes, and runs ``trainer.evaluate_pipeline`` whole on the published
+  copy. Elsewhere the worker detects after its steps, then goes on to the
+  staged ones; the parent's ``evaluate_pipeline`` call runs the test half and
+  takes the worker's (:meth:`PairWorker.detection`), before the parent trains
+  its model on the next epoch.
 
-The parent waits on the worker at four points only: before an epoch record is
-built, before a step callback, when both slots are taken (the worker reads its
-step as views into the slot until it replies), and in a one-model plan for the
-epoch's last step, before the test half reads the worker's model. The worker
-waits for a command at an epoch's end. So each process waits about once per
-epoch, and every callback runs with the worker idle and sees every student as
-of the step or epoch it reports. Either way the results are bit-identical: the
-same functions run on the same values, and the random draws keep their order.
+The parent waits on the worker for a slot (the worker reads its step as views
+into the slot until it replies), before it stages a step that publishes while
+an earlier publication is not in view, for the epoch's last step before the
+record (its reports and its copy), for a detection, and for each step before
+a step callback. The worker waits only when nothing is staged. Either way the
+results are bit-identical: the same functions run on the same values, and the
+random draws keep their order.
 
-The two processes share one anonymous mapping. It holds every student's
-parameter vector and the worker model's SGD velocity: the worker reads the
-parent's students to score, and the parent reads the worker's in place for
-checkpoints, teacher refreshes, callbacks and the result. They are copied back
-into private arrays when the worker stops. It also holds the two slots, each
-with a step's inputs and the worker's reply for that step (its model's loss
-values and forwards), and the detection result. A command and its reply are
-one-byte tokens on two pipes: the slot's digit for a step, ``d`` for a
-detection. A waiter polls its pipe for up to ``_POLL_S``, then blocks; end of
-file tells either side that the other is gone. An exception in the worker is
-raised again in the parent, with its own type.
+The two processes share one anonymous mapping. It holds the parameter vectors
+of the parent's students, which the worker reads to score, and the two
+published copies, which the parent reads in place for checkpoints, teacher
+refreshes, callbacks and the result; they are copied back into private arrays
+when the worker stops, the copy in view for the worker's model. It also holds
+the two slots, each with a step's inputs and the worker's reply for that step
+(its model's loss values and forwards), and the detection result. A command
+and its reply are one-byte tokens on two pipes: the slot's digit for a step,
+``d`` for a detection. A waiter polls its pipe for up to ``_POLL_S``, then
+blocks; end of file tells either side that the other is gone. An exception in
+the worker is raised again in the parent, with its own type.
 """
 
 from __future__ import annotations
@@ -107,8 +121,8 @@ class PairWorker:
         self.name = name
         self._state = state
         cfg, split = state.config, state.split
-        self._students = [pair.student for pair in state.pairs.values()]
-        self._optimizer = state.optimizers[name]
+        self._model, self._optimizer = state.pairs[name].student, state.optimizers[name]
+        self._students = [pair.student for other, pair in state.pairs.items() if other != name]  # the parent's
         self._roles = tuple(dict.fromkeys(b.role for b in branches))  # a merged model reads both roles
         self._staged = _INPUTS + tuple(f"{role}_{t}" for role in self._roles for t in _TARGETS)
         rows = min(cfg.batch_size, len(split.labeled_x))
@@ -122,12 +136,13 @@ class PairWorker:
             **{f"{role}_{t}": (dtype, size) for role in self._roles for t, (dtype, size) in
                zip(_TARGETS, ((np.bool_, u_rows), (np.intp, u_rows), (np.float64, classes * u_rows)))},
             "shapes": (np.int64, 3 * len(self._staged)),  # per staged array: ndim (-1 if absent), rows, columns
-            "scalars": (np.float64, 2),  # lr, k1_scored
+            "scalars": (np.float64, 3),  # lr, k1_scored, the copy to publish into (-1: none)
             "reply": (np.float64, 2 + 2 * len(_REPORT_FIELDS)),  # forwards, n, then n (field, value)
         }
         arrays = _mapping({
             **{f"student_{i}": (np.float64, s.flat.size) for i, s in enumerate(self._students)},
-            "velocity": (np.float64, self._optimizer.velocity.size),
+            **{f"{what}/{c}": (np.float64, a.size) for c in range(2)
+               for what, a in (("params", self._model.flat), ("velocity", self._optimizer.velocity))},
             **{f"{name}/{i}": spec for i in range(_SLOTS) for name, spec in slot.items()},
             "scores": (np.float64, len(split.unlabeled_x)),
             "detection": (np.float64, len(_DETECTION)),  # trainer._detection's results, in _DETECTION order
@@ -136,9 +151,9 @@ class PairWorker:
         self._arrays = arrays
         for i, student in enumerate(self._students):
             student.rehome(arrays[f"student_{i}"])
-        arrays["velocity"][:] = self._optimizer.velocity
-        self._optimizer.velocity = arrays["velocity"]
-        self._pending = collections.deque()  # (token, the step's report or None), in the order sent
+        arrays["params/0"][:], arrays["velocity/0"][:] = self._model.flat, self._optimizer.velocity
+        self._show(0)
+        self._pending = collections.deque()  # (token, the step or None, the copy it publishes into or -1)
         self._started = 0  # steps staged so far; step k uses slot k % _SLOTS
 
         cmd_r, self._cmd_w = os.pipe()
@@ -162,11 +177,18 @@ class PairWorker:
 
     # -- the parent's side --------------------------------------------------
 
-    def start(self, step: _Step, lr: float) -> None:
-        """Stage ``step`` in the next slot and have the worker train its model on it. When both
-        slots are taken, first waits for the older step: the worker reads a slot until it replies."""
-        if len(self._pending) == _SLOTS:
+    def start(self, step: _Step, lr: float, publish: bool) -> None:
+        """Stage ``step`` in the next slot and have the worker train its model on it, then, with
+        ``publish``, publish the model into the copy not in view. First waits for the oldest step
+        when every slot is taken (the worker reads a slot until it replies), and with ``publish``
+        for any earlier publication to come into view."""
+        while sum(entry[1] is not None for entry in self._pending) == _SLOTS:
             self._collect()
+        copy = -1
+        if publish:
+            while any(entry[2] >= 0 for entry in self._pending):
+                self._collect()
+            copy = 1 - self._shown
         index = self._started % _SLOTS
         slot = self._slots[index]
         arrays = [step.labeled_x, step.labeled_y, step.weak_u, step.strong_u, step.weights]
@@ -178,14 +200,14 @@ class PairWorker:
             if a is not None:
                 np.copyto(slot[name][: a.size], a.ravel(), casting="no")
         slot["shapes"][:] = shapes
-        slot["scalars"][:] = (lr, step.k1_scored)
+        slot["scalars"][:] = (lr, step.k1_scored, copy)
         self._started += 1
-        self._send(b"%d" % index, step.report)
+        self._send(b"%d" % index, step, copy)
 
-    def wait(self) -> None:
-        """Wait for every step started: each one's report fields go into its report, and its
-        unlabeled forwards into the run's count."""
-        while self._pending and self._pending[0][0] != b"d":
+    def wait(self, step: _Step) -> None:
+        """Wait for the replies up to ``step``'s: each step's report fields go into its report, its
+        unlabeled forwards into the run's count, and the view moves to each copy published."""
+        while any(entry[1] is step for entry in self._pending):
             self._collect()
 
     def detect(self) -> None:
@@ -194,9 +216,9 @@ class PairWorker:
         self._send(b"d")
 
     def detection(self) -> tuple[np.ndarray, dict[str, float]]:
-        """Wait for the steps started and the detection :meth:`detect` began: what
-        ``trainer._detection`` returned in the worker."""
-        while self._pending:
+        """Wait for the detection :meth:`detect` began: what ``trainer._detection`` returned in
+        the worker."""
+        while any(entry[0] == b"d" for entry in self._pending):
             self._collect()
         return self._arrays["scores"].copy(), dict(zip(_DETECTION, self._arrays["detection"].tolist()))
 
@@ -207,38 +229,49 @@ class PairWorker:
             os.waitpid(self._pid, 0)
         finally:
             os.close(self._reply_r)
-        for student in self._students:
+        for student in (*self._students, self._model):
             student.rehome(np.empty_like(student.flat))
         self._optimizer.velocity = self._optimizer.velocity.copy()
         self._arrays = self._slots = None  # the mapping is unmapped with its last view
 
-    def _send(self, token: bytes, report: LossReport | None = None) -> None:
+    def _send(self, token: bytes, step: _Step | None = None, copy: int = -1) -> None:
         try:
             os.write(self._cmd_w, token)
         except BrokenPipeError as exc:
             while self._pending:  # raises what the worker raised, if it did
                 self._collect()
             raise ChildProcessError("the pair worker exited") from exc
-        self._pending.append((token, report))
+        self._pending.append((token, step, copy))
 
     def _collect(self) -> None:
-        """Wait for the reply to the oldest command; a step's goes into its report."""
-        token, report = self._pending.popleft()
+        """Wait for the reply to the oldest command; a step's goes into its report, and the view
+        moves to the copy it published, if any."""
+        token, step, copy = self._pending.popleft()
         got = _receive(self._reply_r)
         if got == b"x":
             exc, text = _read_exception(self._reply_r)
             raise exc from ChildProcessError(f"raised in the pair worker:\n{text}")
         if got != token:
             raise ChildProcessError("the pair worker exited")
-        if report is not None:
+        if step is not None:
             reply = self._slots[int(token)]["reply"]
             pairs = reply[2 : 2 + 2 * int(reply[1])].reshape(-1, 2)
-            _credit(self._state, report, {_REPORT_FIELDS[int(i)]: float(v) for i, v in pairs}, int(reply[0]))
+            _credit(self._state, step.report, {_REPORT_FIELDS[int(i)]: float(v) for i, v in pairs}, int(reply[0]))
+        if copy >= 0:
+            self._show(copy)
+
+    def _show(self, copy: int) -> None:
+        """Make published copy ``copy`` this process's view of the worker's model and its velocity."""
+        self._model.rehome(self._arrays[f"params/{copy}"], copy=False)
+        self._optimizer.velocity = self._arrays[f"velocity/{copy}"]
+        self._shown = copy
 
     # -- the worker's side --------------------------------------------------
 
     def _serve(self, cmd_r: int, reply_w: int, state, branches) -> None:
-        student, split = state.pairs[self.name].student, state.split
+        model, optimizer, split = self._model, self._optimizer, state.split
+        model.rehome(np.empty_like(model.flat))  # the private copy this process trains
+        optimizer.velocity = optimizer.velocity.copy()
         while True:
             token = _receive(cmd_r)
             if token == b"d":
@@ -248,28 +281,32 @@ class PairWorker:
                 self._arrays["detection"][:] = [found[name] for name in _DETECTION]
             elif token:  # a step, staged in slot int(token)
                 slot = self._slots[int(token)]
-                step, lr = self._step(slot)
-                values, forwards = _model_step(student, self._optimizer, branches, step, state.config, lr)
+                step, lr, copy = self._step(slot)
+                values, forwards = _model_step(model, optimizer, branches, step, state.config, lr)
                 reply = slot["reply"]
                 reply[:2] = forwards, len(values)
                 for j, (name, value) in enumerate(values.items()):
                     reply[2 + 2 * j : 4 + 2 * j] = _REPORT_FIELDS.index(name), value
+                if copy >= 0:
+                    self._arrays[f"params/{copy}"][:] = model.flat
+                    self._arrays[f"velocity/{copy}"][:] = optimizer.velocity
             else:  # end of file: the parent is done, or gone
                 return
             os.write(reply_w, token)
 
-    def _step(self, slot: dict[str, np.ndarray]) -> tuple[_Step, float]:
-        """The step staged in ``slot``, as views into the mapping, and its learning rate."""
+    def _step(self, slot: dict[str, np.ndarray]) -> tuple[_Step, float, int]:
+        """The step staged in ``slot``, as views into the mapping, its learning rate and the copy
+        to publish into after it (-1: none)."""
         shapes, a = slot["shapes"].tolist(), {}
         for name, ndim, rows, columns in zip(self._staged, shapes[::3], shapes[1::3], shapes[2::3]):
             staged = slot[name]
             a[name] = None if ndim < 0 else staged[:rows] if ndim == 1 else staged[: rows * columns].reshape(rows, columns)
         targets = {role: tuple(a[f"{role}_{t}"] for t in _TARGETS) for role in self._roles
                    if a[f"{role}_gate"] is not None}
-        lr, k1_scored = slot["scalars"].tolist()
+        lr, k1_scored, copy = slot["scalars"].tolist()
         step = _Step(a["labeled_x"], a["labeled_y"], a["weak_u"], a["strong_u"], targets, a["weights"],
                      bool(k1_scored), LossReport(), 0)
-        return step, lr
+        return step, lr, int(copy)
 
 
 def _mapping(layout: dict) -> dict[str, np.ndarray]:

@@ -8,9 +8,9 @@ the unlabeled batch with the teachers, updates the inlier student on its
 objective, then updates the outlier student on its objective. At iteration
 boundaries each student is copied into its teacher. Where the process may use
 two CPUs, the iterations run with a forked pair worker (``pairworker``) that
-trains the plan's last model and runs each evaluation's detection half. Both
-paths run one epoch schedule (``_run_epochs``), which the ``pairworker``
-module docstring states, and give the same bits.
+trains the plan's last model and, in most modes, runs each evaluation's
+detection half. Both paths run one epoch schedule (``_run_epochs``), which the
+``pairworker`` module docstring states, and give the same bits.
 
 Pre-training is the CE-only merged plan: the teacher, as the one model of a
 ``merged`` pair, trains the branches (inlier, k) and (outlier, k1) with no
@@ -572,6 +572,12 @@ def _model_step(student: DualHeadModel, optimizer: SGD, branches: tuple[_Branch,
     return fields, forwards
 
 
+def _unlabeled_views(branches: tuple[_Branch, ...]) -> int:
+    """Unlabeled-view forwards of one model's step (``_model_step``): the strong view when a branch
+    has unlabeled terms, and the weak view once per consistency term."""
+    return any(b.terms for b in branches) + sum(b.terms.count("cr") for b in branches)
+
+
 def _train_step(state: TrainState, plan: dict[str, tuple[_Branch, ...]], step: _Step, lr: float) -> None:
     """Train every model of ``plan`` on ``step``, crediting each one's report fields to the step."""
     state.training_unlabeled_forwards += step.forwards
@@ -657,15 +663,12 @@ def _detection(pairs: dict[str, TeacherStudentPair], unlabeled_x: np.ndarray, un
     return scores, dict(zip(_DETECTION, (auroc, seen, unseen)))
 
 
-def _evaluate(state: TrainState) -> EvalResult:
-    """``evaluate_pipeline`` of the students. With a pair worker, the detection half is the one
-    the epoch loop has queued on the worker; in a one-model plan the test half first waits for
-    the worker's last step, since the worker trains the classifier."""
-    split, worker = state.split, state.worker
-    if worker is not None and worker.name == next(iter(state.pairs)):
-        worker.wait()
+def _evaluate(state: TrainState, detection=None) -> EvalResult:
+    """``evaluate_pipeline`` of the students, with ``detection`` in place of its own detection
+    half when given: the pair worker's, where it detects."""
+    split = state.split
     return evaluate_pipeline(state.pairs, split.test_x, split.test_y, split.unlabeled_x, split.unlabeled_is_unseen,
-                             state.config.gamma, detection=None if worker is None else worker.detection)
+                             state.config.gamma, detection=detection)
 
 
 def _with_tables(ev: EvalResult, test_y: np.ndarray, unlabeled_is_unseen: np.ndarray) -> EvalResult:
@@ -720,45 +723,61 @@ def _run_epochs(state: TrainState, step_callback=None, epoch_callback=None) -> N
     ``eval_every``-th epoch and its last.
 
     One schedule for both paths, the one the ``pairworker`` module docstring states: the
-    phase's steps are drawn in order, at most two ahead, and with a pair worker each step is
-    staged there before this process trains its own models on it."""
+    phase's steps are drawn in order; with a pair worker each step is staged there before this
+    process trains its own models on it, and the next epoch's first steps before this epoch is
+    evaluated, recorded and called back."""
     cfg = state.config
     pretrain = state.iteration < 0
     epochs = cfg.pretrain_epochs if pretrain else cfg.epochs_per_iteration
     eval_every = 1 if pretrain else cfg.eval_every
     worker = state.worker
-    own = {name: b for name, b in _step_plan(state.pipeline, cfg).items() if worker is None or name != worker.name}
+    plan = _step_plan(state.pipeline, cfg)
+    own = {name: b for name, b in plan.items() if worker is None or name != worker.name}
+    # the detection half runs in the process whose steps forward fewer unlabeled views, the worker on a
+    # tie: here the teachers' (one per pair) and this process's own models', there the worker model's
+    here = len(state.pairs) * state.pipeline.uses_unlabeled + sum(map(_unlabeled_views, own.values()))
+    detection = worker.detection if worker is not None and here >= _unlabeled_views(plan[worker.name]) else None
     steps = state.sampler.steps_per_epoch
+    lrs = [_lr_at(cfg, state.global_epoch + epoch, state.total_epochs) for epoch in range(epochs)]
     draws = (_draw_step(state, batch) for _ in range(epochs) for batch in state.sampler.epoch())
-    drawn = collections.deque()
+    drawn, staged = collections.deque(), collections.deque()  # staged: taken in order, not yet trained here
+    taken = 0  # steps of the phase staged so far
     lead = 0 if step_callback is not None else 1  # steps staged ahead of this process's own
 
+    def stage(upto: int) -> None:
+        """Take the phase's steps up to index ``upto`` (exclusive) and start each on the worker."""
+        nonlocal taken
+        for k in range(taken, upto):
+            staged.append(drawn.popleft() if drawn else next(draws))
+            if worker is not None:
+                worker.start(staged[-1], lrs[k // steps], step_callback is not None or k % steps == steps - 1)
+        taken = max(taken, upto)
+
     for epoch in range(epochs):
-        lr = _lr_at(cfg, state.global_epoch, state.total_epochs)
+        lr = lrs[epoch]
         evaluated = (epoch + 1) % eval_every == 0 or epoch == epochs - 1
-        queue, reports = collections.deque(), []  # queue: steps i, i+1, ... taken, not yet trained here
-        for i in range(steps):
-            while len(queue) <= lead and i + len(queue) < steps:
-                queue.append(drawn.popleft() if drawn else next(draws))
-                if worker is not None:
-                    worker.start(queue[-1], lr)
-            step = queue.popleft()
+        end, reports = (epoch + 1) * steps, []
+        for k in range(end - steps, end):
+            stage(min(k + 1 + lead, end))
+            step = staged.popleft()
             _train_step(state, own, step, lr)
             reports.append(step.report)
             if step_callback is not None:
                 if worker is not None:
-                    worker.wait()
+                    worker.wait(step)
                 step_callback(state, step.report)
-        if evaluated and worker is not None:
+        if evaluated and detection is not None:
             worker.detect()  # queued after the steps: it scores the final students
+        if lead:  # the next epoch's first two steps, which the worker trains while this epoch is recorded
+            stage(min(end + 2, end + steps, epochs * steps))
         drawn.extend(itertools.islice(draws, 2 - len(drawn)))
+        if worker is not None:
+            worker.wait(step)  # the epoch's reports are complete and state.pairs shows its students
         ev = None
         if evaluated:
-            ev = state.last_eval = _evaluate(state)
+            ev = state.last_eval = _evaluate(state, detection)
             if cfg.dump_scores and state.out_dir is not None:
                 _dump_epoch_scores(state, ev.scores)
-        if worker is not None:
-            worker.wait()
         report = _mean_report(reports)
         if pretrain:
             report.inlier_total = report.outlier_total = 0.0
@@ -834,12 +853,16 @@ def run_training(
     32 MiB for the whole process, also after this call returns.
 
     On two or more CPUs, after pre-training, a forked pair worker
-    (``pairworker.attached``) trains the plan's last model and runs each
-    evaluation's detection half; it is reaped before this call returns or
-    raises. The ``pairworker`` module docstring states when this process waits
-    on it. Callbacks run with the worker idle and see every student as of the
-    step or epoch they report. The next steps may already be drawn:
-    ``state.rng`` and ``state.sampler`` are up to two steps ahead, on both paths.
+    (``pairworker.attached``) trains the plan's last model on a private copy
+    and, in most modes, runs each evaluation's detection half; it is reaped
+    before this call returns or raises. The ``pairworker`` module
+    docstring states when this process waits on it. Callbacks see every student
+    (``state.pairs``) as of the step or epoch they report, and no student moves
+    while one runs, though without a step callback the worker may already train
+    the next epoch. The next steps may already be drawn: ``state.rng`` and
+    ``state.sampler`` are up to four steps (on the desk benchmark, one epoch
+    plus two steps) ahead, on both paths. When a callback raises, the
+    ``aborted`` checkpoints hold the students as of its step or epoch.
     """
     config.validate()
     _hold_heap()

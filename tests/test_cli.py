@@ -211,6 +211,20 @@ class TestSweepVerb:
         assert [r["group"] for r in rows] == ["0.3", "0.6"]
         assert all(int(r["runs"]) == 2 for r in rows)
 
+    def test_numeric_axis_keeps_the_sweep_order(self, config_file, tmp_path):
+        # as strings, "10" sorts before "9"; the report lists the values as the sweep gave them
+        manifest = sweep(
+            config_file, "train.pretrain_epochs", ["9", "10"],
+            overrides=["train.ablation_mode=supervised_only", "seeds=1,0"],
+            out_dir=tmp_path / "out",
+        )
+        base = Path(manifest.out_dir)
+        with open(base / "report_runs.csv") as fh:
+            assert [(r["axis_value"], r["seed"]) for r in csv.DictReader(fh)] == [
+                ("9", "0"), ("9", "1"), ("10", "0"), ("10", "1")]
+        with open(base / "report_aggregate.csv") as fh:
+            assert [r["group"] for r in csv.DictReader(fh)] == ["9", "10"]
+
     def test_bare_axis_names_resolve(self, config_file, tmp_path):
         manifest = sweep(
             config_file, "lambda_seen", ["0.15", "0.25"],
@@ -358,7 +372,7 @@ class TestReportVerb:
         assert main(["report", "--manifest", str(manifest), "--include-incomplete"]) == 0
         with open(base / "report_runs.csv") as fh:
             rows = list(csv.DictReader(fh))
-        assert [(r["axis_value"], r["status"]) for r in rows] == [("100000", "failed"), ("90", "completed")]
+        assert [(r["axis_value"], r["status"]) for r in rows] == [("90", "completed"), ("100000", "failed")]
         assert (base / "report_aggregate.csv").read_bytes() == aggregate
         assert [p.name for p in (base / "auroc_by_epoch").iterdir()] == ["split_unlabeled_size=90__seed0.csv"]
 

@@ -1,10 +1,12 @@
-"""The pair worker: a run that trains the plan's last model and scores the unlabeled set in a
-forked process gives what the serial run in one process gives, shows its callbacks the same
-students with the worker idle, leaves no process behind, and carries worker failures home."""
+"""The pair worker: a run that trains the plan's last model (and, in most modes, scores the
+unlabeled set) in a forked process gives what the serial run in one process gives, shows its
+callbacks the same students while the worker trains ahead, leaves no process behind, and carries
+worker failures home."""
 
 import json
 import os
 import pickle
+import select
 import signal
 import threading
 import time
@@ -70,10 +72,19 @@ def run_files(out_dir):
     return {p.relative_to(out_dir).as_posix(): p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()}
 
 
-def assert_same_run(config, split, tmp_path, forks):
-    worker = run_training(config, split, out_dir=tmp_path / "worker")
+def replied_ahead(state) -> bool:
+    """Inside an epoch callback on the worker path: whether the worker replies to the next epoch's
+    first step before the callback returns. Every reply up to the epoch's end has been taken, so
+    the next one on the pipe is that step's; waits up to 10 s for it, without taking it."""
+    worker = state.worker
+    assert worker._pending and worker._pending[0][1] is not None  # a step, staged before the callback
+    return bool(select.select([worker._reply_r], [], [], 10.0)[0])
+
+
+def assert_same_run(config, split, tmp_path, forks, **callbacks):
+    worker = run_training(config, split, out_dir=tmp_path / "worker", **callbacks)
     assert len(forks) == 1 and reaped(forks[0])
-    alone = serial(lambda: run_training(config, split, out_dir=tmp_path / "serial"))
+    alone = serial(lambda: run_training(config, split, out_dir=tmp_path / "serial", **callbacks))
     assert len(forks) == 1  # the serial run forked nothing
     assert json.dumps(worker.history) == json.dumps(alone.history)
     assert json.dumps(worker.final_eval.as_dict()) == json.dumps(alone.final_eval.as_dict())
@@ -87,6 +98,16 @@ def assert_same_run(config, split, tmp_path, forks):
 @pytest.mark.parametrize("mode", TWO_PAIR_MODES + ONE_MODEL_MODES)
 def test_worker_run_equals_serial_run(mode, tmp_path, forks):
     assert_same_run(tiny_config(mode), tiny_split(), tmp_path, forks)
+
+
+@pytest.mark.parametrize("batch_size", (8, 24))  # three steps an epoch, and one
+@pytest.mark.parametrize("mode", ("full", "no_its"))
+def test_worker_run_equals_serial_run_at_other_step_counts(mode, batch_size, tmp_path, forks):
+    # under a cosine schedule each epoch has its own learning rate, which a step staged during the
+    # previous epoch carries; at one step an epoch, the next epoch's step publishes into the copy
+    # in view until this epoch's copy is taken
+    config = tiny_config(mode, batch_size=batch_size, lr_schedule="cosine", eval_every=2)
+    assert_same_run(config, tiny_split(), tmp_path, forks)
 
 
 @pytest.mark.parametrize("seed", (0, 1, 2))
@@ -105,12 +126,50 @@ def test_worker_run_equals_serial_run_with_unevaluated_epochs_and_score_dumps(mo
     assert len(list((tmp_path / "worker" / "score_dumps").iterdir())) == config.pretrain_epochs + 4 == 54
 
 
+@pytest.mark.parametrize("mode", TWO_PAIR_MODES + ONE_MODEL_MODES)
+def test_worker_trains_ahead_of_a_slow_epoch_callback(mode, tmp_path, forks):
+    # the callback sleeps 5-20 ms; meanwhile the worker trains the next epoch's first step on its
+    # private copy, and the run still equals the serial one, file for file
+    ahead = []
+
+    def slow(state, record):
+        time.sleep(0.005 + 0.005 * (record["global_epoch"] % 4))
+        if state.worker is not None and record["epoch"] < config.epochs_per_iteration - 1:
+            ahead.append(replied_ahead(state))
+
+    config = benchmark_config(mode, 0, **SHORT)
+    assert_same_run(config, benchmark_split(0), tmp_path, forks, epoch_callback=slow)
+    # every epoch but a phase's last stages the next epoch's first step before its callback
+    assert ahead == [True] * (config.iterations * (config.epochs_per_iteration - 1))
+
+
+@pytest.mark.parametrize("mode", ("full", "no_its", "no_k1_its"))
+def test_aborted_checkpoints_hold_the_published_epoch(mode, tmp_path, forks):
+    # the callback of train epoch 3 raises once the worker's private copy is ahead of the copy in
+    # view; the aborted checkpoints hold epoch 3 all the same, as on the serial path
+    def failing(state, record):
+        if record["epoch"] == 3:
+            assert state.worker is None or replied_ahead(state)
+            raise KeyError("stop at epoch 3")
+
+    config, split = benchmark_config(mode, 0, **SHORT), benchmark_split(0)
+    for out, run in (("worker", lambda f: f()), ("serial", serial)):
+        with pytest.raises(KeyError, match="stop at epoch 3"):
+            run(lambda: run_training(config, split, out_dir=tmp_path / out, epoch_callback=failing))
+    assert len(forks) == 1 and reaped(forks[0])
+    files = run_files(tmp_path / "worker")
+    assert files == run_files(tmp_path / "serial")
+    names = [name for name, _ in apply_ablation(mode, config).pairs]
+    assert {f"checkpoints/{name}_student_aborted.npz" for name in names} <= set(files)
+
+
 @pytest.mark.parametrize("steps_too", (False, True))
 @pytest.mark.parametrize("mode", TWO_PAIR_MODES + ONE_MODEL_MODES)
-def test_callbacks_see_the_students_of_their_step_with_the_worker_idle(mode, steps_too):
+def test_callbacks_see_the_students_of_their_step(mode, steps_too):
     # the worker trains the plan's last model; every callback sees it as of the step or epoch
-    # reported, and it does not move while a callback runs. A step callback makes the worker
-    # wait at every step, so the epoch callback is also watched alone
+    # reported, and it does not move while a callback runs, though without a step callback the
+    # worker trains the next epoch meanwhile. A step callback keeps the worker in lockstep, so
+    # the epoch callback is also watched alone
     def watched():
         seen = []
 
@@ -149,10 +208,12 @@ def test_result_pickles_bit_exactly(tmp_path, forks):
             assert all(np.shares_memory(v, model.flat) for v in model.params.values())
 
 
-@pytest.mark.parametrize("mode", ("full", "no_its"))
-def test_every_evaluation_is_one_evaluate_pipeline_call(mode, forks, monkeypatch):
+@pytest.mark.parametrize("mode, in_worker", (("full", True), ("no_its", False), ("no_k1_its", True),
+                                             ("supervised_only", True)))
+def test_every_evaluation_is_one_evaluate_pipeline_call(mode, in_worker, forks, monkeypatch):
     # pre-training evaluates each epoch in this process; each iteration evaluates epochs 2 and 3
-    # of 3, taking the worker's detection half
+    # of 3, taking the worker's detection half unless the worker's steps forward more unlabeled
+    # views than this process's (no_its: the strong and the weak view against the teacher's one)
     calls, evaluate = [], trainer.evaluate_pipeline
 
     def counted(*args, **kwargs):
@@ -163,7 +224,7 @@ def test_every_evaluation_is_one_evaluate_pipeline_call(mode, forks, monkeypatch
     config = tiny_config(mode, eval_every=2)
     run_training(config, tiny_split())
     assert len(forks) == 1 and reaped(forks[0])
-    assert calls == [False] * config.pretrain_epochs + [True] * (2 * config.iterations)
+    assert calls == [False] * config.pretrain_epochs + [in_worker] * (2 * config.iterations)
 
 
 def test_one_model_plan_forks_a_worker_one_cpu_and_other_threads_fork_none(forks):
@@ -235,10 +296,10 @@ def test_dead_worker_is_reported_and_reaped(tmp_path, forks):
     assert (tmp_path / "checkpoints" / "outlier_student_aborted.npz").exists()
 
 
-@pytest.mark.parametrize("mode", ("full", "no_its"))
-def test_divergence_raises_the_same_error_on_both_paths(mode, tmp_path, forks):
+@pytest.mark.parametrize("mode, in_worker", (("full", True), ("no_its", False), ("no_k1_its", True)))
+def test_divergence_raises_the_same_error_on_both_paths(mode, in_worker, tmp_path, forks):
     # tanh at lr=1e6 overflows after pre-training; the first evaluation that scores non-finite
-    # raises, on the worker path in the worker's detection
+    # raises, on the worker path in the detection half, wherever it runs
     config, split = benchmark_config(mode, 0, activation="tanh", lr=1e6), benchmark_split(0)
     caught = []
     for out, run in (("worker", lambda f: f()), ("serial", serial)):
@@ -248,7 +309,10 @@ def test_divergence_raises_the_same_error_on_both_paths(mode, tmp_path, forks):
         caught.append(error.value)
     assert [type(e) for e in caught] == [UndefinedMetricError] * 2
     assert str(caught[0]) == str(caught[1]) and "AUROC needs finite scores" in str(caught[0])
-    assert "raised in the pair worker" in str(caught[0].__cause__)
+    if in_worker:
+        assert "raised in the pair worker" in str(caught[0].__cause__)
+    else:
+        assert caught[0].__cause__ is None
     assert len(forks) == 1 and reaped(forks[0])
     assert run_files(tmp_path / "worker") == run_files(tmp_path / "serial")
     names = [name for name, _ in apply_ablation(mode, config).pairs]
