@@ -61,6 +61,10 @@ class ExperimentConfig:
             problems.append("seeds: must list at least one seed")
         elif not any(msg.startswith("seeds:") for msg in problems) and min(self.seeds) < 0:
             problems.append("seeds: must be >= 0")
+        if (self.train.seed != 0 and self.seeds != [self.train.seed]
+                and not any(msg.startswith(("seeds:", "train.seed:")) for msg in problems)):
+            problems.append(f"train.seed: a run's seed comes from seeds (or --seed); train.seed must be 0 "
+                            f"or the one entry of seeds, got {self.train.seed} with seeds {self.seeds}")
         if problems:
             raise ValidationError(*problems)
 
@@ -187,7 +191,7 @@ def _execute_single(config: ExperimentConfig, seed: int, run_dir: Path) -> dict:
     split = config.split.build(config.dataset.load(seed), seed)
     train_cfg = dataclasses.replace(config.train, seed=seed)
     run_dir.mkdir(parents=True, exist_ok=True)
-    effective = config.to_dict()
+    effective = {**config.to_dict(), "seeds": [seed]}  # the run's seed in both places, as validate allows
     effective["train"]["seed"] = seed
     (run_dir / "effective_config.json").write_text(json.dumps(effective, indent=2))
     result = run_training(train_cfg, split, out_dir=run_dir)
@@ -352,9 +356,6 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=None, help="run a single seed")
     sub.add_argument("--seeds", type=int, default=None, help="run seeds 0..N-1")
     sub.add_argument("--ablation", default=None, help="ablation mode override")
-    sub.add_argument("--dataset", default=None, help="dataset path override (csv/cifar10)")
-    sub.add_argument("--mismatch-ratio", type=float, default=None)
-    sub.add_argument("--labeled-size", type=int, default=None)
     sub.add_argument("--out-dir", default=None)
 
 
@@ -362,12 +363,6 @@ def _flag_overrides(args: argparse.Namespace) -> list[str]:
     overrides = list(args.overrides)
     if args.ablation is not None:
         overrides.append(f"train.ablation_mode={args.ablation}")
-    if args.dataset is not None:
-        overrides.append(f"dataset.path={args.dataset}")
-    if args.mismatch_ratio is not None:
-        overrides.append(f"split.mismatch_ratio={args.mismatch_ratio}")
-    if args.labeled_size is not None:
-        overrides.append(f"split.labeled_size={args.labeled_size}")
     if args.seed is not None and args.seeds is not None:
         raise ValidationError("--seed and --seeds are mutually exclusive")
     if args.seed is not None:

@@ -550,7 +550,9 @@ class DatasetSpec:
                    f"max_per_class: only a cifar10 dataset subsamples, got {self.max_per_class} "
                    f"for kind {self.kind!r}")]
         if self.kind == "synthetic":
-            checks += _synthetic_checks(*self._synthetic_args())
+            checks += [*_synthetic_checks(*self._synthetic_args()),
+                       (self.path is None, f"path: only a csv or cifar10 dataset reads a path, got {self.path!r} "
+                                           f"for kind 'synthetic'")]
         elif self.kind in DATASET_KINDS:  # csv and cifar10 read a local path
             checks += [(bool(self.path), "path: required for csv/cifar10 datasets"),
                        (not self.path or Path(self.path).exists(), f"path: {self.path} does not exist")]

@@ -3,12 +3,12 @@
 Within an iteration the teachers are frozen, so a step's draw (batch, views,
 teacher targets) does not depend on the students it feeds, and each student
 reads only those targets. ``run_training`` enters :func:`attached` after pair
-derivation. When the process may run on at least two CPUs
-(``os.sched_getaffinity``), ``fork`` exists and the process runs one thread, it
-forks one worker, whatever the mode. One thread means no other Python thread,
-which makes forking unsafe, and no BLAS thread pool: a pool in each process
-oversubscribes the CPUs (with OpenBLAS unpinned, a 64-64-32 ``full`` run took
-2.6x as long with the worker as without). Otherwise the run trains serially.
+derivation, unless a step callback is set. When the process may run on at least
+two CPUs (``os.sched_getaffinity``), ``fork`` exists and the process runs one
+thread, it forks one worker, whatever the mode. One thread means no other Python
+thread, which makes forking unsafe, and no BLAS thread pool: a pool in each
+process oversubscribes the CPUs (with OpenBLAS unpinned, a 64-64-32 ``full`` run
+took 2.6x as long with the worker as without). Otherwise the run trains serially.
 
 The worker trains the plan's last model (``trainer._model_step``, the code the
 serial path runs) on a private copy: the outlier student of a two-model plan,
@@ -16,22 +16,23 @@ the one model of a one-model plan. The parent draws every step, trains the
 other model, if any, and evaluates. This is the one statement of the schedule
 (``trainer._run_epochs``):
 
-- Steps. The parent stages step i+1 of an epoch in one of ``_SLOTS`` (two)
-  slots, used in turn, before it trains its own model on step i (step i alone
-  when a step callback is set), so the worker trains ahead of the parent.
+- Steps. Steps are drawn only when they are staged, in order, on both paths.
+  The parent stages step i+1 of an epoch in one of ``_SLOTS`` (two) slots, used
+  in turn, before it trains its own model on step i, so the worker trains ahead
+  of the parent. A run with a step callback has no worker and draws each step
+  just before it trains it.
 - Epoch ends. After an epoch's steps the parent queues a detect command (an
   evaluated epoch, where the worker detects), stages the next epoch's first two
-  steps (none past a phase's end or ahead of a step callback), draws two more,
-  and only then evaluates, records and calls back, while the worker trains on.
-  Draws keep their order on both paths, at most four steps ahead of the
-  parent's own (on the desk benchmark, one epoch plus two steps).
-- Published copies. After an epoch's last step (every step when a step
-  callback is set) the worker copies its model's parameters and SGD velocity
-  into one of two published copies, used in turn. When the parent takes that
-  step's reply, its view of the model (``state.pairs``, ``state.optimizers``)
-  moves to that copy; a step that publishes is staged only once every earlier
-  publication is in view. So every callback sees every student as of its step
-  or epoch, and none moves while a callback runs.
+  steps (none past a phase's end), and only then evaluates, records and calls
+  back, while the worker trains on. So ``state.rng`` and ``state.sampler`` are
+  at most two steps ahead of the parent's training.
+- Published copies. After an epoch's last step the worker copies its model's
+  parameters and SGD velocity into one of two published copies, used in turn.
+  When the parent takes that step's reply, its view of the model
+  (``state.pairs``, ``state.optimizers``) moves to that copy; a step that
+  publishes is staged only once every earlier publication is in view. So an
+  epoch callback sees every student as of its epoch, and none moves while it
+  runs.
 - Evaluation. The detection half (``trainer._detection``) runs in the process
   whose steps forward fewer unlabeled views, the worker on a tie: the parent's
   teachers forward one per pair and its own model up to two, the worker's
@@ -45,10 +46,9 @@ other model, if any, and evaluates. This is the one statement of the schedule
 The parent waits on the worker for a slot (the worker reads its step as views
 into the slot until it replies), before it stages a step that publishes while
 an earlier publication is not in view, for the epoch's last step before the
-record (its reports and its copy), for a detection, and for each step before
-a step callback. The worker waits only when nothing is staged. Either way the
-results are bit-identical: the same functions run on the same values, and the
-random draws keep their order.
+record (its reports and its copy), and for a detection. The worker waits only
+when nothing is staged. Either way the results are bit-identical: the same
+functions run on the same values, and the random draws keep their order.
 
 The two processes share one anonymous mapping. It holds the parameter vectors
 of the parent's students, which the worker reads to score, and the two

@@ -7,10 +7,11 @@ of iterations. Within an iteration the teachers are frozen; every step scores
 the unlabeled batch with the teachers, updates the inlier student on its
 objective, then updates the outlier student on its objective. At iteration
 boundaries each student is copied into its teacher. Where the process may use
-two CPUs, the iterations run with a forked pair worker (``pairworker``) that
-trains the plan's last model and, in most modes, runs each evaluation's
-detection half. Both paths run one epoch schedule (``_run_epochs``), which the
-``pairworker`` module docstring states, and give the same bits.
+two CPUs and no step callback is set, the iterations run with a forked pair
+worker (``pairworker``) that trains the plan's last model and, in most modes,
+runs each evaluation's detection half. Both paths run one epoch schedule
+(``_run_epochs``), which the ``pairworker`` module docstring states, and give
+the same bits.
 
 Pre-training is the CE-only merged plan: the teacher, as the one model of a
 ``merged`` pair, trains the branches (inlier, k) and (outlier, k1) with no
@@ -65,10 +66,10 @@ head's sum back to (N, C) once, for ``DualHeadModel.backward``.
 from __future__ import annotations
 
 import collections
+import contextlib
 import ctypes
 import dataclasses
 import hashlib
-import itertools
 import json
 import math
 import platform
@@ -722,10 +723,8 @@ def _run_epochs(state: TrainState, step_callback=None, epoch_callback=None) -> N
     epoch and records no student objective; an iteration evaluates every
     ``eval_every``-th epoch and its last.
 
-    One schedule for both paths, the one the ``pairworker`` module docstring states: the
-    phase's steps are drawn in order; with a pair worker each step is staged there before this
-    process trains its own models on it, and the next epoch's first steps before this epoch is
-    evaluated, recorded and called back."""
+    Steps are drawn only by ``stage``, in order, on both paths; the ``pairworker`` module
+    docstring states the schedule."""
     cfg = state.config
     pretrain = state.iteration < 0
     epochs = cfg.pretrain_epochs if pretrain else cfg.epochs_per_iteration
@@ -740,17 +739,17 @@ def _run_epochs(state: TrainState, step_callback=None, epoch_callback=None) -> N
     steps = state.sampler.steps_per_epoch
     lrs = [_lr_at(cfg, state.global_epoch + epoch, state.total_epochs) for epoch in range(epochs)]
     draws = (_draw_step(state, batch) for _ in range(epochs) for batch in state.sampler.epoch())
-    drawn, staged = collections.deque(), collections.deque()  # staged: taken in order, not yet trained here
+    staged = collections.deque()  # drawn in order, not yet trained here
     taken = 0  # steps of the phase staged so far
     lead = 0 if step_callback is not None else 1  # steps staged ahead of this process's own
 
     def stage(upto: int) -> None:
-        """Take the phase's steps up to index ``upto`` (exclusive) and start each on the worker."""
+        """Draw the phase's steps up to index ``upto`` (exclusive) and start each on the worker."""
         nonlocal taken
         for k in range(taken, upto):
-            staged.append(drawn.popleft() if drawn else next(draws))
+            staged.append(next(draws))
             if worker is not None:
-                worker.start(staged[-1], lrs[k // steps], step_callback is not None or k % steps == steps - 1)
+                worker.start(staged[-1], lrs[k // steps], k % steps == steps - 1)
         taken = max(taken, upto)
 
     for epoch in range(epochs):
@@ -763,14 +762,11 @@ def _run_epochs(state: TrainState, step_callback=None, epoch_callback=None) -> N
             _train_step(state, own, step, lr)
             reports.append(step.report)
             if step_callback is not None:
-                if worker is not None:
-                    worker.wait(step)
                 step_callback(state, step.report)
         if evaluated and detection is not None:
             worker.detect()  # queued after the steps: it scores the final students
         if lead:  # the next epoch's first two steps, which the worker trains while this epoch is recorded
             stage(min(end + 2, end + steps, epochs * steps))
-        drawn.extend(itertools.islice(draws, 2 - len(drawn)))
         if worker is not None:
             worker.wait(step)  # the epoch's reports are complete and state.pairs shows its students
         ev = None
@@ -852,17 +848,14 @@ def run_training(
     Holds the heap (``_hold_heap``): glibc's trim and mmap thresholds stay at
     32 MiB for the whole process, also after this call returns.
 
-    On two or more CPUs, after pre-training, a forked pair worker
-    (``pairworker.attached``) trains the plan's last model on a private copy
-    and, in most modes, runs each evaluation's detection half; it is reaped
-    before this call returns or raises. The ``pairworker`` module
-    docstring states when this process waits on it. Callbacks see every student
-    (``state.pairs``) as of the step or epoch they report, and no student moves
-    while one runs, though without a step callback the worker may already train
-    the next epoch. The next steps may already be drawn: ``state.rng`` and
-    ``state.sampler`` are up to four steps (on the desk benchmark, one epoch
-    plus two steps) ahead, on both paths. When a callback raises, the
-    ``aborted`` checkpoints hold the students as of its step or epoch.
+    On two or more CPUs, after pre-training and unless ``step_callback`` is
+    set, a forked pair worker (``pairworker.attached``) trains the plan's last
+    model on a private copy and, in most modes, runs each evaluation's
+    detection half; it is reaped before this call returns or raises. The
+    ``pairworker`` module docstring states the schedule, and with it what a
+    callback sees of the students, ``state.rng`` and ``state.sampler``. When a
+    callback raises, the ``aborted`` checkpoints hold the students as of its
+    step or epoch.
     """
     config.validate()
     _hold_heap()
@@ -915,7 +908,7 @@ def run_training(
     from . import pairworker  # imported here: most processes never start a worker
 
     try:
-        with pairworker.attached(state):
+        with pairworker.attached(state) if step_callback is None else contextlib.nullcontext():
             for _ in range(config.iterations):
                 train_dts_iteration(state, step_callback, epoch_callback)
                 if out_path is not None:

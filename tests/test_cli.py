@@ -157,6 +157,18 @@ class TestRunVerb:
         second = (Path(manifest2.runs[0]["run_dir"]) / "metrics.jsonl").read_bytes()
         assert first == second
 
+    def test_effective_config_of_a_later_seed_records_it_in_both_places(self, config_file, tmp_path):
+        manifest = run_experiment(config_file, ["seeds=0,1"], out_dir=tmp_path / "first")
+        run_dir = Path(manifest.runs[1]["run_dir"])
+        effective = json.loads((run_dir / "effective_config.json").read_text())
+        assert (effective["seeds"], effective["train"]["seed"]) == ([1], 1)
+        replay = tmp_path / "replay.json"
+        replay.write_text(json.dumps(effective))
+        manifest2 = run_experiment(replay, out_dir=tmp_path / "second")
+        assert [r["seed"] for r in manifest2.runs] == [1]
+        second = Path(manifest2.runs[0]["run_dir"]) / "metrics.jsonl"
+        assert second.read_bytes() == (run_dir / "metrics.jsonl").read_bytes()
+
     def test_missing_dataset_path_fails_before_training(self, tmp_path, config_file):
         raw = json.loads(config_file.read_text())
         raw["dataset"] = {"kind": "csv", "path": str(tmp_path / "nope.csv")}
@@ -241,6 +253,15 @@ class TestSweepVerb:
         code = main(["sweep", "--config", str(config_file), "--axis", "train.tau",
                      "--values", "a,b"])
         assert code == 2
+
+    def test_seed_axis_exit_two(self, config_file, tmp_path, capsys):
+        # a bare "seed" resolves to train.seed, which a run's seed from seeds would override
+        argv = ["sweep", "--config", str(config_file), "--set", "train.ablation_mode=full",
+                "--axis", "seed", "--values", "1,2", "--out-dir", str(tmp_path / "runs")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "train.seed" in err and "seeds" in err and "--seed" in err
+        assert not (tmp_path / "runs").exists()
 
     def test_sweeps_over_different_axes_get_their_own_directory(self, config_file, tmp_path):
         """The sweep hash covers its points, so a second sweep never overwrites the first."""
@@ -494,6 +515,15 @@ class TestValidateConfigVerb:
         assert "seeds" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("train_seed, seeds, code", [(3, [0], 2), (3, [1, 3], 2), (3, [3], 0), (0, [1, 2], 0)])
+    def test_train_seed_other_than_the_run_seed_exit_two(self, tmp_path, train_seed, seeds, code, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"train": {"seed": train_seed}, "seeds": seeds}))
+        assert main(["validate-config", "--config", str(config)]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert "train.seed" in err and "seeds" in err and "--seed" in err
+
     def test_negative_seed_in_config_exit_two(self, tmp_path, config_file, capsys):
         raw = json.loads(config_file.read_text())
         raw["seeds"] = [-3]
@@ -531,6 +561,8 @@ class TestValidateConfigVerb:
         ("dataset", {"k_unseen": 0}, "split.mismatch_ratio: > 0 needs at least one unseen class"),
         ("dataset", {"max_per_class": 2},
          "dataset.max_per_class: only a cifar10 dataset subsamples, got 2 for kind 'synthetic'"),
+        ("dataset", {"path": "/no/such.csv"},
+         "dataset.path: only a csv or cifar10 dataset reads a path, got '/no/such.csv' for kind 'synthetic'"),
     ])
     def test_data_the_generator_or_split_would_reject_exit_two(self, tmp_path, config_file, section, fields,
                                                                message, capsys):

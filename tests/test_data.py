@@ -253,7 +253,9 @@ class TestFileFormats:
     def test_max_per_class_refused_off_cifar10(self, tmp_path, kind):
         path = tmp_path / "d.csv"
         save_dataset(generate_synthetic(3, 1, 5, 20, seed=0), path)
-        spec = DatasetSpec(kind=kind, path=str(path), per_class=20, k_seen=3, k_unseen=1, dim=5)
+        # only a csv dataset reads the path; a synthetic one refuses it
+        spec = DatasetSpec(kind=kind, path=str(path) if kind == "csv" else None, per_class=20, k_seen=3,
+                           k_unseen=1, dim=5)
         spec.validate()
         spec.max_per_class = 2
         with pytest.raises(ValidationError, match=f"max_per_class: only a cifar10 dataset subsamples, "

@@ -163,35 +163,28 @@ def test_aborted_checkpoints_hold_the_published_epoch(mode, tmp_path, forks):
     assert {f"checkpoints/{name}_student_aborted.npz" for name in names} <= set(files)
 
 
-@pytest.mark.parametrize("steps_too", (False, True))
 @pytest.mark.parametrize("mode", TWO_PAIR_MODES + ONE_MODEL_MODES)
-def test_callbacks_see_the_students_of_their_step(mode, steps_too):
-    # the worker trains the plan's last model; every callback sees it as of the step or epoch
-    # reported, and it does not move while a callback runs, though without a step callback the
-    # worker trains the next epoch meanwhile. A step callback keeps the worker in lockstep, so
-    # the epoch callback is also watched alone
+def test_callbacks_see_the_students_of_their_step(mode):
+    # the worker trains the plan's last model; every epoch callback sees it as of the epoch
+    # reported, and it does not move while the callback runs, though the worker trains the next
+    # epoch meanwhile. A run with a step callback starts no worker, so only epochs are watched
     def watched():
         seen = []
 
         def hashes(state):
             return [param_hash(pair.student) for pair in state.pairs.values()]
 
-        def on_step(state, report):
-            seen.append(("step", state.global_epoch, hashes(state)))
-
         def on_epoch(state, record):
             before = hashes(state)
             time.sleep(0.005)
-            seen.append(("epoch", state.global_epoch, before, param_hash(list(state.pairs.values())[-1].student)))
+            seen.append((state.global_epoch, before, param_hash(list(state.pairs.values())[-1].student)))
 
-        run_training(tiny_config(mode), tiny_split(), step_callback=on_step if steps_too else None,
-                     epoch_callback=on_epoch)
+        run_training(tiny_config(mode), tiny_split(), epoch_callback=on_epoch)
         return seen
 
     seen = watched()
     assert seen == serial(watched)
-    epochs = [entry for entry in seen if entry[0] == "epoch"]
-    assert len(epochs) == 6 and all(before[-1] == after for _, _, before, after in epochs)
+    assert len(seen) == 6 and all(before[-1] == after for _, before, after in seen)
 
 
 def test_result_pickles_bit_exactly(tmp_path, forks):
@@ -244,12 +237,15 @@ def test_one_model_plan_forks_a_worker_one_cpu_and_other_threads_fork_none(forks
 
 
 def test_raising_step_callback_leaves_no_process(forks):
+    # a run with a step callback trains serially, so no worker outlives a callback that raises
     def on_step(state, report):
-        raise KeyError("stop")
+        assert state.worker is None
+        if state.iteration == 1:
+            raise KeyError("stop")
 
     with pytest.raises(KeyError):
         run_training(tiny_config(), tiny_split(), step_callback=on_step)
-    assert len(forks) == 1 and reaped(forks[0])
+    assert forks == []
 
 
 def test_worker_exception_is_raised_with_its_type(tmp_path, forks, monkeypatch):
@@ -287,11 +283,12 @@ def test_worker_exception_that_does_not_pickle_arrives_as_text(forks, monkeypatc
 
 
 def test_dead_worker_is_reported_and_reaped(tmp_path, forks):
-    def on_step(state, report):
-        os.kill(forks[0], signal.SIGKILL)
+    def on_epoch(state, record):
+        if record["phase"] == "train":
+            os.kill(forks[0], signal.SIGKILL)
 
     with pytest.raises(ChildProcessError, match="pair worker exited"):
-        run_training(tiny_config(), tiny_split(), out_dir=tmp_path, step_callback=on_step)
+        run_training(tiny_config(), tiny_split(), out_dir=tmp_path, epoch_callback=on_epoch)
     assert reaped(forks[0])
     assert (tmp_path / "checkpoints" / "outlier_student_aborted.npz").exists()
 
