@@ -163,28 +163,38 @@ def test_aborted_checkpoints_hold_the_published_epoch(mode, tmp_path, forks):
     assert {f"checkpoints/{name}_student_aborted.npz" for name in names} <= set(files)
 
 
+@pytest.mark.parametrize("steps_too", (False, True))
 @pytest.mark.parametrize("mode", TWO_PAIR_MODES + ONE_MODEL_MODES)
-def test_callbacks_see_the_students_of_their_step(mode):
+def test_callbacks_see_the_students_of_their_step(mode, steps_too):
     # the worker trains the plan's last model; every epoch callback sees it as of the epoch
     # reported, and it does not move while the callback runs, though the worker trains the next
-    # epoch meanwhile. A run with a step callback starts no worker, so only epochs are watched
-    def watched():
-        seen = []
+    # epoch meanwhile. A run with a step callback starts no worker and trains serially, so its
+    # epoch callbacks see the students that the worker run's epoch callbacks see
+    def watched(steps_too):
+        seen, steps = [], []
 
         def hashes(state):
             return [param_hash(pair.student) for pair in state.pairs.values()]
+
+        def on_step(state, report):
+            assert state.worker is None
+            steps.append((state.global_epoch, hashes(state)))
 
         def on_epoch(state, record):
             before = hashes(state)
             time.sleep(0.005)
             seen.append((state.global_epoch, before, param_hash(list(state.pairs.values())[-1].student)))
 
-        run_training(tiny_config(mode), tiny_split(), epoch_callback=on_epoch)
-        return seen
+        run_training(tiny_config(mode), tiny_split(), step_callback=on_step if steps_too else None,
+                     epoch_callback=on_epoch)
+        return seen, steps
 
-    seen = watched()
-    assert seen == serial(watched)
+    seen, steps = watched(steps_too)
+    assert (seen, steps) == serial(lambda: watched(steps_too))
     assert len(seen) == 6 and all(before[-1] == after for _, before, after in seen)
+    assert bool(steps) == steps_too
+    if steps_too:
+        assert seen == watched(False)[0]
 
 
 def test_result_pickles_bit_exactly(tmp_path, forks):
