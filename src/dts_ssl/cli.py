@@ -174,6 +174,8 @@ class RunManifest:
             raise ValidationError(f"manifest {path}: runs must be a list, got {manifest.runs!r}")
         require_all((isinstance(r, dict) and {"status", "seed", "run_dir"} <= r.keys(),
                      f"manifest {path}: run entry {r!r} needs status, seed and run_dir") for r in manifest.runs)
+        require_all((type(r.get(k)) in (int, float), f"manifest {path}: completed run entry {r!r} needs a real {k}")
+                    for r in manifest.runs if r["status"] == "completed" for k in ("accuracy", "auroc"))
         return manifest
 
 
@@ -310,9 +312,7 @@ def emit_report(manifest_path: str | Path, include_incomplete: bool = False) -> 
 
     agg_csv = base / "report_aggregate.csv"
     groups: dict[str, list[dict]] = {}
-    for r in completed:
-        if r["status"] != "completed":
-            continue
+    for r in (r for r in completed if r["status"] == "completed"):
         groups.setdefault(str(r.get("axis_value", "all")), []).append(r)
     with open(agg_csv, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -399,9 +399,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{args.config}: OK")
             return 0
         if args.verb == "report":
-            paths = emit_report(args.manifest, include_incomplete=args.include_incomplete)
-            for p in paths:
-                print(p)
+            print(*emit_report(args.manifest, include_incomplete=args.include_incomplete), sep="\n")
             return 0
 
         overrides = _flag_overrides(args)

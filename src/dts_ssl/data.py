@@ -468,20 +468,26 @@ def load_dataset(path: str | Path) -> Dataset:
     meta_file = _meta_path(path)
     if not meta_file.exists():
         raise ValidationError(f"missing metadata sidecar {meta_file}")
-    meta = json.loads(meta_file.read_text())
+    try:
+        meta = json.loads(meta_file.read_text())
+        name, class_count = meta["name"], int(meta["class_count"])
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ValidationError(f"{meta_file}: not a dataset sidecar with a name and a class_count: {exc!r}") from exc
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if not header or header[-1] != "label":
             raise ValidationError(f"{path}: expected a trailing 'label' column, got {header[-3:]}")
         rows = list(reader)
-    features = np.array([[float(v) for v in r[:-1]] for r in rows], dtype=np.float64)
-    labels = np.array([int(r[-1]) for r in rows], dtype=np.int64)
-    if features.size == 0:
-        features = features.reshape(0, len(header) - 1)
-    return Dataset(
-        name=meta["name"], features=features, labels=labels, class_count=int(meta["class_count"])
-    )
+    features, labels = np.empty((len(rows), len(header) - 1)), np.empty(len(rows), dtype=np.int64)
+    for i, row in enumerate(rows):
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} cells, the header has {len(header)}")
+            features[i], labels[i] = [float(v) for v in row[:-1]], int(row[-1])
+        except ValueError as exc:
+            raise ValidationError(f"{path}: row {i + 1} after the header: {exc}") from exc
+    return Dataset(name=name, features=features, labels=labels, class_count=class_count)
 
 
 def _max_per_class_check(max_per_class: int | None) -> tuple:

@@ -304,24 +304,25 @@ def param_hash(model: DualHeadModel) -> str:
     return h.hexdigest()
 
 
-def save_model(model: DualHeadModel, path: str | Path) -> None:
-    """One-file checkpoint: parameter tensors plus a JSON metadata entry."""
-    meta = json.dumps(
-        {
-            "spec": dict(sorted(asdict(model.spec).items())),
-            "K": model.K,
-            "heads": list(model.heads),
-            "pretrained": model.pretrained,
-            "format_version": 1,
-        }
-    )
-    np.savez(Path(path), __meta__=np.array(meta), **model.params)
+def save_model(models: Mapping[str, DualHeadModel], path: str | Path) -> None:
+    """One checkpoint archive of named models: each model's tensors under ``<name>/``, and one JSON
+    ``__meta__`` entry with ``format_version`` 2 and each model's spec, K, heads and pretrained flag."""
+    meta = {name: {"spec": dict(sorted(asdict(m.spec).items())), "K": m.K, "heads": list(m.heads),
+                   "pretrained": m.pretrained} for name, m in models.items()}
+    tensors = {f"{name}/{key}": v for name, m in models.items() for key, v in m.params.items()}
+    np.savez(Path(path), __meta__=np.array(json.dumps({"format_version": 2, "models": meta})), **tensors)
 
 
-def load_model(path: str | Path) -> DualHeadModel:
-    """Load a checkpoint; round-trips bit-exactly with :func:`save_model`."""
+def load_model(path: str | Path, name: str) -> DualHeadModel:
+    """The model ``name`` of a :func:`save_model` archive; round-trips bit-exactly."""
     with np.load(Path(path), allow_pickle=False) as archive:
-        meta = json.loads(str(archive["__meta__"]))
-        params = {k: archive[k] for k in archive.files if k != "__meta__"}
-    return DualHeadModel(BackboneSpec(**meta["spec"]), int(meta["K"]), params,
-                         heads=tuple(meta["heads"]), pretrained=bool(meta["pretrained"]))
+        meta = json.loads(str(archive["__meta__"])) if "__meta__" in archive.files else {}
+        if meta.get("format_version") != 2:
+            raise ValidationError(f"{path}: expected a __meta__ entry of format_version 2, got "
+                                  + (f"format_version {meta.get('format_version')}" if meta else "no __meta__"))
+        if name not in meta["models"]:
+            raise ValidationError(f"{path}: no model {name!r}, only {list(meta['models'])}")
+        params = {k[len(name) + 1:]: archive[k] for k in archive.files if k.startswith(f"{name}/")}
+    m = meta["models"][name]
+    return DualHeadModel(BackboneSpec(**m["spec"]), int(m["K"]), params,
+                         heads=tuple(m["heads"]), pretrained=bool(m["pretrained"]))

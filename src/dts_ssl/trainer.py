@@ -391,8 +391,6 @@ def pretrain_teacher(teacher: DualHeadModel, split: MismatchSplit, config: Train
 
 
 def _mean_report(reports: list[LossReport]) -> LossReport:
-    if not reports:
-        return LossReport()
     names = [f.name for f in dataclasses.fields(LossReport)]
     # one row per field, each summed as np.mean sums that field's values
     table = np.array([[getattr(r, n) for r in reports] for n in names], dtype=np.float64)
@@ -699,23 +697,20 @@ def run_inference(student_in: DualHeadModel, student_out: DualHeadModel, test_x:
 
 def _epoch_record(phase: str, iteration: int, epoch_in_phase: int, global_epoch: int, lr: float,
                   report: LossReport, ev: EvalResult | None, unlabeled_forwards: int) -> dict:
-    record = {
+    return {
         "phase": phase,
         "iteration": iteration,
         "epoch": epoch_in_phase,
         "global_epoch": global_epoch,
         "lr": lr,
         **vars(report),
-        "gate_pass_rate_in": 0.0,
-        "gate_pass_rate_out": 0.0,
+        # the pass rates are 0 where a step draws no unlabeled rows
+        "gate_pass_rate_in": report.pass_count_in / report.batch_unlabeled if report.batch_unlabeled else 0.0,
+        "gate_pass_rate_out": report.pass_count_out / report.batch_unlabeled if report.batch_unlabeled else 0.0,
         "test_accuracy": ev.accuracy if ev else float("nan"),
         **{name: getattr(ev, name) if ev else float("nan") for name in _DETECTION},
         "training_unlabeled_forwards": unlabeled_forwards,
     }
-    if report.batch_unlabeled:
-        record["gate_pass_rate_in"] = report.pass_count_in / report.batch_unlabeled
-        record["gate_pass_rate_out"] = report.pass_count_out / report.batch_unlabeled
-    return record
 
 
 def _run_epochs(state: TrainState, step_callback=None, epoch_callback=None) -> None:
@@ -798,12 +793,8 @@ def _dump_epoch_scores(state: TrainState, scores: np.ndarray) -> None:
     """Write the epoch's evaluation scores of the unlabeled set, with the hidden flags."""
     dump_dir = state.out_dir / "score_dumps"
     dump_dir.mkdir(exist_ok=True)
-    write_score_dump(
-        dump_dir / f"epoch_{state.global_epoch:05d}.csv",
-        np.arange(len(scores)),
-        scores,
-        state.split.unlabeled_is_unseen,
-    )
+    write_score_dump(dump_dir / f"epoch_{state.global_epoch:05d}.csv", np.arange(len(scores)), scores,
+                     state.split.unlabeled_is_unseen)
 
 
 # glibc's mallopt parameters (malloc.h)
@@ -854,8 +845,8 @@ def run_training(
     detection half; it is reaped before this call returns or raises. The
     ``pairworker`` module docstring states the schedule, and with it what a
     callback sees of the students, ``state.rng`` and ``state.sampler``. When a
-    callback raises, the ``aborted`` checkpoints hold the students as of its
-    step or epoch.
+    callback raises, ``checkpoints/aborted.npz`` holds the teachers and
+    students as of its step or epoch.
     """
     config.validate()
     _hold_heap()
@@ -881,7 +872,7 @@ def run_training(
 
     history = pretrain_teacher(teacher, split, config, rng, scale, out_path)
     if out_path is not None:
-        save_model(teacher, out_path / "teacher_pretrained.npz")
+        save_model({"teacher": teacher}, out_path / "teacher_pretrained.npz")
 
     pairs = {name: derive_pair(teacher, kind) for name, kind in pipeline.pairs}
     optimizers = {
@@ -912,10 +903,10 @@ def run_training(
             for _ in range(config.iterations):
                 train_dts_iteration(state, step_callback, epoch_callback)
                 if out_path is not None:
-                    _save_checkpoints(state, out_path, f"iter{state.iteration}")
+                    _save_checkpoint(state, out_path, f"iter{state.iteration}")
     except Exception:
         if out_path is not None:
-            _save_checkpoints(state, out_path, "aborted")
+            _save_checkpoint(state, out_path, "aborted", apart=True)
             _write_metrics(state.history, out_path / "metrics.jsonl")
         raise
 
@@ -923,7 +914,6 @@ def run_training(
     # students since: that evaluation is the final one
     final_eval = _with_tables(state.last_eval, split.test_y, split.unlabeled_is_unseen)
     if out_path is not None:
-        _save_checkpoints(state, out_path, "final")
         _write_metrics(state.history, out_path / "metrics.jsonl")
         summary = {
             "config": config.to_dict(),
@@ -931,6 +921,7 @@ def run_training(
             "pipeline": pipeline.summary,
             "ablation_mode": pipeline.mode,
             "final": final_eval.as_dict(),
+            "checkpoint": f"checkpoints/iter{state.iteration}.npz",
         }
         (out_path / "summary.json").write_text(json.dumps(summary, indent=2))
         _write_histogram(final_eval, out_path / "score_histogram.csv")
@@ -944,12 +935,16 @@ def run_training(
     )
 
 
-def _save_checkpoints(state: TrainState, out_path: Path, tag: str) -> None:
-    ckpt_dir = out_path / "checkpoints"
-    ckpt_dir.mkdir(exist_ok=True)
-    for name, pair in state.pairs.items():
-        save_model(pair.teacher, ckpt_dir / f"{name}_teacher_{tag}.npz")
-        save_model(pair.student, ckpt_dir / f"{name}_student_{tag}.npz")
+def _save_checkpoint(state: TrainState, out_path: Path, tag: str, apart: bool = False) -> None:
+    """Write ``checkpoints/{tag}.npz``. At an iteration boundary each teacher was just refreshed from
+    its student, so the file holds each pair's student once, under the pair's name; with ``apart``
+    (mid-iteration) it holds each pair's ``<pair>_teacher`` and ``<pair>_student``."""
+    (out_path / "checkpoints").mkdir(exist_ok=True)
+    models = {name: pair.student for name, pair in state.pairs.items()}
+    if apart:
+        models = {f"{name}_{role}": getattr(pair, role) for name, pair in state.pairs.items()
+                  for role in ("teacher", "student")}
+    save_model(models, out_path / "checkpoints" / f"{tag}.npz")
 
 
 def _write_metrics(history: list[dict], path: Path) -> None:

@@ -377,7 +377,8 @@ class TestReportVerb:
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({"config_hash": "0", "artifact_version": "0", "dataset_id": "0", "seeds": [0],
                                     "out_dir": "runs/run-0",
-                                    "runs": [{"seed": 0, "status": "completed", "run_dir": "elsewhere/seed0"}]}))
+                                    "runs": [{"seed": 0, "status": "completed", "run_dir": "elsewhere/seed0",
+                                              "accuracy": 0.5, "auroc": 0.5}]}))
         assert main(["report", "--manifest", str(path)]) == 2
         assert "run_dir 'elsewhere/seed0' is not under out_dir 'runs/run-0'" in capsys.readouterr().err
 
@@ -418,6 +419,18 @@ class TestReportVerb:
                                     "seeds": [0], "out_dir": str(tmp_path), "runs": runs}))
         assert main(["report", "--manifest", str(path)]) == 2
         assert f"manifest {path}: {reason}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("accuracy", ({}, {"accuracy": "high"}))
+    def test_completed_run_without_a_real_accuracy_exit_two(self, tmp_path, accuracy, capsys):
+        # the run's files are all there; only its manifest entry lacks a number to aggregate
+        (tmp_path / "seed0").mkdir()
+        (tmp_path / "seed0" / "metrics.jsonl").write_text("")
+        entry = {"seed": 0, "status": "completed", "run_dir": str(tmp_path / "seed0"), **accuracy, "auroc": 0.5}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"config_hash": "0", "artifact_version": "0", "dataset_id": "0",
+                                    "seeds": [0], "out_dir": str(tmp_path), "runs": [entry]}))
+        assert main(["report", "--manifest", str(path)]) == 2
+        assert f"manifest {path}: completed run entry {entry!r} needs a real accuracy" in capsys.readouterr().err
 
 
 class TestValidateConfigVerb:

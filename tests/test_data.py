@@ -1,5 +1,7 @@
 """Dataset generation, mismatch splits, augmentation, batch pairing, file formats."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -266,6 +268,31 @@ class TestFileFormats:
         path = tmp_path / "x.csv"
         path.write_text("feature_0,label\n0.0,1\n")
         with pytest.raises(ValidationError):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("text, problem", [
+        ("feature_0,feature_1,label\n0.5,1.5,1\n0.5,2\n", r"row 2 after the header: 2 cells, the header has 3"),
+        ("feature_0,label\n0.5,1\nnear,2\n", r"row 2 after the header: could not convert string to float: 'near'"),
+        ("feature_0,label\n0.5,one\n", r"row 1 after the header: invalid literal for int\(\) .*'one'"),
+        ("", r"expected a trailing 'label' column, got \[\]"),
+    ])
+    def test_malformed_csv_rejected(self, tmp_path, text, problem):
+        path = tmp_path / "x.csv"
+        path.write_text(text)
+        path.with_suffix(".meta.json").write_text('{"name": "x", "class_count": 2}')
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: {problem}"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("sidecar, problem", [
+        ('{"class_count": 2}', "KeyError\\('name'\\)"),
+        ("class_count: 2", "JSONDecodeError"),
+    ])
+    def test_malformed_sidecar_rejected(self, tmp_path, sidecar, problem):
+        path = tmp_path / "x.csv"
+        path.write_text("feature_0,label\n0.5,1\n")
+        path.with_suffix(".meta.json").write_text(sidecar)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path.with_suffix('.meta.json')))}: "
+                                                  f"not a dataset sidecar with a name and a class_count: {problem}"):
             load_dataset(path)
 
     def test_cifar_layout_ingestion(self, tmp_path):

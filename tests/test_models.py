@@ -1,5 +1,8 @@
 """Model construction, forward/backward correctness, pair derivation, checkpoints."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,9 +131,9 @@ class TestParameterVector:
         pair = derive_pair(teacher, "outlier")
         pair.student.params["head_k1.b"] += 1.0
         refresh_teacher(pair)
-        save_model(pair.student, tmp_path / "student.npz")
+        save_model({"outlier": pair.student}, tmp_path / "student.npz")
         return {"init_teacher": teacher, "derive_pair": pair.student, "refresh_teacher": pair.teacher,
-                "load_model": load_model(tmp_path / "student.npz")}
+                "load_model": load_model(tmp_path / "student.npz", "outlier")}
 
     def test_params_are_views_into_the_vector_in_order(self, tmp_path):
         models = self.models(tmp_path)
@@ -403,9 +406,12 @@ class TestCheckpoints:
         model = make_teacher(K=K, seed=seed, spec=spec)
         if kind is not None:
             model = derive_pair(model, kind).student
+        # beside another model whose name the model's starts with: each name reads its own tensors
+        other = make_teacher(K=2, seed=seed + 1)
         path = tmp_path_factory.mktemp("ckpt") / "model.npz"
-        save_model(model, path)
-        loaded = load_model(path)
+        save_model({"model": model, "mod": other}, path)
+        loaded = load_model(path, "model")
+        assert param_hash(load_model(path, "mod")) == param_hash(other)
         assert param_hash(loaded) == param_hash(model)
         assert (loaded.K, loaded.heads, loaded.pretrained, loaded.spec) == (
             model.K, model.heads, model.pretrained, model.spec,
@@ -417,8 +423,8 @@ class TestCheckpoints:
     def test_single_head_checkpoint(self, tmp_path):
         pair = derive_pair(make_teacher(), "outlier")
         path = tmp_path / "student.npz"
-        save_model(pair.student, path)
-        loaded = load_model(path)
+        save_model({"outlier": pair.student}, path)
+        loaded = load_model(path, "outlier")
         assert loaded.heads == ("k1",)
         assert "head_k.W" not in loaded.params
 
@@ -426,23 +432,40 @@ class TestCheckpoints:
     def repacked(tmp_path, drop=(), extra=None, K=6):
         """An inlier student's checkpoint, re-packed without the ``drop`` tensors and with ``extra``."""
         path = tmp_path / "student.npz"
-        save_model(derive_pair(make_teacher(K=K), "inlier").student, path)
+        save_model({"inlier": derive_pair(make_teacher(K=K), "inlier").student}, path)
         with np.load(path) as archive:
-            arrays = {k: archive[k] for k in archive.files if k not in drop}
-        np.savez(path, **arrays, **(extra or {}))
+            arrays = {k: archive[k] for k in archive.files if k.removeprefix("inlier/") not in drop}
+        np.savez(path, **arrays, **{f"inlier/{k}": v for k, v in (extra or {}).items()})
         return path
 
     def test_missing_tensor_refused_at_load(self, tmp_path):
         path = self.repacked(tmp_path, drop=("head_k.b",))
         with pytest.raises(ValidationError, match=r"missing \['head_k.b'\], unexpected \[\]"):
-            load_model(path)
+            load_model(path, "inlier")
 
     def test_wrong_shaped_tensor_refused_at_load(self, tmp_path):
         path = self.repacked(tmp_path, drop=("head_k.W",), extra={"head_k.W": np.zeros((4, 6))}, K=3)
         with pytest.raises(ValidationError, match=r"^head_k.W: expected shape \(3, 6\), got \(4, 6\)$"):
-            load_model(path)
+            load_model(path, "inlier")
 
     def test_extra_tensor_refused_at_load(self, tmp_path):
         path = self.repacked(tmp_path, extra={"head_k1.W": np.zeros((7, 6))})
         with pytest.raises(ValidationError, match=r"missing \[\], unexpected \['head_k1.W'\]"):
-            load_model(path)
+            load_model(path, "inlier")
+
+    def test_unknown_name_refused_at_load(self, tmp_path):
+        path = self.repacked(tmp_path)
+        with pytest.raises(ValidationError, match=r"no model 'outlier', only \['inlier'\]$"):
+            load_model(path, "outlier")
+
+    @pytest.mark.parametrize("version", (1, None))
+    def test_other_formats_refused_at_load(self, tmp_path, version):
+        # format_version 1 held one model's tensors at the top level, beside its metadata
+        model = derive_pair(make_teacher(), "inlier").student
+        meta = {"spec": dataclasses.asdict(model.spec), "K": model.K, "heads": list(model.heads),
+                "pretrained": model.pretrained, "format_version": 1}
+        path = tmp_path / "old.npz"
+        np.savez(path, **({"__meta__": np.array(json.dumps(meta))} if version else {}), **model.params)
+        got = "format_version 1" if version else "no __meta__"
+        with pytest.raises(ValidationError, match=f"expected a __meta__ entry of format_version 2, got {got}$"):
+            load_model(path, "inlier")

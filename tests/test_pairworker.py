@@ -18,7 +18,7 @@ import pytest
 from dts_ssl import losses, pairworker, trainer
 from dts_ssl.benchmarks import benchmark_config, benchmark_split
 from dts_ssl.errors import UndefinedMetricError
-from dts_ssl.models import param_hash
+from dts_ssl.models import load_model, param_hash
 from dts_ssl.trainer import apply_ablation, run_training
 from test_trainer import one_cpu, tiny_config, tiny_split
 
@@ -70,6 +70,16 @@ def reaped(pid: int) -> bool:
 def run_files(out_dir):
     """The bytes of every file of a run directory, checkpoints included."""
     return {p.relative_to(out_dir).as_posix(): p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()}
+
+
+def aborted(run_dir, names) -> dict:
+    """The teacher and student of each pair named, as ``checkpoints/aborted.npz`` holds them, by
+    ``(name, role)``; the file holds nothing else."""
+    path = run_dir / "checkpoints" / "aborted.npz"
+    with np.load(path) as archive:
+        assert {k.split("/")[0] for k in archive.files} == {"__meta__"} | {f"{n}_{r}" for n in names
+                                                                          for r in ("teacher", "student")}
+    return {(n, r): load_model(path, f"{n}_{r}") for n in names for r in ("teacher", "student")}
 
 
 def replied_ahead(state) -> bool:
@@ -146,10 +156,14 @@ def test_worker_trains_ahead_of_a_slow_epoch_callback(mode, tmp_path, forks):
 @pytest.mark.parametrize("mode", ("full", "no_its", "no_k1_its"))
 def test_aborted_checkpoints_hold_the_published_epoch(mode, tmp_path, forks):
     # the callback of train epoch 3 raises once the worker's private copy is ahead of the copy in
-    # view; the aborted checkpoints hold epoch 3 all the same, as on the serial path
+    # view; the aborted checkpoint holds epoch 3 all the same, as on the serial path
+    seen = []
+
     def failing(state, record):
         if record["epoch"] == 3:
             assert state.worker is None or replied_ahead(state)
+            seen.append({(name, role): param_hash(getattr(pair, role))
+                         for name, pair in state.pairs.items() for role in ("teacher", "student")})
             raise KeyError("stop at epoch 3")
 
     config, split = benchmark_config(mode, 0, **SHORT), benchmark_split(0)
@@ -159,8 +173,10 @@ def test_aborted_checkpoints_hold_the_published_epoch(mode, tmp_path, forks):
     assert len(forks) == 1 and reaped(forks[0])
     files = run_files(tmp_path / "worker")
     assert files == run_files(tmp_path / "serial")
+    assert sorted(p for p in files if p.startswith("checkpoints/")) == ["checkpoints/aborted.npz"]
     names = [name for name, _ in apply_ablation(mode, config).pairs]
-    assert {f"checkpoints/{name}_student_aborted.npz" for name in names} <= set(files)
+    assert {key: param_hash(model) for key, model in aborted(tmp_path / "worker", names).items()} == seen[0]
+    assert seen[0] == seen[1]
 
 
 @pytest.mark.parametrize("steps_too", (False, True))
@@ -274,9 +290,8 @@ def test_worker_exception_is_raised_with_its_type(tmp_path, forks, monkeypatch):
     assert "raised in the pair worker" in str(caught.value.__cause__)
     assert calls == []  # the parent never trained the outlier student
     assert len(forks) == 1 and reaped(forks[0])
-    checkpoints = {p.name for p in (tmp_path / "checkpoints").iterdir()}
-    assert {f"{name}_{role}_aborted.npz" for name in ("inlier", "outlier")
-            for role in ("teacher", "student")} <= checkpoints
+    assert [p.name for p in (tmp_path / "checkpoints").iterdir()] == ["aborted.npz"]
+    aborted(tmp_path, ("inlier", "outlier"))
 
 
 def test_worker_exception_that_does_not_pickle_arrives_as_text(forks, monkeypatch):
@@ -300,7 +315,7 @@ def test_dead_worker_is_reported_and_reaped(tmp_path, forks):
     with pytest.raises(ChildProcessError, match="pair worker exited"):
         run_training(tiny_config(), tiny_split(), out_dir=tmp_path, epoch_callback=on_epoch)
     assert reaped(forks[0])
-    assert (tmp_path / "checkpoints" / "outlier_student_aborted.npz").exists()
+    aborted(tmp_path, ("inlier", "outlier"))
 
 
 @pytest.mark.parametrize("mode, in_worker", (("full", True), ("no_its", False), ("no_k1_its", True)))
@@ -322,6 +337,4 @@ def test_divergence_raises_the_same_error_on_both_paths(mode, in_worker, tmp_pat
         assert caught[0].__cause__ is None
     assert len(forks) == 1 and reaped(forks[0])
     assert run_files(tmp_path / "worker") == run_files(tmp_path / "serial")
-    names = [name for name, _ in apply_ablation(mode, config).pairs]
-    checkpoints = {p.name for p in (tmp_path / "worker" / "checkpoints").iterdir()}
-    assert {f"{name}_{role}_aborted.npz" for name in names for role in ("teacher", "student")} <= checkpoints
+    aborted(tmp_path / "worker", [name for name, _ in apply_ablation(mode, config).pairs])

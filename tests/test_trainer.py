@@ -28,6 +28,7 @@ from dts_ssl.models import (
     TeacherStudentPair,
     derive_pair,
     init_teacher,
+    load_model,
     param_hash,
 )
 from dts_ssl.losses import LossReport
@@ -293,6 +294,24 @@ class TestApplyAblation:
             for name, branches in _step_plan(pipe, cfg).items():
                 assert {b.head for b in branches} <= set(pairs[name].student.heads), mode
 
+    @pytest.mark.parametrize("mode", ABLATION_MODES)
+    def test_unlabeled_views_count_the_forwards_of_the_step(self, mode, monkeypatch):
+        # the placement of the detection half reads _unlabeled_views; each model's _model_step must
+        # forward that many views of the unlabeled batch, in pre-training and in the iterations
+        calls, model_step = [], dts_ssl.trainer._model_step
+
+        def counted(student, optimizer, branches, step, cfg, lr):
+            fields, forwards = model_step(student, optimizer, branches, step, cfg, lr)
+            mu_b = 0 if step.strong_u is None else len(step.strong_u)
+            calls.append((forwards, dts_ssl.trainer._unlabeled_views(branches) * mu_b, mu_b))
+            return fields, forwards
+
+        monkeypatch.setattr(dts_ssl.trainer, "_model_step", counted)
+        with one_cpu():  # every model's steps in this process
+            run_training(tiny_config(mode), tiny_split())
+        assert calls and all(forwards == expected for forwards, expected, _ in calls)
+        assert any(mu_b for *_, mu_b in calls) == (mode != "supervised_only")
+
     def test_unseen_weight_shapes(self):
         cfg = TrainConfig.desk()
         scores = np.array([0.1, 0.5, 0.86, 0.99])
@@ -454,13 +473,26 @@ class TestRunTrainingStructure:
         b = run_training(tiny_config(seed=2), split)
         assert json.dumps(a.history) != json.dumps(b.history)
 
-    def test_checkpoints_written(self, tmp_path):
-        run_training(tiny_config(), tiny_split(), out_dir=tmp_path)
-        ckpts = {p.name for p in (tmp_path / "checkpoints").iterdir()}
-        for tag in ("iter1", "iter2", "final"):
-            assert f"inlier_student_{tag}.npz" in ckpts
-            assert f"outlier_teacher_{tag}.npz" in ckpts
-        assert (tmp_path / "teacher_pretrained.npz").exists()
+    def test_checkpoints_written(self, tmp_path, monkeypatch):
+        # at each boundary, just after the teachers' refresh, each pair's teacher and student are
+        # one parameter set, which the boundary's file holds once under the pair's name
+        at_boundary, save = [], dts_ssl.trainer._save_checkpoint
+
+        def recorded(state, out_path, tag, **kwargs):
+            at_boundary.append({name: (param_hash(pair.teacher), param_hash(pair.student))
+                                for name, pair in state.pairs.items()})
+            return save(state, out_path, tag, **kwargs)
+
+        monkeypatch.setattr(dts_ssl.trainer, "_save_checkpoint", recorded)
+        result = run_training(tiny_config(), tiny_split(), out_dir=tmp_path)
+        assert sorted(p.name for p in (tmp_path / "checkpoints").iterdir()) == ["iter1.npz", "iter2.npz"]
+        assert json.loads((tmp_path / "summary.json").read_text())["checkpoint"] == "checkpoints/iter2.npz"
+        for n, pairs in enumerate(at_boundary, start=1):
+            for name, (teacher, student) in pairs.items():
+                assert param_hash(load_model(tmp_path / "checkpoints" / f"iter{n}.npz", name)) == teacher == student
+        assert at_boundary[-1] == {name: (param_hash(pair.teacher), param_hash(pair.student))
+                                   for name, pair in result.pairs.items()}
+        assert load_model(tmp_path / "teacher_pretrained.npz", "teacher").pretrained
         assert (tmp_path / "metrics.jsonl").exists()
         assert (tmp_path / "summary.json").exists()
         assert (tmp_path / "score_histogram.csv").exists()
