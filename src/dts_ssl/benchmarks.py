@@ -1,45 +1,41 @@
 """The desk-scale synthetic benchmark used by the demos and the acceptance suite.
 
-The benchmark task is the default :class:`DatasetSpec` and :class:`SplitSpec`
-with dataset seed 0: four seen Gaussian clusters plus two unseen ones in 16
-dimensions, a small labeled set (80 examples), and 2000 unlabeled examples at
-mismatch ratio 0.5. Cluster noise is chosen so the supervised baseline is
-clearly beatable while nearest-cluster structure keeps the task learnable from
-so few labels.
+The benchmark task is :data:`DESK`, the one experiment config that
+``configs/desk_benchmark.json`` holds in file form: the default
+:class:`DatasetSpec` and :class:`SplitSpec`, four seen Gaussian clusters plus
+two unseen ones in 16 dimensions, a small labeled set (80 examples), and 2000
+unlabeled examples at mismatch ratio 0.5. Cluster noise is chosen so the
+supervised baseline is clearly beatable while nearest-cluster structure keeps
+the task learnable from so few labels.
 """
 
 from __future__ import annotations
 
-from .data import Dataset, DatasetSpec, MismatchSplit, SplitSpec
+import dataclasses
+
+from .cli import ExperimentConfig
+from .data import DatasetSpec, MismatchSplit, SplitSpec
 from .trainer import TrainConfig, TrainResult, run_training
 
-# desk training schedule for benchmark runs (TrainConfig.desk overrides):
-# the reference unlabeled multiplier (mu=7), frequent teacher refreshes so
-# teacher guidance stays current, and a small backbone so the guidance and
-# the unseen-class supervision carry weight
-BENCHMARK_TRAIN = dict(
-    iterations=5,
-    epochs_per_iteration=48,
-    mu=7,
-    hidden_widths=(16, 16),
-    feature_dim=8,
+DESK = ExperimentConfig(
+    dataset=DatasetSpec(name="desk-benchmark"),
+    split=SplitSpec(),
+    # desk training schedule for benchmark runs: the reference unlabeled
+    # multiplier (mu=7), frequent teacher refreshes so teacher guidance stays
+    # current, and a small backbone so the guidance and the unseen-class
+    # supervision carry weight
+    train=TrainConfig.desk(iterations=5, epochs_per_iteration=48, mu=7, hidden_widths=(16, 16), feature_dim=8),
+    seeds=[0, 1, 2],
 )
-
-
-def benchmark_dataset() -> Dataset:
-    """The benchmark task itself is fixed; run seeds vary split and training."""
-    return DatasetSpec(name="desk-benchmark").load(seed=0)
 
 
 def benchmark_split(seed: int) -> MismatchSplit:
     """Same task geometry for all seeds; the seed draws the split partitions."""
-    return SplitSpec().build(benchmark_dataset(), seed)
+    return DESK.split.build(DESK.dataset.load(), seed)
 
 
 def benchmark_config(ablation_mode: str = "full", seed: int = 0, **overrides) -> TrainConfig:
-    merged = dict(BENCHMARK_TRAIN)
-    merged.update(overrides)
-    return TrainConfig.desk(ablation_mode=ablation_mode, seed=seed, **merged)
+    return dataclasses.replace(DESK.train, ablation_mode=ablation_mode, seed=seed, **overrides)
 
 
 def run_benchmark(ablation_mode: str = "full", seed: int = 0, out_dir=None, **overrides) -> TrainResult:

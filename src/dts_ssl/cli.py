@@ -190,7 +190,7 @@ def _experiment_hash(points: list[tuple[dict, ExperimentConfig]]) -> str:
 
 
 def _execute_single(config: ExperimentConfig, seed: int, run_dir: Path) -> dict:
-    split = config.split.build(config.dataset.load(seed), seed)
+    split = config.split.build(config.dataset.load(), seed)
     train_cfg = dataclasses.replace(config.train, seed=seed)
     run_dir.mkdir(parents=True, exist_ok=True)
     effective = {**config.to_dict(), "seeds": [seed]}  # the run's seed in both places, as validate allows

@@ -444,7 +444,7 @@ def _meta_path(path: Path) -> Path:
     return path.with_suffix(".meta.json")
 
 
-def save_dataset(dataset: Dataset, path: str | Path, extra: dict | None = None) -> None:
+def save_dataset(dataset: Dataset, path: str | Path) -> None:
     """Write a dataset as a columnar CSV plus a JSON metadata sidecar."""
     path = Path(path)
     with open(path, "w", newline="") as fh:
@@ -458,8 +458,6 @@ def save_dataset(dataset: Dataset, path: str | Path, extra: dict | None = None) 
         "dim": dataset.dim,
         "size": len(dataset),
     }
-    if extra:
-        meta.update(extra)
     _meta_path(path).write_text(json.dumps(meta, indent=2))
 
 
@@ -470,7 +468,9 @@ def load_dataset(path: str | Path) -> Dataset:
         raise ValidationError(f"missing metadata sidecar {meta_file}")
     try:
         meta = json.loads(meta_file.read_text())
-        name, class_count = meta["name"], int(meta["class_count"])
+        name, class_count = meta["name"], meta["class_count"]
+        if not isinstance(name, str) or type(class_count) is not int:  # 3.7, "3" and true are refused, not coerced
+            raise TypeError(f"name must be a string and class_count an integer, got {name!r} and {class_count!r}")
     except (ValueError, TypeError, KeyError) as exc:
         raise ValidationError(f"{meta_file}: not a dataset sidecar with a name and a class_count: {exc!r}") from exc
     with open(path, newline="") as fh:
@@ -564,9 +564,10 @@ class DatasetSpec:
                        (not self.path or Path(self.path).exists(), f"path: {self.path} does not exist")]
         require_all(checks)
 
-    def load(self, seed: int) -> Dataset:
+    def load(self) -> Dataset:
+        """The dataset's one pool; every run seed draws its split from it."""
         if self.kind == "synthetic":
-            return generate_synthetic(*self._synthetic_args(), seed=seed, name=self.name)
+            return generate_synthetic(*self._synthetic_args(), name=self.name)
         if self.kind == "csv":
             return load_dataset(self.path)
         return load_cifar10_dir(self.path, max_per_class=self.max_per_class)

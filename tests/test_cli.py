@@ -1,6 +1,7 @@
 """Experiment runner: config validation, runs, sweeps, reports, exit codes."""
 
 import csv
+import dataclasses
 import json
 import os
 import pickle
@@ -11,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dts_ssl import cli
+from dts_ssl.benchmarks import DESK, benchmark_split, run_benchmark
 from dts_ssl.cli import (
     ENV_OUT_ROOT,
     ExperimentConfig,
@@ -21,7 +24,7 @@ from dts_ssl.cli import (
     run_experiment,
     sweep,
 )
-from dts_ssl.data import load_cifar10_dir
+from dts_ssl.data import MismatchSplit, load_cifar10_dir
 from dts_ssl.errors import ValidationError
 from dts_ssl.trainer import TrainConfig, config_hash
 
@@ -114,6 +117,38 @@ class TestConfigLoading:
         config = load_config(config_file)
         again = ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict())))
         assert again.to_dict() == config.to_dict()
+
+
+class TestDeskBenchmarkConfig:
+    """``configs/desk_benchmark.json`` is ``benchmarks.DESK`` in file form, so the CLI replays
+    a benchmark run at every seed: the seed draws the split from one pool, and the training."""
+
+    PATH = Path(__file__).resolve().parent.parent / "configs" / "desk_benchmark.json"
+
+    def test_file_is_the_desk_config(self):
+        assert load_config(self.PATH) == DESK
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cli_builds_the_benchmark_split(self, seed, tmp_path, monkeypatch):
+        class Built(Exception):  # the split is all this test needs, so the run stops there
+            pass
+
+        def capture(config, split, out_dir):
+            raise Built(split)
+
+        monkeypatch.setattr(cli, "run_training", capture)
+        with pytest.raises(Built) as built:
+            cli._execute_single(load_config(self.PATH), seed, tmp_path / "run")
+        split, expected = built.value.args[0], benchmark_split(seed)
+        for field in dataclasses.fields(MismatchSplit):
+            assert np.array_equal(getattr(split, field.name), getattr(expected, field.name)), field.name
+
+    def test_cli_run_writes_the_benchmark_history(self, tmp_path):
+        short = dict(iterations=1, epochs_per_iteration=2, pretrain_epochs=2)
+        assert main(["run", "--config", str(self.PATH), "--seed", "1", "--out-dir", str(tmp_path),
+                     *(f"--set=train.{k}={v}" for k, v in short.items())]) == 0
+        written = next(tmp_path.glob("run-*/seed1/metrics.jsonl")).read_text().splitlines()
+        assert [json.loads(line) for line in written] == run_benchmark("full", 1, **short).history
 
 
 class TestRunVerb:

@@ -286,6 +286,10 @@ class TestFileFormats:
     @pytest.mark.parametrize("sidecar, problem", [
         ('{"class_count": 2}', "KeyError\\('name'\\)"),
         ("class_count: 2", "JSONDecodeError"),
+        ('{"name": "x", "class_count": 3.7}', r"TypeError\(.* got 'x' and 3\.7"),
+        ('{"name": "x", "class_count": "3"}', r"TypeError\(.* got 'x' and '3'"),
+        ('{"name": "x", "class_count": true}', r"TypeError\(.* got 'x' and True"),
+        ('{"name": 5, "class_count": 3}', r"TypeError\(.* got 5 and 3"),
     ])
     def test_malformed_sidecar_rejected(self, tmp_path, sidecar, problem):
         path = tmp_path / "x.csv"

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import dts_ssl
 import oracles
 from dts_ssl import losses
+from dts_ssl.benchmarks import benchmark_config, benchmark_split
 from dts_ssl.data import MismatchSplit, build_mismatch_split, generate_synthetic
 from dts_ssl.errors import StateError, UndefinedMetricError, ValidationError
 from dts_ssl.evaluation import compute_accuracy, predict_labels
@@ -619,6 +620,22 @@ class TestAblationBehavior:
 
         assert logits_per_epoch(True, tmp_path / "on") == logits_per_epoch(False, tmp_path / "off")
         assert len(list((tmp_path / "on" / "score_dumps").glob("epoch_*.csv"))) == 4 + 6
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_inlier_student_reads_nothing_from_the_outlier_pair(self, seed):
+        """At the benchmark's tau = 0.85 >= 1 / (1 + gamma) the gate's score clause cannot bind, so
+        nothing flows from the outlier pair into the inlier student: modes that change only the
+        outlier pair's training leave it bit-equal. Dropping its own logit-match term, the
+        control, does change it."""
+        split = benchmark_split(seed)
+
+        def inlier_hash(mode):
+            config = benchmark_config(mode, seed, iterations=2, epochs_per_iteration=6, pretrain_epochs=10)
+            return param_hash(run_training(config, split).pairs["inlier"].student)
+
+        tied = {inlier_hash(mode) for mode in ("full", "no_soft_weighting", "no_consistency")}
+        assert len(tied) == 1
+        assert inlier_hash("no_logit_match") not in tied
 
 
 class TestEvaluatePipeline:
