@@ -1,21 +1,34 @@
-"""The pair worker: the last model of the step plan, trained in a forked process.
+"""The pair worker: one forked process per run that scores pre-training's teachers and trains
+the last model of the iterations' step plan.
 
-Within an iteration the teachers are frozen, so a step's draw (batch, views,
-teacher targets) does not depend on the students it feeds, and each student
-reads only those targets. ``run_training`` enters :func:`attached` after pair
-derivation, unless a step callback is set. When the process may run on at least
-two CPUs (``os.sched_getaffinity``), ``fork`` exists and the process runs one
-thread, it forks one worker, whatever the mode. One thread means no other Python
-thread, which makes forking unsafe, and no BLAS thread pool: a pool in each
-process oversubscribes the CPUs (with OpenBLAS unpinned, a 64-64-32 ``full`` run
-took 2.6x as long with the worker as without). Otherwise the run trains serially.
+Nothing reads a pre-training record before the phase ends, and within an
+iteration the teachers are frozen, so a step's draw (batch, views, teacher
+targets) does not depend on the students it feeds, and each student reads only
+those targets. ``run_training`` enters :func:`attached` before pre-training,
+unless a step callback is set. When the process may run on at least two CPUs
+(``os.sched_getaffinity``), ``fork`` exists and the process runs one thread, it
+forks one worker, whatever the mode. One thread means no other Python thread,
+which makes forking unsafe, and no BLAS thread pool: a pool in each process
+oversubscribes the CPUs (with OpenBLAS unpinned, a 64-64-32 ``full`` run took
+2.6x as long with the worker as without). Otherwise the run trains serially.
 
-The worker trains the plan's last model (``trainer._model_step``, the code the
-serial path runs) on a private copy: the outlier student of a two-model plan,
-the one model of a one-model plan. The parent draws every step, trains the
-other model, if any, and evaluates. This is the one statement of the schedule
+In pre-training the parent trains the teacher. In the iterations the worker
+trains the plan's last model (``trainer._model_step``, the code the serial path
+runs) on a private copy: the outlier student of a two-model plan, the one model
+of a one-model plan; the parent draws every step, trains the other model, if
+any, and evaluates. This is the one statement of the schedule
 (``trainer._run_epochs``):
 
+- Pre-training. After an epoch's steps the parent takes the worker's scores of
+  the previous epoch's teacher, publishes this epoch's into the other of two
+  teacher copies and has the worker score it (:meth:`PairWorker.score`). It
+  then makes the previous epoch's ``trainer.evaluate_pipeline`` call on that
+  epoch's copy, with the scores taken as its detection half, and appends its
+  record, one epoch late; the last epoch's follows the loop. So the worker
+  scores epoch e while the parent evaluates epoch e-1 and trains epoch e+1.
+  After the phase the parent derives the pairs, moves its students into the
+  mapping and hands the worker its model (:meth:`PairWorker.attach`); the
+  worker derives the same pairs from the teacher copy published last.
 - Steps. Steps are drawn only when they are staged, in order, on both paths.
   The parent stages step i+1 of an epoch in one of ``_SLOTS`` (two) slots, used
   in turn, before it trains its own model on step i, so the worker trains ahead
@@ -33,34 +46,38 @@ other model, if any, and evaluates. This is the one statement of the schedule
   publishes is staged only once every earlier publication is in view. So an
   epoch callback sees every student as of its epoch, and none moves while it
   runs.
-- Evaluation. The detection half (``trainer._detection``) runs in the process
-  whose steps forward fewer unlabeled views, the worker on a tie: the parent's
-  teachers forward one per pair and its own model up to two, the worker's
-  model up to two. So the parent detects in ``no_its``, ``no_k1_ots`` and the
-  merged modes, and runs ``trainer.evaluate_pipeline`` whole on the published
-  copy. Elsewhere the worker detects after its steps, then goes on to the
-  staged ones; the parent's ``evaluate_pipeline`` call runs the test half and
-  takes the worker's (:meth:`PairWorker.detection`), before the parent trains
-  its model on the next epoch.
+- Evaluation. The detection half, the students' scores of the unlabeled set
+  (``trainer._score``), runs in the process whose steps forward fewer
+  unlabeled views, the worker on a tie: the parent's teachers forward one per
+  pair and its own model up to two, the worker's model up to two. So the
+  parent detects in ``no_its``, ``no_k1_ots`` and the merged modes, and runs
+  ``trainer.evaluate_pipeline`` whole on the published copy. Elsewhere the
+  worker scores after its steps, then goes on to the staged ones; the parent's
+  ``evaluate_pipeline`` call runs the test half and takes the worker's scores
+  (:meth:`PairWorker.detection`), before the parent trains its model on the
+  next epoch. In both phases the worker ships scores only: AUROC and the two
+  mean scores are computed in the parent, which alone reads the hidden
+  seen/unseen flags.
 
 The parent waits on the worker for a slot (the worker reads its step as views
 into the slot until it replies), before it stages a step that publishes while
 an earlier publication is not in view, for the epoch's last step before the
-record (its reports and its copy), and for a detection. The worker waits only
-when nothing is staged. Either way the results are bit-identical: the same
+record (its reports and its copy), and for scores. The worker waits only when
+nothing is queued. Either way the results are bit-identical: the same
 functions run on the same values, and the random draws keep their order.
 
-The two processes share one anonymous mapping. It holds the parameter vectors
-of the parent's students, which the worker reads to score, and the two
-published copies, which the parent reads in place for checkpoints, teacher
-refreshes, callbacks and the result; they are copied back into private arrays
-when the worker stops, the copy in view for the worker's model. It also holds
-the two slots, each with a step's inputs and the worker's reply for that step
-(its model's loss values and forwards), and the detection result. A command
-and its reply are one-byte tokens on two pipes: the slot's digit for a step,
-``d`` for a detection. A waiter polls its pipe for up to ``_POLL_S``, then
-blocks; end of file tells either side that the other is gone. An exception in
-the worker is raised again in the parent, with its own type.
+The two processes share one anonymous mapping, laid out before the fork. It
+holds the two teacher copies; the parameter vectors of the parent's students,
+which the worker reads to score; and the two published copies, which the
+parent reads in place for checkpoints, teacher refreshes, callbacks and the
+result. They are copied back into private arrays when the worker stops, the
+copy in view for the worker's model. It also holds the two slots, each with a
+step's inputs and the worker's reply for that step (its model's loss values
+and forwards), and the scores. A command and its reply are one-byte tokens on
+two pipes: the slot's digit for a step, ``d`` for scores, ``i`` for the end of
+pre-training. A waiter polls its pipe for up to ``_POLL_S``, then blocks; end
+of file tells either side that the other is gone. An exception in the worker
+is raised again in the parent, with its own type.
 """
 
 from __future__ import annotations
@@ -79,7 +96,8 @@ from dataclasses import fields
 import numpy as np
 
 from .losses import LossReport
-from .trainer import _DETECTION, _credit, _detection, _model_step, _Step, _step_plan
+from .models import DualHeadModel, TeacherStudentPair
+from .trainer import _credit, _derive_pairs, _model_step, _score, _Step, _step_plan, apply_ablation
 
 _POLL_S = 2e-3  # how long a waiter polls its pipe before it blocks
 _ALIGN = 64  # byte alignment of every array in the shared mapping
@@ -99,34 +117,33 @@ def _threads() -> int:
 
 
 @contextlib.contextmanager
-def attached(state):
-    """Run the block with a pair worker on ``state`` when the conditions above hold, else
-    serially. On exit the worker is stopped and reaped, also when the block raises."""
+def attached(config, split, teacher):
+    """Run the block with a pair worker for a run of ``config`` on ``split`` whose teacher, not yet
+    pre-trained, is ``teacher``, when the conditions above hold; the block gets the worker, else
+    None. On exit the worker is stopped and reaped, also when the block raises."""
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
     if not hasattr(os, "fork") or len(cpus) < 2 or _threads() != 1:
-        yield
+        yield None
         return
-    state.worker = PairWorker(state, *list(_step_plan(state.pipeline, state.config).items())[-1])
+    worker = PairWorker(config, split, teacher)
     try:
-        yield
+        yield worker
     finally:
-        worker, state.worker = state.worker, None
         worker.close()
 
 
 class PairWorker:
-    """The parent's handle on the forked process that trains model ``name`` of the plan."""
+    """The parent's handle on the forked process that scores pre-training's teachers, then trains
+    model ``name`` of the iterations' step plan."""
 
-    def __init__(self, state, name: str, branches) -> None:
-        self.name = name
-        self._state = state
-        cfg, split = state.config, state.split
-        self._model, self._optimizer = state.pairs[name].student, state.optimizers[name]
-        self._students = [pair.student for other, pair in state.pairs.items() if other != name]  # the parent's
-        self._roles = tuple(dict.fromkeys(b.role for b in branches))  # a merged model reads both roles
+    def __init__(self, config, split, teacher) -> None:
+        self._config, self._unlabeled_x = config, split.unlabeled_x
+        self._pipeline = apply_ablation(config.ablation_mode, config)
+        self.name, self._branches = list(_step_plan(self._pipeline, config).items())[-1]
+        self._roles = tuple(dict.fromkeys(b.role for b in self._branches))  # a merged model reads both roles
         self._staged = _INPUTS + tuple(f"{role}_{t}" for role in self._roles for t in _TARGETS)
-        rows = min(cfg.batch_size, len(split.labeled_x))
-        u_rows, classes = cfg.mu * rows, split.K + 1
+        rows = min(config.batch_size, len(split.labeled_x))
+        u_rows, classes = config.mu * rows, split.K + 1
         slot = {
             "labeled_x": (np.float64, rows * split.dim),
             "labeled_y": (split.labeled_y.dtype, rows),
@@ -139,33 +156,42 @@ class PairWorker:
             "scalars": (np.float64, 3),  # lr, k1_scored, the copy to publish into (-1: none)
             "reply": (np.float64, 2 + 2 * len(_REPORT_FIELDS)),  # forwards, n, then n (field, value)
         }
+        size = teacher.flat.size  # a derived model holds part of the teacher's parameters, so no more
         arrays = _mapping({
-            **{f"student_{i}": (np.float64, s.flat.size) for i, s in enumerate(self._students)},
-            **{f"{what}/{c}": (np.float64, a.size) for c in range(2)
-               for what, a in (("params", self._model.flat), ("velocity", self._optimizer.velocity))},
+            **{f"teacher/{c}": (np.float64, size) for c in range(2)},
+            "teacher": (np.int64, 1),  # the teacher copy published last
+            **{f"student_{i}": (np.float64, size) for i in range(len(self._pipeline.pairs) - 1)},
+            **{f"{what}/{c}": (np.float64, size) for c in range(2) for what in ("params", "velocity")},
             **{f"{name}/{i}": spec for i in range(_SLOTS) for name, spec in slot.items()},
             "scores": (np.float64, len(split.unlabeled_x)),
-            "detection": (np.float64, len(_DETECTION)),  # trainer._detection's results, in _DETECTION order
         })
         self._slots = [{name: arrays[f"{name}/{i}"] for name in slot} for i in range(_SLOTS)]
         self._arrays = arrays
-        for i, student in enumerate(self._students):
-            student.rehome(arrays[f"student_{i}"])
-        arrays["params/0"][:], arrays["velocity/0"][:] = self._model.flat, self._optimizer.velocity
-        self._show(0)
+        self._teachers = []  # per teacher copy, the pairs pre-training evaluates on it
+        for c in range(2):
+            view = DualHeadModel(teacher.spec, teacher.K, teacher.params, teacher.heads)
+            view.rehome(arrays[f"teacher/{c}"])
+            self._teachers.append({"merged": TeacherStudentPair(view, view)})
+        self._state = self._model = self._optimizer = self._copies = None  # the iterations', once attached
+        self._students = []  # the parent's students the worker scores
         self._pending = collections.deque()  # (token, the step or None, the copy it publishes into or -1)
         self._started = 0  # steps staged so far; step k uses slot k % _SLOTS
 
         cmd_r, self._cmd_w = os.pipe()
         self._reply_r, reply_w = os.pipe()
-        self._pid = os.fork()
+        try:
+            self._pid = os.fork()
+        except BaseException:
+            for fd in (cmd_r, self._cmd_w, self._reply_r, reply_w):
+                os.close(fd)
+            raise
         if self._pid == 0:  # the worker: serve commands until end of file, then exit
             code = 0
             try:
                 os.close(self._cmd_w)
                 os.close(self._reply_r)
                 os.set_blocking(cmd_r, False)
-                self._serve(cmd_r, reply_w, state, branches)
+                self._serve(cmd_r, reply_w)
             except BaseException as exc:  # noqa: BLE001 - the parent raises it again
                 code = 1
                 _send_exception(reply_w, exc)
@@ -176,6 +202,34 @@ class PairWorker:
         os.set_blocking(self._reply_r, False)
 
     # -- the parent's side --------------------------------------------------
+
+    def score(self, pairs) -> tuple[dict, np.ndarray | None]:
+        """Pre-training: take the scores of the teacher copy published last, if any, then publish
+        the one student of ``pairs`` into the other copy and have the worker score it. Returns
+        that copy, as pairs to evaluate on, and the scores taken."""
+        scores = self.detection() if self._pending else None
+        copy = 1 - int(self._arrays["teacher"][0])
+        (pair,) = pairs.values()
+        self._arrays[f"teacher/{copy}"][:] = pair.student.flat
+        self._arrays["teacher"][0] = copy
+        self._send(b"d")
+        return self._teachers[copy], scores
+
+    def attach(self, state) -> None:
+        """After pre-training, with ``state``'s pairs just derived: move the parent's students into
+        the mapping, where the worker scores them, and have the worker derive the same pairs from
+        the teacher copy published last and train model ``name`` on. From here on ``state.pairs``
+        shows that model's published copies."""
+        self._state = state
+        self._model, self._optimizer = state.pairs[self.name].student, state.optimizers[self.name]
+        self._students = [pair.student for other, pair in state.pairs.items() if other != self.name]
+        for i, student in enumerate(self._students):
+            student.rehome(self._arrays[f"student_{i}"][: student.flat.size])
+        self._copies = _copies(self._arrays, self._model.flat.size)
+        self._copies[0][0][:], self._copies[0][1][:] = self._model.flat, self._optimizer.velocity
+        self._show(0)
+        self._send(b"i")
+        state.worker = self
 
     def start(self, step: _Step, lr: float, publish: bool) -> None:
         """Stage ``step`` in the next slot and have the worker train its model on it, then, with
@@ -211,16 +265,16 @@ class PairWorker:
             self._collect()
 
     def detect(self) -> None:
-        """Have the worker run the detection half of an evaluation once the steps started are
-        trained; this process must not change a student before :meth:`detection` returns."""
+        """Have the worker score the unlabeled set with the students, the detection half of an
+        evaluation, once the steps started are trained; this process must not change a student
+        before :meth:`detection` returns."""
         self._send(b"d")
 
-    def detection(self) -> tuple[np.ndarray, dict[str, float]]:
-        """Wait for the detection :meth:`detect` began: what ``trainer._detection`` returned in
-        the worker."""
+    def detection(self) -> np.ndarray:
+        """Wait for the scores :meth:`detect` or :meth:`score` asked for; a copy of them."""
         while any(entry[0] == b"d" for entry in self._pending):
             self._collect()
-        return self._arrays["scores"].copy(), dict(zip(_DETECTION, self._arrays["detection"].tolist()))
+        return self._arrays["scores"].copy()
 
     def close(self) -> None:
         """Stop and reap the worker, then copy the shared parameters back into private arrays."""
@@ -229,10 +283,12 @@ class PairWorker:
             os.waitpid(self._pid, 0)
         finally:
             os.close(self._reply_r)
-        for student in (*self._students, self._model):
-            student.rehome(np.empty_like(student.flat))
-        self._optimizer.velocity = self._optimizer.velocity.copy()
-        self._arrays = self._slots = None  # the mapping is unmapped with its last view
+        if self._model is not None:
+            for student in (*self._students, self._model):
+                student.rehome(np.empty_like(student.flat))
+            self._optimizer.velocity = self._optimizer.velocity.copy()
+            self._state.worker = None  # no cycle keeps the run's state alive until the next collection
+        self._arrays = self._slots = self._teachers = self._copies = self._state = None  # the mapping goes with its last view
 
     def _send(self, token: bytes, step: _Step | None = None, copy: int = -1) -> None:
         try:
@@ -262,34 +318,39 @@ class PairWorker:
 
     def _show(self, copy: int) -> None:
         """Make published copy ``copy`` this process's view of the worker's model and its velocity."""
-        self._model.rehome(self._arrays[f"params/{copy}"], copy=False)
-        self._optimizer.velocity = self._arrays[f"velocity/{copy}"]
+        self._model.rehome(self._copies[copy][0], copy=False)
+        self._optimizer.velocity = self._copies[copy][1]
         self._shown = copy
 
     # -- the worker's side --------------------------------------------------
 
-    def _serve(self, cmd_r: int, reply_w: int, state, branches) -> None:
-        model, optimizer, split = self._model, self._optimizer, state.split
-        model.rehome(np.empty_like(model.flat))  # the private copy this process trains
-        optimizer.velocity = optimizer.velocity.copy()
+    def _serve(self, cmd_r: int, reply_w: int) -> None:
+        cfg, arrays = self._config, self._arrays
+        pairs = None  # the iterations' pairs, derived here after pre-training
         while True:
             token = _receive(cmd_r)
-            if token == b"d":
-                scores, found = _detection(state.pairs, split.unlabeled_x, split.unlabeled_is_unseen,
-                                           state.config.gamma)
-                self._arrays["scores"][:] = scores
-                self._arrays["detection"][:] = [found[name] for name in _DETECTION]
+            if token == b"d":  # in pre-training the teacher copy published last, then the students
+                scored = self._teachers[int(arrays["teacher"][0])] if pairs is None else pairs
+                arrays["scores"][:] = _score(scored, "student", self._unlabeled_x, cfg.gamma)[0]
+            elif token == b"i":  # pre-training is over: derive the pairs as the parent did
+                teacher = self._teachers[int(arrays["teacher"][0])]["merged"].student
+                teacher.pretrained = True
+                pairs, optimizers = _derive_pairs(teacher, self._pipeline, cfg)
+                students = [pair.student for name, pair in pairs.items() if name != self.name]
+                for i, student in enumerate(students):  # the parent's, in the mapping
+                    student.rehome(arrays[f"student_{i}"][: student.flat.size], copy=False)
+                model, optimizer = pairs[self.name].student, optimizers[self.name]  # the private copy trained here
+                copies = _copies(arrays, model.flat.size)
             elif token:  # a step, staged in slot int(token)
                 slot = self._slots[int(token)]
                 step, lr, copy = self._step(slot)
-                values, forwards = _model_step(model, optimizer, branches, step, state.config, lr)
+                values, forwards = _model_step(model, optimizer, self._branches, step, cfg, lr)
                 reply = slot["reply"]
                 reply[:2] = forwards, len(values)
                 for j, (name, value) in enumerate(values.items()):
                     reply[2 + 2 * j : 4 + 2 * j] = _REPORT_FIELDS.index(name), value
                 if copy >= 0:
-                    self._arrays[f"params/{copy}"][:] = model.flat
-                    self._arrays[f"velocity/{copy}"][:] = optimizer.velocity
+                    copies[copy][0][:], copies[copy][1][:] = model.flat, optimizer.velocity
             else:  # end of file: the parent is done, or gone
                 return
             os.write(reply_w, token)
@@ -307,6 +368,11 @@ class PairWorker:
         step = _Step(a["labeled_x"], a["labeled_y"], a["weak_u"], a["strong_u"], targets, a["weights"],
                      bool(k1_scored), LossReport(), 0)
         return step, lr, int(copy)
+
+
+def _copies(arrays: dict[str, np.ndarray], size: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The two published copies of a model of ``size`` parameters: per copy, (parameters, velocity)."""
+    return [(arrays[f"params/{c}"][:size], arrays[f"velocity/{c}"][:size]) for c in range(2)]
 
 
 def _mapping(layout: dict) -> dict[str, np.ndarray]:

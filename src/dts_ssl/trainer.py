@@ -7,11 +7,11 @@ of iterations. Within an iteration the teachers are frozen; every step scores
 the unlabeled batch with the teachers, updates the inlier student on its
 objective, then updates the outlier student on its objective. At iteration
 boundaries each student is copied into its teacher. Where the process may use
-two CPUs and no step callback is set, the iterations run with a forked pair
-worker (``pairworker``) that trains the plan's last model and, in most modes,
-runs each evaluation's detection half. Both paths run one epoch schedule
-(``_run_epochs``), which the ``pairworker`` module docstring states, and give
-the same bits.
+two CPUs and no step callback is set, the run has a forked pair worker
+(``pairworker``) that scores each pre-training epoch's teacher, then trains the
+plan's last model and, in most modes, scores the students for each
+evaluation. Both paths run one epoch schedule (``_run_epochs``), which the
+``pairworker`` module docstring states, and give the same bits.
 
 Pre-training is the CE-only merged plan: the teacher, as the one model of a
 ``merged`` pair, trains the branches (inlier, k) and (outlier, k1) with no
@@ -19,7 +19,8 @@ unlabeled terms. It runs through the same epoch loop (``_run_epochs``) and
 step (``_train_step``) as the iterations. Every evaluation (pre-training's,
 the iterations' on either path, the last of which is the final one, and
 ``run_inference``'s) is one ``evaluate_pipeline`` call: the first pair's
-test-set predictions, then the detection half, ``_detection``.
+test-set predictions, then the detection half, the students' scores of the
+unlabeled set, and from them AUROC and the mean scores.
 
 An ablation mode is four choices: which pairs exist, which loss terms each
 role trains, whether the (K+1)-head score weights the extra-class supervision
@@ -69,6 +70,7 @@ import collections
 import contextlib
 import ctypes
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -341,7 +343,7 @@ class TrainState:
     training_unlabeled_forwards: int = 0
     out_dir: Path | None = None
     last_eval: EvalResult | None = None  # of the latest evaluated epoch
-    worker: object = None  # a pairworker.PairWorker training the plan's last model, if one runs
+    worker: object = None  # a pairworker.PairWorker, if one runs: it scores pre-training, trains the plan's last model
 
     @property
     def total_epochs(self) -> int:
@@ -363,7 +365,8 @@ class TrainResult:
 
 
 def pretrain_teacher(teacher: DualHeadModel, split: MismatchSplit, config: TrainConfig,
-                     rng: np.random.Generator, scale: np.ndarray, out_dir: Path | None = None) -> list[dict]:
+                     rng: np.random.Generator, scale: np.ndarray, out_dir: Path | None = None,
+                     worker=None) -> list[dict]:
     """Optimize both heads on labeled strong views for ``config.pretrain_epochs``;
     returns the epoch records, each with an evaluation of the teacher.
 
@@ -372,6 +375,10 @@ def pretrain_teacher(teacher: DualHeadModel, split: MismatchSplit, config: Train
     (K+1)-head trains with the same 1..K labels (it simply never sees a
     positive for the extra class). Sets the pre-trained flag required by pair
     derivation. With ``config.dump_scores``, each epoch's scores go to ``out_dir``.
+    Every step trains in this process. With ``worker`` (``pairworker.attached``),
+    each epoch's unlabeled-set scores are computed in the worker while this
+    process trains the next epoch, and the test half, AUROC and the record
+    follow here one epoch late; otherwise each epoch is scored here.
     """
     # the sampler rejects an empty labeled set, so the label range below is defined
     sampler = PairSampler(split, config.batch_size, config.mu, rng, include_unlabeled=False)
@@ -383,7 +390,7 @@ def pretrain_teacher(teacher: DualHeadModel, split: MismatchSplit, config: Train
         config=config, pipeline=pipeline, pairs={"merged": TeacherStudentPair(teacher, teacher)},
         optimizers={"merged": SGD(teacher.flat, config.momentum, config.weight_decay)},
         sampler=sampler, rng=rng, scale=scale, split=split, iteration=-1, out_dir=out_dir,
-        aug=AugmentConfig(config.weak_sigma, config.strong_sigma, config.mask_fraction),
+        aug=AugmentConfig(config.weak_sigma, config.strong_sigma, config.mask_fraction), worker=worker,
     )
     _run_epochs(state)
     teacher.pretrained = True
@@ -630,9 +637,11 @@ def evaluate_pipeline(pairs: dict[str, TeacherStudentPair], test_x: np.ndarray, 
     what an epoch record stores: leaves ``per_class_accuracy`` and
     ``score_histogram`` None (``_with_tables`` fills them in for a final
     evaluation). The test half is the first pair's student's test-set labels.
-    The detection half is ``_detection``, run here, or, when ``detection`` is
-    given, what ``detection()`` returns after the test half: the same half
-    computed elsewhere (``_evaluate`` passes the pair worker's).
+    The detection half is the students' scores of the unlabeled set, computed
+    here or, when ``detection`` is given, what ``detection()`` returns after
+    the test half: the same scores computed elsewhere (``_run_epochs`` passes
+    the pair worker's). AUROC and the two mean scores are computed here from
+    the scores, so the flags are read in this process only.
     """
     model = next(iter(pairs.values())).student
     if "k" in model.heads:
@@ -640,33 +649,21 @@ def evaluate_pipeline(pairs: dict[str, TeacherStudentPair], test_x: np.ndarray, 
     else:  # a (K+1)-head alone classifies through its first K outputs
         preds = np.argmax(model.probs(np.atleast_2d(test_x), head="k1")[: model.K], axis=0) + 1
     accuracy = compute_accuracy(preds, test_y)
-    scores, stats = (_detection(pairs, unlabeled_x, unlabeled_is_unseen, gamma) if detection is None
-                     else detection())
-    return EvalResult(accuracy=accuracy, predictions=preds, scores=scores, **stats)
-
-
-# a detection's scalar results, named as in EvalResult; the pair worker ships them in this order
-_DETECTION = ("auroc", "mean_score_seen", "mean_score_unseen")
-
-
-def _detection(pairs: dict[str, TeacherStudentPair], unlabeled_x: np.ndarray, unlabeled_is_unseen: np.ndarray,
-               gamma: float) -> tuple[np.ndarray, dict[str, float]]:
-    """The detection half of an evaluation: the students' scores of the unlabeled set, and the
-    ``_DETECTION`` results, their AUROC and the mean score of its seen and of its unseen rows."""
-    scores = _score(pairs, "student", unlabeled_x, gamma)[0]
+    scores = _score(pairs, "student", unlabeled_x, gamma)[0] if detection is None else detection()
     flags = np.asarray(unlabeled_is_unseen, dtype=bool)
     # degenerate splits (ratio 0 or 1) leave the detection metric undefined
     auroc = compute_auroc(scores, flags) if (flags.any() and not flags.all()) else float("nan")
     seen = float(scores[~flags].mean()) if (~flags).any() else float("nan")
     unseen = float(scores[flags].mean()) if flags.any() else float("nan")
-    return scores, dict(zip(_DETECTION, (auroc, seen, unseen)))
+    return EvalResult(accuracy=accuracy, auroc=auroc, predictions=preds, scores=scores,
+                      mean_score_seen=seen, mean_score_unseen=unseen)
 
 
-def _evaluate(state: TrainState, detection=None) -> EvalResult:
-    """``evaluate_pipeline`` of the students, with ``detection`` in place of its own detection
-    half when given: the pair worker's, where it detects."""
+def _evaluate(state: TrainState, pairs: dict[str, TeacherStudentPair], detection=None) -> EvalResult:
+    """``evaluate_pipeline`` of the students of ``pairs`` on ``state``'s split, with ``detection``
+    in place of its own detection half when given: the pair worker's, where it scores."""
     split = state.split
-    return evaluate_pipeline(state.pairs, split.test_x, split.test_y, split.unlabeled_x, split.unlabeled_is_unseen,
+    return evaluate_pipeline(pairs, split.test_x, split.test_y, split.unlabeled_x, split.unlabeled_is_unseen,
                              state.config.gamma, detection=detection)
 
 
@@ -708,7 +705,8 @@ def _epoch_record(phase: str, iteration: int, epoch_in_phase: int, global_epoch:
         "gate_pass_rate_in": report.pass_count_in / report.batch_unlabeled if report.batch_unlabeled else 0.0,
         "gate_pass_rate_out": report.pass_count_out / report.batch_unlabeled if report.batch_unlabeled else 0.0,
         "test_accuracy": ev.accuracy if ev else float("nan"),
-        **{name: getattr(ev, name) if ev else float("nan") for name in _DETECTION},
+        **{name: getattr(ev, name) if ev else float("nan")
+           for name in ("auroc", "mean_score_seen", "mean_score_unseen")},
         "training_unlabeled_forwards": unlabeled_forwards,
     }
 
@@ -724,7 +722,8 @@ def _run_epochs(state: TrainState, step_callback=None, epoch_callback=None) -> N
     pretrain = state.iteration < 0
     epochs = cfg.pretrain_epochs if pretrain else cfg.epochs_per_iteration
     eval_every = 1 if pretrain else cfg.eval_every
-    worker = state.worker
+    # in pre-training every step trains here and the worker, if any, scores each epoch's teacher
+    scorer, worker = (state.worker, None) if pretrain else (None, state.worker)
     plan = _step_plan(state.pipeline, cfg)
     own = {name: b for name, b in plan.items() if worker is None or name != worker.name}
     # the detection half runs in the process whose steps forward fewer unlabeled views, the worker on a
@@ -737,6 +736,7 @@ def _run_epochs(state: TrainState, step_callback=None, epoch_callback=None) -> N
     staged = collections.deque()  # drawn in order, not yet trained here
     taken = 0  # steps of the phase staged so far
     lead = 0 if step_callback is not None else 1  # steps staged ahead of this process's own
+    late = None  # with a scorer: the previous epoch's record, made once this epoch's steps are done
 
     def stage(upto: int) -> None:
         """Draw the phase's steps up to index ``upto`` (exclusive) and start each on the worker."""
@@ -747,14 +747,26 @@ def _run_epochs(state: TrainState, step_callback=None, epoch_callback=None) -> N
                 worker.start(staged[-1], lrs[k // steps], k % steps == steps - 1)
         taken = max(taken, upto)
 
+    def record(epoch: int, global_epoch: int, forwards: int, report: LossReport, pairs, found) -> dict:
+        """Evaluate epoch ``epoch`` of the phase on ``pairs`` if it is due (with the detection half
+        ``found`` when given), then append its record."""
+        ev = None
+        if (epoch + 1) % eval_every == 0 or epoch == epochs - 1:
+            ev = state.last_eval = _evaluate(state, pairs, found)
+            if cfg.dump_scores and state.out_dir is not None:
+                _dump_epoch_scores(state, global_epoch, ev.scores)
+        entry = _epoch_record("pretrain" if pretrain else "train", state.iteration, epoch, global_epoch,
+                              lrs[epoch], report, ev, forwards)
+        state.history.append(entry)
+        return entry
+
     for epoch in range(epochs):
-        lr = lrs[epoch]
         evaluated = (epoch + 1) % eval_every == 0 or epoch == epochs - 1
         end, reports = (epoch + 1) * steps, []
         for k in range(end - steps, end):
             stage(min(k + 1 + lead, end))
             step = staged.popleft()
-            _train_step(state, own, step, lr)
+            _train_step(state, own, step, lrs[epoch])
             reports.append(step.report)
             if step_callback is not None:
                 step_callback(state, step.report)
@@ -764,20 +776,24 @@ def _run_epochs(state: TrainState, step_callback=None, epoch_callback=None) -> N
             stage(min(end + 2, end + steps, epochs * steps))
         if worker is not None:
             worker.wait(step)  # the epoch's reports are complete and state.pairs shows its students
-        ev = None
-        if evaluated:
-            ev = state.last_eval = _evaluate(state, detection)
-            if cfg.dump_scores and state.out_dir is not None:
-                _dump_epoch_scores(state, ev.scores)
         report = _mean_report(reports)
         if pretrain:
             report.inlier_total = report.outlier_total = 0.0
-        record = _epoch_record("pretrain" if pretrain else "train", state.iteration, epoch,
-                               state.global_epoch, lr, report, ev, state.training_unlabeled_forwards)
-        state.history.append(record)
+        done = functools.partial(record, epoch, state.global_epoch, state.training_unlabeled_forwards, report)
         state.global_epoch += 1
-        if epoch_callback is not None:
-            epoch_callback(state, record)
+        if scorer is None:
+            entry = done(state.pairs, detection)
+            if epoch_callback is not None:
+                epoch_callback(state, entry)
+            continue
+        # the worker scores this epoch's teacher, published, while this process records the previous
+        # epoch and trains the next; nothing reads a pre-training record before the phase ends
+        published, scores = scorer.score(state.pairs)
+        if late is not None:
+            late(lambda: scores)
+        late = functools.partial(done, published)
+    if late is not None:
+        late(scorer.detection)
 
 
 def train_dts_iteration(state: TrainState, step_callback=None, epoch_callback=None) -> TrainState:
@@ -789,11 +805,11 @@ def train_dts_iteration(state: TrainState, step_callback=None, epoch_callback=No
     return state
 
 
-def _dump_epoch_scores(state: TrainState, scores: np.ndarray) -> None:
-    """Write the epoch's evaluation scores of the unlabeled set, with the hidden flags."""
+def _dump_epoch_scores(state: TrainState, global_epoch: int, scores: np.ndarray) -> None:
+    """Write an epoch's evaluation scores of the unlabeled set, with the hidden flags."""
     dump_dir = state.out_dir / "score_dumps"
     dump_dir.mkdir(exist_ok=True)
-    write_score_dump(dump_dir / f"epoch_{state.global_epoch:05d}.csv", np.arange(len(scores)), scores,
+    write_score_dump(dump_dir / f"epoch_{global_epoch:05d}.csv", np.arange(len(scores)), scores,
                      state.split.unlabeled_is_unseen)
 
 
@@ -839,14 +855,16 @@ def run_training(
     Holds the heap (``_hold_heap``): glibc's trim and mmap thresholds stay at
     32 MiB for the whole process, also after this call returns.
 
-    On two or more CPUs, after pre-training and unless ``step_callback`` is
-    set, a forked pair worker (``pairworker.attached``) trains the plan's last
-    model on a private copy and, in most modes, runs each evaluation's
-    detection half; it is reaped before this call returns or raises. The
-    ``pairworker`` module docstring states the schedule, and with it what a
-    callback sees of the students, ``state.rng`` and ``state.sampler``. When a
-    callback raises, ``checkpoints/aborted.npz`` holds the teachers and
-    students as of its step or epoch.
+    On two or more CPUs, unless ``step_callback`` is set, a pair worker
+    (``pairworker.attached``) is forked before pre-training. It computes each
+    pre-training epoch's unlabeled-set scores while this process trains the
+    next epoch (``pretrain_teacher``), then trains the plan's last model on a
+    private copy and, in most modes, computes the students' scores for each
+    evaluation; AUROC is always computed here. It is reaped before this call
+    returns or raises. The ``pairworker`` module docstring states the
+    schedule, and with it what a callback sees of the students, ``state.rng``
+    and ``state.sampler``. When a callback raises, ``checkpoints/aborted.npz``
+    holds the teachers and students as of its step or epoch.
     """
     config.validate()
     _hold_heap()
@@ -870,45 +888,41 @@ def run_training(
     scale = feature_scale(split)
     aug = AugmentConfig(config.weak_sigma, config.strong_sigma, config.mask_fraction)
 
-    history = pretrain_teacher(teacher, split, config, rng, scale, out_path)
-    if out_path is not None:
-        save_model({"teacher": teacher}, out_path / "teacher_pretrained.npz")
-
-    pairs = {name: derive_pair(teacher, kind) for name, kind in pipeline.pairs}
-    optimizers = {
-        name: SGD(pair.student.flat, config.momentum, config.weight_decay)
-        for name, pair in pairs.items()
-    }
-    sampler = PairSampler(split, config.batch_size, config.mu, rng,
-                          include_unlabeled=pipeline.uses_unlabeled)
-    state = TrainState(
-        config=config,
-        pipeline=pipeline,
-        pairs=pairs,
-        optimizers=optimizers,
-        sampler=sampler,
-        rng=rng,
-        scale=scale,
-        aug=aug,
-        split=split,
-        global_epoch=config.pretrain_epochs,
-        history=history,
-        out_dir=out_path,
-    )
-
     from . import pairworker  # imported here: most processes never start a worker
 
-    try:
-        with pairworker.attached(state) if step_callback is None else contextlib.nullcontext():
+    with pairworker.attached(config, split, teacher) if step_callback is None else contextlib.nullcontext() as worker:
+        history = pretrain_teacher(teacher, split, config, rng, scale, out_path, worker)
+        if out_path is not None:
+            save_model({"teacher": teacher}, out_path / "teacher_pretrained.npz")
+        pairs, optimizers = _derive_pairs(teacher, pipeline, config)
+        sampler = PairSampler(split, config.batch_size, config.mu, rng,
+                              include_unlabeled=pipeline.uses_unlabeled)
+        state = TrainState(
+            config=config,
+            pipeline=pipeline,
+            pairs=pairs,
+            optimizers=optimizers,
+            sampler=sampler,
+            rng=rng,
+            scale=scale,
+            aug=aug,
+            split=split,
+            global_epoch=config.pretrain_epochs,
+            history=history,
+            out_dir=out_path,
+        )
+        try:
+            if worker is not None:
+                worker.attach(state)
             for _ in range(config.iterations):
                 train_dts_iteration(state, step_callback, epoch_callback)
                 if out_path is not None:
                     _save_checkpoint(state, out_path, f"iter{state.iteration}")
-    except Exception:
-        if out_path is not None:
-            _save_checkpoint(state, out_path, "aborted", apart=True)
-            _write_metrics(state.history, out_path / "metrics.jsonl")
-        raise
+        except Exception:
+            if out_path is not None:  # the worker never writes the copy of its model in view
+                _save_checkpoint(state, out_path, "aborted", apart=True)
+                _write_metrics(state.history, out_path / "metrics.jsonl")
+            raise
 
     # an iteration always evaluates its last epoch, and nothing has changed the
     # students since: that evaluation is the final one
@@ -933,6 +947,14 @@ def run_training(
         history=state.history,
         final_eval=final_eval,
     )
+
+
+def _derive_pairs(teacher: DualHeadModel, pipeline: PipelineDescription,
+                  config: TrainConfig) -> tuple[dict[str, TeacherStudentPair], dict[str, SGD]]:
+    """The pipeline's pairs, derived from the pre-trained ``teacher``, and an optimizer per student;
+    the pair worker derives its own the same way."""
+    pairs = {name: derive_pair(teacher, kind) for name, kind in pipeline.pairs}
+    return pairs, {name: SGD(pair.student.flat, config.momentum, config.weight_decay) for name, pair in pairs.items()}
 
 
 def _save_checkpoint(state: TrainState, out_path: Path, tag: str, apart: bool = False) -> None:

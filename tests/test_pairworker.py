@@ -1,7 +1,7 @@
-"""The pair worker: a run that trains the plan's last model (and, in most modes, scores the
-unlabeled set) in a forked process gives what the serial run in one process gives, shows its
-callbacks the same students while the worker trains ahead, leaves no process behind, and carries
-worker failures home."""
+"""The pair worker: a run that scores pre-training's teachers, trains the plan's last model and,
+in most modes, scores the students in a forked process gives what the serial run in one process
+gives, shows its callbacks the same students while the worker trains ahead, computes every AUROC
+in this process, leaves no process or descriptor behind, and carries worker failures home."""
 
 import json
 import os
@@ -11,6 +11,7 @@ import signal
 import threading
 import time
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -65,6 +66,11 @@ def reaped(pid: int) -> bool:
     except ChildProcessError:
         return True
     return False
+
+
+def descriptors() -> list[str]:
+    """This process's open file descriptors."""
+    return sorted(os.listdir("/proc/self/fd"))
 
 
 def run_files(out_dir):
@@ -129,7 +135,7 @@ def test_worker_run_equals_serial_run_on_the_benchmark(mode, seed, tmp_path, for
 @pytest.mark.parametrize("mode", ("full", "no_its"))
 def test_worker_run_equals_serial_run_with_unevaluated_epochs_and_score_dumps(mode, tmp_path, forks):
     # epochs 3 and 6 of each iteration evaluate; each writes a score dump from the worker's scores,
-    # after the 50 that pre-training, evaluated every epoch in this process, writes
+    # after the 50 that pre-training writes, one an epoch, from the worker's scores of its teacher
     config = benchmark_config(mode, 0, eval_every=3, dump_scores=True, **SHORT)
     worker, _ = assert_same_run(config, benchmark_split(0), tmp_path, forks)
     assert [np.isfinite(r["auroc"]) for r in worker.history[config.pretrain_epochs:]] == [False, False, True] * 4
@@ -230,9 +236,10 @@ def test_result_pickles_bit_exactly(tmp_path, forks):
 @pytest.mark.parametrize("mode, in_worker", (("full", True), ("no_its", False), ("no_k1_its", True),
                                              ("supervised_only", True)))
 def test_every_evaluation_is_one_evaluate_pipeline_call(mode, in_worker, forks, monkeypatch):
-    # pre-training evaluates each epoch in this process; each iteration evaluates epochs 2 and 3
-    # of 3, taking the worker's detection half unless the worker's steps forward more unlabeled
-    # views than this process's (no_its: the strong and the weak view against the teacher's one)
+    # pre-training evaluates each epoch with the worker's scores of its teacher; each iteration
+    # evaluates epochs 2 and 3 of 3, taking the worker's detection half unless the worker's steps
+    # forward more unlabeled views than this process's (no_its: the strong and the weak view
+    # against the teacher's one)
     calls, evaluate = [], trainer.evaluate_pipeline
 
     def counted(*args, **kwargs):
@@ -243,7 +250,19 @@ def test_every_evaluation_is_one_evaluate_pipeline_call(mode, in_worker, forks, 
     config = tiny_config(mode, eval_every=2)
     run_training(config, tiny_split())
     assert len(forks) == 1 and reaped(forks[0])
-    assert calls == [False] * config.pretrain_epochs + [in_worker] * (2 * config.iterations)
+    assert calls == [True] * config.pretrain_epochs + [in_worker] * (2 * config.iterations)
+
+
+def test_the_run_state_is_freed_with_its_worker(forks):
+    # the worker holds the iterations' state and the state its worker: a cycle left in place would
+    # keep the run's arrays on the heap until the next collection, and grow the peak RSS
+    states = []
+    run_training(tiny_config(), tiny_split(), epoch_callback=lambda state, record: states.append(state))
+    assert len(forks) == 1 and reaped(forks[0])
+    last = weakref.ref(states[-1])
+    assert last().worker is None
+    states.clear()
+    assert last() is None
 
 
 def test_one_model_plan_forks_a_worker_one_cpu_and_other_threads_fork_none(forks):
@@ -294,6 +313,56 @@ def test_worker_exception_is_raised_with_its_type(tmp_path, forks, monkeypatch):
     aborted(tmp_path, ("inlier", "outlier"))
 
 
+def test_worker_exception_in_pre_training_is_raised_with_its_type(tmp_path, forks, monkeypatch):
+    # in pre-training only the worker scores: the teacher's steps read no unlabeled data, and this
+    # process evaluates each epoch on the worker's scores
+    calls, scores = [], trainer.scores_from_probs
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise WorkerFailure("third pre-training score")
+        return scores(*args)
+
+    monkeypatch.setattr(trainer, "scores_from_probs", failing)
+    before = descriptors()
+    with pytest.raises(WorkerFailure, match="third pre-training score") as caught:
+        run_training(tiny_config(), tiny_split(), out_dir=tmp_path)
+    assert "raised in the pair worker" in str(caught.value.__cause__)
+    assert calls == []  # this process scored no pre-training epoch
+    assert len(forks) == 1 and reaped(forks[0])
+    assert descriptors() == before
+    assert not (tmp_path / "checkpoints").exists()  # no pair was derived, as on the serial path
+
+
+def test_failed_fork_raises_and_leaves_no_descriptor(monkeypatch):
+    def failing():
+        raise BlockingIOError("fork: resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", failing)
+    before = descriptors()
+    with pytest.raises(BlockingIOError, match="resource temporarily unavailable"):
+        run_training(tiny_config(), tiny_split())
+    assert descriptors() == before
+
+
+@pytest.mark.parametrize("mode", TWO_PAIR_MODES + ONE_MODEL_MODES)
+def test_auroc_and_the_flags_stay_in_this_process(mode, forks, monkeypatch):
+    # the worker ships scores only; every AUROC, and so every read of the hidden seen/unseen flags,
+    # is this process's, in pre-training and in the iterations
+    pid, auroc = os.getpid(), trainer.compute_auroc
+
+    def here_only(*args):
+        if os.getpid() != pid:
+            raise WorkerFailure("compute_auroc ran in the worker")
+        return auroc(*args)
+
+    monkeypatch.setattr(trainer, "compute_auroc", here_only)
+    result = run_training(tiny_config(mode), tiny_split())
+    assert len(forks) == 1 and reaped(forks[0])
+    assert all(np.isfinite(r["auroc"]) for r in result.history)
+
+
 def test_worker_exception_that_does_not_pickle_arrives_as_text(forks, monkeypatch):
     class Local(Exception):  # a local class does not pickle
         pass
@@ -318,10 +387,11 @@ def test_dead_worker_is_reported_and_reaped(tmp_path, forks):
     aborted(tmp_path, ("inlier", "outlier"))
 
 
-@pytest.mark.parametrize("mode, in_worker", (("full", True), ("no_its", False), ("no_k1_its", True)))
-def test_divergence_raises_the_same_error_on_both_paths(mode, in_worker, tmp_path, forks):
+@pytest.mark.parametrize("mode", ("full", "no_its", "no_k1_its"))
+def test_divergence_raises_the_same_error_on_both_paths(mode, tmp_path, forks):
     # tanh at lr=1e6 overflows after pre-training; the first evaluation that scores non-finite
-    # raises, on the worker path in the detection half, wherever it runs
+    # raises in this process's AUROC, wherever the scores were computed (the worker in full and
+    # no_k1_its, this process in no_its)
     config, split = benchmark_config(mode, 0, activation="tanh", lr=1e6), benchmark_split(0)
     caught = []
     for out, run in (("worker", lambda f: f()), ("serial", serial)):
@@ -331,10 +401,7 @@ def test_divergence_raises_the_same_error_on_both_paths(mode, in_worker, tmp_pat
         caught.append(error.value)
     assert [type(e) for e in caught] == [UndefinedMetricError] * 2
     assert str(caught[0]) == str(caught[1]) and "AUROC needs finite scores" in str(caught[0])
-    if in_worker:
-        assert "raised in the pair worker" in str(caught[0].__cause__)
-    else:
-        assert caught[0].__cause__ is None
+    assert caught[0].__cause__ is None
     assert len(forks) == 1 and reaped(forks[0])
     assert run_files(tmp_path / "worker") == run_files(tmp_path / "serial")
     aborted(tmp_path / "worker", [name for name, _ in apply_ablation(mode, config).pairs])
