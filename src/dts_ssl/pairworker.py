@@ -20,15 +20,16 @@ any, and evaluates. This is the one statement of the schedule
 (``trainer._run_epochs``):
 
 - Pre-training. After an epoch's steps the parent takes the worker's scores of
-  the previous epoch's teacher, publishes this epoch's into the other of two
-  teacher copies and has the worker score it (:meth:`PairWorker.score`). It
+  the previous epoch's teacher, publishes this epoch's into the other of the
+  two published copies and has the worker score it (:meth:`PairWorker.score`). It
   then makes the previous epoch's ``trainer.evaluate_pipeline`` call on that
   epoch's copy, with the scores taken as its detection half, and appends its
   record, one epoch late; the last epoch's follows the loop. So the worker
   scores epoch e while the parent evaluates epoch e-1 and trains epoch e+1.
   After the phase the parent derives the pairs, moves its students into the
-  mapping and hands the worker its model (:meth:`PairWorker.attach`); the
-  worker derives the same pairs from the teacher copy published last.
+  mapping and publishes the worker's model, parameters and SGD velocity, into
+  copy 0 (:meth:`PairWorker.attach`), from which the worker copies it: after
+  pre-training the worker trains and scores only values the parent put there.
 - Steps. Steps are drawn only when they are staged, in order, on both paths.
   The parent stages step i+1 of an epoch in one of ``_SLOTS`` (two) slots, used
   in turn, before it trains its own model on step i, so the worker trains ahead
@@ -67,14 +68,17 @@ nothing is queued. Either way the results are bit-identical: the same
 functions run on the same values, and the random draws keep their order.
 
 The two processes share one anonymous mapping, laid out before the fork. It
-holds the two teacher copies; the parameter vectors of the parent's students,
-which the worker reads to score; and the two published copies, which the
-parent reads in place for checkpoints, teacher refreshes, callbacks and the
-result. They are copied back into private arrays when the worker stops, the
-copy in view for the worker's model. It also holds the two slots, each with a
-step's inputs and the worker's reply for that step (its model's loss values
-and forwards), and the scores. A command and its reply are one-byte tokens on
-two pipes: the slot's digit for a step, ``d`` for scores, ``i`` for the end of
+holds the parameter vectors of the parent's students, which the worker reads
+to score, and the two published copies, each a parameter vector as long as the
+teacher's and an SGD velocity: pre-training publishes its teachers into them,
+the iterations the worker's model, and the parent reads them in place for
+evaluations, checkpoints, teacher refreshes, callbacks and the result. They
+are copied back into private arrays when the worker stops, the copy in view
+for the worker's model. It also holds the index of the copy in view (in
+pre-training the one published last), the two slots, each with a step's
+inputs and the worker's reply for that step (its model's loss values and
+forwards), and the scores. A command and its reply are one-byte tokens on two
+pipes: the slot's digit for a step, ``d`` for scores, ``i`` for the end of
 pre-training. A waiter polls its pipe for up to ``_POLL_S``, then blocks; end
 of file tells either side that the other is gone. An exception in the worker
 is raised again in the parent, with its own type.
@@ -158,8 +162,7 @@ class PairWorker:
         }
         size = teacher.flat.size  # a derived model holds part of the teacher's parameters, so no more
         arrays = _mapping({
-            **{f"teacher/{c}": (np.float64, size) for c in range(2)},
-            "teacher": (np.int64, 1),  # the teacher copy published last
+            "shown": (np.int64, 1),  # the published copy in the parent's view
             **{f"student_{i}": (np.float64, size) for i in range(len(self._pipeline.pairs) - 1)},
             **{f"{what}/{c}": (np.float64, size) for c in range(2) for what in ("params", "velocity")},
             **{f"{name}/{i}": spec for i in range(_SLOTS) for name, spec in slot.items()},
@@ -167,31 +170,33 @@ class PairWorker:
         })
         self._slots = [{name: arrays[f"{name}/{i}"] for name in slot} for i in range(_SLOTS)]
         self._arrays = arrays
-        self._teachers = []  # per teacher copy, the pairs pre-training evaluates on it
+        self._teachers = []  # per published copy, the pairs pre-training evaluates on it
         for c in range(2):
             view = DualHeadModel(teacher.spec, teacher.K, teacher.params, teacher.heads)
-            view.rehome(arrays[f"teacher/{c}"])
+            view.rehome(arrays[f"params/{c}"])
             self._teachers.append({"merged": TeacherStudentPair(view, view)})
-        self._state = self._model = self._optimizer = self._copies = None  # the iterations', once attached
+        self._state = self._model = self._optimizer = None  # the iterations', once attached
         self._students = []  # the parent's students the worker scores
         self._pending = collections.deque()  # (token, the step or None, the copy it publishes into or -1)
         self._started = 0  # steps staged so far; step k uses slot k % _SLOTS
 
-        cmd_r, self._cmd_w = os.pipe()
-        self._reply_r, reply_w = os.pipe()
+        fds = []
         try:
+            fds += os.pipe()
+            fds += os.pipe()
             self._pid = os.fork()
         except BaseException:
-            for fd in (cmd_r, self._cmd_w, self._reply_r, reply_w):
+            for fd in fds:
                 os.close(fd)
             raise
+        cmd_r, self._cmd_w, self._reply_r, reply_w = fds
         if self._pid == 0:  # the worker: serve commands until end of file, then exit
             code = 0
             try:
                 os.close(self._cmd_w)
                 os.close(self._reply_r)
                 os.set_blocking(cmd_r, False)
-                self._serve(cmd_r, reply_w)
+                self._serve(cmd_r, reply_w, teacher)
             except BaseException as exc:  # noqa: BLE001 - the parent raises it again
                 code = 1
                 _send_exception(reply_w, exc)
@@ -208,25 +213,25 @@ class PairWorker:
         the one student of ``pairs`` into the other copy and have the worker score it. Returns
         that copy, as pairs to evaluate on, and the scores taken."""
         scores = self.detection() if self._pending else None
-        copy = 1 - int(self._arrays["teacher"][0])
+        copy = 1 - int(self._arrays["shown"][0])
         (pair,) = pairs.values()
-        self._arrays[f"teacher/{copy}"][:] = pair.student.flat
-        self._arrays["teacher"][0] = copy
+        self._arrays[f"params/{copy}"][:] = pair.student.flat
+        self._arrays["shown"][0] = copy
         self._send(b"d")
         return self._teachers[copy], scores
 
     def attach(self, state) -> None:
         """After pre-training, with ``state``'s pairs just derived: move the parent's students into
-        the mapping, where the worker scores them, and have the worker derive the same pairs from
-        the teacher copy published last and train model ``name`` on. From here on ``state.pairs``
+        the mapping, where the worker scores them, and publish model ``name`` and its velocity into
+        copy 0, from which the worker copies the model it trains. From here on ``state.pairs``
         shows that model's published copies."""
         self._state = state
         self._model, self._optimizer = state.pairs[self.name].student, state.optimizers[self.name]
         self._students = [pair.student for other, pair in state.pairs.items() if other != self.name]
         for i, student in enumerate(self._students):
             student.rehome(self._arrays[f"student_{i}"][: student.flat.size])
-        self._copies = _copies(self._arrays, self._model.flat.size)
-        self._copies[0][0][:], self._copies[0][1][:] = self._model.flat, self._optimizer.velocity
+        size = self._model.flat.size
+        self._arrays["params/0"][:size], self._arrays["velocity/0"][:size] = self._model.flat, self._optimizer.velocity
         self._show(0)
         self._send(b"i")
         state.worker = self
@@ -242,7 +247,7 @@ class PairWorker:
         if publish:
             while any(entry[2] >= 0 for entry in self._pending):
                 self._collect()
-            copy = 1 - self._shown
+            copy = 1 - int(self._arrays["shown"][0])
         index = self._started % _SLOTS
         slot = self._slots[index]
         arrays = [step.labeled_x, step.labeled_y, step.weak_u, step.strong_u, step.weights]
@@ -279,16 +284,14 @@ class PairWorker:
     def close(self) -> None:
         """Stop and reap the worker, then copy the shared parameters back into private arrays."""
         os.close(self._cmd_w)  # the worker serves what is queued, reads end of file and exits
-        try:
-            os.waitpid(self._pid, 0)
-        finally:
-            os.close(self._reply_r)
+        os.close(self._reply_r)  # first, or a worker blocked writing a reply or an exception never exits
+        os.waitpid(self._pid, 0)
         if self._model is not None:
             for student in (*self._students, self._model):
                 student.rehome(np.empty_like(student.flat))
             self._optimizer.velocity = self._optimizer.velocity.copy()
             self._state.worker = None  # no cycle keeps the run's state alive until the next collection
-        self._arrays = self._slots = self._teachers = self._copies = self._state = None  # the mapping goes with its last view
+        self._arrays = self._slots = self._teachers = self._state = None  # the mapping goes with its last view
 
     def _send(self, token: bytes, step: _Step | None = None, copy: int = -1) -> None:
         try:
@@ -318,29 +321,30 @@ class PairWorker:
 
     def _show(self, copy: int) -> None:
         """Make published copy ``copy`` this process's view of the worker's model and its velocity."""
-        self._model.rehome(self._copies[copy][0], copy=False)
-        self._optimizer.velocity = self._copies[copy][1]
-        self._shown = copy
+        size = self._model.flat.size
+        self._model.rehome(self._arrays[f"params/{copy}"][:size], copy=False)
+        self._optimizer.velocity = self._arrays[f"velocity/{copy}"][:size]
+        self._arrays["shown"][0] = copy
 
     # -- the worker's side --------------------------------------------------
 
-    def _serve(self, cmd_r: int, reply_w: int) -> None:
+    def _serve(self, cmd_r: int, reply_w: int, teacher: DualHeadModel) -> None:
         cfg, arrays = self._config, self._arrays
-        pairs = None  # the iterations' pairs, derived here after pre-training
+        pairs = None  # the iterations' pairs, laid out here after pre-training
         while True:
             token = _receive(cmd_r)
             if token == b"d":  # in pre-training the teacher copy published last, then the students
-                scored = self._teachers[int(arrays["teacher"][0])] if pairs is None else pairs
+                scored = self._teachers[int(arrays["shown"][0])] if pairs is None else pairs
                 arrays["scores"][:] = _score(scored, "student", self._unlabeled_x, cfg.gamma)[0]
-            elif token == b"i":  # pre-training is over: derive the pairs as the parent did
-                teacher = self._teachers[int(arrays["teacher"][0])]["merged"].student
-                teacher.pretrained = True
+            elif token == b"i":  # pre-training is over: lay out the pairs, with the values the parent attached
+                teacher.pretrained = True  # this process's teacher as forked: only its layout is read
                 pairs, optimizers = _derive_pairs(teacher, self._pipeline, cfg)
                 students = [pair.student for name, pair in pairs.items() if name != self.name]
                 for i, student in enumerate(students):  # the parent's, in the mapping
                     student.rehome(arrays[f"student_{i}"][: student.flat.size], copy=False)
                 model, optimizer = pairs[self.name].student, optimizers[self.name]  # the private copy trained here
-                copies = _copies(arrays, model.flat.size)
+                size = model.flat.size
+                model.flat[:], optimizer.velocity[:] = arrays["params/0"][:size], arrays["velocity/0"][:size]
             elif token:  # a step, staged in slot int(token)
                 slot = self._slots[int(token)]
                 step, lr, copy = self._step(slot)
@@ -350,7 +354,8 @@ class PairWorker:
                 for j, (name, value) in enumerate(values.items()):
                     reply[2 + 2 * j : 4 + 2 * j] = _REPORT_FIELDS.index(name), value
                 if copy >= 0:
-                    copies[copy][0][:], copies[copy][1][:] = model.flat, optimizer.velocity
+                    arrays[f"params/{copy}"][:size] = model.flat
+                    arrays[f"velocity/{copy}"][:size] = optimizer.velocity
             else:  # end of file: the parent is done, or gone
                 return
             os.write(reply_w, token)
@@ -368,11 +373,6 @@ class PairWorker:
         step = _Step(a["labeled_x"], a["labeled_y"], a["weak_u"], a["strong_u"], targets, a["weights"],
                      bool(k1_scored), LossReport(), 0)
         return step, lr, int(copy)
-
-
-def _copies(arrays: dict[str, np.ndarray], size: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The two published copies of a model of ``size`` parameters: per copy, (parameters, velocity)."""
-    return [(arrays[f"params/{c}"][:size], arrays[f"velocity/{c}"][:size]) for c in range(2)]
 
 
 def _mapping(layout: dict) -> dict[str, np.ndarray]:

@@ -6,12 +6,8 @@ the inlier and outlier teacher-student pairs from it, then run a fixed number
 of iterations. Within an iteration the teachers are frozen; every step scores
 the unlabeled batch with the teachers, updates the inlier student on its
 objective, then updates the outlier student on its objective. At iteration
-boundaries each student is copied into its teacher. Where the process may use
-two CPUs and no step callback is set, the run has a forked pair worker
-(``pairworker``) that scores each pre-training epoch's teacher, then trains the
-plan's last model and, in most modes, scores the students for each
-evaluation. Both paths run one epoch schedule (``_run_epochs``), which the
-``pairworker`` module docstring states, and give the same bits.
+boundaries each student is copied into its teacher. A run may share this work
+with a forked pair worker; the ``pairworker`` module docstring states when and how.
 
 Pre-training is the CE-only merged plan: the teacher, as the one model of a
 ``merged`` pair, trains the branches (inlier, k) and (outlier, k1) with no
@@ -375,10 +371,7 @@ def pretrain_teacher(teacher: DualHeadModel, split: MismatchSplit, config: Train
     (K+1)-head trains with the same 1..K labels (it simply never sees a
     positive for the extra class). Sets the pre-trained flag required by pair
     derivation. With ``config.dump_scores``, each epoch's scores go to ``out_dir``.
-    Every step trains in this process. With ``worker`` (``pairworker.attached``),
-    each epoch's unlabeled-set scores are computed in the worker while this
-    process trains the next epoch, and the test half, AUROC and the record
-    follow here one epoch late; otherwise each epoch is scored here.
+    ``worker`` (``pairworker.attached``), if given, scores each epoch's teacher (see the module docstring there).
     """
     # the sampler rejects an empty labeled set, so the label range below is defined
     sampler = PairSampler(split, config.batch_size, config.mu, rng, include_unlabeled=False)
@@ -855,16 +848,10 @@ def run_training(
     Holds the heap (``_hold_heap``): glibc's trim and mmap thresholds stay at
     32 MiB for the whole process, also after this call returns.
 
-    On two or more CPUs, unless ``step_callback`` is set, a pair worker
-    (``pairworker.attached``) is forked before pre-training. It computes each
-    pre-training epoch's unlabeled-set scores while this process trains the
-    next epoch (``pretrain_teacher``), then trains the plan's last model on a
-    private copy and, in most modes, computes the students' scores for each
-    evaluation; AUROC is always computed here. It is reaped before this call
-    returns or raises. The ``pairworker`` module docstring states the
-    schedule, and with it what a callback sees of the students, ``state.rng``
-    and ``state.sampler``. When a callback raises, ``checkpoints/aborted.npz``
-    holds the teachers and students as of its step or epoch.
+    A pair worker may share the run; the ``pairworker`` module docstring states the schedule,
+    and with it what a callback sees of the students, ``state.rng`` and ``state.sampler``.
+    When a callback raises, ``checkpoints/aborted.npz`` holds the teachers and students as of
+    its step or epoch.
     """
     config.validate()
     _hold_heap()
@@ -951,8 +938,7 @@ def run_training(
 
 def _derive_pairs(teacher: DualHeadModel, pipeline: PipelineDescription,
                   config: TrainConfig) -> tuple[dict[str, TeacherStudentPair], dict[str, SGD]]:
-    """The pipeline's pairs, derived from the pre-trained ``teacher``, and an optimizer per student;
-    the pair worker derives its own the same way."""
+    """The pipeline's pairs, derived from the pre-trained ``teacher``, and an optimizer per student."""
     pairs = {name: derive_pair(teacher, kind) for name, kind in pipeline.pairs}
     return pairs, {name: SGD(pair.student.flat, config.momentum, config.weight_decay) for name, pair in pairs.items()}
 

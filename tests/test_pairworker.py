@@ -3,15 +3,19 @@ in most modes, scores the students in a forked process gives what the serial run
 gives, shows its callbacks the same students while the worker trains ahead, computes every AUROC
 in this process, leaves no process or descriptor behind, and carries worker failures home."""
 
+import errno
 import json
 import os
 import pickle
 import select
 import signal
+import subprocess
+import sys
 import threading
 import time
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,6 +223,25 @@ def test_callbacks_see_the_students_of_their_step(mode, steps_too):
         assert seen == watched(False)[0]
 
 
+@pytest.mark.parametrize("mode", ("full", "no_its", "one_f_two_c"))
+def test_worker_model_starts_from_the_state_this_process_derived(mode, tmp_path, forks, monkeypatch):
+    # every derived student is perturbed and its velocity starts nonzero; the worker takes its
+    # model from what this process attached, not from a derivation of its own, so the worker run
+    # still equals the serial run. pairworker is imported above, before the patch, so a name it
+    # bound to _derive_pairs would still reach the original
+    derive = trainer._derive_pairs
+
+    def perturbed(*args):
+        pairs, optimizers = derive(*args)
+        for name, pair in pairs.items():
+            pair.student.flat += 1e-3
+            optimizers[name].velocity[:] = 1e-3 * pair.student.flat
+        return pairs, optimizers
+
+    monkeypatch.setattr(trainer, "_derive_pairs", perturbed)
+    assert_same_run(tiny_config(mode), tiny_split(), tmp_path, forks)
+
+
 def test_result_pickles_bit_exactly(tmp_path, forks):
     worker, alone = assert_same_run(tiny_config(), tiny_split(), tmp_path, forks)
     assert pickle.dumps(worker) == pickle.dumps(alone)
@@ -335,15 +358,22 @@ def test_worker_exception_in_pre_training_is_raised_with_its_type(tmp_path, fork
     assert not (tmp_path / "checkpoints").exists()  # no pair was derived, as on the serial path
 
 
-def test_failed_fork_raises_and_leaves_no_descriptor(monkeypatch):
-    def failing():
-        raise BlockingIOError("fork: resource temporarily unavailable")
+@pytest.mark.parametrize("call, nth", (("fork", 1), ("pipe", 2)))
+def test_failed_fork_raises_and_leaves_no_descriptor(call, nth, monkeypatch):
+    # the fork fails, or the second pipe: the pipes made before it are closed
+    calls, real = [], getattr(os, call)
 
-    monkeypatch.setattr(os, "fork", failing)
+    def failing():
+        calls.append(call)
+        if len(calls) == nth:
+            raise OSError(errno.EMFILE, f"{call}: too many open files")
+        return real()
+
+    monkeypatch.setattr(os, call, failing)
     before = descriptors()
-    with pytest.raises(BlockingIOError, match="resource temporarily unavailable"):
+    with pytest.raises(OSError, match="too many open files"):
         run_training(tiny_config(), tiny_split())
-    assert descriptors() == before
+    assert descriptors() == before and len(calls) == nth
 
 
 @pytest.mark.parametrize("mode", TWO_PAIR_MODES + ONE_MODEL_MODES)
@@ -374,6 +404,39 @@ def test_worker_exception_that_does_not_pickle_arrives_as_text(forks, monkeypatc
     with pytest.raises(ChildProcessError, match="Local: not picklable"):
         run_training(tiny_config(), tiny_split())
     assert len(forks) == 1 and reaped(forks[0])
+
+
+def test_failure_here_while_the_worker_sends_a_large_exception_does_not_hang():
+    # this process fails in its own model's step while the worker's exception payload, far larger
+    # than a pipe buffer, waits to be written; closing the worker must not wait for that write.
+    # Run in a subprocess, so that a hang fails the test instead of the suite
+    script = """
+import os
+from dts_ssl import losses
+from dts_ssl.trainer import run_training
+from test_trainer import tiny_config, tiny_split
+
+parent = os.getpid()
+unseen = losses.unseen_loss_and_grad
+
+def here(*args):  # the inlier student's logit match trains in this process
+    raise KeyError("failed here")
+
+def there(*args):  # the outlier student's unseen term trains in the worker
+    if os.getpid() != parent:
+        raise RuntimeError("x" * 1_000_000)
+    return unseen(*args)
+
+losses.logit_match_loss_and_grad, losses.unseen_loss_and_grad = here, there
+try:
+    run_training(tiny_config(), tiny_split())
+except KeyError as exc:
+    print("raised", exc)
+"""
+    path = os.pathsep.join((str(Path(pairworker.__file__).parents[1]), str(Path(__file__).parent)))
+    done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "raised 'failed here'\n"), done.stderr
 
 
 def test_dead_worker_is_reported_and_reaped(tmp_path, forks):
