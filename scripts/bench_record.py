@@ -80,7 +80,10 @@ def main() -> int:
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
     from dts_ssl.benchmarks import run_benchmark
-    from dts_ssl.trainer import ABLATION_MODES
+    try:
+        from dts_ssl.config import ABLATION_MODES
+    except ModuleNotFoundError:  # a tree older than dts_ssl.config keeps the mode table in trainer
+        from dts_ssl.trainer import ABLATION_MODES
 
     modes = args.modes or list(ABLATION_MODES)
     unknown = sorted(set(modes) - set(ABLATION_MODES))

@@ -53,7 +53,10 @@ def main() -> int:
     args = parser.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
     from dts_ssl.benchmarks import run_benchmark
-    from dts_ssl.trainer import ABLATION_MODES
+    try:
+        from dts_ssl.config import ABLATION_MODES
+    except ModuleNotFoundError:  # a tree older than dts_ssl.config keeps the mode table in trainer
+        from dts_ssl.trainer import ABLATION_MODES
 
     def digest(mode: str, seed: int, **overrides) -> str:
         history = run_benchmark(mode, seed, **overrides).history

@@ -17,7 +17,22 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 del _var
 
-from .data import build_mismatch_split, generate_synthetic  # noqa: E402 - after the BLAS pin
-from .trainer import TrainConfig, run_inference, run_training  # noqa: E402
+from .config import TrainConfig  # noqa: E402 - after the BLAS pin
+from .data import build_mismatch_split, generate_synthetic  # noqa: E402
 
 __version__ = "0.1.0"
+
+# the training code loads on first use of one of these (PEP 562), not with the package
+_TRAINER_NAMES = ("run_inference", "run_training")
+
+
+def __getattr__(name: str):
+    if name in _TRAINER_NAMES:
+        from . import trainer
+
+        return getattr(trainer, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted([*globals(), *_TRAINER_NAMES])

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import dataclasses
 
-from .cli import ExperimentConfig
+from .config import ExperimentConfig, TrainConfig
 from .data import DatasetSpec, MismatchSplit, SplitSpec
-from .trainer import TrainConfig, TrainResult, run_training
 
 DESK = ExperimentConfig(
     dataset=DatasetSpec(name="desk-benchmark"),
@@ -38,8 +37,10 @@ def benchmark_config(ablation_mode: str = "full", seed: int = 0, **overrides) ->
     return dataclasses.replace(DESK.train, ablation_mode=ablation_mode, seed=seed, **overrides)
 
 
-def run_benchmark(ablation_mode: str = "full", seed: int = 0, out_dir=None, **overrides) -> TrainResult:
-    """One paired benchmark run: build the seed's split, train, evaluate."""
+def run_benchmark(ablation_mode: str = "full", seed: int = 0, out_dir=None, **overrides):
+    """One paired benchmark run: build the seed's split, train, evaluate; returns the ``TrainResult``."""
+    from .trainer import run_training  # imported here: the split alone loads no training code
+
     split = benchmark_split(seed)
     config = benchmark_config(ablation_mode, seed, **overrides)
     return run_training(config, split, out_dir=out_dir)

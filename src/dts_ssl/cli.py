@@ -28,61 +28,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import DatasetSpec, SplitSpec, split_checks
-from .errors import DtsError, ValidationError, replace_fields, require_all, type_checks
-from .trainer import TrainConfig, run_training
+from .config import ExperimentConfig
+from .errors import DtsError, ValidationError, require_all
 
 ENV_OUT_ROOT = "DTS_SSL_OUT_ROOT"
-
-
-SECTIONS = ("dataset", "split", "train")
-
-
-@dataclass
-class ExperimentConfig:
-    dataset: DatasetSpec = field(default_factory=DatasetSpec)
-    split: SplitSpec = field(default_factory=SplitSpec)
-    train: TrainConfig = field(default_factory=TrainConfig.desk)
-    seeds: list[int] = field(default_factory=lambda: [0])
-    out_dir: str | None = None
-
-    def validate(self) -> None:
-        problems = [msg for ok, msg in type_checks(self) if not ok]
-        for name in SECTIONS:
-            try:
-                getattr(self, name).validate()
-            except ValidationError as exc:
-                problems += [f"{name}.{problem}" for problem in exc.problems]
-        if not problems and self.dataset.kind == "synthetic":  # its classes are known before it is built
-            classes = self.dataset.k_seen + self.dataset.k_unseen
-            fit = split_checks(**dataclasses.asdict(self.split), class_count=classes)
-            problems += [f"split.{msg}" for ok, msg in fit if not ok]
-        if not self.seeds:
-            problems.append("seeds: must list at least one seed")
-        elif not any(msg.startswith("seeds:") for msg in problems) and min(self.seeds) < 0:
-            problems.append("seeds: must be >= 0")
-        if (self.train.seed != 0 and self.seeds != [self.train.seed]
-                and not any(msg.startswith(("seeds:", "train.seed:")) for msg in problems)):
-            problems.append(f"train.seed: a run's seed comes from seeds (or --seed); train.seed must be 0 "
-                            f"or the one entry of seeds, got {self.train.seed} with seeds {self.seeds}")
-        if problems:
-            raise ValidationError(*problems)
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, raw) -> "ExperimentConfig":
-        """Each section's fields in ``raw`` replace its default's; train's default is the desk schedule."""
-        if not isinstance(raw, dict):
-            raise ValidationError(f"a config must be a JSON object, got {raw!r}")
-        cfg = replace_fields(cls(), {k: v for k, v in raw.items() if k not in SECTIONS})
-        for name in SECTIONS:
-            section = raw.get(name, {})
-            if not isinstance(section, dict):
-                raise ValidationError(f"{name}: expected a JSON object, got {section!r}")
-            setattr(cfg, name, replace_fields(getattr(cfg, name), section, f"{name}: "))
-        return cfg
 
 
 def load_config(path: str | Path, overrides: list[str] | None = None) -> ExperimentConfig:
@@ -190,6 +139,8 @@ def _experiment_hash(points: list[tuple[dict, ExperimentConfig]]) -> str:
 
 
 def _execute_single(config: ExperimentConfig, seed: int, run_dir: Path) -> dict:
+    from .trainer import run_training  # imported here: the config and report verbs load no training code
+
     split = config.split.build(config.dataset.load(), seed)
     train_cfg = dataclasses.replace(config.train, seed=seed)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -277,6 +228,8 @@ def sweep(config_path: str | Path, axis: str, values: list[str],
         point = copy.deepcopy(config)
         _apply_override(point, f"{axis}={value}")
         point.validate()
+        if any(point == other for _, other in points):  # its runs would train one directory twice
+            raise ValidationError(f"sweep: value {value!r} repeats an earlier value of {axis}")
         points.append(({"axis": axis, "axis_value": value}, point))
     return _run_points(points, out_dir, "sweep")
 

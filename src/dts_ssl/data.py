@@ -9,7 +9,6 @@ is allowed to read.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import pickle
@@ -102,9 +101,6 @@ def build_mismatch_split(
     seen = tuple(sorted(set(int(c) for c in seen_class_ids)))
     require_all(split_checks(seen, ratio, m, n, test_fraction, class_count=dataset.class_count))
 
-    n_unseen = round_half_up(n * ratio)
-    n_seen = n - n_unseen
-
     rng = np.random.default_rng(seed)
     seen_mask = np.isin(dataset.labels, seen)
     seen_pool = np.flatnonzero(seen_mask)
@@ -112,30 +108,12 @@ def build_mismatch_split(
     rng.shuffle(seen_pool)
     rng.shuffle(unseen_pool)
 
-    test_count = round_half_up(test_fraction * len(seen_pool))
-    need = {
-        "test (seen classes)": test_count,
-        "labeled (seen classes)": m,
-        "unlabeled seen-class": n_seen,
-    }
-    cursor = 0
-    taken: dict[str, np.ndarray] = {}
-    for pool_name, count in need.items():
-        if cursor + count > len(seen_pool):
-            raise CapacityError(
-                f"{pool_name} pool exhausted: need {count} more examples, "
-                f"only {len(seen_pool) - cursor} of {len(seen_pool)} seen-class examples left"
-            )
-        taken[pool_name] = seen_pool[cursor : cursor + count]
-        cursor += count
-    if n_unseen > len(unseen_pool):
-        raise CapacityError(
-            f"unlabeled unseen-class pool exhausted: need {n_unseen}, have {len(unseen_pool)}"
-        )
-
-    test_idx = taken["test (seen classes)"]
-    labeled_idx = taken["labeled (seen classes)"]
-    unlabeled_idx = np.concatenate([taken["unlabeled seen-class"], unseen_pool[:n_unseen]])
+    sizes = split_sizes(len(seen_pool), ratio, m, n, test_fraction)
+    for ok, msg in capacity_checks(sizes, len(seen_pool), len(unseen_pool)):
+        if not ok:
+            raise CapacityError(msg)
+    test_idx, labeled_idx, unlabeled_seen, _ = np.split(seen_pool, np.cumsum(list(sizes.values())[:3]))
+    unlabeled_idx = np.concatenate([unlabeled_seen, unseen_pool[:sizes["unlabeled unseen-class"]]])
     rng.shuffle(unlabeled_idx)
 
     remap = {orig: i + 1 for i, orig in enumerate(seen)}
@@ -178,6 +156,31 @@ def split_checks(seen_class_ids, mismatch_ratio, labeled_size, unlabeled_size, t
              "mismatch_ratio: > 0 needs at least one unseen class in the dataset"),
         ]
     return checks
+
+
+def split_sizes(seen_pool: int, mismatch_ratio, labeled_size, unlabeled_size, test_fraction) -> dict[str, int]:
+    """The example count of each part of a split, in the order the parts are taken: the test,
+    labeled and unlabeled seen-class parts from a seen-class pool of ``seen_pool`` examples,
+    then the unlabeled unseen-class part from the unseen-class pool."""
+    n_unseen = round_half_up(unlabeled_size * mismatch_ratio)
+    return {
+        "test (seen classes)": round_half_up(test_fraction * seen_pool),
+        "labeled (seen classes)": labeled_size,
+        "unlabeled seen-class": unlabeled_size - n_unseen,
+        "unlabeled unseen-class": n_unseen,
+    }
+
+
+def capacity_checks(sizes: dict[str, int], seen_pool: int, unseen_pool: int) -> list:
+    """The ``(ok, message)`` checks that pools of ``seen_pool`` seen-class and ``unseen_pool``
+    unseen-class examples hold the parts that :func:`split_sizes` gives, in its order."""
+    *seen_parts, (unseen_part, n_unseen) = sizes.items()
+    checks, left = [], seen_pool
+    for name, count in seen_parts:
+        checks.append((count <= left, f"{name} pool exhausted: need {count} more examples, "
+                                      f"only {max(left, 0)} of {seen_pool} seen-class examples left"))
+        left -= count
+    return checks + [(n_unseen <= unseen_pool, f"{unseen_part} pool exhausted: need {n_unseen}, have {unseen_pool}")]
 
 
 def _synthetic_checks(k_seen, k_unseen, dim, per_class, separation, noise) -> list:
@@ -446,6 +449,8 @@ def _meta_path(path: Path) -> Path:
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
     """Write a dataset as a columnar CSV plus a JSON metadata sidecar."""
+    import csv  # imported here, as in load_dataset: only the file formats read or write CSV
+
     path = Path(path)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -462,6 +467,8 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 
 
 def load_dataset(path: str | Path) -> Dataset:
+    import csv
+
     path = Path(path)
     meta_file = _meta_path(path)
     if not meta_file.exists():

@@ -17,57 +17,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import BackboneSpec
 from .errors import ShapeError, StateError, ValidationError, require_all
-from .numerics import softmax
-
-
-def _tanh(z: np.ndarray) -> np.ndarray:
-    return np.tanh(z, out=z)
-
-
-def _tanh_grad(a: np.ndarray) -> np.ndarray:
-    return 1.0 - a * a
-
-
-def _relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0, out=z)
-
-
-def _relu_grad(a: np.ndarray) -> np.ndarray:
-    return (a > 0).astype(np.float64)
-
-
-# name -> (in-place activation, derivative from its outputs); module-level functions pickle
-_ACTIVATIONS = {"tanh": (_tanh, _tanh_grad), "relu": (_relu, _relu_grad)}
-
-
-@dataclass(frozen=True)
-class BackboneSpec:
-    """Architecture of the feature extractor (and optional head-side projection).
-
-    ``k1_projection`` inserts an extra hidden layer in front of the (K+1)-way
-    head only; it exists for the merged-model comparison variants.
-    """
-
-    input_dim: int
-    hidden_widths: tuple[int, ...] = (64, 64)
-    feature_dim: int = 32
-    activation: str = "tanh"
-    k1_projection: bool = False
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
-        require_all([
-            (self.input_dim >= 1, "input_dim: must be >= 1"),
-            (all(w >= 1 for w in self.hidden_widths), "hidden_widths: every width must be >= 1"),
-            (self.feature_dim >= 1, "feature_dim: must be >= 1"),
-            (self.activation in _ACTIVATIONS,
-             f"activation: unknown {self.activation!r}, expected one of {tuple(_ACTIVATIONS)}"),
-        ])
-
-    @property
-    def layer_sizes(self) -> tuple[int, ...]:
-        return (self.input_dim, *self.hidden_widths, self.feature_dim)
+from .numerics import ACTIVATIONS, softmax
 
 
 def _packed(params: Mapping[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -111,7 +63,7 @@ class DualHeadModel:
         self.flat, self.params = _packed(params)
         self.heads = tuple(heads)
         self.pretrained = pretrained
-        self._act, self._act_grad = _ACTIVATIONS[spec.activation]
+        self._act, self._act_grad = ACTIVATIONS[spec.activation]
         # layer table: the (W, b) keys of the layers from the inputs to the features, and per head
         # from the features to its logits; ``widths`` are each chain's input and output widths
         chains = {"backbone": [f"backbone.{i}" for i in range(len(spec.layer_sizes) - 1)], "k": ["head_k"],

@@ -57,3 +57,23 @@ def softmax_vjp(probs: np.ndarray, d_probs: np.ndarray) -> np.ndarray:
 def round_half_up(x: float) -> int:
     """Round to the nearest integer with halves rounded up (no banker's rounding)."""
     return int(np.floor(x + 0.5))
+
+
+def _tanh(z: np.ndarray) -> np.ndarray:
+    return np.tanh(z, out=z)
+
+
+def _tanh_grad(a: np.ndarray) -> np.ndarray:
+    return 1.0 - a * a
+
+
+def _relu(z: np.ndarray) -> np.ndarray:
+    return np.maximum(z, 0.0, out=z)
+
+
+def _relu_grad(a: np.ndarray) -> np.ndarray:
+    return (a > 0).astype(np.float64)
+
+
+# name -> (in-place activation, derivative from its outputs); module-level functions pickle
+ACTIVATIONS = {"tanh": (_tanh, _tanh_grad), "relu": (_relu, _relu_grad)}

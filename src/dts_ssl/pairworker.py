@@ -99,9 +99,10 @@ from dataclasses import fields
 
 import numpy as np
 
+from .config import apply_ablation
 from .losses import LossReport
 from .models import DualHeadModel, TeacherStudentPair
-from .trainer import _credit, _derive_pairs, _model_step, _score, _Step, _step_plan, apply_ablation
+from .trainer import _credit, _derive_pairs, _model_step, _score, _Step, _step_plan
 
 _POLL_S = 2e-3  # how long a waiter polls its pipe before it blocks
 _ALIGN = 64  # byte alignment of every array in the shared mapping

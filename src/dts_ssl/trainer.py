@@ -21,14 +21,15 @@ unlabeled set, and from them AUROC and the mean scores.
 An ablation mode is four choices: which pairs exist, which loss terms each
 role trains, whether the (K+1)-head score weights the extra-class supervision
 itself or through a hard mask, and whether the (K+1)-head has a projection.
-``_MODES`` gives each mode's summary and the choices it changes from ``full``,
-whose choices are ``PipelineDescription``'s defaults. The step mechanics stay
-the same, so structural invariants hold across modes. Everything else follows
-from the choices: the heads the pairs carry choose the score (``_score``), and
-with it whether the unseen term is the extra-class CE or, with no (K+1)-head,
-a push toward uniform output; the first pair classifies, and the loss weights
-are the config's. ``_step_plan`` turns the description into the branch table
-one step walks: per trained model, its (role, head, unlabeled terms) branches.
+The mode table in ``config`` gives each mode's summary and the choices it
+changes from ``full``, whose choices are ``PipelineDescription``'s defaults.
+The step mechanics stay the same, so structural invariants hold across modes.
+Everything else follows from the choices: the heads the pairs carry choose the
+score (``_score``), and with it whether the unseen term is the extra-class CE
+or, with no (K+1)-head, a push toward uniform output; the first pair
+classifies, and the loss weights are the config's. ``_step_plan`` turns the
+description into the branch table one step walks: per trained model, its
+(role, head, unlabeled terms) branches.
 
     model     branches (role, head)               unlabeled terms, in order
     inlier    (inlier, k)                         seen, lm
@@ -67,9 +68,7 @@ import contextlib
 import ctypes
 import dataclasses
 import functools
-import hashlib
 import json
-import math
 import platform
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -77,8 +76,9 @@ from pathlib import Path
 import numpy as np
 
 from . import losses
+from .config import BackboneSpec, PipelineDescription, TrainConfig, apply_ablation, config_hash
 from .data import AugmentConfig, MismatchSplit, PairSampler, augment_batch, feature_scale
-from .errors import ValidationError, replace_fields, require_all, type_checks
+from .errors import ValidationError
 from .evaluation import (
     EvalResult,
     compute_accuracy,
@@ -89,7 +89,6 @@ from .evaluation import (
 )
 from .losses import LossReport
 from .models import (
-    BackboneSpec,
     DualHeadModel,
     TeacherStudentPair,
     derive_pair,
@@ -100,175 +99,10 @@ from .models import (
 from .numerics import class_max, class_sum, softmax
 from .soft_weighting import gate_mask, scores_from_probs, write_score_dump
 
-@dataclass
-class TrainConfig:
-    """All hyperparameters of a run. Defaults are the reference full-scale values;
-    :meth:`desk` swaps in a configuration that finishes in seconds on synthetic data.
-    """
-
-    lambda_seen: float = 0.25
-    lambda_lm: float = 0.25
-    lambda_unseen: float = 0.1
-    lambda_cr: float = 0.3
-    mu: int = 7
-    tau: float = 0.85
-    batch_size: int = 256
-    gamma: float = 0.5
-    epochs_per_iteration: int = 400
-    iterations: int = 3
-    pretrain_epochs: int = 1000
-    lr: float = 0.128
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-    lr_schedule: str = "constant"  # "constant" | "cosine"
-    ablation_mode: str = "full"
-    seed: int = 0
-    hidden_widths: tuple[int, ...] = (64, 64)
-    feature_dim: int = 32
-    activation: str = "tanh"
-    weak_sigma: float = 0.05
-    strong_sigma: float = 0.2
-    mask_fraction: float = 0.25
-    exclude_k1_pseudo: bool = False
-    unseen_hard_threshold: float = 0.85  # hard mask level in no_soft_weighting
-    uniformity_threshold: float = 0.5  # mask level for the K-head outlier ablation
-    eval_every: int = 1
-    dump_scores: bool = False  # per-epoch score dump for AUROC auditing
-
-    def __post_init__(self) -> None:
-        if isinstance(self.hidden_widths, list):  # JSON spells a tuple as a list
-            self.hidden_widths = tuple(self.hidden_widths)
-
-    @classmethod
-    def desk(cls, **overrides) -> "TrainConfig":
-        """Desk-scale defaults: minutes-long end-to-end runs on synthetic data."""
-        base = dict(
-            mu=3,
-            batch_size=64,
-            epochs_per_iteration=20,
-            iterations=2,
-            pretrain_epochs=50,
-            lr=0.05,
-        )
-        base.update(overrides)
-        return cls(**base)
-
-    def validate(self) -> None:
-        require_all(type_checks(self))  # the value checks below assume the declared types
-        checks = [
-            (0 <= self.lambda_seen < math.inf, "lambda_seen: must be finite and >= 0"),
-            (0 <= self.lambda_lm < math.inf, "lambda_lm: must be finite and >= 0"),
-            (0 <= self.lambda_unseen < math.inf, "lambda_unseen: must be finite and >= 0"),
-            (0 <= self.lambda_cr < math.inf, "lambda_cr: must be finite and >= 0"),
-            (self.mu >= 1, "mu: must be >= 1"),
-            (0.0 < self.tau < 1.0, "tau: must lie in (0, 1)"),
-            (self.batch_size >= 1, "batch_size: must be >= 1"),
-            (0.0 <= self.gamma <= 1.0, "gamma: must lie in [0, 1]"),
-            (self.epochs_per_iteration >= 1, "epochs_per_iteration: must be >= 1"),
-            (self.iterations >= 1, "iterations: must be >= 1"),
-            (self.pretrain_epochs >= 1, "pretrain_epochs: must be >= 1"),
-            (0 < self.lr < math.inf, "lr: must be finite and > 0"),
-            (0.0 <= self.momentum < 1.0, "momentum: must lie in [0, 1)"),
-            (0 <= self.weight_decay < math.inf, "weight_decay: must be finite and >= 0"),
-            (self.lr_schedule in ("constant", "cosine"), "lr_schedule: unknown schedule"),
-            (self.ablation_mode in ABLATION_MODES, f"ablation_mode: unknown mode {self.ablation_mode!r}"),
-            (0.0 < self.unseen_hard_threshold < 1.0, "unseen_hard_threshold: must lie in (0, 1)"),
-            (0.0 < self.uniformity_threshold < 1.0, "uniformity_threshold: must lie in (0, 1)"),
-            (self.eval_every >= 1, "eval_every: must be >= 1"),
-            (self.seed >= 0, "seed: must be >= 0"),
-        ]
-        for build in (lambda: AugmentConfig(self.weak_sigma, self.strong_sigma, self.mask_fraction),
-                      lambda: BackboneSpec(1, self.hidden_widths, self.feature_dim, self.activation)):
-            try:  # the augmentation and architecture fields keep their checks in those classes
-                build()
-            except ValidationError as exc:
-                checks += [(False, problem) for problem in exc.problems]
-        require_all(checks)
-
-    @property
-    def total_train_epochs(self) -> int:
-        return self.iterations * self.epochs_per_iteration
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "TrainConfig":
-        return replace_fields(cls(), raw)
-
-
-def config_hash(config: TrainConfig) -> str:
-    payload = json.dumps(config.to_dict(), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:12]
-
 
 # ---------------------------------------------------------------------------
 # Ablation dispatch
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PipelineDescription:
-    """What an ablation mode chooses: the teacher-student pairs, the loss terms of
-    each role, whether the (K+1)-head score weights the extra-class supervision
-    itself or through a hard mask, and whether the (K+1)-head has a projection.
-    The defaults are the ``full`` pipeline's.
-
-    ``pairs`` maps pair name to the head kind ``derive_pair`` gives its models.
-    The rest follows from these: the heads the pairs carry choose the score
-    (``_score``), the first pair classifies, the gate uses the score where the
-    score comes from a (K+1)-head, and the loss weights are the config's.
-    """
-
-    mode: str
-    summary: str
-    pairs: tuple[tuple[str, str], ...] = (("inlier", "inlier"), ("outlier", "outlier"))  # (name, pair kind)
-    inlier_losses: tuple[str, ...] = ("ce", "seen", "lm")
-    outlier_losses: tuple[str, ...] = ("ce", "seen", "unseen", "cr")
-    soft_weighting: bool = True  # off: the unseen term is masked at score > unseen_hard_threshold
-    k1_projection: bool = False
-
-    @property
-    def uses_unlabeled(self) -> bool:
-        """Whether some loss term reads unlabeled data (every term but the labeled CE)."""
-        return any(t != "ce" for t in self.inlier_losses + self.outlier_losses)
-
-
-# mode -> (summary, formatted with the TrainConfig; the fields it changes from ``full``)
-_MODES = {
-    "full": ("dual teacher-student pairs, soft-weighted unseen supervision", {}),
-    "no_its": ("single (K+1)-head pair handles both classification and detection",
-               dict(pairs=(("outlier", "outlier"),), inlier_losses=())),
-    "no_soft_weighting": ("unseen supervision hard-masked at score > {0.unseen_hard_threshold}",
-                          dict(soft_weighting=False)),
-    # plain confidence-threshold pseudo-labeling: no unseen class, no score, no logit matching
-    "no_k1_its": ("K-head pair with confidence-threshold pseudo-labeling only",
-                  dict(pairs=(("inlier", "inlier"),), inlier_losses=("ce", "seen"), outlier_losses=())),
-    # an outlier branch on a K-head pair: no extra class, so the unseen term pushes toward uniform
-    "no_k1_ots": ("K-head pair; high-uncertainty samples pushed toward uniform output "
-                  "(mask at 1-max > {0.uniformity_threshold})",
-                  dict(pairs=(("outlier", "inlier"),), inlier_losses=())),
-    "no_logit_match": ("full pipeline without the teacher-student logit matching term",
-                       dict(inlier_losses=("ce", "seen"))),
-    "no_consistency": ("full pipeline without weak/strong consistency regularization",
-                       dict(outlier_losses=("ce", "seen", "unseen"))),
-    "one_f_two_c": ("single backbone carrying both heads; both objectives on one model",
-                    dict(pairs=(("merged", "merged"),))),
-    "one_f_two_c_proj": ("single backbone carrying both heads; both objectives on one model "
-                         "with a projection layer before the (K+1)-head",
-                         dict(pairs=(("merged", "merged"),), k1_projection=True)),
-    "supervised_only": ("labeled cross-entropy only; unlabeled data never touched",
-                        dict(pairs=(("inlier", "inlier"),), inlier_losses=("ce",), outlier_losses=())),
-}
-ABLATION_MODES = tuple(_MODES)
-
-
-def apply_ablation(mode: str, config: TrainConfig) -> PipelineDescription:
-    """Translate an ablation mode into the effective pipeline description."""
-    if mode not in _MODES:
-        raise ValidationError(f"ablation_mode: unknown mode {mode!r}, expected one of {ABLATION_MODES}")
-    summary, changes = _MODES[mode]
-    return PipelineDescription(mode, summary.format(config), **changes)
 
 
 def unseen_sample_weights(scores: np.ndarray, k1_scored: bool, pipeline: PipelineDescription,

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dts_ssl import cli
+from dts_ssl import cli, trainer
 from dts_ssl.benchmarks import DESK, benchmark_split, run_benchmark
 from dts_ssl.cli import (
     ENV_OUT_ROOT,
@@ -24,8 +24,8 @@ from dts_ssl.cli import (
     run_experiment,
     sweep,
 )
-from dts_ssl.data import MismatchSplit, load_cifar10_dir
-from dts_ssl.errors import ValidationError
+from dts_ssl.data import MismatchSplit, load_cifar10_dir, save_dataset
+from dts_ssl.errors import CapacityError, ValidationError
 from dts_ssl.trainer import TrainConfig, config_hash
 
 TINY_CONFIG = {
@@ -64,6 +64,17 @@ TINY_CONFIG = {
 def config_file(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(TINY_CONFIG))
+    return path
+
+
+@pytest.fixture
+def csv_config_file(tmp_path):
+    """TINY_CONFIG with its synthetic pool written out as a CSV dataset, whose size no config
+    states: a split it cannot fill passes validation and fails in the run."""
+    pool = tmp_path / "pool.csv"
+    save_dataset(ExperimentConfig.from_dict(TINY_CONFIG).dataset.load(), pool)
+    path = tmp_path / "csv_config.json"
+    path.write_text(json.dumps({**TINY_CONFIG, "dataset": {"kind": "csv", "path": str(pool)}}))
     return path
 
 
@@ -136,7 +147,7 @@ class TestDeskBenchmarkConfig:
         def capture(config, split, out_dir):
             raise Built(split)
 
-        monkeypatch.setattr(cli, "run_training", capture)
+        monkeypatch.setattr(trainer, "run_training", capture)  # _execute_single imports it on each call
         with pytest.raises(Built) as built:
             cli._execute_single(load_config(self.PATH), seed, tmp_path / "run")
         split, expected = built.value.args[0], benchmark_split(seed)
@@ -289,6 +300,16 @@ class TestSweepVerb:
                      "--values", "a,b"])
         assert code == 2
 
+    @pytest.mark.parametrize("values", ["0.9,0.9", "0.7,0.9,0.90"])
+    def test_repeated_value_exit_two(self, config_file, tmp_path, values, capsys):
+        # a repeated point would train each of its seeds twice into one directory
+        argv = ["sweep", "--config", str(config_file), "--set", "train.ablation_mode=supervised_only",
+                "--axis", "tau", "--values", values, "--out-dir", str(tmp_path / "runs")]
+        assert main(argv) == 2
+        repeated = values.rsplit(",", 1)[1]
+        assert f"sweep: value {repeated!r} repeats an earlier value of train.tau" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_seed_axis_exit_two(self, config_file, tmp_path, capsys):
         # a bare "seed" resolves to train.seed, which a run's seed from seeds would override
         argv = ["sweep", "--config", str(config_file), "--set", "train.ablation_mode=full",
@@ -319,8 +340,8 @@ class TestFailedRuns:
     }
 
     @pytest.mark.parametrize("verb", sorted(VERBS))
-    def test_failure_recorded_and_exit_three(self, config_file, tmp_path, verb, capsys):
-        argv = [verb, "--config", str(config_file), "--set", "split.unlabeled_size=100000",
+    def test_failure_recorded_and_exit_three(self, csv_config_file, tmp_path, verb, capsys):
+        argv = [verb, "--config", str(csv_config_file), "--set", "split.unlabeled_size=100000",
                 "--out-dir", str(tmp_path / "out"), *self.VERBS[verb]]
         assert main(argv) == 3
         count = 2 if verb == "sweep" else 1
@@ -417,8 +438,8 @@ class TestReportVerb:
         assert main(["report", "--manifest", str(path)]) == 2
         assert "run_dir 'elsewhere/seed0' is not under out_dir 'runs/run-0'" in capsys.readouterr().err
 
-    def test_include_incomplete_lists_failed_runs_and_keeps_the_aggregate(self, config_file, tmp_path):
-        argv = ["sweep", "--config", str(config_file), "--ablation", "supervised_only",
+    def test_include_incomplete_lists_failed_runs_and_keeps_the_aggregate(self, csv_config_file, tmp_path):
+        argv = ["sweep", "--config", str(csv_config_file), "--ablation", "supervised_only",
                 "--axis", "split.unlabeled_size", "--values", "90,100000", "--out-dir", str(tmp_path / "out")]
         assert main(argv) == 3  # the second value asks for more examples than the dataset has
         (manifest,) = (tmp_path / "out").rglob("manifest.json")
@@ -572,6 +593,15 @@ class TestValidateConfigVerb:
             err = capsys.readouterr().err
             assert "train.seed" in err and "seeds" in err and "--seed" in err
 
+    @pytest.mark.parametrize("seeds", [[0, 0], [2, 1, 2]])
+    def test_repeated_seed_exit_two(self, tmp_path, config_file, seeds, capsys):
+        # a repeated seed would train one run directory twice and count it twice in the report
+        raw = json.loads(config_file.read_text())
+        raw["seeds"] = seeds
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert_rejected(bad, tmp_path, capsys, f"seeds: must not repeat a seed, got {seeds}")
+
     def test_negative_seed_in_config_exit_two(self, tmp_path, config_file, capsys):
         raw = json.loads(config_file.read_text())
         raw["seeds"] = [-3]
@@ -641,6 +671,40 @@ class TestValidateConfigVerb:
         assert_rejected(bad, tmp_path, capsys, f"dataset.{message}")
         with pytest.raises(ValidationError, match=message):  # the loader keeps the same rule
             load_cifar10_dir(cifar, max_per_class=max_per_class)
+
+    @pytest.mark.parametrize("section, fields, message", [
+        ("dataset", {"per_class": 5},
+         "labeled (seen classes) pool exhausted: need 24 more examples, only 12 of 15 seen-class examples left"),
+        # the test part itself always fits (test_fraction < 1); a large one leaves the labeled part short
+        ("split", {"test_fraction": 0.95},
+         "labeled (seen classes) pool exhausted: need 24 more examples, only 18 of 360 seen-class examples left"),
+        ("split", {"unlabeled_size": 1000},
+         "unlabeled seen-class pool exhausted: need 600 more examples, only 264 of 360 seen-class examples left"),
+        ("split", {"unlabeled_size": 200, "mismatch_ratio": 1.0},
+         "unlabeled unseen-class pool exhausted: need 200, have 120"),
+    ])
+    def test_synthetic_split_its_pool_cannot_fill_exit_two(self, tmp_path, config_file, section, fields, message,
+                                                             capsys):
+        raw = json.loads(config_file.read_text())
+        raw[section].update(fields)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert_rejected(bad, tmp_path, capsys, f"split: {message}")
+
+    @pytest.mark.parametrize("per_class", range(30, 40))
+    def test_synthetic_capacity_is_the_one_a_run_meets(self, per_class):
+        # TINY_CONFIG's split fits from per_class 36 on: below 33 its seen-class parts overflow, below
+        # 36 its 36 unseen-class examples do. Validation refuses what the build refuses, with its message
+        config = ExperimentConfig.from_dict(TINY_CONFIG)
+        config.dataset.per_class = per_class
+        try:
+            config.split.build(config.dataset.load(), seed=0)
+        except CapacityError as exc:
+            with pytest.raises(ValidationError) as refused:
+                config.validate()
+            assert refused.value.problems == [f"split: {exc}"]
+        else:
+            config.validate()
 
     def test_problem_text_is_kept_whole(self, tmp_path, config_file, capsys):
         raw = json.loads(config_file.read_text())

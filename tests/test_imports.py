@@ -1,8 +1,13 @@
-"""Every name the project's code imports is used where it is imported, and the package
-root exports exactly the names its callers import from it."""
+"""Every name the project's code imports is used where it is imported, the package root
+exports exactly the names its callers import from it, and the entry points that train
+nothing load no training code."""
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -61,10 +66,55 @@ def test_package_root_exports_what_callers_import():
     sources = [p.read_text() for p in sorted((ROOT / "demos").glob("*.py"))]
     sources += re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
     imported = set().union(*map(root_imports, sources))
-    exported = {name for name, value in vars(dts_ssl).items()
-                if not isinstance(value, types.ModuleType)
+    # dir(), not vars(): the training entry points load on first use (the root's __getattr__)
+    exported = {name for name in dir(dts_ssl)
+                if not isinstance(getattr(dts_ssl, name), types.ModuleType)
                 and (name == "__version__" or not name.startswith("_"))}
     assert imported | {"__version__"} == exported
+
+
+# the modules that building a split or checking a config needs; the rest of the package trains
+CONFIG_AND_DATA = {"dts_ssl", "dts_ssl.config", "dts_ssl.data", "dts_ssl.errors", "dts_ssl.numerics"}
+
+
+def loaded_by(code: str) -> set[str]:
+    """The ``dts_ssl`` modules and ``argparse`` that a fresh interpreter has loaded after ``code``."""
+    probe = f"{code}\nimport sys\nprint(*(m for m in sys.modules if m.partition('.')[0] in ('dts_ssl', 'argparse')))"
+    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def test_benchmark_split_loads_only_the_config_and_data_layers():
+    loaded = loaded_by("from dts_ssl.benchmarks import benchmark_split\nbenchmark_split(0)")
+    assert loaded == CONFIG_AND_DATA | {"dts_ssl.benchmarks"}
+
+
+def test_config_verbs_load_no_training_code(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seeds": [0, 1]}))
+    run_dir = tmp_path / "run-0" / "seed0"
+    run_dir.mkdir(parents=True)
+    (run_dir / "metrics.jsonl").write_text('{"phase": "iteration", "global_epoch": 0, "auroc": 0.5, '
+                                           '"test_accuracy": 0.5}\n')
+    manifest = tmp_path / "run-0" / "manifest.json"
+    manifest.write_text(json.dumps({"config_hash": "0", "artifact_version": "0", "dataset_id": "0", "seeds": [0],
+                                    "out_dir": str(run_dir.parent), "runs": [
+                                        {"seed": 0, "status": "completed", "run_dir": str(run_dir),
+                                         "accuracy": 0.5, "auroc": 0.5}]}))
+    for argv in (["validate-config", "--config", str(config)], ["report", "--manifest", str(manifest)]):
+        loaded = loaded_by(f"from dts_ssl.cli import main\nassert main({argv!r}) == 0")
+        assert loaded == CONFIG_AND_DATA | {"dts_ssl.cli", "argparse"}, argv
+
+
+def test_root_loads_the_training_entry_points_on_first_use():
+    loaded = loaded_by("import sys, dts_ssl\n"
+                       "assert 'dts_ssl.trainer' not in sys.modules and not hasattr(dts_ssl, 'no_such_name')\n"
+                       "from dts_ssl import run_inference, run_training\n"
+                       "assert run_training is dts_ssl.trainer.run_training\n"
+                       "assert run_inference is dts_ssl.trainer.run_inference")
+    assert "dts_ssl.trainer" in loaded
 
 
 def dead_private_names(source: str) -> list[str]:

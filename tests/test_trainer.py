@@ -20,6 +20,7 @@ import dts_ssl
 import oracles
 from dts_ssl import losses
 from dts_ssl.benchmarks import benchmark_config, benchmark_split
+from dts_ssl.config import ABLATION_MODES, TrainConfig, apply_ablation, config_hash
 from dts_ssl.data import MismatchSplit, build_mismatch_split, generate_synthetic
 from dts_ssl.errors import StateError, UndefinedMetricError, ValidationError
 from dts_ssl.evaluation import compute_accuracy, predict_labels
@@ -34,14 +35,10 @@ from dts_ssl.models import (
 )
 from dts_ssl.losses import LossReport
 from dts_ssl.trainer import (
-    ABLATION_MODES,
     SGD,
-    TrainConfig,
     _mean_report,
     _score,
     _step_plan,
-    apply_ablation,
-    config_hash,
     evaluate_pipeline,
     pretrain_teacher,
     run_inference,
