@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Record the desk benchmark's run time and page faults per ablation mode.
+"""Record the desk benchmark's run time, CPU time and page faults per ablation mode.
 
     python3 scripts/bench_record.py --src src --out BENCH_desk.json
     python3 scripts/bench_record.py --src /path/to/parent/src --out BENCH_desk.json
@@ -10,10 +10,12 @@ and appends one record to ``--out`` (created if absent). Per mode the record
 holds the median and quartiles of the wall seconds, the reference seconds
 (wall time scaled by the median of ``SAMPLES_PER_SIDE`` host-speed samples
 before and as many after each run, from ``perfbench/hostspeed.py``, so that one
-fast or slow sample does not scale a run alone), the minor page faults of one run
+fast or slow sample does not scale a run alone), the CPU seconds of one run
+(user plus system time of ``RUSAGE_SELF`` and ``RUSAGE_CHILDREN``, so the pair
+worker it forked and reaped counts too), the minor page faults of one run
 (``ru_minflt``) and those of the pair worker it forked, if any (the
 ``RUSAGE_CHILDREN`` delta around the run; 0 for a serial run), plus every
-run's four values. It also names the host (CPU
+run's five values. It also names the host (CPU
 count, Python, numpy, BLAS) and the git commit of the checkout that holds
 ``--src``, with ``dirty`` true when any file of that checkout but ``--out``
 differs from the commit; the path itself is not recorded. ``--src`` names the source tree to import ``dts_ssl`` from, so one
@@ -93,20 +95,25 @@ def main() -> int:
     def minflt(who: int = resource.RUSAGE_SELF) -> int:
         return resource.getrusage(who).ru_minflt
 
+    def cpu_s() -> float:
+        """User plus system seconds of this process and its reaped children."""
+        usage = [resource.getrusage(who) for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
+        return sum(u.ru_utime + u.ru_stime for u in usage)
+
     run_benchmark(modes[0], SEED)  # untimed: the first run in a process is slower
     runs: dict[str, list[dict]] = {mode: [] for mode in modes}
     for _ in range(args.repeats):
         for mode in modes:
             samples = [kernel_seconds() for _ in range(SAMPLES_PER_SIDE)]
-            worker, faults, t0 = minflt(resource.RUSAGE_CHILDREN), minflt(), time.perf_counter()
+            worker, faults, cpu, t0 = minflt(resource.RUSAGE_CHILDREN), minflt(), cpu_s(), time.perf_counter()
             run_benchmark(mode, SEED)
-            wall, faults = time.perf_counter() - t0, minflt() - faults
+            wall, cpu, faults = time.perf_counter() - t0, cpu_s() - cpu, minflt() - faults
             worker = minflt(resource.RUSAGE_CHILDREN) - worker
             factor = speed_factor(samples + [kernel_seconds() for _ in range(SAMPLES_PER_SIDE)])
-            runs[mode].append({"wall_s": wall, "reference_s": wall * factor, "minor_faults": faults,
+            runs[mode].append({"wall_s": wall, "reference_s": wall * factor, "cpu_s": cpu, "minor_faults": faults,
                                "worker_minor_faults": worker})
-            print(f"{mode} wall {wall:.3f} s, reference {wall * factor:.3f} s, {faults} minor faults, "
-                  f"{worker} in the worker", flush=True)
+            print(f"{mode} wall {wall:.3f} s, reference {wall * factor:.3f} s, CPU {cpu:.3f} s, {faults} minor "
+                  f"faults, {worker} in the worker", flush=True)
 
     out = Path(args.out)
     record = {

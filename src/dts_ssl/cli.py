@@ -16,6 +16,7 @@ import argparse
 import copy
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -29,6 +30,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig
+from .data import Dataset
 from .errors import DtsError, ValidationError, require_all
 
 ENV_OUT_ROOT = "DTS_SSL_OUT_ROOT"
@@ -138,10 +140,10 @@ def _experiment_hash(points: list[tuple[dict, ExperimentConfig]]) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:12]
 
 
-def _execute_single(config: ExperimentConfig, seed: int, run_dir: Path) -> dict:
+def _execute_single(config: ExperimentConfig, dataset: Dataset, seed: int, run_dir: Path) -> dict:
     from .trainer import run_training  # imported here: the config and report verbs load no training code
 
-    split = config.split.build(config.dataset.load(), seed)
+    split = config.split.build(dataset, seed)
     train_cfg = dataclasses.replace(config.train, seed=seed)
     run_dir.mkdir(parents=True, exist_ok=True)
     effective = {**config.to_dict(), "seeds": [seed]}  # the run's seed in both places, as validate allows
@@ -177,10 +179,11 @@ def _run_points(points: list[tuple[dict, ExperimentConfig]], out_dir: str | None
     )
     for labels, config in points:
         point_dir = base / f"{labels['axis'].replace('.', '_')}={labels['axis_value']}" if labels else base
+        dataset = functools.cache(config.dataset.load)  # loaded by the point's first run, reused by the rest
         for seed in config.seeds:
             run_dir = point_dir / f"seed{seed}"
             try:
-                record = _execute_single(config, seed, run_dir)
+                record = _execute_single(config, dataset(), seed, run_dir)
             except Exception as exc:  # noqa: BLE001 - run status must be recorded
                 record = {
                     "seed": seed,

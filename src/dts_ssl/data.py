@@ -466,10 +466,8 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     _meta_path(path).write_text(json.dumps(meta, indent=2))
 
 
-def load_dataset(path: str | Path) -> Dataset:
-    import csv
-
-    path = Path(path)
+def _read_sidecar(path: Path) -> tuple[str, int]:
+    """The ``name`` and ``class_count`` of the CSV dataset at ``path``, from its metadata sidecar."""
     meta_file = _meta_path(path)
     if not meta_file.exists():
         raise ValidationError(f"missing metadata sidecar {meta_file}")
@@ -480,6 +478,14 @@ def load_dataset(path: str | Path) -> Dataset:
             raise TypeError(f"name must be a string and class_count an integer, got {name!r} and {class_count!r}")
     except (ValueError, TypeError, KeyError) as exc:
         raise ValidationError(f"{meta_file}: not a dataset sidecar with a name and a class_count: {exc!r}") from exc
+    return name, class_count
+
+
+def load_dataset(path: str | Path) -> Dataset:
+    import csv
+
+    path = Path(path)
+    name, class_count = _read_sidecar(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -501,6 +507,14 @@ def _max_per_class_check(max_per_class: int | None) -> tuple:
     return max_per_class is None or max_per_class >= 1, f"max_per_class: must be >= 1 or null, got {max_per_class}"
 
 
+def _batch_files(path: Path) -> list[Path]:
+    """The ``data_batch_*`` files of the CIFAR-10 directory ``path``, at least one."""
+    batch_files = sorted(path.glob("data_batch_*"))
+    if not batch_files:
+        raise ValidationError(f"no data_batch_* files found under {path}")
+    return batch_files
+
+
 def load_cifar10_dir(path: str | Path, max_per_class: int | None = None) -> Dataset:
     """Ingest a local CIFAR-10 python-format directory (data_batch_1..5).
 
@@ -509,12 +523,8 @@ def load_cifar10_dir(path: str | Path, max_per_class: int | None = None) -> Data
     to keep desk-scale memory bounded. No downloading is attempted.
     """
     require_all([_max_per_class_check(max_per_class)])
-    path = Path(path)
-    batch_files = sorted(path.glob("data_batch_*"))
-    if not batch_files:
-        raise ValidationError(f"no data_batch_* files found under {path}")
     feats, labs = [], []
-    for bf in batch_files:
+    for bf in _batch_files(Path(path)):
         with open(bf, "rb") as fh:
             raw = pickle.load(fh, encoding="bytes")
         feats.append(np.asarray(raw[b"data"], dtype=np.float64) / 255.0)
@@ -569,6 +579,11 @@ class DatasetSpec:
         elif self.kind in DATASET_KINDS:  # csv and cifar10 read a local path
             checks += [(bool(self.path), "path: required for csv/cifar10 datasets"),
                        (not self.path or Path(self.path).exists(), f"path: {self.path} does not exist")]
+            if self.path and checks[-1][0]:  # it exists: what its loader reads before the data itself
+                try:
+                    (_read_sidecar if self.kind == "csv" else _batch_files)(Path(self.path))
+                except ValidationError as exc:
+                    checks += [(False, f"path: {problem}") for problem in exc.problems]
         require_all(checks)
 
     def load(self) -> Dataset:

@@ -78,3 +78,7 @@ class StateError(DtsError):
 
 class UndefinedMetricError(DtsError):
     """A metric is undefined for the given inputs (e.g. single-class AUROC)."""
+
+
+class DivergenceError(DtsError):
+    """Training produced a non-finite parameter or loss value."""

@@ -48,17 +48,17 @@ any, and evaluates. This is the one statement of the schedule
   epoch callback sees every student as of its epoch, and none moves while it
   runs.
 - Evaluation. The detection half, the students' scores of the unlabeled set
-  (``trainer._score``), runs in the process whose steps forward fewer
-  unlabeled views, the worker on a tie: the parent's teachers forward one per
-  pair and its own model up to two, the worker's model up to two. So the
-  parent detects in ``no_its``, ``no_k1_ots`` and the merged modes, and runs
-  ``trainer.evaluate_pipeline`` whole on the published copy. Elsewhere the
-  worker scores after its steps, then goes on to the staged ones; the parent's
-  ``evaluate_pipeline`` call runs the test half and takes the worker's scores
-  (:meth:`PairWorker.detection`), before the parent trains its model on the
-  next epoch. In both phases the worker ships scores only: AUROC and the two
-  mean scores are computed in the parent, which alone reads the hidden
-  seen/unseen flags.
+  (``trainer._score``), runs in the worker unless the worker's model trains
+  both branches. A merged model's step (``one_f_two_c``, ``one_f_two_c_proj``)
+  is the heaviest step of any mode, so there the worker is the busier process,
+  and the parent runs ``trainer.evaluate_pipeline`` whole on the published
+  copy; elsewhere the parent, which draws and teacher-scores every step, is the
+  busier one. There the worker scores after its steps, then goes on to the
+  staged ones; the parent's ``evaluate_pipeline`` call runs the test half and
+  takes the worker's scores (:meth:`PairWorker.detection`), before the parent
+  trains its model on the next epoch. In both phases the worker ships scores
+  only: AUROC and the two mean scores are computed in the parent, which alone
+  reads the hidden seen/unseen flags.
 
 The parent waits on the worker for a slot (the worker reads its step as views
 into the slot until it replies), before it stages a step that publishes while
@@ -76,12 +76,12 @@ evaluations, checkpoints, teacher refreshes, callbacks and the result. They
 are copied back into private arrays when the worker stops, the copy in view
 for the worker's model. It also holds the index of the copy in view (in
 pre-training the one published last), the two slots, each with a step's
-inputs and the worker's reply for that step (its model's loss values and
-forwards), and the scores. A command and its reply are one-byte tokens on two
-pipes: the slot's digit for a step, ``d`` for scores, ``i`` for the end of
-pre-training. A waiter polls its pipe for up to ``_POLL_S``, then blocks; end
-of file tells either side that the other is gone. An exception in the worker
-is raised again in the parent, with its own type.
+inputs and the worker's reply for that step (its model's loss values), and
+the scores. A command and its reply are one-byte tokens on two pipes: the
+slot's digit for a step, ``d`` for scores, ``i`` for the end of pre-training.
+A waiter polls its pipe for up to ``_POLL_S``, then blocks; end of file tells
+either side that the other is gone. An exception in the worker is raised again
+in the parent, with its own type.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ _POLL_S = 2e-3  # how long a waiter polls its pipe before it blocks
 _ALIGN = 64  # byte alignment of every array in the shared mapping
 _SLOTS = 2  # steps staged at once: the worker trains one while the parent stages the next
 _REPORT_FIELDS = tuple(f.name for f in fields(LossReport))
-_INPUTS = ("labeled_x", "labeled_y", "weak_u", "strong_u", "weights")  # a step's inputs, staged in this order
+_INPUTS = ("labeled_x", "labeled_y", "weak_u", "strong_u", "weights")  # the _Step arrays staged, in this order
 _TARGETS = ("gate", "pseudo", "p_teacher")  # then these, per role the worker's branches read
 
 
@@ -158,8 +158,8 @@ class PairWorker:
             **{f"{role}_{t}": (dtype, size) for role in self._roles for t, (dtype, size) in
                zip(_TARGETS, ((np.bool_, u_rows), (np.intp, u_rows), (np.float64, classes * u_rows)))},
             "shapes": (np.int64, 3 * len(self._staged)),  # per staged array: ndim (-1 if absent), rows, columns
-            "scalars": (np.float64, 3),  # lr, k1_scored, the copy to publish into (-1: none)
-            "reply": (np.float64, 2 + 2 * len(_REPORT_FIELDS)),  # forwards, n, then n (field, value)
+            "scalars": (np.float64, 2),  # lr, the copy to publish into (-1: none)
+            "reply": (np.float64, 1 + 2 * len(_REPORT_FIELDS)),  # n, then n (field, value)
         }
         size = teacher.flat.size  # a derived model holds part of the teacher's parameters, so no more
         arrays = _mapping({
@@ -251,7 +251,7 @@ class PairWorker:
             copy = 1 - int(self._arrays["shown"][0])
         index = self._started % _SLOTS
         slot = self._slots[index]
-        arrays = [step.labeled_x, step.labeled_y, step.weak_u, step.strong_u, step.weights]
+        arrays = [getattr(step, name) for name in _INPUTS]
         for role in self._roles:
             arrays += step.targets.get(role, (None,) * len(_TARGETS))
         shapes = []
@@ -260,13 +260,13 @@ class PairWorker:
             if a is not None:
                 np.copyto(slot[name][: a.size], a.ravel(), casting="no")
         slot["shapes"][:] = shapes
-        slot["scalars"][:] = (lr, step.k1_scored, copy)
+        slot["scalars"][:] = (lr, copy)
         self._started += 1
         self._send(b"%d" % index, step, copy)
 
     def wait(self, step: _Step) -> None:
-        """Wait for the replies up to ``step``'s: each step's report fields go into its report, its
-        unlabeled forwards into the run's count, and the view moves to each copy published."""
+        """Wait for the replies up to ``step``'s: each step's report fields go into its report, and
+        the view moves to each copy published."""
         while any(entry[1] is step for entry in self._pending):
             self._collect()
 
@@ -315,8 +315,8 @@ class PairWorker:
             raise ChildProcessError("the pair worker exited")
         if step is not None:
             reply = self._slots[int(token)]["reply"]
-            pairs = reply[2 : 2 + 2 * int(reply[1])].reshape(-1, 2)
-            _credit(self._state, step.report, {_REPORT_FIELDS[int(i)]: float(v) for i, v in pairs}, int(reply[0]))
+            pairs = reply[1 : 1 + 2 * int(reply[0])].reshape(-1, 2)
+            _credit(self._config, step.report, {_REPORT_FIELDS[int(i)]: float(v) for i, v in pairs})
         if copy >= 0:
             self._show(copy)
 
@@ -349,11 +349,11 @@ class PairWorker:
             elif token:  # a step, staged in slot int(token)
                 slot = self._slots[int(token)]
                 step, lr, copy = self._step(slot)
-                values, forwards = _model_step(model, optimizer, self._branches, step, cfg, lr)
+                values = _model_step(model, optimizer, self._branches, step, cfg, lr)
                 reply = slot["reply"]
-                reply[:2] = forwards, len(values)
+                reply[0] = len(values)
                 for j, (name, value) in enumerate(values.items()):
-                    reply[2 + 2 * j : 4 + 2 * j] = _REPORT_FIELDS.index(name), value
+                    reply[1 + 2 * j : 3 + 2 * j] = _REPORT_FIELDS.index(name), value
                 if copy >= 0:
                     arrays[f"params/{copy}"][:size] = model.flat
                     arrays[f"velocity/{copy}"][:size] = optimizer.velocity
@@ -370,10 +370,8 @@ class PairWorker:
             a[name] = None if ndim < 0 else staged[:rows] if ndim == 1 else staged[: rows * columns].reshape(rows, columns)
         targets = {role: tuple(a[f"{role}_{t}"] for t in _TARGETS) for role in self._roles
                    if a[f"{role}_gate"] is not None}
-        lr, k1_scored, copy = slot["scalars"].tolist()
-        step = _Step(a["labeled_x"], a["labeled_y"], a["weak_u"], a["strong_u"], targets, a["weights"],
-                     bool(k1_scored), LossReport(), 0)
-        return step, lr, int(copy)
+        lr, copy = slot["scalars"].tolist()
+        return _Step(targets=targets, **{name: a[name] for name in _INPUTS}), lr, int(copy)
 
 
 def _mapping(layout: dict) -> dict[str, np.ndarray]:

@@ -12,7 +12,7 @@ with a forked pair worker; the ``pairworker`` module docstring states when and h
 Pre-training is the CE-only merged plan: the teacher, as the one model of a
 ``merged`` pair, trains the branches (inlier, k) and (outlier, k1) with no
 unlabeled terms. It runs through the same epoch loop (``_run_epochs``) and
-step (``_train_step``) as the iterations. Every evaluation (pre-training's,
+step (``_model_step``) as the iterations. Every evaluation (pre-training's,
 the iterations' on either path, the last of which is the final one, and
 ``run_inference``'s) is one ``evaluate_pipeline`` call: the first pair's
 test-set predictions, then the detection half, the students' scores of the
@@ -25,11 +25,11 @@ The mode table in ``config`` gives each mode's summary and the choices it
 changes from ``full``, whose choices are ``PipelineDescription``'s defaults.
 The step mechanics stay the same, so structural invariants hold across modes.
 Everything else follows from the choices: the heads the pairs carry choose the
-score (``_score``), and with it whether the unseen term is the extra-class CE
-or, with no (K+1)-head, a push toward uniform output; the first pair
-classifies, and the loss weights are the config's. ``_step_plan`` turns the
-description into the branch table one step walks: per trained model, its
-(role, head, unlabeled terms) branches.
+score (``_score``), the head of the branch that trains the unseen term chooses
+whether it is the extra-class CE or, on a K head, a push toward uniform
+output; the first pair classifies, and the loss weights are the config's.
+``_step_plan`` turns the description into the branch table one step walks: per
+trained model, its (role, head, unlabeled terms) branches.
 
     model     branches (role, head)               unlabeled terms, in order
     inlier    (inlier, k)                         seen, lm
@@ -69,6 +69,7 @@ import ctypes
 import dataclasses
 import functools
 import json
+import math
 import platform
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -78,7 +79,7 @@ import numpy as np
 from . import losses
 from .config import BackboneSpec, PipelineDescription, TrainConfig, apply_ablation, config_hash
 from .data import AugmentConfig, MismatchSplit, PairSampler, augment_batch, feature_scale
-from .errors import ValidationError
+from .errors import DivergenceError, ValidationError
 from .evaluation import (
     EvalResult,
     compute_accuracy,
@@ -317,9 +318,7 @@ class _Step:
     strong_u: np.ndarray | None
     targets: dict  # role -> (gate, pseudo-labels, teacher probabilities)
     weights: np.ndarray | None  # per-sample weights of the unseen term
-    k1_scored: bool  # whether the score, and with it the unseen term, comes from a (K+1)-head
-    report: LossReport  # the batch size, gate tallies and weight sum, before any model trains
-    forwards: int  # unlabeled rows the teachers forwarded
+    report: LossReport = field(default_factory=LossReport)  # the batch size, gate tallies and weight sum
 
 
 def _draw_step(state: TrainState, batch) -> _Step:
@@ -353,16 +352,15 @@ def _draw_step(state: TrainState, batch) -> _Step:
             report.pass_count_out = int(targets["outlier"][0].sum())
             weights = unseen_sample_weights(scores, k1_scored, pipe, cfg)
             report.effective_weight_sum = float(weights.sum())
-    return _Step(strong_x, batch.labeled_y, weak_u, strong_u, targets, weights, k1_scored, report,
-                 forwards=len(state.pairs) * mu_b)  # one teacher pass per pair
+    return _Step(strong_x, batch.labeled_y, weak_u, strong_u, targets, weights, report)
 
 
 def _model_step(student: DualHeadModel, optimizer: SGD, branches: tuple[_Branch, ...], step: _Step,
-                cfg: TrainConfig, lr: float) -> tuple[dict[str, float], int]:
-    """Train one model on ``step``'s inputs; returns the report fields of its branches' terms and
-    the unlabeled rows it forwarded. Per model: one labeled pass, at most one strong-view and one
-    weak-view pass; gradients add labeled, then weak-view consistency, then strong-view terms."""
-    fields, forwards = {}, 0
+                cfg: TrainConfig, lr: float) -> dict[str, float]:
+    """Train one model on ``step``'s inputs; returns the report fields of its branches' terms. Per
+    model: one labeled pass, at most one strong-view and one weak-view pass (``_unlabeled_views``);
+    gradients add labeled, then weak-view consistency, then strong-view terms."""
+    fields = {}
     z_l, cache_l = student.logits(step.labeled_x, heads=tuple(b.head for b in branches))
     d_l = {}
     for b in branches:
@@ -376,7 +374,6 @@ def _model_step(student: DualHeadModel, optimizer: SGD, branches: tuple[_Branch,
     if unlabeled:
         mu_b = len(strong_u)
         z_u, cache_u = student.logits(strong_u, heads=tuple(b.head for b in unlabeled))
-        forwards += mu_b
         d_u = {}
         for b in unlabeled:
             p = softmax(z_u[b.head].T)
@@ -388,13 +385,12 @@ def _model_step(student: DualHeadModel, optimizer: SGD, branches: tuple[_Branch,
                     value, d = losses.gated_ce_loss_and_grad(pseudo, p, gate, mu_b)
                 elif term == "lm":
                     value, d = losses.logit_match_loss_and_grad(p, p_teacher, gate, mu_b)
-                elif term == "unseen" and step.k1_scored:
+                elif term == "unseen" and b.head == "k1":
                     value, d = losses.unseen_loss_and_grad(p, step.weights, mu_b)
-                elif term == "unseen":  # no extra class: push masked samples toward uniform
+                elif term == "unseen":  # a K head has no extra class: push masked samples toward uniform
                     value, d = losses.uniformity_loss_and_grad(p, step.weights, mu_b)
                 else:  # "cr"
                     z_w, cache_w = student.logits(weak_u, heads=(b.head,))
-                    forwards += len(weak_u)
                     value, d_w, d = losses.consistency_loss_and_grad(softmax(z_w[b.head].T), p, mu_b)
                     _sum_grads(grads, student.backward(cache_w, {b.head: _sample_major(lam * d_w)}))
                 fields[field_name] = value
@@ -402,30 +398,20 @@ def _model_step(student: DualHeadModel, optimizer: SGD, branches: tuple[_Branch,
         _sum_grads(grads, student.backward(cache_u, {h: _sample_major(d) for h, d in d_u.items()}))
 
     optimizer.step(student.flat, student.grad_vector(grads), lr)
-    return fields, forwards
+    return fields
 
 
 def _unlabeled_views(branches: tuple[_Branch, ...]) -> int:
-    """Unlabeled-view forwards of one model's step (``_model_step``): the strong view when a branch
-    has unlabeled terms, and the weak view once per consistency term."""
+    """Unlabeled-view forwards of one model's step (``_model_step``), the one count of them: the
+    strong view when a branch has unlabeled terms, and the weak view once per consistency term."""
     return any(b.terms for b in branches) + sum(b.terms.count("cr") for b in branches)
 
 
-def _train_step(state: TrainState, plan: dict[str, tuple[_Branch, ...]], step: _Step, lr: float) -> None:
-    """Train every model of ``plan`` on ``step``, crediting each one's report fields to the step."""
-    state.training_unlabeled_forwards += step.forwards
-    for name, branches in plan.items():
-        _credit(state, step.report,
-                *_model_step(state.pairs[name].student, state.optimizers[name], branches, step, state.config, lr))
-
-
-def _credit(state: TrainState, report: LossReport, fields: dict[str, float], forwards: int) -> None:
-    """Store one trained model's report fields in its step's report, count its unlabeled rows,
-    and compute each role's objective from the fields stored so far: the CE, then each weighted
-    term added left to right. Once every model of the step is credited, the objectives are final."""
+def _credit(cfg: TrainConfig, report: LossReport, fields: dict[str, float]) -> None:
+    """Store one trained model's report fields in its step's report, and compute each role's
+    objective from the fields stored so far: the CE, then each weighted term added left to right.
+    Once every model of the step is credited, the objectives are final."""
     vars(report).update(fields)
-    state.training_unlabeled_forwards += forwards
-    cfg = state.config
     totals = {}
     for (role, _), (field_name, weight) in _TERMS.items():
         value = getattr(report, field_name)
@@ -486,14 +472,6 @@ def evaluate_pipeline(pairs: dict[str, TeacherStudentPair], test_x: np.ndarray, 
                       mean_score_seen=seen, mean_score_unseen=unseen)
 
 
-def _evaluate(state: TrainState, pairs: dict[str, TeacherStudentPair], detection=None) -> EvalResult:
-    """``evaluate_pipeline`` of the students of ``pairs`` on ``state``'s split, with ``detection``
-    in place of its own detection half when given: the pair worker's, where it scores."""
-    split = state.split
-    return evaluate_pipeline(pairs, split.test_x, split.test_y, split.unlabeled_x, split.unlabeled_is_unseen,
-                             state.config.gamma, detection=detection)
-
-
 def _with_tables(ev: EvalResult, test_y: np.ndarray, unlabeled_is_unseen: np.ndarray) -> EvalResult:
     """Fill in the two tables only a final evaluation carries."""
     ev.per_class_accuracy = per_class_accuracy(ev.predictions, test_y)
@@ -547,16 +525,18 @@ def _run_epochs(state: TrainState, step_callback=None, epoch_callback=None) -> N
     docstring states the schedule."""
     cfg = state.config
     pretrain = state.iteration < 0
+    phase = "pretrain" if pretrain else "train"
     epochs = cfg.pretrain_epochs if pretrain else cfg.epochs_per_iteration
     eval_every = 1 if pretrain else cfg.eval_every
     # in pre-training every step trains here and the worker, if any, scores each epoch's teacher
     scorer, worker = (state.worker, None) if pretrain else (None, state.worker)
     plan = _step_plan(state.pipeline, cfg)
     own = {name: b for name, b in plan.items() if worker is None or name != worker.name}
-    # the detection half runs in the process whose steps forward fewer unlabeled views, the worker on a
-    # tie: here the teachers' (one per pair) and this process's own models', there the worker model's
-    here = len(state.pairs) * state.pipeline.uses_unlabeled + sum(map(_unlabeled_views, own.values()))
-    detection = worker.detection if worker is not None and here >= _unlabeled_views(plan[worker.name]) else None
+    # the worker detects unless its model trains both branches: a merged model's step is the heaviest
+    # of any mode, and elsewhere this process, which draws and teacher-scores every step, is the busier
+    detection = worker.detection if worker is not None and len(plan[worker.name]) < 2 else None
+    # per unlabeled row of a step: one teacher pass per pair, then each trained model's views
+    views = len(state.pairs) + sum(map(_unlabeled_views, plan.values()))
     steps = state.sampler.steps_per_epoch
     lrs = [_lr_at(cfg, state.global_epoch + epoch, state.total_epochs) for epoch in range(epochs)]
     draws = (_draw_step(state, batch) for _ in range(epochs) for batch in state.sampler.epoch())
@@ -575,15 +555,23 @@ def _run_epochs(state: TrainState, step_callback=None, epoch_callback=None) -> N
         taken = max(taken, upto)
 
     def record(epoch: int, global_epoch: int, forwards: int, report: LossReport, pairs, found) -> dict:
-        """Evaluate epoch ``epoch`` of the phase on ``pairs`` if it is due (with the detection half
+        """Refuse epoch ``epoch`` of the phase if a student of ``pairs`` or a field of ``report`` is
+        not finite, evaluate it on ``pairs`` if it is due (with the pair worker's detection half
         ``found`` when given), then append its record."""
+        students = [name for name, pair in pairs.items() if not np.isfinite(pair.student.flat).all()]
+        fields = [name for name, value in vars(report).items() if not math.isfinite(value)]
+        if students or fields:
+            raise DivergenceError(f"training diverged in phase {phase}, iteration {state.iteration}, global epoch "
+                                  f"{global_epoch}: non-finite parameters in students {students}, "
+                                  f"non-finite loss fields {fields}")
         ev = None
         if (epoch + 1) % eval_every == 0 or epoch == epochs - 1:
-            ev = state.last_eval = _evaluate(state, pairs, found)
+            split = state.split
+            ev = state.last_eval = evaluate_pipeline(pairs, split.test_x, split.test_y, split.unlabeled_x,
+                                                     split.unlabeled_is_unseen, cfg.gamma, detection=found)
             if cfg.dump_scores and state.out_dir is not None:
                 _dump_epoch_scores(state, global_epoch, ev.scores)
-        entry = _epoch_record("pretrain" if pretrain else "train", state.iteration, epoch, global_epoch,
-                              lrs[epoch], report, ev, forwards)
+        entry = _epoch_record(phase, state.iteration, epoch, global_epoch, lrs[epoch], report, ev, forwards)
         state.history.append(entry)
         return entry
 
@@ -593,7 +581,10 @@ def _run_epochs(state: TrainState, step_callback=None, epoch_callback=None) -> N
         for k in range(end - steps, end):
             stage(min(k + 1 + lead, end))
             step = staged.popleft()
-            _train_step(state, own, step, lrs[epoch])
+            state.training_unlabeled_forwards += views * step.report.batch_unlabeled
+            for name, branches in own.items():
+                fields = _model_step(state.pairs[name].student, state.optimizers[name], branches, step, cfg, lrs[epoch])
+                _credit(cfg, step.report, fields)
             reports.append(step.report)
             if step_callback is not None:
                 step_callback(state, step.report)

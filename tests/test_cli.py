@@ -24,7 +24,7 @@ from dts_ssl.cli import (
     run_experiment,
     sweep,
 )
-from dts_ssl.data import MismatchSplit, load_cifar10_dir, save_dataset
+from dts_ssl.data import DatasetSpec, MismatchSplit, load_cifar10_dir, save_dataset
 from dts_ssl.errors import CapacityError, ValidationError
 from dts_ssl.trainer import TrainConfig, config_hash
 
@@ -149,7 +149,8 @@ class TestDeskBenchmarkConfig:
 
         monkeypatch.setattr(trainer, "run_training", capture)  # _execute_single imports it on each call
         with pytest.raises(Built) as built:
-            cli._execute_single(load_config(self.PATH), seed, tmp_path / "run")
+            config = load_config(self.PATH)
+            cli._execute_single(config, config.dataset.load(), seed, tmp_path / "run")
         split, expected = built.value.args[0], benchmark_split(seed)
         for field in dataclasses.fields(MismatchSplit):
             assert np.array_equal(getattr(split, field.name), getattr(expected, field.name)), field.name
@@ -253,6 +254,24 @@ class TestRunVerb:
         monkeypatch.setenv(ENV_OUT_ROOT, str(tmp_path / "envroot"))
         manifest = run_experiment(config_file, ["train.ablation_mode=supervised_only"])
         assert str(tmp_path / "envroot") in manifest.out_dir
+
+    @pytest.mark.parametrize("verb, loads", [(["run"], 1),
+                                             (["sweep", "--axis", "train.tau", "--values", "0.7,0.9"], 2)])
+    def test_each_point_loads_its_dataset_once(self, csv_config_file, tmp_path, monkeypatch, verb, loads):
+        # a run's seeds share one load of the dataset; each point of a sweep loads its own
+        calls, load = [], DatasetSpec.load
+
+        def counted(spec):
+            calls.append(spec.path)
+            return load(spec)
+
+        monkeypatch.setattr(DatasetSpec, "load", counted)
+        argv = [*verb, "--config", str(csv_config_file), "--seeds", "2", "--ablation", "supervised_only",
+                "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 0
+        assert len(calls) == loads
+        (manifest_file,) = (tmp_path / "out").rglob("manifest.json")
+        assert [r["status"] for r in RunManifest.load(manifest_file).runs] == ["completed"] * 2 * loads
 
 
 class TestSweepVerb:
@@ -546,7 +565,8 @@ class TestValidateConfigVerb:
         assert "unknown config fields: ['cache_scores']" in capsys.readouterr().err
 
     def test_override_fills_field_that_defaults_to_none(self, config_file, tmp_path):
-        # only a cifar10 dataset takes max_per_class; validation needs just its directory to exist
+        # only a cifar10 dataset takes max_per_class; validation reads only the directory's file names
+        (tmp_path / "data_batch_1").touch()
         config = load_config(config_file, ["dataset.kind=cifar10", f"dataset.path={tmp_path}",
                                            "dataset.max_per_class=5"])
         assert config.dataset.max_per_class == 5 and type(config.dataset.max_per_class) is int
@@ -650,6 +670,27 @@ class TestValidateConfigVerb:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))
         assert_rejected(bad, tmp_path, capsys, message)
+
+    @pytest.mark.parametrize("sidecar, message", [
+        (None, "dataset.path: missing metadata sidecar"),
+        ('{"name": "pool"}', "dataset.path: {}: not a dataset sidecar with a name and a class_count"),
+        ('{"name": "pool", "class_count": "4"}', "dataset.path: {}: not a dataset sidecar"),
+    ])
+    def test_csv_dataset_without_a_valid_sidecar_exit_two(self, tmp_path, csv_config_file, sidecar, message,
+                                                          capsys):
+        # the loader's sidecar rule, checked before any run starts
+        meta = tmp_path / "pool.meta.json"
+        meta.unlink()
+        if sidecar is not None:
+            meta.write_text(sidecar)
+        assert_rejected(csv_config_file, tmp_path, capsys, message.format(meta))
+
+    def test_cifar10_directory_without_batches_exit_two(self, tmp_path, config_file, capsys):
+        raw = json.loads(config_file.read_text())
+        raw["dataset"] = {"kind": "cifar10", "path": str(tmp_path)}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert_rejected(bad, tmp_path, capsys, f"dataset.path: no data_batch_* files found under {tmp_path}")
 
     @pytest.mark.parametrize("max_per_class", [0, -2])
     def test_max_per_class_below_one_exit_two(self, tmp_path, config_file, max_per_class, capsys):

@@ -1,7 +1,8 @@
 """The pair worker: a run that scores pre-training's teachers, trains the plan's last model and,
-in most modes, scores the students in a forked process gives what the serial run in one process
-gives, shows its callbacks the same students while the worker trains ahead, computes every AUROC
-in this process, leaves no process or descriptor behind, and carries worker failures home."""
+in every mode but the two merged ones, scores the students in a forked process gives what the
+serial run in one process gives, shows its callbacks the same students while the worker trains
+ahead, computes every AUROC in this process, leaves no process or descriptor behind, and carries
+worker failures home."""
 
 import errno
 import json
@@ -22,7 +23,7 @@ import pytest
 
 from dts_ssl import losses, pairworker, trainer
 from dts_ssl.benchmarks import benchmark_config, benchmark_split
-from dts_ssl.errors import UndefinedMetricError
+from dts_ssl.errors import DivergenceError
 from dts_ssl.models import load_model, param_hash
 from dts_ssl.trainer import apply_ablation, run_training
 from test_trainer import one_cpu, tiny_config, tiny_split
@@ -256,13 +257,13 @@ def test_result_pickles_bit_exactly(tmp_path, forks):
             assert all(np.shares_memory(v, model.flat) for v in model.params.values())
 
 
-@pytest.mark.parametrize("mode, in_worker", (("full", True), ("no_its", False), ("no_k1_its", True),
-                                             ("supervised_only", True)))
+@pytest.mark.parametrize("mode, in_worker", (("full", True), ("no_its", True), ("no_k1_its", True),
+                                             ("no_k1_ots", True), ("supervised_only", True),
+                                             ("one_f_two_c", False)))
 def test_every_evaluation_is_one_evaluate_pipeline_call(mode, in_worker, forks, monkeypatch):
     # pre-training evaluates each epoch with the worker's scores of its teacher; each iteration
-    # evaluates epochs 2 and 3 of 3, taking the worker's detection half unless the worker's steps
-    # forward more unlabeled views than this process's (no_its: the strong and the weak view
-    # against the teacher's one)
+    # evaluates epochs 2 and 3 of 3, taking the worker's detection half unless the worker's model
+    # trains both branches (one_f_two_c), whose step is the heaviest of any mode
     calls, evaluate = [], trainer.evaluate_pipeline
 
     def counted(*args, **kwargs):
@@ -450,21 +451,28 @@ def test_dead_worker_is_reported_and_reaped(tmp_path, forks):
     aborted(tmp_path, ("inlier", "outlier"))
 
 
-@pytest.mark.parametrize("mode", ("full", "no_its", "no_k1_its"))
-def test_divergence_raises_the_same_error_on_both_paths(mode, tmp_path, forks):
-    # tanh at lr=1e6 overflows after pre-training; the first evaluation that scores non-finite
-    # raises in this process's AUROC, wherever the scores were computed (the worker in full and
-    # no_k1_its, this process in no_its)
-    config, split = benchmark_config(mode, 0, activation="tanh", lr=1e6), benchmark_split(0)
+@pytest.mark.parametrize("mode, lr, where", (
+    ("full", 1e6, "phase train, iteration 0, global epoch 56"),
+    ("no_its", 1e6, "phase train, iteration 0, global epoch 56"),
+    ("no_k1_its", 1e6, "phase train, iteration 0, global epoch 56"),
+    ("full", 1e8, "phase pretrain, iteration -1, global epoch 32"),
+))
+def test_divergence_raises_the_same_error_on_both_paths(mode, lr, where, tmp_path, forks):
+    # tanh at lr=1e6 sends the students' parameters to non-finite values in global epoch 56, the
+    # first of iteration 0, while every loss value stays finite; at lr=1e8 the teacher's go in
+    # pre-training, and no pair is derived. Either path raises before that epoch's evaluation
+    config, split = benchmark_config(mode, 0, activation="tanh", lr=lr), benchmark_split(0)
     caught = []
     for out, run in (("worker", lambda f: f()), ("serial", serial)):
-        with warnings.catch_warnings(), pytest.raises(UndefinedMetricError) as error:
+        with warnings.catch_warnings(), pytest.raises(DivergenceError) as error:
             warnings.simplefilter("ignore", RuntimeWarning)
             run(lambda: run_training(config, split, out_dir=tmp_path / out))
         caught.append(error.value)
-    assert [type(e) for e in caught] == [UndefinedMetricError] * 2
-    assert str(caught[0]) == str(caught[1]) and "AUROC needs finite scores" in str(caught[0])
+    assert str(caught[0]) == str(caught[1]) and f"training diverged in {where}: " in str(caught[0])
     assert caught[0].__cause__ is None
     assert len(forks) == 1 and reaped(forks[0])
     assert run_files(tmp_path / "worker") == run_files(tmp_path / "serial")
-    aborted(tmp_path / "worker", [name for name, _ in apply_ablation(mode, config).pairs])
+    if "pretrain" in where:
+        assert "students ['merged']" in str(caught[0]) and run_files(tmp_path / "worker") == {}
+    else:
+        aborted(tmp_path / "worker", [name for name, _ in apply_ablation(mode, config).pairs])

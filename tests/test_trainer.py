@@ -294,21 +294,50 @@ class TestApplyAblation:
 
     @pytest.mark.parametrize("mode", ABLATION_MODES)
     def test_unlabeled_views_count_the_forwards_of_the_step(self, mode, monkeypatch):
-        # the placement of the detection half reads _unlabeled_views; each model's _model_step must
-        # forward that many views of the unlabeled batch, in pre-training and in the iterations
-        calls, model_step = [], dts_ssl.trainer._model_step
+        # _unlabeled_views is the one count of a model step's unlabeled forwards: each model's
+        # _model_step forwards that many views of the unlabeled batch, and every record's counter
+        # is the teachers' passes plus those rows over the steps trained so far, in pre-training
+        # and in the iterations
+        trainer = dts_ssl.trainer
+        inputs, calls, records = [], [], []  # inputs: the rows of each forward since the last clear
+        teacher_rows, trained = {}, {}  # id(step) -> (step, rows its teachers forwarded); -> rows trained
+        logits, draw_step, model_step, epoch_record = (DualHeadModel.logits, trainer._draw_step,
+                                                       trainer._model_step, trainer._epoch_record)
+
+        def spied(model, x, heads=("k",)):
+            inputs.append(x)
+            return logits(model, x, heads)
+
+        def drawn(state, batch):
+            inputs.clear()
+            step = draw_step(state, batch)
+            teacher_rows[id(step)] = step, sum(map(len, inputs))
+            return step
 
         def counted(student, optimizer, branches, step, cfg, lr):
-            fields, forwards = model_step(student, optimizer, branches, step, cfg, lr)
-            mu_b = 0 if step.strong_u is None else len(step.strong_u)
-            calls.append((forwards, dts_ssl.trainer._unlabeled_views(branches) * mu_b, mu_b))
-            return fields, forwards
+            inputs.clear()
+            fields = model_step(student, optimizer, branches, step, cfg, lr)
+            rows = sum(len(x) for x in inputs if x is step.strong_u or x is step.weak_u)
+            mu_b = step.report.batch_unlabeled
+            calls.append((rows, trainer._unlabeled_views(branches) * mu_b, mu_b))
+            trained[id(step)] = trained.get(id(step), teacher_rows[id(step)][1]) + rows
+            return fields
 
-        monkeypatch.setattr(dts_ssl.trainer, "_model_step", counted)
+        def recorded(*args):
+            entry = epoch_record(*args)
+            records.append((entry["training_unlabeled_forwards"], sum(trained.values())))
+            return entry
+
+        monkeypatch.setattr(DualHeadModel, "logits", spied)
+        monkeypatch.setattr(trainer, "_draw_step", drawn)
+        monkeypatch.setattr(trainer, "_model_step", counted)
+        monkeypatch.setattr(trainer, "_epoch_record", recorded)
         with one_cpu():  # every model's steps in this process
-            run_training(tiny_config(mode), tiny_split())
-        assert calls and all(forwards == expected for forwards, expected, _ in calls)
+            result = run_training(tiny_config(mode), tiny_split())
+        assert calls and all(rows == expected for rows, expected, _ in calls)
         assert any(mu_b for *_, mu_b in calls) == (mode != "supervised_only")
+        assert len(records) == len(result.history) and all(got == want for got, want in records)
+        assert records[-1][0] == result.history[-1]["training_unlabeled_forwards"]
 
     def test_unseen_weight_shapes(self):
         cfg = TrainConfig.desk()
@@ -677,15 +706,15 @@ class TestEvaluatePipeline:
 
     def test_final_eval_is_the_last_epoch_evaluation(self, monkeypatch):
         # an iteration always evaluates its last epoch, so the run adds no evaluation; every
-        # evaluation, serial or split with a pair worker, goes through _evaluate
+        # evaluation, serial or split with a pair worker, is one evaluate_pipeline call
         calls = []
-        evaluate = dts_ssl.trainer._evaluate
+        evaluate = dts_ssl.trainer.evaluate_pipeline
 
         def counting(*args, **kwargs):
             calls.append(evaluate(*args, **kwargs))
             return calls[-1]
 
-        monkeypatch.setattr(dts_ssl.trainer, "_evaluate", counting)
+        monkeypatch.setattr(dts_ssl.trainer, "evaluate_pipeline", counting)
         cfg = tiny_config(eval_every=2)  # 3 epochs per iteration: the 2nd and the last evaluate
         result = run_training(cfg, tiny_split())
         evaluated = [r for r in result.history if np.isfinite(r["test_accuracy"])]
