@@ -140,7 +140,8 @@ def _experiment_hash(points: list[tuple[dict, ExperimentConfig]]) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:12]
 
 
-def _execute_single(config: ExperimentConfig, dataset: Dataset, seed: int, run_dir: Path) -> dict:
+def _execute_single(config: ExperimentConfig, dataset: Dataset, seed: int, run_dir: Path):
+    """Train and evaluate one seed of ``config`` in ``run_dir``; returns the final evaluation."""
     from .trainer import run_training  # imported here: the config and report verbs load no training code
 
     split = config.split.build(dataset, seed)
@@ -149,15 +150,7 @@ def _execute_single(config: ExperimentConfig, dataset: Dataset, seed: int, run_d
     effective = {**config.to_dict(), "seeds": [seed]}  # the run's seed in both places, as validate allows
     effective["train"]["seed"] = seed
     (run_dir / "effective_config.json").write_text(json.dumps(effective, indent=2))
-    result = run_training(train_cfg, split, out_dir=run_dir)
-    return {
-        "seed": seed,
-        "ablation": train_cfg.ablation_mode,
-        "status": "completed",
-        "run_dir": str(run_dir),
-        "accuracy": result.final_eval.accuracy,
-        "auroc": result.final_eval.auroc,
-    }
+    return run_training(train_cfg, split, out_dir=run_dir).final_eval
 
 
 def _run_points(points: list[tuple[dict, ExperimentConfig]], out_dir: str | None, tag: str) -> RunManifest:
@@ -183,16 +176,12 @@ def _run_points(points: list[tuple[dict, ExperimentConfig]], out_dir: str | None
         for seed in config.seeds:
             run_dir = point_dir / f"seed{seed}"
             try:
-                record = _execute_single(config, dataset(), seed, run_dir)
+                final = _execute_single(config, dataset(), seed, run_dir)
+                outcome = {"status": "completed", "run_dir": str(run_dir), "accuracy": final.accuracy,
+                           "auroc": final.auroc}
             except Exception as exc:  # noqa: BLE001 - run status must be recorded
-                record = {
-                    "seed": seed,
-                    "ablation": config.train.ablation_mode,
-                    "status": "failed",
-                    "run_dir": str(run_dir),
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
-            manifest.runs.append({**record, **labels})
+                outcome = {"status": "failed", "run_dir": str(run_dir), "error": f"{type(exc).__name__}: {exc}"}
+            manifest.runs.append({"seed": seed, "ablation": config.train.ablation_mode, **outcome, **labels})
     manifest.save(base / "manifest.json")
     emit_report(base / "manifest.json")
     failures = sum(r["status"] == "failed" for r in manifest.runs)

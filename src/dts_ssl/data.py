@@ -226,18 +226,13 @@ def generate_synthetic(
     center_scale = 1.4 * seen_gap / np.sqrt(2.0 * dim)
     centers: list[np.ndarray] = []
 
-    def place(propose, accept, fallback=None) -> None:
-        for attempt in range(max_tries):
-            candidate = propose()
-            if accept(candidate):
-                centers.append(candidate)
-                return
+    def place(propose, *tests) -> None:
         # cramped geometries (low dim, few clusters) may not admit the
-        # preferred margins; retry against the relaxed acceptance test
-        if fallback is not None:
+        # preferred margins; each test after the first is a relaxed retry
+        for accept in tests:
             for attempt in range(max_tries):
                 candidate = propose()
-                if fallback(candidate):
+                if accept(candidate):
                     centers.append(candidate)
                     return
         raise GenerationError(
@@ -277,7 +272,7 @@ def generate_synthetic(
                 between,
                 lambda cand: min_dist_to(cand, seen_centers) >= 1.3 * separation
                 and min_dist_to(cand, centers[k_seen:]) >= separation,
-                fallback=contract,
+                contract,
             )
         except GenerationError:
             # few seen clusters leave no room between them; fall back to
@@ -532,10 +527,7 @@ def load_cifar10_dir(path: str | Path, max_per_class: int | None = None) -> Data
     features = np.vstack(feats)
     labels = np.concatenate(labs)
     if max_per_class is not None:
-        keep: list[np.ndarray] = []
-        for c in range(1, 11):
-            keep.append(np.flatnonzero(labels == c)[:max_per_class])
-        order = np.sort(np.concatenate(keep))
+        order = np.sort(np.concatenate([np.flatnonzero(labels == c)[:max_per_class] for c in range(1, 11)]))
         features, labels = features[order], labels[order]
     return Dataset(name="cifar10", features=features, labels=labels, class_count=10)
 

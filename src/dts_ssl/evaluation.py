@@ -1,17 +1,20 @@
-"""Metrics: seen-class accuracy, unseen-detection AUROC and the final tables.
+"""Metrics: seen-class accuracy, unseen-detection AUROC, the final tables and the per-sample CSVs.
 
 These functions only measure; ``trainer.evaluate_pipeline`` decides which
 model predicts and which scores detect, and ``trainer.run_inference`` is the
-evaluation of two trained students.
+evaluation of two trained students. ``write_per_sample`` is the one writer of
+per-sample rows, and the only code that joins them with the hidden flags.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .errors import UndefinedMetricError, ValidationError
+from .errors import ShapeError, UndefinedMetricError, ValidationError
 
 
 @dataclass
@@ -122,3 +125,18 @@ def score_histogram(scores, is_unseen, bins: int = 20) -> ScoreHistogram:
         seen_counts=seen_counts.tolist(),
         unseen_counts=unseen_counts.tolist(),
     )
+
+
+def write_per_sample(path: str | Path, indices, columns: dict, unlabeled_is_unseen) -> None:
+    """Write a CSV with one row per sample: its ``index`` into the unlabeled set, the ``columns``
+    (name -> one value per sample; booleans as 0/1, floats by ``repr``), then ``is_unseen``, the
+    hidden flag at that index. Makes the file's directory if it is missing."""
+    indices = np.asarray(indices)
+    if any(len(values) != len(indices) for values in columns.values()):
+        raise ShapeError("indices and every column must have equal lengths")
+    cells = [np.asarray(c) for c in (indices, *columns.values(), np.asarray(unlabeled_is_unseen)[indices])]
+    Path(path).parent.mkdir(exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["index", *columns, "is_unseen"])
+        writer.writerows(zip(*((c.astype(np.int64) if c.dtype == bool else c).tolist() for c in cells)))

@@ -10,10 +10,6 @@ samples into pseudo-labeled seen-class training.
 
 from __future__ import annotations
 
-import csv
-from pathlib import Path
-from typing import Sequence
-
 import numpy as np
 
 from .errors import ShapeError
@@ -40,18 +36,3 @@ def gate_mask(max_conf: np.ndarray, scores: np.ndarray, tau: float, use_score: b
         mask = mask & (max_conf > scores)
     return mask
 
-
-def write_score_dump(
-    path: str | Path,
-    indices: Sequence[int],
-    scores: Sequence[float],
-    hidden_flags: Sequence[bool],
-) -> None:
-    """Columnar dump (index, score, hidden seen/unseen flag) for AUROC auditing."""
-    if not (len(indices) == len(scores) == len(hidden_flags)):
-        raise ShapeError("indices, scores and flags must have equal lengths")
-    with open(Path(path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "score", "is_unseen"])
-        for i, s, f in zip(indices, scores, hidden_flags):
-            writer.writerow([int(i), repr(float(s)), int(bool(f))])

@@ -87,6 +87,7 @@ from .evaluation import (
     per_class_accuracy,
     predict_labels,
     score_histogram,
+    write_per_sample,
 )
 from .losses import LossReport
 from .models import (
@@ -98,7 +99,7 @@ from .models import (
     save_model,
 )
 from .numerics import class_max, class_sum, softmax
-from .soft_weighting import gate_mask, scores_from_probs, write_score_dump
+from .soft_weighting import gate_mask, scores_from_probs
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +206,8 @@ def pretrain_teacher(teacher: DualHeadModel, split: MismatchSplit, config: Train
     plan, so no unlabeled example appears anywhere in this phase; the
     (K+1)-head trains with the same 1..K labels (it simply never sees a
     positive for the extra class). Sets the pre-trained flag required by pair
-    derivation. With ``config.dump_scores``, each epoch's scores go to ``out_dir``.
+    derivation. With ``config.dump_scores``, each epoch's evaluation scores go to ``out_dir``
+    (``score_dumps/``); this phase draws no unlabeled rows, so it adds nothing to the gate record.
     ``worker`` (``pairworker.attached``), if given, scores each epoch's teacher (see the module docstring there).
     """
     # the sampler rejects an empty labeled set, so the label range below is defined
@@ -319,6 +321,8 @@ class _Step:
     targets: dict  # role -> (gate, pseudo-labels, teacher probabilities)
     weights: np.ndarray | None  # per-sample weights of the unseen term
     report: LossReport = field(default_factory=LossReport)  # the batch size, gate tallies and weight sum
+    indices: np.ndarray | None = None  # this process only, for the gate record: the unlabeled rows drawn
+    scores: np.ndarray | None = None  # and their teacher scores; None when no unlabeled row is drawn
 
 
 def _draw_step(state: TrainState, batch) -> _Step:
@@ -330,7 +334,7 @@ def _draw_step(state: TrainState, batch) -> _Step:
     strong_x = augment_batch(batch.labeled_x, "strong", rng, state.scale, state.aug)
     mu_b = report.batch_unlabeled = len(batch.unlabeled_x)
     targets = {}
-    weak_u = strong_u = weights = None
+    weak_u = strong_u = weights = scores = None
     # as in _score, the last pair's heads say whether the score comes from a (K+1)-head; if
     # so, it gates pseudo-labels and weights the extra class
     last = list(state.pairs.values())[-1].teacher
@@ -346,13 +350,35 @@ def _draw_step(state: TrainState, batch) -> _Step:
                 if role == "outlier" and k1_scored and cfg.exclude_k1_pseudo:
                     gate = gate & (pseudo != last.K + 1)
                 targets[role] = (gate, pseudo, p)
-        if "inlier" in targets and pipe.inlier_losses:
+        roles = _gated_roles(pipe, targets)
+        if "inlier" in roles:
             report.pass_count_in = int(targets["inlier"][0].sum())
-        if pipe.outlier_losses:
+        if "outlier" in roles:
             report.pass_count_out = int(targets["outlier"][0].sum())
             weights = unseen_sample_weights(scores, k1_scored, pipe, cfg)
             report.effective_weight_sum = float(weights.sum())
-    return _Step(strong_x, batch.labeled_y, weak_u, strong_u, targets, weights, report)
+    return _Step(strong_x, batch.labeled_y, weak_u, strong_u, targets, weights, report, batch.unlabeled_indices, scores)
+
+
+def _gated_roles(pipe: PipelineDescription, targets: dict) -> list[str]:
+    """The roles whose gate training uses, and whose pass counts an epoch record holds: inlier
+    where the pipeline trains inlier losses, outlier where it trains outlier losses."""
+    return [role for role, wanted in (("inlier", pipe.inlier_losses), ("outlier", pipe.outlier_losses))
+            if wanted and role in targets]
+
+
+def _gate_rows(state: TrainState, step: _Step, index: int) -> dict[str, np.ndarray]:
+    """Step ``index``'s rows of the epoch's gate record: per unlabeled row drawn, its index, the
+    step and the teacher score; per gated role, the gate as trained, the score clause's verdict
+    (where the gate uses the score) and the pseudo-label. No hidden flag is read here."""
+    rows = {"index": step.indices, "step": np.full(len(step.indices), index), "score": step.scores}
+    for role in _gated_roles(state.pipeline, step.targets):
+        gate, pseudo, p = step.targets[role]
+        rows[f"gate_{role}"] = gate
+        if "k1" in list(state.pairs.values())[-1].teacher.heads:  # as in _draw_step
+            rows[f"clause_{role}"] = class_max(p) > step.scores
+        rows[f"pseudo_{role}"] = pseudo
+    return rows
 
 
 def _model_step(student: DualHeadModel, optimizer: SGD, branches: tuple[_Branch, ...], step: _Step,
@@ -442,7 +468,7 @@ def _sample_major(d_logits: np.ndarray) -> np.ndarray:
 
 def evaluate_pipeline(pairs: dict[str, TeacherStudentPair], test_x: np.ndarray, test_y: np.ndarray,
                       unlabeled_x: np.ndarray, unlabeled_is_unseen: np.ndarray, gamma: float, *,
-                      detection=None) -> EvalResult:
+                      detection=None, where: str | None = None) -> EvalResult:
     """Accuracy on the test set plus detection AUROC over the unlabeled set.
 
     Raw inputs only; the hidden seen/unseen flags are consumed here, never in
@@ -454,7 +480,9 @@ def evaluate_pipeline(pairs: dict[str, TeacherStudentPair], test_x: np.ndarray, 
     here or, when ``detection`` is given, what ``detection()`` returns after
     the test half: the same scores computed elsewhere (``_run_epochs`` passes
     the pair worker's). AUROC and the two mean scores are computed here from
-    the scores, so the flags are read in this process only.
+    the scores, so the flags are read in this process only. A training record
+    passes ``where`` (its phase, iteration and epoch): a non-finite score then
+    raises ``DivergenceError`` naming it, before AUROC reads the scores.
     """
     model = next(iter(pairs.values())).student
     if "k" in model.heads:
@@ -463,6 +491,9 @@ def evaluate_pipeline(pairs: dict[str, TeacherStudentPair], test_x: np.ndarray, 
         preds = np.argmax(model.probs(np.atleast_2d(test_x), head="k1")[: model.K], axis=0) + 1
     accuracy = compute_accuracy(preds, test_y)
     scores = _score(pairs, "student", unlabeled_x, gamma)[0] if detection is None else detection()
+    bad = np.count_nonzero(~np.isfinite(scores)) if where is not None else 0
+    if bad:
+        raise DivergenceError(f"training diverged in {where}: {bad} non-finite evaluation scores of {len(scores)}")
     flags = np.asarray(unlabeled_is_unseen, dtype=bool)
     # degenerate splits (ratio 0 or 1) leave the detection metric undefined
     auroc = compute_auroc(scores, flags) if (flags.any() and not flags.all()) else float("nan")
@@ -543,6 +574,7 @@ def _run_epochs(state: TrainState, step_callback=None, epoch_callback=None) -> N
     staged = collections.deque()  # drawn in order, not yet trained here
     taken = 0  # steps of the phase staged so far
     lead = 0 if step_callback is not None else 1  # steps staged ahead of this process's own
+    dump = cfg.dump_scores and state.out_dir is not None  # write the per-sample CSVs
     late = None  # with a scorer: the previous epoch's record, made once this epoch's steps are done
 
     def stage(upto: int) -> None:
@@ -554,33 +586,42 @@ def _run_epochs(state: TrainState, step_callback=None, epoch_callback=None) -> N
                 worker.start(staged[-1], lrs[k // steps], k % steps == steps - 1)
         taken = max(taken, upto)
 
-    def record(epoch: int, global_epoch: int, forwards: int, report: LossReport, pairs, found) -> dict:
-        """Refuse epoch ``epoch`` of the phase if a student of ``pairs`` or a field of ``report`` is
-        not finite, evaluate it on ``pairs`` if it is due (with the pair worker's detection half
-        ``found`` when given), then append its record."""
+    def record(epoch: int, global_epoch: int, forwards: int, report: LossReport, drawn: list, pairs,
+               found) -> dict:
+        """Refuse epoch ``epoch`` of the phase if a student of ``pairs``, a field of ``report`` or,
+        before AUROC reads them, a score of its evaluation is not finite; evaluate it on ``pairs`` if
+        it is due (with the pair worker's detection half ``found`` when given), write its per-sample
+        CSVs (``drawn``: its steps' gate rows), then append its record."""
+        split, where = state.split, f"phase {phase}, iteration {state.iteration}, global epoch {global_epoch}"
         students = [name for name, pair in pairs.items() if not np.isfinite(pair.student.flat).all()]
         fields = [name for name, value in vars(report).items() if not math.isfinite(value)]
         if students or fields:
-            raise DivergenceError(f"training diverged in phase {phase}, iteration {state.iteration}, global epoch "
-                                  f"{global_epoch}: non-finite parameters in students {students}, "
-                                  f"non-finite loss fields {fields}")
+            raise DivergenceError(f"training diverged in {where}: non-finite parameters in students "
+                                  f"{students}, non-finite loss fields {fields}")
         ev = None
         if (epoch + 1) % eval_every == 0 or epoch == epochs - 1:
-            split = state.split
             ev = state.last_eval = evaluate_pipeline(pairs, split.test_x, split.test_y, split.unlabeled_x,
-                                                     split.unlabeled_is_unseen, cfg.gamma, detection=found)
-            if cfg.dump_scores and state.out_dir is not None:
-                _dump_epoch_scores(state, global_epoch, ev.scores)
+                                                     split.unlabeled_is_unseen, cfg.gamma, detection=found,
+                                                     where=where)
+        file = f"epoch_{global_epoch:05d}.csv"
+        if dump and ev is not None:
+            write_per_sample(state.out_dir / "score_dumps" / file, np.arange(len(ev.scores)), {"score": ev.scores},
+                             split.unlabeled_is_unseen)
+        if drawn:
+            rows = {column: np.concatenate([d[column] for d in drawn]) for column in drawn[0]}
+            write_per_sample(state.out_dir / "gate_record" / file, rows.pop("index"), rows, split.unlabeled_is_unseen)
         entry = _epoch_record(phase, state.iteration, epoch, global_epoch, lrs[epoch], report, ev, forwards)
         state.history.append(entry)
         return entry
 
     for epoch in range(epochs):
         evaluated = (epoch + 1) % eval_every == 0 or epoch == epochs - 1
-        end, reports = (epoch + 1) * steps, []
+        end, reports, drawn = (epoch + 1) * steps, [], []
         for k in range(end - steps, end):
             stage(min(k + 1 + lead, end))
             step = staged.popleft()
+            if dump and step.scores is not None:
+                drawn.append(_gate_rows(state, step, k - end + steps))
             state.training_unlabeled_forwards += views * step.report.batch_unlabeled
             for name, branches in own.items():
                 fields = _model_step(state.pairs[name].student, state.optimizers[name], branches, step, cfg, lrs[epoch])
@@ -597,7 +638,7 @@ def _run_epochs(state: TrainState, step_callback=None, epoch_callback=None) -> N
         report = _mean_report(reports)
         if pretrain:
             report.inlier_total = report.outlier_total = 0.0
-        done = functools.partial(record, epoch, state.global_epoch, state.training_unlabeled_forwards, report)
+        done = functools.partial(record, epoch, state.global_epoch, state.training_unlabeled_forwards, report, drawn)
         state.global_epoch += 1
         if scorer is None:
             entry = done(state.pairs, detection)
@@ -621,14 +662,6 @@ def train_dts_iteration(state: TrainState, step_callback=None, epoch_callback=No
         refresh_teacher(pair)
     state.iteration += 1
     return state
-
-
-def _dump_epoch_scores(state: TrainState, global_epoch: int, scores: np.ndarray) -> None:
-    """Write an epoch's evaluation scores of the unlabeled set, with the hidden flags."""
-    dump_dir = state.out_dir / "score_dumps"
-    dump_dir.mkdir(exist_ok=True)
-    write_score_dump(dump_dir / f"epoch_{global_epoch:05d}.csv", np.arange(len(scores)), scores,
-                     state.split.unlabeled_is_unseen)
 
 
 # glibc's mallopt parameters (malloc.h)
@@ -709,20 +742,9 @@ def run_training(
         pairs, optimizers = _derive_pairs(teacher, pipeline, config)
         sampler = PairSampler(split, config.batch_size, config.mu, rng,
                               include_unlabeled=pipeline.uses_unlabeled)
-        state = TrainState(
-            config=config,
-            pipeline=pipeline,
-            pairs=pairs,
-            optimizers=optimizers,
-            sampler=sampler,
-            rng=rng,
-            scale=scale,
-            aug=aug,
-            split=split,
-            global_epoch=config.pretrain_epochs,
-            history=history,
-            out_dir=out_path,
-        )
+        state = TrainState(config=config, pipeline=pipeline, pairs=pairs, optimizers=optimizers, sampler=sampler,
+                           rng=rng, scale=scale, aug=aug, split=split, global_epoch=config.pretrain_epochs,
+                           history=history, out_dir=out_path)
         try:
             if worker is not None:
                 worker.attach(state)
@@ -752,13 +774,8 @@ def run_training(
         (out_path / "summary.json").write_text(json.dumps(summary, indent=2))
         _write_histogram(final_eval, out_path / "score_histogram.csv")
 
-    return TrainResult(
-        config=config,
-        pipeline=pipeline,
-        pairs=state.pairs,
-        history=state.history,
-        final_eval=final_eval,
-    )
+    return TrainResult(config=config, pipeline=pipeline, pairs=state.pairs, history=state.history,
+                       final_eval=final_eval)
 
 
 def _derive_pairs(teacher: DualHeadModel, pipeline: PipelineDescription,

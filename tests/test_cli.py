@@ -7,6 +7,7 @@ import os
 import pickle
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +155,21 @@ class TestDeskBenchmarkConfig:
         split, expected = built.value.args[0], benchmark_split(seed)
         for field in dataclasses.fields(MismatchSplit):
             assert np.array_equal(getattr(split, field.name), getattr(expected, field.name)), field.name
+
+    def test_overflowing_scores_fail_the_run(self, tmp_path, capsys):
+        # relu at lr=1e6 overflows the teacher's scores in pre-training epoch 13 while every
+        # parameter stays finite: a divergence, recorded as a failed run (exit 3)
+        argv = ["run", "--config", str(self.PATH), "--seed", "0", "--set", "train.activation=relu",
+                "--set", "train.lr=1e6", "--out-dir", str(tmp_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(argv) == 3
+        assert "1 of 1 runs failed" in capsys.readouterr().err
+        (manifest_file,) = tmp_path.rglob("manifest.json")
+        (run,) = RunManifest.load(manifest_file).runs
+        assert run["status"] == "failed"
+        assert run["error"] == ("DivergenceError: training diverged in phase pretrain, iteration -1, global epoch 13: "
+                                "2000 non-finite evaluation scores of 2000")
 
     def test_cli_run_writes_the_benchmark_history(self, tmp_path):
         short = dict(iterations=1, epochs_per_iteration=2, pretrain_epochs=2)

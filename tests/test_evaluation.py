@@ -1,17 +1,20 @@
-"""Prediction, accuracy, AUROC vs the pairwise oracle, and full inference."""
+"""Prediction, accuracy, AUROC vs the pairwise oracle, full inference, and the per-sample CSVs."""
+
+import csv
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dts_ssl.errors import UndefinedMetricError, ValidationError
+from dts_ssl.errors import ShapeError, UndefinedMetricError, ValidationError
 from dts_ssl.evaluation import (
     _midranks,
     compute_accuracy,
     compute_auroc,
     predict_labels,
     score_histogram,
+    write_per_sample,
 )
 from dts_ssl.models import BackboneSpec, init_teacher
 from dts_ssl.soft_weighting import scores_from_probs
@@ -283,3 +286,24 @@ def test_score_histogram_counts():
     assert hist.bin_edges == [0.0, 0.5, 1.0]
     assert sum(hist.seen_counts) == 2
     assert sum(hist.unseen_counts) == 2
+
+
+def test_per_sample_roundtrip(tmp_path):
+    # the hidden flag of each row is looked up by its index; booleans are written as 0/1
+    flags = np.zeros(10, dtype=bool)
+    flags[[4, 9]] = True
+    path = tmp_path / "view" / "scores.csv"
+    write_per_sample(path, [4, 2, 9], {"score": [0.25, 0.5, 1.0 / 3.0], "gate": np.array([True, False, True])},
+                     flags)
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["index", "score", "gate", "is_unseen"]
+    assert [int(r["index"]) for r in rows] == [4, 2, 9]
+    assert [float(r["score"]) for r in rows] == [0.25, 0.5, 1.0 / 3.0]
+    assert [int(r["gate"]) for r in rows] == [1, 0, 1]
+    assert [int(r["is_unseen"]) for r in rows] == [1, 0, 1]
+
+
+def test_per_sample_columns_must_align(tmp_path):
+    with pytest.raises(ShapeError):
+        write_per_sample(tmp_path / "scores.csv", [4, 2, 9], {"score": [0.25, 0.5]}, np.zeros(10, dtype=bool))

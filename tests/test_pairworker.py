@@ -140,11 +140,30 @@ def test_worker_run_equals_serial_run_on_the_benchmark(mode, seed, tmp_path, for
 @pytest.mark.parametrize("mode", ("full", "no_its"))
 def test_worker_run_equals_serial_run_with_unevaluated_epochs_and_score_dumps(mode, tmp_path, forks):
     # epochs 3 and 6 of each iteration evaluate; each writes a score dump from the worker's scores,
-    # after the 50 that pre-training writes, one an epoch, from the worker's scores of its teacher
+    # after the 50 that pre-training writes, one an epoch, from the worker's scores of its teacher.
+    # Every train epoch, evaluated or not, writes its gate record, byte-equal to the serial run's
     config = benchmark_config(mode, 0, eval_every=3, dump_scores=True, **SHORT)
     worker, _ = assert_same_run(config, benchmark_split(0), tmp_path, forks)
     assert [np.isfinite(r["auroc"]) for r in worker.history[config.pretrain_epochs:]] == [False, False, True] * 4
     assert len(list((tmp_path / "worker" / "score_dumps").iterdir())) == config.pretrain_epochs + 4 == 54
+    records = {path: data for path, data in run_files(tmp_path / "worker").items() if path.startswith("gate_record/")}
+    assert sorted(records) == [f"gate_record/epoch_{e:05d}.csv" for e in range(50, 62)]
+    assert records == {path: (tmp_path / "serial" / path).read_bytes() for path in records}
+
+
+@pytest.mark.parametrize("mode", ("full", "no_k1_ots", "one_f_two_c_proj"))
+def test_per_sample_outputs_leave_the_history_unchanged(mode, tmp_path, forks):
+    # with dump_scores on, both paths write the score dumps and the gate record, and the history
+    # is the one a run with it off gives
+    histories = []
+    for dump in (False, True):
+        for path, run in (("worker", lambda f: f()), ("serial", serial)):
+            out = tmp_path / f"{path}-{dump}"
+            result = run(lambda: run_training(tiny_config(mode, dump_scores=dump), tiny_split(), out_dir=out))
+            histories.append(json.dumps(result.history))
+            assert (out / "gate_record").is_dir() == (out / "score_dumps").is_dir() == dump
+    assert len(forks) == 2 and all(map(reaped, forks))
+    assert len(set(histories)) == 1
 
 
 @pytest.mark.parametrize("mode", TWO_PAIR_MODES + ONE_MODEL_MODES)
@@ -476,3 +495,20 @@ def test_divergence_raises_the_same_error_on_both_paths(mode, lr, where, tmp_pat
         assert "students ['merged']" in str(caught[0]) and run_files(tmp_path / "worker") == {}
     else:
         aborted(tmp_path / "worker", [name for name, _ in apply_ablation(mode, config).pairs])
+
+
+@pytest.mark.parametrize("mode", ("full", "no_its"))
+def test_overflowing_scores_raise_the_same_divergence_error_on_both_paths(mode, forks):
+    # relu at lr=1e6 keeps every parameter and loss field finite while the teacher's scores of
+    # pre-training epoch 13 overflow; the record refuses them before AUROC reads them. With the
+    # worker that record is made one epoch late, and it still names epoch 13
+    config, split = benchmark_config(mode, 0, activation="relu", lr=1e6), benchmark_split(0)
+    caught = []
+    for step_callback in (None, lambda state, report: None):  # a step callback starts no worker
+        with warnings.catch_warnings(), pytest.raises(DivergenceError) as error:
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run_training(config, split, step_callback=step_callback)
+        caught.append(str(error.value))
+    assert len(forks) == 1 and reaped(forks[0])
+    assert caught == ["training diverged in phase pretrain, iteration -1, global epoch 13: "
+                      "2000 non-finite evaluation scores of 2000"] * 2

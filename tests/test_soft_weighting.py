@@ -1,7 +1,5 @@
 """The uncertainty score and the reliability gate against their scalar oracles."""
 
-import csv
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +9,7 @@ import oracles
 from dts_ssl.errors import ShapeError
 from dts_ssl.models import BackboneSpec, init_teacher
 from dts_ssl.numerics import softmax
-from dts_ssl.soft_weighting import gate_mask, scores_from_probs, write_score_dump
+from dts_ssl.soft_weighting import gate_mask, scores_from_probs
 
 
 def simplex_with_max(max_p, K):
@@ -197,24 +195,15 @@ class TestTeacherScores:
         assert np.all(scores_from_probs(t_in.probs(x, "k"), t_out.probs(x, "k1"), 0.5) == 0.0)
 
 
-def test_score_dump_roundtrip(tmp_path):
-    path = tmp_path / "scores.csv"
-    write_score_dump(path, [4, 2, 9], [0.25, 0.5, 1.0 / 3.0], [True, False, True])
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    assert [int(r["index"]) for r in rows] == [4, 2, 9]
-    assert [float(r["score"]) for r in rows] == [0.25, 0.5, 1.0 / 3.0]
-    assert [int(r["is_unseen"]) for r in rows] == [1, 0, 1]
-
-
 def test_one_definition_per_quantity():
-    """The score, the gate and the losses exist once, vectorised; no per-sample twins."""
+    """The score, the gate and the losses exist once, vectorised; no per-sample twins. The score
+    dump's writer left with the rest of the file I/O: ``evaluation.write_per_sample`` writes it."""
     import dts_ssl
     from dts_ssl import data, losses, models, soft_weighting
 
     removed = {
         soft_weighting: ("UncertaintyScore", "GateDecision", "SoftWeightedSet", "uncertainty_score",
-                         "score_batch", "reliability_gate", "build_soft_weighted_set"),
+                         "score_batch", "reliability_gate", "build_soft_weighted_set", "write_score_dump"),
         losses: ("cross_entropy", "kl_divergence", "seen_loss", "logit_match_loss", "unseen_loss",
                  "consistency_loss"),
         data: ("AugmentedView", "augment"),

@@ -1,6 +1,7 @@
 """Training orchestration: pre-training, iteration structure, ablations, determinism."""
 
 import contextlib
+import csv
 import ctypes
 import dataclasses
 import json
@@ -18,12 +19,13 @@ from hypothesis import strategies as st
 
 import dts_ssl
 import oracles
-from dts_ssl import losses
+from dts_ssl import losses, trainer
 from dts_ssl.benchmarks import benchmark_config, benchmark_split
 from dts_ssl.config import ABLATION_MODES, TrainConfig, apply_ablation, config_hash
 from dts_ssl.data import MismatchSplit, build_mismatch_split, generate_synthetic
 from dts_ssl.errors import StateError, UndefinedMetricError, ValidationError
 from dts_ssl.evaluation import compute_accuracy, predict_labels
+from dts_ssl.numerics import class_max
 from dts_ssl.models import (
     BackboneSpec,
     DualHeadModel,
@@ -1121,3 +1123,68 @@ class TestHeapPolicy:
         result = run_training(tiny_config(iterations=1, epochs_per_iteration=1, pretrain_epochs=1),
                               tiny_split())
         assert len(result.history) == 2  # one pre-train and one training epoch
+
+
+def gate_record(run_dir: Path) -> dict[int, list[dict]]:
+    """The rows of each ``gate_record`` file of a run, by global epoch."""
+    record = {}
+    for path in sorted((run_dir / "gate_record").glob("epoch_*.csv")):
+        with open(path, newline="") as fh:
+            record[int(path.stem.split("_")[1])] = list(csv.DictReader(fh))
+    return record
+
+
+class TestGateRecord:
+    # per mode: the roles whose gate training uses, and whether that gate has the score clause
+    MODES = {"full": (("inlier", "outlier"), True), "no_its": (("outlier",), True),
+             "no_k1_its": (("inlier",), False), "no_k1_ots": (("outlier",), False),
+             "one_f_two_c": (("inlier", "outlier"), True), "supervised_only": ((), False)}
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_rows_add_up_to_the_epoch_records(self, mode, tmp_path):
+        roles, clause = self.MODES[mode]
+        split, steps = tiny_split(), {}  # global epoch -> the reports of its steps
+        result = run_training(tiny_config(mode, dump_scores=True), split, out_dir=tmp_path,
+                              step_callback=lambda state, rep: steps.setdefault(state.global_epoch, []).append(rep))
+        record = gate_record(tmp_path)
+        train = [entry for entry in result.history if entry["phase"] == "train"]
+        # supervised_only draws no unlabeled row, so it writes no file
+        assert sorted(record) == ([entry["global_epoch"] for entry in train] if roles else [])
+        columns = ["index", "step", "score"]
+        for role in roles:
+            columns += [f"gate_{role}", *[f"clause_{role}"] * clause, f"pseudo_{role}"]
+        for entry in train if roles else ():
+            rows, reports = record[entry["global_epoch"]], steps[entry["global_epoch"]]
+            assert list(rows[0]) == [*columns, "is_unseen"]
+            assert len(rows) == sum(rep.batch_unlabeled for rep in reports)
+            assert [int(r["step"]) for r in rows] == [i for i, rep in enumerate(reports)
+                                                      for _ in range(rep.batch_unlabeled)]
+            index = np.array([int(r["index"]) for r in rows])
+            assert index.min() >= 0 and index.max() < len(split.unlabeled_x)
+            assert [int(r["is_unseen"]) for r in rows] == split.unlabeled_is_unseen[index].astype(int).tolist()
+            for role, field in (("inlier", "pass_count_in"), ("outlier", "pass_count_out")):
+                if role in roles:  # the record's count is the mean of its steps' counts
+                    assert sum(int(r[f"gate_{role}"]) for r in rows) / len(reports) == entry[field]
+
+    @pytest.mark.parametrize("exclude", (False, True))
+    @pytest.mark.parametrize("mode", ("full", "no_its", "one_f_two_c"))
+    def test_gate_is_the_threshold_and_the_score_clause(self, mode, exclude, tmp_path, monkeypatch):
+        # at tau = 0.3 < 1/K every row clears the threshold, so each clause 0 is a row the score
+        # clause turns away; the spy keeps each drawn step's teacher probabilities
+        drawn, draw = [], trainer._draw_step
+        monkeypatch.setattr(trainer, "_draw_step", lambda state, batch: drawn.append(draw(state, batch)) or drawn[-1])
+        split = tiny_split()
+        run_training(tiny_config(mode, dump_scores=True, tau=0.3, exclude_k1_pseudo=exclude), split, out_dir=tmp_path)
+        rows = [row for epoch in gate_record(tmp_path).values() for row in epoch]
+        steps = [step for step in drawn if step.scores is not None]
+        scores = np.concatenate([step.scores for step in steps])
+        assert np.array_equal([float(r["score"]) for r in rows], scores)
+        for role in self.MODES[mode][0]:
+            gate, clause, pseudo = (np.array([int(r[f"{c}_{role}"]) for r in rows]) for c in ("gate", "clause", "pseudo"))
+            max_conf = class_max(np.concatenate([step.targets[role][2] for step in steps], axis=1))
+            assert np.array_equal(clause, max_conf > scores)
+            expected = (max_conf > 0.3) & (clause == 1)
+            if role == "outlier" and exclude:
+                expected &= pseudo != split.K + 1
+            assert np.array_equal(gate, expected)
+            assert not clause.all()
