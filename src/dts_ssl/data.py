@@ -36,6 +36,10 @@ class Dataset:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim != 2:
             raise ValidationError(f"features must be 2-D, got shape {self.features.shape}")
+        if not np.isfinite(self.features).all():
+            row, column = np.argwhere(~np.isfinite(self.features))[0]
+            raise ValidationError(f"features must be finite, got {self.features[row, column]} at row {row}, "
+                                  f"column {column} (0-based)")
         if self.labels.shape != (self.features.shape[0],):
             raise ValidationError("labels must be a vector aligned with feature rows")
         if self.class_count < 1:

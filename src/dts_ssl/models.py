@@ -23,18 +23,14 @@ from .numerics import ACTIVATIONS, softmax
 
 
 def _packed(params: Mapping[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """A copy of ``params`` as one contiguous vector, and a view into it per name."""
+    """A copy of ``params`` as one contiguous vector, and a view into it per name, in its order
+    and its array's shape."""
     flat = np.concatenate([np.ravel(v) for v in params.values()], dtype=np.float64)
-    return flat, _views(flat, params)
-
-
-def _views(flat: np.ndarray, like: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """A view into ``flat`` per name of ``like``, in its order and its array's shape."""
     views, at = {}, 0
-    for name, v in like.items():
+    for name, v in params.items():
         views[name] = flat[at : at + np.size(v)].reshape(np.shape(v))
         at += np.size(v)
-    return views
+    return flat, views
 
 
 class DualHeadModel:
@@ -86,14 +82,6 @@ class DualHeadModel:
     def __reduce__(self):
         # unpickle through __init__, so that ``params`` are views into the new ``flat`` again
         return DualHeadModel, (self.spec, self.K, self.params, self.heads, self.pretrained)
-
-    def rehome(self, flat: np.ndarray, copy: bool = True) -> None:
-        """Move the parameters into ``flat``, a float64 vector as long as ``self.flat``: copy them
-        there (unless ``copy`` is False: ``flat`` already holds the parameters to use), then make it
-        ``flat`` and ``params`` views into it."""
-        if copy:
-            flat[:] = self.flat
-        self.flat, self.params = flat, _views(flat, self.params)
 
     # -- forward / backward --------------------------------------------------
 

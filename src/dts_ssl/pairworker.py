@@ -20,16 +20,16 @@ any, and evaluates. This is the one statement of the schedule
 (``trainer._run_epochs``):
 
 - Pre-training. After an epoch's steps the parent takes the worker's scores of
-  the previous epoch's teacher, publishes this epoch's into the other of the
-  two published copies and has the worker score it (:meth:`PairWorker.score`). It
-  then makes the previous epoch's ``trainer.evaluate_pipeline`` call on that
-  epoch's copy, with the scores taken as its detection half, and appends its
+  the previous epoch's teacher, copies this epoch's into the mapping and into a
+  private copy, and has the worker score it (:meth:`PairWorker.score`). It then
+  makes the previous epoch's ``trainer.evaluate_pipeline`` call on that epoch's
+  private copy, with the scores taken as its detection half, and appends its
   record, one epoch late; the last epoch's follows the loop. So the worker
   scores epoch e while the parent evaluates epoch e-1 and trains epoch e+1.
-  After the phase the parent derives the pairs, moves its students into the
-  mapping and publishes the worker's model, parameters and SGD velocity, into
-  copy 0 (:meth:`PairWorker.attach`), from which the worker copies it: after
-  pre-training the worker trains and scores only values the parent put there.
+  After the phase the parent derives the pairs and copies the worker's model,
+  parameters and SGD velocity, into the mapping (:meth:`PairWorker.attach`),
+  from which the worker copies it: after pre-training the worker trains and
+  scores only values the parent put there.
 - Steps. Steps are drawn only when they are staged, in order, on both paths.
   The parent stages step i+1 of an epoch in one of ``_SLOTS`` (two) slots, used
   in turn, before it trains its own model on step i, so the worker trains ahead
@@ -40,45 +40,44 @@ any, and evaluates. This is the one statement of the schedule
   steps (none past a phase's end), and only then evaluates, records and calls
   back, while the worker trains on. So ``state.rng`` and ``state.sampler`` are
   at most two steps ahead of the parent's training.
-- Published copies. After an epoch's last step the worker copies its model's
-  parameters and SGD velocity into one of two published copies, used in turn.
-  When the parent takes that step's reply, its view of the model
-  (``state.pairs``, ``state.optimizers``) moves to that copy; a step that
-  publishes is staged only once every earlier publication is in view. So an
-  epoch callback sees every student as of its epoch, and none moves while it
-  runs.
+- Publications. After an epoch's last step the worker copies its model's
+  parameters and SGD velocity into the mapping. When the parent takes that
+  step's reply, it copies both into its own copy of the model
+  (``state.pairs``, ``state.optimizers``); a step that publishes is staged only
+  once every earlier publication is taken, so one snapshot serves them all. So
+  an epoch callback sees every student as of its epoch, and none moves while
+  it runs.
 - Evaluation. The detection half, the students' scores of the unlabeled set
   (``trainer._score``), runs in the worker unless the worker's model trains
   both branches. A merged model's step (``one_f_two_c``, ``one_f_two_c_proj``)
   is the heaviest step of any mode, so there the worker is the busier process,
-  and the parent runs ``trainer.evaluate_pipeline`` whole on the published
-  copy; elsewhere the parent, which draws and teacher-scores every step, is the
-  busier one. There the worker scores after its steps, then goes on to the
-  staged ones; the parent's ``evaluate_pipeline`` call runs the test half and
-  takes the worker's scores (:meth:`PairWorker.detection`), before the parent
-  trains its model on the next epoch. In both phases the worker ships scores
-  only: AUROC and the two mean scores are computed in the parent, which alone
-  reads the hidden seen/unseen flags.
+  and the parent runs ``trainer.evaluate_pipeline`` whole on its own models;
+  elsewhere the parent, which draws and teacher-scores every step, is the
+  busier one. There the parent copies its students into the mapping
+  (:meth:`PairWorker.detect`), and the worker, after its steps, copies them
+  into its own and scores, then goes on to the staged ones; the parent's
+  ``evaluate_pipeline`` call runs the test half and takes the worker's scores
+  (:meth:`PairWorker.detection`). In both phases the worker ships scores only:
+  AUROC and the two mean scores are computed in the parent, which alone reads
+  the hidden seen/unseen flags.
 
 The parent waits on the worker for a slot (the worker reads its step as views
 into the slot until it replies), before it stages a step that publishes while
-an earlier publication is not in view, for the epoch's last step before the
-record (its reports and its copy), and for scores. The worker waits only when
-nothing is queued. Either way the results are bit-identical: the same
-functions run on the same values, and the random draws keep their order.
+an earlier publication is not taken, for the epoch's last step before the
+record (its reports and its publication), and for scores. The worker waits
+only when nothing is queued. Either way the results are bit-identical: the
+same functions run on the same values, and the random draws keep their order.
 
-The two processes share one anonymous mapping, laid out before the fork. It
-holds the parameter vectors of the parent's students, which the worker reads
-to score, and the two published copies, each a parameter vector as long as the
-teacher's and an SGD velocity: pre-training publishes its teachers into them,
-the iterations the worker's model, and the parent reads them in place for
-evaluations, checkpoints, teacher refreshes, callbacks and the result. They
-are copied back into private arrays when the worker stops, the copy in view
-for the worker's model. It also holds the index of the copy in view (in
-pre-training the one published last), the two slots, each with a step's
-inputs and the worker's reply for that step (its model's loss values), and
-the scores. A command and its reply are one-byte tokens on two pipes: the
-slot's digit for a step, ``d`` for scores, ``i`` for the end of pre-training.
+Every model is private to the process that holds it; models cross between the
+two only as copies into the one anonymous mapping they share, laid out before
+the fork, at the points above. It holds one snapshot per shared model: a
+parameter vector as long as the teacher's and an SGD velocity, for
+pre-training's teacher to score, then the worker's model as attached and as
+published, and a parameter vector per parent's student, to score. It also
+holds the two slots, each with a step's inputs and the worker's reply for that
+step (its model's loss values), and the scores. A command and its reply are
+one-byte tokens on two pipes: the slot's digit for a step, ``d`` for scores,
+``i`` for the end of pre-training.
 A waiter polls its pipe for up to ``_POLL_S``, then blocks; end of file tells
 either side that the other is gone. An exception in the worker is raised again
 in the parent, with its own type.
@@ -158,27 +157,22 @@ class PairWorker:
             **{f"{role}_{t}": (dtype, size) for role in self._roles for t, (dtype, size) in
                zip(_TARGETS, ((np.bool_, u_rows), (np.intp, u_rows), (np.float64, classes * u_rows)))},
             "shapes": (np.int64, 3 * len(self._staged)),  # per staged array: ndim (-1 if absent), rows, columns
-            "scalars": (np.float64, 2),  # lr, the copy to publish into (-1: none)
+            "scalars": (np.float64, 2),  # lr, 1 if the worker publishes its model after the step, else 0
             "reply": (np.float64, 1 + 2 * len(_REPORT_FIELDS)),  # n, then n (field, value)
         }
         size = teacher.flat.size  # a derived model holds part of the teacher's parameters, so no more
         arrays = _mapping({
-            "shown": (np.int64, 1),  # the published copy in the parent's view
             **{f"student_{i}": (np.float64, size) for i in range(len(self._pipeline.pairs) - 1)},
-            **{f"{what}/{c}": (np.float64, size) for c in range(2) for what in ("params", "velocity")},
+            "params": (np.float64, size),  # pre-training's teacher, then the worker's model
+            "velocity": (np.float64, size),  # the worker's model's
             **{f"{name}/{i}": spec for i in range(_SLOTS) for name, spec in slot.items()},
             "scores": (np.float64, len(split.unlabeled_x)),
         })
         self._slots = [{name: arrays[f"{name}/{i}"] for name in slot} for i in range(_SLOTS)]
         self._arrays = arrays
-        self._teachers = []  # per published copy, the pairs pre-training evaluates on it
-        for c in range(2):
-            view = DualHeadModel(teacher.spec, teacher.K, teacher.params, teacher.heads)
-            view.rehome(arrays[f"params/{c}"])
-            self._teachers.append({"merged": TeacherStudentPair(view, view)})
         self._state = self._model = self._optimizer = None  # the iterations', once attached
-        self._students = []  # the parent's students the worker scores
-        self._pending = collections.deque()  # (token, the step or None, the copy it publishes into or -1)
+        self._shared = [(teacher, arrays["params"])]  # models the worker scores, with their snapshots; there its copies
+        self._pending = collections.deque()  # (token, the step or None, whether it publishes)
         self._started = 0  # steps staged so far; step k uses slot k % _SLOTS
 
         fds = []
@@ -209,46 +203,38 @@ class PairWorker:
 
     # -- the parent's side --------------------------------------------------
 
-    def score(self, pairs) -> tuple[dict, np.ndarray | None]:
-        """Pre-training: take the scores of the teacher copy published last, if any, then publish
-        the one student of ``pairs`` into the other copy and have the worker score it. Returns
-        that copy, as pairs to evaluate on, and the scores taken."""
+    def score(self) -> tuple[dict, np.ndarray | None]:
+        """Pre-training: take the scores of the teacher published last, if any, then have the worker
+        score the teacher as it is (:meth:`detect`). Returns a private copy of it, as pairs to
+        evaluate on, and the scores taken."""
         scores = self.detection() if self._pending else None
-        copy = 1 - int(self._arrays["shown"][0])
-        (pair,) = pairs.values()
-        self._arrays[f"params/{copy}"][:] = pair.student.flat
-        self._arrays["shown"][0] = copy
-        self._send(b"d")
-        return self._teachers[copy], scores
+        self.detect()
+        ((teacher, _),) = self._shared
+        copy = DualHeadModel(teacher.spec, teacher.K, teacher.params, teacher.heads)
+        return {"merged": TeacherStudentPair(copy, copy)}, scores
 
     def attach(self, state) -> None:
-        """After pre-training, with ``state``'s pairs just derived: move the parent's students into
-        the mapping, where the worker scores them, and publish model ``name`` and its velocity into
-        copy 0, from which the worker copies the model it trains. From here on ``state.pairs``
-        shows that model's published copies."""
+        """After pre-training, with ``state``'s pairs just derived: copy model ``name`` and its
+        velocity into the mapping, from which the worker copies the model it trains. From here on
+        each publication the parent takes is copied into that model of ``state.pairs``."""
         self._state = state
         self._model, self._optimizer = state.pairs[self.name].student, state.optimizers[self.name]
-        self._students = [pair.student for other, pair in state.pairs.items() if other != self.name]
-        for i, student in enumerate(self._students):
-            student.rehome(self._arrays[f"student_{i}"][: student.flat.size])
+        students = [pair.student for other, pair in state.pairs.items() if other != self.name]
+        self._shared = [(student, self._arrays[f"student_{i}"]) for i, student in enumerate(students)]
         size = self._model.flat.size
-        self._arrays["params/0"][:size], self._arrays["velocity/0"][:size] = self._model.flat, self._optimizer.velocity
-        self._show(0)
+        self._arrays["params"][:size], self._arrays["velocity"][:size] = self._model.flat, self._optimizer.velocity
         self._send(b"i")
         state.worker = self
 
     def start(self, step: _Step, lr: float, publish: bool) -> None:
         """Stage ``step`` in the next slot and have the worker train its model on it, then, with
-        ``publish``, publish the model into the copy not in view. First waits for the oldest step
-        when every slot is taken (the worker reads a slot until it replies), and with ``publish``
-        for any earlier publication to come into view."""
+        ``publish``, copy the model into the mapping. First waits for the oldest step when every
+        slot is taken (the worker reads a slot until it replies), and with ``publish`` for any
+        earlier publication to be taken."""
         while sum(entry[1] is not None for entry in self._pending) == _SLOTS:
             self._collect()
-        copy = -1
-        if publish:
-            while any(entry[2] >= 0 for entry in self._pending):
-                self._collect()
-            copy = 1 - int(self._arrays["shown"][0])
+        while publish and any(entry[2] for entry in self._pending):
+            self._collect()
         index = self._started % _SLOTS
         slot = self._slots[index]
         arrays = [getattr(step, name) for name in _INPUTS]
@@ -260,20 +246,22 @@ class PairWorker:
             if a is not None:
                 np.copyto(slot[name][: a.size], a.ravel(), casting="no")
         slot["shapes"][:] = shapes
-        slot["scalars"][:] = (lr, copy)
+        slot["scalars"][:] = (lr, publish)
         self._started += 1
-        self._send(b"%d" % index, step, copy)
+        self._send(b"%d" % index, step, publish)
 
     def wait(self, step: _Step) -> None:
         """Wait for the replies up to ``step``'s: each step's report fields go into its report, and
-        the view moves to each copy published."""
+        each publication into this process's model."""
         while any(entry[1] is step for entry in self._pending):
             self._collect()
 
     def detect(self) -> None:
-        """Have the worker score the unlabeled set with the students, the detection half of an
-        evaluation, once the steps started are trained; this process must not change a student
-        before :meth:`detection` returns."""
+        """Copy the models the worker scores into their snapshots, in pre-training the teacher, then
+        this process's students, and have the worker score the unlabeled set with its copies of them
+        (and its own model), the detection half of an evaluation, once the steps started are trained."""
+        for model, snapshot in self._shared:
+            snapshot[: model.flat.size] = model.flat
         self._send(b"d")
 
     def detection(self) -> np.ndarray:
@@ -283,30 +271,27 @@ class PairWorker:
         return self._arrays["scores"].copy()
 
     def close(self) -> None:
-        """Stop and reap the worker, then copy the shared parameters back into private arrays."""
+        """Stop and reap the worker, and let the mapping go."""
         os.close(self._cmd_w)  # the worker serves what is queued, reads end of file and exits
         os.close(self._reply_r)  # first, or a worker blocked writing a reply or an exception never exits
         os.waitpid(self._pid, 0)
-        if self._model is not None:
-            for student in (*self._students, self._model):
-                student.rehome(np.empty_like(student.flat))
-            self._optimizer.velocity = self._optimizer.velocity.copy()
+        if self._state is not None:
             self._state.worker = None  # no cycle keeps the run's state alive until the next collection
-        self._arrays = self._slots = self._teachers = self._state = None  # the mapping goes with its last view
+        self._arrays = self._slots = self._shared = self._state = None
 
-    def _send(self, token: bytes, step: _Step | None = None, copy: int = -1) -> None:
+    def _send(self, token: bytes, step: _Step | None = None, publish: bool = False) -> None:
         try:
             os.write(self._cmd_w, token)
         except BrokenPipeError as exc:
             while self._pending:  # raises what the worker raised, if it did
                 self._collect()
             raise ChildProcessError("the pair worker exited") from exc
-        self._pending.append((token, step, copy))
+        self._pending.append((token, step, publish))
 
     def _collect(self) -> None:
-        """Wait for the reply to the oldest command; a step's goes into its report, and the view
-        moves to the copy it published, if any."""
-        token, step, copy = self._pending.popleft()
+        """Wait for the reply to the oldest command; a step's goes into its report, and the model
+        it published, if any, into this process's copy."""
+        token, step, publish = self._pending.popleft()
         got = _receive(self._reply_r)
         if got == b"x":
             exc, text = _read_exception(self._reply_r)
@@ -317,61 +302,55 @@ class PairWorker:
             reply = self._slots[int(token)]["reply"]
             pairs = reply[1 : 1 + 2 * int(reply[0])].reshape(-1, 2)
             _credit(self._config, step.report, {_REPORT_FIELDS[int(i)]: float(v) for i, v in pairs})
-        if copy >= 0:
-            self._show(copy)
-
-    def _show(self, copy: int) -> None:
-        """Make published copy ``copy`` this process's view of the worker's model and its velocity."""
-        size = self._model.flat.size
-        self._model.rehome(self._arrays[f"params/{copy}"][:size], copy=False)
-        self._optimizer.velocity = self._arrays[f"velocity/{copy}"][:size]
-        self._arrays["shown"][0] = copy
+        if publish:
+            size = self._model.flat.size
+            self._model.flat[:] = self._arrays["params"][:size]
+            self._optimizer.velocity[:] = self._arrays["velocity"][:size]
 
     # -- the worker's side --------------------------------------------------
 
     def _serve(self, cmd_r: int, reply_w: int, teacher: DualHeadModel) -> None:
         cfg, arrays = self._config, self._arrays
-        pairs = None  # the iterations' pairs, laid out here after pre-training
+        pairs = {"merged": TeacherStudentPair(teacher, teacher)}  # scored; after pre-training the iterations'
         while True:
             token = _receive(cmd_r)
-            if token == b"d":  # in pre-training the teacher copy published last, then the students
-                scored = self._teachers[int(arrays["shown"][0])] if pairs is None else pairs
-                arrays["scores"][:] = _score(scored, "student", self._unlabeled_x, cfg.gamma)[0]
+            if token == b"d":  # its copies of the models the parent copied in, and its own model
+                for copy, snapshot in self._shared:
+                    copy.flat[:] = snapshot[: copy.flat.size]
+                arrays["scores"][:] = _score(pairs, "student", self._unlabeled_x, cfg.gamma)[0]
             elif token == b"i":  # pre-training is over: lay out the pairs, with the values the parent attached
-                teacher.pretrained = True  # this process's teacher as forked: only its layout is read
+                teacher.pretrained = True  # this process's teacher: only its layout is read
                 pairs, optimizers = _derive_pairs(teacher, self._pipeline, cfg)
                 students = [pair.student for name, pair in pairs.items() if name != self.name]
-                for i, student in enumerate(students):  # the parent's, in the mapping
-                    student.rehome(arrays[f"student_{i}"][: student.flat.size], copy=False)
-                model, optimizer = pairs[self.name].student, optimizers[self.name]  # the private copy trained here
+                self._shared = [(student, arrays[f"student_{i}"]) for i, student in enumerate(students)]
+                model, optimizer = pairs[self.name].student, optimizers[self.name]  # the model trained here
                 size = model.flat.size
-                model.flat[:], optimizer.velocity[:] = arrays["params/0"][:size], arrays["velocity/0"][:size]
+                model.flat[:], optimizer.velocity[:] = arrays["params"][:size], arrays["velocity"][:size]
             elif token:  # a step, staged in slot int(token)
                 slot = self._slots[int(token)]
-                step, lr, copy = self._step(slot)
+                step, lr, publish = self._step(slot)
                 values = _model_step(model, optimizer, self._branches, step, cfg, lr)
                 reply = slot["reply"]
                 reply[0] = len(values)
                 for j, (name, value) in enumerate(values.items()):
                     reply[1 + 2 * j : 3 + 2 * j] = _REPORT_FIELDS.index(name), value
-                if copy >= 0:
-                    arrays[f"params/{copy}"][:size] = model.flat
-                    arrays[f"velocity/{copy}"][:size] = optimizer.velocity
+                if publish:
+                    arrays["params"][:size], arrays["velocity"][:size] = model.flat, optimizer.velocity
             else:  # end of file: the parent is done, or gone
                 return
             os.write(reply_w, token)
 
-    def _step(self, slot: dict[str, np.ndarray]) -> tuple[_Step, float, int]:
-        """The step staged in ``slot``, as views into the mapping, its learning rate and the copy
-        to publish into after it (-1: none)."""
+    def _step(self, slot: dict[str, np.ndarray]) -> tuple[_Step, float, bool]:
+        """The step staged in ``slot``, as views into the mapping, its learning rate and whether the
+        model is published after it."""
         shapes, a = slot["shapes"].tolist(), {}
         for name, ndim, rows, columns in zip(self._staged, shapes[::3], shapes[1::3], shapes[2::3]):
             staged = slot[name]
             a[name] = None if ndim < 0 else staged[:rows] if ndim == 1 else staged[: rows * columns].reshape(rows, columns)
         targets = {role: tuple(a[f"{role}_{t}"] for t in _TARGETS) for role in self._roles
                    if a[f"{role}_gate"] is not None}
-        lr, copy = slot["scalars"].tolist()
-        return _Step(targets=targets, **{name: a[name] for name in _INPUTS}), lr, int(copy)
+        lr, publish = slot["scalars"].tolist()
+        return _Step(targets=targets, **{name: a[name] for name in _INPUTS}), lr, bool(publish)
 
 
 def _mapping(layout: dict) -> dict[str, np.ndarray]:

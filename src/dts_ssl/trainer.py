@@ -175,7 +175,7 @@ class TrainState:
     training_unlabeled_forwards: int = 0
     out_dir: Path | None = None
     last_eval: EvalResult | None = None  # of the latest evaluated epoch
-    worker: object = None  # a pairworker.PairWorker, if one runs: it scores pre-training, trains the plan's last model
+    worker: object = None  # a pairworker.PairWorker, if one runs: it trains its own copy of the plan's last model
 
     @property
     def total_epochs(self) -> int:
@@ -634,7 +634,7 @@ def _run_epochs(state: TrainState, step_callback=None, epoch_callback=None) -> N
         if lead:  # the next epoch's first two steps, which the worker trains while this epoch is recorded
             stage(min(end + 2, end + steps, epochs * steps))
         if worker is not None:
-            worker.wait(step)  # the epoch's reports are complete and state.pairs shows its students
+            worker.wait(step)  # the epoch's reports are complete and state.pairs holds its students
         report = _mean_report(reports)
         if pretrain:
             report.inlier_total = report.outlier_total = 0.0
@@ -645,12 +645,12 @@ def _run_epochs(state: TrainState, step_callback=None, epoch_callback=None) -> N
             if epoch_callback is not None:
                 epoch_callback(state, entry)
             continue
-        # the worker scores this epoch's teacher, published, while this process records the previous
-        # epoch and trains the next; nothing reads a pre-training record before the phase ends
-        published, scores = scorer.score(state.pairs)
+        # the worker scores a copy of this epoch's teacher while this process records the previous epoch
+        # on its own copy and trains the next; nothing reads a pre-training record before the phase ends
+        scored, scores = scorer.score()
         if late is not None:
             late(lambda: scores)
-        late = functools.partial(done, published)
+        late = functools.partial(done, scored)
     if late is not None:
         late(scorer.detection)
 
@@ -753,7 +753,7 @@ def run_training(
                 if out_path is not None:
                     _save_checkpoint(state, out_path, f"iter{state.iteration}")
         except Exception:
-            if out_path is not None:  # the worker never writes the copy of its model in view
+            if out_path is not None:  # this process's models: the worker never writes them
                 _save_checkpoint(state, out_path, "aborted", apart=True)
                 _write_metrics(state.history, out_path / "metrics.jsonl")
             raise

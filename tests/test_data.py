@@ -270,6 +270,15 @@ class TestFileFormats:
         with pytest.raises(ValidationError):
             load_dataset(path)
 
+    def test_non_finite_cell_rejected(self, tmp_path):
+        # save_dataset writes nan as 'nan', which float() reads back; load_dataset refuses the row
+        ds = generate_synthetic(3, 1, 5, 120, seed=0)
+        ds.features[7, 2] = np.nan
+        path = tmp_path / "x.csv"
+        save_dataset(ds, path)
+        with pytest.raises(ValidationError, match=r"^features must be finite, got nan at row 7, column 2 \(0-based\)$"):
+            load_dataset(path)
+
     @pytest.mark.parametrize("text, problem", [
         ("feature_0,feature_1,label\n0.5,1.5,1\n0.5,2\n", r"row 2 after the header: 2 cells, the header has 3"),
         ("feature_0,label\n0.5,1\nnear,2\n", r"row 2 after the header: could not convert string to float: 'near'"),
@@ -315,6 +324,16 @@ class TestFileFormats:
         assert ds.dim == 3072
         assert ds.features.max() <= 1.0
         assert set(np.unique(ds.labels)) <= set(range(1, 11))
+
+
+@pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
+def test_non_finite_feature_rejected(value):
+    # the first non-finite value in row-major order is named, whatever follows it
+    feats = np.zeros((4, 3))
+    feats[2, 1], feats[3, 0] = value, np.nan
+    message = rf"^features must be finite, got {value} at row 2, column 1 \(0-based\)$"
+    with pytest.raises(ValidationError, match=message):
+        Dataset("toy", feats, np.ones(4, dtype=np.int64), 1)
 
 
 def test_feature_scale_matches_numpy_std():

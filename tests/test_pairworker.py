@@ -125,8 +125,8 @@ def test_worker_run_equals_serial_run(mode, tmp_path, forks):
 @pytest.mark.parametrize("mode", ("full", "no_its"))
 def test_worker_run_equals_serial_run_at_other_step_counts(mode, batch_size, tmp_path, forks):
     # under a cosine schedule each epoch has its own learning rate, which a step staged during the
-    # previous epoch carries; at one step an epoch, the next epoch's step publishes into the copy
-    # in view until this epoch's copy is taken
+    # previous epoch carries; at one step an epoch, the next epoch's step publishes too, so it is
+    # staged only once this epoch's publication is taken
     config = tiny_config(mode, batch_size=batch_size, lr_schedule="cosine", eval_every=2)
     assert_same_run(config, tiny_split(), tmp_path, forks)
 
@@ -185,8 +185,8 @@ def test_worker_trains_ahead_of_a_slow_epoch_callback(mode, tmp_path, forks):
 
 @pytest.mark.parametrize("mode", ("full", "no_its", "no_k1_its"))
 def test_aborted_checkpoints_hold_the_published_epoch(mode, tmp_path, forks):
-    # the callback of train epoch 3 raises once the worker's private copy is ahead of the copy in
-    # view; the aborted checkpoint holds epoch 3 all the same, as on the serial path
+    # the callback of train epoch 3 raises once the worker's model is ahead of this process's copy
+    # of it; the aborted checkpoint holds epoch 3 all the same, as on the serial path
     seen = []
 
     def failing(state, record):
@@ -243,6 +243,26 @@ def test_callbacks_see_the_students_of_their_step(mode, steps_too):
         assert seen == watched(False)[0]
 
 
+@pytest.mark.parametrize("mode", ("full", "no_its", "one_f_two_c_proj"))
+def test_no_model_shares_memory_with_the_mapping(mode, forks):
+    # every model is private to its process: the worker's model comes into this process's copy and
+    # this process's students go to the worker as copies, so at every epoch callback no parameter
+    # vector or velocity of the state is a view into the arrays the two processes share
+    shared = []
+
+    def on_epoch(state, record):
+        mapped = state.worker._arrays.values()
+        arrays = [getattr(pair, role).flat for pair in state.pairs.values() for role in ("teacher", "student")]
+        arrays += [optimizer.velocity for optimizer in state.optimizers.values()]
+        shared.append([np.shares_memory(a, m) for a in arrays for m in mapped])
+
+    config = tiny_config(mode)
+    run_training(config, tiny_split(), epoch_callback=on_epoch)
+    assert len(forks) == 1 and reaped(forks[0])
+    assert len(shared) == config.iterations * config.epochs_per_iteration and shared[0]
+    assert not any(map(any, shared))
+
+
 @pytest.mark.parametrize("mode", ("full", "no_its", "one_f_two_c"))
 def test_worker_model_starts_from_the_state_this_process_derived(mode, tmp_path, forks, monkeypatch):
     # every derived student is perturbed and its velocity starts nonzero; the worker takes its
@@ -271,7 +291,7 @@ def test_result_pickles_bit_exactly(tmp_path, forks):
         for role in ("teacher", "student"):
             model = getattr(pair, role)
             assert param_hash(getattr(again.pairs[name], role)) == param_hash(model)
-            # the parameters were copied back out of the shared mapping into the model's own vector
+            # every model owns its parameter vector: none was ever a view into the shared mapping
             assert model.flat.base is None
             assert all(np.shares_memory(v, model.flat) for v in model.params.values())
 

@@ -197,7 +197,9 @@ class TestTeacherScores:
 
 def test_one_definition_per_quantity():
     """The score, the gate and the losses exist once, vectorised; no per-sample twins. The score
-    dump's writer left with the rest of the file I/O: ``evaluation.write_per_sample`` writes it."""
+    dump's writer left with the rest of the file I/O: ``evaluation.write_per_sample`` writes it.
+    A model's parameters stay in the vector it was built with: nothing moves them into another's
+    (``rehome``, a method, so looked for on the class)."""
     import dts_ssl
     from dts_ssl import data, losses, models, soft_weighting
 
@@ -208,6 +210,7 @@ def test_one_definition_per_quantity():
                  "consistency_loss"),
         data: ("AugmentedView", "augment"),
         models: ("forward",),
+        models.DualHeadModel: ("rehome",),
     }
     for module, names in removed.items():
         for name in names:
