@@ -17,7 +17,6 @@ import copy
 import csv
 import dataclasses
 import functools
-import hashlib
 import json
 import os
 import sys
@@ -29,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig
+from .config import ExperimentConfig, json_digest
 from .data import Dataset
 from .errors import DtsError, ValidationError, require_all
 
@@ -137,7 +136,7 @@ def _experiment_hash(points: list[tuple[dict, ExperimentConfig]]) -> str:
     sections = [[labels, {k: v for k, v in config.to_dict().items() if k != "out_dir"}]
                 for labels, config in points]
     payload = sections[0][1] if len(points) == 1 and not points[0][0] else sections
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:12]
+    return json_digest(payload)
 
 
 def _execute_single(config: ExperimentConfig, dataset: Dataset, seed: int, run_dir: Path):

@@ -143,9 +143,13 @@ class TrainConfig:
         return replace_fields(cls(), raw)
 
 
+def json_digest(payload) -> str:
+    """The first 12 hex digits of the SHA-256 of ``payload`` as sort-keyed JSON."""
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:12]
+
+
 def config_hash(config: TrainConfig) -> str:
-    payload = json.dumps(config.to_dict(), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:12]
+    return json_digest(config.to_dict())
 
 
 @dataclass(frozen=True)

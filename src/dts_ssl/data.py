@@ -465,8 +465,11 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     _meta_path(path).write_text(json.dumps(meta, indent=2))
 
 
-def _read_sidecar(path: Path) -> tuple[str, int]:
-    """The ``name`` and ``class_count`` of the CSV dataset at ``path``, from its metadata sidecar."""
+def load_dataset(path: str | Path) -> Dataset:
+    """The CSV dataset at ``path``: its metadata sidecar's ``name`` and ``class_count``, then its rows."""
+    import csv
+
+    path = Path(path)
     meta_file = _meta_path(path)
     if not meta_file.exists():
         raise ValidationError(f"missing metadata sidecar {meta_file}")
@@ -477,14 +480,6 @@ def _read_sidecar(path: Path) -> tuple[str, int]:
             raise TypeError(f"name must be a string and class_count an integer, got {name!r} and {class_count!r}")
     except (ValueError, TypeError, KeyError) as exc:
         raise ValidationError(f"{meta_file}: not a dataset sidecar with a name and a class_count: {exc!r}") from exc
-    return name, class_count
-
-
-def load_dataset(path: str | Path) -> Dataset:
-    import csv
-
-    path = Path(path)
-    name, class_count = _read_sidecar(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -496,7 +491,11 @@ def load_dataset(path: str | Path) -> Dataset:
         try:
             if len(row) != len(header):
                 raise ValueError(f"{len(row)} cells, the header has {len(header)}")
-            features[i], labels[i] = [float(v) for v in row[:-1]], int(row[-1])
+            values = [float(v) for v in row[:-1]]
+            bad = {column: v for column, v in zip(header, values) if not math.isfinite(v)}
+            if bad:
+                raise ValueError(f"cells must be finite, got {bad}")
+            features[i], labels[i] = values, int(row[-1])
         except ValueError as exc:
             raise ValidationError(f"{path}: row {i + 1} after the header: {exc}") from exc
     return Dataset(name=name, features=features, labels=labels, class_count=class_count)
@@ -575,9 +574,9 @@ class DatasetSpec:
         elif self.kind in DATASET_KINDS:  # csv and cifar10 read a local path
             checks += [(bool(self.path), "path: required for csv/cifar10 datasets"),
                        (not self.path or Path(self.path).exists(), f"path: {self.path} does not exist")]
-            if self.path and checks[-1][0]:  # it exists: what its loader reads before the data itself
+            if self.path and checks[-1][0]:  # it exists: a csv dataset loads whole, a cifar10 one lists its files
                 try:
-                    (_read_sidecar if self.kind == "csv" else _batch_files)(Path(self.path))
+                    (load_dataset if self.kind == "csv" else _batch_files)(Path(self.path))
                 except ValidationError as exc:
                     checks += [(False, f"path: {problem}") for problem in exc.problems]
         require_all(checks)

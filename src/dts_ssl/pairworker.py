@@ -20,12 +20,13 @@ any, and evaluates. This is the one statement of the schedule
 (``trainer._run_epochs``):
 
 - Pre-training. After an epoch's steps the parent takes the worker's scores of
-  the previous epoch's teacher, copies this epoch's into the mapping and into a
-  private copy, and has the worker score it (:meth:`PairWorker.score`). It then
-  makes the previous epoch's ``trainer.evaluate_pipeline`` call on that epoch's
-  private copy, with the scores taken as its detection half, and appends its
-  record, one epoch late; the last epoch's follows the loop. So the worker
-  scores epoch e while the parent evaluates epoch e-1 and trains epoch e+1.
+  the previous epoch's teacher (:meth:`PairWorker.detection`), if any, has the
+  worker score this epoch's (:meth:`PairWorker.detect`) and makes a private
+  copy of it. It then makes the previous epoch's ``trainer.evaluate_pipeline``
+  call on that epoch's private copy, with the scores taken as its detection
+  half, and appends its record, one epoch late; the last epoch's follows the
+  loop. So the worker scores epoch e while the parent evaluates epoch e-1 and
+  trains epoch e+1.
   After the phase the parent derives the pairs and copies the worker's model,
   parameters and SGD velocity, into the mapping (:meth:`PairWorker.attach`),
   from which the worker copies it: after pre-training the worker trains and
@@ -170,7 +171,7 @@ class PairWorker:
         })
         self._slots = [{name: arrays[f"{name}/{i}"] for name in slot} for i in range(_SLOTS)]
         self._arrays = arrays
-        self._state = self._model = self._optimizer = None  # the iterations', once attached
+        self._model = self._optimizer = None  # the iterations', once attached
         self._shared = [(teacher, arrays["params"])]  # models the worker scores, with their snapshots; there its copies
         self._pending = collections.deque()  # (token, the step or None, whether it publishes)
         self._started = 0  # steps staged so far; step k uses slot k % _SLOTS
@@ -203,37 +204,24 @@ class PairWorker:
 
     # -- the parent's side --------------------------------------------------
 
-    def score(self) -> tuple[dict, np.ndarray | None]:
-        """Pre-training: take the scores of the teacher published last, if any, then have the worker
-        score the teacher as it is (:meth:`detect`). Returns a private copy of it, as pairs to
-        evaluate on, and the scores taken."""
-        scores = self.detection() if self._pending else None
-        self.detect()
-        ((teacher, _),) = self._shared
-        copy = DualHeadModel(teacher.spec, teacher.K, teacher.params, teacher.heads)
-        return {"merged": TeacherStudentPair(copy, copy)}, scores
-
     def attach(self, state) -> None:
         """After pre-training, with ``state``'s pairs just derived: copy model ``name`` and its
         velocity into the mapping, from which the worker copies the model it trains. From here on
         each publication the parent takes is copied into that model of ``state.pairs``."""
-        self._state = state
         self._model, self._optimizer = state.pairs[self.name].student, state.optimizers[self.name]
         students = [pair.student for other, pair in state.pairs.items() if other != self.name]
         self._shared = [(student, self._arrays[f"student_{i}"]) for i, student in enumerate(students)]
         size = self._model.flat.size
         self._arrays["params"][:size], self._arrays["velocity"][:size] = self._model.flat, self._optimizer.velocity
         self._send(b"i")
-        state.worker = self
 
     def start(self, step: _Step, lr: float, publish: bool) -> None:
         """Stage ``step`` in the next slot and have the worker train its model on it, then, with
         ``publish``, copy the model into the mapping. First waits for the oldest step when every
         slot is taken (the worker reads a slot until it replies), and with ``publish`` for any
         earlier publication to be taken."""
-        while sum(entry[1] is not None for entry in self._pending) == _SLOTS:
-            self._collect()
-        while publish and any(entry[2] for entry in self._pending):
+        while (sum(entry[1] is not None for entry in self._pending) == _SLOTS
+               or publish and any(entry[2] for entry in self._pending)):
             self._collect()
         index = self._started % _SLOTS
         slot = self._slots[index]
@@ -265,7 +253,7 @@ class PairWorker:
         self._send(b"d")
 
     def detection(self) -> np.ndarray:
-        """Wait for the scores :meth:`detect` or :meth:`score` asked for; a copy of them."""
+        """Wait for the scores :meth:`detect` asked for; a copy of them."""
         while any(entry[0] == b"d" for entry in self._pending):
             self._collect()
         return self._arrays["scores"].copy()
@@ -275,9 +263,7 @@ class PairWorker:
         os.close(self._cmd_w)  # the worker serves what is queued, reads end of file and exits
         os.close(self._reply_r)  # first, or a worker blocked writing a reply or an exception never exits
         os.waitpid(self._pid, 0)
-        if self._state is not None:
-            self._state.worker = None  # no cycle keeps the run's state alive until the next collection
-        self._arrays = self._slots = self._shared = self._state = None
+        self._arrays = self._slots = self._shared = None
 
     def _send(self, token: bytes, step: _Step | None = None, publish: bool = False) -> None:
         try:

@@ -175,7 +175,7 @@ class TrainState:
     training_unlabeled_forwards: int = 0
     out_dir: Path | None = None
     last_eval: EvalResult | None = None  # of the latest evaluated epoch
-    worker: object = None  # a pairworker.PairWorker, if one runs: it trains its own copy of the plan's last model
+    worker: object = None  # a pairworker.PairWorker, if one runs: it scores, then trains a copy of the last model
 
     @property
     def total_epochs(self) -> int:
@@ -559,13 +559,14 @@ def _run_epochs(state: TrainState, step_callback=None, epoch_callback=None) -> N
     phase = "pretrain" if pretrain else "train"
     epochs = cfg.pretrain_epochs if pretrain else cfg.epochs_per_iteration
     eval_every = 1 if pretrain else cfg.eval_every
-    # in pre-training every step trains here and the worker, if any, scores each epoch's teacher
-    scorer, worker = (state.worker, None) if pretrain else (None, state.worker)
+    # the worker, if any, trains the plan's last model in the iterations; in pre-training it only scores
+    worker = state.worker
+    trains = worker is not None and not pretrain
     plan = _step_plan(state.pipeline, cfg)
-    own = {name: b for name, b in plan.items() if worker is None or name != worker.name}
+    own = {name: b for name, b in plan.items() if not trains or name != worker.name}
     # the worker detects unless its model trains both branches: a merged model's step is the heaviest
     # of any mode, and elsewhere this process, which draws and teacher-scores every step, is the busier
-    detection = worker.detection if worker is not None and len(plan[worker.name]) < 2 else None
+    detection = worker.detection if trains and len(plan[worker.name]) < 2 else None
     # per unlabeled row of a step: one teacher pass per pair, then each trained model's views
     views = len(state.pairs) + sum(map(_unlabeled_views, plan.values()))
     steps = state.sampler.steps_per_epoch
@@ -575,14 +576,14 @@ def _run_epochs(state: TrainState, step_callback=None, epoch_callback=None) -> N
     taken = 0  # steps of the phase staged so far
     lead = 0 if step_callback is not None else 1  # steps staged ahead of this process's own
     dump = cfg.dump_scores and state.out_dir is not None  # write the per-sample CSVs
-    late = None  # with a scorer: the previous epoch's record, made once this epoch's steps are done
+    late = None  # pre-training with a worker: the previous epoch's record, made after this epoch's steps
 
     def stage(upto: int) -> None:
         """Draw the phase's steps up to index ``upto`` (exclusive) and start each on the worker."""
         nonlocal taken
         for k in range(taken, upto):
             staged.append(next(draws))
-            if worker is not None:
+            if trains:
                 worker.start(staged[-1], lrs[k // steps], k % steps == steps - 1)
         taken = max(taken, upto)
 
@@ -633,26 +634,29 @@ def _run_epochs(state: TrainState, step_callback=None, epoch_callback=None) -> N
             worker.detect()  # queued after the steps: it scores the final students
         if lead:  # the next epoch's first two steps, which the worker trains while this epoch is recorded
             stage(min(end + 2, end + steps, epochs * steps))
-        if worker is not None:
+        if trains:
             worker.wait(step)  # the epoch's reports are complete and state.pairs holds its students
         report = _mean_report(reports)
         if pretrain:
             report.inlier_total = report.outlier_total = 0.0
         done = functools.partial(record, epoch, state.global_epoch, state.training_unlabeled_forwards, report, drawn)
         state.global_epoch += 1
-        if scorer is None:
+        if worker is None or trains:
             entry = done(state.pairs, detection)
             if epoch_callback is not None:
                 epoch_callback(state, entry)
             continue
-        # the worker scores a copy of this epoch's teacher while this process records the previous epoch
-        # on its own copy and trains the next; nothing reads a pre-training record before the phase ends
-        scored, scores = scorer.score()
+        # the worker scores this epoch's teacher while this process records the previous epoch on its
+        # own copy and trains the next; nothing reads a pre-training record before the phase ends
+        scores = worker.detection() if late is not None else None
+        worker.detect()
+        teacher = state.pairs["merged"].teacher
+        copy = DualHeadModel(teacher.spec, teacher.K, teacher.params, teacher.heads)
         if late is not None:
             late(lambda: scores)
-        late = functools.partial(done, scored)
+        late = functools.partial(done, {"merged": TeacherStudentPair(copy, copy)})
     if late is not None:
-        late(scorer.detection)
+        late(worker.detection)
 
 
 def train_dts_iteration(state: TrainState, step_callback=None, epoch_callback=None) -> TrainState:
@@ -748,6 +752,7 @@ def run_training(
         try:
             if worker is not None:
                 worker.attach(state)
+                state.worker = worker
             for _ in range(config.iterations):
                 train_dts_iteration(state, step_callback, epoch_callback)
                 if out_path is not None:
@@ -757,6 +762,8 @@ def run_training(
                 _save_checkpoint(state, out_path, "aborted", apart=True)
                 _write_metrics(state.history, out_path / "metrics.jsonl")
             raise
+        finally:
+            state.worker = None  # the handle is closed on leaving the block: a state kept by a callback holds none
 
     # an iteration always evaluates its last epoch, and nothing has changed the
     # students since: that evaluation is the final one

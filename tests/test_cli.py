@@ -25,7 +25,7 @@ from dts_ssl.cli import (
     run_experiment,
     sweep,
 )
-from dts_ssl.data import DatasetSpec, MismatchSplit, load_cifar10_dir, save_dataset
+from dts_ssl.data import DatasetSpec, MismatchSplit, load_cifar10_dir, load_dataset, save_dataset
 from dts_ssl.errors import CapacityError, ValidationError
 from dts_ssl.trainer import TrainConfig, config_hash
 
@@ -700,6 +700,16 @@ class TestValidateConfigVerb:
         if sidecar is not None:
             meta.write_text(sidecar)
         assert_rejected(csv_config_file, tmp_path, capsys, message.format(meta))
+
+    def test_csv_dataset_with_a_non_finite_cell_exit_two(self, tmp_path, csv_config_file, capsys):
+        # every run would fail to load it, so the config is refused before any run starts, with the
+        # loader's message: the file and the 1-based row after the header
+        pool = tmp_path / "pool.csv"
+        dataset = load_dataset(pool)
+        dataset.features[7, 2] = np.nan
+        save_dataset(dataset, pool)
+        assert_rejected(csv_config_file, tmp_path, capsys,
+                        f"dataset.path: {pool}: row 8 after the header: cells must be finite, got {{'feature_2': nan}}")
 
     def test_cifar10_directory_without_batches_exit_two(self, tmp_path, config_file, capsys):
         raw = json.loads(config_file.read_text())

@@ -271,12 +271,15 @@ class TestFileFormats:
             load_dataset(path)
 
     def test_non_finite_cell_rejected(self, tmp_path):
-        # save_dataset writes nan as 'nan', which float() reads back; load_dataset refuses the row
+        # save_dataset writes nan as 'nan', which float() reads back; load_dataset refuses the row and
+        # names it as it names every other bad cell: the path, then the 1-based row after the header
         ds = generate_synthetic(3, 1, 5, 120, seed=0)
         ds.features[7, 2] = np.nan
+        ds.features[9, 0] = np.inf
         path = tmp_path / "x.csv"
         save_dataset(ds, path)
-        with pytest.raises(ValidationError, match=r"^features must be finite, got nan at row 7, column 2 \(0-based\)$"):
+        message = f"^{re.escape(str(path))}: row 8 after the header: cells must be finite, got {{'feature_2': nan}}$"
+        with pytest.raises(ValidationError, match=message):
             load_dataset(path)
 
     @pytest.mark.parametrize("text, problem", [

@@ -317,8 +317,9 @@ def test_every_evaluation_is_one_evaluate_pipeline_call(mode, in_worker, forks, 
 
 
 def test_the_run_state_is_freed_with_its_worker(forks):
-    # the worker holds the iterations' state and the state its worker: a cycle left in place would
-    # keep the run's arrays on the heap until the next collection, and grow the peak RSS
+    # run_training sets the state's worker after attaching it and clears it once the run is done;
+    # the handle holds no reference to the state, so the last reference to the state frees it and
+    # its arrays at once, without waiting for a collection that would grow the peak RSS
     states = []
     run_training(tiny_config(), tiny_split(), epoch_callback=lambda state, record: states.append(state))
     assert len(forks) == 1 and reaped(forks[0])
@@ -326,6 +327,22 @@ def test_the_run_state_is_freed_with_its_worker(forks):
     assert last().worker is None
     states.clear()
     assert last() is None
+
+
+def test_a_raising_epoch_callback_leaves_no_worker_on_the_state(forks):
+    # the worker trains while the callback runs; when the callback raises, the run clears the
+    # state's worker and reaps the process on the way out
+    states = []
+
+    def failing(state, record):
+        states.append((state, state.worker))
+        raise KeyError("stop")
+
+    with pytest.raises(KeyError, match="stop"):
+        run_training(tiny_config(), tiny_split(), epoch_callback=failing)
+    ((state, worker),) = states
+    assert worker is not None and state.worker is None
+    assert len(forks) == 1 and reaped(forks[0])
 
 
 def test_one_model_plan_forks_a_worker_one_cpu_and_other_threads_fork_none(forks):
