@@ -9,10 +9,11 @@ is allowed to read.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import pickle
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -448,7 +449,7 @@ def _meta_path(path: Path) -> Path:
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
     """Write a dataset as a columnar CSV plus a JSON metadata sidecar."""
-    import csv  # imported here, as in load_dataset: only the file formats read or write CSV
+    import csv  # imported here, as in _parse_dataset: only the file formats read or write CSV
 
     path = Path(path)
     with open(path, "w", newline="") as fh:
@@ -466,13 +467,20 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 
 
 def load_dataset(path: str | Path) -> Dataset:
-    """The CSV dataset at ``path``: its metadata sidecar's ``name`` and ``class_count``, then its rows."""
-    import csv
-
+    """The CSV dataset at ``path``: its metadata sidecar's ``name`` and ``class_count``, then its rows;
+    parsed once while both files keep their path, mtime and size, and copied for each call."""
     path = Path(path)
     meta_file = _meta_path(path)
     if not meta_file.exists():
         raise ValidationError(f"missing metadata sidecar {meta_file}")
+    parsed = _parse_dataset(path, meta_file, *[(s.st_mtime_ns, s.st_size) for s in (path.stat(), meta_file.stat())])
+    return replace(parsed, features=parsed.features.copy(), labels=parsed.labels.copy())
+
+
+@functools.lru_cache(maxsize=1)  # one entry, keyed on the paths and the files' mtimes and sizes
+def _parse_dataset(path: Path, meta_file: Path, *stamps) -> Dataset:
+    import csv
+
     try:
         meta = json.loads(meta_file.read_text())
         name, class_count = meta["name"], meta["class_count"]

@@ -4,7 +4,8 @@ A single pre-trained teacher carries both heads. Four working models are then
 derived from it: an inlier teacher-student pair that keeps the K-way head for
 seen-class classification, and an outlier pair that keeps the (K+1)-way head
 for unseen-class detection. Derived models own deep parameter copies and share
-no mutable state. All math is plain numpy with explicit backward passes.
+no mutable state. All math is plain numpy with explicit backward passes, which
+return views into the model's one gradient vector: the next backward overwrites them.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ class DualHeadModel:
     copies ``params`` into one vector, ``flat``; ``params`` maps each name to a
     view into it, in the given order. It must hold exactly the backbone's and
     ``heads``' tensors, in the shapes ``spec`` and ``K`` give them, else
-    ``ValidationError`` (also for ``load_model``).
+    ``ValidationError`` (also for ``load_model``). ``grad`` and ``grads`` are
+    laid out alike, made zero by the first :meth:`backward` (None until then).
     """
 
     def __init__(
@@ -57,6 +59,7 @@ class DualHeadModel:
         self.spec = spec
         self.K = K
         self.flat, self.params = _packed(params)
+        self.grad = self.grads = None
         self.heads = tuple(heads)
         self.pretrained = pretrained
         self._act, self._act_grad = ACTIVATIONS[spec.activation]
@@ -133,36 +136,37 @@ class DualHeadModel:
         z, _ = self.logits(x, heads=(head,))
         return softmax(z[head].T)
 
-    def backward(self, cache, d_logits: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """Gradients of a scalar loss, given d(loss)/d(logits), for the parameters it
-        reaches: the backbone plus the heads named in ``d_logits``, in ``params`` order."""
+    def backward(self, cache, d_logits: Mapping[str, np.ndarray], add: bool = False) -> dict[str, np.ndarray]:
+        """Gradients of a scalar loss, given d(loss)/d(logits), for the parameters it reaches: the
+        backbone plus the heads named in ``d_logits``. Writes them (``add``: adds them) into their
+        views in ``grads`` and returns those, in ``params`` order; the next backward overwrites them."""
+        if self.grad is None:
+            self.grad, self.grads = _packed({k: np.zeros_like(v) for k, v in self.params.items()})
         grads: dict[str, np.ndarray] = {}
-        d_feats = [self._backward(grads, self._layers[h], cache[h], dz) for h, dz in d_logits.items()]
+        d_feats = [self._backward(grads, add, self._layers[h], cache[h], dz) for h, dz in d_logits.items()]
         acts = cache["acts"]
         dz = self._act_grad(acts[-1])
         dz *= sum(d_feats[1:], d_feats[0])  # each parameter has one term; only features add up
-        self._backward(grads, self._layers["backbone"], acts, dz, input_grad=False)
+        self._backward(grads, add, self._layers["backbone"], acts, dz, input_grad=False)
         return {k: grads[k] for k in self.params if k in grads}
 
-    def _backward(self, grads: dict, layers, inputs: list, dz: np.ndarray, input_grad: bool = True):
-        """Reverse of :meth:`_forward`: sets the gradients of ``layers`` in ``grads`` given d(loss)/d(output);
-        returns d(loss)/d(inputs[0]) unless ``input_grad`` is off (the backbone's inputs need none)."""
+    def _backward(self, grads: dict, add: bool, layers, inputs: list, dz: np.ndarray, input_grad: bool = True):
+        """Reverse of :meth:`_forward` given d(loss)/d(output): writes (``add``: adds) the gradients of ``layers``
+        into their views, entered in ``grads``; returns d(loss)/d(inputs[0]) unless ``input_grad`` is off."""
         for i in reversed(range(len(layers))):
             W, b = layers[i]
-            grads[W] = dz.T @ inputs[i]
-            grads[b] = dz.sum(axis=0)
+            grads[W], grads[b] = self.grads[W], self.grads[b]
+            if add:
+                grads[W] += dz.T @ inputs[i]
+                grads[b] += dz.sum(axis=0)
+            else:
+                np.matmul(dz.T, inputs[i], out=grads[W])
+                dz.sum(axis=0, out=grads[b])  # the method: np.sum's wrapper costs 1-2 us a call
             if i:
                 d_a = dz @ self.params[W]
                 dz = self._act_grad(inputs[i])
                 dz *= d_a
         return dz @ self.params[W] if input_grad else None
-
-    def grad_vector(self, grads: Mapping[str, np.ndarray]) -> np.ndarray:
-        """Per-tensor gradients laid out as ``flat``; every parameter needs one."""
-        missing = [k for k in self.params if k not in grads]
-        if missing:
-            raise StateError(f"no gradient for parameters {missing}")
-        return np.concatenate([grads[k].ravel() for k in self.params])
 
     def _touched(self, heads) -> set[str]:
         """Parameter keys a loss on ``heads`` reaches."""

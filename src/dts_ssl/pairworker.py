@@ -92,7 +92,6 @@ import mmap
 import os
 import pickle
 import select
-import struct
 import time
 import traceback
 from dataclasses import fields
@@ -364,37 +363,23 @@ def _receive(fd: int) -> bytes:
 
 
 def _send_exception(fd: int, exc: BaseException) -> None:
-    """Write b"x", then the pickled ``(exception, traceback text)``; None for an exception
-    that does not pickle. Gives up quietly when the parent is gone."""
+    """Write b"x", then the pickled ``(exception, traceback text)``, through a buffered file; None
+    for an exception that does not pickle. Gives up quietly when the parent is gone."""
     text = traceback.format_exc()
     try:
         payload = pickle.dumps((exc, text))
     except Exception:  # noqa: BLE001 - whatever pickling raises, the text still goes
         payload = pickle.dumps((None, text))
-    message = b"x" + struct.pack("<Q", len(payload)) + payload
-    with contextlib.suppress(OSError):
-        while message:
-            message = message[os.write(fd, message):]
+    with contextlib.suppress(OSError), open(fd, "wb", closefd=False) as out:
+        out.write(b"x" + payload)
 
 
 def _read_exception(fd: int) -> tuple[BaseException, str]:
-    """The exception after a b"x" token, or a ChildProcessError when it cannot be rebuilt."""
-    (size,) = struct.unpack("<Q", _read_exactly(fd, 8))
-    payload = _read_exactly(fd, size)
+    """The exception after a b"x" token, or a ChildProcessError when it cannot be rebuilt (or is cut short)."""
+    os.set_blocking(fd, True)
     try:
-        exc, text = pickle.loads(payload)
+        with open(fd, "rb", closefd=False) as stream:
+            exc, text = pickle.load(stream)
     except Exception as failure:  # noqa: BLE001 - e.g. a class that no longer imports
-        return ChildProcessError(f"the pair worker raised an exception that cannot be rebuilt: {failure}"), ""
+        return ChildProcessError(f"the pair worker raised an exception that cannot be rebuilt: {failure!r}"), ""
     return exc if exc is not None else ChildProcessError(f"the pair worker raised:\n{text}"), text
-
-
-def _read_exactly(fd: int, size: int) -> bytes:
-    chunks = []
-    while size:
-        select.select([fd], [], [])
-        chunk = os.read(fd, size)
-        if not chunk:
-            raise ChildProcessError("the pair worker exited mid-message")
-        chunks.append(chunk)
-        size -= len(chunk)
-    return b"".join(chunks)

@@ -90,14 +90,7 @@ from .evaluation import (
     write_per_sample,
 )
 from .losses import LossReport
-from .models import (
-    DualHeadModel,
-    TeacherStudentPair,
-    derive_pair,
-    init_teacher,
-    refresh_teacher,
-    save_model,
-)
+from .models import DualHeadModel, TeacherStudentPair, derive_pair, init_teacher, refresh_teacher, save_model
 from .numerics import class_max, class_sum, softmax
 from .soft_weighting import gate_mask, scores_from_probs
 
@@ -383,9 +376,9 @@ def _gate_rows(state: TrainState, step: _Step, index: int) -> dict[str, np.ndarr
 
 def _model_step(student: DualHeadModel, optimizer: SGD, branches: tuple[_Branch, ...], step: _Step,
                 cfg: TrainConfig, lr: float) -> dict[str, float]:
-    """Train one model on ``step``'s inputs; returns the report fields of its branches' terms. Per
-    model: one labeled pass, at most one strong-view and one weak-view pass (``_unlabeled_views``);
-    gradients add labeled, then weak-view consistency, then strong-view terms."""
+    """Train one model on ``step``'s inputs; returns the report fields of its branches' terms. One labeled
+    pass writes the model's gradient (it reaches every parameter trained); at most one weak-view (consistency)
+    and one strong-view pass (``_unlabeled_views``) then add to it, in that order."""
     fields = {}
     z_l, cache_l = student.logits(step.labeled_x, heads=tuple(b.head for b in branches))
     d_l = {}
@@ -393,7 +386,7 @@ def _model_step(student: DualHeadModel, optimizer: SGD, branches: tuple[_Branch,
         ce, d = losses.ce_loss_and_grad(step.labeled_y, softmax(z_l[b.head].T))
         d_l[b.head] = _sample_major(d)
         fields[_TERMS[b.role, "ce"][0]] = ce
-    grads = student.backward(cache_l, d_l)
+    student.backward(cache_l, d_l)
 
     strong_u, weak_u = step.strong_u, step.weak_u
     unlabeled = [b for b in branches if b.terms] if strong_u is not None else []
@@ -418,12 +411,15 @@ def _model_step(student: DualHeadModel, optimizer: SGD, branches: tuple[_Branch,
                 else:  # "cr"
                     z_w, cache_w = student.logits(weak_u, heads=(b.head,))
                     value, d_w, d = losses.consistency_loss_and_grad(softmax(z_w[b.head].T), p, mu_b)
-                    _sum_grads(grads, student.backward(cache_w, {b.head: _sample_major(lam * d_w)}))
+                    student.backward(cache_w, {b.head: _sample_major(lam * d_w)}, add=True)
                 fields[field_name] = value
-                d_u[b.head] = _acc(d_u.get(b.head), lam * d)
-        _sum_grads(grads, student.backward(cache_u, {h: _sample_major(d) for h, d in d_u.items()}))
+                if b.head in d_u:
+                    d_u[b.head] += lam * d
+                else:
+                    d_u[b.head] = lam * d
+        student.backward(cache_u, {h: _sample_major(d) for h, d in d_u.items()}, add=True)
 
-    optimizer.step(student.flat, student.grad_vector(grads), lr)
+    optimizer.step(student.flat, student.grad, lr)
     return fields
 
 
@@ -444,16 +440,6 @@ def _credit(cfg: TrainConfig, report: LossReport, fields: dict[str, float]) -> N
         totals[role] = value if weight is None else totals[role] + getattr(cfg, weight) * value
     report.inlier_total, report.outlier_total = float(totals["inlier"]), float(totals["outlier"])
     report.pretrain_total = float(report.ce_k + report.ce_k1)
-
-
-def _sum_grads(target: dict[str, np.ndarray], extra: dict[str, np.ndarray]) -> None:
-    for k, v in extra.items():
-        target[k] = _acc(target.get(k), v)
-
-
-def _acc(total: np.ndarray | None, term: np.ndarray) -> np.ndarray:
-    """``total + term``; the first term is taken as is instead of added onto zeros."""
-    return term if total is None else total + term
 
 
 def _sample_major(d_logits: np.ndarray) -> np.ndarray:

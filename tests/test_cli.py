@@ -290,6 +290,23 @@ class TestRunVerb:
         assert [r["status"] for r in RunManifest.load(manifest_file).runs] == ["completed"] * 2 * loads
 
 
+    @pytest.mark.parametrize("verb", [["validate-config"], ["run", "--seeds", "2"],
+                                      ["sweep", "--axis", "train.tau", "--values", "0.7,0.8,0.9"]])
+    def test_a_csv_dataset_is_parsed_once_per_process(self, csv_config_file, tmp_path, monkeypatch, verb):
+        # validation and every run point load the file, but it is parsed once; a later run in the
+        # same process parses it no more
+        parses, reader = [], csv.reader
+        monkeypatch.setattr(csv, "reader", lambda *a, **k: parses.append(1) or reader(*a, **k))
+        run = ["--config", str(csv_config_file), "--ablation", "supervised_only", "--out-dir"]
+        if verb == ["validate-config"]:
+            assert main([*verb, "--config", str(csv_config_file)]) == 0
+        else:
+            assert main([*verb, *run, str(tmp_path / "out")]) == 0
+        assert len(parses) == 1
+        assert main(["run", *run, str(tmp_path / "again")]) == 0
+        assert len(parses) == 1
+
+
 class TestSweepVerb:
     def test_mismatch_ratio_sweep_table(self, config_file, tmp_path):
         manifest = sweep(

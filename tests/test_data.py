@@ -1,5 +1,7 @@
 """Dataset generation, mismatch splits, augmentation, batch pairing, file formats."""
 
+import csv
+import os
 import re
 
 import numpy as np
@@ -243,6 +245,27 @@ class TestFileFormats:
         assert loaded.class_count == ds.class_count
         assert np.array_equal(loaded.labels, ds.labels)
         assert np.array_equal(loaded.features, ds.features)  # repr round-trip is exact
+
+    def test_an_unchanged_file_is_parsed_once_and_a_rewritten_one_again(self, tmp_path, monkeypatch):
+        parses, reader = [], csv.reader
+        monkeypatch.setattr(csv, "reader", lambda *a, **k: parses.append(1) or reader(*a, **k))
+        path = tmp_path / "d.csv"
+        first, second = generate_synthetic(2, 1, 4, 10, seed=0), generate_synthetic(2, 1, 4, 12, seed=1)
+        save_dataset(first, path)
+        a, b = load_dataset(path), load_dataset(path)
+        assert len(parses) == 1
+        assert not np.shares_memory(a.features, b.features) and not np.shares_memory(a.labels, b.labels)
+        a.features[0, 0] = np.nan  # each call's arrays are its own
+        assert np.array_equal(load_dataset(path).features, first.features)
+        save_dataset(second, path)  # another size
+        assert np.array_equal(load_dataset(path).features, second.features) and len(parses) == 2
+        stat = path.stat()
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))  # the same bytes, a later mtime
+        load_dataset(path)
+        assert len(parses) == 3
+        meta = path.with_suffix(".meta.json")  # and the sidecar's own change
+        meta.write_text(meta.read_text().replace('"name": "', '"name": "renamed-'))
+        assert load_dataset(path).name == f"renamed-{second.name}" and len(parses) == 4
 
     def test_dataset_header(self, tmp_path):
         ds = generate_synthetic(2, 0, 3, 5, seed=0)

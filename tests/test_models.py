@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -158,14 +159,27 @@ class TestParameterVector:
         vectors = [m.flat for m in models.values()]
         assert not any(np.shares_memory(a, b) for i, a in enumerate(vectors) for b in vectors[i + 1:])
 
-    def test_grad_vector_follows_the_layout_and_needs_every_tensor(self):
-        model = make_teacher()
-        grads = {k: np.full(v.shape, float(i)) for i, (k, v) in enumerate(model.params.items())}
-        expected = np.concatenate([np.full(v.size, float(i)) for i, v in enumerate(model.params.values())])
-        assert model.grad_vector(grads).tobytes() == expected.tobytes()
-        del grads["head_k.b"]
-        with pytest.raises(StateError, match="head_k.b"):
-            model.grad_vector(grads)
+    def test_gradient_views_follow_the_layout(self, tmp_path):
+        for how, model in self.models(tmp_path).items():
+            assert model.grad is None and model.grads is None, how  # none until the first backward
+            z, cache = model.logits(np.random.default_rng(1).normal(size=(4, 5)), model.heads)
+            model.backward(cache, {h: np.ones_like(z[h]) for h in model.heads})
+            assert model.grad.shape == model.flat.shape and model.grad.flags.c_contiguous, how
+            assert not np.shares_memory(model.grad, model.flat), how
+            assert list(model.grads) == list(model.params), how
+            model.grad[:] = np.arange(model.grad.size)
+            at = 0
+            for name, g in model.grads.items():
+                assert np.shares_memory(g, model.grad) and g.shape == model.params[name].shape, (how, name)
+                assert np.array_equal(g.ravel(), np.arange(at, at + g.size)), (how, name)
+                at += g.size
+
+    def test_copies_and_untrained_models_hold_no_gradient(self):
+        pair = derive_pair(make_teacher(), "merged")
+        z, cache = pair.student.logits(np.ones((2, 5)), ("k", "k1"))
+        pair.student.backward(cache, {h: np.ones_like(v) for h, v in z.items()})
+        assert pair.teacher.grad is None
+        assert pickle.loads(pickle.dumps(pair.student)).grad is None
 
 
 class TestRefreshTeacher:
@@ -322,6 +336,47 @@ class TestBackwardKeySet:
         assert list(grads) == list(expected)  # no entry for a head the loss did not reach
         for key, g in expected.items():
             assert grads[key].tobytes() == g.tobytes(), key
+
+
+class TestGradientBuffer:
+    """``backward`` writes into the model's one gradient vector, and with ``add`` adds to it."""
+
+    @pytest.mark.parametrize("kind", [None, "inlier"])
+    def test_added_passes_equal_the_sum_of_separate_results(self, kind):
+        # the teacher with both heads and a projection, or a one-head inlier model: three passes,
+        # the second and third added, give bit for bit (g1 + g2) + g3 of three separate results
+        spec = BackboneSpec(5, (8, 8), 6, activation="relu", k1_projection=True)
+        teacher = make_teacher(K=4, seed=3, spec=spec)
+        model = teacher if kind is None else derive_pair(teacher, kind).student
+        rng = np.random.default_rng(2)
+        passes = []
+        for rows in (7, 3, 11):
+            z, cache = model.logits(rng.normal(size=(rows, 5)), model.heads)
+            passes.append((cache, {h: rng.normal(size=v.shape) for h, v in z.items()}))
+        separate = [{k: g.copy() for k, g in model.backward(*p).items()} for p in passes]
+        assert all(list(g) == list(model.params) for g in separate)
+        for i, p in enumerate(passes):
+            returned = model.backward(*p, add=i > 0)
+        expected = np.concatenate([((separate[0][k] + separate[1][k]) + separate[2][k]).ravel()
+                                   for k in model.params])
+        assert model.grad.tobytes() == expected.tobytes()
+        assert all(returned[k] is model.grads[k] for k in model.params)
+
+    @pytest.mark.parametrize("add", [False, True])
+    def test_a_pass_on_one_head_leaves_the_other_heads_views(self, add):
+        spec = BackboneSpec(5, (8,), 6, activation="tanh", k1_projection=True)
+        model = make_teacher(K=4, seed=1, spec=spec)
+        rng = np.random.default_rng(4)
+        z, cache = model.logits(rng.normal(size=(6, 5)), ("k", "k1"))
+        model.backward(cache, {h: rng.normal(size=v.shape) for h, v in z.items()})
+        before = model.grad.copy()
+        for head, other in (("k", ("proj", "head_k1")), ("k1", ("head_k",))):
+            untouched = {k: model.grads[k].copy() for k in model.params if k.split(".")[0] in other}
+            returned = model.backward(cache, {head: rng.normal(size=z[head].shape)}, add=add)
+            assert set(returned).isdisjoint(untouched)
+            for k, g in untouched.items():
+                assert model.grads[k].tobytes() == g.tobytes(), (head, k)
+        assert not np.array_equal(model.grad, before)
 
 
 def out_of_place_logits(model, x, heads):

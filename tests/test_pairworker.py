@@ -463,6 +463,33 @@ def test_worker_exception_that_does_not_pickle_arrives_as_text(forks, monkeypatc
     assert len(forks) == 1 and reaped(forks[0])
 
 
+@pytest.mark.parametrize("cut", [None, 0, 10, -1])
+def test_an_exception_payload_arrives_whole_or_as_a_child_process_error(cut):
+    # b"x", then one pickle stream; a payload cut short at any point is a ChildProcessError, as is
+    # bytes that do not unpickle
+    r, w = os.pipe()
+    try:
+        try:
+            raise WorkerFailure("boom")
+        except WorkerFailure as exc:
+            pairworker._send_exception(w, exc)
+        message = os.read(r, 1 << 16)
+        assert message[:1] == b"x"
+        os.set_blocking(r, False)  # as the parent's reply pipe is
+        os.write(w, message[1:] if cut is None else message[1:cut] or b"not a pickle")
+        os.close(w)
+        w = None
+        exc, text = pairworker._read_exception(r)
+    finally:
+        os.close(r)
+        if w is not None:
+            os.close(w)
+    if cut is None:
+        assert type(exc) is WorkerFailure and str(exc) == "boom" and "WorkerFailure: boom" in text
+    else:
+        assert type(exc) is ChildProcessError and "cannot be rebuilt" in str(exc) and text == ""
+
+
 def test_failure_here_while_the_worker_sends_a_large_exception_does_not_hang():
     # this process fails in its own model's step while the worker's exception payload, far larger
     # than a pipe buffer, waits to be written; closing the worker must not wait for that write.

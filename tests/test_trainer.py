@@ -401,6 +401,19 @@ class TestRunTrainingStructure:
         assert len(train_records) == 2 * 3  # iterations * epochs_per_iteration
         assert len(pre_records) == 4
 
+    def test_only_trained_models_hold_a_gradient(self):
+        # a gradient vector is made by a model's first backward: the students trained here hold
+        # one, the teachers, which only score, hold none
+        held = []
+
+        def on_epoch(state, record):
+            if record["phase"] == "train":
+                held.append([(p.teacher.grad is None, p.student.grad is None) for p in state.pairs.values()])
+
+        with one_cpu():
+            run_training(tiny_config(), tiny_split(), epoch_callback=on_epoch)
+        assert held and all(pairs == [(True, False)] * 2 for pairs in held)
+
     def test_pretrain_records_have_the_train_record_layout(self):
         history = run_training(tiny_config(), tiny_split()).history
         pre = [r for r in history if r["phase"] == "pretrain"]
@@ -1044,8 +1057,11 @@ class TestSGDOracle:
         model = init_teacher(BackboneSpec(4, (3,), 2), 2, seed=0)
         views = dict(model.params)
         before = {k: v.copy() for k, v in views.items()}
-        grads = {k: np.ones_like(v) for k, v in views.items()}
-        SGD(model.flat, momentum=0.9, weight_decay=0.0).step(model.flat, model.grad_vector(grads), 0.5)
+        z, cache = model.logits(np.ones((2, 4)), model.heads)
+        model.backward(cache, {h: np.ones_like(v) for h, v in z.items()})  # makes the gradient vector
+        for g in model.grads.values():
+            g[:] = 1.0
+        SGD(model.flat, momentum=0.9, weight_decay=0.0).step(model.flat, model.grad, 0.5)
         for k, v in views.items():
             assert model.params[k] is v
             assert v.tobytes() == (before[k] - 0.5).tobytes(), k
