@@ -79,7 +79,7 @@ class TrainConfig:
     unseen_hard_threshold: float = 0.85  # hard mask level in no_soft_weighting
     uniformity_threshold: float = 0.5  # mask level for the K-head outlier ablation
     eval_every: int = 1
-    dump_scores: bool = False  # per-sample outputs: evaluation scores and the training gate record
+    dump_scores: bool = False  # per_sample/<phase>.npz: evaluation scores and gate table; needs an out_dir
 
     def __post_init__(self) -> None:
         if isinstance(self.hidden_widths, list):  # JSON spells a tuple as a list

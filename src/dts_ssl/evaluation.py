@@ -1,15 +1,15 @@
-"""Metrics: seen-class accuracy, unseen-detection AUROC, the final tables and the per-sample CSVs.
+"""Metrics: seen-class accuracy, unseen-detection AUROC, the final tables and the per-sample record.
 
 These functions only measure; ``trainer.evaluate_pipeline`` decides which
 model predicts and which scores detect, and ``trainer.run_inference`` is the
 evaluation of two trained students. ``write_per_sample`` is the one writer of
-per-sample rows, and the only code that joins them with the hidden flags.
+the per-sample record, one array file per phase, and the only code that puts
+the hidden flags beside its rows.
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -41,11 +41,7 @@ class EvalResult:
             "accuracy": self.accuracy,
             "auroc": self.auroc,
             "per_class_accuracy": None if pca is None else {str(k): v for k, v in pca.items()},
-            "score_histogram": None if hist is None else {
-                "bin_edges": hist.bin_edges,
-                "seen_counts": hist.seen_counts,
-                "unseen_counts": hist.unseen_counts,
-            },
+            "score_histogram": None if hist is None else asdict(hist),
             "mean_score_seen": self.mean_score_seen,
             "mean_score_unseen": self.mean_score_unseen,
         }
@@ -120,23 +116,20 @@ def score_histogram(scores, is_unseen, bins: int = 20) -> ScoreHistogram:
     edges = np.linspace(0.0, 1.0, bins + 1)
     seen_counts, _ = np.histogram(scores[~flags], bins=edges)
     unseen_counts, _ = np.histogram(scores[flags], bins=edges)
-    return ScoreHistogram(
-        bin_edges=edges.tolist(),
-        seen_counts=seen_counts.tolist(),
-        unseen_counts=unseen_counts.tolist(),
-    )
+    return ScoreHistogram(edges.tolist(), seen_counts.tolist(), unseen_counts.tolist())
 
 
-def write_per_sample(path: str | Path, indices, columns: dict, unlabeled_is_unseen) -> None:
-    """Write a CSV with one row per sample: its ``index`` into the unlabeled set, the ``columns``
-    (name -> one value per sample; booleans as 0/1, floats by ``repr``), then ``is_unseen``, the
-    hidden flag at that index. Makes the file's directory if it is missing."""
-    indices = np.asarray(indices)
-    if any(len(values) != len(indices) for values in columns.values()):
-        raise ShapeError("indices and every column must have equal lengths")
-    cells = [np.asarray(c) for c in (indices, *columns.values(), np.asarray(unlabeled_is_unseen)[indices])]
+def write_per_sample(path: str | Path, evaluated: list[tuple], gated: list[dict], unlabeled_is_unseen) -> None:
+    """Write one phase's per-sample record as one uncompressed ``.npz``, making its directory if it is
+    missing: ``eval_epoch`` and ``eval_score`` (``evaluated``: an (epoch, unlabeled-set scores) pair
+    per evaluated epoch, one float64 row each); the gate table, each column of the ``gated`` row
+    blocks (column name -> one value per row) concatenated in order, when there is a block; then
+    ``is_unseen``, the hidden flag of every unlabeled row, which a reader joins as ``is_unseen[index]``."""
+    flags = np.asarray(unlabeled_is_unseen, dtype=bool)
+    if any(len(values) != len(block["index"]) for block in gated for values in block.values()):
+        raise ShapeError("every column of a block of gate rows must have one value per row")
+    table = {column: np.concatenate([block[column] for block in gated]) for column in gated[0]} if gated else {}
+    epochs = np.array([epoch for epoch, _ in evaluated], dtype=np.int64)
+    scores = np.array([row for _, row in evaluated], dtype=np.float64).reshape(len(evaluated), len(flags))
     Path(path).parent.mkdir(exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", *columns, "is_unseen"])
-        writer.writerows(zip(*((c.astype(np.int64) if c.dtype == bool else c).tolist() for c in cells)))
+    np.savez(path, eval_epoch=epochs, eval_score=scores, **table, is_unseen=flags)

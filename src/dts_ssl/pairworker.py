@@ -98,10 +98,10 @@ from dataclasses import fields
 
 import numpy as np
 
+from . import trainer  # looked up at each call, so a worker runs the trainer's functions as they are then
 from .config import apply_ablation
 from .losses import LossReport
 from .models import DualHeadModel, TeacherStudentPair
-from .trainer import _credit, _derive_pairs, _model_step, _score, _Step, _step_plan
 
 _POLL_S = 2e-3  # how long a waiter polls its pipe before it blocks
 _ALIGN = 64  # byte alignment of every array in the shared mapping
@@ -143,7 +143,7 @@ class PairWorker:
     def __init__(self, config, split, teacher) -> None:
         self._config, self._unlabeled_x = config, split.unlabeled_x
         self._pipeline = apply_ablation(config.ablation_mode, config)
-        self.name, self._branches = list(_step_plan(self._pipeline, config).items())[-1]
+        self.name, self._branches = list(trainer._step_plan(self._pipeline, config).items())[-1]
         self._roles = tuple(dict.fromkeys(b.role for b in self._branches))  # a merged model reads both roles
         self._staged = _INPUTS + tuple(f"{role}_{t}" for role in self._roles for t in _TARGETS)
         rows = min(config.batch_size, len(split.labeled_x))
@@ -214,7 +214,7 @@ class PairWorker:
         self._arrays["params"][:size], self._arrays["velocity"][:size] = self._model.flat, self._optimizer.velocity
         self._send(b"i")
 
-    def start(self, step: _Step, lr: float, publish: bool) -> None:
+    def start(self, step: trainer._Step, lr: float, publish: bool) -> None:
         """Stage ``step`` in the next slot and have the worker train its model on it, then, with
         ``publish``, copy the model into the mapping. First waits for the oldest step when every
         slot is taken (the worker reads a slot until it replies), and with ``publish`` for any
@@ -237,7 +237,7 @@ class PairWorker:
         self._started += 1
         self._send(b"%d" % index, step, publish)
 
-    def wait(self, step: _Step) -> None:
+    def wait(self, step: trainer._Step) -> None:
         """Wait for the replies up to ``step``'s: each step's report fields go into its report, and
         each publication into this process's model."""
         while any(entry[1] is step for entry in self._pending):
@@ -264,7 +264,7 @@ class PairWorker:
         os.waitpid(self._pid, 0)
         self._arrays = self._slots = self._shared = None
 
-    def _send(self, token: bytes, step: _Step | None = None, publish: bool = False) -> None:
+    def _send(self, token: bytes, step: trainer._Step | None = None, publish: bool = False) -> None:
         try:
             os.write(self._cmd_w, token)
         except BrokenPipeError as exc:
@@ -286,7 +286,7 @@ class PairWorker:
         if step is not None:
             reply = self._slots[int(token)]["reply"]
             pairs = reply[1 : 1 + 2 * int(reply[0])].reshape(-1, 2)
-            _credit(self._config, step.report, {_REPORT_FIELDS[int(i)]: float(v) for i, v in pairs})
+            trainer._credit(self._config, step.report, {_REPORT_FIELDS[int(i)]: float(v) for i, v in pairs})
         if publish:
             size = self._model.flat.size
             self._model.flat[:] = self._arrays["params"][:size]
@@ -302,10 +302,10 @@ class PairWorker:
             if token == b"d":  # its copies of the models the parent copied in, and its own model
                 for copy, snapshot in self._shared:
                     copy.flat[:] = snapshot[: copy.flat.size]
-                arrays["scores"][:] = _score(pairs, "student", self._unlabeled_x, cfg.gamma)[0]
+                arrays["scores"][:] = trainer._score(pairs, "student", self._unlabeled_x, cfg.gamma)[0]
             elif token == b"i":  # pre-training is over: lay out the pairs, with the values the parent attached
                 teacher.pretrained = True  # this process's teacher: only its layout is read
-                pairs, optimizers = _derive_pairs(teacher, self._pipeline, cfg)
+                pairs, optimizers = trainer._derive_pairs(teacher, self._pipeline, cfg)
                 students = [pair.student for name, pair in pairs.items() if name != self.name]
                 self._shared = [(student, arrays[f"student_{i}"]) for i, student in enumerate(students)]
                 model, optimizer = pairs[self.name].student, optimizers[self.name]  # the model trained here
@@ -314,7 +314,7 @@ class PairWorker:
             elif token:  # a step, staged in slot int(token)
                 slot = self._slots[int(token)]
                 step, lr, publish = self._step(slot)
-                values = _model_step(model, optimizer, self._branches, step, cfg, lr)
+                values = trainer._model_step(model, optimizer, self._branches, step, cfg, lr)
                 reply = slot["reply"]
                 reply[0] = len(values)
                 for j, (name, value) in enumerate(values.items()):
@@ -325,7 +325,7 @@ class PairWorker:
                 return
             os.write(reply_w, token)
 
-    def _step(self, slot: dict[str, np.ndarray]) -> tuple[_Step, float, bool]:
+    def _step(self, slot: dict[str, np.ndarray]) -> tuple[trainer._Step, float, bool]:
         """The step staged in ``slot``, as views into the mapping, its learning rate and whether the
         model is published after it."""
         shapes, a = slot["shapes"].tolist(), {}
@@ -335,7 +335,7 @@ class PairWorker:
         targets = {role: tuple(a[f"{role}_{t}"] for t in _TARGETS) for role in self._roles
                    if a[f"{role}_gate"] is not None}
         lr, publish = slot["scalars"].tolist()
-        return _Step(targets=targets, **{name: a[name] for name in _INPUTS}), lr, bool(publish)
+        return trainer._Step(targets=targets, **{name: a[name] for name in _INPUTS}), lr, bool(publish)
 
 
 def _mapping(layout: dict) -> dict[str, np.ndarray]:

@@ -199,10 +199,13 @@ def pretrain_teacher(teacher: DualHeadModel, split: MismatchSplit, config: Train
     plan, so no unlabeled example appears anywhere in this phase; the
     (K+1)-head trains with the same 1..K labels (it simply never sees a
     positive for the extra class). Sets the pre-trained flag required by pair
-    derivation. With ``config.dump_scores``, each epoch's evaluation scores go to ``out_dir``
-    (``score_dumps/``); this phase draws no unlabeled rows, so it adds nothing to the gate record.
+    derivation. ``config.dump_scores`` needs ``out_dir``: each epoch's evaluation scores go to its
+    ``per_sample/pretrain.npz``, with no gate table (this phase draws no unlabeled rows). If the phase
+    raises, the epochs recorded before still go to that file and to ``metrics.jsonl`` there.
     ``worker`` (``pairworker.attached``), if given, scores each epoch's teacher (see the module docstring there).
     """
+    if config.dump_scores and out_dir is None:
+        raise ValidationError("train.dump_scores writes the per-sample record into the run directory: give out_dir")
     # the sampler rejects an empty labeled set, so the label range below is defined
     sampler = PairSampler(split, config.batch_size, config.mu, rng, include_unlabeled=False)
     if split.labeled_y.min() < 1 or split.labeled_y.max() > teacher.K:
@@ -215,7 +218,12 @@ def pretrain_teacher(teacher: DualHeadModel, split: MismatchSplit, config: Train
         sampler=sampler, rng=rng, scale=scale, split=split, iteration=-1, out_dir=out_dir,
         aug=AugmentConfig(config.weak_sigma, config.strong_sigma, config.mask_fraction), worker=worker,
     )
-    _run_epochs(state)
+    try:
+        _run_epochs(state)
+    except Exception:
+        if out_dir is not None:
+            _write_metrics(state.history, out_dir / "metrics.jsonl")
+        raise
     teacher.pretrained = True
     return state.history
 
@@ -360,11 +368,12 @@ def _gated_roles(pipe: PipelineDescription, targets: dict) -> list[str]:
             if wanted and role in targets]
 
 
-def _gate_rows(state: TrainState, step: _Step, index: int) -> dict[str, np.ndarray]:
-    """Step ``index``'s rows of the epoch's gate record: per unlabeled row drawn, its index, the
-    step and the teacher score; per gated role, the gate as trained, the score clause's verdict
-    (where the gate uses the score) and the pseudo-label. No hidden flag is read here."""
-    rows = {"index": step.indices, "step": np.full(len(step.indices), index), "score": step.scores}
+def _gate_rows(state: TrainState, step: _Step, epoch: int, index: int) -> dict[str, np.ndarray]:
+    """The gate table's rows of step ``index`` of global epoch ``epoch``: per unlabeled row drawn, the
+    epoch, the step, its index and the teacher score; per gated role, the gate as trained, the score
+    clause's verdict (where the gate uses the score) and the pseudo-label. No hidden flag is read here."""
+    n = len(step.indices)
+    rows = {"epoch": np.full(n, epoch), "step": np.full(n, index), "index": step.indices, "score": step.scores}
     for role in _gated_roles(state.pipeline, step.targets):
         gate, pseudo, p = step.targets[role]
         rows[f"gate_{role}"] = gate
@@ -561,7 +570,7 @@ def _run_epochs(state: TrainState, step_callback=None, epoch_callback=None) -> N
     staged = collections.deque()  # drawn in order, not yet trained here
     taken = 0  # steps of the phase staged so far
     lead = 0 if step_callback is not None else 1  # steps staged ahead of this process's own
-    dump = cfg.dump_scores and state.out_dir is not None  # write the per-sample CSVs
+    scored, gated = [], []  # with cfg.dump_scores, the phase's per-sample record: (epoch, scores), gate rows
     late = None  # pre-training with a worker: the previous epoch's record, made after this epoch's steps
 
     def stage(upto: int) -> None:
@@ -577,8 +586,8 @@ def _run_epochs(state: TrainState, step_callback=None, epoch_callback=None) -> N
                found) -> dict:
         """Refuse epoch ``epoch`` of the phase if a student of ``pairs``, a field of ``report`` or,
         before AUROC reads them, a score of its evaluation is not finite; evaluate it on ``pairs`` if
-        it is due (with the pair worker's detection half ``found`` when given), write its per-sample
-        CSVs (``drawn``: its steps' gate rows), then append its record."""
+        it is due (with the pair worker's detection half ``found`` when given), keep its scores and
+        its steps' gate rows (``drawn``) for the per-sample record, then append its record."""
         split, where = state.split, f"phase {phase}, iteration {state.iteration}, global epoch {global_epoch}"
         students = [name for name, pair in pairs.items() if not np.isfinite(pair.student.flat).all()]
         fields = [name for name, value in vars(report).items() if not math.isfinite(value)]
@@ -590,59 +599,63 @@ def _run_epochs(state: TrainState, step_callback=None, epoch_callback=None) -> N
             ev = state.last_eval = evaluate_pipeline(pairs, split.test_x, split.test_y, split.unlabeled_x,
                                                      split.unlabeled_is_unseen, cfg.gamma, detection=found,
                                                      where=where)
-        file = f"epoch_{global_epoch:05d}.csv"
-        if dump and ev is not None:
-            write_per_sample(state.out_dir / "score_dumps" / file, np.arange(len(ev.scores)), {"score": ev.scores},
-                             split.unlabeled_is_unseen)
-        if drawn:
-            rows = {column: np.concatenate([d[column] for d in drawn]) for column in drawn[0]}
-            write_per_sample(state.out_dir / "gate_record" / file, rows.pop("index"), rows, split.unlabeled_is_unseen)
+        if cfg.dump_scores and ev is not None:
+            scored.append((global_epoch, ev.scores))
+        gated.extend(drawn)
         entry = _epoch_record(phase, state.iteration, epoch, global_epoch, lrs[epoch], report, ev, forwards)
         state.history.append(entry)
         return entry
 
-    for epoch in range(epochs):
-        evaluated = (epoch + 1) % eval_every == 0 or epoch == epochs - 1
-        end, reports, drawn = (epoch + 1) * steps, [], []
-        for k in range(end - steps, end):
-            stage(min(k + 1 + lead, end))
-            step = staged.popleft()
-            if dump and step.scores is not None:
-                drawn.append(_gate_rows(state, step, k - end + steps))
-            state.training_unlabeled_forwards += views * step.report.batch_unlabeled
-            for name, branches in own.items():
-                fields = _model_step(state.pairs[name].student, state.optimizers[name], branches, step, cfg, lrs[epoch])
-                _credit(cfg, step.report, fields)
-            reports.append(step.report)
-            if step_callback is not None:
-                step_callback(state, step.report)
-        if evaluated and detection is not None:
-            worker.detect()  # queued after the steps: it scores the final students
-        if lead:  # the next epoch's first two steps, which the worker trains while this epoch is recorded
-            stage(min(end + 2, end + steps, epochs * steps))
-        if trains:
-            worker.wait(step)  # the epoch's reports are complete and state.pairs holds its students
-        report = _mean_report(reports)
-        if pretrain:
-            report.inlier_total = report.outlier_total = 0.0
-        done = functools.partial(record, epoch, state.global_epoch, state.training_unlabeled_forwards, report, drawn)
-        state.global_epoch += 1
-        if worker is None or trains:
-            entry = done(state.pairs, detection)
-            if epoch_callback is not None:
-                epoch_callback(state, entry)
-            continue
-        # the worker scores this epoch's teacher while this process records the previous epoch on its
-        # own copy and trains the next; nothing reads a pre-training record before the phase ends
-        scores = worker.detection() if late is not None else None
-        worker.detect()
-        teacher = state.pairs["merged"].teacher
-        copy = DualHeadModel(teacher.spec, teacher.K, teacher.params, teacher.heads)
+    try:
+        for epoch in range(epochs):
+            evaluated = (epoch + 1) % eval_every == 0 or epoch == epochs - 1
+            end, reports, drawn = (epoch + 1) * steps, [], []
+            for k in range(end - steps, end):
+                stage(min(k + 1 + lead, end))
+                step = staged.popleft()
+                if cfg.dump_scores and step.scores is not None:
+                    drawn.append(_gate_rows(state, step, state.global_epoch, k - end + steps))
+                state.training_unlabeled_forwards += views * step.report.batch_unlabeled
+                for name, branches in own.items():
+                    fields = _model_step(state.pairs[name].student, state.optimizers[name], branches, step, cfg,
+                                         lrs[epoch])
+                    _credit(cfg, step.report, fields)
+                reports.append(step.report)
+                if step_callback is not None:
+                    step_callback(state, step.report)
+            if evaluated and detection is not None:
+                worker.detect()  # queued after the steps: it scores the final students
+            if lead:  # the next epoch's first two steps, which the worker trains while this epoch is recorded
+                stage(min(end + 2, end + steps, epochs * steps))
+            if trains:
+                worker.wait(step)  # the epoch's reports are complete and state.pairs holds its students
+            report = _mean_report(reports)
+            if pretrain:
+                report.inlier_total = report.outlier_total = 0.0
+            done = functools.partial(record, epoch, state.global_epoch, state.training_unlabeled_forwards, report,
+                                     drawn)
+            state.global_epoch += 1
+            if worker is None or trains:
+                entry = done(state.pairs, detection)
+                if epoch_callback is not None:
+                    epoch_callback(state, entry)
+                continue
+            # the worker scores this epoch's teacher while this process records the previous epoch on its
+            # own copy and trains the next; nothing reads a pre-training record before the phase ends
+            scores = worker.detection() if late is not None else None
+            worker.detect()
+            teacher = state.pairs["merged"].teacher
+            copy = DualHeadModel(teacher.spec, teacher.K, teacher.params, teacher.heads)
+            if late is not None:
+                late(lambda: scores)
+            late = functools.partial(done, {"merged": TeacherStudentPair(copy, copy)})
         if late is not None:
-            late(lambda: scores)
-        late = functools.partial(done, {"merged": TeacherStudentPair(copy, copy)})
-    if late is not None:
-        late(worker.detection)
+            late(worker.detection)
+    finally:  # once per phase, with every epoch recorded: also when the phase raises
+        if cfg.dump_scores:
+            name = "pretrain" if pretrain else f"iter{state.iteration + 1}"
+            write_per_sample(state.out_dir / "per_sample" / f"{name}.npz", scored, gated,
+                             state.split.unlabeled_is_unseen)
 
 
 def train_dts_iteration(state: TrainState, step_callback=None, epoch_callback=None) -> TrainState:
@@ -691,7 +704,8 @@ def run_training(
 
     Deterministic for a fixed config seed. When ``out_dir`` is given, writes
     the metrics stream (one JSON line per epoch), per-iteration checkpoints,
-    a final summary, and the score histogram.
+    a final summary, the score histogram and, with ``config.dump_scores``, which
+    needs it, the per-sample record (``per_sample/<phase>.npz``).
 
     Holds the heap (``_hold_heap``): glibc's trim and mmap thresholds stay at
     32 MiB for the whole process, also after this call returns.
@@ -791,17 +805,10 @@ def _save_checkpoint(state: TrainState, out_path: Path, tag: str, apart: bool = 
 
 
 def _write_metrics(history: list[dict], path: Path) -> None:
-    with open(path, "w") as fh:
-        for record in history:
-            fh.write(json.dumps(record) + "\n")
+    path.write_text("".join(json.dumps(record) + "\n" for record in history))
 
 
 def _write_histogram(ev: EvalResult, path: Path) -> None:
     hist = ev.score_histogram
-    with open(path, "w") as fh:
-        fh.write("bin_lo,bin_hi,seen_count,unseen_count\n")
-        for i in range(len(hist.seen_counts)):
-            fh.write(
-                f"{hist.bin_edges[i]},{hist.bin_edges[i + 1]},"
-                f"{hist.seen_counts[i]},{hist.unseen_counts[i]}\n"
-            )
+    rows = zip(hist.bin_edges, hist.bin_edges[1:], hist.seen_counts, hist.unseen_counts)
+    path.write_text("bin_lo,bin_hi,seen_count,unseen_count\n" + "".join(f"{a},{b},{n},{m}\n" for a, b, n, m in rows))

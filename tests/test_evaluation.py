@@ -1,6 +1,4 @@
-"""Prediction, accuracy, AUROC vs the pairwise oracle, full inference, and the per-sample CSVs."""
-
-import csv
+"""Prediction, accuracy, AUROC vs the pairwise oracle, full inference, and the per-sample record."""
 
 import numpy as np
 import pytest
@@ -289,21 +287,37 @@ def test_score_histogram_counts():
 
 
 def test_per_sample_roundtrip(tmp_path):
-    # the hidden flag of each row is looked up by its index; booleans are written as 0/1
+    # one row of scores per evaluated epoch; the gate rows' blocks concatenated, each column keeping
+    # its values and dtype; the hidden flags once, which a reader joins to a row by its index
     flags = np.zeros(10, dtype=bool)
     flags[[4, 9]] = True
-    path = tmp_path / "view" / "scores.csv"
-    write_per_sample(path, [4, 2, 9], {"score": [0.25, 0.5, 1.0 / 3.0], "gate": np.array([True, False, True])},
-                     flags)
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    assert list(rows[0]) == ["index", "score", "gate", "is_unseen"]
-    assert [int(r["index"]) for r in rows] == [4, 2, 9]
-    assert [float(r["score"]) for r in rows] == [0.25, 0.5, 1.0 / 3.0]
-    assert [int(r["gate"]) for r in rows] == [1, 0, 1]
-    assert [int(r["is_unseen"]) for r in rows] == [1, 0, 1]
+    scores = np.linspace(0.0, 1.0, 10) / 3.0
+    blocks = [{"index": np.array([4, 2]), "score": np.array([0.25, 0.5]), "gate": np.array([True, False])},
+              {"index": np.array([9]), "score": np.array([1.0 / 3.0]), "gate": np.array([True])}]
+    path = tmp_path / "per_sample" / "iter1.npz"
+    write_per_sample(path, [(7, scores), (9, scores[::-1])], blocks, flags)
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    assert list(arrays) == ["eval_epoch", "eval_score", "index", "score", "gate", "is_unseen"]
+    assert arrays["eval_epoch"].tolist() == [7, 9]
+    assert np.array_equal(arrays["eval_score"], np.stack([scores, scores[::-1]]))
+    assert arrays["index"].tolist() == [4, 2, 9]
+    assert arrays["score"].tolist() == [0.25, 0.5, 1.0 / 3.0]
+    assert arrays["gate"].dtype == bool and arrays["gate"].tolist() == [True, False, True]
+    assert np.array_equal(arrays["is_unseen"], flags)
+    assert arrays["is_unseen"][arrays["index"]].tolist() == [True, False, True]
+
+
+def test_per_sample_phase_without_gate_rows(tmp_path):
+    # a phase that draws no unlabeled row, or raises before its first evaluation, still writes its file
+    path = tmp_path / "per_sample" / "pretrain.npz"
+    write_per_sample(path, [], [], np.zeros(10, dtype=bool))
+    with np.load(path) as archive:
+        assert archive.files == ["eval_epoch", "eval_score", "is_unseen"]
+        assert archive["eval_score"].shape == (0, 10)
 
 
 def test_per_sample_columns_must_align(tmp_path):
     with pytest.raises(ShapeError):
-        write_per_sample(tmp_path / "scores.csv", [4, 2, 9], {"score": [0.25, 0.5]}, np.zeros(10, dtype=bool))
+        write_per_sample(tmp_path / "iter1.npz", [], [{"index": np.array([4, 2, 9]), "score": np.array([0.25, 0.5])}],
+                         np.zeros(10, dtype=bool))

@@ -26,7 +26,7 @@ from dts_ssl.benchmarks import benchmark_config, benchmark_split
 from dts_ssl.errors import DivergenceError
 from dts_ssl.models import load_model, param_hash
 from dts_ssl.trainer import apply_ablation, run_training
-from test_trainer import one_cpu, tiny_config, tiny_split
+from test_trainer import gate_record, one_cpu, per_sample, tiny_config, tiny_split
 
 TWO_PAIR_MODES = ("full", "no_soft_weighting", "no_logit_match", "no_consistency")
 ONE_MODEL_MODES = ("no_its", "no_k1_its", "no_k1_ots", "one_f_two_c", "one_f_two_c_proj", "supervised_only")
@@ -139,29 +139,33 @@ def test_worker_run_equals_serial_run_on_the_benchmark(mode, seed, tmp_path, for
 
 @pytest.mark.parametrize("mode", ("full", "no_its"))
 def test_worker_run_equals_serial_run_with_unevaluated_epochs_and_score_dumps(mode, tmp_path, forks):
-    # epochs 3 and 6 of each iteration evaluate; each writes a score dump from the worker's scores,
-    # after the 50 that pre-training writes, one an epoch, from the worker's scores of its teacher.
-    # Every train epoch, evaluated or not, writes its gate record, byte-equal to the serial run's
+    # epochs 3 and 6 of each iteration evaluate; each adds a row of scores from the worker's scores,
+    # after the 50 that pre-training records, one an epoch, from the worker's scores of its teacher.
+    # Every train epoch, evaluated or not, adds its gate rows; each file is byte-equal to the serial run's
     config = benchmark_config(mode, 0, eval_every=3, dump_scores=True, **SHORT)
     worker, _ = assert_same_run(config, benchmark_split(0), tmp_path, forks)
     assert [np.isfinite(r["auroc"]) for r in worker.history[config.pretrain_epochs:]] == [False, False, True] * 4
-    assert len(list((tmp_path / "worker" / "score_dumps").iterdir())) == config.pretrain_epochs + 4 == 54
-    records = {path: data for path, data in run_files(tmp_path / "worker").items() if path.startswith("gate_record/")}
-    assert sorted(records) == [f"gate_record/epoch_{e:05d}.csv" for e in range(50, 62)]
-    assert records == {path: (tmp_path / "serial" / path).read_bytes() for path in records}
+    record = per_sample(tmp_path / "worker")
+    assert list(record) == ["iter1", "iter2", "pretrain"]
+    assert record["pretrain"]["eval_epoch"].tolist() == list(range(config.pretrain_epochs))
+    assert [record[phase]["eval_epoch"].tolist() for phase in ("iter1", "iter2")] == [[52, 55], [58, 61]]
+    assert sorted(gate_record(tmp_path / "worker")) == list(range(50, 62))
+    files = {path: data for path, data in run_files(tmp_path / "worker").items() if path.startswith("per_sample/")}
+    assert files == {path: (tmp_path / "serial" / path).read_bytes() for path in files} and len(files) == 3
 
 
 @pytest.mark.parametrize("mode", ("full", "no_k1_ots", "one_f_two_c_proj"))
 def test_per_sample_outputs_leave_the_history_unchanged(mode, tmp_path, forks):
-    # with dump_scores on, both paths write the score dumps and the gate record, and the history
-    # is the one a run with it off gives
+    # with dump_scores on, both paths write the per-sample record, one file per phase, and the
+    # history is the one a run with it off gives
     histories = []
     for dump in (False, True):
         for path, run in (("worker", lambda f: f()), ("serial", serial)):
             out = tmp_path / f"{path}-{dump}"
             result = run(lambda: run_training(tiny_config(mode, dump_scores=dump), tiny_split(), out_dir=out))
             histories.append(json.dumps(result.history))
-            assert (out / "gate_record").is_dir() == (out / "score_dumps").is_dir() == dump
+            assert sorted(p.name for p in out.glob("per_sample/*")) == (["iter1.npz", "iter2.npz", "pretrain.npz"]
+                                                                      if dump else [])
     assert len(forks) == 2 and all(map(reaped, forks))
     assert len(set(histories)) == 1
 
@@ -543,7 +547,8 @@ def test_dead_worker_is_reported_and_reaped(tmp_path, forks):
 def test_divergence_raises_the_same_error_on_both_paths(mode, lr, where, tmp_path, forks):
     # tanh at lr=1e6 sends the students' parameters to non-finite values in global epoch 56, the
     # first of iteration 0, while every loss value stays finite; at lr=1e8 the teacher's go in
-    # pre-training, and no pair is derived. Either path raises before that epoch's evaluation
+    # pre-training, and no pair is derived. Either path raises before that epoch's evaluation, and
+    # writes the records of the epochs before it
     config, split = benchmark_config(mode, 0, activation="tanh", lr=lr), benchmark_split(0)
     caught = []
     for out, run in (("worker", lambda f: f()), ("serial", serial)):
@@ -556,7 +561,8 @@ def test_divergence_raises_the_same_error_on_both_paths(mode, lr, where, tmp_pat
     assert len(forks) == 1 and reaped(forks[0])
     assert run_files(tmp_path / "worker") == run_files(tmp_path / "serial")
     if "pretrain" in where:
-        assert "students ['merged']" in str(caught[0]) and run_files(tmp_path / "worker") == {}
+        assert "students ['merged']" in str(caught[0]) and list(run_files(tmp_path / "worker")) == ["metrics.jsonl"]
+        assert len((tmp_path / "worker" / "metrics.jsonl").read_text().splitlines()) == 32
     else:
         aborted(tmp_path / "worker", [name for name, _ in apply_ablation(mode, config).pairs])
 
@@ -576,3 +582,51 @@ def test_overflowing_scores_raise_the_same_divergence_error_on_both_paths(mode, 
     assert len(forks) == 1 and reaped(forks[0])
     assert caught == ["training diverged in phase pretrain, iteration -1, global epoch 13: "
                       "2000 non-finite evaluation scores of 2000"] * 2
+
+
+@pytest.mark.parametrize("mode", ("full", "no_its"))
+def test_a_run_that_raises_in_pre_training_keeps_its_records(mode, tmp_path, forks):
+    # relu at lr=1e6 overflows the teacher's scores of pre-training epoch 13 (the worker finds it one
+    # epoch late); both paths keep epochs 0-12 in metrics.jsonl and per_sample/pretrain.npz, byte-equal
+    config, split = benchmark_config(mode, 0, activation="relu", lr=1e6, dump_scores=True), benchmark_split(0)
+    for out, run in (("worker", lambda f: f()), ("serial", serial)):
+        with warnings.catch_warnings(), pytest.raises(DivergenceError, match="global epoch 13: "):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run(lambda: run_training(config, split, out_dir=tmp_path / out))
+    assert len(forks) == 1 and reaped(forks[0])
+    files = run_files(tmp_path / "worker")
+    assert sorted(files) == ["metrics.jsonl", "per_sample/pretrain.npz"] and files == run_files(tmp_path / "serial")
+    assert [json.loads(line)["global_epoch"] for line in files["metrics.jsonl"].splitlines()] == list(range(13))
+    assert per_sample(tmp_path / "worker")["pretrain"]["eval_epoch"].tolist() == list(range(13))
+
+
+def test_a_trainer_patch_made_while_pairworker_is_first_imported_does_not_stay_in_the_worker():
+    # the worker calls the trainer's functions as they are when it runs: a spy on _model_step that
+    # is in place when pairworker is first imported, and gone after, never reaches a worker run.
+    # Run in a fresh interpreter, where nothing has imported pairworker yet
+    script = """
+import os, sys
+from dts_ssl import trainer
+from test_trainer import tiny_config, tiny_split
+
+assert "dts_ssl.pairworker" not in sys.modules
+original, forks, fork = trainer._model_step, [], os.fork
+
+def spy(*args):
+    raise KeyError("the spy ran")
+
+def counted():
+    pid = fork()
+    forks.append(pid) if pid else None
+    return pid
+
+trainer._model_step, os.fork = spy, counted
+from dts_ssl import pairworker
+trainer._model_step = original
+result = trainer.run_training(tiny_config(), tiny_split())
+print(len(forks), len(result.history))
+"""
+    path = os.pathsep.join((str(Path(pairworker.__file__).parents[1]), str(Path(__file__).parent)))
+    done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "1 10\n"), done.stderr

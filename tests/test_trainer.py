@@ -1,7 +1,6 @@
 """Training orchestration: pre-training, iteration structure, ablations, determinism."""
 
 import contextlib
-import csv
 import ctypes
 import dataclasses
 import json
@@ -368,6 +367,18 @@ class TestPretrainTeacher:
         with pytest.raises(ValidationError, match="labels must lie"):
             pretrain_teacher(teacher, split, tiny_config(), np.random.default_rng(0), np.ones(split.dim))
 
+    def test_per_sample_record_needs_an_output_directory(self, monkeypatch):
+        # with dump_scores on and no directory to write the record to, both entry points refuse the
+        # config before any epoch runs
+        monkeypatch.setattr(trainer, "_run_epochs", lambda *args, **kwargs: pytest.fail("an epoch ran"))
+        split, config = tiny_split(), tiny_config(dump_scores=True)
+        teacher = init_teacher(BackboneSpec(input_dim=split.dim), split.K, 0)
+        with pytest.raises(ValidationError, match="dump_scores"):
+            pretrain_teacher(teacher, split, config, np.random.default_rng(0), np.ones(split.dim))
+        with pytest.raises(ValidationError, match="dump_scores"):
+            run_training(config, split)
+        assert not teacher.pretrained
+
     def test_separable_data_learned(self):
         # weight decay off: it settles into a tiny limit cycle after the
         # separable data is interpolated, which is not the descent property
@@ -640,12 +651,16 @@ class TestAblationBehavior:
         assert first_on <= first_off
 
     def test_score_dump_files(self, tmp_path):
-        run_training(tiny_config(dump_scores=True), tiny_split(), out_dir=tmp_path)
-        dumps = sorted((tmp_path / "score_dumps").glob("epoch_*.csv"))
-        assert len(dumps) == 4 + 6  # one per pre-training epoch, then one per train epoch
-        header = dumps[0].read_text().splitlines()[0]
-        assert header == "index,score,is_unseen"
-        assert len(dumps[0].read_text().splitlines()) == 1 + 120  # unlabeled set size
+        split = tiny_split()
+        result = run_training(tiny_config(dump_scores=True), split, out_dir=tmp_path)
+        record = per_sample(tmp_path)
+        assert list(record) == ["iter1", "iter2", "pretrain"]  # one file per phase
+        # one row of scores per evaluated epoch: each pre-training epoch, then each train epoch
+        epochs = np.concatenate([record[phase]["eval_epoch"] for phase in ("pretrain", "iter1", "iter2")])
+        assert epochs.tolist() == list(range(4 + 6)) == [entry["global_epoch"] for entry in result.history]
+        assert record["pretrain"]["eval_score"].shape == (4, 120)  # unlabeled set size
+        assert list(record["pretrain"]) == ["eval_epoch", "eval_score", "is_unseen"]
+        assert np.array_equal(record["iter1"]["is_unseen"], split.unlabeled_is_unseen)
 
     def test_score_dump_makes_no_extra_forwards(self, tmp_path, monkeypatch):
         # the dump writes the scores the epoch's evaluation already computed
@@ -660,7 +675,7 @@ class TestAblationBehavior:
             return per_epoch
 
         assert logits_per_epoch(True, tmp_path / "on") == logits_per_epoch(False, tmp_path / "off")
-        assert len(list((tmp_path / "on" / "score_dumps").glob("epoch_*.csv"))) == 4 + 6
+        assert sum(len(arrays["eval_score"]) for arrays in per_sample(tmp_path / "on").values()) == 4 + 6
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_inlier_student_reads_nothing_from_the_outlier_pair(self, seed):
@@ -1141,12 +1156,26 @@ class TestHeapPolicy:
         assert len(result.history) == 2  # one pre-train and one training epoch
 
 
-def gate_record(run_dir: Path) -> dict[int, list[dict]]:
-    """The rows of each ``gate_record`` file of a run, by global epoch."""
+def per_sample(run_dir: Path) -> dict[str, dict[str, np.ndarray]]:
+    """The arrays of each ``per_sample`` file of a run, in file order, by phase (``pretrain``, ``iter1``, ...)."""
     record = {}
-    for path in sorted((run_dir / "gate_record").glob("epoch_*.csv")):
-        with open(path, newline="") as fh:
-            record[int(path.stem.split("_")[1])] = list(csv.DictReader(fh))
+    for path in sorted((run_dir / "per_sample").glob("*.npz")):
+        with np.load(path) as archive:
+            record[path.stem] = {name: archive[name] for name in archive.files}
+    return record
+
+
+def gate_record(run_dir: Path) -> dict[int, dict[str, np.ndarray]]:
+    """The gate table of a run by global epoch: its columns, in file order, then ``is_unseen`` joined
+    by index."""
+    record = {}
+    for arrays in per_sample(run_dir).values():
+        if "epoch" not in arrays:  # a phase that drew no unlabeled row
+            continue
+        columns = list(arrays)[2:-1]  # between the evaluation scores and the flags
+        for epoch in np.unique(arrays["epoch"]):
+            rows = {name: arrays[name][arrays["epoch"] == epoch] for name in columns}
+            record[int(epoch)] = {**rows, "is_unseen": arrays["is_unseen"][rows["index"]]}
     return record
 
 
@@ -1166,21 +1195,23 @@ class TestGateRecord:
         train = [entry for entry in result.history if entry["phase"] == "train"]
         # supervised_only draws no unlabeled row, so it writes no file
         assert sorted(record) == ([entry["global_epoch"] for entry in train] if roles else [])
-        columns = ["index", "step", "score"]
+        columns = ["epoch", "step", "index", "score"]
         for role in roles:
             columns += [f"gate_{role}", *[f"clause_{role}"] * clause, f"pseudo_{role}"]
+        for arrays in per_sample(tmp_path).values():  # the table's columns, then the flags once
+            assert list(arrays) == ["eval_epoch", "eval_score", *(columns if "epoch" in arrays else ()), "is_unseen"]
+            assert np.array_equal(arrays["is_unseen"], split.unlabeled_is_unseen)
         for entry in train if roles else ():
             rows, reports = record[entry["global_epoch"]], steps[entry["global_epoch"]]
-            assert list(rows[0]) == [*columns, "is_unseen"]
-            assert len(rows) == sum(rep.batch_unlabeled for rep in reports)
-            assert [int(r["step"]) for r in rows] == [i for i, rep in enumerate(reports)
-                                                      for _ in range(rep.batch_unlabeled)]
-            index = np.array([int(r["index"]) for r in rows])
+            assert list(rows) == [*columns, "is_unseen"]
+            assert len(rows["index"]) == sum(rep.batch_unlabeled for rep in reports)
+            assert rows["step"].tolist() == [i for i, rep in enumerate(reports) for _ in range(rep.batch_unlabeled)]
+            index = rows["index"]
             assert index.min() >= 0 and index.max() < len(split.unlabeled_x)
-            assert [int(r["is_unseen"]) for r in rows] == split.unlabeled_is_unseen[index].astype(int).tolist()
+            assert rows["is_unseen"].tolist() == split.unlabeled_is_unseen[index].tolist()
             for role, field in (("inlier", "pass_count_in"), ("outlier", "pass_count_out")):
                 if role in roles:  # the record's count is the mean of its steps' counts
-                    assert sum(int(r[f"gate_{role}"]) for r in rows) / len(reports) == entry[field]
+                    assert rows[f"gate_{role}"].sum() / len(reports) == entry[field]
 
     @pytest.mark.parametrize("exclude", (False, True))
     @pytest.mark.parametrize("mode", ("full", "no_its", "one_f_two_c"))
@@ -1191,12 +1222,13 @@ class TestGateRecord:
         monkeypatch.setattr(trainer, "_draw_step", lambda state, batch: drawn.append(draw(state, batch)) or drawn[-1])
         split = tiny_split()
         run_training(tiny_config(mode, dump_scores=True, tau=0.3, exclude_k1_pseudo=exclude), split, out_dir=tmp_path)
-        rows = [row for epoch in gate_record(tmp_path).values() for row in epoch]
+        epochs = gate_record(tmp_path).values()
+        rows = {name: np.concatenate([epoch[name] for epoch in epochs]) for name in next(iter(epochs))}
         steps = [step for step in drawn if step.scores is not None]
         scores = np.concatenate([step.scores for step in steps])
-        assert np.array_equal([float(r["score"]) for r in rows], scores)
+        assert np.array_equal(rows["score"], scores)
         for role in self.MODES[mode][0]:
-            gate, clause, pseudo = (np.array([int(r[f"{c}_{role}"]) for r in rows]) for c in ("gate", "clause", "pseudo"))
+            gate, clause, pseudo = (rows[f"{c}_{role}"] for c in ("gate", "clause", "pseudo"))
             max_conf = class_max(np.concatenate([step.targets[role][2] for step in steps], axis=1))
             assert np.array_equal(clause, max_conf > scores)
             expected = (max_conf > 0.3) & (clause == 1)
