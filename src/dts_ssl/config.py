@@ -12,8 +12,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .data import AugmentConfig, DatasetSpec, SplitSpec, capacity_checks, split_checks, split_sizes
-from .errors import ValidationError, replace_fields, require_all, type_checks
+from .data import AugmentConfig, DatasetSpec, SplitSpec
+from .errors import CapacityError, GenerationError, ValidationError, replace_fields, require_all, type_checks
 from .numerics import ACTIVATIONS
 
 
@@ -234,16 +234,15 @@ class ExperimentConfig:
                 getattr(self, name).validate()
             except ValidationError as exc:
                 problems += [f"{name}.{problem}" for problem in exc.problems]
-        if not problems and self.dataset.kind == "synthetic":  # its pool is known before it is built
-            classes, split = self.dataset.k_seen + self.dataset.k_unseen, self.split
-            fit = split_checks(**dataclasses.asdict(split), class_count=classes)
-            problems += [f"split.{msg}" for ok, msg in fit if not ok]
-            if not problems:  # each class holds per_class examples; the first shortfall, as a run would raise it
-                seen = len(set(split.seen_class_ids)) * self.dataset.per_class
-                sizes = split_sizes(seen, split.mismatch_ratio, split.labeled_size, split.unlabeled_size,
-                                    split.test_fraction)
-                fit = capacity_checks(sizes, seen, classes * self.dataset.per_class - seen)
-                problems += [f"split: {msg}" for ok, msg in fit if not ok][:1]
+        if not problems and self.dataset.kind != "cifar10":  # a pool that loads whole is split as a run splits it
+            try:  # part sizes depend only on the pool's counts, so one seed's build stands for every seed's
+                self.split.build(self.dataset.load(), seed=0)
+            except ValidationError as exc:
+                problems += [f"split.{problem}" for problem in exc.problems]
+            except CapacityError as exc:
+                problems.append(f"split: {exc}")
+            except GenerationError as exc:
+                problems.append(f"dataset: {exc}")
         if not self.seeds:
             problems.append("seeds: must list at least one seed")
         elif not any(msg.startswith("seeds:") for msg in problems):  # a list of integers

@@ -101,7 +101,9 @@ def build_mismatch_split(
     The unlabeled set gets round(n * ratio) unseen-class examples and the
     remainder from seen classes, shuffled together. The labeled and test sets
     contain only seen classes, with labels remapped to 1..K. Deterministic for
-    a fixed seed.
+    a fixed seed. This is where a split's fit is decided: a request that the
+    dataset cannot fill, or whose test part rounds to no example, raises
+    :class:`CapacityError`, the first shortfall in the order the parts are taken.
     """
     seen = tuple(sorted(set(int(c) for c in seen_class_ids)))
     require_all(split_checks(seen, ratio, m, n, test_fraction, class_count=dataset.class_count))
@@ -113,12 +115,23 @@ def build_mismatch_split(
     rng.shuffle(seen_pool)
     rng.shuffle(unseen_pool)
 
-    sizes = split_sizes(len(seen_pool), ratio, m, n, test_fraction)
-    for ok, msg in capacity_checks(sizes, len(seen_pool), len(unseen_pool)):
-        if not ok:
-            raise CapacityError(msg)
-    test_idx, labeled_idx, unlabeled_seen, _ = np.split(seen_pool, np.cumsum(list(sizes.values())[:3]))
-    unlabeled_idx = np.concatenate([unlabeled_seen, unseen_pool[:sizes["unlabeled unseen-class"]]])
+    # the seen-class parts in the order they are taken from the seen-class pool, then the unseen-class part
+    n_unseen = round_half_up(n * ratio)
+    parts = {"test (seen classes)": round_half_up(test_fraction * len(seen_pool)),
+             "labeled (seen classes)": m, "unlabeled seen-class": n - n_unseen}
+    if not parts["test (seen classes)"]:
+        raise CapacityError(f"test (seen classes) part is empty: test_fraction {test_fraction} of "
+                            f"{len(seen_pool)} seen-class examples rounds to 0")
+    left = len(seen_pool)
+    for name, count in parts.items():
+        if count > left:
+            raise CapacityError(f"{name} pool exhausted: need {count} more examples, "
+                                f"only {left} of {len(seen_pool)} seen-class examples left")
+        left -= count
+    if n_unseen > len(unseen_pool):
+        raise CapacityError(f"unlabeled unseen-class pool exhausted: need {n_unseen}, have {len(unseen_pool)}")
+    test_idx, labeled_idx, unlabeled_seen, _ = np.split(seen_pool, np.cumsum(list(parts.values())))
+    unlabeled_idx = np.concatenate([unlabeled_seen, unseen_pool[:n_unseen]])
     rng.shuffle(unlabeled_idx)
 
     remap = {orig: i + 1 for i, orig in enumerate(seen)}
@@ -151,7 +164,8 @@ def split_checks(seen_class_ids, mismatch_ratio, labeled_size, unlabeled_size, t
         (labeled_size >= 1, f"labeled_size: must be >= 1, got {labeled_size}"),
         (unlabeled_size >= 1, f"unlabeled_size: must be >= 1, got {unlabeled_size}"),
         (0.0 < test_fraction < 1.0, f"test_fraction: must lie in (0, 1), got {test_fraction}"),
-        (bool(seen), "seen_class_ids: must be nonempty"),
+        # the models classify among K >= 2 seen classes
+        (len(seen) >= 2, f"seen_class_ids: must name at least two classes, got {sorted(seen)}"),
     ]
     if class_count is not None:
         classes = set(range(1, class_count + 1))
@@ -161,31 +175,6 @@ def split_checks(seen_class_ids, mismatch_ratio, labeled_size, unlabeled_size, t
              "mismatch_ratio: > 0 needs at least one unseen class in the dataset"),
         ]
     return checks
-
-
-def split_sizes(seen_pool: int, mismatch_ratio, labeled_size, unlabeled_size, test_fraction) -> dict[str, int]:
-    """The example count of each part of a split, in the order the parts are taken: the test,
-    labeled and unlabeled seen-class parts from a seen-class pool of ``seen_pool`` examples,
-    then the unlabeled unseen-class part from the unseen-class pool."""
-    n_unseen = round_half_up(unlabeled_size * mismatch_ratio)
-    return {
-        "test (seen classes)": round_half_up(test_fraction * seen_pool),
-        "labeled (seen classes)": labeled_size,
-        "unlabeled seen-class": unlabeled_size - n_unseen,
-        "unlabeled unseen-class": n_unseen,
-    }
-
-
-def capacity_checks(sizes: dict[str, int], seen_pool: int, unseen_pool: int) -> list:
-    """The ``(ok, message)`` checks that pools of ``seen_pool`` seen-class and ``unseen_pool``
-    unseen-class examples hold the parts that :func:`split_sizes` gives, in its order."""
-    *seen_parts, (unseen_part, n_unseen) = sizes.items()
-    checks, left = [], seen_pool
-    for name, count in seen_parts:
-        checks.append((count <= left, f"{name} pool exhausted: need {count} more examples, "
-                                      f"only {max(left, 0)} of {seen_pool} seen-class examples left"))
-        left -= count
-    return checks + [(n_unseen <= unseen_pool, f"{unseen_part} pool exhausted: need {n_unseen}, have {unseen_pool}")]
 
 
 def _synthetic_checks(k_seen, k_unseen, dim, per_class, separation, noise) -> list:

@@ -32,15 +32,17 @@ any, and evaluates. This is the one statement of the schedule
   from which the worker copies it: after pre-training the worker trains and
   scores only values the parent put there.
 - Steps. Steps are drawn only when they are staged, in order, on both paths.
-  The parent stages step i+1 of an epoch in one of ``_SLOTS`` (two) slots, used
-  in turn, before it trains its own model on step i, so the worker trains ahead
-  of the parent. A run with a step callback has no worker and draws each step
-  just before it trains it.
+  A phase in which the worker trains no model (pre-training, and every phase of
+  a run without a worker) draws each step just before training it. In the
+  iterations the parent stages step i+1 of an epoch in one of ``_SLOTS`` (two)
+  slots, used in turn, before it trains its own model on step i, so the worker
+  trains ahead of the parent.
 - Epoch ends. After an epoch's steps the parent queues a detect command (an
-  evaluated epoch, where the worker detects), stages the next epoch's first two
-  steps (none past a phase's end), and only then evaluates, records and calls
-  back, while the worker trains on. So ``state.rng`` and ``state.sampler`` are
-  at most two steps ahead of the parent's training.
+  evaluated epoch, where the worker detects); in the iterations it stages the
+  next epoch's first two steps (none past a phase's end), and only then
+  evaluates, records and calls back, while the worker trains on. So
+  ``state.rng`` and ``state.sampler`` are at most two steps ahead of the
+  parent's training.
 - Publications. After an epoch's last step the worker copies its model's
   parameters and SGD velocity into the mapping. When the parent takes that
   step's reply, it copies both into its own copy of the model

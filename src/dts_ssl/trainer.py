@@ -569,7 +569,6 @@ def _run_epochs(state: TrainState, step_callback=None, epoch_callback=None) -> N
     draws = (_draw_step(state, batch) for _ in range(epochs) for batch in state.sampler.epoch())
     staged = collections.deque()  # drawn in order, not yet trained here
     taken = 0  # steps of the phase staged so far
-    lead = 0 if step_callback is not None else 1  # steps staged ahead of this process's own
     scored, gated = [], []  # with cfg.dump_scores, the phase's per-sample record: (epoch, scores), gate rows
     late = None  # pre-training with a worker: the previous epoch's record, made after this epoch's steps
 
@@ -611,7 +610,7 @@ def _run_epochs(state: TrainState, step_callback=None, epoch_callback=None) -> N
             evaluated = (epoch + 1) % eval_every == 0 or epoch == epochs - 1
             end, reports, drawn = (epoch + 1) * steps, [], []
             for k in range(end - steps, end):
-                stage(min(k + 1 + lead, end))
+                stage(min(k + 1 + trains, end))
                 step = staged.popleft()
                 if cfg.dump_scores and step.scores is not None:
                     drawn.append(_gate_rows(state, step, state.global_epoch, k - end + steps))
@@ -625,9 +624,8 @@ def _run_epochs(state: TrainState, step_callback=None, epoch_callback=None) -> N
                     step_callback(state, step.report)
             if evaluated and detection is not None:
                 worker.detect()  # queued after the steps: it scores the final students
-            if lead:  # the next epoch's first two steps, which the worker trains while this epoch is recorded
+            if trains:  # the next epoch's first two steps, which the worker trains while this epoch is recorded
                 stage(min(end + 2, end + steps, epochs * steps))
-            if trains:
                 worker.wait(step)  # the epoch's reports are complete and state.pairs holds its students
             report = _mean_report(reports)
             if pretrain:

@@ -59,6 +59,8 @@ TINY_CONFIG = {
     },
     "seeds": [0],
 }
+# how a run of TINY_CONFIG at train.lr=1e300, a rate validation accepts, fails
+DIVERGED = "training diverged in phase pretrain, iteration -1, global epoch 0"
 
 
 @pytest.fixture
@@ -71,7 +73,7 @@ def config_file(tmp_path):
 @pytest.fixture
 def csv_config_file(tmp_path):
     """TINY_CONFIG with its synthetic pool written out as a CSV dataset, whose size no config
-    states: a split it cannot fill passes validation and fails in the run."""
+    states: validation loads it and builds the split from it, as a run does."""
     pool = tmp_path / "pool.csv"
     save_dataset(ExperimentConfig.from_dict(TINY_CONFIG).dataset.load(), pool)
     path = tmp_path / "csv_config.json"
@@ -271,10 +273,12 @@ class TestRunVerb:
         manifest = run_experiment(config_file, ["train.ablation_mode=supervised_only"])
         assert str(tmp_path / "envroot") in manifest.out_dir
 
-    @pytest.mark.parametrize("verb, loads", [(["run"], 1),
-                                             (["sweep", "--axis", "train.tau", "--values", "0.7,0.9"], 2)])
-    def test_each_point_loads_its_dataset_once(self, csv_config_file, tmp_path, monkeypatch, verb, loads):
-        # a run's seeds share one load of the dataset; each point of a sweep loads its own
+    @pytest.mark.parametrize("verb, validations, points", [
+        (["run"], 1, 1), (["sweep", "--axis", "train.tau", "--values", "0.7,0.9"], 3, 2)])
+    def test_each_point_loads_its_dataset_once(self, csv_config_file, tmp_path, monkeypatch, verb, validations,
+                                               points):
+        # a run's seeds share one load of the dataset; each point of a sweep loads its own, and each
+        # validation (the config's, then each sweep point's) loads one to build the split from
         calls, load = [], DatasetSpec.load
 
         def counted(spec):
@@ -285,9 +289,9 @@ class TestRunVerb:
         argv = [*verb, "--config", str(csv_config_file), "--seeds", "2", "--ablation", "supervised_only",
                 "--out-dir", str(tmp_path / "out")]
         assert main(argv) == 0
-        assert len(calls) == loads
+        assert len(calls) == validations + points
         (manifest_file,) = (tmp_path / "out").rglob("manifest.json")
-        assert [r["status"] for r in RunManifest.load(manifest_file).runs] == ["completed"] * 2 * loads
+        assert [r["status"] for r in RunManifest.load(manifest_file).runs] == ["completed"] * 2 * points
 
 
     @pytest.mark.parametrize("verb", [["validate-config"], ["run", "--seeds", "2"],
@@ -393,9 +397,11 @@ class TestFailedRuns:
 
     @pytest.mark.parametrize("verb", sorted(VERBS))
     def test_failure_recorded_and_exit_three(self, csv_config_file, tmp_path, verb, capsys):
-        argv = [verb, "--config", str(csv_config_file), "--set", "split.unlabeled_size=100000",
+        argv = [verb, "--config", str(csv_config_file), "--set", "train.lr=1e300",
                 "--out-dir", str(tmp_path / "out"), *self.VERBS[verb]]
-        assert main(argv) == 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(argv) == 3
         count = 2 if verb == "sweep" else 1
         assert f"{count} of {count} runs failed" in capsys.readouterr().err
         (manifest_file,) = (tmp_path / "out").rglob("manifest.json")
@@ -403,7 +409,7 @@ class TestFailedRuns:
         assert len(runs) == count
         for r in runs:
             assert r["status"] == "failed"
-            assert r["error"].startswith("CapacityError: ")
+            assert r["error"].startswith(f"DivergenceError: {DIVERGED}")
             assert ("axis" in r and "axis_value" in r) == (verb == "sweep")
         with open(manifest_file.parent / "report_runs.csv") as fh:
             assert list(csv.DictReader(fh)) == []
@@ -492,8 +498,10 @@ class TestReportVerb:
 
     def test_include_incomplete_lists_failed_runs_and_keeps_the_aggregate(self, csv_config_file, tmp_path):
         argv = ["sweep", "--config", str(csv_config_file), "--ablation", "supervised_only",
-                "--axis", "split.unlabeled_size", "--values", "90,100000", "--out-dir", str(tmp_path / "out")]
-        assert main(argv) == 3  # the second value asks for more examples than the dataset has
+                "--axis", "train.lr", "--values", "0.08,1e300", "--out-dir", str(tmp_path / "out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(argv) == 3  # the second value diverges in its first epoch
         (manifest,) = (tmp_path / "out").rglob("manifest.json")
         base = manifest.parent
         aggregate = (base / "report_aggregate.csv").read_bytes()
@@ -502,9 +510,12 @@ class TestReportVerb:
         assert main(["report", "--manifest", str(manifest), "--include-incomplete"]) == 0
         with open(base / "report_runs.csv") as fh:
             rows = list(csv.DictReader(fh))
-        assert [(r["axis_value"], r["status"]) for r in rows] == [("90", "completed"), ("100000", "failed")]
+        assert [(r["axis_value"], r["status"]) for r in rows] == [("0.08", "completed"), ("1e300", "failed")]
         assert (base / "report_aggregate.csv").read_bytes() == aggregate
-        assert [p.name for p in (base / "auroc_by_epoch").iterdir()] == ["split_unlabeled_size=90__seed0.csv"]
+        series = {p.name: p.read_text().splitlines() for p in (base / "auroc_by_epoch").iterdir()}
+        assert sorted(series) == ["train_lr=0.08__seed0.csv", "train_lr=1e300__seed0.csv"]
+        # the failed run recorded no epoch before it diverged
+        assert series["train_lr=1e300__seed0.csv"] == ["phase,global_epoch,auroc,test_accuracy"]
 
     @pytest.mark.parametrize("text, reason", [
         ("runs: none", "Expecting value"),
@@ -681,24 +692,34 @@ class TestValidateConfigVerb:
         bad.write_text(json.dumps(raw))
         assert_rejected(bad, tmp_path, capsys, f"{section}: unknown config fields: ['bogus']")
 
-    @pytest.mark.parametrize("section, fields, message", [
-        ("dataset", {"per_class": 0}, "dataset.per_class: must be >= 1, got 0"),
-        ("dataset", {"k_unseen": -3}, "dataset.k_unseen: must be >= 0, got -3"),
-        ("dataset", {"separation": 0}, "dataset.separation: must be finite and > 0, got 0"),
-        ("dataset", {"noise": -1}, "dataset.noise: must be finite and > 0, got -1"),
-        ("dataset", {"separation": float("inf")}, "dataset.separation: must be finite and > 0, got inf"),
-        ("dataset", {"noise": float("inf")}, "dataset.noise: must be finite and > 0, got inf"),
-        ("split", {"seen_class_ids": [1, 2, 9]}, "split.seen_class_ids: [1, 2, 9] not all among classes 1..4"),
-        ("dataset", {"k_unseen": 0}, "split.mismatch_ratio: > 0 needs at least one unseen class"),
-        ("dataset", {"max_per_class": 2},
-         "dataset.max_per_class: only a cifar10 dataset subsamples, got 2 for kind 'synthetic'"),
-        ("dataset", {"path": "/no/such.csv"},
-         "dataset.path: only a csv or cifar10 dataset reads a path, got '/no/such.csv' for kind 'synthetic'"),
+    @pytest.mark.parametrize("config, section, fields, message", [
+        *[("config_file", *case) for case in [
+            ("dataset", {"per_class": 0}, "dataset.per_class: must be >= 1, got 0"),
+            ("dataset", {"k_unseen": -3}, "dataset.k_unseen: must be >= 0, got -3"),
+            ("dataset", {"separation": 0}, "dataset.separation: must be finite and > 0, got 0"),
+            ("dataset", {"noise": -1}, "dataset.noise: must be finite and > 0, got -1"),
+            ("dataset", {"separation": float("inf")}, "dataset.separation: must be finite and > 0, got inf"),
+            ("dataset", {"noise": float("inf")}, "dataset.noise: must be finite and > 0, got inf"),
+            ("split", {"seen_class_ids": [1, 2, 9]}, "split.seen_class_ids: [1, 2, 9] not all among classes 1..4"),
+            ("dataset", {"k_unseen": 0}, "split.mismatch_ratio: > 0 needs at least one unseen class"),
+            ("dataset", {"max_per_class": 2},
+             "dataset.max_per_class: only a cifar10 dataset subsamples, got 2 for kind 'synthetic'"),
+            ("dataset", {"path": "/no/such.csv"},
+             "dataset.path: only a csv or cifar10 dataset reads a path, got '/no/such.csv' for kind 'synthetic'"),
+            ("split", {"seen_class_ids": [1]}, "split.seen_class_ids: must name at least two classes, got [1]"),
+            ("split", {"test_fraction": 0.001},
+             "split: test (seen classes) part is empty: test_fraction 0.001 of 360 seen-class examples rounds to 0"),
+            ("dataset", {"k_seen": 20, "dim": 2},
+             "dataset: could not place 21 cluster centers at separation 3.0 in 2 dimensions after 1000 tries"),
+        ]],
+        ("csv_config_file", "split", {"seen_class_ids": [1, 2, 9]},
+         "split.seen_class_ids: [1, 2, 9] not all among classes 1..4"),
     ])
-    def test_data_the_generator_or_split_would_reject_exit_two(self, tmp_path, config_file, section, fields,
+    def test_data_the_generator_or_split_would_reject_exit_two(self, tmp_path, request, config, section, fields,
                                                                message, capsys):
-        """Every rule of the synthetic generator and of the split is checked before any run starts."""
-        raw = json.loads(config_file.read_text())
+        """Every rule of the synthetic generator and of the split, and whether the generator places its
+        clusters and the split fits its pool, is checked before any run starts."""
+        raw = json.loads(request.getfixturevalue(config).read_text())
         raw[section].update(fields)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))
@@ -775,12 +796,17 @@ class TestValidateConfigVerb:
         bad.write_text(json.dumps(raw))
         assert_rejected(bad, tmp_path, capsys, f"split: {message}")
 
+    @pytest.mark.parametrize("kind", ["synthetic", "csv"])
     @pytest.mark.parametrize("per_class", range(30, 40))
-    def test_synthetic_capacity_is_the_one_a_run_meets(self, per_class):
+    def test_capacity_is_the_one_a_run_meets(self, tmp_path, kind, per_class):
         # TINY_CONFIG's split fits from per_class 36 on: below 33 its seen-class parts overflow, below
-        # 36 its 36 unseen-class examples do. Validation refuses what the build refuses, with its message
+        # 36 its 36 unseen-class examples do. Validation refuses what the build refuses, with its message,
+        # for the generator's pool and for the same pool read from a CSV file
         config = ExperimentConfig.from_dict(TINY_CONFIG)
         config.dataset.per_class = per_class
+        if kind == "csv":
+            save_dataset(config.dataset.load(), tmp_path / "pool.csv")
+            config.dataset = DatasetSpec(kind="csv", path=str(tmp_path / "pool.csv"))
         try:
             config.split.build(config.dataset.load(), seed=0)
         except CapacityError as exc:

@@ -86,6 +86,18 @@ class TestBuildMismatchSplit:
         with pytest.raises(CapacityError, match="labeled"):
             build_mismatch_split(ds, [1, 2], ratio=0.0, m=1000, n=5, test_fraction=0.1, seed=0)
 
+    def test_one_seen_class_rejected(self):
+        # the models classify among K >= 2 seen classes
+        with pytest.raises(ValidationError, match=r"seen_class_ids: must name at least two classes, got \[1\]"):
+            build_mismatch_split(small_dataset(), [1], ratio=0.5, m=10, n=20)
+
+    def test_test_part_that_rounds_to_no_example_rejected(self):
+        ds = small_dataset(classes=4, per_class=50)  # two seen classes: 100 seen-class examples
+        with pytest.raises(CapacityError, match=r"test \(seen classes\) part is empty: test_fraction 0.004 of 100"):
+            build_mismatch_split(ds, [1, 2], ratio=0.5, m=10, n=20, test_fraction=0.004)
+        split = build_mismatch_split(ds, [1, 2], ratio=0.5, m=10, n=20, test_fraction=0.005)
+        assert len(split.test_x) == 1  # 0.5 rounds half up
+
     def test_needs_unseen_class_when_ratio_positive(self):
         ds = small_dataset(classes=3, per_class=100)
         with pytest.raises(ValidationError):

@@ -461,6 +461,20 @@ class TestRunTrainingStructure:
             b = pair.student.probs(split.test_x, head)
             assert np.array_equal(a, b)
 
+    def test_a_step_callback_leaves_the_serial_draw_schedule_as_it_is(self, monkeypatch):
+        # with no worker training a model, every step is drawn just before it is trained, whether or
+        # not a step callback is set: each epoch callback finds state.rng where the other run has it
+        monkeypatch.setattr("dts_ssl.pairworker.attached", lambda *args: contextlib.nullcontext())
+
+        def rng_states(**callbacks):
+            states = []
+            run_training(tiny_config(), tiny_split(), **callbacks,
+                         epoch_callback=lambda state, record: states.append(state.rng.bit_generator.state))
+            return states
+
+        with_steps = rng_states(step_callback=lambda state, report: None)
+        assert len(with_steps) == 6 and with_steps == rng_states()
+
     def test_supervised_only_never_touches_unlabeled(self):
         counts = []
         result = run_training(
