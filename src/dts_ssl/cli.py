@@ -13,7 +13,6 @@ output root comes from --out-dir, the config, or $DTS_SSL_OUT_ROOT.
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import dataclasses
 import functools
@@ -195,12 +194,12 @@ def run_experiment(config_path: str | Path, overrides: list[str] | None = None,
     return _run_points([({}, load_config(config_path, overrides))], out_dir, "run")
 
 
-def _resolve_axis(config: ExperimentConfig, axis: str, value: str) -> str:
+def _resolve_axis(axis: str, value: str) -> str:
     """The dotted field ``axis`` names; a bare name resolves in train, then split, then dataset."""
     errors = []
     for dotted in (axis, f"train.{axis}", f"split.{axis}", f"dataset.{axis}"):
         try:
-            _apply_override(copy.deepcopy(config), f"{dotted}={value}")
+            _apply_override(ExperimentConfig(), f"{dotted}={value}")  # the field tables are every config's
             return dotted
         except ValidationError as exc:
             errors.append(exc)
@@ -209,16 +208,13 @@ def _resolve_axis(config: ExperimentConfig, axis: str, value: str) -> str:
 
 def sweep(config_path: str | Path, axis: str, values: list[str],
           overrides: list[str] | None = None, out_dir: str | None = None) -> RunManifest:
-    """One run per (axis value, seed); axis names a dotted config field."""
+    """One run per (axis value, seed); each point is loaded as ``run`` loads one, its axis value set last."""
     if not values:
         raise ValidationError("sweep: values list must be nonempty")
-    config = load_config(config_path, overrides)
-    axis = _resolve_axis(config, axis, values[0])
+    axis = _resolve_axis(axis, values[0])
     points = []
     for value in values:
-        point = copy.deepcopy(config)
-        _apply_override(point, f"{axis}={value}")
-        point.validate()
+        point = load_config(config_path, [*(overrides or []), f"{axis}={value}"])
         if any(point == other for _, other in points):  # its runs would train one directory twice
             raise ValidationError(f"sweep: value {value!r} repeats an earlier value of {axis}")
         points.append(({"axis": axis, "axis_value": value}, point))
@@ -275,9 +271,9 @@ def emit_report(manifest_path: str | Path, include_incomplete: bool = False) -> 
     series_dir.mkdir(exist_ok=True)
     for tag in tags:
         metrics = base / tag / "metrics.jsonl"
-        if not metrics.exists():  # a failed run may have written none
+        rows = [json.loads(line) for line in metrics.read_text().splitlines()] if metrics.exists() else []
+        if not rows:  # a run that recorded no epoch, its file empty or never written, has no series
             continue
-        rows = [json.loads(line) for line in metrics.read_text().splitlines()]
         out = series_dir / (str(tag).replace(os.sep, "__") + ".csv")
         with open(out, "w", newline="") as fh:
             writer = csv.writer(fh)

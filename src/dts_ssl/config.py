@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .data import AugmentConfig, DatasetSpec, SplitSpec
+from .data import CIFAR10_CLASSES, AugmentConfig, DatasetSpec, SplitSpec, split_checks
 from .errors import CapacityError, GenerationError, ValidationError, replace_fields, require_all, type_checks
 from .numerics import ACTIVATIONS
 
@@ -234,9 +234,12 @@ class ExperimentConfig:
                 getattr(self, name).validate()
             except ValidationError as exc:
                 problems += [f"{name}.{problem}" for problem in exc.problems]
-        if not problems and self.dataset.kind != "cifar10":  # a pool that loads whole is split as a run splits it
-            try:  # part sizes depend only on the pool's counts, so one seed's build stands for every seed's
-                self.split.build(self.dataset.load(), seed=0)
+        if not problems:  # a pool that loads whole is split as a run splits it (part sizes depend only on its
+            try:  # counts, so seed 0 stands for every seed); a cifar10 one is only listed, but its classes are known
+                if self.dataset.kind == "cifar10":
+                    require_all(split_checks(**dataclasses.asdict(self.split), class_count=CIFAR10_CLASSES))
+                else:
+                    self.split.build(self.dataset.load(), seed=0)
             except ValidationError as exc:
                 problems += [f"split.{problem}" for problem in exc.problems]
             except CapacityError as exc:

@@ -527,9 +527,10 @@ def load_cifar10_dir(path: str | Path, max_per_class: int | None = None) -> Data
     features = np.vstack(feats)
     labels = np.concatenate(labs)
     if max_per_class is not None:
-        order = np.sort(np.concatenate([np.flatnonzero(labels == c)[:max_per_class] for c in range(1, 11)]))
+        firsts = [np.flatnonzero(labels == c)[:max_per_class] for c in range(1, CIFAR10_CLASSES + 1)]
+        order = np.sort(np.concatenate(firsts))
         features, labels = features[order], labels[order]
-    return Dataset(name="cifar10", features=features, labels=labels, class_count=10)
+    return Dataset(name="cifar10", features=features, labels=labels, class_count=CIFAR10_CLASSES)
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +538,7 @@ def load_cifar10_dir(path: str | Path, max_per_class: int | None = None) -> Data
 # ---------------------------------------------------------------------------
 
 DATASET_KINDS = ("synthetic", "csv", "cifar10")
+CIFAR10_CLASSES = 10  # a cifar10 pool's class count, known without loading it
 
 
 @dataclass

@@ -4,7 +4,9 @@ A single pre-trained teacher carries both heads. Four working models are then
 derived from it: an inlier teacher-student pair that keeps the K-way head for
 seen-class classification, and an outlier pair that keeps the (K+1)-way head
 for unseen-class detection. Derived models own deep parameter copies and share
-no mutable state. All math is plain numpy with explicit backward passes, which
+no mutable state. One layer table, ``_layers``, states the parameter layout (the
+names, shapes and order) that construction, the passes, ``init_teacher``'s draws and
+the checkpoints read. All math is plain numpy with explicit backward passes, which
 return views into the model's one gradient vector: the next backward overwrites them.
 """
 
@@ -32,6 +34,15 @@ def _packed(params: Mapping[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.
         views[name] = flat[at : at + np.size(v)].reshape(np.shape(v))
         at += np.size(v)
     return flat, views
+
+
+def _layers(spec: BackboneSpec, K: int) -> dict[str, list[tuple[str, str, tuple[int, int]]]]:
+    """The layer table: per chain (the backbone from the inputs to the features, then each head from the
+    features to its logits), each layer's W key, b key and (fan-out, fan-in), in parameter order."""
+    sizes, f = spec.layer_sizes, spec.feature_dim
+    chains = {"backbone": [(f"backbone.{i}", n_in, n_out) for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:]))],
+              "k": [("head_k", f, K)], "k1": [("proj", f, f)] * spec.k1_projection + [("head_k1", f, K + 1)]}
+    return {name: [(f"{l}.W", f"{l}.b", (n_out, n_in)) for l, n_in, n_out in chain] for name, chain in chains.items()}
 
 
 class DualHeadModel:
@@ -63,13 +74,8 @@ class DualHeadModel:
         self.heads = tuple(heads)
         self.pretrained = pretrained
         self._act, self._act_grad = ACTIVATIONS[spec.activation]
-        # layer table: the (W, b) keys of the layers from the inputs to the features, and per head
-        # from the features to its logits; ``widths`` are each chain's input and output widths
-        chains = {"backbone": [f"backbone.{i}" for i in range(len(spec.layer_sizes) - 1)], "k": ["head_k"],
-                  "k1": ["proj", "head_k1"] if spec.k1_projection else ["head_k1"]}
-        f = spec.feature_dim
-        widths = {"backbone": spec.layer_sizes, "k": (f, K), "k1": (f,) * len(chains["k1"]) + (K + 1,)}
-        self._layers = {name: [(f"{l}.W", f"{l}.b") for l in chain] for name, chain in chains.items()}
+        table = _layers(spec, K)
+        self._layers = {name: [(W, b) for W, b, _ in chain] for name, chain in table.items()}
         expected = self._touched(self.heads)
         missing, unexpected = sorted(expected - set(self.params)), sorted(set(self.params) - expected)
         if missing or unexpected:
@@ -78,7 +84,7 @@ class DualHeadModel:
         require_all(
             (self.params[key].shape == shape, f"{key}: expected shape {shape}, got {self.params[key].shape}")
             for name in ("backbone", *self.heads)
-            for (W, b), n_in, n_out in zip(self._layers[name], widths[name], widths[name][1:])
+            for W, b, (n_out, n_in) in table[name]
             for key, shape in ((W, (n_out, n_in)), (b, (n_out,)))
         )
 
@@ -187,19 +193,10 @@ def init_teacher(spec: BackboneSpec, K: int, seed: int) -> DualHeadModel:
         raise ValidationError(f"K must be >= 2, got {K}")
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
-
-    def linear(name: str, fan_in: int, fan_out: int) -> None:
+    for W, b, (fan_out, fan_in) in (layer for chain in _layers(spec, K).values() for layer in chain):
         bound = 1.0 / np.sqrt(fan_in)
-        params[f"{name}.W"] = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-        params[f"{name}.b"] = np.zeros(fan_out)
-
-    sizes = spec.layer_sizes
-    for i in range(len(sizes) - 1):
-        linear(f"backbone.{i}", sizes[i], sizes[i + 1])
-    linear("head_k", spec.feature_dim, K)
-    if spec.k1_projection:
-        linear("proj", spec.feature_dim, spec.feature_dim)
-    linear("head_k1", spec.feature_dim, K + 1)
+        params[W] = rng.uniform(-bound, bound, size=(fan_out, fan_in))
+        params[b] = np.zeros(fan_out)
     return DualHeadModel(spec, K, params)
 
 

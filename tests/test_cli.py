@@ -81,6 +81,20 @@ def csv_config_file(tmp_path):
     return path
 
 
+@pytest.fixture
+def cifar_config_file(tmp_path):
+    """TINY_CONFIG on a CIFAR-10 directory of one batch, ten examples per class."""
+    cifar = tmp_path / "cifar"
+    cifar.mkdir()
+    rng = np.random.default_rng(0)
+    with open(cifar / "data_batch_1", "wb") as fh:
+        pickle.dump({b"data": rng.integers(0, 256, size=(100, 3072), dtype=np.uint8),
+                     b"labels": np.repeat(np.arange(10), 10).tolist()}, fh)
+    path = tmp_path / "cifar_config.json"
+    path.write_text(json.dumps({**TINY_CONFIG, "dataset": {"kind": "cifar10", "path": str(cifar)}}))
+    return path
+
+
 def assert_rejected(config_path, tmp_path, capsys, message):
     """``validate-config`` and ``run`` both exit 2 naming ``message``, and ``run`` creates no directory."""
     out = tmp_path / "runs"
@@ -274,11 +288,12 @@ class TestRunVerb:
         assert str(tmp_path / "envroot") in manifest.out_dir
 
     @pytest.mark.parametrize("verb, validations, points", [
-        (["run"], 1, 1), (["sweep", "--axis", "train.tau", "--values", "0.7,0.9"], 3, 2)])
+        (["run"], 1, 1), (["sweep", "--axis", "train.tau", "--values", "0.7,0.9"], 2, 2)])
     def test_each_point_loads_its_dataset_once(self, csv_config_file, tmp_path, monkeypatch, verb, validations,
                                                points):
         # a run's seeds share one load of the dataset; each point of a sweep loads its own, and each
-        # validation (the config's, then each sweep point's) loads one to build the split from
+        # validation (the run's config, or each sweep point's, never a sweep's file alone) loads one
+        # to build the split from
         calls, load = [], DatasetSpec.load
 
         def counted(spec):
@@ -374,6 +389,21 @@ class TestSweepVerb:
         err = capsys.readouterr().err
         assert "train.seed" in err and "seeds" in err and "--seed" in err
         assert not (tmp_path / "runs").exists()
+
+    def test_only_the_points_are_validated(self, config_file, tmp_path):
+        # the file's unlabeled_size overflows the pool, while each swept value fits it: a sweep runs
+        # its points and never the file alone
+        raw = json.loads(config_file.read_text())
+        raw["split"]["unlabeled_size"] = 100000
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps(raw))
+        assert main(["validate-config", "--config", str(base)]) == 2
+        argv = ["sweep", "--config", str(base), "--ablation", "supervised_only", "--axis", "split.unlabeled_size",
+                "--values", "90,100", "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 0
+        (manifest_file,) = (tmp_path / "out").rglob("manifest.json")
+        assert [(r["axis_value"], r["status"]) for r in RunManifest.load(manifest_file).runs] == [
+            ("90", "completed"), ("100", "completed")]
 
     def test_sweeps_over_different_axes_get_their_own_directory(self, config_file, tmp_path):
         """The sweep hash covers its points, so a second sweep never overwrites the first."""
@@ -512,10 +542,9 @@ class TestReportVerb:
             rows = list(csv.DictReader(fh))
         assert [(r["axis_value"], r["status"]) for r in rows] == [("0.08", "completed"), ("1e300", "failed")]
         assert (base / "report_aggregate.csv").read_bytes() == aggregate
-        series = {p.name: p.read_text().splitlines() for p in (base / "auroc_by_epoch").iterdir()}
-        assert sorted(series) == ["train_lr=0.08__seed0.csv", "train_lr=1e300__seed0.csv"]
-        # the failed run recorded no epoch before it diverged
-        assert series["train_lr=1e300__seed0.csv"] == ["phase,global_epoch,auroc,test_accuracy"]
+        # the failed run recorded no epoch before it diverged, so it has no series, as a run with no
+        # metrics.jsonl has none
+        assert sorted(p.name for p in (base / "auroc_by_epoch").iterdir()) == ["train_lr=0.08__seed0.csv"]
 
     @pytest.mark.parametrize("text, reason", [
         ("runs: none", "Expecting value"),
@@ -714,6 +743,11 @@ class TestValidateConfigVerb:
         ]],
         ("csv_config_file", "split", {"seen_class_ids": [1, 2, 9]},
          "split.seen_class_ids: [1, 2, 9] not all among classes 1..4"),
+        # a cifar10 pool is not loaded to validate, but its ten classes are known
+        ("cifar_config_file", "split", {"seen_class_ids": [1, 11]},
+         "split.seen_class_ids: [1, 11] not all among classes 1..10"),
+        ("cifar_config_file", "split", {"seen_class_ids": list(range(1, 11))},
+         "split.mismatch_ratio: > 0 needs at least one unseen class"),
     ])
     def test_data_the_generator_or_split_would_reject_exit_two(self, tmp_path, request, config, section, fields,
                                                                message, capsys):
@@ -757,15 +791,9 @@ class TestValidateConfigVerb:
         assert_rejected(bad, tmp_path, capsys, f"dataset.path: no data_batch_* files found under {tmp_path}")
 
     @pytest.mark.parametrize("max_per_class", [0, -2])
-    def test_max_per_class_below_one_exit_two(self, tmp_path, config_file, max_per_class, capsys):
-        cifar = tmp_path / "cifar"
-        cifar.mkdir()
-        rng = np.random.default_rng(0)
-        with open(cifar / "data_batch_1", "wb") as fh:
-            pickle.dump({b"data": rng.integers(0, 256, size=(100, 3072), dtype=np.uint8),
-                         b"labels": np.repeat(np.arange(10), 10).tolist()}, fh)
-        raw = json.loads(config_file.read_text())
-        raw["dataset"] = {"kind": "cifar10", "path": str(cifar), "max_per_class": 3}
+    def test_max_per_class_below_one_exit_two(self, tmp_path, cifar_config_file, max_per_class, capsys):
+        raw = json.loads(cifar_config_file.read_text())
+        raw["dataset"]["max_per_class"] = 3
         good = tmp_path / "good.json"
         good.write_text(json.dumps(raw))
         assert main(["validate-config", "--config", str(good)]) == 0
@@ -775,7 +803,7 @@ class TestValidateConfigVerb:
         message = f"max_per_class: must be >= 1 or null, got {max_per_class}"
         assert_rejected(bad, tmp_path, capsys, f"dataset.{message}")
         with pytest.raises(ValidationError, match=message):  # the loader keeps the same rule
-            load_cifar10_dir(cifar, max_per_class=max_per_class)
+            load_cifar10_dir(raw["dataset"]["path"], max_per_class=max_per_class)
 
     @pytest.mark.parametrize("section, fields, message", [
         ("dataset", {"per_class": 5},

@@ -52,6 +52,15 @@ class TestInitTeacher:
         a, b = make_teacher(seed=9), make_teacher(seed=9)
         assert param_hash(a) == param_hash(b)
 
+    @pytest.mark.parametrize("k1_projection, digest", [
+        (False, "d2d140af648c0a33c2475f8bf408d74e2937df904be305d0d0f9779868ce7fdf"),
+        (True, "0a9893300157aa19b01fdb7eb0b8f92e384d84fb297e0ff33ca167ab7c47ddff"),
+    ])
+    def test_draws_follow_the_layer_order(self, k1_projection, digest):
+        # the layers are drawn from one generator in parameter order: backbone, head_k, proj, head_k1
+        spec = dataclasses.replace(SPEC, k1_projection=k1_projection)
+        assert param_hash(init_teacher(spec, 4, 0)) == digest
+
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValidationError):
             BackboneSpec(input_dim=0)
